@@ -9,7 +9,7 @@
 //
 //	rvd -dir STATE [-listen 127.0.0.1:7421]
 //	    [-workers N | -dist-addrs host:port,...] [-dist-worker-bin "cmd args..."]
-//	    [-dist-respawn N] [-dist-max-attempts N] [-dist-migrate]
+//	    [-dist-respawn N] [-dist-max-attempts N]
 //	    [-queue-bound N] [-batch-shards N]
 //	    [-pprof] [-log-level info]
 //
@@ -70,7 +70,6 @@ func main() {
 	distAddrs := flag.String("dist-addrs", "", "comma-separated rvworker -listen addresses to dispatch shards to")
 	distRespawn := flag.Int("dist-respawn", 0, "fork up to this many replacement workers when one dies mid-sweep (local workers only)")
 	distMaxAttempts := flag.Int("dist-max-attempts", 0, "redispatch a shard at most this many times after worker deaths")
-	distMigrate := flag.Bool("dist-migrate", false, "migrate in-flight shards off dying workers mid-shard (protocol v3)")
 	dialAttempts := flag.Int("dial-attempts", 8, "connection attempts per -dist-addrs address (capped exponential backoff + jitter)")
 	queueBound := flag.Int("queue-bound", 4096, "admission control: shed submissions past this many pending shards (503 + Retry-After)")
 	batchShards := flag.Int("batch-shards", 16, "shards per fleet dispatch batch (smaller = fairer job interleaving)")
@@ -89,11 +88,8 @@ func main() {
 	}
 
 	var distOpts []dist.Option
-	if *distMaxAttempts > 0 || *distMigrate {
-		distOpts = append(distOpts, dist.WithTuning(dist.Tuning{
-			MaxAttempts: *distMaxAttempts,
-			Migrate:     *distMigrate,
-		}))
+	if *distMaxAttempts > 0 {
+		distOpts = append(distOpts, dist.WithTuning(dist.Tuning{MaxAttempts: *distMaxAttempts}))
 	}
 
 	var backend dist.Backend

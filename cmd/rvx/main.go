@@ -7,11 +7,11 @@
 //	rvx [-full] [-markdown] [-only E4,E7] [-resume PATH] [-checkpoint-every N]
 //	    [-dist-workers N] [-dist-worker-bin "path args..."]
 //	    [-dist-addrs host:port,...] [-dist-respawn N] [-dist-max-attempts N]
-//	    [-dist-migrate] [-trace out.json]
+//	    [-trace out.json]
 //
 // -trace writes the dist coordinator's shard-lifecycle timeline (queue,
-// dispatch, first chunk, completion, plus requeue/migration/heartbeat
-// events, accumulated across every sweep of the regeneration) as Chrome
+// dispatch, first chunk, completion, plus requeue/heartbeat events,
+// accumulated across every sweep of the regeneration) as Chrome
 // trace-event JSON loadable in Perfetto or chrome://tracing. It needs a
 // coordinator in this process, so it is incompatible with -daemon.
 //
@@ -33,15 +33,13 @@
 // already-running `rvworker -listen` processes (one connection per
 // address; repeat an address for more parallelism on one host).
 // -dist-respawn lets the local fleet fork up to N replacement workers
-// when one dies mid-sweep, -dist-max-attempts bounds how many times
-// one shard may be redispatched after worker deaths, and -dist-migrate
-// turns on protocol v3 mid-shard migration — a shard stranded on a dying
-// worker resumes on a survivor after its completed cases instead of
-// re-executing from zero. The dispatcher's
-// aggregation is byte-identical across all modes, faults and requeues
-// included, so the tables come out the same however the sweeps were
-// executed — the CI chaos smoke pins exactly that, with crash-injected
-// workers being respawned under a real rvx run.
+// when one dies mid-sweep, and -dist-max-attempts bounds how many times
+// one shard may be redispatched after worker deaths (a shard stranded on
+// a dying worker re-executes from case zero on a survivor). The
+// dispatcher's aggregation is byte-identical across all modes, faults
+// and requeues included, so the tables come out the same however the
+// sweeps were executed — the CI chaos smoke pins exactly that, with
+// crash-injected workers being respawned under a real rvx run.
 package main
 
 import (
@@ -71,7 +69,6 @@ func main() {
 	distAddrs := flag.String("dist-addrs", "", "comma-separated rvworker -listen addresses to dispatch sweeps to")
 	distRespawn := flag.Int("dist-respawn", 0, "fork up to this many replacement workers when one dies mid-sweep (local workers only)")
 	distMaxAttempts := flag.Int("dist-max-attempts", 0, "redispatch a shard at most this many times after worker deaths (default: protocol default)")
-	distMigrate := flag.Bool("dist-migrate", false, "migrate in-flight shards off dying workers mid-shard (protocol v3) instead of requeueing from zero")
 	daemonAddr := flag.String("daemon", "", "submit the distributable sweeps to a running rvd daemon at this address instead of computing locally")
 	resumePath := flag.String("resume", "", "checkpoint file: skip experiments it records as complete, and save new ones to it")
 	checkpointEvery := flag.Int("checkpoint-every", 0, "with -resume, save the checkpoint file after every N newly-executed experiments")
@@ -84,11 +81,8 @@ func main() {
 	}
 
 	var distOpts []dist.Option
-	if *distMaxAttempts > 0 || *distMigrate {
-		distOpts = append(distOpts, dist.WithTuning(dist.Tuning{
-			MaxAttempts: *distMaxAttempts,
-			Migrate:     *distMigrate,
-		}))
+	if *distMaxAttempts > 0 {
+		distOpts = append(distOpts, dist.WithTuning(dist.Tuning{MaxAttempts: *distMaxAttempts}))
 	}
 	var backend dist.Backend
 	switch {

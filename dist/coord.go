@@ -67,15 +67,6 @@ type Tuning struct {
 	// MaxWindow caps the per-connection pipeline depth below what the
 	// worker's hello capacity allows. 0 means the worker capacity rules.
 	MaxWindow int
-
-	// Migrate preserves a dead connection's partial shard aggregations
-	// and re-dispatches those shards as checkpoint frames: the surviving
-	// worker receives only the not-yet-completed cases (it cannot
-	// re-execute completed ones — they are not in its descriptor) and its
-	// chunks append at the preserved offset. Off, a lost shard requeues
-	// from case zero. Either way aggregation is byte-identical; the flag
-	// only decides how much completed work a crash throws away.
-	Migrate bool
 }
 
 // NoDeadline as Tuning.BaseDeadline disables the liveness watchdog. The
@@ -111,12 +102,6 @@ type RunStats struct {
 	MaxAttempts int // highest dispatch count of any shard
 	Chunks      int // result-chunk frames aggregated
 	Heartbeats  int // heartbeat frames received
-
-	// Migrations counts shards moved off a dead connection with their
-	// partial aggregation preserved (Tuning.Migrate); MigratedCases is
-	// the total completed cases those migrations did NOT re-execute.
-	Migrations    int
-	MigratedCases int
 }
 
 // Option configures a connection backend at construction.
@@ -192,26 +177,6 @@ func (c *wconn) sendShard(id int, sh *ShardDesc, scratch []byte) ([]byte, error)
 	return scratch, err
 }
 
-// sendCheckpoint writes one checkpoint frame: the shard id, the resume
-// offset, and a descriptor holding only the cases from that offset on —
-// the migrated shard's worker structurally cannot re-execute completed
-// cases, because they are not in what it receives. The worker reports
-// heartbeat counts and chunk starts in absolute (whole-shard) case
-// coordinates, so the coordinator's aggregation and ordering checks run
-// unchanged.
-func (c *wconn) sendCheckpoint(id int, sh *ShardDesc, from int, scratch []byte) ([]byte, error) {
-	scratch = append(scratch[:0], frameCheckpoint)
-	scratch = binary.AppendUvarint(scratch, uint64(id))
-	scratch = binary.AppendUvarint(scratch, uint64(from))
-	sub := *sh
-	sub.Cases = sh.Cases[from:]
-	scratch = sub.AppendEncode(scratch)
-	c.wmu.Lock()
-	err := writeFrameSum(c.w, scratch)
-	c.wmu.Unlock()
-	return scratch, err
-}
-
 // connState is one connection's per-run view: the shards in flight on it
 // and the partial aggregations their chunks have built so far.
 type connState struct {
@@ -248,11 +213,6 @@ type run struct {
 	attempts []int   // dispatches so far, per shard
 	lastFail []error // last connection-level failure, per shard (attempt exhaustion message)
 	shardErr []error // terminal per-shard error (deterministic failure or attempts exhausted)
-	// partial holds the preserved aggregations of queued shards that are
-	// migrating (Tuning.Migrate): the next connection to dispatch such a
-	// shard sends a checkpoint frame for the remaining cases and resumes
-	// appending into the preserved partialResult.
-	partial map[int]*partialResult
 
 	conns     []*connState
 	live      int
@@ -441,42 +401,19 @@ func (r *run) connLoop(cs *connState) {
 			si := r.queue[0]
 			r.queue = r.queue[1:]
 			r.attempts[si]++
-			// A migrating shard resumes into its preserved aggregation at
-			// its completed-case offset; anything else starts fresh.
-			part := r.partial[si]
-			from := 0
-			if part != nil {
-				delete(r.partial, si)
-				from = part.got
-				r.stats.Migrations++
-				r.stats.MigratedCases += from
-				obsMigrated.Inc()
-			} else {
-				part = &partialResult{}
-			}
-			cs.inflight[si] = part
+			cs.inflight[si] = &partialResult{startNs: r.tl.Now()}
 			cs.lastProgress = time.Now()
-			part.startNs = r.tl.Now()
 			attempt := r.attempts[si]
 			sh := r.shards[si]
 			r.mu.Unlock()
 			obsDispatched.Inc()
 			cs.ig.Add(1)
-			if from > 0 {
-				r.tl.Instant("migrate", "shard", int64(si), fmt.Sprintf("conn=%d attempt=%d from=%d", cs.idx, attempt, from))
-			} else {
-				r.tl.Instant("dispatch", "shard", int64(si), fmt.Sprintf("conn=%d attempt=%d", cs.idx, attempt))
-			}
+			r.tl.Instant("dispatch", "shard", int64(si), fmt.Sprintf("conn=%d attempt=%d", cs.idx, attempt))
 			// Wake a reader idling on an empty window before the send:
 			// frames may start arriving immediately.
 			r.cond.Broadcast()
 			var err error
-			if from > 0 {
-				scratch, err = c.sendCheckpoint(si, sh, from, scratch)
-			} else {
-				scratch, err = c.sendShard(si, sh, scratch)
-			}
-			if err != nil {
+			if scratch, err = c.sendShard(si, sh, scratch); err != nil {
 				r.connDead(cs, err)
 				r.mu.Lock()
 				break
@@ -677,18 +614,6 @@ func (r *run) connDead(cs *connState, cause error) {
 			r.remaining--
 			obsCompleted.Inc()
 			r.tl.Instant("attempts-exhausted", "shard", int64(si), "")
-		} else if r.tun.Migrate && part.got > 0 {
-			// Preserve the partial aggregation: the next dispatch of this
-			// shard becomes a checkpoint frame resuming at part.got. The
-			// chunks already aggregated came off this (now dead)
-			// connection's frames fully decoded and verified, so they are
-			// as good as any completed shard prefix.
-			if r.partial == nil {
-				r.partial = make(map[int]*partialResult)
-			}
-			r.partial[si] = part
-			r.queue = append(r.queue, si)
-			r.tl.Instant("migrate-stash", "shard", int64(si), fmt.Sprintf("kept=%d cases", part.got))
 		} else {
 			r.stats.Requeues++
 			obsRequeued.Inc()

@@ -6,12 +6,11 @@
 // workers inside this process (NewInProcess, the reference everything
 // else is pinned against) — over a length-prefixed binary protocol
 // (v3) built around failure as a normal event: shards requeue off dead
-// connections or migrate mid-shard to survivors, workers heartbeat while
-// they compute, dispatch is pipelined, and workers may join (AddConn,
-// DialAdd) or be respawned (WithRespawn) mid-sweep. Dial and DialAdd
-// absorb workers that come up slower than their coordinator by retrying
-// each address with capped exponential backoff plus jitter (DialRetry,
-// DialWith).
+// connections, workers heartbeat while they compute, dispatch is
+// pipelined, and workers may join (AddConn, DialAdd) or be respawned
+// (WithRespawn) mid-sweep. Dial and DialAdd absorb workers that come up
+// slower than their coordinator by retrying each address with capped
+// exponential backoff plus jitter (DialRetry, DialWith).
 //
 // Package rvd builds the long-running service on top of this dispatcher:
 // a daemon owning one fleet and a persistent content-addressed result
@@ -31,25 +30,23 @@
 // checksum of its payload inside the length-prefixed region (the hello
 // keeps v1 framing so version negotiation never depends on v2 rules).
 //
-//	worker → coordinator   hello     {version, capacity}          once, on connect; no checksum
-//	coordinator → worker   shard     {id, ShardDesc}              up to `capacity` in flight per connection
-//	worker → coordinator   heartbeat {id, casesDone}              liveness while a shard executes
-//	worker → coordinator   chunk     {id, ResultChunk}            bounded case batch; terminal chunk carries the view signature
-//	worker → coordinator   error     {id, message}                deterministic per-shard failure; never retried
-//	coordinator → worker   shutdown  {}                           drain and exit
-//	coordinator → worker   checkpoint {id, from, ShardDesc tail}  v3: migrate an in-flight shard, resuming after `from` completed cases
+//	worker → coordinator   hello     {version, capacity}  once, on connect; no checksum
+//	coordinator → worker   shard     {id, ShardDesc}      up to `capacity` in flight per connection
+//	worker → coordinator   heartbeat {id, casesDone}      liveness while a shard executes
+//	worker → coordinator   chunk     {id, ResultChunk}    bounded case batch; terminal chunk carries the view signature
+//	worker → coordinator   error     {id, message}        deterministic per-shard failure; never retried
+//	coordinator → worker   shutdown  {}                   drain and exit
 //
 // The v1 whole-shard result frame (type 3) is retired; results travel
-// exclusively as chunk frames. The v3 checkpoint frame is a shard frame
-// whose descriptor holds only the cases from the resume offset on; the
-// worker reports heartbeat counts and chunk starts offset by `from`, so
-// the coordinator's in-order aggregation and terminal accounting run
-// unchanged in whole-shard case coordinates. The checksum is the line between the two
-// failure classes: a frame that fails its checksum (or desyncs the
-// stream) means the CONNECTION can no longer be trusted — it is severed
-// and its in-flight shards requeue — while a frame that decodes cleanly
-// but names an unknown program or an out-of-range start is a
-// deterministic per-shard error that would fail identically on any
+// exclusively as chunk frames. The v3 mid-shard migration frame (type 8)
+// is retired too: a shard lost with its connection requeues from case
+// zero. Neither tag is reused, and the version stays 3 because the
+// descriptor and result encodings did not change. The checksum is the
+// line between the two failure classes: a frame that fails its checksum
+// (or desyncs the stream) means the CONNECTION can no longer be trusted
+// — it is severed and its in-flight shards requeue — while a frame that
+// decodes cleanly but names an unknown program or an out-of-range start
+// is a deterministic per-shard error that would fail identically on any
 // worker, so it surfaces as the sweep error instead of being retried.
 //
 // # Pipelined dispatch and elastic membership
@@ -87,26 +84,6 @@
 // Tuning.MaxAttempts, so a poison shard that kills every worker it
 // lands on surfaces as a per-shard error after MaxAttempts dispatches
 // instead of cycling forever.
-//
-// # Mid-shard migration (v3)
-//
-// With Tuning.Migrate set, a shard stranded on a dying connection with
-// chunks already aggregated is not requeued from zero: the coordinator
-// stashes the partial aggregation (chunk payloads are decoded copies,
-// independent of the dead connection's buffers) and re-dispatches the
-// shard as a checkpoint frame — the resume offset plus a descriptor
-// holding only the remaining cases. The receiving worker structurally
-// cannot re-execute completed cases (they are not on the wire), executes
-// the tail on its own pooled session, and streams chunks whose starts
-// continue exactly where the dead connection's stopped, so the in-order
-// splice preserves byte-identical aggregation (pinned by the migration
-// chaos matrix and the frame-level skip test). Migrations are counted
-// in RunStats.Migrations/MigratedCases, separately from Requeues; a
-// migrated dispatch still consumes one of the shard's MaxAttempts. The
-// completed-case chunk boundary is the wire's checkpoint granularity;
-// mid-run engine state within one case is sim.Checkpoint's domain (see
-// sim's package comment), which rvx uses for experiment-level
-// save/resume.
 //
 // Liveness is measured on progress, never on wall-clock silence: a
 // worker emits heartbeat frames between cases whenever it has been
@@ -209,8 +186,8 @@
 // (Chrome trace tid = shard index): a "dispatch" instant when the shard
 // is handed to a connection (arg: conn and attempt), a "first-chunk"
 // instant when its first result chunk lands, and a closing "shard" span
-// covering dispatch→terminal — with "requeue", "migrate", "heartbeat"
-// and "attempts-exhausted" instants marking the fault machinery when it
+// covering dispatch→terminal — with "requeue", "heartbeat" and
+// "attempts-exhausted" instants marking the fault machinery when it
 // fires. Connection lifecycle ("conn-join", "conn-dead") rides negative
 // tracks so worker churn reads as its own lane group. By construction
 // span start <= dispatch ts <= first-chunk ts <= span end (the start is
@@ -219,8 +196,8 @@
 // backend's timeline as Chrome trace-event JSON loadable in Perfetto or
 // chrome://tracing; `rvx -trace out.json` wires it to the CLI. The
 // coordinator also publishes counters and histograms (dispatches,
-// requeues, migrations, chunk and heartbeat gap distributions, per-conn
-// inflight gauges) into obs.Default(), exposed by rvd's GET /metrics —
+// requeues, chunk and heartbeat gap distributions, per-conn inflight
+// gauges) into obs.Default(), exposed by rvd's GET /metrics —
 // all on coordination paths only, never inside the engine (see obs's
 // zero-overhead contract).
 //

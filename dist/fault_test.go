@@ -9,6 +9,7 @@ package dist_test
 // replays.
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -158,28 +159,47 @@ func TestDifferentialUnderFaults(t *testing.T) {
 	}
 }
 
+// startGatedServeWorker is startServeWorker on a clean link whose worker
+// stays silent — no hello, so the coordinator deals it nothing — until
+// gate closes.
+func startGatedServeWorker(gate <-chan struct{}, opts ...dist.ServeOption) workerLink {
+	cp, wp := net.Pipe()
+	done := make(chan error, 1)
+	go func() {
+		<-gate
+		err := dist.Serve(wp, wp, opts...)
+		wp.Close()
+		done <- err
+	}()
+	return workerLink{coord: cp, done: done}
+}
+
 // TestKillScheduleMatrix kills worker i after it has executed j shards,
 // for every (i, j) pair — the seeded kill-schedule matrix. The crash
 // fires mid-shard (non-terminal chunks sent, terminal withheld, link
 // cut), the survivor absorbs the requeued work, aggregation stays
-// byte-identical, and the attempt budget is never exceeded.
+// byte-identical, and the attempt budget is never exceeded. The
+// survivor's hello is held until the crash has fired, so the crasher is
+// dealt every shard until then and the crash happens in every cell; the
+// watchdog is off so the waiting survivor is never reaped for silence.
 func TestKillScheduleMatrix(t *testing.T) {
 	p, cases := plannerWithShards(9000, 4)
 	want := rawSweep(t, cases)
 	tun := faultTuning()
+	tun.BaseDeadline = dist.NoDeadline
 	for i := 0; i < 2; i++ {
 		for j := 1; j <= 3; j++ {
 			t.Run(fmt.Sprintf("kill-worker%d-after%d", i, j), func(t *testing.T) {
-				links := make([]workerLink, 2)
+				crasher := startServeWorker(nil, nil, dist.WithChunkCases(2), dist.WithCrashAfterShards(j))
+				crashed := make(chan struct{})
+				var crashErr error
+				go func() {
+					crashErr = <-crasher.done
+					close(crashed)
+				}()
+				survivor := startGatedServeWorker(crashed, dist.WithChunkCases(2))
 				streams := make([]io.ReadWriteCloser, 2)
-				for w := range links {
-					opts := []dist.ServeOption{dist.WithChunkCases(2)}
-					if w == i {
-						opts = append(opts, dist.WithCrashAfterShards(j))
-					}
-					links[w] = startServeWorker(nil, nil, opts...)
-					streams[w] = links[w].coord
-				}
+				streams[i], streams[1-i] = crasher.coord, survivor.coord
 				be := dist.NewFromStreams(streams, dist.WithTuning(tun))
 				defer be.Close()
 				got, err := p.Run(be)
@@ -187,6 +207,10 @@ func TestKillScheduleMatrix(t *testing.T) {
 					t.Fatalf("sweep failed with one worker killed: %v", err)
 				}
 				assertEqualResults(t, "post-kill sweep", got, want)
+				<-crashed // already closed: the survivor's hello waited on it
+				if !errors.Is(crashErr, dist.ErrCrashInjected) {
+					t.Fatalf("killed worker's Serve returned %v, want ErrCrashInjected", crashErr)
+				}
 				stats, ok := dist.LastRunStats(be)
 				if !ok {
 					t.Fatal("no run stats from a connection backend")
@@ -194,17 +218,8 @@ func TestKillScheduleMatrix(t *testing.T) {
 				if stats.MaxAttempts > tun.MaxAttempts {
 					t.Fatalf("shard dispatched %d times, budget %d", stats.MaxAttempts, tun.MaxAttempts)
 				}
-				if stats.DeadConns > 0 && stats.Requeues == 0 {
-					t.Fatalf("a connection died holding work but nothing requeued: %+v", stats)
-				}
-				// When the schedule fired (the worker executed enough
-				// shards), its Serve must have reported the injected
-				// crash. If it never fired, Serve is still draining and
-				// only returns at Close.
-				if stats.DeadConns > 0 {
-					if w := <-links[i].done; w == nil {
-						t.Fatal("killed worker's Serve returned nil, want ErrCrashInjected")
-					}
+				if stats.DeadConns != 1 || stats.Requeues < 1 {
+					t.Fatalf("want exactly the crasher dead and its shard requeued: %+v", stats)
 				}
 			})
 		}

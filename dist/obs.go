@@ -13,13 +13,11 @@ import (
 // bookkeeping per multi-millisecond shard — never inside the engine.
 var (
 	obsDispatched = obs.Default().Counter("dist_shards_dispatched_total",
-		"shard dispatches to worker connections (requeues and migrations redispatch)")
+		"shard dispatches to worker connections (requeues redispatch)")
 	obsCompleted = obs.Default().Counter("dist_shards_completed_total",
 		"shards retired with a terminal result or error")
 	obsRequeued = obs.Default().Counter("dist_shards_requeued_total",
 		"shards re-dealt from zero after their connection died")
-	obsMigrated = obs.Default().Counter("dist_shards_migrated_total",
-		"shards migrated mid-flight with their partial aggregation preserved")
 	obsDeadConns = obs.Default().Counter("dist_conns_dead_total",
 		"worker connections lost (transport error, checksum failure, watchdog)")
 	obsJoinedConns = obs.Default().Counter("dist_conns_joined_total",

@@ -21,9 +21,10 @@ import (
 // descriptors are not self-describing, so cross-version traffic would
 // misdecode rather than degrade. v2 added the hello capacity field,
 // heartbeat frames, chunked result frames and per-frame checksums; v3
-// added the checkpoint frame — mid-shard migration of an in-flight shard
-// to a surviving worker, resuming after its completed cases (see doc.go
-// for the full schema).
+// added a mid-shard migration frame (tag 8), since retired: a lost shard
+// requeues from case zero. The version stays 3 because the shard
+// descriptor and result encodings — what rvd's cache keys hash — did not
+// change (see doc.go for the full schema).
 const ProtoVersion = 3
 
 // maxFrame bounds one frame's payload (64 MiB): far above any real shard
@@ -40,7 +41,7 @@ const (
 	frameShutdown    byte = 5 // coordinator → worker: drain and exit
 	frameHeartbeat   byte = 6 // worker → coordinator: shard id + cases done (liveness, between cases)
 	frameResultChunk byte = 7 // worker → coordinator: shard id + ResultChunk (bounded case batch)
-	frameCheckpoint  byte = 8 // coordinator → worker: shard id + resume offset + remaining-case descriptor (migration)
+	// 8 was the v3 mid-shard migration frame; retired, never reused.
 )
 
 // writeFrame emits one length-prefixed frame and flushes.

@@ -74,15 +74,10 @@ func WithCrashAfterShards(n int) ServeOption {
 }
 
 // shardItem is one frame handed from the connection reader to the
-// executor: a decoded shard, or the decode error to answer with. from is
-// the resume offset of a checkpoint frame (0 for ordinary shards): the
-// descriptor holds only the cases from that offset on, and every
-// heartbeat count and chunk start the executor reports is offset by it,
-// so the coordinator sees whole-shard case coordinates.
+// executor: a decoded shard, or the decode error to answer with.
 type shardItem struct {
 	id        uint64
 	sh        *ShardDesc
-	from      int
 	decodeErr error
 }
 
@@ -166,19 +161,15 @@ func Serve(r io.Reader, w io.Writer, opts ...ServeOption) error {
 			switch payload[0] {
 			case frameShutdown:
 				return
-			case frameShard, frameCheckpoint:
+			case frameShard:
 				d := &rd{data: payload[1:]}
 				id := d.uvarint()
-				from := 0
-				if payload[0] == frameCheckpoint {
-					from = d.count(maxCases, "resume offset")
-				}
 				if d.err != nil {
 					readErr = d.err
 					return
 				}
 				sh := new(ShardDesc)
-				it := shardItem{id: id, sh: sh, from: from, decodeErr: sh.Decode(d.data)}
+				it := shardItem{id: id, sh: sh, decodeErr: sh.Decode(d.data)}
 				select {
 				case queue <- it:
 				case <-done:
@@ -221,7 +212,7 @@ func Serve(r io.Reader, w io.Writer, opts ...ServeOption) error {
 			lastSend = time.Now()
 			hb := append(outBuf[:0], frameHeartbeat)
 			hb = binary.AppendUvarint(hb, it.id)
-			hb = binary.AppendUvarint(hb, uint64(it.from+caseDone))
+			hb = binary.AppendUvarint(hb, uint64(caseDone))
 			beatErr = writeFrameSum(bw, hb)
 		}
 		res, err := execShardOn(sess, batch, it.sh, &gc, progress)
@@ -234,7 +225,7 @@ func Serve(r io.Reader, w io.Writer, opts ...ServeOption) error {
 			}
 			continue
 		}
-		if err := streamChunks(bw, it.id, it.from, res, cfg.chunk, crashing, &outBuf); err != nil {
+		if err := streamChunks(bw, it.id, res, cfg.chunk, crashing, &outBuf); err != nil {
 			return err
 		}
 		if crashing {
@@ -244,13 +235,11 @@ func Serve(r io.Reader, w io.Writer, opts ...ServeOption) error {
 	return readErr
 }
 
-// streamChunks streams one shard's results as bounded chunk frames, the
-// starts offset by base (a checkpoint frame's resume offset; 0 for
-// ordinary shards) into whole-shard case coordinates. When crashing is
-// set, every non-terminal chunk goes out but the terminal one is
-// withheld — the crash-injection shape that leaves the coordinator
-// holding a partial aggregation it must discard or migrate.
-func streamChunks(bw *bufio.Writer, id uint64, base int, res *ShardResult, chunk int, crashing bool, outBuf *[]byte) error {
+// streamChunks streams one shard's results as bounded chunk frames. When
+// crashing is set, every non-terminal chunk goes out but the terminal one
+// is withheld — the crash-injection shape that leaves the coordinator
+// holding a partial aggregation it must discard before requeueing.
+func streamChunks(bw *bufio.Writer, id uint64, res *ShardResult, chunk int, crashing bool, outBuf *[]byte) error {
 	n := len(res.Cases)
 	for start := 0; ; start += chunk {
 		end := min(start+chunk, n)
@@ -258,7 +247,7 @@ func streamChunks(bw *bufio.Writer, id uint64, base int, res *ShardResult, chunk
 		if terminal && crashing {
 			return nil
 		}
-		ck := ResultChunk{Start: base + start, Cases: res.Cases[start:end], Terminal: terminal}
+		ck := ResultChunk{Start: start, Cases: res.Cases[start:end], Terminal: terminal}
 		if terminal {
 			ck.ViewSig = res.ViewSig
 		}

@@ -1,6 +1,10 @@
 package dist
 
 import (
+	"bufio"
+	"bytes"
+	"io"
+	"net"
 	"strings"
 	"testing"
 	"unicode/utf8"
@@ -86,3 +90,38 @@ func TestAppendErrorFrameBounded(t *testing.T) {
 type errString string
 
 func (e errString) Error() string { return string(e) }
+
+// Retired frame tags (3, the v1 whole-shard result; 8, the v3 mid-shard
+// migration frame) must never decode as anything else: a worker that
+// receives one — say from a stale coordinator — fails the connection
+// with an unexpected-frame-type error.
+func TestWorkerRejectsRetiredFrames(t *testing.T) {
+	for _, tag := range []byte{3, 8} {
+		cp, wp := net.Pipe()
+		done := make(chan error, 1)
+		go func() {
+			err := Serve(wp, wp)
+			wp.Close()
+			done <- err
+		}()
+		go io.Copy(io.Discard, cp) // the hello, and any answer
+		// The retired frame, then a shutdown: a worker that took the
+		// retired frame for one it knows would answer it and exit cleanly.
+		var frames bytes.Buffer
+		bw := bufio.NewWriter(&frames)
+		if err := writeFrameSum(bw, []byte{tag, 0, 0}); err != nil {
+			t.Fatal(err)
+		}
+		if err := writeFrameSum(bw, []byte{frameShutdown}); err != nil {
+			t.Fatal(err)
+		}
+		// A worker that fails the connection may close before reading
+		// everything, so the write error carries no verdict.
+		_, _ = cp.Write(frames.Bytes())
+		err := <-done
+		cp.Close()
+		if err == nil || !strings.Contains(err.Error(), "unexpected frame type") {
+			t.Fatalf("tag %d: Serve returned %v, want an unexpected-frame-type error", tag, err)
+		}
+	}
+}

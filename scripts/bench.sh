@@ -38,8 +38,6 @@ go test -run '^$' -bench 'BenchmarkBatchShard' -count "$count" -benchmem ./sim/ 
 echo "== obs hot-path overhead (atomic counter + instrumented shard run)" >&2
 go test -run '^$' -bench 'BenchmarkObsCounter$' -count "$count" -benchmem ./internal/obs/ | tee -a "$tmp"
 go test -run '^$' -bench 'BenchmarkInstrumentedShard' -count "$count" -benchmem ./sim/ | tee -a "$tmp"
-echo "== checkpoint capture + encode (mid-run state frame)" >&2
-go test -run '^$' -bench 'BenchmarkCheckpoint' -count "$count" -benchmem ./sim/ | tee -a "$tmp"
 echo "== view + rendezvous + uxs microbenchmarks" >&2
 go test -run '^$' -bench 'BenchmarkClasses' -count "$count" -benchmem ./view/ | tee -a "$tmp"
 go test -run '^$' -bench 'BenchmarkViewWalkBatched' -count "$count" -benchmem ./rendezvous/ | tee -a "$tmp"

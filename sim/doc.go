@@ -169,39 +169,6 @@
 // each lane's k-agent run live — gathering observes the joint
 // schedule, so there is no per-agent closed form to record.
 //
-// # Checkpoint and replay
-//
-// Checkpoint serializes a run's complete mid-round observable state at a
-// scheduler boundary — round counter, per-agent position, entry port,
-// script cursor and remaining wait, deferred-wait lead, appearance
-// delays, the meeting matrix, gathering state, per-agent wakeup counters
-// and a digest of the session stats the run accrued — as a versioned,
-// bounded-cursor-hardened varint frame (Encode/Decode, pinned by
-// FuzzCheckpointDecode). What the frame deliberately does NOT carry is
-// anything reconstructible by determinism: pending grant entry/degree
-// buffers, script action payloads in flight, runner goroutine state.
-// ResumePair/ResumeMany instead re-execute the run from round zero with
-// the scheduler clamped to stop at the checkpoint round, verify the
-// replayed state field-for-field against the frame (a tampered or
-// mismatched checkpoint is an error, up to the inherent limit that two
-// runs with identical prefixes are indistinguishable), and then continue
-// live to completion. The clamp is sound because the fast-forward
-// machinery is partition-invariant: a wait skip or event horizon split
-// at an extra boundary produces the same observable trajectory, so the
-// resumed tail — Result, MultiResult, Meetings order, wakeup counts —
-// is byte-identical to the uninterrupted run (TestReplayEquality pins
-// this across both live engines and the batch engine).
-//
-// Checkpoints come in two tiers. Live runs produce Full checkpoints:
-// every runner field captured and verified. Batch recordings produce
-// core-tier checkpoints (Batch.CheckpointPair): the record-and-resolve
-// logs retain only the partition-invariant projection — presence,
-// position, move count, completion, wakeups — so the frame marks the
-// entry port unknown and resume verifies the core fields only. Both
-// tiers copy on capture, never aliasing pooled session buffers: a
-// checkpoint outlives its Session and resumes on any other Session
-// (pinned under -race by the session-isolation test).
-//
 // # Beyond one process
 //
 // Sweep shards cases by (graph, parameter block) within this process;

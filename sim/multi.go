@@ -83,24 +83,9 @@ func RunMany(g *graph.Graph, agents []MultiAgent, cfg MultiConfig) MultiResult {
 
 // RunMany is the session-pooled form of the package-level RunMany.
 func (s *Session) RunMany(g *graph.Graph, agents []MultiAgent, cfg MultiConfig) MultiResult {
-	res, _ := s.runMany(g, agents, cfg, noStopRound, nil)
-	return res
-}
-
-// runMany is the k-agent engine loop behind RunMany and the
-// checkpoint/replay API, the exact analogue of runPair: at the first
-// scheduler boundary whose round reaches stopAt — after that boundary's
-// detection, budget and all-done checks — it calls onStop with the
-// suspended run. onStop returning false abandons the run (the zero
-// MultiResult comes back with stopped true); true resumes it to
-// completion. The stop clamps only the horizon length, which the engine
-// recomputes at every boundary anyway, so capture and replay runs reach
-// the stop boundary with identical scheduler state.
-func (s *Session) runMany(g *graph.Graph, agents []MultiAgent, cfg MultiConfig,
-	stopAt uint64, onStop func(m *multiRun) bool) (MultiResult, bool) {
 	k := len(agents)
 	if k == 0 {
-		return MultiResult{}, false
+		return MultiResult{}
 	}
 	s.resetStats()
 
@@ -155,7 +140,6 @@ func (s *Session) runMany(g *graph.Graph, agents []MultiAgent, cfg MultiConfig,
 		m.bnext = s.mbnext[:k]
 	}
 	m.begin()
-	m.stopAt = stopAt
 	defer func() {
 		publishRunStats(&s.stats, runKindMulti)
 		for i, r := range m.runners {
@@ -165,24 +149,13 @@ func (s *Session) runMany(g *graph.Graph, agents []MultiAgent, cfg MultiConfig,
 			}
 		}
 	}()
-	for {
-		if !m.step() {
-			continue
-		}
-		if !m.suspended {
-			break
-		}
-		m.suspended = false
-		if onStop == nil || !onStop(&m) {
-			return MultiResult{}, true
-		}
-		m.stopAt = noStopRound
+	for !m.step() {
 	}
-	return m.res, false
+	return m.res
 }
 
 // multiRun is one k-agent run's complete scheduler state, factored out of
-// RunMany so it can be suspended between scheduler iterations: the solo
+// RunMany so RunBatch can park it between scheduler iterations: the solo
 // path drives one to completion in a plain loop, and RunBatch interleaves
 // W of them lane by lane, each lane's state parked in the Batch arena
 // while the others advance. All backing slices are caller-provided — the
@@ -221,13 +194,6 @@ type multiRun struct {
 	// assign-overlap pre-pass).
 	rebuild bool
 	done    bool
-	// stopAt suspends the run at the first scheduler boundary whose round
-	// reaches it (checkpoint capture/replay — see checkpoint.go): step
-	// returns true with suspended set instead of finishing, runners still
-	// live. begin resets it to "never", so RunBatch lanes (which construct
-	// multiRun literals) are unaffected.
-	stopAt    uint64
-	suspended bool
 }
 
 // begin resets the run state for a fresh run over the configured agents.
@@ -252,8 +218,6 @@ func (m *multiRun) begin() {
 	m.first = true
 	m.rebuild = false
 	m.done = false
-	m.stopAt = noStopRound
-	m.suspended = false
 }
 
 // finish stamps the final round count and per-agent move totals and
@@ -412,25 +376,11 @@ func (m *multiRun) step() bool {
 	if allDone {
 		return m.finish()
 	}
-	if t >= m.stopAt {
-		// Checkpoint boundary: the run is live (not met by the checks
-		// above) at exactly round stopAt. Suspend with runners intact;
-		// runMany either captures and abandons or clears stopAt and
-		// re-enters — the re-entered boundary is idempotent (fetches
-		// no-op, no appearances, detection only after movement).
-		m.t = t
-		m.suspended = true
-		return true
-	}
 
 	// Event horizon: how far every agent can be driven without any
 	// goroutine interaction — bounded by the budget, the next
-	// appearance, and each runner's channel-free runway. A pending
-	// checkpoint round bounds it too, making that round a boundary.
+	// appearance, and each runner's channel-free runway.
 	horizon := budget - t
-	if d := m.stopAt - t; d < horizon {
-		horizon = d
-	}
 	for i := range agents {
 		if !present[i] {
 			if d := agents[i].Appear - t; d < horizon {

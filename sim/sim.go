@@ -78,38 +78,11 @@ func RunPrograms(g *graph.Graph, progA, progB agent.Program, u, v int, delay uin
 }
 
 // RunPrograms is the session-pooled form of the package-level
-// RunPrograms.
+// RunPrograms, and the two-agent engine loop itself.
 func (s *Session) RunPrograms(g *graph.Graph, progA, progB agent.Program, u, v int, delay uint64, cfg Config) Result {
-	res, _ := s.runPair(g, progA, progB, u, v, delay, cfg, noStopRound, nil)
-	return res
-}
-
-// runPair is the two-agent engine loop behind RunPrograms and the
-// checkpoint/replay API (see checkpoint.go). It runs the pair to
-// completion, except that at the first scheduler boundary whose round t
-// reaches stopAt — checked after that round's meeting, termination and
-// budget tests, so a run that ends at round stopAt ends identically with
-// or without a stop — it calls onStop once. onStop returning false
-// abandons the run (checkpoint capture): the runners are released and
-// the zero Result comes back with stopped true. Returning true resumes
-// the run to completion (checkpoint replay/verify).
-//
-// Every fast-forward and fused-burst bound is clamped to stopAt. The
-// clamp only re-partitions wait stretches into smaller advance calls,
-// which the engine's observable behavior (positions, moves, fetch
-// rounds, meetings) is invariant under — and the clamped partition
-// itself is deterministic, so a capture run and a replay run with the
-// same stopAt arrive at that boundary with field-identical scheduler
-// state, caches included.
-func (s *Session) runPair(g *graph.Graph, progA, progB agent.Program, u, v int, delay uint64, cfg Config,
-	stopAt uint64, onStop func(t uint64, ra, rb *runner) bool) (Result, bool) {
 	budget := cfg.Budget
 	if budget == 0 {
 		budget = DefaultBudget
-	}
-	lim := budget
-	if stopAt < lim {
-		lim = stopAt
 	}
 	s.resetStats()
 	ra := s.acquire(g, progA, u)
@@ -147,24 +120,17 @@ func (s *Session) runPair(g *graph.Graph, progA, progB agent.Program, u, v int, 
 				Rounds:        t,
 				MovesA:        ra.moves,
 				MovesB:        rb.moves,
-			}, false
+			}
 		}
 		if ra.state == stDone && rb != nil && rb.state == stDone {
-			return Result{Outcome: NeverMeet, Rounds: t, MovesA: ra.moves, MovesB: rb.moves}, false
+			return Result{Outcome: NeverMeet, Rounds: t, MovesA: ra.moves, MovesB: rb.moves}
 		}
 		if t >= budget {
 			res := Result{Outcome: BudgetExhausted, Rounds: t, MovesA: ra.moves}
 			if rb != nil {
 				res.MovesB = rb.moves
 			}
-			return res, false
-		}
-		if t >= stopAt {
-			if onStop == nil || !onStop(t, ra, rb) {
-				return Result{}, true
-			}
-			stopAt = noStopRound
-			lim = budget
+			return res
 		}
 
 		// Tight lock-step loop: while both agents are executing scripted
@@ -180,7 +146,7 @@ func (s *Session) runPair(g *graph.Graph, progA, progB agent.Program, u, v int, 
 		if cfg.Observer == nil && rb != nil {
 			stepped := false
 			if ra.scriptDegs == nil && rb.scriptDegs == nil {
-				for ra.scriptMoveReady() && rb.scriptMoveReady() && t < lim {
+				for ra.scriptMoveReady() && rb.scriptMoveReady() && t < budget {
 					adj := ra.g.Adj(ra.pos)
 					p, _ := agent.ActionPort(ra.script[ra.scriptAt], ra.entry, len(adj))
 					h := adj[p]
@@ -212,11 +178,11 @@ func (s *Session) runPair(g *graph.Graph, progA, progB agent.Program, u, v int, 
 							Rounds:        t,
 							MovesA:        ra.moves,
 							MovesB:        rb.moves,
-						}, false
+						}
 					}
 				}
 			} else {
-				for ra.scriptMoveReady() && rb.scriptMoveReady() && t < lim {
+				for ra.scriptMoveReady() && rb.scriptMoveReady() && t < budget {
 					ra.scriptStep()
 					rb.scriptStep()
 					t++
@@ -230,7 +196,7 @@ func (s *Session) runPair(g *graph.Graph, progA, progB agent.Program, u, v int, 
 							Rounds:        t,
 							MovesA:        ra.moves,
 							MovesB:        rb.moves,
-						}, false
+						}
 					}
 				}
 			}
@@ -242,7 +208,7 @@ func (s *Session) runPair(g *graph.Graph, progA, progB agent.Program, u, v int, 
 		// Fast-forward while nothing can change: both agents waiting (or
 		// done / not yet present). Meetings cannot occur inside the skip
 		// because positions are static and were just checked unequal.
-		skip := lim - t
+		skip := budget - t
 		if cfg.Observer != nil {
 			skip = 1
 		}
