@@ -11,21 +11,12 @@ import (
 // simulator cases to run on it, mirroring exactly the (graph, parameter
 // block) shards of the in-process sim.Sweep. The descriptor is fully
 // serializable — programs are named registry entries, the graph travels
-// as a builder spec or an inline graph.Encode image — and execution is
-// deterministic, which is what makes the byte-identical-aggregation
-// invariant (see the package comment) possible at all.
+// as an inline graph.Encode image — and execution is deterministic,
+// which is what makes the byte-identical-aggregation invariant (see the
+// package comment) possible at all.
 type ShardDesc struct {
-	// Spec, when non-empty, names the graph via graph.FromSpec (e.g.
-	// "ring:8"): cheaper on the wire and self-documenting. GraphText is
-	// the inline fallback — a graph.Encode image — used whenever the
-	// graph has no spec (random instances, hand-built STICs).
-	Spec      string
+	// GraphText is the shard's graph as a graph.Encode image.
 	GraphText string
-
-	// Params is the task's opaque parameter block, carried alongside the
-	// cases untouched (experiment ids, grid coordinates — whatever the
-	// coordinator wants echoed into logs or future requeues).
-	Params []uint64
 
 	// SeedLo/SeedHi declare the PRNG seed range this shard covers,
 	// half-open [SeedLo, SeedHi). When the range is non-empty the worker
@@ -34,9 +25,6 @@ type ShardDesc struct {
 	// mix-ups. A zero range (SeedHi == SeedLo) skips the check; shards
 	// of deterministic programs carry no seeds at all.
 	SeedLo, SeedHi uint64
-
-	// Hints pre-sizes the worker's runner pool before the first case.
-	Hints Hints
 
 	// Batch declares the shard batch-eligible: its cases are independent
 	// seed-only variations of one (graph, program-pair, parameter-block)
@@ -49,19 +37,6 @@ type ShardDesc struct {
 
 	// Cases run sequentially, in order, on one pooled session.
 	Cases []CaseDesc
-}
-
-// Hints is the pool warmup block of a shard descriptor: K is the largest
-// concurrent agent count of any case, and ScriptHist the expected script
-// length histogram (bucket i counts scripts with bits.Len(len) == i —
-// the shape sim.Session.ScriptLenHist measures). Workers call
-// sim.Session.Prewarm with K runners and the largest populated bucket's
-// upper bound, so a fresh worker process pays no goroutine creation or
-// buffer growth inside its first case. Hints are advisory: zero hints
-// only cost warmup, never correctness.
-type Hints struct {
-	K          uint32
-	ScriptHist []uint64
 }
 
 // CaseKind selects the engine a case runs on.
@@ -106,14 +81,6 @@ type CaseDesc struct {
 
 	// Budget is the round budget (0 = sim.DefaultBudget), both kinds.
 	Budget uint64
-}
-
-// K returns the case's concurrent agent count (the warmup-hint input).
-func (c *CaseDesc) K() int {
-	if c.Kind == KindMulti {
-		return len(c.Agents)
-	}
-	return 2
 }
 
 func appendProg(dst []byte, p *ProgDesc) []byte {
@@ -217,19 +184,9 @@ const maxNodes = 1 << 28
 
 // AppendEncode appends the shard descriptor's wire encoding to dst.
 func (s *ShardDesc) AppendEncode(dst []byte) []byte {
-	dst = appendString(dst, s.Spec)
 	dst = appendString(dst, s.GraphText)
-	dst = binary.AppendUvarint(dst, uint64(len(s.Params)))
-	for _, p := range s.Params {
-		dst = binary.AppendUvarint(dst, p)
-	}
 	dst = binary.AppendUvarint(dst, s.SeedLo)
 	dst = binary.AppendUvarint(dst, s.SeedHi)
-	dst = binary.AppendUvarint(dst, uint64(s.Hints.K))
-	dst = binary.AppendUvarint(dst, uint64(len(s.Hints.ScriptHist)))
-	for _, h := range s.Hints.ScriptHist {
-		dst = binary.AppendUvarint(dst, h)
-	}
 	dst = appendBool(dst, s.Batch)
 	dst = binary.AppendUvarint(dst, uint64(len(s.Cases)))
 	for i := range s.Cases {
@@ -250,30 +207,9 @@ func (s *ShardDesc) Encode() []byte { return s.AppendEncode(nil) }
 func (s *ShardDesc) Decode(data []byte) error {
 	d := &rd{data: data}
 	*s = ShardDesc{}
-	s.Spec = d.str(maxNameLen, "graph spec")
 	s.GraphText = d.str(maxGraphLen, "graph text")
-	if n := d.count(maxArgs, "param"); d.err == nil && n > 0 {
-		if n > d.rest() {
-			return fmt.Errorf("dist: param count %d exceeds remaining input (%d bytes)", n, d.rest())
-		}
-		s.Params = make([]uint64, n)
-		for i := range s.Params {
-			s.Params[i] = d.uvarint()
-		}
-	}
 	s.SeedLo = d.uvarint()
 	s.SeedHi = d.uvarint()
-	k := d.uvarint()
-	if d.err == nil && k > maxAgents {
-		d.fail("hint K %d exceeds bound", k)
-	}
-	s.Hints.K = uint32(k)
-	if n := d.count(maxHistLen, "hint bucket"); d.err == nil && n > 0 {
-		s.Hints.ScriptHist = make([]uint64, n)
-		for i := range s.Hints.ScriptHist {
-			s.Hints.ScriptHist[i] = d.uvarint()
-		}
-	}
 	s.Batch = d.bool()
 	ncases := d.count(maxCases, "case")
 	if d.err != nil {
@@ -299,14 +235,10 @@ func (s *ShardDesc) Decode(data []byte) error {
 	return d.err
 }
 
-// Graph materializes the shard's graph: the builder spec when present,
-// the inline graph.Encode image otherwise.
+// Graph materializes the shard's graph from its graph.Encode image.
 func (s *ShardDesc) Graph() (*graph.Graph, error) {
-	if s.Spec != "" {
-		return graph.FromSpec(s.Spec)
-	}
 	if s.GraphText == "" {
-		return nil, fmt.Errorf("dist: shard descriptor carries neither spec nor graph text")
+		return nil, fmt.Errorf("dist: shard descriptor carries no graph text")
 	}
 	return graph.Decode(s.GraphText)
 }

@@ -14,7 +14,6 @@ import (
 	"math/rand"
 	"net"
 	"os"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -241,32 +240,6 @@ func TestDifferentialTCP(t *testing.T) {
 	diffAgainstBackend(t, be, 3, 3000)
 }
 
-// TestSpecShard pins the graph-spec transport: a shard dispatched by
-// builder spec must execute on the same graph as the coordinator's.
-func TestSpecShard(t *testing.T) {
-	sh := &dist.ShardDesc{
-		Spec: "ring:6",
-		Cases: []dist.CaseDesc{{
-			Kind:  dist.KindTwoAgent,
-			ProgA: dist.ProgDesc{Name: "universal"},
-			ProgB: dist.ProgDesc{Name: "universal"},
-			U:     0, V: 3, Delay: 2, Budget: 200000,
-		}},
-	}
-	be := dist.NewInProcess(1)
-	defer be.Close()
-	res, err := be.Run([]*dist.ShardDesc{sh})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, _ := graph.FromSpec("ring:6")
-	prog, _ := dist.BuildProgram(dist.ProgDesc{Name: "universal"})
-	want := sim.RunPrograms(g, prog, prog, 0, 3, 2, sim.Config{Budget: 200000})
-	if !reflect.DeepEqual(res[0].Cases[0].Two, want) {
-		t.Fatalf("spec shard result %+v, in-process %+v", res[0].Cases[0].Two, want)
-	}
-}
-
 // TestBackendErrors pins the failure surface: unknown programs, corrupt
 // graphs and out-of-range seeds must come back as errors naming the
 // problem, not as hangs or zero results.
@@ -352,45 +325,5 @@ func TestBackendErrors(t *testing.T) {
 	}
 	if res[0].Cases[0].Two.Outcome != sim.Met {
 		t.Fatalf("unexpected outcome %v", res[0].Cases[0].Two.Outcome)
-	}
-}
-
-// TestMeasureHintsAndPrewarm exercises the warmup-hint pipeline: measure
-// a shard, check the measured shape, and run the shard with the hints
-// stamped — behavior must be identical with and without them.
-func TestMeasureHintsAndPrewarm(t *testing.T) {
-	g := graph.Cycle(5)
-	sh := &dist.ShardDesc{GraphText: graph.Encode(g)}
-	for i := 0; i < 4; i++ {
-		agents := make([]dist.AgentDesc, 3)
-		for j := range agents {
-			agents[j] = dist.AgentDesc{Prog: dist.ProgDesc{Name: "universal"}, Start: (i + j) % g.N(), Appear: uint64(j)}
-		}
-		sh.Cases = append(sh.Cases, dist.CaseDesc{Kind: dist.KindMulti, Agents: agents, Budget: 300000})
-	}
-	hints, err := dist.MeasureHints(sh)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hints.K != 3 {
-		t.Fatalf("measured K = %d, want 3", hints.K)
-	}
-	if len(hints.ScriptHist) == 0 {
-		t.Fatal("measured an empty script-length histogram for a batched program")
-	}
-	be := dist.NewInProcess(1)
-	defer be.Close()
-	bare, err := be.Run([]*dist.ShardDesc{sh})
-	if err != nil {
-		t.Fatal(err)
-	}
-	warmed := *sh
-	warmed.Hints = hints
-	warm, err := be.Run([]*dist.ShardDesc{&warmed})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(bare[0].Cases, warm[0].Cases) {
-		t.Fatal("warmup hints changed results")
 	}
 }

@@ -5,7 +5,7 @@
 // `rvworker -listen` processes on other machines (Dial), or protocol
 // workers inside this process (NewInProcess, the reference everything
 // else is pinned against) — over a length-prefixed binary protocol
-// (v3) built around failure as a normal event: shards requeue off dead
+// (v4) built around failure as a normal event: shards requeue off dead
 // connections, workers heartbeat while they compute, dispatch is
 // pipelined, and workers may join (AddConn, DialAdd) or be respawned
 // (WithRespawn) mid-sweep. Dial and DialAdd absorb workers that come up
@@ -20,7 +20,7 @@
 // decode→encode fixed point, hardened bounded decoding — are exactly
 // what make those cache keys stable and safe.
 //
-// # Protocol framing (v3)
+// # Protocol framing (v4)
 //
 // A connection carries varint length-prefixed frames in both directions:
 // each frame is binary.AppendUvarint(len(payload)) followed by the
@@ -40,10 +40,10 @@
 // The v1 whole-shard result frame (type 3) is retired; results travel
 // exclusively as chunk frames. The v3 mid-shard migration frame (type 8)
 // is retired too: a shard lost with its connection requeues from case
-// zero. Neither tag is reused, and the version stays 3 because the
-// descriptor and result encodings did not change. The checksum is the
-// line between the two failure classes: a frame that fails its checksum
-// (or desyncs the stream) means the CONNECTION can no longer be trusted
+// zero. Neither tag is reused. v4 changed no frame, only the descriptor
+// encoding (see the schema below). The checksum is the line between the
+// two failure classes: a frame that fails its checksum (or desyncs the
+// stream) means the CONNECTION can no longer be trusted
 // — it is severed and its in-flight shards requeue — while a frame that
 // decodes cleanly but names an unknown program or an out-of-range start
 // is a deterministic per-shard error that would fail identically on any
@@ -107,20 +107,21 @@
 // # Descriptor schema
 //
 // A ShardDesc carries everything a worker needs to reproduce the shard
-// bit-for-bit: the graph (a graph.FromSpec builder spec, or an inline
-// graph.Encode image for instances with no spec), the task's opaque
-// parameter block, the declared PRNG seed range (validated against
-// seeded program arguments — a cheap end-to-end transposition guard),
-// pool warmup hints (the maximum concurrent agent count and a
-// script-length histogram in sim.Session.ScriptLenHist's buckets, fed to
-// sim.Session.Prewarm before the first case), and the ordered case list.
-// A CaseDesc names its programs as registry entries (RegisterProgram) —
-// programs are closures and cannot travel, so the wire carries (name,
-// args) resolved identically on both sides, the classic task-registry
-// shape. Descriptor decoding is hardened the same way view.Tree.Decode
-// is: arbitrary bytes produce an error or a valid descriptor, never a
-// panic or a disproportionate allocation (pinned by FuzzShardDecode and
-// FuzzResultChunkDecode).
+// bit-for-bit:
+//
+//	ShardDesc  uvarint(len) || graph.Encode image
+//	           uvarint(SeedLo) || uvarint(SeedHi)
+//	           Batch (1 byte) || uvarint(nCases) || nCases x CaseDesc
+//
+// The seed range is validated against seeded program arguments — a
+// cheap end-to-end transposition guard — and the Batch flag selects the
+// execution strategy (see below). A CaseDesc names its programs as
+// registry entries (RegisterProgram) — programs are closures and cannot
+// travel, so the wire carries (name, args) resolved identically on both
+// sides, the classic task-registry shape. Descriptor decoding is
+// hardened the same way view.Tree.Decode is: arbitrary bytes produce an
+// error or a valid descriptor, never a panic or a disproportionate
+// allocation (pinned by FuzzShardDecode and FuzzResultChunkDecode).
 //
 // # Batched shard execution
 //

@@ -75,10 +75,6 @@ func verifySigBytes(local, sig []byte) error {
 // commitment.
 const maxGraphCache = 64
 
-// graphKey identifies a shard's graph by its wire form — the builder
-// spec or the inline encoding, whichever the descriptor carries.
-type graphKey struct{ spec, text string }
-
 // cachedGraph is one materialized graph plus its lazily derived view
 // signature.
 type cachedGraph struct {
@@ -102,12 +98,11 @@ func (e *cachedGraph) viewSig() []byte {
 // immutable once built, so sharing the decoded *graph.Graph across
 // shard executions is free.
 type graphCache struct {
-	m map[graphKey]*cachedGraph
+	m map[string]*cachedGraph // keyed by the descriptor's GraphText
 }
 
 func (gc *graphCache) lookup(sh *ShardDesc) (*cachedGraph, error) {
-	k := graphKey{spec: sh.Spec, text: sh.GraphText}
-	if e, ok := gc.m[k]; ok {
+	if e, ok := gc.m[sh.GraphText]; ok {
 		return e, nil
 	}
 	g, err := sh.Graph()
@@ -115,10 +110,10 @@ func (gc *graphCache) lookup(sh *ShardDesc) (*cachedGraph, error) {
 		return nil, err
 	}
 	if gc.m == nil || len(gc.m) >= maxGraphCache {
-		gc.m = make(map[graphKey]*cachedGraph, 8)
+		gc.m = make(map[string]*cachedGraph, 8)
 	}
 	e := &cachedGraph{g: g}
-	gc.m[k] = e
+	gc.m[sh.GraphText] = e
 	return e, nil
 }
 
@@ -133,35 +128,6 @@ func shardGraph(gc *graphCache, sh *ShardDesc) (*cachedGraph, error) {
 		return nil, err
 	}
 	return &cachedGraph{g: g}, nil
-}
-
-// Warmup clamps: hints come off the wire, so however corrupt or hostile
-// the histogram, prewarming never commits more than a modest bounded
-// amount of memory and goroutines — hints are advisory, and scripts
-// larger than the clamp simply grow their buffers lazily as always.
-const (
-	prewarmMaxK         = 1024
-	prewarmMaxScriptCap = 1 << 16
-)
-
-// prewarm applies a shard's warmup hints to the session.
-func prewarm(sess *sim.Session, h *Hints) {
-	k := int(h.K)
-	if k > prewarmMaxK {
-		k = prewarmMaxK
-	}
-	scriptCap := 0
-	for i, n := range h.ScriptHist {
-		if n > 0 && i < 31 {
-			scriptCap = 1 << i // bucket i holds lengths in [2^(i-1), 2^i)
-		}
-	}
-	if scriptCap > prewarmMaxScriptCap {
-		scriptCap = prewarmMaxScriptCap
-	}
-	if k > 0 || scriptCap > 0 {
-		sess.Prewarm(k, scriptCap)
-	}
 }
 
 // progressFn is the between-cases progress hook of the execution paths:
@@ -192,7 +158,6 @@ func execShard(sess *sim.Session, sh *ShardDesc, gc *graphCache, progress progre
 		return nil, err
 	}
 	g := e.g
-	prewarm(sess, &sh.Hints)
 	res := &ShardResult{Cases: make([]CaseResult, len(sh.Cases))}
 	for i := range sh.Cases {
 		c := &sh.Cases[i]
@@ -289,7 +254,6 @@ func execShardBatch(sess *sim.Session, b *sim.Batch, sh *ShardDesc, gc *graphCac
 		return nil, err
 	}
 	g := e.g
-	prewarm(sess, &sh.Hints)
 	res := &ShardResult{Cases: make([]CaseResult, len(sh.Cases))}
 	for i := 0; i < len(sh.Cases); {
 		j := i
@@ -375,40 +339,4 @@ func execShardOn(sess *sim.Session, b *sim.Batch, sh *ShardDesc, gc *graphCache,
 		return execShardBatch(sess, b, sh, gc, progress)
 	}
 	return execShard(sess, sh, gc, progress)
-}
-
-// MeasureHints runs the shard's first case on a throwaway session and
-// returns measured warmup hints: the case's agent count and the session's
-// script-length histogram. Coordinators that dispatch many shards of one
-// shape measure once and stamp the hints on all of them; hints are purely
-// a warmup accelerant, so measuring is always optional.
-func MeasureHints(sh *ShardDesc) (Hints, error) {
-	h := Hints{}
-	for i := range sh.Cases {
-		if k := sh.Cases[i].K(); uint32(k) > h.K {
-			h.K = uint32(k)
-		}
-	}
-	if len(sh.Cases) == 0 {
-		return h, nil
-	}
-	one := *sh
-	one.Cases = sh.Cases[:1]
-	one.Hints = Hints{}
-	sess := sim.NewSession()
-	defer sess.Close()
-	if _, err := ExecShard(sess, &one); err != nil {
-		return h, err
-	}
-	hist := sess.ScriptLenHist()
-	top := 0
-	for i, n := range hist {
-		if n > 0 {
-			top = i
-		}
-	}
-	if top > 0 {
-		h.ScriptHist = append([]uint64(nil), hist[:top+1]...)
-	}
-	return h, nil
 }

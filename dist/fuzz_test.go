@@ -17,20 +17,47 @@ import (
 	"repro/dist"
 )
 
+// shardRejects is the hand-built corruption in FuzzShardDecode's seed
+// corpus, each input with the exact rejection it was written to hit. The
+// descriptor opens with four fields that encode zero as one 0x00 byte
+// (graph text length, SeedLo, SeedHi, Batch) ahead of the case count,
+// hence the four-zero prefixes; TestShardDecodeRejects fails if a layout
+// change moves any of these inputs onto a different error.
+var shardRejects = []struct {
+	name string
+	data []byte
+	want string
+}{
+	{"empty input", []byte{}, "dist: truncated varint"},
+	{"unterminated varint", []byte{0x80}, "dist: truncated varint"},
+	{"truncated string", []byte{0x05, 'r', 'i'},
+		"dist: graph text length 5 exceeds remaining input (2 bytes)"},
+	{"hostile case count", []byte{0x00, 0x00, 0x00, 0x00, 0xFF, 0xFF, 0xFF, 0x7F},
+		"dist: case count 268435455 exceeds bound 1048576"},
+	{"truncated varint inside a case", []byte{0x00, 0x00, 0x00, 0x00, 0x02, 0x01, 0x00},
+		"dist: truncated varint"},
+	{"trailing garbage", append((&dist.ShardDesc{GraphText: "# t\n2\n1/0\n0/0\n"}).Encode(), 0xAA),
+		"dist: 1 trailing bytes after shard descriptor"},
+}
+
+func TestShardDecodeRejects(t *testing.T) {
+	for _, tc := range shardRejects {
+		var sh dist.ShardDesc
+		if err := sh.Decode(tc.data); err == nil || err.Error() != tc.want {
+			t.Errorf("%s: Decode(%x) = %v, want %q", tc.name, tc.data, err, tc.want)
+		}
+	}
+}
+
 func FuzzShardDecode(f *testing.F) {
 	// Valid encodings across the descriptor shapes.
 	r := rand.New(rand.NewSource(7))
 	for i := 0; i < 8; i++ {
 		f.Add(randShardDesc(r).Encode())
 	}
-	// Hand-built corruption: empty input, unterminated varint, truncated
-	// string, hostile case/agent/arg counts, trailing garbage.
-	f.Add([]byte{})
-	f.Add([]byte{0x80})
-	f.Add([]byte{0x05, 'r', 'i'})
-	f.Add([]byte{0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xFF, 0xFF, 0xFF, 0x7F})
-	f.Add([]byte{0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x01, 0x00})
-	f.Add(append(randShardDesc(r).Encode(), 0xAA))
+	for _, tc := range shardRejects {
+		f.Add(tc.data)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var sh dist.ShardDesc

@@ -36,11 +36,7 @@ func (p *Planner) Add(key any, g *graph.Graph, c CaseDesc) int {
 		p.shards = append(p.shards, &ShardDesc{GraphText: graph.Encode(g)})
 		p.caseIdx = append(p.caseIdx, nil)
 	}
-	sh := p.shards[si]
-	if k := uint32(c.K()); k > sh.Hints.K {
-		sh.Hints.K = k
-	}
-	sh.Cases = append(sh.Cases, c)
+	p.shards[si].Cases = append(p.shards[si].Cases, c)
 	p.caseIdx[si] = append(p.caseIdx[si], p.n)
 	p.n++
 	return p.n - 1
@@ -56,20 +52,6 @@ func (p *Planner) SetSeedRange(key any, lo, hi uint64) {
 	p.shards[si].SeedLo, p.shards[si].SeedHi = lo, hi
 }
 
-// SetHints stamps measured warmup hints on the key's shard (K is merged
-// with the case-derived value, the histogram replaces).
-func (p *Planner) SetHints(key any, h Hints) {
-	si, ok := p.byKey[key]
-	if !ok {
-		panic(fmt.Sprintf("dist: SetHints for unknown shard key %v", key))
-	}
-	sh := p.shards[si]
-	if h.K > sh.Hints.K {
-		sh.Hints.K = h.K
-	}
-	sh.Hints.ScriptHist = h.ScriptHist
-}
-
 // SetBatch declares the key's shard batch-eligible (see
 // ShardDesc.Batch): workers execute it through the lockstep batch
 // engines. The shard must already exist.
@@ -82,7 +64,7 @@ func (p *Planner) SetBatch(key any) {
 }
 
 // Shards exposes the accumulated descriptors (shared, not copied) for
-// callers that want to run them directly or stamp extra metadata.
+// callers that want to run or submit them directly.
 func (p *Planner) Shards() []*ShardDesc { return p.shards }
 
 // Len returns the number of cases added so far.

@@ -22,10 +22,11 @@ import (
 // misdecode rather than degrade. v2 added the hello capacity field,
 // heartbeat frames, chunked result frames and per-frame checksums; v3
 // added a mid-shard migration frame (tag 8), since retired: a lost shard
-// requeues from case zero. The version stays 3 because the shard
-// descriptor and result encodings — what rvd's cache keys hash — did not
-// change (see doc.go for the full schema).
-const ProtoVersion = 3
+// requeues from case zero. v4 trimmed the shard descriptor to its graph
+// image, seed range, Batch flag and cases, dropping the graph spec, the
+// parameter block and the warmup hints (see doc.go for the full schema).
+// The bump also moves rvd's cache keys, which hash descriptor bytes.
+const ProtoVersion = 4
 
 // maxFrame bounds one frame's payload (64 MiB): far above any real shard
 // descriptor or aggregate, low enough that a corrupt length prefix cannot
@@ -152,7 +153,6 @@ const (
 	maxArgs      = 1 << 12
 	maxNameLen   = 1 << 10
 	maxGraphLen  = 1 << 22
-	maxHistLen   = 64
 	maxMeetings  = 1 << 20
 	maxViewSig   = 1 << 22
 	maxErrStrLen = 1 << 16

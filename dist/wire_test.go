@@ -62,28 +62,10 @@ func randCaseDesc(r *rand.Rand) dist.CaseDesc {
 }
 
 func randShardDesc(r *rand.Rand) *dist.ShardDesc {
-	sh := &dist.ShardDesc{}
-	if r.Intn(3) == 0 {
-		sh.Spec = "ring:6"
-	} else {
-		sh.GraphText = "# t\n2\n1/0\n0/0\n"
-	}
-	if n := r.Intn(4); n > 0 {
-		sh.Params = make([]uint64, n)
-		for i := range sh.Params {
-			sh.Params[i] = r.Uint64() >> uint(r.Intn(64))
-		}
-	}
+	sh := &dist.ShardDesc{GraphText: "# t\n2\n1/0\n0/0\n", Batch: r.Intn(2) == 0}
 	if r.Intn(2) == 0 {
 		sh.SeedLo = uint64(r.Intn(100))
 		sh.SeedHi = sh.SeedLo + uint64(r.Intn(1000))
-	}
-	sh.Hints.K = uint32(r.Intn(8))
-	if n := r.Intn(6); n > 0 {
-		sh.Hints.ScriptHist = make([]uint64, n)
-		for i := range sh.Hints.ScriptHist {
-			sh.Hints.ScriptHist[i] = uint64(r.Intn(100))
-		}
 	}
 	ncases := r.Intn(6)
 	for i := 0; i < ncases; i++ {

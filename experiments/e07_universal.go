@@ -96,21 +96,13 @@ type e7Case struct {
 	delta uint64
 }
 
-// e7MeasureBudgetCap bounds the budget of the probe case MeasureHints
-// executes: hints only need the workload's script-length shape, and the
-// early phases expose it without paying an infeasible case's full
-// budget-exhausting run.
-const e7MeasureBudgetCap = 1 << 14
-
 // e7Plan builds E7's dispatch plan: shard descriptors keyed by graph —
 // in-process protocol workers by default, forked worker processes under
 // `rvx --dist-workers` — with byte-identical results either way. Budgets
 // are computed coordinator-side from the classification; the descriptor
-// carries them explicitly. Every shard is stamped with measured warmup
-// hints (dist.MeasureHints on a budget-capped probe of its first case,
-// so Session.Prewarm sizes the worker pool from the real workload) and
-// declared batch-eligible: the grid is seed-free parameter variation of
-// one program pair, exactly what the lockstep batch engine wants.
+// carries them explicitly. Every shard is declared batch-eligible: the
+// grid is seed-free parameter variation of one program pair, exactly
+// what the lockstep batch engine wants.
 func e7Plan(cases []e7Case, reps []stic.Report) *dist.Planner {
 	plan := &dist.Planner{}
 	for i, c := range cases {
@@ -129,21 +121,6 @@ func e7Plan(cases []e7Case, reps []stic.Report) *dist.Planner {
 		}
 		seen[c.g] = true
 		plan.SetBatch(c.g)
-	}
-	for _, sh := range plan.Shards() {
-		probe := *sh
-		probe.Cases = append([]dist.CaseDesc(nil), sh.Cases[:1]...)
-		if probe.Cases[0].Budget > e7MeasureBudgetCap {
-			probe.Cases[0].Budget = e7MeasureBudgetCap
-		}
-		h, err := dist.MeasureHints(&probe)
-		if err != nil {
-			panic(err)
-		}
-		if h.K > sh.Hints.K {
-			sh.Hints.K = h.K
-		}
-		sh.Hints.ScriptHist = h.ScriptHist
 	}
 	return plan
 }

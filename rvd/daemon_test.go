@@ -15,8 +15,13 @@ package rvd
 
 import (
 	"bytes"
+	"encoding/hex"
+	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
+	"sync"
 	"testing"
 
 	"repro/dist"
@@ -431,5 +436,98 @@ func TestVersionStampPartitionsCache(t *testing.T) {
 	if st2.CacheHits != 0 || st2.Executed != len(shards) {
 		t.Fatalf("bumped stamp run: %d hits / %d executed, want 0 / %d",
 			st2.CacheHits, st2.Executed, len(shards))
+	}
+}
+
+// e17ShardV3 is E17's single shard as a wire-protocol-v3 binary encoded
+// it: v3 descriptors also carried a graph spec, a parameter block and
+// warmup hints, so the current decoder rejects these bytes.
+const e17ShardV3 = "001b2320706174682d330a330a312f300a302f3020322f300a312f310a000000" +
+	"0300010101e0c5aa030309756e6976657273616c00000009756e6976657273616c" +
+	"00010009756e6976657273616c0002010000"
+
+// TestOpenDropsOldProtocolJob pins Open's version-skew branch: a state
+// dir written before a protocol bump journals a job whose shard no
+// longer decodes. Open must drop that job with a notice, resume the
+// current job beside it, and compact the journal down to the current
+// job's records alone.
+func TestOpenDropsOldProtocolJob(t *testing.T) {
+	old, err := hex.DecodeString(e17ShardV3)
+	if err != nil || len(old) != 83 {
+		t.Fatalf("v3 shard literal: %d bytes, %v", len(old), err)
+	}
+	var sh dist.ShardDesc
+	if err := sh.Decode(old); err == nil {
+		t.Fatal("v3 shard decodes under the current protocol")
+	}
+	shards := fixedSweep(t)
+	dir := t.TempDir()
+	jpath := filepath.Join(dir, "journal.wal")
+	jl, _, err := OpenJournal(jpath, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range []*Record{
+		{Type: recSubmit, JobID: 1, Shards: [][]byte{old}},
+		{Type: recSubmit, JobID: 2, Shards: shards},
+	} {
+		if err := jl.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	jl.Close()
+
+	var mu sync.Mutex
+	var notices []string
+	d := openTestDaemon(t, dir, func(cfg *Config) {
+		cfg.Logf = func(format string, args ...any) {
+			mu.Lock()
+			notices = append(notices, fmt.Sprintf(format, args...))
+			mu.Unlock()
+			t.Logf(format, args...)
+		}
+	})
+	mu.Lock()
+	logged := strings.Join(notices, "\n")
+	mu.Unlock()
+	if !strings.Contains(logged, "dropping journaled job 1") {
+		t.Fatalf("no drop notice for the v3 job; log:\n%s", logged)
+	}
+	if _, ok := d.JobByID(1); ok {
+		t.Fatal("v3 job resumed")
+	}
+	job, ok := d.JobByID(2)
+	if !ok {
+		t.Fatal("current job not resumed")
+	}
+	if st := job.Wait(); st.State != JobDone {
+		t.Fatalf("resumed job finished %v (err %q)", st.State, st.Err)
+	}
+	if got := jobBytes(t, d, job); !bytes.Equal(got, referenceBytes(t, shards)) {
+		t.Fatal("resumed job output differs from reference")
+	}
+
+	// Open compacted job 1 away; since then the scheduler has only
+	// appended job 2's done record.
+	d.Close()
+	raw, err := os.ReadFile(jpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, _ := decodeJournal(raw[len(journalHeader):])
+	var got []string
+	for _, rec := range recs {
+		got = append(got, fmt.Sprintf("type %d job %d", rec.Type, rec.JobID))
+	}
+	if want := []string{"type 1 job 2", "type 2 job 2"}; !slices.Equal(got, want) {
+		t.Fatalf("journal after compaction holds %q, want job 2's submit and done %q", got, want)
+	}
+	if len(recs[0].Shards) != len(shards) {
+		t.Fatalf("compacted submit record holds %d shards, want %d", len(recs[0].Shards), len(shards))
+	}
+	for i := range shards {
+		if !bytes.Equal(recs[0].Shards[i], shards[i]) {
+			t.Fatalf("compacted submit record changed shard %d", i)
+		}
 	}
 }

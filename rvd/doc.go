@@ -20,7 +20,9 @@
 // equivalent submissions hash equal regardless of how they were framed
 // by the submitter. The stamp makes results computed by an incompatible
 // binary structurally unreachable (a new key space) instead of wrongly
-// served. Values are the shard's aggregated result bytes
+// served. So a protocol bump leaves an older binary's store entries
+// unreachable on disk, and Open drops that binary's journaled jobs, whose
+// shards no longer decode, with a logged notice. Values are the shard's aggregated result bytes
 // (dist.ShardResult.AppendEncode); each entry file carries a magic
 // header, the embedded key, a bounded length, and an FNV-1a 64 checksum
 // over key+value (see store.go).

@@ -347,7 +347,7 @@ func (s *Session) extendRec(b *Batch, rec *recording, bound uint64) {
 // available from b.Wakeups afterwards.
 //
 // Like solo runs, a batch leaves the session's statistics (Wakeups,
-// ScriptLenHist) describing it — here the engine work actually
+// WakeupsByPhase) describing it — here the engine work actually
 // performed, i.e. the recorder activity: one program execution per
 // distinct behavior, however many lanes shared it. The per-case-equal
 // counts live in b.Wakeups.

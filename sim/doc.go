@@ -56,11 +56,7 @@
 // interactions per run and the wakeup regression tests pin the E17
 // workload's ceiling. Session.WakeupsByPhase breaks the count down by
 // the agent.Phase tag the producing procedure set (viewWalk, explore,
-// symmRV, schedule), so a batching regression names its producer; and
-// Session.ScriptLenHist records the run's script-length histogram —
-// together with the agent count, the measured pool warmup hint a
-// distributed shard descriptor carries so Session.Prewarm can pre-size a
-// remote worker's pool before its first case.
+// symmRV, schedule), so a batching regression names its producer.
 //
 // The complementary channel is agent.RunSeq, the side-effects-only
 // script: the caller declares it will not read the percept streams, the
@@ -72,7 +68,7 @@
 // script requests regardless of how many rounds its passive stretches
 // span.
 //
-// # Pooled runner sessions
+// # Runner pooling
 //
 // A runner — the goroutine, channel pair and per-agent buffers behind
 // one simulated agent — is reusable: a Session keeps released runners

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"math/bits"
 	"runtime"
 	"sync"
 
@@ -9,22 +8,15 @@ import (
 	"repro/graph"
 )
 
-// scriptHistBuckets sizes the script-length histogram: bucket i counts
-// scripts whose length has bits.Len == i, i.e. lengths in [2^(i-1), 2^i).
-// 33 buckets cover every 32-bit length; real scripts stay far below the
-// deferred-wait flush cap (1<<22 actions).
-const scriptHistBuckets = 33
-
-// runStats is one run's scheduler statistics: the wakeup count, its
-// per-phase breakdown, and the batched-script-length histogram. Solo runs
-// accumulate into the session's own instance; batch runs (RunPairsBatch,
-// RunBatch) accumulate into their Batch arena's instance — each runner
-// carries a pointer to the instance its current run feeds, which is what
-// lets concurrent batches on one Session count without racing.
+// runStats is one run's scheduler statistics: the wakeup count and its
+// per-phase breakdown. Solo runs accumulate into the session's own
+// instance; batch runs (RunPairsBatch, RunBatch) accumulate into their
+// Batch arena's instance — each runner carries a pointer to the instance
+// its current run feeds, which is what lets concurrent batches on one
+// Session count without racing.
 type runStats struct {
-	wakeups    uint64
-	wakeupsBy  [agent.PhaseCount]uint64
-	scriptHist [scriptHistBuckets]uint64
+	wakeups   uint64
+	wakeupsBy [agent.PhaseCount]uint64
 }
 
 // Session owns a pool of runners — the goroutine, the request/grant
@@ -50,10 +42,8 @@ type Session struct {
 	wg   sync.WaitGroup
 
 	// stats holds the most recent run's scheduler statistics (see
-	// Wakeups, WakeupsByPhase, ScriptLenHist) — the measured source of
-	// the warmup hints that dist shard descriptors carry to remote
-	// workers. A batch run copies its arena's totals here when it
-	// finishes, so "most recent run" means the whole batch.
+	// Wakeups, WakeupsByPhase). A batch run copies its arena's totals
+	// here when it finishes, so "most recent run" means the whole batch.
 	stats runStats
 
 	// Reusable k-agent scheduler state (see multi.go).
@@ -85,64 +75,13 @@ func (s *Session) Wakeups() uint64 { return s.stats.wakeups }
 // the procedure that fell back to per-move chatter.
 func (s *Session) WakeupsByPhase() [agent.PhaseCount]uint64 { return s.stats.wakeupsBy }
 
-// ScriptLenHist returns the most recent run's histogram of batched script
-// lengths: bucket i counts fetched script requests whose action count has
-// bits.Len == i (lengths in [2^(i-1), 2^i); bucket 0 is always empty —
-// empty scripts are never submitted). Together with the agent count it is
-// the measured pool warmup hint a dist shard descriptor carries, so a
-// remote worker can pre-size its runner pool and script buffers before
-// the first case arrives.
-func (s *Session) ScriptLenHist() [scriptHistBuckets]uint64 { return s.stats.scriptHist }
-
 // resetStats clears the per-run statistics at the start of a run.
 func (s *Session) resetStats() {
 	s.stats = runStats{}
 }
 
-// Prewarm ensures at least k pooled runners exist, each with script
-// entry and degree buffers of capacity at least scriptCap (both streams:
-// degree-reporting grants are the dominant script shape since the
-// percept-streaming work), so a freshly forked worker's first run pays
-// neither goroutine creation nor buffer growth. It is the consumer of
-// the warmup hints (agent count, script-length histogram) that dist
-// shard descriptors carry. Prewarming is purely an allocation warm-up:
-// runs behave identically with or without it.
-func (s *Session) Prewarm(k, scriptCap int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for len(s.free) < k {
-		r := &runner{
-			req:    make(chan request, 1),
-			grant:  make(chan grantMsg, 1),
-			assign: make(chan runAssign),
-			idle:   make(chan struct{}),
-		}
-		s.wg.Add(1)
-		go r.work(&s.wg)
-		s.free = append(s.free, r)
-	}
-	for _, r := range s.free {
-		if cap(r.scriptEntries) < scriptCap {
-			r.scriptEntries = make([]int, 0, scriptCap)
-		}
-		if cap(r.scriptDegsBuf) < scriptCap {
-			r.scriptDegsBuf = make([]int, 0, scriptCap)
-		}
-	}
-}
-
 // NewSession returns an empty session; runners are created on demand.
 func NewSession() *Session { return &Session{} }
-
-// Pooled returns the number of idle runners currently in the pool —
-// every runner Prewarm or past runs created that is not assigned to an
-// active run. It is a warmup observability hook: the dist tests use it
-// to assert that a shard's warmup hints were actually consumed.
-func (s *Session) Pooled() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.free)
-}
 
 // acquire hands out a warm runner (or spawns one) and assigns it the
 // given program, counting its wakeups against the session's own stats —
@@ -513,9 +452,6 @@ func (r *runner) consume(rq request) {
 			s.wakeupsBy[p]++
 		} else {
 			s.wakeupsBy[agent.PhaseOther]++
-		}
-		if rq.kind == reqScript {
-			s.scriptHist[bits.Len(uint(len(rq.script)))]++
 		}
 	}
 	if r.laneWakeups != nil {
