@@ -36,8 +36,11 @@ type Action struct {
 // coalesced here into single pause entries k times — capped by
 // maxActions). This is sound because the paper's agents are oblivious to
 // each other until they meet: the stream never depends on the adversary.
+// The stream is allocated once at capacity maxActions, so size the cap to
+// the longest stream the caller will read.
 func ExtractActions(g *graph.Graph, prog agent.Program, start int, maxActions int) []Action {
-	x := &extractor{g: g, pos: start, deg: g.Degree(start), entry: -1, max: maxActions}
+	x := &extractor{g: g, pos: start, deg: g.Degree(start), entry: -1, max: maxActions,
+		actions: make([]Action, 0, max(maxActions, 0))}
 	func() {
 		defer func() {
 			if r := recover(); r != nil {

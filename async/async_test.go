@@ -1,6 +1,7 @@
 package async
 
 import (
+	"runtime/debug"
 	"testing"
 
 	"repro/agent"
@@ -37,6 +38,24 @@ func TestExtractActionsCaps(t *testing.T) {
 	acts = ExtractActions(g, func(w agent.World) { w.Wait(1 << 40) }, 0, 10)
 	if len(acts) != 10 {
 		t.Fatalf("wait cap not applied: %d", len(acts))
+	}
+}
+
+// TestExtractActionsAllocsOnce pins the stream's single allocation at E15's
+// cap: growing it by append instead costs dozens of reallocations and
+// several times the final size in garbage per extraction. The collector
+// is paused while counting: each extraction allocates about 1 MiB, and
+// the cycles that triggers add runtime allocations of their own.
+func TestExtractActionsAllocsOnce(t *testing.T) {
+	g := graph.TwoNode()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	allocs := testing.AllocsPerRun(3, func() {
+		if acts := ExtractActions(g, agent.MoveEveryRound, 0, 60_000); len(acts) != 60_000 {
+			t.Fatalf("cap not applied: %d", len(acts))
+		}
+	})
+	if allocs > 3 {
+		t.Fatalf("ExtractActions allocates %.0f times at a 60,000 cap, want at most 3", allocs)
 	}
 }
 

@@ -20,10 +20,7 @@ import (
 // benchPlan builds 4 shards x 8 trivial two-agent cases: sit vs
 // moveevery at fixed starts with a tiny budget and a small delay grid,
 // so each shard is a couple of scheduler interactions total and the
-// measured time is dispatch, not simulation. The shards are
-// batch-flagged — the strategy every production sweep uses for grids of
-// this shape — so the gated number tracks the real per-case dispatch
-// floor.
+// measured time is dispatch, not simulation.
 func benchPlan() *dist.Planner {
 	p := &dist.Planner{}
 	for s := 0; s < 4; s++ {
@@ -38,7 +35,6 @@ func benchPlan() *dist.Planner {
 				Budget: 64,
 			})
 		}
-		p.SetBatch(s)
 	}
 	return p
 }

@@ -26,13 +26,12 @@ type ShardDesc struct {
 	// of deterministic programs carry no seeds at all.
 	SeedLo, SeedHi uint64
 
-	// Batch declares the shard batch-eligible: its cases are independent
-	// seed-only variations of one (graph, program-pair, parameter-block)
-	// grid, so the worker may execute runs of same-kind cases through the
-	// lockstep batch engines (sim.RunPairsBatch / sim.RunBatch) instead
-	// of the per-case loop. Results are identical either way — the batch
-	// engines are pinned to full per-case equality, wakeup counts
-	// included — so the flag only selects the execution strategy.
+	// Batch lets the worker execute each maximal run of consecutive
+	// k-agent cases as the lanes of one sim.RunBatch call instead of one
+	// RunMany call per case; two-agent cases always run per case. Results
+	// are identical with or without the flag — RunBatch is pinned to
+	// full per-case equality, wakeup counts included — so the flag only
+	// selects the execution strategy.
 	Batch bool
 
 	// Cases run sequentially, in order, on one pooled session.

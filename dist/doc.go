@@ -125,22 +125,18 @@
 //
 // # Batched shard execution
 //
-// A shard whose cases are seed-only variations of one (graph,
-// program-pair, parameter-block) grid can be flagged Batch
-// (Planner.SetBatch): the worker then executes runs of same-kind cases
-// through sim's record-and-resolve batch engines (sim.RunPairsBatch /
-// sim.RunBatch — see sim's package comment for the lane model) instead
-// of the per-case loop, and within a two-agent run it builds each
-// distinct (name, args) program descriptor once so descriptor-equal
-// cases share one program value and one recording. The flag selects an
-// execution strategy only: batched results are pinned to full per-case
-// equality, wakeup counts included, so the aggregation invariant below
-// is untouched. Alongside the pooled session and batch arena, each
-// connection keeps a small graph cache — decoded graphs plus their
-// lazily-derived view signatures, on both the worker and coordinator
-// sides — since a sweep's shards repeat a handful of graphs and the
-// decode plus signature derivation are the protocol's largest
-// per-shard costs.
+// A shard can be flagged Batch (Planner.SetBatch): the worker then runs
+// each maximal run of consecutive k-agent cases as the lanes of one
+// sim.RunBatch call (see sim's package comment) instead of one RunMany
+// call per case. Two-agent cases run one Session.RunPrograms call each
+// whatever the flag says. The flag selects an execution strategy only:
+// batched results are pinned to full per-case equality, wakeup counts
+// included, so the aggregation invariant below is untouched. Alongside
+// the pooled session and batch arena, each connection keeps a small
+// graph cache — decoded graphs plus their lazily-derived view
+// signatures, on both the worker and coordinator sides — since a
+// sweep's shards repeat a handful of graphs and the decode plus
+// signature derivation are the protocol's largest per-shard costs.
 //
 // # Byte-identical aggregation
 //

@@ -2,9 +2,7 @@ package dist
 
 import (
 	"fmt"
-	"slices"
 
-	"repro/agent"
 	"repro/graph"
 	"repro/sim"
 	"repro/view"
@@ -45,13 +43,6 @@ func viewSigDepth(g *graph.Graph) int {
 func appendViewSig(dst []byte, g *graph.Graph, t *view.Tree) []byte {
 	t.Build(g, 0, viewSigDepth(g))
 	return t.AppendEncode(dst)
-}
-
-// verifyViewSig checks a worker-reported signature against the
-// coordinator-side graph.
-func verifyViewSig(g *graph.Graph, sig []byte) error {
-	var want view.Tree
-	return verifySigBytes(appendViewSig(nil, g, &want), sig)
 }
 
 // verifySigBytes is the byte-level half of signature verification: the
@@ -142,113 +133,32 @@ type progressFn func(done int)
 // view signature. Execution is deterministic: the same descriptor on any
 // process yields the same ShardResult, which is the whole basis of the
 // byte-identical-aggregation invariant. Shards with the Batch flag set
-// route through ExecShardBatch (on a throwaway arena; workers that
-// execute many shards pass their pooled arena to ExecShardBatch
-// directly).
+// run their k-agent cases as ExecShardBatch does, on a throwaway arena
+// (workers that execute many shards pass their pooled arena to
+// ExecShardBatch directly).
 func ExecShard(sess *sim.Session, sh *ShardDesc) (*ShardResult, error) {
+	var b *sim.Batch
 	if sh.Batch {
-		return ExecShardBatch(sess, sim.NewBatch(), sh)
+		b = sim.NewBatch()
 	}
-	return execShard(sess, sh, nil, nil)
+	return execShard(sess, b, sh, nil, nil)
 }
 
-func execShard(sess *sim.Session, sh *ShardDesc, gc *graphCache, progress progressFn) (*ShardResult, error) {
-	e, err := shardGraph(gc, sh)
-	if err != nil {
-		return nil, err
-	}
-	g := e.g
-	res := &ShardResult{Cases: make([]CaseResult, len(sh.Cases))}
-	for i := range sh.Cases {
-		c := &sh.Cases[i]
-		out := &res.Cases[i]
-		out.Kind = c.Kind
-		switch c.Kind {
-		case KindTwoAgent:
-			if err := checkStart(g, c.U); err != nil {
-				return nil, fmt.Errorf("dist: case %d: %w", i, err)
-			}
-			if err := checkStart(g, c.V); err != nil {
-				return nil, fmt.Errorf("dist: case %d: %w", i, err)
-			}
-			progA, err := buildProg(&c.ProgA, sh.SeedLo, sh.SeedHi)
-			if err != nil {
-				return nil, fmt.Errorf("dist: case %d: %w", i, err)
-			}
-			progB, err := buildProg(&c.ProgB, sh.SeedLo, sh.SeedHi)
-			if err != nil {
-				return nil, fmt.Errorf("dist: case %d: %w", i, err)
-			}
-			out.Two = sess.RunPrograms(g, progA, progB, c.U, c.V, c.Delay, sim.Config{Budget: c.Budget})
-		default:
-			agents := make([]sim.MultiAgent, len(c.Agents))
-			for j := range c.Agents {
-				a := &c.Agents[j]
-				if err := checkStart(g, a.Start); err != nil {
-					return nil, fmt.Errorf("dist: case %d agent %d: %w", i, j, err)
-				}
-				prog, err := buildProg(&a.Prog, sh.SeedLo, sh.SeedHi)
-				if err != nil {
-					return nil, fmt.Errorf("dist: case %d agent %d: %w", i, j, err)
-				}
-				agents[j] = sim.MultiAgent{Program: prog, Start: a.Start, Appear: a.Appear}
-			}
-			out.Multi = sess.RunMany(g, agents, sim.MultiConfig{
-				Budget:             c.Budget,
-				StopOnGather:       c.StopOnGather,
-				StopOnFirstMeeting: c.StopOnFirstMeeting,
-			})
-		}
-		out.Wakeups = sess.Wakeups()
-		if progress != nil {
-			progress(i + 1)
-		}
-	}
-	res.ViewSig = e.viewSig()
-	return res, nil
-}
-
-// progCache dedups built programs within one shard: the registry builds
-// a fresh closure per call, but the batch engine memoizes behavior
-// recordings by program VALUE, so descriptor-equal cases must hand it
-// the same func value to share a recording — which the registry's
-// determinism contract (same descriptor, same behavior, no state across
-// invocations) makes sound. Shard groups are small; a linear scan beats
-// a map here.
-type progCache struct {
-	descs []*ProgDesc
-	progs []agent.Program
-}
-
-func (pc *progCache) get(p *ProgDesc, seedLo, seedHi uint64) (agent.Program, error) {
-	for i, d := range pc.descs {
-		if d.Name == p.Name && slices.Equal(d.Args, p.Args) {
-			return pc.progs[i], nil
-		}
-	}
-	prog, err := buildProg(p, seedLo, seedHi)
-	if err != nil {
-		return nil, err
-	}
-	pc.descs = append(pc.descs, p)
-	pc.progs = append(pc.progs, prog)
-	return prog, nil
-}
-
-// ExecShardBatch executes the shard through the batch engines: maximal
-// runs of consecutive same-kind cases become one sim.RunPairsBatch /
-// sim.RunBatch call each, with per-case wakeup counts taken from the
-// batch's per-lane attribution. The ShardResult is identical to
-// ExecShard's — the batch engines are pinned to full per-case equality
-// — so batching is purely an execution strategy; b is the caller's
-// reusable arena (workers keep one per connection). Two-agent programs
-// are built once per distinct descriptor, so the engine's
-// record-and-resolve memo fires across the whole group.
+// ExecShardBatch executes the shard with its k-agent cases batched:
+// each maximal run of consecutive k-agent cases becomes one
+// sim.RunBatch call on b, with per-case wakeup counts taken from the
+// batch's per-lane attribution, while two-agent cases run exactly as
+// ExecShard runs them. The ShardResult is identical to ExecShard's —
+// RunBatch is pinned to full per-case equality — so batching is purely
+// an execution strategy; b is the caller's reusable arena (workers keep
+// one per connection).
 func ExecShardBatch(sess *sim.Session, b *sim.Batch, sh *ShardDesc) (*ShardResult, error) {
-	return execShardBatch(sess, b, sh, nil, nil)
+	return execShard(sess, b, sh, nil, nil)
 }
 
-func execShardBatch(sess *sim.Session, b *sim.Batch, sh *ShardDesc, gc *graphCache, progress progressFn) (*ShardResult, error) {
+// execShard is both execution paths: with b nil every case runs on its
+// per-case engine, otherwise runs of k-agent cases run as lanes of b.
+func execShard(sess *sim.Session, b *sim.Batch, sh *ShardDesc, gc *graphCache, progress progressFn) (*ShardResult, error) {
 	e, err := shardGraph(gc, sh)
 	if err != nil {
 		return nil, err
@@ -256,72 +166,103 @@ func execShardBatch(sess *sim.Session, b *sim.Batch, sh *ShardDesc, gc *graphCac
 	g := e.g
 	res := &ShardResult{Cases: make([]CaseResult, len(sh.Cases))}
 	for i := 0; i < len(sh.Cases); {
-		j := i
-		kind := sh.Cases[i].Kind
-		for j < len(sh.Cases) && sh.Cases[j].Kind == kind {
-			j++
+		j := i + 1
+		switch {
+		case sh.Cases[i].Kind == KindTwoAgent:
+			err = execTwoAgent(sess, g, sh, i, &res.Cases[i])
+		case b == nil:
+			err = execMulti(sess, g, sh, i, &res.Cases[i])
+		default:
+			for j < len(sh.Cases) && sh.Cases[j].Kind != KindTwoAgent {
+				j++
+			}
+			err = execMultiBatch(sess, b, g, sh, i, j, res.Cases[i:j])
 		}
-		if kind == KindTwoAgent {
-			var pc progCache
-			pcs := make([]sim.PairCase, j-i)
-			for c := i; c < j; c++ {
-				cd := &sh.Cases[c]
-				if err := checkStart(g, cd.U); err != nil {
-					return nil, fmt.Errorf("dist: case %d: %w", c, err)
-				}
-				if err := checkStart(g, cd.V); err != nil {
-					return nil, fmt.Errorf("dist: case %d: %w", c, err)
-				}
-				progA, err := pc.get(&cd.ProgA, sh.SeedLo, sh.SeedHi)
-				if err != nil {
-					return nil, fmt.Errorf("dist: case %d: %w", c, err)
-				}
-				progB, err := pc.get(&cd.ProgB, sh.SeedLo, sh.SeedHi)
-				if err != nil {
-					return nil, fmt.Errorf("dist: case %d: %w", c, err)
-				}
-				pcs[c-i] = sim.PairCase{ProgA: progA, ProgB: progB, U: cd.U, V: cd.V, Delay: cd.Delay, Budget: cd.Budget}
-			}
-			two := sess.RunPairsBatch(g, pcs, b)
-			wk := b.Wakeups()
-			for c := i; c < j; c++ {
-				res.Cases[c] = CaseResult{Kind: kind, Two: two[c-i], Wakeups: wk[c-i]}
-			}
-		} else {
-			mcs := make([]sim.MultiCase, j-i)
-			for c := i; c < j; c++ {
-				cd := &sh.Cases[c]
-				agents := make([]sim.MultiAgent, len(cd.Agents))
-				for a := range cd.Agents {
-					ad := &cd.Agents[a]
-					if err := checkStart(g, ad.Start); err != nil {
-						return nil, fmt.Errorf("dist: case %d agent %d: %w", c, a, err)
-					}
-					prog, err := buildProg(&ad.Prog, sh.SeedLo, sh.SeedHi)
-					if err != nil {
-						return nil, fmt.Errorf("dist: case %d agent %d: %w", c, a, err)
-					}
-					agents[a] = sim.MultiAgent{Program: prog, Start: ad.Start, Appear: ad.Appear}
-				}
-				mcs[c-i] = sim.MultiCase{Agents: agents, Cfg: sim.MultiConfig{
-					Budget:             cd.Budget,
-					StopOnGather:       cd.StopOnGather,
-					StopOnFirstMeeting: cd.StopOnFirstMeeting,
-				}}
-			}
-			multi := sess.RunBatch(g, mcs, b)
-			wk := b.Wakeups()
-			for c := i; c < j; c++ {
-				res.Cases[c] = CaseResult{Kind: kind, Multi: multi[c-i], Wakeups: wk[c-i]}
-			}
+		if err != nil {
+			return nil, err
 		}
 		i = j
 		if progress != nil {
-			progress(j)
+			progress(i)
 		}
 	}
 	res.ViewSig = e.viewSig()
 	return res, nil
+}
+
+// execTwoAgent runs two-agent case i of sh on the per-case engine — the
+// one two-agent path of every execution strategy.
+func execTwoAgent(sess *sim.Session, g *graph.Graph, sh *ShardDesc, i int, out *CaseResult) error {
+	c := &sh.Cases[i]
+	if err := checkStart(g, c.U); err != nil {
+		return fmt.Errorf("dist: case %d: %w", i, err)
+	}
+	if err := checkStart(g, c.V); err != nil {
+		return fmt.Errorf("dist: case %d: %w", i, err)
+	}
+	progA, err := buildProg(&c.ProgA, sh.SeedLo, sh.SeedHi)
+	if err != nil {
+		return fmt.Errorf("dist: case %d: %w", i, err)
+	}
+	progB, err := buildProg(&c.ProgB, sh.SeedLo, sh.SeedHi)
+	if err != nil {
+		return fmt.Errorf("dist: case %d: %w", i, err)
+	}
+	two := sess.RunPrograms(g, progA, progB, c.U, c.V, c.Delay, sim.Config{Budget: c.Budget})
+	*out = CaseResult{Kind: c.Kind, Two: two, Wakeups: sess.Wakeups()}
+	return nil
+}
+
+// multiCase resolves k-agent case i of sh into its engine parameters.
+func multiCase(g *graph.Graph, sh *ShardDesc, i int) (sim.MultiCase, error) {
+	c := &sh.Cases[i]
+	agents := make([]sim.MultiAgent, len(c.Agents))
+	for j := range c.Agents {
+		a := &c.Agents[j]
+		if err := checkStart(g, a.Start); err != nil {
+			return sim.MultiCase{}, fmt.Errorf("dist: case %d agent %d: %w", i, j, err)
+		}
+		prog, err := buildProg(&a.Prog, sh.SeedLo, sh.SeedHi)
+		if err != nil {
+			return sim.MultiCase{}, fmt.Errorf("dist: case %d agent %d: %w", i, j, err)
+		}
+		agents[j] = sim.MultiAgent{Program: prog, Start: a.Start, Appear: a.Appear}
+	}
+	return sim.MultiCase{Agents: agents, Cfg: sim.MultiConfig{
+		Budget:             c.Budget,
+		StopOnGather:       c.StopOnGather,
+		StopOnFirstMeeting: c.StopOnFirstMeeting,
+	}}, nil
+}
+
+// execMulti runs k-agent case i of sh on the per-case engine.
+func execMulti(sess *sim.Session, g *graph.Graph, sh *ShardDesc, i int, out *CaseResult) error {
+	mc, err := multiCase(g, sh, i)
+	if err != nil {
+		return err
+	}
+	multi := sess.RunMany(g, mc.Agents, mc.Cfg)
+	*out = CaseResult{Kind: sh.Cases[i].Kind, Multi: multi, Wakeups: sess.Wakeups()}
+	return nil
+}
+
+// execMultiBatch runs k-agent cases [i, j) of sh as the lanes of one
+// RunBatch call on b, writing their results to out.
+func execMultiBatch(sess *sim.Session, b *sim.Batch, g *graph.Graph, sh *ShardDesc, i, j int, out []CaseResult) error {
+	mcs := make([]sim.MultiCase, j-i)
+	for c := i; c < j; c++ {
+		mc, err := multiCase(g, sh, c)
+		if err != nil {
+			return err
+		}
+		mcs[c-i] = mc
+	}
+	multi := sess.RunBatch(g, mcs, b)
+	wk := b.Wakeups()
+	for c := range out {
+		out[c] = CaseResult{Kind: sh.Cases[i+c].Kind, Multi: multi[c], Wakeups: wk[c]}
+	}
+	return nil
 }
 
 func checkStart(g *graph.Graph, v int) error {
@@ -331,12 +272,12 @@ func checkStart(g *graph.Graph, v int) error {
 	return nil
 }
 
-// execShardOn routes a shard to the engine its Batch flag selects,
-// reusing the caller's pooled arena for batch shards and its graph
-// cache either way (the per-connection execution path of Serve).
+// execShardOn executes a shard on the caller's pooled session, batch
+// arena (used only when the shard's Batch flag is set) and graph cache —
+// the per-connection execution path of Serve.
 func execShardOn(sess *sim.Session, b *sim.Batch, sh *ShardDesc, gc *graphCache, progress progressFn) (*ShardResult, error) {
-	if sh.Batch {
-		return execShardBatch(sess, b, sh, gc, progress)
+	if !sh.Batch {
+		b = nil
 	}
-	return execShard(sess, sh, gc, progress)
+	return execShard(sess, b, sh, gc, progress)
 }

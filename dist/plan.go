@@ -53,8 +53,8 @@ func (p *Planner) SetSeedRange(key any, lo, hi uint64) {
 }
 
 // SetBatch declares the key's shard batch-eligible (see
-// ShardDesc.Batch): workers execute it through the lockstep batch
-// engines. The shard must already exist.
+// ShardDesc.Batch): workers run its k-agent cases through sim.RunBatch.
+// The shard must already exist.
 func (p *Planner) SetBatch(key any) {
 	si, ok := p.byKey[key]
 	if !ok {

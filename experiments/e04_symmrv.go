@@ -47,9 +47,8 @@ func symmCases() []symmCase {
 
 // E4 exercises Lemma 3.2: SymmRV(n, Shrink(u,v), δ) achieves rendezvous
 // for every symmetric STIC with δ >= Shrink(u,v), within the Lemma 3.3
-// budget T(n,d,δ). Runs execute through sim.SweepPairs, sharded by
-// graph: one graph's delay sweep becomes one lockstep batch on one
-// worker.
+// budget T(n,d,δ). Runs execute through sim.Sweep, sharded by graph:
+// one graph's delay sweep runs on one worker's pooled session.
 func E4() *Table {
 	t := &Table{
 		ID:       "E4",
@@ -58,21 +57,15 @@ func E4() *Table {
 		Columns:  []string{"graph", "pair", "d=Shrink", "δ", "met", "time from later", "T(n,d,δ)", "moves/agent"},
 	}
 	cases := symmCases()
-	items := make([]sim.PairItem, len(cases))
-	for i, c := range cases {
+	results := sim.Sweep(cases, 0, func(c symmCase) any { return c.g }, func(sc *sim.Scratch, c symmCase) sim.Result {
 		n := uint64(c.g.N())
 		prog, err := rendezvous.NewSymmRV(n, c.d, c.dlt)
 		if err != nil {
 			panic(err)
 		}
 		bound := rendezvous.SymmRVTime(n, c.d, c.dlt)
-		items[i] = sim.PairItem{G: c.g, Case: sim.PairCase{
-			ProgA: prog, ProgB: prog,
-			U: c.u, V: c.v, Delay: c.dlt,
-			Budget: c.dlt + 2*bound,
-		}}
-	}
-	results := sim.SweepPairs(items, 0)
+		return sc.Session().Run(c.g, prog, c.u, c.v, c.dlt, sim.Config{Budget: c.dlt + 2*bound})
+	})
 	for i, c := range cases {
 		n := uint64(c.g.N())
 		bound := rendezvous.SymmRVTime(n, c.d, c.dlt)

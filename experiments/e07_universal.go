@@ -100,9 +100,7 @@ type e7Case struct {
 // in-process protocol workers by default, forked worker processes under
 // `rvx --dist-workers` — with byte-identical results either way. Budgets
 // are computed coordinator-side from the classification; the descriptor
-// carries them explicitly. Every shard is declared batch-eligible: the
-// grid is seed-free parameter variation of one program pair, exactly
-// what the lockstep batch engine wants.
+// carries them explicitly.
 func e7Plan(cases []e7Case, reps []stic.Report) *dist.Planner {
 	plan := &dist.Planner{}
 	for i, c := range cases {
@@ -113,14 +111,6 @@ func e7Plan(cases []e7Case, reps []stic.Report) *dist.Planner {
 			U:     c.u, V: c.v, Delay: c.delta,
 			Budget: universalBudget(c.g, reps[i], c.delta),
 		})
-	}
-	seen := map[*graph.Graph]bool{}
-	for _, c := range cases {
-		if seen[c.g] {
-			continue
-		}
-		seen[c.g] = true
-		plan.SetBatch(c.g)
 	}
 	return plan
 }

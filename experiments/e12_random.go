@@ -57,9 +57,6 @@ func E12() *Table {
 			})
 		}
 		plan.SetSeedRange(ci, 1000, uint64(1000+2*runs))
-		// Seed-only variation of one program pair on one graph: the
-		// definitional batch-eligible shard.
-		plan.SetBatch(ci)
 	}
 	results := runPlan(plan)
 	times := make([]uint64, len(results))

@@ -33,8 +33,6 @@ echo "== root experiment suite (count=$count)" >&2
 go test -run '^$' -bench . -benchtime 1x -count "$count" -benchmem . | tee -a "$tmp"
 echo "== sim engine microbenchmarks (incl. k-agent scheduler)" >&2
 go test -run '^$' -bench 'BenchmarkScriptedWalk|BenchmarkPerMoveWalk|BenchmarkRoundThroughput|BenchmarkFastForward|BenchmarkMultiScriptedWalk' -count "$count" -benchmem ./sim/ | tee -a "$tmp"
-echo "== batch shard engine (record-and-resolve vs per-case loop)" >&2
-go test -run '^$' -bench 'BenchmarkBatchShard' -count "$count" -benchmem ./sim/ | tee -a "$tmp"
 echo "== obs hot-path overhead (atomic counter + instrumented shard run)" >&2
 go test -run '^$' -bench 'BenchmarkObsCounter$' -count "$count" -benchmem ./internal/obs/ | tee -a "$tmp"
 go test -run '^$' -bench 'BenchmarkInstrumentedShard' -count "$count" -benchmem ./sim/ | tee -a "$tmp"

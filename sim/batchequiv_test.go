@@ -1,16 +1,14 @@
 package sim_test
 
-// Differential equivalence suite for the lockstep batch engines: every
-// lane of RunPairsBatch must return exactly what Session.RunPrograms
-// returns for its case, every lane of RunBatch exactly what
-// Session.RunMany returns — full Result/MultiResult equality (Meetings
-// order and slice nil-ness included) AND per-lane scheduler wakeup
-// counts equal to the per-case engine's Session.Wakeups — across
-// hundreds of randomized cases mixing graph families, program shapes,
-// delays, budgets and lane counts, plus the adversarial shapes the lane
-// model is most likely to get wrong: whole batches retiring on one
-// round, W=1 degenerate batches, budgets expiring inside a script
-// burst, and concurrent batches sharing one Session.
+// Differential equivalence suite for the k-agent batch engine: every
+// lane of RunBatch must return exactly what Session.RunMany returns for
+// its case — full MultiResult equality (Meetings order and slice
+// nil-ness included) AND per-lane scheduler wakeup counts equal to the
+// per-case engine's Session.Wakeups — across hundreds of randomized
+// cases mixing graph families, program shapes, appearance rounds,
+// budgets and lane counts, plus the shapes the lane model is most
+// likely to get wrong: bucketed-scan lanes beside small ones, W=1
+// degenerate batches, and concurrent batches sharing one Session.
 
 import (
 	"fmt"
@@ -19,67 +17,9 @@ import (
 	"sync"
 	"testing"
 
-	"repro/agent"
-	"repro/graph"
 	"repro/internal/simtest"
 	"repro/sim"
 )
-
-// randPairCases builds one batchable shard: w cases on g with mixed
-// program shapes, starts, delays and budgets.
-func randPairCases(r *rand.Rand, g *graph.Graph, w int) ([]sim.PairCase, []string) {
-	cases := make([]sim.PairCase, w)
-	names := make([]string, w)
-	for i := range cases {
-		pa, na := randProgram(r)
-		pb, nb := randProgram(r)
-		var delay uint64
-		switch r.Intn(3) {
-		case 0: // simultaneous start
-		case 1:
-			delay = uint64(r.Intn(50))
-		default:
-			delay = uint64(r.Intn(2000))
-		}
-		cases[i] = sim.PairCase{
-			ProgA: pa, ProgB: pb,
-			U: r.Intn(g.N()), V: r.Intn(g.N()),
-			Delay:  delay,
-			Budget: uint64(1 + r.Intn(3000)),
-		}
-		names[i] = fmt.Sprintf("%s/%s u=%d v=%d d=%d b=%d", na, nb, cases[i].U, cases[i].V, delay, cases[i].Budget)
-	}
-	return cases, names
-}
-
-func TestBatchEquivalenceRunPairsRandomized(t *testing.T) {
-	r := rand.New(rand.NewSource(0xBA7C4))
-	sess := sim.NewSession()
-	defer sess.Close()
-	ref := sim.NewSession()
-	defer ref.Close()
-	b := sim.NewBatch()
-	total := 0
-	for total < 320 {
-		g := randGraph(r)
-		w := 1 + r.Intn(24)
-		cases, names := randPairCases(r, g, w)
-		got := sess.RunPairsBatch(g, cases, b)
-		wk := b.Wakeups()
-		for i, c := range cases {
-			want := ref.RunPrograms(g, c.ProgA, c.ProgB, c.U, c.V, c.Delay, sim.Config{Budget: c.Budget})
-			if got[i] != want {
-				t.Fatalf("lane %d/%d on %s (%s): engines disagree\n  batch:    %+v\n  per-case: %+v",
-					i, w, g, names[i], got[i], want)
-			}
-			if wk[i] != ref.Wakeups() {
-				t.Fatalf("lane %d/%d on %s (%s): wakeups disagree: batch %d, per-case %d",
-					i, w, g, names[i], wk[i], ref.Wakeups())
-			}
-		}
-		total += w
-	}
-}
 
 func TestBatchEquivalenceRunBatchRandomized(t *testing.T) {
 	r := rand.New(rand.NewSource(0xBA7C5))
@@ -169,31 +109,8 @@ func TestBatchEquivalenceRunBatchLargeK(t *testing.T) {
 	}
 }
 
-// TestBatchLanesRetireSameRound: a whole batch of identical lanes must
-// retire on the same sweep — the in-place compaction's worst case (every
-// live lane drops at once).
-func TestBatchLanesRetireSameRound(t *testing.T) {
-	g := graph.Cycle(6)
-	sess := sim.NewSession()
-	defer sess.Close()
-	cases := make([]sim.PairCase, 64)
-	for i := range cases {
-		cases[i] = sim.PairCase{ProgA: agent.MoveEveryRound, ProgB: agent.Sit, U: 0, V: 3, Budget: 100}
-	}
-	got := sess.RunPairsBatch(g, cases, sim.NewBatch())
-	want := sim.RunPrograms(g, agent.MoveEveryRound, agent.Sit, 0, 3, 0, sim.Config{Budget: 100})
-	for i, res := range got {
-		if res != want {
-			t.Fatalf("lane %d: %+v, want %+v", i, res, want)
-		}
-	}
-	if want.Outcome != sim.Met {
-		t.Fatalf("test premise broken: %+v", want)
-	}
-}
-
 // TestBatchSingleLane: the W=1 degenerate batch is just a slow spelling
-// of RunPrograms / RunMany.
+// of RunMany.
 func TestBatchSingleLane(t *testing.T) {
 	r := rand.New(rand.NewSource(0x1A2E))
 	sess := sim.NewSession()
@@ -203,51 +120,19 @@ func TestBatchSingleLane(t *testing.T) {
 	b := sim.NewBatch()
 	for ci := 0; ci < 20; ci++ {
 		g := randGraph(r)
-		cases, names := randPairCases(r, g, 1)
-		got := sess.RunPairsBatch(g, cases, b)
-		c := cases[0]
-		want := ref.RunPrograms(g, c.ProgA, c.ProgB, c.U, c.V, c.Delay, sim.Config{Budget: c.Budget})
-		if got[0] != want {
-			t.Fatalf("case %d on %s (%s): %+v, want %+v", ci, g, names[0], got[0], want)
-		}
 		prog, _ := randProgram(r)
 		mc := []sim.MultiCase{{Agents: []sim.MultiAgent{{Program: prog, Start: 0}, {Program: prog, Start: g.N() - 1}},
 			Cfg: sim.MultiConfig{Budget: 500}}}
-		gotM := sess.RunBatch(g, mc, b)
-		wantM := ref.RunMany(g, mc[0].Agents, mc[0].Cfg)
-		simtest.RequireEqualResult(t, fmt.Sprintf("case %d on %s: multi W=1", ci, g), wantM, gotM[0])
-	}
-}
-
-// TestBatchBudgetExpiresMidScript: budgets that run out inside the fused
-// script burst — the burst loop's t < budget guard — must stop lanes at
-// exactly the per-case round, not at the script boundary.
-func TestBatchBudgetExpiresMidScript(t *testing.T) {
-	g := graph.Cycle(9)
-	sess := sim.NewSession()
-	defer sess.Close()
-	ref := sim.NewSession()
-	defer ref.Close()
-	script := make([]int, 400)
-	prog := agent.Script(script) // 400 scripted moves, budgets far shorter
-	cases := make([]sim.PairCase, 32)
-	for i := range cases {
-		cases[i] = sim.PairCase{ProgA: prog, ProgB: prog, U: 0, V: 4, Delay: uint64(i % 3), Budget: uint64(5 + i*7)}
-	}
-	got := sess.RunPairsBatch(g, cases, sim.NewBatch())
-	for i, c := range cases {
-		want := ref.RunPrograms(g, c.ProgA, c.ProgB, c.U, c.V, c.Delay, sim.Config{Budget: c.Budget})
-		if got[i] != want {
-			t.Fatalf("lane %d: %+v, want %+v", i, got[i], want)
-		}
+		got := sess.RunBatch(g, mc, b)
+		want := ref.RunMany(g, mc[0].Agents, mc[0].Cfg)
+		simtest.RequireEqualResult(t, fmt.Sprintf("case %d on %s: W=1", ci, g), want, got[0])
 	}
 }
 
 // TestBatchConcurrentOnOneSession exercises the documented concurrency
 // contract under -race: multiple goroutines each drive their own Batch
 // arena against ONE shared Session (the runner pool is the only shared
-// state), mixing the pair and multi engines, and every lane must still
-// equal its per-case reference.
+// state), and every lane must still equal its per-case reference.
 func TestBatchConcurrentOnOneSession(t *testing.T) {
 	sess := sim.NewSession()
 	defer sess.Close()
@@ -262,18 +147,6 @@ func TestBatchConcurrentOnOneSession(t *testing.T) {
 			b := sim.NewBatch()
 			for iter := 0; iter < 8; iter++ {
 				g := randGraph(r)
-				if iter%2 == 0 {
-					cases, names := randPairCases(r, g, 1+r.Intn(12))
-					got := sess.RunPairsBatch(g, cases, b)
-					for i, c := range cases {
-						want := ref.RunPrograms(g, c.ProgA, c.ProgB, c.U, c.V, c.Delay, sim.Config{Budget: c.Budget})
-						if got[i] != want {
-							t.Errorf("seed %d iter %d lane %d (%s): %+v, want %+v", seed, iter, i, names[i], got[i], want)
-							return
-						}
-					}
-					continue
-				}
 				cases := make([]sim.MultiCase, 1+r.Intn(4))
 				for i := range cases {
 					agents := make([]sim.MultiAgent, 2+r.Intn(3))
@@ -287,7 +160,7 @@ func TestBatchConcurrentOnOneSession(t *testing.T) {
 				for i := range cases {
 					want := ref.RunMany(g, cases[i].Agents, cases[i].Cfg)
 					if !reflect.DeepEqual(got[i], want) {
-						t.Errorf("seed %d iter %d multi lane %d: %+v, want %+v", seed, iter, i, got[i], want)
+						t.Errorf("seed %d iter %d lane %d: %+v, want %+v", seed, iter, i, got[i], want)
 						return
 					}
 				}
@@ -295,43 +168,4 @@ func TestBatchConcurrentOnOneSession(t *testing.T) {
 		}(int64(wk))
 	}
 	wg.Wait()
-}
-
-// TestBatchSteadyStateAllocs pins the acceptance criterion: a warm
-// Batch arena executes a whole pair shard with ZERO allocations per
-// batch — the pool, the lane arrays and every script buffer are
-// recycled.
-func TestBatchSteadyStateAllocs(t *testing.T) {
-	g := graph.Cycle(8)
-	sess := sim.NewSession()
-	defer sess.Close()
-	b := sim.NewBatch()
-	script := make([]int, 0, 160)
-	for i := 0; i < 120; i++ {
-		script = append(script, 0)
-	}
-	for i := 0; i < 16; i++ {
-		script = append(script, agent.ScriptWait)
-	}
-	prog := func(w agent.World) {
-		for {
-			w.MoveSeq(script)
-			w.Wait(100)
-		}
-	}
-	cases := make([]sim.PairCase, 64)
-	for i := range cases {
-		cases[i] = sim.PairCase{ProgA: prog, ProgB: prog, U: i % 8, V: (i + 3) % 8, Delay: uint64(i % 5), Budget: 4096}
-	}
-	run := func() sim.Result { return sess.RunPairsBatch(g, cases, b)[0] }
-	want := run() // warm the pool, the arena and all script buffers
-	run()
-	avg := testing.AllocsPerRun(10, func() {
-		if got := run(); got != want {
-			panic(fmt.Sprintf("results drifted: %+v != %+v", got, want))
-		}
-	})
-	if avg != 0 {
-		t.Fatalf("warm batch allocates %.1f allocs/op in steady state, want 0", avg)
-	}
 }

@@ -131,35 +131,28 @@ func BenchmarkFastForward(b *testing.B) {
 	}
 }
 
-// batchShardCases builds the BenchmarkBatchShard workload: w short
-// two-agent cases on g, the delay/budget grid of one program pair at
-// fixed starts — the shard shape every production sweep emits (E7's
-// grid varies delay and budget over a fixed instance; E12 sweeps delays
-// per seed). The pair is the paper's "waiting for Mommy" reduction: a
-// UXS-style scripted searcher against agent.Sit. The per-case engine
-// pays full scheduling freight — acquire/release handshakes, fetch
-// latency — for every grid point; the batch engine records the pair
-// once and resolves the whole grid against it, which is exactly the
-// amortization being measured. The searcher alternates one application
-// with an equal hold (the enhanced-trajectory discipline the rendezvous
-// algorithms use to tolerate unknown delay).
-func batchShardCases(w int, g *graph.Graph, script []int) []PairCase {
-	prog := func(wd agent.World) {
+// runShard runs the W-case benchmark shard on sess, one RunPrograms call
+// per case: the delay/budget grid of one program pair at fixed starts —
+// the shard shape production sweeps emit (E7's grid varies delay and
+// budget over a fixed instance; E12 sweeps delays per seed). The pair is
+// the paper's "waiting for Mommy" reduction: prog, a scripted searcher
+// built by shardSearcher, against agent.Sit.
+func runShard(sess *Session, g *graph.Graph, prog agent.Program, w int) {
+	for i := 0; i < w; i++ {
+		sess.RunPrograms(g, prog, agent.Sit, 0, 17, uint64(i%7), Config{Budget: uint64(48 + 4*(i%5))})
+	}
+}
+
+// shardSearcher is runShard's searcher: it alternates one application
+// of script with an equal hold (the enhanced-trajectory discipline the
+// rendezvous algorithms use to tolerate unknown delay).
+func shardSearcher(script []int) agent.Program {
+	return func(wd agent.World) {
 		for {
 			wd.MoveSeq(script)
 			wd.Wait(uint64(len(script)))
 		}
 	}
-	cases := make([]PairCase, w)
-	for i := range cases {
-		cases[i] = PairCase{
-			ProgA: prog, ProgB: agent.Sit,
-			U: 0, V: 17,
-			Delay:  uint64(i % 7),
-			Budget: uint64(48 + 4*(i%5)),
-		}
-	}
-	return cases
 }
 
 // reportCases adds the per-case metrics benchdiff gates: how many cases
@@ -170,85 +163,31 @@ func reportCases(b *testing.B, casesPerOp int) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/total, "ns/case")
 }
 
-// BenchmarkBatchShard measures the record-and-resolve batch engine on a
-// whole shard of W cases per op — the batch analogue of the per-case
-// loop in BenchmarkBatchShardPerCase, same workload, same session
-// pattern. The cases/sec ratio between the two is the batch speedup.
-func BenchmarkBatchShard(b *testing.B) {
-	g := graph.Cycle(32)
-	script := uxsStyleScript(32, 32)
-	for _, w := range []int{16, 64, 256} {
-		b.Run(fmt.Sprintf("W=%d", w), func(b *testing.B) {
-			cases := batchShardCases(w, g, script)
-			sess := NewSession()
-			defer sess.Close()
-			batch := NewBatch()
-			sess.RunPairsBatch(g, cases, batch) // warm the pool and arena
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sess.RunPairsBatch(g, cases, batch)
-			}
-			reportCases(b, w)
-		})
-	}
-}
-
-// BenchmarkInstrumentedShard pins the observability overhead: the same
-// W=64 batch shard as BenchmarkBatchShard, named separately so the
-// benchdiff record tracks the instrumented engine path explicitly. The
-// obs publishing contract (run totals flushed as a handful of atomic
-// adds at run end, nothing per wakeup) must keep this at 0 allocs/op;
-// TestInstrumentedBatchShardAllocs enforces that as a hard test.
+// BenchmarkInstrumentedShard pins the observability overhead on the
+// engine path every two-agent case takes: the W=64 shard of runShard on
+// one pooled session, named so the benchdiff record tracks the
+// instrumented engine explicitly. The obs publishing contract (run
+// totals flushed as a handful of atomic adds at run end, nothing per
+// wakeup) must keep this at 0 allocs/op; TestInstrumentedShardAllocs
+// enforces that as a hard test.
 func BenchmarkInstrumentedShard(b *testing.B) {
 	g := graph.Cycle(32)
-	script := uxsStyleScript(32, 32)
+	prog := shardSearcher(uxsStyleScript(32, 32))
 	const w = 64
-	cases := batchShardCases(w, g, script)
 	sess := NewSession()
 	defer sess.Close()
-	batch := NewBatch()
-	sess.RunPairsBatch(g, cases, batch) // warm the pool and arena
-	before := obsRuns[runKindBatch].Value()
+	runShard(sess, g, prog, w) // warm the pool
+	before := obsRuns[runKindPair].Value()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sess.RunPairsBatch(g, cases, batch)
+		runShard(sess, g, prog, w)
 	}
 	b.StopTimer()
-	if obsRuns[runKindBatch].Value() == before {
+	if obsRuns[runKindPair].Value() == before {
 		b.Fatal("instrumentation did not publish")
 	}
 	reportCases(b, w)
-}
-
-// BenchmarkBatchShardPerCase is the identical shard through the per-case
-// engine: one Session.RunPrograms call per case on the same pooled
-// session — the pre-batch execution strategy, kept as the speedup
-// baseline.
-func BenchmarkBatchShardPerCase(b *testing.B) {
-	g := graph.Cycle(32)
-	script := uxsStyleScript(32, 32)
-	for _, w := range []int{16, 64, 256} {
-		b.Run(fmt.Sprintf("W=%d", w), func(b *testing.B) {
-			cases := batchShardCases(w, g, script)
-			sess := NewSession()
-			defer sess.Close()
-			for i := range cases {
-				c := &cases[i]
-				sess.RunPrograms(g, c.ProgA, c.ProgB, c.U, c.V, c.Delay, Config{Budget: c.Budget})
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for j := range cases {
-					c := &cases[j]
-					sess.RunPrograms(g, c.ProgA, c.ProgB, c.U, c.V, c.Delay, Config{Budget: c.Budget})
-				}
-			}
-			reportCases(b, w)
-		})
-	}
 }
 
 // BenchmarkParallelSweep measures the experiment-harness pattern: many

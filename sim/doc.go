@@ -127,43 +127,17 @@
 // RunMany to it, full MultiResult equality included, across randomized
 // populations of scripts, walkers, waiters and UniversalRV agents.
 //
-// # Record-and-resolve shard batching
+// # K-agent shard batching
 //
-// RunPairsBatch executes a whole shard of two-agent cases — W lanes,
-// typically the seed or delay grid of one (graph, program-pair,
-// parameter-block) shard — through one Batch arena. It exploits the
-// model property the paper's algorithms are built on: agents are
-// mutually oblivious until they meet, so an agent's trajectory is a
-// pure function of (graph, program, start node), independent of its
-// partner and of the adversary's delay. The engine therefore runs each
-// distinct (program, start) once as a solo recording — a run-length
-// event log of move rounds, positions and fetch rounds, extended
-// lazily and geometrically only as far as some lane needs it — and
-// resolves every lane against a pair of recordings with a two-pointer
-// scan over their merged move rounds (one side shifted by the lane's
-// delay). A lane's meeting round, outcome, move counts and wakeup
-// counts are all read off the logs; no goroutine runs per lane.
-// Resolution is exact, not approximate: the fetch log marks the
-// engine's real action-end rounds, which are invariant under how
-// advance() partitions a run, so per-lane Results — Meetings order,
-// wakeup counts and slice nil-ness included — are equal field by field
-// to the per-case engine's, pinned by the randomized differential
-// suite, and the steady-state arena allocates nothing per shard.
-// Lanes whose cases are identical resolve from the same two logs, so a
-// W-lane grid over one program pair costs two recordings plus W cheap
-// scans — the amortization BenchmarkBatchShard measures against the
-// per-case loop. Batch.Wakeups still reports exact per-case wakeup
-// counts (what a dist worker's CaseResult carries), while the session
-// stats account the recorder activity actually performed.
-//
-// The memoization contract: batched programs must be deterministic and
-// free of observable cross-invocation state, so one recording stands
-// for every lane that names the same program value and start. Every
-// program in this repository satisfies it, and dist's program registry
-// requires it of anything that travels the wire. RunBatch, the
-// multi-agent analogue, batches arena reuse and pool warmup but keeps
-// each lane's k-agent run live — gathering observes the joint
-// schedule, so there is no per-agent closed form to record.
+// RunBatch executes a shard of k-agent cases on one graph as
+// interleaved lanes of one Batch arena: each lane is a parked multiRun
+// advanced one scheduler iteration at a time, the lanes' round-zero
+// acquisitions are issued up front, and retired lanes release their
+// runners asynchronously, so the per-case acquire/release handshakes
+// overlap across the shard. Lane i returns exactly Session.RunMany of
+// case i, per-lane wakeup counts (Batch.Wakeups) included, pinned by
+// the randomized differential suite. Two-agent cases have no batch
+// form: every one runs on Session.RunPrograms.
 //
 // # Beyond one process
 //

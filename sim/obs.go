@@ -7,8 +7,8 @@ import (
 	"repro/internal/obs"
 )
 
-// Engine kinds for the sim_runs_total label. Batch covers both
-// RunPairsBatch and RunBatch arenas (cleanup is their shared tail).
+// Engine kinds for the sim_runs_total label. Batch counts RunBatch
+// calls (Batch.cleanup publishes them).
 const (
 	runKindPair = iota
 	runKindMulti

@@ -43,8 +43,11 @@ func TestObsRunCountersMove(t *testing.T) {
 	}
 
 	before = snap()
-	cases := []PairCase{{ProgA: agent.Sit, ProgB: agent.Sit, U: 0, V: 1, Budget: 16}}
-	sess.RunPairsBatch(g, cases, NewBatch())
+	cases := []MultiCase{{
+		Agents: []MultiAgent{{Program: agent.Sit}, {Program: agent.Sit, Start: 2}},
+		Cfg:    MultiConfig{Budget: 16},
+	}}
+	sess.RunBatch(g, cases, NewBatch())
 	after = snap()
 	if after[`sim_runs_total{engine="batch"}`] != before[`sim_runs_total{engine="batch"}`]+1 {
 		t.Fatal("batch run counter did not move")
@@ -64,22 +67,26 @@ func TestObsPhaseFamiliesRegistered(t *testing.T) {
 	}
 }
 
-// TestInstrumentedBatchShardAllocs is the zero-overhead contract as a
-// hard test: a warm batch shard run — now publishing its totals into
-// the obs registry at cleanup — must stay exactly 0 allocs per run.
-func TestInstrumentedBatchShardAllocs(t *testing.T) {
+// TestInstrumentedShardAllocs is the zero-overhead contract as a hard
+// test: a warm shard of per-case runs — each publishing its totals into
+// the obs registry when it ends — must stay exactly 0 allocs per shard,
+// and must move the pair engine's run counter.
+func TestInstrumentedShardAllocs(t *testing.T) {
 	g := graph.Cycle(32)
-	script := uxsStyleScript(32, 32)
-	cases := batchShardCases(64, g, script)
+	prog := shardSearcher(uxsStyleScript(32, 32))
+	const w = 64
 	sess := NewSession()
 	defer sess.Close()
-	batch := NewBatch()
-	sess.RunPairsBatch(g, cases, batch) // warm pool + arena
+	runShard(sess, g, prog, w) // warm the pool
+	before := obsRuns[runKindPair].Value()
 	allocs := testing.AllocsPerRun(5, func() {
-		sess.RunPairsBatch(g, cases, batch)
+		runShard(sess, g, prog, w)
 	})
 	if allocs != 0 {
-		t.Fatalf("instrumented batch shard allocates %.1f per run, want 0", allocs)
+		t.Fatalf("instrumented shard allocates %.1f per run, want 0", allocs)
+	}
+	if obsRuns[runKindPair].Value() == before {
+		t.Fatal(`sim_runs_total{engine="pair"} did not move`)
 	}
 }
 

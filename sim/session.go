@@ -10,10 +10,10 @@ import (
 
 // runStats is one run's scheduler statistics: the wakeup count and its
 // per-phase breakdown. Solo runs accumulate into the session's own
-// instance; batch runs (RunPairsBatch, RunBatch) accumulate into their
-// Batch arena's instance — each runner carries a pointer to the instance
-// its current run feeds, which is what lets concurrent batches on one
-// Session count without racing.
+// instance; batch runs (RunBatch) accumulate into their Batch arena's
+// instance — each runner carries a pointer to the instance its current
+// run feeds, which is what lets concurrent batches on one Session count
+// without racing.
 type runStats struct {
 	wakeups   uint64
 	wakeupsBy [agent.PhaseCount]uint64
@@ -29,11 +29,11 @@ type runStats struct {
 // A Session is NOT safe for concurrent SOLO use: exactly one
 // Run/RunPrograms/RunMany may be active on it at a time (sweeps use one
 // Session per worker). Batch runs are the exception: any number of
-// concurrent RunPairsBatch/RunBatch calls may share one Session as long
-// as each brings its own Batch arena — the runner pool itself is
-// mutex-guarded, and all per-run state lives in the arena. Close releases
-// the pooled goroutines; a Session used via Scratch.Session is closed by
-// Sweep itself when the worker retires.
+// concurrent RunBatch calls may share one Session as long as each
+// brings its own Batch arena — the runner pool itself is mutex-guarded,
+// and all per-run state lives in the arena. Close releases the pooled
+// goroutines; a Session used via Scratch.Session is closed by Sweep
+// itself when the worker retires.
 type Session struct {
 	// mu guards the runner free list and the goroutine WaitGroup
 	// registration — the only state shared between concurrent batch runs.
@@ -95,7 +95,7 @@ func (s *Session) acquire(g *graph.Graph, prog agent.Program, start int) *runner
 // immediately; the scheduler picks up its first request at fetch. Every
 // request the run consumes is counted into st, and additionally into
 // *lane when lane is non-nil — the per-lane wakeup attribution of the
-// batch engines.
+// batch engine.
 func (s *Session) acquireFor(g *graph.Graph, prog agent.Program, start int, st *runStats, lane *uint64) *runner {
 	var r *runner
 	s.mu.Lock()
@@ -149,8 +149,8 @@ func (s *Session) release(r *runner) {
 }
 
 // releaseAsync sends the abort token (when the program is still running)
-// without waiting for the goroutine to unwind. The batch engines retire
-// lanes through it and collect the runners in one pass at the end of the
+// without waiting for the goroutine to unwind. The batch engine retires
+// lanes through it and collects the runners in one pass at the end of the
 // batch, so W goroutine unwinds overlap instead of serializing W idle
 // handshakes. Every releaseAsync must be paired with a later collect.
 func (s *Session) releaseAsync(r *runner) {
@@ -415,34 +415,8 @@ recv:
 	r.consume(rq)
 }
 
-// tryFetch is the non-blocking fetch of the batch engines: pull the
-// agent's next request if one is already deposited, reporting whether the
-// runner is ready to be advanced (which it trivially is when no request
-// is needed). A false return means the lane is blocked on its agent
-// goroutine — the batch sweep moves on to another lane instead of
-// parking, which is where the lockstep engine hides the per-case
-// scheduling latency the solo path pays in full.
-func (r *runner) tryFetch() bool {
-	if r.state != stNeedReq {
-		return true
-	}
-	for {
-		select {
-		case rq := <-r.req:
-			if rq.gen != r.gen {
-				continue // stale deposit from an aborted previous run
-			}
-			r.consume(rq)
-			return true
-		default:
-			return false
-		}
-	}
-}
-
 // consume applies one gen-matched request to the runner's scheduler
-// state, counting it into the run's statistics sinks — the shared tail
-// of fetch and tryFetch.
+// state, counting it into the run's statistics sinks.
 func (r *runner) consume(rq request) {
 	if s := r.stats; s != nil {
 		s.wakeups++
@@ -646,25 +620,6 @@ func (r *runner) scriptStep() {
 		// same channel-free loop as the entry port.
 		r.scriptDegs[r.scriptAt] = r.g.Degree(h.To)
 	}
-	r.scriptAt++
-	if r.scriptAt == r.segEnd {
-		r.endSeg()
-	}
-}
-
-// scriptStepPlain is scriptStep without the degree-buffer test. A
-// runner's degree mode is fixed between fetches, so the burst loops
-// hoist the test out of the per-round path: when no active script
-// reports degrees they drive this branch-free copy instead — the
-// plain-script engine pays nothing for the degree-grant feature. Keep
-// the two bodies in sync.
-func (r *runner) scriptStepPlain() {
-	adj := r.g.Adj(r.pos)
-	p, _ := agent.ActionPort(r.script[r.scriptAt], r.entry, len(adj))
-	h := adj[p]
-	r.pos, r.entry = h.To, h.ToPort
-	r.moves++
-	r.scriptEntries[r.scriptAt] = h.ToPort
 	r.scriptAt++
 	if r.scriptAt == r.segEnd {
 		r.endSeg()

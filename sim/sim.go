@@ -141,7 +141,7 @@ func (s *Session) RunPrograms(g *graph.Graph, progA, progB agent.Program, u, v i
 		// either script — the overwhelming majority of rounds) runs the
 		// step bodies fused inline, the same burst-loop fusion as
 		// RunMany's k-agent engine (keep in sync with
-		// runner.scriptStepPlain): at this loop's intensity the
+		// runner.scriptStep): at this loop's intensity the
 		// per-runner call overhead is measurable.
 		if cfg.Observer == nil && rb != nil {
 			stepped := false

@@ -27,7 +27,6 @@ type Scratch struct {
 	bytes   []byte
 	stash   any
 	session *Session
-	batch   *Batch
 }
 
 // Worker returns the index of the worker that owns this scratch
@@ -45,18 +44,6 @@ func (s *Scratch) Session() *Session {
 		s.session = NewSession()
 	}
 	return s.session
-}
-
-// Batch returns the worker's reusable batch arena, creating it on first
-// use — the batch-engine analogue of Session: arrays sized by the first
-// shards stay warm for every later RunPairsBatch/RunBatch the worker
-// issues. Callbacks must not retain it (or result slices backed by it)
-// past their return.
-func (s *Scratch) Batch() *Batch {
-	if s.batch == nil {
-		s.batch = NewBatch()
-	}
-	return s.batch
 }
 
 // close retires the scratch's pooled resources at worker exit.
