@@ -8,16 +8,18 @@
 // semantics, the start delay, and meeting detection).
 //
 // Programs are written as ordinary Go code against the blocking World
-// interface and executed as goroutines by the simulator; the style matches
-// the paper's imperative pseudocode (Algorithms 1-3) directly.
+// interface and executed as coroutines by the simulator, which resumes
+// each one whenever it owes the program a percept; the style matches the
+// paper's imperative pseudocode (Algorithms 1-3) directly.
 //
 // # Batched move scripts
 //
-// Per-round interaction with the simulator costs two channel handshakes
-// and a goroutine wakeup. Portions of a program whose next actions do not
-// depend on intervening percepts — UXS applications, backtracks along
-// recorded entry ports, fixed path enumerations — can instead be submitted
-// as one batched script via World.MoveSeq: the scheduler then steps the
+// Per-round interaction with the simulator costs a wakeup: a coroutine
+// switch into the program and one back, far dearer than a simulated
+// round. Portions of a program whose next actions do not depend on
+// intervening percepts — UXS applications, backtracks along recorded
+// entry ports, fixed path enumerations — can instead be submitted as one
+// batched script via World.MoveSeq: the scheduler then steps the
 // script one action per round itself (preserving exact per-round meeting
 // detection) and wakes the program only once, when the whole script has
 // run. Script actions are plain ints (see ScriptWait, Rel and ActionPort
@@ -44,7 +46,9 @@ package agent
 import "fmt"
 
 // World is the interface through which an agent program senses and acts.
-// All methods are only legal from within the program's own goroutine.
+// Its methods may be called only from the program itself: in the
+// simulator every action yields the program's coroutine, and a call
+// from any other goroutine (one the program started, say) is undefined.
 type World interface {
 	// Degree returns the degree of the current node.
 	Degree() int
@@ -105,9 +109,10 @@ type World interface {
 }
 
 // Program is a deterministic agent algorithm. The simulator interrupts it
-// (by unwinding its goroutine) as soon as rendezvous is achieved or the
-// round budget is exhausted; a program that returns leaves its agent
-// waiting at its final node forever.
+// (by unwinding it with a panic the simulator recovers, at its next World
+// call) as soon as rendezvous is achieved or the round budget is
+// exhausted; a program that returns leaves its agent waiting at its final
+// node forever.
 type Program func(w World)
 
 // ErrBadPort is the panic value used when a program moves through an

@@ -1,8 +1,8 @@
 package agent
 
 // Phase labels the procedure a program is currently executing, for wakeup
-// accounting. The scheduler counts one wakeup per request it fetches from
-// an agent goroutine (sim.Session.Wakeups); tagging requests with the
+// accounting. The scheduler counts one wakeup per request it pulls from
+// an agent program (sim.Session.Wakeups); tagging requests with the
 // producing procedure turns that single counter into a by-procedure
 // histogram, so a batching regression is diagnosable — "explore fell back
 // to per-move chatter" — rather than just detectable as a bigger total.

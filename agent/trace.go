@@ -132,8 +132,9 @@ func (w *tracingWorld) recordWait(rounds uint64) {
 }
 
 // Traced wraps a program so that its actions are recorded into trace.
-// The trace is written from the agent's goroutine; read it only after the
-// simulation has returned.
+// The trace is written by the running program; read it only after the
+// simulation has returned, by which time the simulator has let the
+// program act on every grant it earned.
 func Traced(prog Program, trace *Trace) Program {
 	return func(w World) {
 		prog(&tracingWorld{World: w, trace: trace})

@@ -65,8 +65,8 @@
 // respawn budget.
 //
 // A worker serves shards on one pooled sim.Session, so its runner
-// goroutines, channels and script buffers stay warm across every shard
-// it drains — the cross-process analogue of one sim.Sweep worker.
+// coroutines and script buffers stay warm across every shard it drains —
+// the cross-process analogue of one sim.Sweep worker.
 // cmd/rvworker is the standalone worker binary (stdin/stdout or TCP);
 // any other binary becomes a worker pool for itself by calling
 // RunWorkerIfChild first thing in main.

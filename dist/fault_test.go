@@ -9,6 +9,8 @@ package dist_test
 // replays.
 
 import (
+	"bufio"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -54,18 +56,31 @@ func startServeWorker(workerPlan, coordPlan *dist.FaultPlan, opts ...dist.ServeO
 
 // startHungWorker is a worker that completes the handshake and then
 // swallows every frame without ever answering — the shape of a wedged
-// process the deadline watchdog exists for.
-func startHungWorker() io.ReadWriteCloser {
+// process the deadline watchdog exists for. The returned channel closes
+// once it has read its first frame whole: the coordinator sends a
+// worker nothing before its first shard, so from then on the hung
+// worker holds a shard that only the watchdog can take back.
+func startHungWorker() (io.ReadWriteCloser, <-chan struct{}) {
 	cp, wp := net.Pipe()
+	holding := make(chan struct{})
 	go func() {
 		defer wp.Close()
 		// Hand-rolled v2 hello: 3-byte frame {hello, version, capacity 1}.
 		if _, err := wp.Write([]byte{3, 1, byte(dist.ProtoVersion), 1}); err != nil {
 			return
 		}
-		_, _ = io.Copy(io.Discard, wp)
+		br := bufio.NewReader(wp)
+		n, err := binary.ReadUvarint(br)
+		if err != nil {
+			return
+		}
+		if _, err := io.CopyN(io.Discard, br, int64(n)); err != nil {
+			return
+		}
+		close(holding)
+		_, _ = io.Copy(io.Discard, br)
 	}()
-	return cp
+	return cp, holding
 }
 
 // plannerWithShards builds a randomized plan with at least minShards
@@ -229,16 +244,19 @@ func TestKillScheduleMatrix(t *testing.T) {
 // TestHungWorkerReaped pins the liveness half: a worker that handshakes
 // and then swallows shards forever is severed by the progress watchdog,
 // its shards requeue onto the healthy worker, and the sweep completes
-// byte-identically.
+// byte-identically. The healthy worker's hello is held until the hung
+// worker holds a shard, so the sweep cannot finish without the reap —
+// otherwise a fast healthy worker could drain every shard first.
 func TestHungWorkerReaped(t *testing.T) {
 	p, cases := plannerWithShards(7000, 2)
 	want := rawSweep(t, cases)
-	healthy := startServeWorker(nil, nil, dist.WithHeartbeatInterval(time.Millisecond))
+	hung, holding := startHungWorker()
+	healthy := startGatedServeWorker(holding, dist.WithHeartbeatInterval(time.Millisecond))
 	tun := faultTuning()
 	tun.BaseDeadline = 60 * time.Millisecond
 	tun.PerCase = time.Millisecond
 	be := dist.NewFromStreams(
-		[]io.ReadWriteCloser{startHungWorker(), healthy.coord},
+		[]io.ReadWriteCloser{hung, healthy.coord},
 		dist.WithTuning(tun),
 	)
 	defer be.Close()
@@ -256,27 +274,35 @@ func TestHungWorkerReaped(t *testing.T) {
 
 // TestLateJoinAddConn pins elastic membership: a sweep started on a
 // single wedged worker is rescued by a healthy worker joining mid-run
-// through AddConn.
+// through AddConn — once the wedged worker holds a shard, so the join
+// is mid-run by construction.
 func TestLateJoinAddConn(t *testing.T) {
 	p, cases := plannerWithShards(5000, 2)
 	want := rawSweep(t, cases)
 	tun := faultTuning()
 	tun.BaseDeadline = 200 * time.Millisecond
-	be := dist.NewFromStreams([]io.ReadWriteCloser{startHungWorker()}, dist.WithTuning(tun))
+	hung, holding := startHungWorker()
+	be := dist.NewFromStreams([]io.ReadWriteCloser{hung}, dist.WithTuning(tun))
 	defer be.Close()
 	adder, ok := be.(dist.ConnAdder)
 	if !ok {
 		t.Fatal("connection backend does not implement ConnAdder")
 	}
+	runDone := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		time.Sleep(20 * time.Millisecond)
+		select {
+		case <-holding:
+		case <-runDone:
+			return // the run ended without dealing the wedged worker a shard
+		}
 		healthy := startServeWorker(nil, nil, dist.WithHeartbeatInterval(time.Millisecond))
 		adder.AddConn(healthy.coord, healthy.coord)
 	}()
 	got, err := p.Run(be)
+	close(runDone)
 	wg.Wait()
 	if err != nil {
 		t.Fatalf("sweep failed despite a healthy late join: %v", err)

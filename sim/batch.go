@@ -17,21 +17,19 @@ type MultiCase struct {
 }
 
 // Batch is the reusable structure-of-arrays arena behind one in-flight
-// batch run: per-lane wakeup counts, the retired-runner list, the run's
-// statistics sink and the multi-lane scheduler state, all recycled
-// between calls (multi results inherently allocate their
-// Meetings/Moves). A Batch may be used by one batch run at a time;
-// distinct Batches may run concurrently on one Session (the runner pool
-// is the only shared state, and it is mutex-guarded).
+// batch run: per-lane wakeup counts, the run's statistics sink and the
+// multi-lane scheduler state, all recycled between calls (multi results
+// inherently allocate their Meetings/Moves). A Batch may be used by one
+// batch run at a time; distinct Batches may run concurrently on one
+// Session (the runner pool is the only shared state, and it is
+// mutex-guarded).
 type Batch struct {
 	stats   runStats
 	wakeups []uint64 // per-lane wakeup counts, indexed by case
 
 	// act is the live-lane index list, compacted in place as lanes
-	// retire; pending collects released runners whose goroutines are
-	// still unwinding (collected in one overlapping pass at batch end).
-	act     []int
-	pending []*runner
+	// retire.
+	act []int
 
 	// Multi-lane state: one parked multiRun per lane, its slices carved
 	// from the flat arrays below (sized sum-of-k / sum-of-k² across the
@@ -74,11 +72,11 @@ func ensure[T any](s []T, n int) []T {
 // results[i] being field-for-field what Session.RunMany(g, cases[i]...)
 // returns (nil-ness of Meetings/Moves included). Each lane is a parked
 // multiRun advanced one scheduler iteration (boundary + event horizon)
-// per sweep; acquisition of all round-zero agents is batched up front
-// and retired lanes release their goroutines asynchronously, so the
-// per-case acquire/release handshakes overlap across the whole shard.
-// The returned slice is backed by the arena and valid until b's next
-// batch run; per-lane wakeups are available from b.Wakeups.
+// per sweep; a lane acquires and releases its runners exactly as RunMany
+// does — its first step starts the round-zero agents, and it releases
+// every runner the moment it retires. The returned slice is backed by
+// the arena and valid until b's next batch run; per-lane wakeups are
+// available from b.Wakeups.
 func (s *Session) RunBatch(g *graph.Graph, cases []MultiCase, b *Batch) []MultiResult {
 	w := len(cases)
 	b.stats = runStats{}
@@ -102,9 +100,6 @@ func (s *Session) RunBatch(g *graph.Graph, cases []MultiCase, b *Batch) []MultiR
 	b.mresults = ensure(b.mresults, w)
 	if cap(b.act) < w {
 		b.act = make([]int, 0, w)
-	}
-	if cap(b.pending) < sumK {
-		b.pending = make([]*runner, 0, sumK)
 	}
 	useBuckets := maxK >= bucketScanMinK
 	if useBuckets {
@@ -147,17 +142,6 @@ func (s *Session) RunBatch(g *graph.Graph, cases []MultiCase, b *Batch) []MultiR
 		off += k
 		off2 += k * k
 		m.begin()
-		// Pre-acquire the lane's round-zero agents so all lanes' program
-		// starts overlap; the lane's first step fetches them exactly as
-		// its boundary would have.
-		for j := range m.agents {
-			if m.agents[j].Appear == 0 {
-				m.runners[j] = s.acquireFor(g, m.agents[j].Program, m.agents[j].Start, &b.stats, &b.wakeups[i])
-				m.present[j] = true
-				m.presentCount++
-				m.rebuild = true
-			}
-		}
 	}
 
 	act := b.act[:0]
@@ -171,13 +155,7 @@ func (s *Session) RunBatch(g *graph.Graph, cases []MultiCase, b *Batch) []MultiR
 		for _, li := range act {
 			m := &b.runs[li]
 			if m.step() {
-				for j, r := range m.runners {
-					if r != nil {
-						s.releaseAsync(r)
-						b.pending = append(b.pending, r)
-						m.runners[j] = nil
-					}
-				}
+				m.release()
 				continue // lane retired in place
 			}
 			act[n] = li
@@ -194,25 +172,14 @@ func (s *Session) RunBatch(g *graph.Graph, cases []MultiCase, b *Batch) []MultiR
 }
 
 // cleanup is the deferred tail of every batch run: release whatever
-// lane runners are still live (only on a panicking unwind), collect
-// every released goroutine in one overlapping pass, and publish the
-// batch totals as the session's most-recent-run statistics (under the
-// pool lock: concurrent batches may finish together, and
+// lane runners are still live (only on a panicking unwind) and publish
+// the batch totals as the session's most-recent-run statistics (under
+// the pool lock: concurrent batches may finish together, and
 // last-writer-wins is the documented "most recent" semantics).
 func (b *Batch) cleanup(s *Session) {
 	for i := range b.runs {
-		for j, r := range b.runs[i].runners {
-			if r != nil {
-				s.releaseAsync(r)
-				b.pending = append(b.pending, r)
-				b.runs[i].runners[j] = nil
-			}
-		}
+		b.runs[i].release()
 	}
-	for _, r := range b.pending {
-		s.collect(r)
-	}
-	b.pending = b.pending[:0]
 	s.mu.Lock()
 	s.stats = b.stats
 	s.mu.Unlock()

@@ -10,7 +10,7 @@ import (
 
 // BenchmarkRoundThroughput measures raw scheduler speed: rounds per second
 // with both agents moving every round (the worst case for the lock-step
-// channel protocol — no fast-forwarding possible).
+// hand-off — no fast-forwarding possible).
 func BenchmarkRoundThroughput(b *testing.B) {
 	g := graph.Cycle(64)
 	walker := func(w agent.World) {
@@ -44,14 +44,15 @@ func uxsStyleScript(steps, n int) []int {
 
 // BenchmarkScriptedWalk measures the batched execution engine: both
 // agents loop a long MoveSeq script, so the scheduler steps positions in
-// its tight lock-step loop with no channel traffic.
+// its tight lock-step loop, resuming each program once per script.
 func BenchmarkScriptedWalk(b *testing.B) {
 	benchWalk(b, false)
 }
 
 // BenchmarkPerMoveWalk is the identical walk through the per-move
-// reference path (two channel handshakes and a goroutine wakeup per
-// round) — the seed engine's only mode, kept as the speedup baseline.
+// reference path (one wakeup — a coroutine switch into each program and
+// back — per agent per round): the seed engine's only mode, kept as the
+// speedup baseline.
 func BenchmarkPerMoveWalk(b *testing.B) {
 	benchWalk(b, true)
 }

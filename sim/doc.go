@@ -5,20 +5,21 @@
 // drive the two-agent rendezvous model; RunMany generalizes to k agents
 // (the gathering setting of the paper's related work [25]).
 //
-// The scheduler is strictly deterministic: agent programs run as
-// goroutines but are advanced in lock-step, and the programs share no
-// state. Long mutual waits are fast-forwarded in O(1), which is what
+// The scheduler is strictly deterministic: each agent program runs as a
+// coroutine that the scheduler resumes in lock-step — the scheduler and
+// a program never run at once — and the programs share no state. Long mutual waits are fast-forwarded in O(1), which is what
 // makes the paper's padding-heavy algorithms (whose round counts are
 // exponential) simulable: simulated time is decoupled from physical work.
 //
 // # Batched execution
 //
-// A per-move interaction costs a request/grant channel round trip and two
-// goroutine wakeups. Programs that know a stretch of actions in advance
-// submit it as one agent.World.MoveSeq script: the scheduler then steps
-// the scripted positions itself, round by round, in a tight in-process
-// loop — waking the agent goroutine once per script instead of once per
-// edge traversal — while preserving exact per-round meeting detection,
+// A per-move interaction — a wakeup — costs one request/grant hand-off:
+// a coroutine switch into the program and one back, each far dearer
+// than a scheduler round. Programs that know a stretch of actions in
+// advance submit it as one agent.World.MoveSeq script: the scheduler
+// then steps the scripted positions itself, round by round, in a tight
+// in-process loop — resuming the program once per script instead of
+// once per edge traversal — while preserving exact per-round meeting detection,
 // budget accounting and observer semantics. Runs of ScriptWait actions
 // inside a script coalesce into the same O(1) fast-forward path as Wait,
 // and the world layer defers and merges adjacent Wait calls (riding the
@@ -32,7 +33,7 @@
 //
 // agent.World.MoveSeqDegrees is MoveSeq with the degree percept streamed
 // alongside the entry ports: the runner fills a second per-agent buffer
-// in the same channel-free lock-step loop — degrees[i] is the degree of
+// in the same lock-step loop — degrees[i] is the degree of
 // the node occupied after action i, i.e. the node a move enters (degree
 // observed on entry) or the unchanged current node for a ScriptWait —
 // and the grant hands both slices back under the same
@@ -70,16 +71,20 @@
 //
 // # Runner pooling
 //
-// A runner — the goroutine, channel pair and per-agent buffers behind
-// one simulated agent — is reusable: a Session keeps released runners
-// parked on an assignment channel and hands them to subsequent runs, so
-// a sweep shard's thousands of runs create no goroutines and no channels
-// after warmup. The request and grant channels form a one-deep pipeline
-// in each direction; aborted runs are signaled in-band by a poison
-// grant, and every message carries its run's generation so a stale
-// deposit from an aborted run is discarded by the next run rather than
-// misread. Sweep threads one Session per worker through Scratch.Session
-// and closes it when the worker retires.
+// A runner — the coroutine and per-agent buffers behind one simulated
+// agent — is reusable: each runner owns one long-lived iter.Pull
+// coroutine that runs one assigned program after another, parked
+// between runs, and a Session hands released runners to subsequent
+// runs, so a sweep shard's thousands of runs create nothing after
+// warmup. A request is a yield, and the grant is a runner field the
+// scheduler sets before the next resume. Ending a run early delivers
+// any grant the program earned, then resumes it once with an abort flag
+// so it unwinds; both steps are synchronous, so no stale message
+// outlives a run. Because a request is a yield of the program's own
+// coroutine, agent.World methods may be called only from the program
+// itself; a call from any other goroutine is undefined. Sweep threads
+// one Session per worker through Scratch.Session and closes it when the
+// worker retires; Close stops every pooled coroutine.
 //
 // # K-agent fast-forward invariants
 //
@@ -88,13 +93,13 @@
 //
 //  1. Event horizon. From a boundary at round t, every agent can be
 //     driven horizon = min(budget-t, next appearance - t, min over
-//     present runners of runway()) rounds with no goroutine interaction,
+//     present runners of runway()) rounds without resuming any program,
 //     where runway is the script's pending lead plus its remaining
 //     length (a lower bound when SeqWait escapes compress further
 //     rounds, which only shortens horizons), the remaining wait, 1 for
 //     a pending single move, and unbounded for a terminated program. No
 //     runner reaches the request-pulling state before the horizon's
-//     final round, so fetch — the only blocking interaction — happens
+//     final round, so fetch — the only resume of a program — happens
 //     only at boundaries. Degree-reporting scripts have the same runway
 //     as plain ones: the degree buffer is filled as positions advance,
 //     never by extra interactions.
@@ -131,12 +136,10 @@
 //
 // RunBatch executes a shard of k-agent cases on one graph as
 // interleaved lanes of one Batch arena: each lane is a parked multiRun
-// advanced one scheduler iteration at a time, the lanes' round-zero
-// acquisitions are issued up front, and retired lanes release their
-// runners asynchronously, so the per-case acquire/release handshakes
-// overlap across the shard. Lane i returns exactly Session.RunMany of
-// case i, per-lane wakeup counts (Batch.Wakeups) included, pinned by
-// the randomized differential suite. Two-agent cases have no batch
+// advanced one scheduler iteration at a time, acquiring and releasing
+// its runners exactly as RunMany does. Lane i returns exactly
+// Session.RunMany of case i, per-lane wakeup counts (Batch.Wakeups)
+// included, pinned by the randomized differential suite. Two-agent cases have no batch
 // form: every one runs on Session.RunPrograms.
 //
 // # Beyond one process

@@ -64,14 +64,14 @@ const bucketScanMinK = 32
 // direct-execution scheduler: it advances all agents together to the
 // next event horizon — the earliest script boundary, wait end, agent
 // appearance or budget edge — and inside a horizon steps scripted moves
-// in a tight channel-free loop, skipping mutual-wait stretches in O(1).
-// Pairwise meetings are recorded (first meeting per pair, see
-// MultiResult.Meetings for the order; at k >= bucketScanMinK the scan is
-// position-bucketed instead of pairwise, with identical output); the run
-// ends on gathering (when StopOnGather is set), on the first meeting
-// (when StopOnFirstMeeting is set), on the budget, or — when every
-// program has terminated at scattered nodes — on proof that nothing
-// further can happen.
+// in a tight loop that resumes no program, skipping mutual-wait
+// stretches in O(1). Pairwise meetings are recorded (first meeting per
+// pair, see MultiResult.Meetings for the order; at k >= bucketScanMinK
+// the scan is position-bucketed instead of pairwise, with identical
+// output); the run ends on gathering (when StopOnGather is set), on the
+// first meeting (when StopOnFirstMeeting is set), on the budget, or —
+// when every program has terminated at scattered nodes — on proof that
+// nothing further can happen.
 //
 // RunManyReference is the retained round-by-round reference spec; the
 // engine-equivalence suite pins RunMany to it on randomized cases.
@@ -142,12 +142,7 @@ func (s *Session) RunMany(g *graph.Graph, agents []MultiAgent, cfg MultiConfig) 
 	m.begin()
 	defer func() {
 		publishRunStats(&s.stats, runKindMulti)
-		for i, r := range m.runners {
-			if r != nil {
-				s.release(r)
-				m.runners[i] = nil
-			}
-		}
+		m.release()
 	}()
 	for !m.step() {
 	}
@@ -189,11 +184,7 @@ type multiRun struct {
 	presentCount int
 	t            uint64
 	first        bool
-	// rebuild forces the next step's active-set rebuild: set when agents
-	// were pre-acquired outside a boundary (the batch engine's
-	// assign-overlap pre-pass).
-	rebuild bool
-	done    bool
+	done         bool
 }
 
 // begin resets the run state for a fresh run over the configured agents.
@@ -216,8 +207,17 @@ func (m *multiRun) begin() {
 	m.presentCount = 0
 	m.t = 0
 	m.first = true
-	m.rebuild = false
 	m.done = false
+}
+
+// release returns every runner the run still holds to the session pool.
+func (m *multiRun) release() {
+	for i, r := range m.runners {
+		if r != nil {
+			m.s.release(r)
+			m.runners[i] = nil
+		}
+	}
 }
 
 // finish stamps the final round count and per-agent move totals and
@@ -318,8 +318,8 @@ func (m *multiRun) detect(t uint64, moved []bool) bool {
 
 // step runs one scheduler iteration — an event boundary followed by one
 // full event-horizon drive — and reports whether the run ended (res is
-// then final). Boundary fetches may block on agent goroutines; inside a
-// horizon the engine is channel-free by construction.
+// then final). Boundary fetches resume agent programs, one coroutine
+// switch each; inside a horizon no program runs, by construction.
 func (m *multiRun) step() bool {
 	s, g, agents := m.s, m.g, m.agents
 	k := len(agents)
@@ -331,8 +331,7 @@ func (m *multiRun) step() bool {
 	// request from every agent that finished its previous action.
 	// States can only change here — inside a horizon no runner ever
 	// reaches stNeedReq before the horizon's final round.
-	appeared := m.rebuild
-	m.rebuild = false
+	appeared := false
 	for i := range agents {
 		if !present[i] && t >= agents[i].Appear {
 			runners[i] = s.acquireFor(g, agents[i].Program, agents[i].Start, m.stats, m.lane)
@@ -377,9 +376,9 @@ func (m *multiRun) step() bool {
 		return m.finish()
 	}
 
-	// Event horizon: how far every agent can be driven without any
-	// goroutine interaction — bounded by the budget, the next
-	// appearance, and each runner's channel-free runway.
+	// Event horizon: how far every agent can be driven without resuming
+	// any program — bounded by the budget, the next appearance, and each
+	// runner's runway.
 	horizon := budget - t
 	for i := range agents {
 		if !present[i] {

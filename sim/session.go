@@ -1,7 +1,7 @@
 package sim
 
 import (
-	"runtime"
+	"iter"
 	"sync"
 
 	"repro/agent"
@@ -19,27 +19,26 @@ type runStats struct {
 	wakeupsBy [agent.PhaseCount]uint64
 }
 
-// Session owns a pool of runners — the goroutine, the request/grant
-// channel pair and the per-agent scratch buffers behind one simulated
-// agent — and reuses them across runs. Creating those per run is the
-// simulator's last steady-state allocator (ROADMAP: "the simulator
-// session itself"), so the experiment sweeps thread a Session through
-// each worker's Scratch and run every case of a shard on warm runners.
+// Session owns a pool of runners — the coroutine and the per-agent
+// scratch buffers behind one simulated agent — and reuses them across
+// runs. Creating those per run is the simulator's last steady-state
+// allocator (ROADMAP: "the simulator session itself"), so the experiment
+// sweeps thread a Session through each worker's Scratch and run every
+// case of a shard on warm runners.
 //
 // A Session is NOT safe for concurrent SOLO use: exactly one
 // Run/RunPrograms/RunMany may be active on it at a time (sweeps use one
 // Session per worker). Batch runs are the exception: any number of
 // concurrent RunBatch calls may share one Session as long as each
 // brings its own Batch arena — the runner pool itself is mutex-guarded,
-// and all per-run state lives in the arena. Close releases the pooled
-// goroutines; a Session used via Scratch.Session is closed by Sweep
+// and all per-run state lives in the arena. Close stops the pooled
+// coroutines; a Session used via Scratch.Session is closed by Sweep
 // itself when the worker retires.
 type Session struct {
-	// mu guards the runner free list and the goroutine WaitGroup
-	// registration — the only state shared between concurrent batch runs.
+	// mu guards the runner free list — the only state shared between
+	// concurrent batch runs.
 	mu   sync.Mutex
 	free []*runner
-	wg   sync.WaitGroup
 
 	// stats holds the most recent run's scheduler statistics (see
 	// Wakeups, WakeupsByPhase). A batch run copies its arena's totals
@@ -60,11 +59,11 @@ type Session struct {
 }
 
 // Wakeups returns the number of scheduler-agent interactions (requests
-// fetched from agent goroutines, each the result of one goroutine wakeup)
-// during the session's most recent Run/RunPrograms/RunMany. It is a debug
-// statistic: the batching work lives or dies by this number, and the
-// wakeup regression tests pin it so a producer change cannot silently
-// fall back to per-move chatter.
+// pulled from agent programs, each one coroutine switch into the program
+// and one back) during the session's most recent
+// Run/RunPrograms/RunMany. It is a debug statistic: the batching work
+// lives or dies by this number, and the wakeup regression tests pin it
+// so a producer change cannot silently fall back to per-move chatter.
 func (s *Session) Wakeups() uint64 { return s.stats.wakeups }
 
 // WakeupsByPhase breaks the most recent run's wakeup count down by the
@@ -83,40 +82,34 @@ func (s *Session) resetStats() {
 // NewSession returns an empty session; runners are created on demand.
 func NewSession() *Session { return &Session{} }
 
-// acquire hands out a warm runner (or spawns one) and assigns it the
+// acquire hands out a warm runner (or creates one) and assigns it the
 // given program, counting its wakeups against the session's own stats —
 // the solo-run form of acquireFor.
 func (s *Session) acquire(g *graph.Graph, prog agent.Program, start int) *runner {
 	return s.acquireFor(g, prog, start, &s.stats, nil)
 }
 
-// acquireFor hands out a warm runner (or spawns one) and assigns it the
-// given program. The runner's worker goroutine starts executing prog
-// immediately; the scheduler picks up its first request at fetch. Every
-// request the run consumes is counted into st, and additionally into
-// *lane when lane is non-nil — the per-lane wakeup attribution of the
-// batch engine.
+// acquireFor hands out a warm runner (or creates one, with its coroutine)
+// and assigns it the given program. Nothing runs yet: the run's first
+// fetch resumes the coroutine, which starts prog and runs it up to its
+// first request. Every request the run consumes is counted into st, and
+// additionally into *lane when lane is non-nil — the per-lane wakeup
+// attribution of the batch engine.
 func (s *Session) acquireFor(g *graph.Graph, prog agent.Program, start int, st *runStats, lane *uint64) *runner {
 	var r *runner
 	s.mu.Lock()
 	if n := len(s.free); n > 0 {
 		r, s.free = s.free[n-1], s.free[:n-1]
-		s.mu.Unlock()
-	} else {
-		r = &runner{
-			req:    make(chan request, 1),
-			grant:  make(chan grantMsg, 1),
-			assign: make(chan runAssign),
-			idle:   make(chan struct{}),
-		}
-		s.wg.Add(1)
-		s.mu.Unlock()
-		go r.work(&s.wg)
+	}
+	s.mu.Unlock()
+	if r == nil {
+		r = &runner{}
+		r.next, r.stop = iter.Pull(r.body)
 	}
 	r.g = g
+	r.prog = prog
 	r.stats = st
 	r.laneWakeups = lane
-	r.gen++
 	r.pos = start
 	r.entry = -1
 	r.state = stNeedReq
@@ -128,64 +121,54 @@ func (s *Session) acquireFor(g *graph.Graph, prog agent.Program, start int, st *
 	r.scriptWaitRun = 0
 	r.scriptDegs = nil
 	r.scriptQuiet = false
-	r.assign <- runAssign{g: g, prog: prog, start: start, gen: r.gen}
 	return r
 }
 
-// release returns a runner to the pool after waiting for its program to
-// quiesce — the pooled equivalent of the old per-run shutdown()'s
-// close(stop) + wg.Wait(). If the program is still running (the
-// scheduler ended the run first), a poison grant is sent; the send
-// blocks behind any real grant already in the buffer, so the agent
-// always processes every grant it earned (its observable side effects,
-// e.g. agent.Traced trajectories, stay deterministic), then unwinds via
-// stopSentinel at its next interaction. The idle handshake then
-// guarantees the goroutine has fully unwound before release returns:
-// callers may read state the program wrote (traces) with no data race
-// the moment Run*/RunMany return.
+// release returns a runner to the pool once its program is parked between
+// runs. The agent always processes every grant it earned — its observable
+// side effects, e.g. agent.Traced trajectories, stay deterministic — then
+// unwinds at its next interaction: a runner in stNeedReq holds a grant it
+// has not acted on (or has not started), so it is resumed once and runs
+// to its next interaction; while the program is still running after
+// that, it is resumed with the abort flag set and unwinds through
+// stopSentinel. A terminal request that comes back here (a program that
+// ended, or panicked, on its own) is dropped. The resumes are
+// synchronous, so callers may read state the program wrote (traces) the
+// moment Run*/RunMany return.
 func (s *Session) release(r *runner) {
-	s.releaseAsync(r)
-	s.collect(r)
-}
-
-// releaseAsync sends the abort token (when the program is still running)
-// without waiting for the goroutine to unwind. The batch engine retires
-// lanes through it and collects the runners in one pass at the end of the
-// batch, so W goroutine unwinds overlap instead of serializing W idle
-// handshakes. Every releaseAsync must be paired with a later collect.
-func (s *Session) releaseAsync(r *runner) {
-	if r.state != stDone {
-		// The send blocks behind any real grant already in the buffer, so
-		// the agent always processes every grant it earned first (see
-		// release).
-		r.grant <- grantMsg{degree: poisonDegree, gen: r.gen}
+	live, ended := true, r.state == stDone
+	abort := r.state != stNeedReq
+	for live && !ended {
+		r.abort = abort
+		var rq request
+		rq, live = r.next()
+		ended = rq.kind == reqDone || rq.kind == reqPanic
+		abort = true
 	}
-}
-
-// collect completes a releaseAsync: wait for the goroutine's idle
-// handshake, then return the runner to the pool.
-func (s *Session) collect(r *runner) {
-	<-r.idle
+	r.abort = false
+	r.prog = nil
 	r.script = nil
 	r.scriptDegs = nil
 	r.stats = nil
 	r.laneWakeups = nil
+	if !live {
+		return // the coroutine exited (the program called runtime.Goexit)
+	}
 	s.mu.Lock()
 	s.free = append(s.free, r)
 	s.mu.Unlock()
 }
 
-// Close shuts down every pooled runner goroutine and waits for them to
-// exit. All runs on the session must have finished first.
+// Close stops every pooled runner's coroutine; each stop returns once its
+// coroutine has exited. All runs on the session must have finished first.
 func (s *Session) Close() {
 	s.mu.Lock()
 	free := s.free
 	s.free = nil
 	s.mu.Unlock()
 	for _, r := range free {
-		close(r.assign)
+		r.stop()
 	}
-	s.wg.Wait()
 }
 
 // Run is the session-pooled form of the package-level Run.
@@ -236,61 +219,23 @@ type request struct {
 	// phase is the agent.Phase the producing procedure had set when the
 	// request was issued — pure attribution for the wakeup histogram.
 	phase agent.Phase
-	val   any    // panic value for reqPanic
-	gen   uint64 // run generation; stale deposits are discarded by fetch
+	val   any // panic value for reqPanic
 }
 
+// grantMsg is the scheduler's answer to a program's request, stored on
+// the runner before the fetch that resumes the program.
 type grantMsg struct {
 	degree  int
 	entry   int
-	entries []int  // per-action entry ports, for reqScript grants
-	degrees []int  // per-action degrees, for degree-reporting script grants
-	gen     uint64 // run generation; stale grants are discarded by recv
-}
-
-// runAssign starts one run on a pooled worker goroutine.
-type runAssign struct {
-	g     *graph.Graph
-	prog  agent.Program
-	start int
-	gen   uint64
+	entries []int // per-action entry ports, for reqScript grants
+	degrees []int // per-action degrees, for degree-reporting script grants
 }
 
 // stopSentinel unwinds an agent program when its run is aborted.
 type stopSentinel struct{}
 
-// poisonDegree marks the abort grant deposited by Session.release: no
-// real grant carries a negative degree.
-const poisonDegree = -1
-
 type runner struct {
-	g *graph.Graph
-	// req and grant are buffered (capacity 1) — a one-deep pipeline in
-	// each direction. The agent deposits its next request without
-	// parking and the scheduler's fetch usually finds it ready; the
-	// scheduler deposits grants without parking whatever the agent
-	// goroutine is doing. The World protocol (one request, then block
-	// for its grant) guarantees at most one message in flight per
-	// direction — which is also why both sides use plain channel
-	// operations, never selects: a send always finds buffer space (or
-	// rendezvouses with the fetch that discards a stale deposit), and an
-	// aborted run is signaled in-band by a poison grant.
-	req   chan request
-	grant chan grantMsg
-	// assign carries run assignments and is closed by Session.Close to
-	// retire the worker; idle signals, once per assignment, that the
-	// program has fully unwound (release blocks on it, restoring the old
-	// per-run shutdown's quiescence guarantee).
-	assign chan runAssign
-	idle   chan struct{}
-	// gen counts assignments. An aborted run can leave one stale message
-	// in either buffer (a request the scheduler never fetched, or a
-	// grant/poison the program never picked up); instead of draining —
-	// which would race the next run's legitimate traffic for the same
-	// channel — every message carries its run's generation and the
-	// receiving side discards mismatches.
-	gen uint64
-
+	g        *graph.Graph
 	state    agentState
 	pos      int
 	entry    int
@@ -329,94 +274,46 @@ type runner struct {
 	scriptDegsBuf []int
 	stats         *runStats
 	laneWakeups   *uint64
+
+	// next and stop drive the runner's coroutine (see body), created once
+	// with the runner: next resumes the program until its next request,
+	// stop ends the coroutine for good (Session.Close). The scheduler and
+	// the program never run at once — each hand-off is one coroutine
+	// switch — so the hand-off itself is plain fields: prog is the
+	// assigned program, started by the run's first fetch; grant answers
+	// the program's last request, stored before the fetch that resumes
+	// it; abort, set only inside release, makes a resume unwind the
+	// program instead.
+	next  func() (request, bool)
+	stop  func()
+	prog  agent.Program
+	grant grantMsg
+	abort bool
 }
 
-// work is the pooled worker goroutine: it executes one assigned program
-// after another until the assign channel is closed. The world value is
-// reused across assignments — it lives entirely in this goroutine.
-func (r *runner) work(wg *sync.WaitGroup) {
-	defer wg.Done()
-	w := &world{r: r}
-	for asg := range r.assign {
-		w.gen = asg.gen
-		w.deg = asg.g.Degree(asg.start)
-		w.entry = -1
-		w.clock = 0
-		w.pendingWait = 0
-		w.phase = agent.PhaseOther
-		runProg(r, w, asg.prog)
-		// The program has unwound: hand quiescence back to release.
-		r.idle <- struct{}{}
+// body is the runner's coroutine: it runs one assigned program after
+// another, parking at a terminal yield between runs (the next run's
+// first fetch resumes it there), until Session.Close stops it. The world
+// value is reused across runs.
+func (r *runner) body(yield func(request) bool) {
+	w := &world{r: r, yield: yield}
+	for yield(w.run()) {
 	}
 }
 
-// runProg executes one program to completion, abort or panic, reporting
-// the terminal condition to the scheduler (unless the run was aborted, in
-// which case the scheduler is gone and the token is simply consumed).
-func runProg(r *runner, w *world, prog agent.Program) {
-	defer func() {
-		rec := recover()
-		if rec != nil {
-			if _, ok := rec.(stopSentinel); ok {
-				return
-			}
-		}
-		// A deferred wait precedes the terminal condition in program
-		// order, so it must reach the scheduler first; if the run was
-		// aborted mid-flush there is nobody left to report to.
-		if !w.flushWaitQuiet() {
-			return
-		}
-		rq := request{kind: reqDone, gen: w.gen, phase: w.phase}
-		if rec != nil {
-			rq = request{kind: reqPanic, val: rec, gen: w.gen, phase: w.phase}
-		}
-		// By the one-in-flight protocol the request buffer has space
-		// (the previous request was consumed before its grant), so the
-		// deposit never blocks even when the scheduler is gone.
-		r.req <- rq
-	}()
-	prog(w)
-}
-
-// fetch pulls the agent's next action if the scheduler needs one. It
-// yields a couple of times before parking: the agent goroutine usually
-// deposits its next request within a few hundred nanoseconds of its
-// grant, and a yield that lets it run is cheaper than a full park/unpark
-// round trip for every script boundary (longer spins measured worse —
-// every yield pays the runtime's timer check).
+// fetch pulls the agent's next action if the scheduler needs one: it
+// resumes the program — acting on the stored grant, or starting the run
+// — up to its next request.
 func (r *runner) fetch() {
 	if r.state != stNeedReq {
 		return
 	}
-	var rq request
-recv:
-	select {
-	case rq = <-r.req:
-	default:
-		for i := 0; ; i++ {
-			runtime.Gosched()
-			select {
-			case rq = <-r.req:
-			default:
-				if i < 2 {
-					continue
-				}
-				rq = <-r.req
-			}
-			break
-		}
-	}
-	if rq.gen != r.gen {
-		// Stale deposit from an aborted previous run on this pooled
-		// runner: discard and wait for the current program's request.
-		goto recv
-	}
+	rq, _ := r.next()
 	r.consume(rq)
 }
 
-// consume applies one gen-matched request to the runner's scheduler
-// state, counting it into the run's statistics sinks.
+// consume applies one request to the runner's scheduler state, counting
+// it into the run's statistics sinks.
 func (r *runner) consume(rq request) {
 	if s := r.stats; s != nil {
 		s.wakeups++
@@ -469,9 +366,9 @@ func (r *runner) consume(rq request) {
 	case reqDone:
 		r.state = stDone
 	case reqPanic:
-		// The agent goroutine has unwound and is parked for reassignment;
-		// mark it terminal so release knows no abort token is needed, then
-		// surface the program's panic to the caller.
+		// The program has unwound and its coroutine is parked between
+		// runs; mark it terminal so release leaves it be, then surface
+		// the program's panic to the caller.
 		r.state = stDone
 		panic(rq.val)
 	}
@@ -514,7 +411,7 @@ func (r *runner) waitRun() uint64 {
 }
 
 // runway returns how many rounds this agent can be advanced before the
-// scheduler must interact with its goroutine again (fetch a new request):
+// scheduler must resume its program again (fetch a new request):
 // the remaining script length, the remaining wait, one round for a
 // pending single move, forever once the program terminated. This is the
 // per-agent contribution to the k-agent scheduler's event horizon.
@@ -617,7 +514,7 @@ func (r *runner) scriptStep() {
 	r.scriptEntries[r.scriptAt] = h.ToPort
 	if r.scriptDegs != nil {
 		// Degree observed on entry: the new node's degree, filled in the
-		// same channel-free loop as the entry port.
+		// same lock-step loop as the entry port.
 		r.scriptDegs[r.scriptAt] = r.g.Degree(h.To)
 	}
 	r.scriptAt++
@@ -639,7 +536,7 @@ func (r *runner) stepOne() (moved bool) {
 	case stWaiting:
 		r.waitLeft--
 		if r.waitLeft == 0 {
-			r.grant <- grantMsg{degree: r.g.Degree(r.pos), entry: r.entry, gen: r.gen}
+			r.grant = grantMsg{degree: r.g.Degree(r.pos), entry: r.entry}
 			r.state = stNeedReq
 		}
 	case stScript:
@@ -671,17 +568,17 @@ func (r *runner) stepOne() (moved bool) {
 	return false
 }
 
-// finishScript hands the accumulated entry ports back to the agent
-// goroutine and returns the runner to the request-pulling state. The
-// entries buffer stays owned by the runner for reuse; the agent may read
-// it only until its next request (the MoveSeq contract), which is
-// sequenced after this grant by the req channel.
+// finishScript hands the accumulated entry ports back to the program and
+// returns the runner to the request-pulling state. The entries buffer
+// stays owned by the runner for reuse; the program may read it only
+// until its next request (the MoveSeq contract), which the next fetch
+// pulls after this grant.
 func (r *runner) finishScript() {
 	entries := r.scriptEntries
 	if r.scriptQuiet {
 		entries = nil // quiet grants carry no (partially unfilled) streams
 	}
-	r.grant <- grantMsg{degree: r.g.Degree(r.pos), entry: r.entry, entries: entries, degrees: r.scriptDegs, gen: r.gen}
+	r.grant = grantMsg{degree: r.g.Degree(r.pos), entry: r.entry, entries: entries, degrees: r.scriptDegs}
 	r.state = stNeedReq
 	r.script = nil
 	r.scriptDegs = nil
@@ -696,12 +593,12 @@ func (r *runner) advance(k uint64) {
 		to, ep := r.g.Succ(r.pos, r.movePort)
 		r.pos, r.entry = to, ep
 		r.moves++
-		r.grant <- grantMsg{degree: r.g.Degree(to), entry: ep, gen: r.gen}
+		r.grant = grantMsg{degree: r.g.Degree(to), entry: ep}
 		r.state = stNeedReq
 	case stWaiting:
 		r.waitLeft -= k
 		if r.waitLeft == 0 {
-			r.grant <- grantMsg{degree: r.g.Degree(r.pos), entry: r.entry, gen: r.gen}
+			r.grant = grantMsg{degree: r.g.Degree(r.pos), entry: r.entry}
 			r.state = stNeedReq
 		}
 	case stScript:
@@ -742,8 +639,11 @@ func (r *runner) advance(k uint64) {
 	}
 }
 
-// world implements agent.World on top of a runner's channels. It lives in
-// the agent goroutine; deg/entry/clock mirror the agent's own knowledge.
+// world implements agent.World on top of a runner's coroutine. It lives
+// in the coroutine; deg/entry/clock mirror the agent's own knowledge.
+// Its methods may be called only from the program itself: each request
+// yields the coroutine, and a yield from any other goroutine is
+// undefined.
 //
 // Waits are deferred: Wait only accumulates rounds locally, and the
 // accumulated stretch reaches the scheduler merged with the agent's next
@@ -758,13 +658,10 @@ func (r *runner) advance(k uint64) {
 // programs, whose phase bookkeeping emits long runs of adjacent waits.
 type world struct {
 	r     *runner
+	yield func(request) bool
 	deg   int
 	entry int
 	clock uint64
-	// gen is the current assignment's generation, stamped on every
-	// request so a later run on the same pooled runner can recognize and
-	// discard a deposit this run never got fetched.
-	gen uint64
 	// pendingWait is the deferred-wait accumulator; scriptBuf backs the
 	// one-action script a Move with a pending wait turns into.
 	pendingWait uint64
@@ -772,6 +669,31 @@ type world struct {
 	// phase is the current agent.Phase tag, stamped on every request the
 	// world sends (agent.PhaseTagger; attribution only, no semantics).
 	phase agent.Phase
+}
+
+// run executes the runner's assigned program to completion, abort or
+// panic and returns its terminal request: reqPanic carrying a program
+// panic — recovered here, so the coroutine survives and the runner stays
+// reusable — else reqDone. An aborted run's reqDone reaches only
+// release, which discards it.
+func (w *world) run() (rq request) {
+	defer func() {
+		rec := recover()
+		rq = request{kind: reqDone, phase: w.phase}
+		if _, aborted := rec.(stopSentinel); aborted {
+			return
+		}
+		// A deferred wait precedes the terminal condition in program
+		// order, so it must reach the scheduler first.
+		if w.flushWaitQuiet() && rec != nil {
+			rq = request{kind: reqPanic, val: rec, phase: w.phase}
+		}
+	}()
+	r := w.r
+	w.entry, w.clock, w.pendingWait, w.phase = -1, 0, 0, agent.PhaseOther
+	w.deg = r.g.Degree(r.pos)
+	r.prog(w)
+	return
 }
 
 // flushWaitEvery bounds the deferred-wait accumulator: once the pending
@@ -800,21 +722,16 @@ func (w *world) Move(port int) int {
 	if port < 0 || port >= w.deg {
 		panic(agent.ErrBadPort{Port: port, Degree: w.deg})
 	}
+	rq := request{kind: reqMove, port: port}
 	if w.pendingWait > 0 {
 		// Merge the pending wait and the move into one request: a
 		// single-action script carrying the wait as its lead.
 		buf := w.script(1)
 		buf[0] = port
-		lead := w.pendingWait
+		rq = request{kind: reqScript, script: buf, rounds: w.pendingWait}
 		w.pendingWait = 0
-		w.send(request{kind: reqScript, script: buf, rounds: lead})
-		g := w.recv()
-		w.deg, w.entry = g.degree, g.entry
-		w.clock++
-		return w.entry
 	}
-	w.send(request{kind: reqMove, port: port})
-	g := w.recv()
+	g := w.call(rq)
 	w.deg, w.entry = g.degree, g.entry
 	w.clock++
 	return w.entry
@@ -855,8 +772,7 @@ func (w *world) RunSeq(actions []int) {
 	}
 	lead := w.pendingWait
 	w.pendingWait = 0
-	w.send(request{kind: reqScript, script: actions, rounds: lead, quiet: true})
-	g := w.recv()
+	g := w.call(request{kind: reqScript, script: actions, rounds: lead, quiet: true})
 	w.deg, w.entry = g.degree, g.entry
 	w.clock += rounds
 }
@@ -876,8 +792,7 @@ func (w *world) moveSeq(actions []int, wantDegs bool) (entries, degrees []int) {
 	}
 	lead := w.pendingWait
 	w.pendingWait = 0
-	w.send(request{kind: reqScript, script: actions, rounds: lead, wantDegs: wantDegs})
-	g := w.recv()
+	g := w.call(request{kind: reqScript, script: actions, rounds: lead, wantDegs: wantDegs})
 	w.deg, w.entry = g.degree, g.entry
 	w.clock += uint64(len(actions))
 	return g.entries, g.degrees
@@ -899,8 +814,7 @@ func (w *world) flushWait() {
 	}
 	rq := request{kind: reqWait, rounds: w.pendingWait}
 	w.pendingWait = 0
-	w.send(rq)
-	w.recv()
+	w.call(rq)
 }
 
 // flushWaitQuiet is flushWait for the termination path: instead of
@@ -909,41 +823,19 @@ func (w *world) flushWaitQuiet() bool {
 	if w.pendingWait == 0 {
 		return true
 	}
-	rq := request{kind: reqWait, rounds: w.pendingWait, gen: w.gen, phase: w.phase}
+	rq := request{kind: reqWait, rounds: w.pendingWait, phase: w.phase}
 	w.pendingWait = 0
-	w.r.req <- rq
-	for {
-		g := <-w.r.grant
-		if g.gen != w.gen {
-			continue // stale grant for an earlier run: discard
-		}
-		return g.degree != poisonDegree
-	}
+	return w.yield(rq) && !w.r.abort
 }
 
-func (w *world) send(rq request) {
-	// By the one-in-flight protocol the buffer has space except when a
-	// stale deposit from an aborted earlier run still occupies it — and
-	// then the scheduler's next fetch discards that deposit, completing
-	// this send. If the current run was aborted, the deposit itself goes
-	// stale harmlessly: the next recv observes the poison grant.
-	rq.gen = w.gen
+// call hands one request to the scheduler and returns its grant: the
+// coroutine parks in yield until the scheduler's next fetch resumes it.
+// A resume with the abort flag set (release), or the pool's stop,
+// unwinds the program with stopSentinel instead.
+func (w *world) call(rq request) grantMsg {
 	rq.phase = w.phase
-	w.r.req <- rq
-}
-
-func (w *world) recv() grantMsg {
-	for {
-		g := <-w.r.grant
-		if g.gen != w.gen {
-			// Stale grant (or poison) addressed to an earlier run on
-			// this pooled runner: discard.
-			continue
-		}
-		if g.degree == poisonDegree {
-			// The scheduler ended the run: unwind back to the worker loop.
-			panic(stopSentinel{})
-		}
-		return g
+	if !w.yield(rq) || w.r.abort {
+		panic(stopSentinel{})
 	}
+	return w.r.grant
 }

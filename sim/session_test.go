@@ -148,6 +148,53 @@ func TestSessionPanicPropagation(t *testing.T) {
 	}
 }
 
+// TestReleaseDeliversEarnedGrants pins release's contract: when a run
+// ends, every agent first acts on each grant it earned and only then
+// unwinds, so an agent.Traced trajectory read the moment the run returns
+// agrees with MultiResult.Moves. The walker meets the sitter on the
+// round of a move whose grant it has not yet received; dropping that
+// grant would leave its trace one move short. Checked through RunMany
+// and through the same cases as lanes of one RunBatch.
+func TestReleaseDeliversEarnedGrants(t *testing.T) {
+	g := graph.Cycle(6)
+	const n = 6 // sitter appearance delays 0..5
+	sess := sim.NewSession()
+	defer sess.Close()
+	traces := make([][2]agent.Trace, n)
+	cases := make([]sim.MultiCase, n)
+	reset := func() {
+		for d := range cases {
+			traces[d] = [2]agent.Trace{}
+			cases[d] = sim.MultiCase{
+				Agents: []sim.MultiAgent{
+					{Program: agent.Traced(agent.MoveEveryRound, &traces[d][0]), Start: 0},
+					{Program: agent.Traced(agent.Sit, &traces[d][1]), Start: 3, Appear: uint64(d)},
+				},
+				Cfg: sim.MultiConfig{Budget: 1_000, StopOnFirstMeeting: true},
+			}
+		}
+	}
+	check := func(label string, d int, res sim.MultiResult) {
+		t.Helper()
+		if len(res.Meetings) != 1 {
+			t.Fatalf("%s delay %d: want one meeting, got %+v", label, d, res)
+		}
+		for i := range traces[d] {
+			if got := traces[d][i].Moves(); uint64(got) != res.Moves[i] {
+				t.Fatalf("%s delay %d agent %d: trace holds %d moves, result %d", label, d, i, got, res.Moves[i])
+			}
+		}
+	}
+	reset()
+	for d := range cases {
+		check("RunMany", d, sess.RunMany(g, cases[d].Agents, cases[d].Cfg))
+	}
+	reset()
+	for d, res := range sess.RunBatch(g, cases, sim.NewBatch()) {
+		check("RunBatch", d, res)
+	}
+}
+
 // TestRunManySteadyStateAllocs pins the acceptance criterion: after
 // warmup, the k-agent scheduler's phase loop performs zero allocations
 // per run beyond the MultiResult's own Moves slice and (bounded) result

@@ -134,8 +134,8 @@ func (s *Session) RunPrograms(g *graph.Graph, progA, progB agent.Program, u, v i
 		}
 
 		// Tight lock-step loop: while both agents are executing scripted
-		// moves, step the positions directly — no channel traffic, no
-		// goroutine wakeups — with the same per-round meeting detection
+		// moves, step the positions directly — no program resumes, no
+		// wakeups — with the same per-round meeting detection
 		// and budget accounting as the general path below. Degree mode is
 		// fixed between fetches, so the plain case (no degree stream on
 		// either script — the overwhelming majority of rounds) runs the

@@ -308,3 +308,35 @@ func TestParallelSweepOfRuns(t *testing.T) {
 		}
 	}
 }
+
+// TestCloseStopsEveryCoroutine: Close must end every pooled runner's
+// coroutine, not just drop the runners — a runner that is never stopped
+// leaks one parked goroutine. The pool is filled by runs that end every
+// way a run can (a meeting, programs that returned, the budget, a
+// program panic); after Close each captured runner's coroutine must
+// report its sequence over.
+func TestCloseStopsEveryCoroutine(t *testing.T) {
+	s := NewSession()
+	g := graph.Cycle(6)
+	s.RunPrograms(g, agent.MoveEveryRound, agent.Sit, 0, 3, 1, Config{Budget: 100})
+	s.RunPrograms(g, agent.Script([]int{0, 0}), agent.Script([]int{1}), 0, 3, 0, Config{Budget: 100})
+	s.RunMany(g, []MultiAgent{
+		{Program: agent.MoveEveryRound, Start: 0},
+		{Program: agent.Sit, Start: 2, Appear: 4},
+		{Program: agent.Sit, Start: 4},
+	}, MultiConfig{Budget: 50})
+	func() {
+		defer func() { _ = recover() }()
+		s.RunPrograms(g, func(w agent.World) { panic("boom") }, agent.Sit, 0, 3, 0, Config{Budget: 100})
+	}()
+	pooled := append([]*runner(nil), s.free...)
+	if len(pooled) < 3 {
+		t.Fatalf("pool holds %d runners, want at least 3", len(pooled))
+	}
+	s.Close()
+	for i, r := range pooled {
+		if _, ok := r.next(); ok {
+			t.Fatalf("pooled runner %d: coroutine still running after Close", i)
+		}
+	}
+}

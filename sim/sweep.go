@@ -35,8 +35,8 @@ func (s *Scratch) Worker() int { return s.worker }
 
 // Session returns the worker's pooled simulator session, creating it on
 // first use. Runs issued through it (Session.Run, Session.RunPrograms,
-// Session.RunMany) reuse agent goroutines, channels and per-agent
-// buffers across all cases the worker drains — the warm-state analogue
+// Session.RunMany) reuse agent coroutines and per-agent buffers across
+// all cases the worker drains — the warm-state analogue
 // of Ints/Bytes for whole simulator runs. Sweep closes the session when
 // the worker retires; callbacks must not retain it past their return.
 func (s *Scratch) Session() *Session {
