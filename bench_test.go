@@ -1,7 +1,7 @@
 // Package repro's root benchmark harness: one benchmark per experiment of
 // DESIGN.md §5 (the paper has no numbered tables — it is a theory paper —
 // so each lemma/theorem/worked example is regenerated as a table; see
-// EXPERIMENTS.md for recorded outputs).
+// experiments/testdata/tables.md for recorded outputs).
 //
 // Run everything:
 //

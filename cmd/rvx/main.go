@@ -1,13 +1,14 @@
-// Command rvx regenerates the experiment tables E1-E12 recorded in
-// EXPERIMENTS.md: the paper's worked examples, lemma-by-lemma behavioural
-// checks, the Q̂h lower-bound construction, and the baseline comparisons.
+// Command rvx regenerates the paper's 19 experiment tables E1-E19: the
+// worked examples, lemma-by-lemma behavioural checks, the Q̂h lower-bound
+// construction, and the baseline comparisons. The quick tables are
+// recorded in experiments/testdata/tables.md.
 //
 // Usage:
 //
-//	rvx [-full] [-markdown] [-only E4,E7] [-resume PATH] [-checkpoint-every N]
+//	rvx [-full] [-markdown] [-only E4,E7]
 //	    [-dist-workers N] [-dist-worker-bin "path args..."]
 //	    [-dist-addrs host:port,...] [-dist-respawn N] [-dist-max-attempts N]
-//	    [-trace out.json]
+//	    [-daemon host:port] [-trace out.json]
 //
 // -trace writes the dist coordinator's shard-lifecycle timeline (queue,
 // dispatch, first chunk, completion, plus requeue/heartbeat events,
@@ -17,13 +18,10 @@
 //
 // -full enables the heavier variants (ring-4 UniversalRV in E7, the
 // million-node Q̂12 build in E9). -markdown emits GitHub tables (the format
-// of EXPERIMENTS.md); the default is fixed-width text.
-//
-// -resume PATH names a checkpoint file: experiments it records as
-// complete render from the file without re-executing, and (with
-// -checkpoint-every N) every N newly-finished experiments rewrite it
-// atomically — so a long -full regeneration interrupted at E9 resumes at
-// E9, with output identical to an uninterrupted run.
+// of experiments/testdata/tables.md); the default is fixed-width text.
+// -only runs just the named experiments, in registry order; an ID the
+// registry does not know is an error (exit 2), checked before anything
+// runs.
 //
 // The distributable sweeps (E7, E12, E17) run on in-process protocol
 // workers by default. -dist-workers N forks N worker processes on this
@@ -46,10 +44,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
 	"strings"
-	"sync"
-	"syscall"
 
 	"repro/dist"
 	"repro/experiments"
@@ -70,14 +65,24 @@ func main() {
 	distRespawn := flag.Int("dist-respawn", 0, "fork up to this many replacement workers when one dies mid-sweep (local workers only)")
 	distMaxAttempts := flag.Int("dist-max-attempts", 0, "redispatch a shard at most this many times after worker deaths (default: protocol default)")
 	daemonAddr := flag.String("daemon", "", "submit the distributable sweeps to a running rvd daemon at this address instead of computing locally")
-	resumePath := flag.String("resume", "", "checkpoint file: skip experiments it records as complete, and save new ones to it")
-	checkpointEvery := flag.Int("checkpoint-every", 0, "with -resume, save the checkpoint file after every N newly-executed experiments")
 	tracePath := flag.String("trace", "", "write the dist shard-lifecycle timeline to this file as Chrome trace-event JSON (Perfetto-loadable)")
 	flag.Parse()
 
-	if *checkpointEvery > 0 && *resumePath == "" {
-		fmt.Fprintln(os.Stderr, "rvx: -checkpoint-every requires -resume PATH (the file to save to)")
-		os.Exit(2)
+	reg := experiments.Registry(*full)
+	want := map[string]bool{}
+	if *only != "" {
+		known := map[string]bool{}
+		for _, e := range reg {
+			known[e.ID] = true
+		}
+		for _, raw := range strings.Split(*only, ",") {
+			id := strings.ToUpper(strings.TrimSpace(raw))
+			if !known[id] {
+				fmt.Fprintf(os.Stderr, "rvx: -only: unknown experiment %q (the registry holds E1-E%d)\n", raw, len(reg))
+				os.Exit(2)
+			}
+			want[id] = true
+		}
 	}
 
 	var distOpts []dist.Option
@@ -125,73 +130,12 @@ func main() {
 		experiments.SetDistBackend(backend)
 	}
 
-	want := map[string]bool{}
-	if *only != "" {
-		for _, id := range strings.Split(*only, ",") {
-			want[strings.ToUpper(strings.TrimSpace(id))] = true
-		}
-	}
-
-	// With -resume, previously-completed experiments load from the
-	// checkpoint file and render without re-executing; freshly-executed
-	// ones are saved back every -checkpoint-every completions (and at
-	// exit), so an interrupted regeneration resumes where it stopped.
-	loaded := map[string]*experiments.Table{}
-	if *resumePath != "" {
-		var err error
-		if loaded, err = loadCheckpoint(*resumePath); err != nil {
-			fmt.Fprintf(os.Stderr, "rvx: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	save := func(done []*experiments.Table) {
-		if err := saveCheckpoint(*resumePath, done); err != nil {
-			fmt.Fprintf(os.Stderr, "rvx: saving checkpoint: %v\n", err)
-			os.Exit(1)
-		}
-	}
-
-	// Interrupt trap: SIGINT/SIGTERM flushes the checkpoint file (when
-	// -resume names one) and drains the dist backend before exit, so an
-	// interrupted run loses nothing since its last completed experiment
-	// instead of everything since the last -checkpoint-every boundary.
-	// The mutex orders the flush against the main loop's appends; an
-	// experiment mid-run is simply not in done yet and re-executes on
-	// resume.
-	var mu sync.Mutex
-	var done []*experiments.Table
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		sig := <-sigc
-		mu.Lock()
-		fmt.Fprintf(os.Stderr, "rvx: %v: flushing checkpoint and draining dist backend\n", sig)
-		if *resumePath != "" && len(done) > 0 {
-			save(done)
-		}
-		if backend != nil {
-			backend.Close()
-		}
-		if s, ok := sig.(syscall.Signal); ok {
-			os.Exit(128 + int(s))
-		}
-		os.Exit(1)
-	}()
-
 	failures := 0
-	fresh := 0
-	for _, e := range experiments.Registry(*full) {
+	for _, e := range reg {
 		if len(want) > 0 && !want[e.ID] {
 			continue
 		}
-		tbl, ok := loaded[e.ID]
-		if !ok {
-			tbl = e.Run()
-			fresh++
-		}
-		mu.Lock()
-		done = append(done, tbl)
-		mu.Unlock()
+		tbl := e.Run()
 		if *markdown {
 			fmt.Println(tbl.Markdown())
 		} else {
@@ -199,17 +143,6 @@ func main() {
 		}
 		fmt.Println()
 		failures += len(tbl.Failed)
-		if *checkpointEvery > 0 && fresh >= *checkpointEvery {
-			mu.Lock()
-			save(done)
-			mu.Unlock()
-			fresh = 0
-		}
-	}
-	if *checkpointEvery > 0 && fresh > 0 {
-		mu.Lock()
-		save(done)
-		mu.Unlock()
 	}
 	if *tracePath != "" {
 		if err := writeTrace(*tracePath, backend); err != nil {

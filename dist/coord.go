@@ -1004,10 +1004,10 @@ func NewLocal(workers int, argv []string, opts ...Option) (Backend, error) {
 	return b, nil
 }
 
-// DialRetry tunes the connection-retry loop Dial and DialAdd run per
-// address: up to Attempts tries, sleeping between them with capped
-// exponential backoff plus jitter (the delay before try n+1 is drawn
-// uniformly from [b/2, b] where b = min(Base<<n, Cap)). Workers that
+// DialRetry tunes the connection-retry loop Dial runs per address: up
+// to Attempts tries, sleeping between them with capped exponential
+// backoff plus jitter (the delay before try n+1 is drawn uniformly from
+// [b/2, b] where b = min(Base<<n, Cap)). Workers that
 // come up slower than their coordinator — the daemon-restart shape —
 // are absorbed instead of failing the whole fleet on the first refused
 // connection.
@@ -1061,7 +1061,7 @@ func dialRetry(rt DialRetry, addr string) (net.Conn, error) {
 // Dial returns a backend over TCP connections to already-running
 // protocol workers (`rvworker -listen`), one connection per address —
 // the multi-machine mode. Addresses may repeat to open several
-// connections to one worker host; DialAdd joins more workers later,
+// connections to one worker host; AddConn joins more workers later,
 // including mid-sweep. Each address is dialed with the default
 // DialRetry backoff schedule; DialWith customizes it.
 func Dial(addrs []string, opts ...Option) (Backend, error) {
@@ -1085,20 +1085,4 @@ func DialWith(rt DialRetry, addrs []string, opts ...Option) (Backend, error) {
 		conns = append(conns, newWconn(c, c))
 	}
 	return newConnBackend(conns, nil, opts...), nil
-}
-
-// DialAdd dials one more `rvworker -listen` address into a Dial (or any
-// connection) backend, joining an in-flight sweep if one is running.
-// It retries with the default DialRetry backoff schedule.
-func DialAdd(be Backend, addr string) error {
-	adder, ok := be.(ConnAdder)
-	if !ok {
-		return fmt.Errorf("dist: backend does not accept extra connections")
-	}
-	c, err := dialRetry(DialRetry{}, addr)
-	if err != nil {
-		return err
-	}
-	adder.AddConn(c, c)
-	return nil
 }

@@ -7,10 +7,10 @@
 // else is pinned against) — over a length-prefixed binary protocol
 // (v4) built around failure as a normal event: shards requeue off dead
 // connections, workers heartbeat while they compute, dispatch is
-// pipelined, and workers may join (AddConn, DialAdd) or be respawned
-// (WithRespawn) mid-sweep. Dial and DialAdd absorb workers that come up
-// slower than their coordinator by retrying each address with capped
-// exponential backoff plus jitter (DialRetry, DialWith).
+// pipelined, and workers may join (AddConn) or be respawned (WithRespawn)
+// mid-sweep. Dial absorbs workers that come up slower than their
+// coordinator by retrying each address with capped exponential backoff
+// plus jitter (DialRetry, DialWith).
 //
 // Package rvd builds the long-running service on top of this dispatcher:
 // a daemon owning one fleet and a persistent content-addressed result
@@ -59,8 +59,8 @@
 // which hides dispatch latency on high-RTT links — the next shard is
 // already on the worker when the previous one finishes (pinned by
 // BenchmarkDistPipelined against a delayed transport). Connections may
-// join at any time: AddConn / DialAdd attach a new worker to an
-// in-flight sweep, and a NewLocal backend built WithRespawn forks a
+// join at any time: AddConn attaches a new worker to an in-flight
+// sweep, and a NewLocal backend built WithRespawn forks a
 // replacement process whenever a connection dies, within a bounded
 // respawn budget.
 //

@@ -37,11 +37,11 @@ const maxFrame = 1 << 26
 const (
 	frameHello       byte = 1 // worker → coordinator, once, on connect: version + capacity
 	frameShard       byte = 2 // coordinator → worker: shard id + descriptor
-	frameResult      byte = 3 // v1 whole-shard result; retired in v2 (results travel as chunks)
 	frameError       byte = 4 // worker → coordinator: shard id + message (deterministic failure)
 	frameShutdown    byte = 5 // coordinator → worker: drain and exit
 	frameHeartbeat   byte = 6 // worker → coordinator: shard id + cases done (liveness, between cases)
 	frameResultChunk byte = 7 // worker → coordinator: shard id + ResultChunk (bounded case batch)
+	// 3 was the v1 whole-shard result frame; retired in v2, never reused.
 	// 8 was the v3 mid-shard migration frame; retired, never reused.
 )
 

@@ -1,6 +1,9 @@
 package experiments
 
 import (
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -64,7 +67,11 @@ func TestRegistryIsCompleteAndDistinct(t *testing.T) {
 		t.Fatalf("registry has %d experiments, want 19", len(tables))
 	}
 	seen := map[string]bool{}
+	var md strings.Builder
 	for _, tbl := range tables {
+		// Rendered as `rvx -markdown` prints it.
+		md.WriteString(tbl.Markdown())
+		md.WriteString("\n\n")
 		if seen[tbl.ID] {
 			t.Fatalf("duplicate experiment ID %s", tbl.ID)
 		}
@@ -76,6 +83,36 @@ func TestRegistryIsCompleteAndDistinct(t *testing.T) {
 			t.Fatalf("%s failed: %v", tbl.ID, tbl.Failed)
 		}
 	}
+	// The tables are the paper's reproduced results: any change to their
+	// bytes must show up as a change to the golden file in the same diff.
+	golden, err := os.ReadFile(filepath.Join("testdata", "tables.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if diff := firstLineDiff(string(golden), md.String()); diff != "" {
+		t.Fatalf("tables differ from testdata/tables.md (regenerate it with "+
+			"`go run ./cmd/rvx -markdown > experiments/testdata/tables.md`): %s", diff)
+	}
+}
+
+// firstLineDiff names the first line at which got departs from want and
+// quotes it from both sides, or returns "" when the two are equal.
+func firstLineDiff(want, got string) string {
+	if want == got {
+		return ""
+	}
+	w, g := strings.Split(want, "\n"), strings.Split(got, "\n")
+	line := func(lines []string, i int) string {
+		if i < len(lines) {
+			return fmt.Sprintf("%q", lines[i])
+		}
+		return "<end of file>"
+	}
+	i := 0
+	for i < len(w) && i < len(g) && w[i] == g[i] {
+		i++
+	}
+	return fmt.Sprintf("first difference at line %d:\n  want: %s\n  got:  %s", i+1, line(w, i), line(g, i))
 }
 
 func requireOK(t *testing.T, tbl *Table) {

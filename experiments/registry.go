@@ -1,10 +1,9 @@
 package experiments
 
 // Experiment is one lazily-runnable registry entry: the short identifier
-// (what `rvx -only` matches and a checkpoint file records) paired with
-// the thunk that regenerates its table. Keeping the registry lazy is
-// what makes rvx's -only filter and -resume skip actually skip work
-// instead of discarding tables already computed.
+// (what `rvx -only` matches) paired with the thunk that regenerates its
+// table. Keeping the registry lazy is what makes rvx's -only filter
+// actually skip work instead of discarding tables already computed.
 type Experiment struct {
 	ID  string
 	Run func() *Table

@@ -1,8 +1,8 @@
 // Package experiments regenerates every claim, worked example, figure and
 // bound of the paper as a measurable experiment (the index lives in
-// DESIGN.md §5 and the recorded outputs in EXPERIMENTS.md). Each experiment
-// Exx returns a Table; cmd/rvx renders them all, and the repository-root
-// benchmarks run one experiment per bench target.
+// DESIGN.md §5 and the recorded quick tables in testdata/tables.md). Each
+// experiment Exx returns a Table; cmd/rvx renders them all, and the
+// repository-root benchmarks run one experiment per bench target.
 package experiments
 
 import (

@@ -79,8 +79,3 @@ func RandomConnected(n, extra int, seed uint64) *Graph {
 	}
 	return g
 }
-
-// RandomTree returns a pseudorandom tree with n nodes and shuffled ports.
-func RandomTree(n int, seed uint64) *Graph {
-	return RandomConnected(n, 0, seed)
-}

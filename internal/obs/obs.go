@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -290,17 +289,4 @@ func (r *Registry) Values() map[string]uint64 {
 		}
 	}
 	return out
-}
-
-// Families returns the registered family names in sorted order
-// (diagnostics and tests).
-func (r *Registry) Families() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.families))
-	for _, f := range r.families {
-		names = append(names, f.name)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -4,8 +4,9 @@
 //
 // The generator is an xorshift64* variant. It is deliberately independent of
 // math/rand so that generated artifacts (universal exploration sequences,
-// benchmark graphs) are stable across Go releases: the experiment tables in
-// EXPERIMENTS.md depend on these streams being reproducible bit-for-bit.
+// benchmark graphs) are stable across Go releases: the experiment tables
+// recorded in experiments/testdata/tables.md depend on these streams being
+// reproducible bit-for-bit.
 package rng
 
 // RNG is a deterministic xorshift64* pseudorandom generator.

@@ -49,14 +49,10 @@ func unpaddedSymmRV(w agent.World, n, d, delta uint64) {
 	agent.RunSeq(w, entries)
 }
 
-// unpaddedExplore is Algorithm 2 verbatim: all existing paths of length d
-// in lexicographic order, each with backtracking and a δ-d wait — and
-// nothing else (no top-up to the PathBudget iteration count).
-func unpaddedExplore(w agent.World, d, delta uint64) {
-	var s rvScratch
-	unpaddedExploreWith(w, d, delta, &s)
-}
-
+// unpaddedExploreWith is Algorithm 2 verbatim: all existing paths of
+// length d in lexicographic order, each with backtracking and a δ-d wait —
+// and nothing else (no top-up to the PathBudget iteration count). The
+// enumeration buffers live in s.
 func unpaddedExploreWith(w agent.World, d, delta uint64, s *rvScratch) {
 	exploreEnumerate(w, d, delta, ^uint64(0), s)
 }

@@ -2,10 +2,10 @@ package rendezvous
 
 import "repro/agent"
 
-// explore runs the paper's Procedure Explore(u, d, δ) (Algorithm 2) at the
-// agent's current node u: every port sequence of length d is traversed in
-// lexicographic order, each time backtracking along the reverse path and
-// then waiting δ-d rounds at u.
+// exploreWith runs the paper's Procedure Explore(u, d, δ) (Algorithm 2) at
+// the agent's current node u: every port sequence of length d is traversed
+// in lexicographic order, each time backtracking along the reverse path and
+// then waiting δ-d rounds at u. The enumeration buffers live in s.
 //
 // Duration padding (DESIGN.md §3): the number of such paths depends on the
 // local degrees, but UniversalRV requires every procedure to take an
@@ -13,11 +13,6 @@ import "repro/agent"
 // waits out the remaining budget of PathBudget(n,d) iterations. The total
 // is exactly PathBudget(n,d) * (d+δ) rounds, which realizes Lemma 3.3's
 // bound with equality. Requires 1 <= d <= δ (the paper's precondition).
-func explore(w agent.World, n, d, delta uint64) {
-	var s rvScratch
-	exploreWith(w, n, d, delta, &s)
-}
-
 func exploreWith(w agent.World, n, d, delta uint64, s *rvScratch) {
 	if d < 1 || d > delta {
 		panic("rendezvous: explore requires 1 <= d <= delta")
@@ -112,10 +107,11 @@ func exploreThenMove(w agent.World, n, d, delta uint64, s *rvScratch, port int) 
 	return w.Move(port), w.Degree()
 }
 
-// exploreEnumerate is the enumeration core shared by the padded explore
-// and the paper-literal unpaddedExplore: all port sequences of length d in
-// lexicographic order, each traversed forward, backtracked along the
-// reverse path, and followed by a δ-d wait — capped at maxIter iterations.
+// exploreEnumerate is the enumeration core shared by the padded
+// exploreWith and the paper-literal unpaddedExploreWith: all port sequences
+// of length d in lexicographic order, each traversed forward, backtracked
+// along the reverse path, and followed by a δ-d wait — capped at maxIter
+// iterations.
 // It returns the number of iterations performed (d+δ rounds each). The
 // enumeration buffers live in the scratch: SymmRV calls this at every
 // node of its UXS walk, so per-call allocation would dominate the phase.

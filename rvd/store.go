@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
 )
@@ -305,18 +304,6 @@ func (s *Store) Quarantined() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.quarantined
-}
-
-// Keys returns the indexed keys in sorted order (test and tooling aid).
-func (s *Store) Keys() []Key {
-	s.mu.Lock()
-	keys := make([]Key, 0, len(s.index))
-	for k := range s.index {
-		keys = append(keys, k)
-	}
-	s.mu.Unlock()
-	sort.Slice(keys, func(i, j int) bool { return strings.Compare(keys[i].String(), keys[j].String()) < 0 })
-	return keys
 }
 
 // syncDir fsyncs a directory so a just-renamed entry's name is durable;

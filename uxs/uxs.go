@@ -23,9 +23,6 @@ import (
 // Sequence is a universal exploration sequence candidate.
 type Sequence []int
 
-// Length returns the paper's M, the number of terms.
-func (s Sequence) Length() int { return len(s) }
-
 // DefaultLength is the generated length for graphs of size n:
 // 3 * n^2 * (bitlen(n)+1). Random-walk cover times of the bounded-degree
 // families used by the experiments are O(n^2 log n) or better, and the
