@@ -34,13 +34,21 @@ type Action struct {
 // ExtractActions runs the program as a single agent on g from start,
 // recording up to maxActions actions (a Wait(k) contributes k pauses,
 // coalesced here into single pause entries k times — capped by
-// maxActions). This is sound because the paper's agents are oblivious to
-// each other until they meet: the stream never depends on the adversary.
-// The stream is allocated once at capacity maxActions, so size the cap to
-// the longest stream the caller will read.
-func ExtractActions(g *graph.Graph, prog agent.Program, start int, maxActions int) []Action {
-	x := &extractor{g: g, pos: start, deg: g.Degree(start), entry: -1, max: maxActions,
-		actions: make([]Action, 0, max(maxActions, 0))}
+// maxActions) and returns them; a cap of zero or less records none. This
+// is sound because the paper's agents are oblivious to each other until
+// they meet: the stream never depends on the adversary. The stream is
+// written into dst's backing array when its capacity reaches maxActions,
+// and into one fresh array of that capacity otherwise, so a caller
+// extracting repeatedly passes the previous stream back as dst and
+// allocates it once.
+func ExtractActions(dst []Action, g *graph.Graph, prog agent.Program, start int, maxActions int) []Action {
+	if maxActions <= 0 {
+		return dst[:0]
+	}
+	if cap(dst) < maxActions {
+		dst = make([]Action, 0, maxActions)
+	}
+	x := &extractor{g: g, pos: start, deg: g.Degree(start), entry: -1, max: maxActions, actions: dst[:0]}
 	func() {
 		defer func() {
 			if r := recover(); r != nil {

@@ -2,6 +2,7 @@ package async
 
 import (
 	"runtime/debug"
+	"slices"
 	"testing"
 
 	"repro/agent"
@@ -17,7 +18,7 @@ func TestExtractActions(t *testing.T) {
 		w.Wait(2)
 		w.Move(1)
 	}
-	acts := ExtractActions(g, prog, 0, 100)
+	acts := ExtractActions(nil, g, prog, 0, 100)
 	want := []Action{{Move: true, Port: 0}, {}, {}, {Move: true, Port: 1}}
 	if len(acts) != len(want) {
 		t.Fatalf("actions %v", acts)
@@ -31,31 +32,69 @@ func TestExtractActions(t *testing.T) {
 
 func TestExtractActionsCaps(t *testing.T) {
 	g := graph.TwoNode()
-	acts := ExtractActions(g, agent.MoveEveryRound, 0, 50)
-	if len(acts) != 50 {
-		t.Fatalf("cap not applied: %d", len(acts))
-	}
-	acts = ExtractActions(g, func(w agent.World) { w.Wait(1 << 40) }, 0, 10)
-	if len(acts) != 10 {
-		t.Fatalf("wait cap not applied: %d", len(acts))
+	sit := func(w agent.World) { w.Wait(1 << 40) }
+	for _, c := range []struct {
+		name string
+		prog agent.Program
+		max  int
+		want int
+	}{
+		{"moves", agent.MoveEveryRound, 50, 50},
+		{"waits", sit, 10, 10},
+		{"one move", agent.MoveEveryRound, 1, 1},
+		{"one wait", sit, 1, 1},
+		{"zero", agent.MoveEveryRound, 0, 0},
+		{"negative", agent.MoveEveryRound, -3, 0},
+		{"zero waits", sit, 0, 0},
+	} {
+		if acts := ExtractActions(nil, g, c.prog, 0, c.max); len(acts) != c.want {
+			t.Fatalf("%s: cap %d recorded %d actions, want %d", c.name, c.max, len(acts), c.want)
+		}
 	}
 }
 
 // TestExtractActionsAllocsOnce pins the stream's single allocation at E15's
 // cap: growing it by append instead costs dozens of reallocations and
-// several times the final size in garbage per extraction. The collector
-// is paused while counting: each extraction allocates about 1 MiB, and
-// the cycles that triggers add runtime allocations of their own.
+// several times the final size in garbage per extraction. A second
+// extraction into the returned stream reuses it, leaving only the
+// extractor itself. The collector is paused while counting: each fresh
+// extraction allocates about 1 MiB, and the cycles that triggers add
+// runtime allocations of their own.
 func TestExtractActionsAllocsOnce(t *testing.T) {
 	g := graph.TwoNode()
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var acts []Action
 	allocs := testing.AllocsPerRun(3, func() {
-		if acts := ExtractActions(g, agent.MoveEveryRound, 0, 60_000); len(acts) != 60_000 {
+		if acts = ExtractActions(nil, g, agent.MoveEveryRound, 0, 60_000); len(acts) != 60_000 {
 			t.Fatalf("cap not applied: %d", len(acts))
 		}
 	})
 	if allocs > 3 {
 		t.Fatalf("ExtractActions allocates %.0f times at a 60,000 cap, want at most 3", allocs)
+	}
+	allocs = testing.AllocsPerRun(3, func() {
+		again := ExtractActions(acts, g, agent.MoveEveryRound, 1, 60_000)
+		if len(again) != 60_000 || &again[0] != &acts[0] {
+			t.Fatalf("stream not reused: %d actions", len(again))
+		}
+	})
+	if allocs > 1 {
+		t.Fatalf("ExtractActions into a reused stream allocates %.0f times, want at most 1", allocs)
+	}
+}
+
+// TestExtractActionsReuseMatchesFresh checks that a reused stream holds
+// exactly what a fresh extraction does, longer or shorter than before.
+func TestExtractActionsReuseMatchesFresh(t *testing.T) {
+	g := graph.Cycle(6)
+	prog := rendezvous.UniversalRV()
+	buf := ExtractActions(nil, g, agent.MoveEveryRound, 0, 500)
+	for _, max := range []int{300, 200, 500, 0, 400} {
+		fresh := ExtractActions(nil, g, prog, 2, max)
+		buf = ExtractActions(buf, g, prog, 2, max)
+		if !slices.Equal(buf, fresh) {
+			t.Fatalf("cap %d: reused stream differs from a fresh one", max)
+		}
 	}
 }
 
@@ -81,8 +120,8 @@ func TestSynchronizingAdversaryDefeatsEveryProgramOnSymmetricStarts(t *testing.T
 	}
 	for _, c := range cases {
 		for pi, prog := range progs {
-			a := ExtractActions(c.g, prog, c.u, 30_000)
-			b := ExtractActions(c.g, prog, c.v, 30_000)
+			a := ExtractActions(nil, c.g, prog, c.u, 30_000)
+			b := ExtractActions(nil, c.g, prog, c.v, 30_000)
 			res := Run(c.g, a, b, c.u, c.v, Synchronizing{})
 			if res.Met {
 				t.Fatalf("%s prog %d: synchronizing adversary allowed a meeting at %d", c.g, pi, res.Node)
@@ -102,8 +141,8 @@ func TestLagAdversaryOnTwoNode(t *testing.T) {
 	// synchronizing adversary and never meets.
 	g := graph.TwoNode()
 	for delta := 0; delta <= 4; delta++ {
-		a := ExtractActions(g, agent.MoveEveryRound, 0, 200)
-		b := ExtractActions(g, agent.MoveEveryRound, 1, 200)
+		a := ExtractActions(nil, g, agent.MoveEveryRound, 0, 200)
+		b := ExtractActions(nil, g, agent.MoveEveryRound, 1, 200)
 		asyncRes := Run(g, a, b, 0, 1, Lag{Delay: delta})
 		if want := delta >= 1; asyncRes.Met != want {
 			t.Fatalf("δ=%d: async met=%v, want %v", delta, asyncRes.Met, want)
@@ -125,8 +164,8 @@ func TestAsyncNodeMeetingStillPossibleFromAsymmetry(t *testing.T) {
 	// path-3 endpoints both step into the middle and meet.
 	g := graph.Path(3)
 	prog := agent.Script([]int{0})
-	a := ExtractActions(g, prog, 0, 10)
-	b := ExtractActions(g, prog, 2, 10)
+	a := ExtractActions(nil, g, prog, 0, 10)
+	b := ExtractActions(nil, g, prog, 2, 10)
 	res := Run(g, a, b, 0, 2, Synchronizing{})
 	if !res.Met || res.Node != 1 {
 		t.Fatalf("expected meeting at node 1, got %+v", res)

@@ -63,10 +63,14 @@ func E15() *Table {
 			jobs = append(jobs, job{ci, pi})
 		}
 	}
-	outcomes := sim.Sweep(jobs, 0, func(j job) any { return cases[j.ci].g }, func(_ *sim.Scratch, j job) outcome {
+	// Each worker extracts into its own two streams, reused across jobs.
+	type streams struct{ a, b []async.Action }
+	outcomes := sim.Sweep(jobs, 0, func(j job) any { return cases[j.ci].g }, func(sc *sim.Scratch, j job) outcome {
 		c, p := cases[j.ci], progs[j.pi]
-		a := async.ExtractActions(c.g, p.prog, c.u, steps)
-		b := async.ExtractActions(c.g, p.prog, c.v, steps)
+		st := sc.Stash(func() any { return new(streams) }).(*streams)
+		st.a = async.ExtractActions(st.a, c.g, p.prog, c.u, steps)
+		st.b = async.ExtractActions(st.b, c.g, p.prog, c.v, steps)
+		a, b := st.a, st.b
 		var o outcome
 		o.asyncRes = async.Run(c.g, a, b, c.u, c.v, async.Synchronizing{})
 		if c.symm && p.name == "universal" {

@@ -89,7 +89,7 @@ func (w *soloWorld) Wait(rounds uint64) { w.clock += rounds }
 // MoveSeq steps a batched script directly against the graph — the native
 // equivalent of agent.RunScript without per-move interface dispatch, with
 // agent.ActionPort's resolution fused into a single adjacency-row access
-// per move (the same fusion as the engine's scriptStep; the batched
+// per move (the same fusion as the engine's burst step; the batched
 // rendezvous procedures put every action through this loop). The
 // returned slice is the world's reusable buffer, per the World contract.
 func (w *soloWorld) MoveSeq(actions []int) []int { return w.runScript(actions, nil) }

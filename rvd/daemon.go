@@ -593,8 +593,10 @@ func (d *Daemon) finishJob(job *Job) {
 		// harmless resume that cache-hits every shard.
 		d.logf("rvd: journaling job %d completion: %v", job.ID, err)
 	}
-	job.setState(JobDone, "")
+	// Count the job before publishing its state: a waiter woken by the
+	// state change must already see the counter moved.
 	obsJobsDone.Inc()
+	job.setState(JobDone, "")
 	st := job.Status()
 	job.tl.Instant("done", "job", -1,
 		fmt.Sprintf("%d cache hits, %d executed", st.CacheHits, st.Executed))

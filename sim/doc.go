@@ -16,24 +16,30 @@
 // A per-move interaction — a wakeup — costs one request/grant hand-off:
 // a coroutine switch into the program and one back, each far dearer
 // than a scheduler round. Programs that know a stretch of actions in
-// advance submit it as one agent.World.MoveSeq script: the scheduler
-// then steps the scripted positions itself, round by round, in a tight
-// in-process loop — resuming the program once per script instead of
-// once per edge traversal — while preserving exact per-round meeting detection,
-// budget accounting and observer semantics. Runs of ScriptWait actions
-// inside a script coalesce into the same O(1) fast-forward path as Wait,
-// and the world layer defers and merges adjacent Wait calls (riding the
-// next script request as its lead) — all invisible to the program, since
+// advance submit it as one agent.World.MoveSeq script, and the
+// scheduler steps it itself, resuming the program once per script. Both
+// engines step through one counted burst kernel (burst in sim.go):
+// while some agent's next round is a scripted move, every agent whose
+// cursor is on a script action walks up to n rounds — a move steps, a
+// ScriptWait stays put — with cursor, position and entry in locals and
+// two agents' dependency chains in flight at once. Every other agent is
+// held: n shrinks to the rounds until it would move (lead, ScriptWait
+// run, Wait or finished program), and it is advanced once before the
+// kernel returns, so a grant earned on the last round is pending for
+// the next fetch or for release. A burst also ends after a walker's
+// script end or SeqWait escape and at the first round that ends on a
+// co-location still to record; with nobody about to move it is the O(1)
+// skip of the stretch. The world layer defers and merges adjacent Wait
+// calls into the next script's lead — invisible to the program, since
 // waiting changes no percept and no position. Batched and unbatched
-// execution of the same program are behavior-identical (same Result
-// field by field); the engine-equivalence tests pin this down across the
-// STIC suite.
+// execution are behavior-identical (same Result field by field), pinned
+// across the STIC suite and randomized program pairs.
 //
 // # Degree-reporting grants
 //
 // agent.World.MoveSeqDegrees is MoveSeq with the degree percept streamed
 // alongside the entry ports: the runner fills a second per-agent buffer
-// in the same lock-step loop — degrees[i] is the degree of
+// from the burst's position log — degrees[i] is the degree of
 // the node occupied after action i, i.e. the node a move enters (degree
 // observed on entry) or the unchanged current node for a ScriptWait —
 // and the grant hands both slices back under the same
@@ -106,20 +112,25 @@
 //
 //  2. Quiet skips. Rounds in which no present agent moves cannot create
 //     a meeting or a gathering: positions are static and every
-//     co-located pair was already recorded at the previous detection
-//     round (detection runs at round 0, after every moving round, and
-//     after every appearance). Such stretches — bounded by each agent's
-//     roundsUntilMove — are skipped in bulk without detection.
+//     co-located pair was already recorded (detection runs at round 0,
+//     after every appearance, and on every round a burst stops for).
+//     Such stretches — bounded by each agent's roundsUntilMove — are
+//     skipped in bulk without detection.
 //
-//  3. Moving rounds. A round in which at least one agent moves advances
-//     every present agent by exactly one round and then runs the
-//     allocation-free pairwise scan, in (i, j) order — so the Meetings
-//     slice is ordered by round, then lexicographically, identically to
-//     the round-by-round reference engine. Below bucketScanMinK agents
-//     the scan is the O(k²) pairwise loop; from bucketScanMinK up it is
-//     position-bucketed (per-node lists over the active set, O(k) per
-//     scanned round) with byte-identical output, pinned by the large-k
-//     differential suite.
+//  3. Moving rounds. Rounds in which an agent moves run in bursts that
+//     hold the waiting agents (see Batched execution) and stop on the
+//     first round that ends on a co-location still to record; that
+//     round's detection then runs the allocation-free pairwise scan in
+//     (i, j) order, so the Meetings slice is ordered by round, then
+//     lexicographically, identically to the round-by-round reference
+//     engine. While some pair has not met, a burst stops on any
+//     co-location of such a pair; once every pair has met, only the
+//     O(k) first-gathering check remains, and after the gathering
+//     nothing. From bucketScanMinK agents up the scans are
+//     position-bucketed (O(k) per round) with byte-identical output,
+//     pinned by the large-k differential suite. A pending single move
+//     (a per-move program) is the one exception: every agent advances
+//     one round and the detection follows.
 //
 //  4. Appearance boundaries. When a horizon ends exactly at an
 //     appearance round, that round's detection is deferred past the

@@ -10,6 +10,7 @@ package sim_test
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"repro/agent"
@@ -273,5 +274,78 @@ func TestEngineEquivalenceMultiAgent(t *testing.T) {
 		if a.Moves[i] != b.Moves[i] {
 			t.Fatalf("agent %d moves disagree: %d vs %d", i, a.Moves[i], b.Moves[i])
 		}
+	}
+}
+
+// TestEngineEquivalencePairRandomized pins the two-agent engine on
+// randomized cases: both programs from randProgram, the graph from
+// randGraph, delays 0–5 and budgets short enough to cut runs inside
+// bursts. Every case runs on one pooled session. The batched run must
+// equal the Unbatched one field by field, and its meeting, Rounds and
+// per-agent moves must match RunManyReference on the same two agents.
+// An observer forces the round-by-round path, which fetches every
+// pending request before it checks for a meeting; bursts must make the
+// same wakeups, except that a meeting both agents moved into returns
+// before the fetches of that round.
+func TestEngineEquivalencePairRandomized(t *testing.T) {
+	sess := sim.NewSession()
+	defer sess.Close()
+	check := func(name string, g *graph.Graph, pa, pb agent.Program, u, v int, delay uint64, cfg sim.Config) {
+		t.Helper()
+		got := sess.RunPrograms(g, pa, pb, u, v, delay, cfg)
+		wakeups := sess.Wakeups()
+		var last [2][2]int // both positions on the latest two rounds
+		watched := cfg
+		watched.Observer = func(_ uint64, a, b int) { last[0], last[1] = last[1], [2]int{a, b} }
+		if want := sess.RunPrograms(g, pa, pb, u, v, delay, watched); got != want {
+			t.Fatalf("%s: observed run disagrees\n  plain:    %+v\n  observed: %+v", name, got, want)
+		}
+		bothMoved := got.Outcome == sim.Met && got.MeetingRound > 0 && last[0][1] >= 0 &&
+			last[0][0] != last[1][0] && last[0][1] != last[1][1]
+		if w := sess.Wakeups(); wakeups > w || wakeups < w && !bothMoved {
+			t.Fatalf("%s: %d wakeups, %d round by round (%+v)", name, wakeups, w, got)
+		}
+		if want := sess.RunPrograms(g, agent.Unbatched(pa), agent.Unbatched(pb), u, v, delay, cfg); got != want {
+			t.Fatalf("%s: batched vs unbatched disagree\n  batched:   %+v\n  unbatched: %+v", name, got, want)
+		}
+		ref := sim.RunManyReference(g, []sim.MultiAgent{
+			{Program: pa, Start: u},
+			{Program: pb, Start: v, Appear: delay},
+		}, sim.MultiConfig{Budget: cfg.Budget, StopOnFirstMeeting: true})
+		met := got.Outcome == sim.Met
+		if met != (len(ref.Meetings) == 1) || got.Rounds != ref.Rounds ||
+			got.MovesA != ref.Moves[0] || got.MovesB != ref.Moves[1] ||
+			met && (got.MeetingRound != ref.Meetings[0].Round || got.MeetingNode != ref.Meetings[0].Node) {
+			t.Fatalf("%s: pair engine and k=2 reference disagree\n  pair:      %+v\n  reference: %+v", name, got, ref)
+		}
+	}
+	// Meetings on a round where one agent's script ends in a ScriptWait
+	// while the other steps onto it: the wait is walked inside the burst,
+	// yet the round must count as one with a waiting agent.
+	ring := graph.Cycle(12)
+	waver := func(w agent.World) {
+		for {
+			w.MoveSeq([]int{0, agent.ScriptWait})
+		}
+	}
+	stepper := func(w agent.World) {
+		for {
+			w.MoveSeq([]int{1})
+		}
+	}
+	for v := 1; v < ring.N(); v++ {
+		for delay := uint64(0); delay < 3; delay++ {
+			check(fmt.Sprintf("wait-ending meeting v=%d δ%d", v, delay), ring, waver, stepper, 0, v, delay, sim.Config{Budget: 100})
+		}
+	}
+	r := rand.New(rand.NewSource(0x9A1B))
+	for ci := 0; ci < 300; ci++ {
+		g := randGraph(r)
+		pa, na := randProgram(r)
+		pb, nb := randProgram(r)
+		u, v := r.Intn(g.N()), r.Intn(g.N())
+		delay := uint64(r.Intn(6))
+		cfg := sim.Config{Budget: uint64(1 + r.Intn(1500))}
+		check(fmt.Sprintf("case %d: %s@%d vs %s@%d δ%d b%d on %s", ci, na, u, nb, v, delay, cfg.Budget, g), g, pa, pb, u, v, delay, cfg)
 	}
 }

@@ -63,12 +63,13 @@ const bucketScanMinK = 32
 // RunMany executes k agents in lock-step on g through the
 // direct-execution scheduler: it advances all agents together to the
 // next event horizon — the earliest script boundary, wait end, agent
-// appearance or budget edge — and inside a horizon steps scripted moves
-// in a tight loop that resumes no program, skipping mutual-wait
-// stretches in O(1). Pairwise meetings are recorded (first meeting per
-// pair, see MultiResult.Meetings for the order; at k >= bucketScanMinK
-// the scan is position-bucketed instead of pairwise, with identical
-// output); the run ends on gathering (when StopOnGather is set), on the
+// appearance or budget edge — and inside a horizon runs the burst
+// kernel, which steps scripted moves without resuming any program,
+// holds waiting agents and skips mutual-wait stretches in O(1).
+// Pairwise meetings are recorded (first meeting per pair, see
+// MultiResult.Meetings for the order; at k >= bucketScanMinK the scan
+// is position-bucketed instead of pairwise, with identical output); the
+// run ends on gathering (when StopOnGather is set), on the
 // first meeting (when StopOnFirstMeeting is set), on the budget, or —
 // when every program has terminated at scattered nodes — on proof that
 // nothing further can happen.
@@ -182,6 +183,7 @@ type multiRun struct {
 
 	res          MultiResult
 	presentCount int
+	unmet        int // pairs with no first meeting yet
 	t            uint64
 	first        bool
 	done         bool
@@ -205,6 +207,7 @@ func (m *multiRun) begin() {
 	m.activeIdx = m.activeIdx[:0]
 	m.res = MultiResult{Moves: make([]uint64, len(m.agents))}
 	m.presentCount = 0
+	m.unmet = len(m.agents) * (len(m.agents) - 1) / 2
 	m.t = 0
 	m.first = true
 	m.done = false
@@ -270,6 +273,7 @@ func (m *multiRun) detect(t uint64, moved []bool) bool {
 					continue
 				}
 				met[i*k+activeIdx[b]] = true
+				m.unmet--
 				m.res.Meetings = append(m.res.Meetings, Meeting{A: i, B: activeIdx[b], Node: active[a].pos, Round: t})
 			}
 		}
@@ -293,6 +297,7 @@ func (m *multiRun) detect(t uint64, moved []bool) bool {
 					continue
 				}
 				met[i*k+activeIdx[b]] = true
+				m.unmet--
 				m.res.Meetings = append(m.res.Meetings, Meeting{A: i, B: activeIdx[b], Node: pi, Round: t})
 			}
 		}
@@ -314,6 +319,21 @@ func (m *multiRun) detect(t uint64, moved []bool) bool {
 	}
 	return (m.res.Gathered && m.cfg.StopOnGather) ||
 		(m.cfg.StopOnFirstMeeting && len(m.res.Meetings) > 0)
+}
+
+// watch is what a burst must stop for: a co-location of a pair that has
+// not met, then — once every pair has — only the first gathering, then
+// nothing.
+func (m *multiRun) watch() watch {
+	if m.unmet > 0 {
+		w := watch{met: m.met, idx: m.activeIdx, k: len(m.agents)}
+		if m.useBuckets {
+			w.bhead, w.bnext = m.bhead, m.bnext
+		}
+		return w
+	}
+	gather := !m.res.Gathered && m.presentCount == len(m.agents)
+	return watch{gather: gather, off: !gather}
 }
 
 // step runs one scheduler iteration — an event boundary followed by one
@@ -355,9 +375,9 @@ func (m *multiRun) step() bool {
 	}
 	active := m.active
 
-	// Positions only change in the horizon's moving rounds, each of
-	// which re-detects; a boundary needs its own detection pass only
-	// when a new agent materialized (or on round 0).
+	// Positions only change inside bursts, which stop on every
+	// co-location left to record; a boundary needs its own detection
+	// pass only when a new agent materialized (or on round 0).
 	if (appeared || m.first) && m.detect(t, nil) {
 		return m.finish()
 	}
@@ -404,145 +424,25 @@ func (m *multiRun) step() bool {
 		}
 	}
 
-	// Drive the horizon: skip stretches where nobody moves in bulk,
-	// step rounds with movement one by one with exact per-round
-	// meeting detection.
-	movedBuf := m.moved
+	// Drive the horizon in bursts, each ending early on a co-location
+	// the run still has to record. A pending single move (a per-move
+	// program) takes one round of every agent instead, then a detection.
+	moved := m.moved
 	for horizon > 0 {
-		// One classification pass over the active set: how long until
-		// anyone moves (quiet), and whether EVERY next round is a
-		// scripted move (the burst case).
-		quiet := horizon
-		allScript := len(active) > 0
-		anyMover := false
-		for _, r := range active {
-			if r.scriptMoveReady() {
-				anyMover = true
-				continue
+		steps, hit := burst(active, horizon, moved, m.watch())
+		if steps == 0 {
+			for ai, r := range active {
+				moved[ai] = r.roundsUntilMove() == 0
+				r.advance(1)
 			}
-			allScript = false
-			q := r.roundsUntilMove()
-			if q == 0 {
-				anyMover = true
-			} else if q < quiet {
-				quiet = q
-			}
+			steps, hit = 1, true
 		}
-		if allScript {
-			// Burst: while every active agent's next round is a
-			// scripted move there is nothing else to scan for — step
-			// them all directly (the k-agent analogue of the
-			// two-agent engine's tight lock-step loop), with an
-			// inline co-location pre-check so the full detect
-			// (method, met matrix, gather logic) only runs when two
-			// positions actually coincide. Degree mode is fixed
-			// between fetches, so the degree-buffer test hoists out
-			// of the per-round step into a register-resident flag.
-			for ai := range active {
-				movedBuf[ai] = true
-			}
-			plainScripts := true
-			for _, r := range active {
-				if r.scriptDegs != nil {
-					plainScripts = false
-					break
-				}
-			}
-			for {
-				// The scripted step, fused inline (keep in sync with
-				// runner.scriptStep): the per-runner call overhead is
-				// measurable at this loop's intensity, and degree mode
-				// is fixed between fetches so the plainScripts flag
-				// short-circuits the degree-buffer test.
-				for _, r := range active {
-					adj := r.g.Adj(r.pos)
-					p, _ := agent.ActionPort(r.script[r.scriptAt], r.entry, len(adj))
-					h := adj[p]
-					r.pos, r.entry = h.To, h.ToPort
-					r.moves++
-					r.scriptEntries[r.scriptAt] = h.ToPort
-					if !plainScripts && r.scriptDegs != nil {
-						r.scriptDegs[r.scriptAt] = r.g.Degree(h.To)
-					}
-					r.scriptAt++
-					if r.scriptAt == r.segEnd {
-						r.endSeg()
-					}
-				}
-				t++
-				horizon--
-				if horizon == 0 && appearBound {
-					break
-				}
-				hit := false
-				if m.useBuckets {
-					// O(k) collision probe via the position buckets
-					// (insert all, then clear all — a collision is any
-					// second insert into an occupied bucket).
-					bhead := m.bhead
-					for a := 0; a < len(active); a++ {
-						p := active[a].pos
-						if bhead[p] >= 0 {
-							hit = true
-						}
-						bhead[p] = int32(a)
-					}
-					for a := range active {
-						bhead[active[a].pos] = -1
-					}
-				} else {
-					for a := 0; a < len(active) && !hit; a++ {
-						pi := active[a].pos
-						for b := a + 1; b < len(active); b++ {
-							if active[b].pos == pi {
-								hit = true
-								break
-							}
-						}
-					}
-				}
-				if hit && m.detect(t, movedBuf) {
-					m.t = t
-					return m.finish()
-				}
-				if horizon == 0 {
-					break
-				}
-				still := true
-				for _, r := range active {
-					if !r.scriptMoveReady() {
-						still = false
-						break
-					}
-				}
-				if !still {
-					break
-				}
-			}
-			continue
-		}
-		if !anyMover {
-			// Nobody moves for quiet rounds: positions are static and
-			// every co-located pair was already recorded at round t,
-			// so no meeting or gathering can newly occur inside.
-			for _, r := range active {
-				r.advance(quiet)
-			}
-			t += quiet
-			horizon -= quiet
-			continue
-		}
-		// Mixed round, at least one mover: advance every present
-		// agent exactly one round, then re-detect the moved pairs.
-		for ai, r := range active {
-			movedBuf[ai] = r.stepOne()
-		}
-		t++
-		horizon--
+		t += steps
+		horizon -= steps
 		if horizon == 0 && appearBound {
 			break // detection at t runs at the boundary, post-appearance
 		}
-		if m.detect(t, movedBuf) {
+		if hit && m.detect(t, moved) {
 			m.t = t
 			return m.finish()
 		}
@@ -670,7 +570,7 @@ func RunManyReference(g *graph.Graph, agents []MultiAgent, cfg MultiConfig) Mult
 				}
 				continue
 			}
-			if s := runners[i].maxSkip(); s < skip {
+			if s := runners[i].roundsUntilMove(); s < skip {
 				skip = s
 			}
 		}

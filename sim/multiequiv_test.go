@@ -267,3 +267,75 @@ func TestEngineEquivalenceRunManyLargeK(t *testing.T) {
 		}
 	}
 }
+
+// TestEngineEquivalenceRunManyStaggeredLeads pins RunMany to
+// RunManyReference on 3–5 agents that loop short RunSeq scripts with
+// SeqWait gaps of different lengths, so some agents sit in leads while
+// others move: the burst kernel's held agents. The graphs are tiny, so
+// pairs meet early and agents often gather, and the run goes on to the
+// budget or to the gathering (StopOnGather on and off): the stretches
+// where only gathering, or nothing, is left to detect. The suite must
+// include runs in which every pair met before the agents gathered, and
+// runs in which every pair met and they never did. The last cases spread
+// 32–40 agents over rings of 40–79 nodes, so the bursts'
+// position-bucketed probe runs, mostly on pairs that have not met.
+func TestEngineEquivalenceRunManyStaggeredLeads(t *testing.T) {
+	r := rand.New(rand.NewSource(0x5EED5))
+	graphs := []*graph.Graph{graph.TwoNode(), graph.Path(3), graph.Cycle(3), graph.Star(3), graph.Cycle(4)}
+	var metThenGathered, metNeverGathered int
+	for ci := 0; ci < 324; ci++ {
+		g := graphs[r.Intn(len(graphs))]
+		k := 3 + r.Intn(3)
+		if ci >= 300 {
+			g, k = graph.Cycle(40+r.Intn(40)), 32+r.Intn(9)
+		}
+		agents := make([]sim.MultiAgent, k)
+		var names []string
+		for i := range agents {
+			script := make([]int, 1+r.Intn(4))
+			for j := range script {
+				if r.Intn(3) == 0 {
+					script[j] = agent.Rel(r.Intn(3))
+				} else {
+					script[j] = r.Intn(3)
+				}
+			}
+			gap := uint64(1 + r.Intn(12))
+			if r.Intn(2) == 0 {
+				script = append(script, agent.SeqWait(gap))
+			} else {
+				script = append([]int{agent.SeqWait(gap)}, script...)
+			}
+			agents[i] = sim.MultiAgent{
+				Program: func(w agent.World) {
+					for {
+						agent.RunSeq(w, script)
+					}
+				},
+				Start:  r.Intn(g.N()),
+				Appear: uint64(r.Intn(4)),
+			}
+			names = append(names, fmt.Sprintf("%v@%d+%d", script, agents[i].Start, agents[i].Appear))
+		}
+		cfg := sim.MultiConfig{Budget: uint64(50 + r.Intn(600)), StopOnGather: r.Intn(2) == 0}
+		got := sim.RunMany(g, agents, cfg)
+		want := sim.RunManyReference(g, agents, cfg)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("case %d on %s: engines disagree\n  agents:    %v\n  cfg:       %+v\n  direct:    %+v\n  reference: %+v",
+				ci, g, names, cfg, got, want)
+		}
+		if len(got.Meetings) == k*(k-1)/2 {
+			last := got.Meetings[len(got.Meetings)-1].Round
+			switch {
+			case !got.Gathered:
+				metNeverGathered++
+			case got.GatherRound > last:
+				metThenGathered++
+			}
+		}
+	}
+	if metThenGathered == 0 || metNeverGathered == 0 {
+		t.Fatalf("coverage: %d runs met then gathered, %d met and never gathered; want both", metThenGathered, metNeverGathered)
+	}
+	t.Logf("%d runs met then gathered, %d met and never gathered", metThenGathered, metNeverGathered)
+}

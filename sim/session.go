@@ -103,7 +103,7 @@ func (s *Session) acquireFor(g *graph.Graph, prog agent.Program, start int, st *
 	}
 	s.mu.Unlock()
 	if r == nil {
-		r = &runner{}
+		r = &runner{log: make([]int, burstChunk)}
 		r.next, r.stop = iter.Pull(r.body)
 	}
 	r.g = g
@@ -229,6 +229,9 @@ type grantMsg struct {
 	entry   int
 	entries []int // per-action entry ports, for reqScript grants
 	degrees []int // per-action degrees, for degree-reporting script grants
+	// seqRounds is the rounds a quiet script's SeqWait escapes ran past
+	// one round each.
+	seqRounds uint64
 }
 
 // stopSentinel unwinds an agent program when its run is aborted.
@@ -248,22 +251,24 @@ type runner struct {
 	// length of the run of consecutive ScriptWait actions at the cursor
 	// (0 = not computed or cursor on a move). scriptDegs is the active
 	// degree buffer of a degree-reporting script — nil for plain MoveSeq
-	// grants, so the hot per-round step pays one pointer test when no
-	// degrees were asked for. scriptLead is the pending lead — deferred
-	// or SeqWait-encoded wait rounds fast-forwarded in O(1) (position
-	// static, no entries produced) before the next action runs. segEnd
-	// is the current segment's bound: len(script) for plain scripts, the
-	// next SeqWait escape for quiet ones — the hot step compares against
-	// it exactly where it used to compare against len(script), so the
-	// run-length wait encoding costs the move loop nothing.
+	// grants. scriptLead is the pending lead — deferred or SeqWait-encoded
+	// wait rounds fast-forwarded in O(1) (position static, no entries
+	// produced) before the next action runs; the cursor never rests on a
+	// SeqWait escape (settle folds escapes into the lead).
 	script        []int
 	scriptAt      int
-	segEnd        int
 	scriptLead    uint64
+	seqRounds     uint64 // escape rounds beyond one each, for the grant
 	scriptEntries []int
 	scriptDegs    []int
 	scriptWaitRun uint64
 	scriptQuiet   bool
+
+	// log is the burst kernel's position log: the node after each round
+	// of the current chunk (see burst); walkedN counts the rounds its
+	// last walk ran.
+	log     []int
+	walkedN int
 
 	// Cold tail — touched once per script or per run, never per round:
 	// the degree buffer's capacity reservoir and the statistics sinks of
@@ -362,7 +367,8 @@ func (r *runner) consume(rq request) {
 			r.scriptDegs = nil
 		}
 		r.scriptWaitRun = 0
-		r.beginSeg()
+		r.seqRounds = 0
+		r.settle()
 	case reqDone:
 		r.state = stDone
 	case reqPanic:
@@ -372,28 +378,6 @@ func (r *runner) consume(rq request) {
 		r.state = stDone
 		panic(rq.val)
 	}
-}
-
-// maxSkip returns how many rounds this agent can absorb without any state
-// change the scheduler would need to observe.
-func (r *runner) maxSkip() uint64 {
-	switch r.state {
-	case stMovePending:
-		return 1
-	case stWaiting:
-		return r.waitLeft
-	case stScript:
-		if r.scriptLead > 0 {
-			return r.scriptLead
-		}
-		if r.script[r.scriptAt] != agent.ScriptWait {
-			return 1
-		}
-		return r.waitRun()
-	case stDone:
-		return ^uint64(0)
-	}
-	return 1
 }
 
 // waitRun returns the cached length of the ScriptWait run at the script
@@ -455,117 +439,22 @@ func (r *runner) roundsUntilMove() uint64 {
 	return 0
 }
 
-// scriptMoveReady reports whether the runner's next round is a scripted
-// move — the state the scheduler's tight lock-step loop handles. A
-// script still inside its lead is not move-ready.
-func (r *runner) scriptMoveReady() bool {
-	return r.state == stScript && r.scriptLead == 0 && r.script[r.scriptAt] != agent.ScriptWait
-}
-
-// beginSeg consumes any SeqWait escapes at the cursor into the pending
-// lead and sets segEnd to the current segment's bound — the next escape
-// of a quiet script, or the script end. Quiet scripts are scanned one
-// segment at a time (O(len) total per script); plain scripts skip the
-// scan entirely.
-func (r *runner) beginSeg() {
-	if !r.scriptQuiet {
-		r.segEnd = len(r.script)
-		return
-	}
-	for r.scriptAt < len(r.script) {
+// settle brings a script to its next observable state after its cursor
+// moved: SeqWait escapes at the cursor join the lead, and a script with
+// no action and no lead left finishes.
+func (r *runner) settle() {
+	for r.scriptQuiet && r.scriptAt < len(r.script) {
 		n, ok := agent.SeqWaitRounds(r.script[r.scriptAt])
 		if !ok {
 			break
 		}
 		r.scriptLead += n
+		r.seqRounds += n - 1
 		r.scriptAt++
 	}
-	i := r.scriptAt
-	for i < len(r.script) {
-		if _, ok := agent.SeqWaitRounds(r.script[i]); ok {
-			break
-		}
-		i++
-	}
-	r.segEnd = i
-}
-
-// endSeg handles the cursor reaching segEnd: consume the escape(s) there
-// into a fresh lead and continue with the next segment, or — when the
-// script is exhausted with no lead left to serve — finish it. A script
-// ending in a lead finishes from the lead-consumption paths instead.
-func (r *runner) endSeg() {
-	r.beginSeg()
 	if r.scriptAt == len(r.script) && r.scriptLead == 0 {
 		r.finishScript()
 	}
-}
-
-// scriptStep executes exactly one scripted move. The caller must have
-// checked scriptMoveReady. The port resolution is agent.ActionPort,
-// fused with the successor lookup into a single adjacency-row access —
-// this is the innermost statement of every scripted round.
-func (r *runner) scriptStep() {
-	adj := r.g.Adj(r.pos)
-	p, _ := agent.ActionPort(r.script[r.scriptAt], r.entry, len(adj))
-	h := adj[p]
-	r.pos, r.entry = h.To, h.ToPort
-	r.moves++
-	r.scriptEntries[r.scriptAt] = h.ToPort
-	if r.scriptDegs != nil {
-		// Degree observed on entry: the new node's degree, filled in the
-		// same lock-step loop as the entry port.
-		r.scriptDegs[r.scriptAt] = r.g.Degree(h.To)
-	}
-	r.scriptAt++
-	if r.scriptAt == r.segEnd {
-		r.endSeg()
-	}
-}
-
-// stepOne advances the runner by exactly one round, whatever its pending
-// action — the k-agent scheduler's per-round step inside an event
-// horizon. Unlike advance it never needs a prior maxSkip call. It
-// reports whether the agent's position changed this round, which is what
-// bounds the scheduler's meeting re-scan.
-func (r *runner) stepOne() (moved bool) {
-	switch r.state {
-	case stMovePending:
-		r.advance(1)
-		return true
-	case stWaiting:
-		r.waitLeft--
-		if r.waitLeft == 0 {
-			r.grant = grantMsg{degree: r.g.Degree(r.pos), entry: r.entry}
-			r.state = stNeedReq
-		}
-	case stScript:
-		if r.scriptLead > 0 {
-			r.scriptLead--
-			if r.scriptLead == 0 && r.scriptAt == len(r.script) {
-				r.finishScript()
-			}
-		} else if r.script[r.scriptAt] == agent.ScriptWait {
-			if !r.scriptQuiet {
-				r.scriptEntries[r.scriptAt] = r.entry
-				if r.scriptDegs != nil {
-					r.scriptDegs[r.scriptAt] = r.g.Degree(r.pos)
-				}
-			}
-			r.scriptAt++
-			if r.scriptWaitRun > 0 {
-				r.scriptWaitRun--
-			}
-			if r.scriptAt == r.segEnd {
-				r.endSeg()
-			}
-		} else {
-			r.scriptStep()
-			return true
-		}
-	case stDone:
-	}
-	return false
 }
 
 // finishScript hands the accumulated entry ports back to the program and
@@ -578,15 +467,15 @@ func (r *runner) finishScript() {
 	if r.scriptQuiet {
 		entries = nil // quiet grants carry no (partially unfilled) streams
 	}
-	r.grant = grantMsg{degree: r.g.Degree(r.pos), entry: r.entry, entries: entries, degrees: r.scriptDegs}
+	r.grant = grantMsg{degree: r.g.Degree(r.pos), entry: r.entry, entries: entries, degrees: r.scriptDegs, seqRounds: r.seqRounds}
 	r.state = stNeedReq
 	r.script = nil
 	r.scriptDegs = nil
 	r.scriptQuiet = false
 }
 
-// advance applies k rounds of this agent's pending action. k must respect
-// maxSkip.
+// advance applies k rounds of this agent's pending action: k at most
+// roundsUntilMove, or exactly 1 when that is 0.
 func (r *runner) advance(k uint64) {
 	switch r.state {
 	case stMovePending:
@@ -606,13 +495,14 @@ func (r *runner) advance(k uint64) {
 			// Lead rounds: the deferred or SeqWait-carried wait — position
 			// static, no entries produced, O(1) consumption.
 			r.scriptLead -= k
-			if r.scriptLead == 0 && r.scriptAt == len(r.script) {
-				r.finishScript()
+			if r.scriptLead == 0 {
+				r.settle()
 			}
 		} else if r.script[r.scriptAt] == agent.ScriptWait {
 			// k rounds of a (cached) wait run: positions are static, the
 			// entry and degree percepts are unchanged. Quiet scripts skip
 			// the result fills entirely — the run is one O(1) skip.
+			r.scriptWaitRun = r.waitRun() - k
 			if r.scriptQuiet {
 				r.scriptAt += int(k)
 			} else {
@@ -627,12 +517,10 @@ func (r *runner) advance(k uint64) {
 					r.scriptAt++
 				}
 			}
-			r.scriptWaitRun -= k
-			if r.scriptAt == r.segEnd {
-				r.endSeg()
-			}
+			r.settle()
 		} else {
-			r.scriptStep()
+			walk(r, nil, 1)
+			r.settle()
 		}
 	case stDone:
 		// nothing to do
@@ -764,17 +652,11 @@ func (w *world) RunSeq(actions []int) {
 	if len(actions) == 0 {
 		return
 	}
-	rounds := uint64(len(actions))
-	for _, a := range actions {
-		if n, ok := agent.SeqWaitRounds(a); ok {
-			rounds += n - 1
-		}
-	}
 	lead := w.pendingWait
 	w.pendingWait = 0
 	g := w.call(request{kind: reqScript, script: actions, rounds: lead, quiet: true})
 	w.deg, w.entry = g.degree, g.entry
-	w.clock += rounds
+	w.clock += uint64(len(actions)) + g.seqRounds
 }
 
 func (w *world) MoveSeqDegrees(actions []int) (entries, degrees []int) {

@@ -239,3 +239,111 @@ func TestRunManySteadyStateAllocs(t *testing.T) {
 		t.Fatalf("k-agent run allocates %.1f allocs/op in steady state", avg)
 	}
 }
+
+// countCalls loops one batched call forever — MoveSeq, or RunSeq when
+// quiet — counting the calls that returned into *n.
+func countCalls(script []int, quiet bool, n *uint64) agent.Program {
+	return func(w agent.World) {
+		for {
+			if quiet {
+				agent.RunSeq(w, script)
+			} else {
+				w.MoveSeq(script)
+			}
+			*n++
+		}
+	}
+}
+
+// TestReleaseDeliversScriptedGrants is the release contract on the burst
+// path. A walker loops one script clockwise around a ring while the other
+// agent holds still: it sits, or loops a script that is a single SeqWait
+// escape, so its whole call is a lead whose end earns a grant. Each call
+// takes a fixed number of rounds, so by the meeting round t an agent
+// appearing at round a has earned exactly (t-a)/rounds grants, a grant
+// earned on round t included, and its count must say so once the run
+// returns. The holder's start moves the meeting across every offset of
+// the walker's script, its last action included, and the lead lengths
+// land some lead ends on the meeting round. Checked through RunPrograms,
+// RunMany and the same cases as lanes of one RunBatch.
+func TestReleaseDeliversScriptedGrants(t *testing.T) {
+	g := graph.Cycle(40)
+	walks := []struct {
+		script []int
+		quiet  bool
+		rounds uint64
+	}{
+		{[]int{0, 0, 0, 0}, false, 4},
+		{[]int{0, agent.ScriptWait, 0, 0, agent.ScriptWait}, false, 5},
+		{[]int{0, agent.SeqWait(3), 0, 0}, true, 6},
+		{[]int{0, 0, agent.SeqWait(2)}, true, 4},
+	}
+	type caze struct {
+		walk, at, lead int // lead 0: the holder sits
+		delay          uint64
+	}
+	var cases []caze
+	for wi := range walks {
+		for at := 1; at <= 9; at++ {
+			for _, lead := range []int{0, 1, 2, 3, 5, 7} {
+				for _, delay := range []uint64{0, 2} {
+					cases = append(cases, caze{wi, at, lead, delay})
+				}
+			}
+		}
+	}
+	counts := make([][2]uint64, len(cases))
+	programs := func(i int) (agent.Program, agent.Program) {
+		c := cases[i]
+		counts[i] = [2]uint64{}
+		walker := countCalls(walks[c.walk].script, walks[c.walk].quiet, &counts[i][0])
+		if c.lead == 0 {
+			return walker, agent.Sit
+		}
+		return walker, countCalls([]int{agent.SeqWait(uint64(c.lead))}, true, &counts[i][1])
+	}
+	leadEndsOnMeeting := 0
+	check := func(label string, i int, round uint64) {
+		t.Helper()
+		c := cases[i]
+		want := [2]uint64{round / walks[c.walk].rounds}
+		if c.lead > 0 {
+			want[1] = (round - c.delay) / uint64(c.lead)
+			if (round-c.delay)%uint64(c.lead) == 0 {
+				leadEndsOnMeeting++
+			}
+		}
+		if counts[i] != want {
+			t.Fatalf("%s case %+v: meeting at round %d, calls returned %v, want %v", label, c, round, counts[i], want)
+		}
+	}
+	multi := func(i int) []sim.MultiAgent {
+		a, b := programs(i)
+		return []sim.MultiAgent{{Program: a, Start: 0}, {Program: b, Start: cases[i].at, Appear: cases[i].delay}}
+	}
+	cfg := sim.MultiConfig{Budget: 1_000, StopOnFirstMeeting: true}
+	sess := sim.NewSession()
+	defer sess.Close()
+	for i := range cases {
+		a, b := programs(i)
+		res := sess.RunPrograms(g, a, b, 0, cases[i].at, cases[i].delay, sim.Config{Budget: 1_000})
+		if res.Outcome != sim.Met {
+			t.Fatalf("RunPrograms case %+v: %+v", cases[i], res)
+		}
+		check("RunPrograms", i, res.MeetingRound)
+	}
+	for i := range cases {
+		res := sess.RunMany(g, multi(i), cfg)
+		check("RunMany", i, res.Meetings[0].Round)
+	}
+	lanes := make([]sim.MultiCase, len(cases))
+	for i := range cases {
+		lanes[i] = sim.MultiCase{Agents: multi(i), Cfg: cfg}
+	}
+	for i, res := range sess.RunBatch(g, lanes, sim.NewBatch()) {
+		check("RunBatch", i, res.Meetings[0].Round)
+	}
+	if leadEndsOnMeeting == 0 {
+		t.Fatal("no case ended a lead on the meeting round")
+	}
+}

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 
 	"repro/agent"
 	"repro/graph"
@@ -85,8 +86,11 @@ func (s *Session) RunPrograms(g *graph.Graph, progA, progB agent.Program, u, v i
 		budget = DefaultBudget
 	}
 	s.resetStats()
+	var pair [2]*runner // ra, then rb once the later agent appears
+	var moved [2]bool
 	ra := s.acquire(g, progA, u)
-	var rb *runner // started when the later agent appears
+	var rb *runner
+	pair[0] = ra
 	defer func() {
 		publishRunStats(&s.stats, runKindPair)
 		s.release(ra)
@@ -100,6 +104,7 @@ func (s *Session) RunPrograms(g *graph.Graph, progA, progB agent.Program, u, v i
 		ra.fetch()
 		if t >= delay && rb == nil {
 			rb = s.acquire(g, progB, v)
+			pair[1] = rb
 		}
 		if rb != nil {
 			rb.fetch()
@@ -112,15 +117,7 @@ func (s *Session) RunPrograms(g *graph.Graph, progA, progB agent.Program, u, v i
 			cfg.Observer(t, ra.pos, posB)
 		}
 		if rb != nil && ra.pos == rb.pos {
-			return Result{
-				Outcome:       Met,
-				MeetingNode:   ra.pos,
-				MeetingRound:  t,
-				TimeFromLater: t - delay,
-				Rounds:        t,
-				MovesA:        ra.moves,
-				MovesB:        rb.moves,
-			}
+			return meeting(ra, rb, t, delay)
 		}
 		if ra.state == stDone && rb != nil && rb.state == stDone {
 			return Result{Outcome: NeverMeet, Rounds: t, MovesA: ra.moves, MovesB: rb.moves}
@@ -133,105 +130,312 @@ func (s *Session) RunPrograms(g *graph.Graph, progA, progB agent.Program, u, v i
 			return res
 		}
 
-		// Tight lock-step loop: while both agents are executing scripted
-		// moves, step the positions directly — no program resumes, no
-		// wakeups — with the same per-round meeting detection
-		// and budget accounting as the general path below. Degree mode is
-		// fixed between fetches, so the plain case (no degree stream on
-		// either script — the overwhelming majority of rounds) runs the
-		// step bodies fused inline, the same burst-loop fusion as
-		// RunMany's k-agent engine (keep in sync with
-		// runner.scriptStep): at this loop's intensity the
-		// per-runner call overhead is measurable.
-		if cfg.Observer == nil && rb != nil {
-			stepped := false
-			if ra.scriptDegs == nil && rb.scriptDegs == nil {
-				for ra.scriptMoveReady() && rb.scriptMoveReady() && t < budget {
-					adj := ra.g.Adj(ra.pos)
-					p, _ := agent.ActionPort(ra.script[ra.scriptAt], ra.entry, len(adj))
-					h := adj[p]
-					ra.pos, ra.entry = h.To, h.ToPort
-					ra.moves++
-					ra.scriptEntries[ra.scriptAt] = h.ToPort
-					ra.scriptAt++
-					if ra.scriptAt == ra.segEnd {
-						ra.endSeg()
-					}
-					adj = rb.g.Adj(rb.pos)
-					p, _ = agent.ActionPort(rb.script[rb.scriptAt], rb.entry, len(adj))
-					h = adj[p]
-					rb.pos, rb.entry = h.To, h.ToPort
-					rb.moves++
-					rb.scriptEntries[rb.scriptAt] = h.ToPort
-					rb.scriptAt++
-					if rb.scriptAt == rb.segEnd {
-						rb.endSeg()
-					}
-					t++
-					stepped = true
-					if ra.pos == rb.pos {
-						return Result{
-							Outcome:       Met,
-							MeetingNode:   ra.pos,
-							MeetingRound:  t,
-							TimeFromLater: t - delay,
-							Rounds:        t,
-							MovesA:        ra.moves,
-							MovesB:        rb.moves,
-						}
-					}
-				}
-			} else {
-				for ra.scriptMoveReady() && rb.scriptMoveReady() && t < budget {
-					ra.scriptStep()
-					rb.scriptStep()
-					t++
-					stepped = true
-					if ra.pos == rb.pos {
-						return Result{
-							Outcome:       Met,
-							MeetingNode:   ra.pos,
-							MeetingRound:  t,
-							TimeFromLater: t - delay,
-							Rounds:        t,
-							MovesA:        ra.moves,
-							MovesB:        rb.moves,
-						}
-					}
-				}
+		// Burst to the next event: a fetch, the appearance, the budget or
+		// the meeting. A meeting both agents moved into returns at once;
+		// one with a held agent is detected at the loop top, after the
+		// fetches the round-by-round schedule makes first.
+		if cfg.Observer == nil {
+			rs, n := pair[:2], budget-t
+			if rb == nil {
+				rs, n = pair[:1], min(n, delay-t)
 			}
-			if stepped {
+			if steps, hit := burst(rs, n, moved[:], watch{}); steps > 0 {
+				t += steps
+				if hit && moved[0] && moved[1] {
+					return meeting(ra, rb, t, delay)
+				}
 				continue
 			}
 		}
-
-		// Fast-forward while nothing can change: both agents waiting (or
-		// done / not yet present). Meetings cannot occur inside the skip
-		// because positions are static and were just checked unequal.
-		skip := budget - t
-		if cfg.Observer != nil {
-			skip = 1
-		}
-		if t < delay {
-			if d := delay - t; d < skip {
-				skip = d
-			}
-		}
-		if s := ra.maxSkip(); s < skip {
-			skip = s
-		}
+		// One round: an observer watches, or a single move is pending.
+		ra.advance(1)
 		if rb != nil {
-			if s := rb.maxSkip(); s < skip {
-				skip = s
-			}
+			rb.advance(1)
 		}
-		if skip < 1 {
-			skip = 1
-		}
-		ra.advance(skip)
-		if rb != nil {
-			rb.advance(skip)
-		}
-		t += skip
+		t++
 	}
+}
+
+// meeting is the result of a run whose agents met at round t.
+func meeting(ra, rb *runner, t, delay uint64) Result {
+	return Result{Outcome: Met, MeetingNode: ra.pos, MeetingRound: t, TimeFromLater: t - delay,
+		Rounds: t, MovesA: ra.moves, MovesB: rb.moves}
+}
+
+// burstChunk bounds how many rounds each walker walks between
+// co-location scans — the size of a runner's position log. Chunks
+// start at burstFirst rounds and double, so a walker walks at most as
+// far past a burst's end as the burst had already run.
+const (
+	burstFirst = 16
+	burstChunk = 128
+)
+
+// watch names the co-locations that end a burst. The zero value watches
+// every pair of runners.
+type watch struct {
+	off    bool    // nothing left to detect
+	gather bool    // only every runner on one node (all pairs have met)
+	met    []bool  // pairs that already met, met[idx[a]*k+idx[b]]; nil: none
+	idx    []int   // agent index of each runner
+	k      int     // agent count, met's row length
+	bhead  []int32 // per-node bucket heads, all -1: an O(k) probe per round
+	bnext  []int32 // bucket links, one per runner
+}
+
+// burst is the scripted-step kernel of both engines. It runs the present
+// runners rs (in agent order) through at most n rounds without resuming
+// any program. Every runner whose cursor is on a script action walks —
+// see walk — as long as one of them is on a move. Every other runner is
+// held in place: n shrinks to its roundsUntilMove, and it is advanced
+// once, by the rounds run, before burst returns, so a grant it earned on
+// the last round is pending for the next fetch or for release. The burst
+// also ends after the round on which a walker's script ends or reaches a
+// SeqWait escape, and after the first round that ends on a co-location w
+// watches for (a pair with a walker in it, unless w says otherwise). It
+// returns the rounds run, whether the last one ended on such a
+// co-location, and in moved which runners moved on it. With no runner on
+// a move it is the bulk skip of a stretch where nobody moves; it runs
+// nothing when a runner has a single move pending, which the caller
+// steps itself.
+func burst(rs []*runner, n uint64, moved []bool, w watch) (steps uint64, hit bool) {
+	movers, quiet := 0, n
+	for i, r := range rs {
+		q := r.roundsUntilMove()
+		if r.state == stMovePending {
+			return 0, false
+		}
+		quiet = min(quiet, q)
+		if moved[i] = r.state == stScript && r.scriptLead == 0; moved[i] {
+			n = min(n, uint64(len(r.script)-r.scriptAt))
+			if q == 0 {
+				movers++
+			}
+		} else {
+			n = min(n, q)
+		}
+	}
+	if movers == 0 {
+		for i, r := range rs {
+			moved[i] = false
+			r.advance(quiet)
+		}
+		return quiet, false
+	}
+	c, filled := 0, 0 // c: the last chunk's rounds; only it can end short of a walk
+	for size, stop := burstFirst, false; !stop && steps < n; size = min(2*size, burstChunk) {
+		c = int(min(n-steps, uint64(size)))
+		var odd *runner // walkers go two at a time
+		for i, r := range rs {
+			if !moved[i] {
+				continue
+			}
+			if odd == nil {
+				odd = r
+				continue
+			}
+			j, end := walk(odd, r, c)
+			c, stop, odd = min(c, j), stop || end, nil
+		}
+		if odd != nil {
+			j, end := walk(odd, nil, c)
+			c, stop = min(c, j), stop || end
+		}
+		if !w.off && w.bhead == nil && c > filled {
+			// A held runner's log is its fixed node, so one scan covers
+			// all (the bucket probe reads held nodes directly).
+			for i, r := range rs {
+				if !moved[i] {
+					for j := filled; j < c; j++ {
+						r.log[j] = r.pos
+					}
+				}
+			}
+			filled = c
+		}
+		if f := w.scan(rs, moved, c); f < c {
+			c, hit, stop = f+1, true, true
+		}
+		steps += uint64(c)
+	}
+	for i, r := range rs {
+		if moved[i] {
+			if r.walkedN > c {
+				r.rewind(c)
+			}
+			moved[i] = r.script[r.scriptAt-1] != agent.ScriptWait
+			r.settle()
+		} else {
+			r.advance(steps)
+		}
+	}
+	return steps, hit
+}
+
+// step is the scripted move itself: action x at node pos, entered by
+// port entry, resolves through agent.ActionPort and the successor lookup
+// in one adjacency-row access. It returns the node and entry port after.
+func step(g *graph.Graph, x, pos, entry int) (int, int) {
+	adj := g.Adj(pos)
+	p, _ := agent.ActionPort(x, entry, len(adj))
+	return adj[p].To, adj[p].ToPort
+}
+
+// walk moves a, and b in lock-step when non-nil, through up to c script
+// actions with cursors, positions and entries in locals, logging each
+// round's node: a move steps, a ScriptWait stays put. It stops before
+// either's next SeqWait escape; two chains in flight keep the core busy
+// while the other waits on its adjacency loads. It returns the rounds
+// walked and whether a next action ends the burst.
+func walk(a, b *runner, c int) (j int, stop bool) {
+	g, xa, ea, la, pa, na, lima := a.walkFrom(c)
+	wa, wb := 0, 0 // ScriptWaits walked
+	if b == nil {
+		for ; j < c && xa[j] >= lima; j++ {
+			if x := xa[j]; x != agent.ScriptWait {
+				pa, na = step(g, x, pa, na)
+			} else {
+				wa++
+			}
+			ea[j], la[j] = na, pa
+		}
+		return j, a.walked(j, wa, pa, na, lima)
+	}
+	_, xb, eb, lb, pb, nb, limb := b.walkFrom(c)
+	for ; j < c && xa[j] >= lima && xb[j] >= limb; j++ {
+		if x := xa[j]; x != agent.ScriptWait {
+			pa, na = step(g, x, pa, na)
+		} else {
+			wa++
+		}
+		if y := xb[j]; y != agent.ScriptWait {
+			pb, nb = step(g, y, pb, nb)
+		} else {
+			wb++
+		}
+		ea[j], la[j] = na, pa
+		eb[j], lb[j] = nb, pb
+	}
+	stopA, stopB := a.walked(j, wa, pa, na, lima), b.walked(j, wb, pb, nb, limb)
+	return j, stopA || stopB
+}
+
+// walkFrom hands walk r's next c actions, their entry slots, its position
+// log, position and entry, and the bound below which an action is a
+// SeqWait escape.
+func (r *runner) walkFrom(c int) (g *graph.Graph, acts, ents, log []int, pos, entry, lim int) {
+	lim = math.MinInt // plain scripts have no escapes
+	if r.scriptQuiet {
+		lim = agent.SeqWait(0) // SeqWait(n) < SeqWait(0) for n >= 1
+	}
+	at := r.scriptAt
+	return r.g, r.script[at : at+c], r.scriptEntries[at : at+c], r.log[:c], r.pos, r.entry, lim
+}
+
+// walked stores a walk of j rounds, waits of them ScriptWaits, back into
+// r, fills the degree stream of a degree-reporting script (the node's
+// degree after each action) and reports whether r's script ends or
+// reaches an escape next.
+func (r *runner) walked(j, waits, pos, entry, lim int) bool {
+	at := r.scriptAt
+	if d := r.scriptDegs; d != nil {
+		for i, p := range r.log[:j] {
+			d[at+i] = r.g.Degree(p)
+		}
+	}
+	r.moves += uint64(j - waits)
+	r.scriptAt, r.pos, r.entry = at+j, pos, entry
+	r.scriptWaitRun = 0
+	r.walkedN = j
+	return at+j == len(r.script) || r.script[at+j] < lim
+}
+
+// rewind takes back the actions walk ran past round c of its chunk
+// (c >= 1). Their entries are rewritten when the actions run again.
+func (r *runner) rewind(c int) {
+	for ; r.walkedN > c; r.walkedN-- {
+		r.scriptAt--
+		if r.script[r.scriptAt] != agent.ScriptWait {
+			r.moves--
+		}
+	}
+	r.pos, r.entry = r.log[c-1], r.scriptEntries[r.scriptAt-1]
+}
+
+// scan returns the first of the chunk's c rounds that ends on a
+// co-location w watches for, or c.
+func (w *watch) scan(rs []*runner, moved []bool, c int) int {
+	switch {
+	case w.off:
+		return c
+	case w.gather:
+		// Scan the first pair tightly; a round where it meets is a
+		// gathering when every other runner is there too. (One agent
+		// gathers on appearing, before any burst.)
+		l0, l1 := rs[0].log[:c], rs[1].log[:c]
+		for j := range l0 {
+			if l0[j] != l1[j] {
+				continue
+			}
+			all := true
+			for _, r := range rs[2:] {
+				all = all && r.log[j] == l0[j]
+			}
+			if all {
+				return j
+			}
+		}
+		return c
+	case w.bhead != nil:
+		// Position buckets: held runners stay in theirs, each round's
+		// walkers join them, and a walker landing beside a runner it has
+		// not met is a hit. Walkers leave, then held runners, in reverse
+		// order of joining, which restores every head.
+		best, bhead, bnext := c, w.bhead, w.bnext
+		for i, r := range rs {
+			if !moved[i] {
+				bnext[i], bhead[r.pos] = bhead[r.pos], int32(i)
+			}
+		}
+		for j := 0; j < best; j++ {
+			for i, r := range rs {
+				if moved[i] {
+					p := r.log[j]
+					for o := bhead[p]; o >= 0; o = bnext[o] {
+						if !w.met[w.idx[min(i, int(o))]*w.k+w.idx[max(i, int(o))]] {
+							best = j
+						}
+					}
+					bnext[i], bhead[p] = bhead[p], int32(i)
+				}
+			}
+			for i := len(rs) - 1; i >= 0; i-- {
+				if moved[i] {
+					bhead[rs[i].log[j]] = bnext[i]
+				}
+			}
+		}
+		for i := len(rs) - 1; i >= 0; i-- {
+			if !moved[i] {
+				bhead[rs[i].pos] = bnext[i]
+			}
+		}
+		return best
+	}
+	best := c
+	for a := range rs {
+		for b := a + 1; b < len(rs); b++ {
+			if !moved[a] && !moved[b] || w.met != nil && w.met[w.idx[a]*w.k+w.idx[b]] {
+				continue
+			}
+			la, lb := rs[a].log[:best], rs[b].log[:best]
+			for j := range la {
+				if la[j] == lb[j] {
+					best = j
+					break
+				}
+			}
+		}
+	}
+	return best
 }
