@@ -397,7 +397,7 @@ func (r *run) connLoop(cs *connState) {
 		if r.finishedLocked() || cs.dead {
 			break
 		}
-		if len(cs.inflight) < window && len(r.queue) > 0 {
+		if len(cs.inflight) < window && len(r.queue) > 0 && r.leastLoadedLocked(cs) {
 			si := r.queue[0]
 			r.queue = r.queue[1:]
 			r.attempts[si]++
@@ -425,6 +425,20 @@ func (r *run) connLoop(cs *connState) {
 	}
 	r.mu.Unlock()
 	rwg.Wait()
+}
+
+// leastLoadedLocked reports whether no other live connection holds fewer
+// shards in flight than cs. connLoop deals cs another shard only then,
+// so the first connection to say hello cannot fill its window while a
+// peer is still handshaking; a connection with nothing in flight always
+// qualifies, so a wedged peer cannot stall the run.
+func (r *run) leastLoadedLocked(cs *connState) bool {
+	for _, o := range r.conns {
+		if o != cs && !o.dead && len(o.inflight) < len(cs.inflight) {
+			return false
+		}
+	}
+	return true
 }
 
 // readLoop consumes a connection's frames — heartbeats, result chunks,

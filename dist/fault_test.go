@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"repro/dist"
+	"repro/graph"
 	"repro/internal/simtest"
 )
 
@@ -81,6 +82,31 @@ func startHungWorker() (io.ReadWriteCloser, <-chan struct{}) {
 		_, _ = io.Copy(io.Discard, br)
 	}()
 	return cp, holding
+}
+
+// startCountingWorker is startHungWorker with a 4-deep window and a
+// hello held until gate closes, on the worker side wp of a transport: it
+// reports id on dealt for every shard frame it reads and never answers
+// one, so whatever it is dealt stays in flight on it.
+func startCountingWorker(wp io.ReadWriteCloser, gate <-chan struct{}, id int, dealt chan<- int) {
+	go func() {
+		defer wp.Close()
+		<-gate
+		if _, err := wp.Write([]byte{3, 1, byte(dist.ProtoVersion), 4}); err != nil {
+			return
+		}
+		br := bufio.NewReader(wp)
+		for {
+			n, err := binary.ReadUvarint(br)
+			if err != nil {
+				return
+			}
+			if _, err := io.CopyN(io.Discard, br, int64(n)); err != nil {
+				return
+			}
+			dealt <- id
+		}
+	}()
 }
 
 // plannerWithShards builds a randomized plan with at least minShards
@@ -314,6 +340,60 @@ func TestLateJoinAddConn(t *testing.T) {
 	}
 	if stats.DeadConns != 1 {
 		t.Fatalf("expected the wedged worker reaped, got %+v", stats)
+	}
+}
+
+// TestDealSpreadsAcrossConns pins the dealing policy: a connection is
+// dealt another shard only while no other live connection holds fewer.
+// The second worker's hello is held until the first holds a shard. The
+// first sits behind a loopback socket, whose writes never wait for the
+// reader, so nothing but that policy stops it from filling its 4-deep
+// window alone. Neither worker answers, so the deal of a 4-shard run is
+// final once all four are out.
+func TestDealSpreadsAcrossConns(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Skipf("loopback listen unavailable: %v", err)
+	}
+	defer l.Close()
+	first, err := net.Dial("tcp", l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	firstWorker, err := l.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, secondWorker := net.Pipe()
+	dealt := make(chan int, 8)
+	open, gate := make(chan struct{}), make(chan struct{})
+	close(open)
+	startCountingWorker(firstWorker, open, 0, dealt)
+	startCountingWorker(secondWorker, gate, 1, dealt)
+
+	p := &dist.Planner{}
+	g := graph.Cycle(4)
+	for k := 0; k < 4; k++ {
+		p.Add(k, g, dist.CaseDesc{Kind: dist.KindTwoAgent, ProgA: dist.ProgDesc{Name: "sit"},
+			ProgB: dist.ProgDesc{Name: "sit"}, V: 1, Budget: 1})
+	}
+	be := dist.NewFromStreams([]io.ReadWriteCloser{first, second},
+		dist.WithTuning(dist.Tuning{BaseDeadline: dist.NoDeadline}))
+	runDone := make(chan struct{})
+	go func() {
+		defer close(runDone)
+		_, _ = p.Run(be) // fails once Close severs both workers
+	}()
+	var counts [2]int
+	counts[<-dealt]++
+	close(gate)
+	for i := 1; i < 4; i++ {
+		counts[<-dealt]++
+	}
+	be.Close()
+	<-runDone
+	if counts != [2]int{2, 2} {
+		t.Fatalf("4 shards dealt %d/%d across two 4-deep workers, want 2/2", counts[0], counts[1])
 	}
 }
 

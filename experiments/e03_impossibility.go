@@ -44,23 +44,69 @@ func E3() *Table {
 	q2, _ := graph.Qhat(2)
 	add(q2, [2]int{0, 5})
 
-	for _, c := range cases {
-		rep := stic.Classify(stic.STIC{G: c.g, U: c.u, V: c.v, Delay: 0})
-		if !rep.Symmetric {
-			t.Check(false, "%s pair (%d,%d) unexpectedly nonsymmetric", c.g, c.u, c.v)
-			continue
+	// One unit per (pair, δ) below Shrink, for the pairs that pass the
+	// precondition checks; the units are independent runs.
+	type unit struct {
+		c     inst
+		delta uint64
+	}
+	type outcome struct {
+		res stic.WordResult
+		err error
+		uni sim.Result
+	}
+	reps := make([]stic.Report, len(cases))
+	fails := make([]string, len(cases))
+	var units []unit
+	for i, c := range cases {
+		reps[i] = stic.Classify(stic.STIC{G: c.g, U: c.u, V: c.v, Delay: 0})
+		switch {
+		case !reps[i].Symmetric:
+			fails[i] = fmt.Sprintf("%s pair (%d,%d) unexpectedly nonsymmetric", c.g, c.u, c.v)
+		case !stic.PortHomogeneous(c.g):
+			fails[i] = fmt.Sprintf("%s not port-homogeneous; word search not exhaustive over all algorithms", c.g)
+		default:
+			for delta := uint64(0); delta < uint64(reps[i].Shrink); delta++ {
+				units = append(units, unit{c, delta})
+			}
 		}
-		if !stic.PortHomogeneous(c.g) {
-			t.Check(false, "%s not port-homogeneous; word search not exhaustive over all algorithms", c.g)
+	}
+	outs := sim.Sweep(units, 0, nil, func(sc *sim.Scratch, u unit) outcome {
+		s := stic.STIC{G: u.c.g, U: u.c.u, V: u.c.v, Delay: u.delta}
+		res, err := stic.SearchObliviousWord(s, 5_000_000)
+		// UniversalRV negative control. The exhaustive search is the
+		// actual impossibility proof; this run is a sanity check, so its
+		// budget is kept modest: past the K2-scale guarantee phases but
+		// bounded for speed.
+		budget := uint64(2_000_000)
+		if b := rendezvous.UniversalRVTimeBound(2, 1, u.delta+1); b < rendezvous.RoundCap && 2*b > budget {
+			budget = 2 * b
+		}
+		if budget > 4_000_000 {
+			budget = 4_000_000
+		}
+		uni := sc.Session().Run(u.c.g, rendezvous.UniversalRV(), u.c.u, u.c.v, u.delta, sim.Config{Budget: budget})
+		return outcome{res, err, uni}
+	})
+
+	// Runs are collected first; rows and checks are issued in input
+	// order, which keeps the table byte-identical.
+	next := 0
+	for i, c := range cases {
+		rep := reps[i]
+		if fails[i] != "" {
+			t.Check(false, "%s", fails[i])
 			continue
 		}
 		for delta := uint64(0); delta < uint64(rep.Shrink); delta++ {
 			s := stic.STIC{G: c.g, U: c.u, V: c.v, Delay: delta}
-			res, err := stic.SearchObliviousWord(s, 5_000_000)
+			o := outs[next]
+			next++
+			res := o.res
 			searchCell := "exhausted (proof)"
-			if err != nil {
-				searchCell = "error: " + err.Error()
-				t.Check(false, "%s: %v", s, err)
+			if o.err != nil {
+				searchCell = "error: " + o.err.Error()
+				t.Check(false, "%s: %v", s, o.err)
 			} else {
 				t.Check(!res.Found, "%s: found word %v — impossibility violated!", s, res.Word)
 				t.Check(res.Exhausted, "%s: search inconclusive at %d states", s, res.States)
@@ -70,22 +116,9 @@ func E3() *Table {
 					searchCell = "inconclusive"
 				}
 			}
-
-			// UniversalRV negative control. The exhaustive search above is
-			// the actual impossibility proof; this run is a sanity check,
-			// so its budget is kept modest: past the K2-scale guarantee
-			// phases but bounded for speed.
-			budget := uint64(2_000_000)
-			if b := rendezvous.UniversalRVTimeBound(2, 1, delta+1); b < rendezvous.RoundCap && 2*b > budget {
-				budget = 2 * b
-			}
-			if budget > 4_000_000 {
-				budget = 4_000_000
-			}
-			uni := sim.Run(c.g, rendezvous.UniversalRV(), c.u, c.v, delta, sim.Config{Budget: budget})
-			t.Check(uni.Outcome != sim.Met, "%s: UniversalRV met an infeasible STIC", s)
-			uniCell := fmt.Sprintf("no meet in %d rounds", uni.Rounds)
-			if uni.Outcome == sim.Met {
+			t.Check(o.uni.Outcome != sim.Met, "%s: UniversalRV met an infeasible STIC", s)
+			uniCell := fmt.Sprintf("no meet in %d rounds", o.uni.Rounds)
+			if o.uni.Outcome == sim.Met {
 				uniCell = "MET (violation)"
 			}
 

@@ -103,10 +103,15 @@ func E5() *Table {
 		{graph.OrientedTorus(3, 3), 0, 4, 1, 1}, // Shrink 2 > δ=1
 		{graph.Hypercube(3), 0, 7, 1, 2},        // Shrink 3 > δ=2
 	}
-	for _, c := range cases {
+	runs := sim.ParallelMap(cases, 0, func(c caze) []uint64 {
+		return rendezvous.MeasureSymmRVDuration(c.g, c.u, c.v, uint64(c.g.N()), c.d, c.delta)
+	})
+	// Runs are collected first; rows and checks are issued in input
+	// order, which keeps the table byte-identical.
+	for i, c := range cases {
 		n := uint64(c.g.N())
 		want := rendezvous.SymmRVTime(n, c.d, c.delta)
-		durations := rendezvous.MeasureSymmRVDuration(c.g, c.u, c.v, n, c.d, c.delta)
+		durations := runs[i]
 		equal := len(durations) == 2 && durations[0] == want && durations[1] == want
 		measured := "-"
 		if len(durations) > 0 {

@@ -32,13 +32,33 @@ func E13() *Table {
 		{graph.Tree(graph.FullShape(2, 2)), 1, 2},
 		{graph.Grid(3, 3), 1, 1},
 	}
+	type start struct {
+		c caze
+		v int
+	}
+	var starts []start
+	for _, c := range cases {
+		for v := 0; v < c.g.N(); v++ {
+			starts = append(starts, start{c, v})
+		}
+	}
+	durations := sim.ParallelMap(starts, 0, func(s start) [2]uint64 {
+		n := uint64(s.c.g.N())
+		return [2]uint64{
+			rendezvous.SoloUnpaddedSymmRVDuration(s.c.g, s.v, n, s.c.d, s.c.delta),
+			rendezvous.SoloSymmRVDuration(s.c.g, s.v, n, s.c.d, s.c.delta),
+		}
+	})
+	// Runs are collected first; rows and checks are issued in input
+	// order, which keeps the table byte-identical.
+	next := 0
 	for _, c := range cases {
 		n := uint64(c.g.N())
 		want := rendezvous.SymmRVTime(n, c.d, c.delta)
 		distinct := map[uint64]bool{}
 		for v := 0; v < c.g.N(); v++ {
-			unp := rendezvous.SoloUnpaddedSymmRVDuration(c.g, v, n, c.d, c.delta)
-			pad := rendezvous.SoloSymmRVDuration(c.g, v, n, c.d, c.delta)
+			unp, pad := durations[next][0], durations[next][1]
+			next++
 			distinct[unp] = true
 			t.AddRow(c.g.String(), v, unp, pad, want)
 			t.Check(pad == want, "%s start %d: padded %d != T %d", c.g, v, pad, want)

@@ -24,19 +24,26 @@ func E18() *Table {
 		Columns:  []string{"length multiplier", "random graphs covered", "families covered", "shortest failing family"},
 	}
 	const samples = 120
+	randoms := make([]*graph.Graph, samples)
+	for i := range randoms {
+		n := 4 + i%10
+		maxExtra := n*(n-1)/2 - (n - 1)
+		extra := i % 4
+		if extra > maxExtra {
+			extra = maxExtra
+		}
+		randoms[i] = graph.RandomConnected(n, extra, uint64(1000+i))
+	}
+	fams := []*graph.Graph{
+		graph.TwoNode(), graph.Path(6), graph.Cycle(10), graph.Star(6),
+		graph.OrientedTorus(3, 4), graph.Hypercube(3),
+		graph.SymmetricTree(graph.ChainShape(3)),
+		graph.Tree(graph.FullShape(2, 2)), graph.Petersen(),
+		graph.Lollipop(5, 5),
+	}
 	type workItem struct {
 		g *graph.Graph
 		s uxs.Sequence
-	}
-
-	families := func() []*graph.Graph {
-		return []*graph.Graph{
-			graph.TwoNode(), graph.Path(6), graph.Cycle(10), graph.Star(6),
-			graph.OrientedTorus(3, 4), graph.Hypercube(3),
-			graph.SymmetricTree(graph.ChainShape(3)),
-			graph.Tree(graph.FullShape(2, 2)), graph.Petersen(),
-			graph.Lollipop(5, 5),
-		}
 	}
 
 	for _, mul := range []struct {
@@ -55,16 +62,9 @@ func E18() *Table {
 		}
 
 		// Random graphs, checked in parallel.
-		var items []workItem
-		for i := 0; i < samples; i++ {
-			n := 4 + i%10
-			maxExtra := n*(n-1)/2 - (n - 1)
-			extra := i % 4
-			if extra > maxExtra {
-				extra = maxExtra
-			}
-			g := graph.RandomConnected(n, extra, uint64(1000+i))
-			items = append(items, workItem{g: g, s: uxs.GenerateLength(g.N(), length(g.N()))})
+		items := make([]workItem, samples)
+		for i, g := range randoms {
+			items[i] = workItem{g: g, s: uxs.GenerateLength(g.N(), length(g.N()))}
 		}
 		covered := sim.Sweep(items, 0, func(it workItem) any { return it.g.N() }, func(_ *sim.Scratch, it workItem) bool {
 			return uxs.Covers(it.g, it.s)
@@ -77,7 +77,6 @@ func E18() *Table {
 		}
 
 		okFamilies := 0
-		fams := families()
 		failing := "-"
 		for _, g := range fams {
 			if uxs.Covers(g, uxs.GenerateLength(g.N(), length(g.N()))) {

@@ -5,20 +5,6 @@ import (
 	"testing"
 )
 
-func BenchmarkQhatBuild(b *testing.B) {
-	for _, h := range []int{4, 6, 8} {
-		b.Run(strconv.Itoa(h), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				g, _ := Qhat(h)
-				if g.N() != QhSize(h) {
-					b.Fatal("size mismatch")
-				}
-			}
-		})
-	}
-}
-
 func BenchmarkRandomConnected(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -43,5 +29,19 @@ func BenchmarkValidate(b *testing.B) {
 		if err := g.Validate(); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+func BenchmarkQhat(b *testing.B) {
+	for _, h := range []int{4, 6, 8} {
+		b.Run(strconv.Itoa(h), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				g, _ := Qhat(h)
+				if g.N() != QhSize(h) {
+					b.Fatal("size mismatch")
+				}
+			}
+		})
 	}
 }

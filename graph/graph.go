@@ -167,8 +167,10 @@ func (g *Graph) Validate() error {
 	if len(g.adj) == 0 {
 		return errors.New("graph: empty graph")
 	}
+	// seen[w] == v+1 marks w as a neighbour of v: one stamp slice for
+	// every node instead of a set per node.
+	seen := make([]int, len(g.adj))
 	for v := range g.adj {
-		seen := make(map[int]bool, len(g.adj[v]))
 		for p, h := range g.adj[v] {
 			if h.To < 0 || h.To >= len(g.adj) {
 				return fmt.Errorf("graph: node %d port %d: missing or out-of-range endpoint %d", v, p, h.To)
@@ -176,10 +178,10 @@ func (g *Graph) Validate() error {
 			if h.To == v {
 				return fmt.Errorf("graph: node %d port %d: self-loop", v, p)
 			}
-			if seen[h.To] {
+			if seen[h.To] == v+1 {
 				return fmt.Errorf("graph: parallel edge between %d and %d", v, h.To)
 			}
-			seen[h.To] = true
+			seen[h.To] = v + 1
 			if h.ToPort < 0 || h.ToPort >= len(g.adj[h.To]) {
 				return fmt.Errorf("graph: node %d port %d: reverse port %d out of range at node %d", v, p, h.ToPort, h.To)
 			}

@@ -161,27 +161,49 @@ func TestApply(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsBadGraphs pins each of Validate's verdicts by its
+// error text. Hand-built adjacency reaches the cases Builder cannot
+// produce; a want of "" means the graph must be accepted.
 func TestValidateRejectsBadGraphs(t *testing.T) {
-	// Disconnected.
-	b := NewBuilder(4)
-	b.Connect(0, 1)
-	b.Connect(2, 3)
-	if _, err := b.Build(); err == nil {
-		t.Fatal("disconnected graph accepted")
+	build := func(n int, edges ...[2]int) *Graph {
+		b := NewBuilder(n)
+		for _, e := range edges {
+			b.Connect(e[0], e[1])
+		}
+		return &Graph{adj: b.adj}
 	}
-	// Parallel edge.
-	b = NewBuilder(2)
-	b.Connect(0, 1)
-	b.Connect(0, 1)
-	if _, err := b.Build(); err == nil {
-		t.Fatal("parallel edge accepted")
-	}
-	// Port gap.
-	b = NewBuilder(3)
-	b.ConnectPorts(0, 0, 1, 0)
-	b.ConnectPorts(1, 2, 2, 0) // leaves port 1 at node 1 unassigned
-	if _, err := b.Build(); err == nil {
-		t.Fatal("port gap accepted")
+	gap := NewBuilder(3)
+	gap.ConnectPorts(0, 0, 1, 0)
+	gap.ConnectPorts(1, 2, 2, 0) // leaves port 1 at node 1 unassigned
+	for _, tc := range []struct {
+		name string
+		g    *Graph
+		want string
+	}{
+		{"self-loop", &Graph{adj: [][]Half{{{To: 0, ToPort: 1}, {To: 0, ToPort: 0}}}},
+			"graph: node 0 port 0: self-loop"},
+		{"parallel edge", build(2, [2]int{0, 1}, [2]int{0, 1}),
+			"graph: parallel edge between 0 and 1"},
+		{"broken reciprocity", &Graph{adj: [][]Half{{{To: 1, ToPort: 0}}, {{To: 2, ToPort: 0}, {To: 0, ToPort: 0}}, {{To: 1, ToPort: 0}}}},
+			"graph: port reciprocity violated at node 0 port 0"},
+		{"reverse port out of range", &Graph{adj: [][]Half{{{To: 1, ToPort: 5}}, {{To: 0, ToPort: 0}}}},
+			"graph: node 0 port 0: reverse port 5 out of range at node 1"},
+		{"port gap", &Graph{adj: gap.adj},
+			"graph: node 1 port 1: missing or out-of-range endpoint -1"},
+		{"disconnected", build(4, [2]int{0, 1}, [2]int{2, 3}),
+			"graph: not connected"},
+		// Nodes 1 and 2 both neighbour 0 and 3: a mark left by one node
+		// must not read as a parallel edge at the next.
+		{"shared neighbours", build(4, [2]int{0, 1}, [2]int{0, 2}, [2]int{3, 1}, [2]int{3, 2}), ""},
+	} {
+		err := tc.g.Validate()
+		got := ""
+		if err != nil {
+			got = err.Error()
+		}
+		if got != tc.want {
+			t.Errorf("%s: Validate() = %q, want %q", tc.name, got, tc.want)
+		}
 	}
 }
 

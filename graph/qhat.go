@@ -69,6 +69,12 @@ func Qhat(h int) (*Graph, *QhatInfo) {
 	}
 	n := QhSize(h)
 	b := NewBuilder(n).Name(fmt.Sprintf("qhat-%d", h))
+	// Every node ends with degree 4, so the rows are carved from one
+	// array and ConnectPorts fills them in place.
+	halves := make([]Half, 4*n)
+	for v := range b.adj {
+		b.adj[v] = halves[4*v : 4*v : 4*v+4]
+	}
 	info := &QhatInfo{H: h, Root: 0}
 
 	// Build the tree Qh in BFS order. parentPort[v] is the port at v of the

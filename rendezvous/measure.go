@@ -1,8 +1,6 @@
 package rendezvous
 
 import (
-	"sync"
-
 	"repro/agent"
 	"repro/graph"
 	"repro/sim"
@@ -139,22 +137,18 @@ func (w *soloWorld) runScript(actions, degs []int) []int {
 }
 
 // measureDurations runs body for both agents and collects their local
-// clocks after body returns. The two agent goroutines may run
-// concurrently between scheduler interactions, so the slice is guarded.
+// clocks after body returns. The agents are coroutines of the run's
+// scheduler and never execute at the same time, so the appends need no
+// lock.
 func measureDurations(g *graph.Graph, u, v int, delta, budget uint64, body agent.Program) []uint64 {
-	var mu sync.Mutex
 	var durations []uint64
 	prog := func(w agent.World) {
 		body(w)
-		mu.Lock()
 		durations = append(durations, w.Clock())
-		mu.Unlock()
 	}
 	res := sim.Run(g, prog, u, v, delta, sim.Config{Budget: budget})
 	if res.Outcome != sim.NeverMeet {
 		return nil
 	}
-	mu.Lock()
-	defer mu.Unlock()
 	return durations
 }

@@ -593,13 +593,13 @@ func (d *Daemon) finishJob(job *Job) {
 		// harmless resume that cache-hits every shard.
 		d.logf("rvd: journaling job %d completion: %v", job.ID, err)
 	}
-	// Count the job before publishing its state: a waiter woken by the
-	// state change must already see the counter moved.
+	// Count the job and mark its trace before publishing its state: a
+	// waiter woken by the state change must already see both.
 	obsJobsDone.Inc()
-	job.setState(JobDone, "")
 	st := job.Status()
 	job.tl.Instant("done", "job", -1,
 		fmt.Sprintf("%d cache hits, %d executed", st.CacheHits, st.Executed))
+	job.setState(JobDone, "")
 	d.logf("rvd: job %d done (%d shards: %d cache hits, %d executed)",
 		job.ID, len(job.shards), st.CacheHits, st.Executed)
 }
