@@ -51,11 +51,15 @@ import (
 	"repro/rvd"
 )
 
-// versionStamp folds the wire-protocol and program-registry generations
+// versionStamp folds the shard-codec and program-registry generations
 // into every cache key (see rvd.CacheKey): results computed by an
-// incompatible binary live in a different key space entirely.
+// incompatible binary live in a different key space entirely. It names
+// dist.CodecVersion, not dist.ProtoVersion, because keys hash descriptor
+// bytes and values are result bytes: a framing-only protocol bump leaves
+// both unchanged. The text keeps the "proto=" label of the stores keyed
+// under protocol v4, so their entries stay reachable.
 func versionStamp() string {
-	return fmt.Sprintf("rvd proto=%d registry=%d", dist.ProtoVersion, experiments.RegistryVersion)
+	return fmt.Sprintf("rvd proto=%d registry=%d", dist.CodecVersion, experiments.RegistryVersion)
 }
 
 func main() {

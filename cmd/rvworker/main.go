@@ -1,8 +1,10 @@
 // Command rvworker is a standalone dispatch-protocol worker for the
 // distributed sweep dispatcher (package dist): it executes shard
 // descriptors — (graph, parameter-block) shards of simulator cases — on
-// a pooled sim.Session and streams the aggregates back to the
-// coordinator as bounded result chunks, heartbeating while it computes.
+// a pooled sim.Session and sends each shard's aggregate back to the
+// coordinator as one result frame, heartbeating while it computes. The
+// coordinator ends a connection by closing it; in stdio mode that EOF on
+// stdin makes the process exit.
 //
 // Usage:
 //

@@ -56,7 +56,7 @@ type Tuning struct {
 	MaxAttempts int
 
 	// BaseDeadline + PerCase*inflightCases is a connection's progress
-	// deadline: if no frame (heartbeat, chunk) arrives from a connection
+	// deadline: if no frame (heartbeat, result) arrives from a connection
 	// holding in-flight shards for that long, the coordinator severs it
 	// and requeues. Defaults 10s + 50ms/case. NoDeadline disables the
 	// watchdog entirely — the run then only notices a dead worker when
@@ -70,10 +70,10 @@ type Tuning struct {
 }
 
 // NoDeadline as Tuning.BaseDeadline disables the liveness watchdog. The
-// in-process backend defaults to it: a worker goroutine cannot vanish
-// without closing its pipe (which the frame reader notices immediately),
-// and keeping a watchdog timer armed for the whole run makes every
-// scheduler pass in a channel-heavy sweep pay for the timer heap.
+// in-process backend always runs with it: a worker goroutine cannot
+// vanish without closing its pipe (which the frame reader notices
+// immediately), so the watchdog could only cut off a case that runs past
+// the deadline and requeue the same case.
 const NoDeadline time.Duration = -1
 
 func (t Tuning) withDefaults() Tuning {
@@ -100,7 +100,7 @@ type RunStats struct {
 	DeadConns   int // connections lost during the run
 	Joined      int // connections that joined mid-run
 	MaxAttempts int // highest dispatch count of any shard
-	Chunks      int // result-chunk frames aggregated
+	Chunks      int // result frames aggregated
 	Heartbeats  int // heartbeat frames received
 }
 
@@ -130,7 +130,7 @@ type wconn struct {
 	r        *bufio.Reader
 	w        *bufio.Writer
 	c        io.Closer
-	wmu      sync.Mutex // serializes frame writes (dispatch vs shutdown)
+	wmu      sync.Mutex // serializes shard-frame writes (dispatch)
 	hello    bool       // hello frame consumed and version-checked
 	capacity int        // pipeline depth from the hello frame
 	broken   bool       // connection failed; skip in future Runs (run.mu of the failing run, then only read)
@@ -177,24 +177,17 @@ func (c *wconn) sendShard(id int, sh *ShardDesc, scratch []byte) ([]byte, error)
 	return scratch, err
 }
 
-// connState is one connection's per-run view: the shards in flight on it
-// and the partial aggregations their chunks have built so far.
+// connState is one connection's per-run view: the shards in flight on it,
+// each mapped to its dispatch's timeline stamp (the shard span's start).
 type connState struct {
 	c            *wconn
-	inflight     map[int]*partialResult
+	inflight     map[int]int64
 	dead         bool
 	helloed      bool  // handshake completed; pre-hello conns are on the watchdog clock too
 	deadReason   error // set before severing (watchdog) to annotate the read error
 	lastProgress time.Time
 	idx          int        // position in run.conns: the trace/gauge conn id
 	ig           *obs.Gauge // this connection's dist_conn_inflight sample
-}
-
-// partialResult accumulates one shard's chunks.
-type partialResult struct {
-	res     ShardResult
-	got     int   // cases received so far
-	startNs int64 // timeline stamp of this dispatch (span start)
 }
 
 var errBackendClosed = errors.New("dist: backend closed")
@@ -266,7 +259,7 @@ func (r *run) execute(conns []*wconn) ([]*ShardResult, error) {
 	// spawned.
 	r.live = len(conns)
 	for i, c := range conns {
-		cs := &connState{c: c, inflight: map[int]*partialResult{}, lastProgress: time.Now(),
+		cs := &connState{c: c, inflight: map[int]int64{}, lastProgress: time.Now(),
 			idx: i, ig: connInflightGauge(i)}
 		r.conns = append(r.conns, cs)
 	}
@@ -401,7 +394,7 @@ func (r *run) connLoop(cs *connState) {
 			si := r.queue[0]
 			r.queue = r.queue[1:]
 			r.attempts[si]++
-			cs.inflight[si] = &partialResult{startNs: r.tl.Now()}
+			cs.inflight[si] = r.tl.Now()
 			cs.lastProgress = time.Now()
 			attempt := r.attempts[si]
 			sh := r.shards[si]
@@ -441,8 +434,8 @@ func (r *run) leastLoadedLocked(cs *connState) bool {
 	return true
 }
 
-// readLoop consumes a connection's frames — heartbeats, result chunks,
-// error frames — while shards are in flight, and idles between sweeps of
+// readLoop consumes a connection's frames — heartbeats, results, error
+// frames — while shards are in flight, and idles between sweeps of
 // work. It is the sole mutator of the connection's per-run state, which
 // is what keeps requeue/completion races trivially absent: a connection
 // completes or requeues each of its shards exactly once.
@@ -485,7 +478,7 @@ func (r *run) handleFrame(cs *connState, payload []byte) error {
 	}
 	si := int(id)
 	r.mu.Lock()
-	part, inflight := cs.inflight[si]
+	startNs, inflight := cs.inflight[si]
 	r.mu.Unlock()
 	if !inflight {
 		return fmt.Errorf("dist: worker sent frame type %d for shard %d not in flight here", payload[0], si)
@@ -509,54 +502,27 @@ func (r *run) handleFrame(cs *connState, payload []byte) error {
 		r.tl.Instant("heartbeat", "shard", int64(si), "")
 		return nil
 
-	case frameResultChunk:
-		var ck ResultChunk
-		if err := ck.Decode(d.data); err != nil {
+	case frameResult:
+		res := new(ShardResult)
+		if err := res.Decode(d.data); err != nil {
 			return err
 		}
 		sh := r.shards[si]
-		if ck.Start != part.got {
-			return fmt.Errorf("dist: shard %d chunk starts at case %d, expected %d", si, ck.Start, part.got)
+		if len(res.Cases) != len(sh.Cases) {
+			return fmt.Errorf("dist: shard %d result carries %d of %d cases", si, len(res.Cases), len(sh.Cases))
 		}
-		if part.got+len(ck.Cases) > len(sh.Cases) {
-			return fmt.Errorf("dist: shard %d chunks overflow %d cases", si, len(sh.Cases))
-		}
-		wasFirst := part.got == 0 && len(ck.Cases) > 0
-		part.res.Cases = append(part.res.Cases, ck.Cases...)
-		part.got += len(ck.Cases)
-		if wasFirst {
-			r.tl.Instant("first-chunk", "shard", int64(si), "")
-		}
-		if ck.Terminal {
-			if part.got != len(sh.Cases) {
-				return fmt.Errorf("dist: shard %d terminal chunk after %d of %d cases", si, part.got, len(sh.Cases))
-			}
-			e, err := cs.c.gc.lookup(sh)
-			if err != nil {
-				// The coordinator cannot materialize its own descriptor's
-				// graph: deterministic, not a transport fault.
-				r.completeShard(cs, si, part, nil, err)
-				return nil
-			}
-			if err := verifySigBytes(e.viewSig(), ck.ViewSig); err != nil {
-				return fmt.Errorf("dist: shard %d: %w", si, err)
-			}
-			part.res.ViewSig = ck.ViewSig
-			done := part.res
-			r.completeShard(cs, si, part, &done, nil)
-			r.mu.Lock()
-			r.stats.Chunks++
-			r.mu.Unlock()
-			obsChunks.Inc()
+		e, err := cs.c.gc.lookup(sh)
+		if err != nil {
+			// The coordinator cannot materialize its own descriptor's
+			// graph: deterministic, not a transport fault.
+			r.completeShard(cs, si, startNs, nil, err)
 			return nil
 		}
-		r.mu.Lock()
-		gap := time.Since(cs.lastProgress)
-		cs.lastProgress = time.Now()
-		r.stats.Chunks++
-		r.mu.Unlock()
+		if err := verifySigBytes(e.viewSig(), res.ViewSig); err != nil {
+			return fmt.Errorf("dist: shard %d: %w", si, err)
+		}
+		r.completeShard(cs, si, startNs, res, nil)
 		obsChunks.Inc()
-		obsChunkGapNs.Observe(uint64(gap))
 		return nil
 
 	case frameError:
@@ -567,7 +533,7 @@ func (r *run) handleFrame(cs *connState, payload []byte) error {
 		// Worker-reported execution errors are deterministic — the same
 		// descriptor fails the same way on every worker — so they are
 		// terminal for the shard, never requeued.
-		r.completeShard(cs, si, part, nil, fmt.Errorf("failed on worker: %s", msg))
+		r.completeShard(cs, si, startNs, nil, fmt.Errorf("failed on worker: %s", msg))
 		return nil
 
 	default:
@@ -575,9 +541,10 @@ func (r *run) handleFrame(cs *connState, payload []byte) error {
 	}
 }
 
-// completeShard retires one in-flight shard — with its aggregate, or
-// with a terminal per-shard error — and closes its trace span.
-func (r *run) completeShard(cs *connState, si int, part *partialResult, res *ShardResult, err error) {
+// completeShard retires one in-flight shard — with the aggregate its
+// result frame carried, or with a terminal per-shard error — and closes
+// its trace span.
+func (r *run) completeShard(cs *connState, si int, startNs int64, res *ShardResult, err error) {
 	r.mu.Lock()
 	delete(cs.inflight, si)
 	cs.lastProgress = time.Now()
@@ -586,6 +553,7 @@ func (r *run) completeShard(cs *connState, si int, part *partialResult, res *Sha
 		r.shardErr[si] = err
 	} else {
 		r.out[si] = res
+		r.stats.Chunks++
 	}
 	r.remaining--
 	r.mu.Unlock()
@@ -595,7 +563,7 @@ func (r *run) completeShard(cs *connState, si int, part *partialResult, res *Sha
 	if err != nil {
 		arg += " error"
 	}
-	r.tl.Span("shard", "shard", int64(si), part.startNs, arg)
+	r.tl.Span("shard", "shard", int64(si), startNs, arg)
 	r.cond.Broadcast()
 }
 
@@ -617,10 +585,10 @@ func (r *run) connDead(cs *connState, cause error) {
 	r.stats.DeadConns++
 	obsDeadConns.Inc()
 	r.tl.Instant("conn-dead", "conn", int64(-1-cs.idx), truncArg(cause.Error()))
-	for si, part := range cs.inflight {
+	for si, startNs := range cs.inflight {
 		delete(cs.inflight, si)
 		cs.ig.Add(-1)
-		r.tl.Span("shard", "shard", int64(si), part.startNs,
+		r.tl.Span("shard", "shard", int64(si), startNs,
 			fmt.Sprintf("conn=%d attempt=%d conn-dead", cs.idx, r.attempts[si]))
 		r.lastFail[si] = cause
 		if r.attempts[si] >= r.tun.MaxAttempts {
@@ -662,7 +630,7 @@ func (r *run) addConn(c *wconn) {
 		return
 	}
 	idx := len(r.conns)
-	cs := &connState{c: c, inflight: map[int]*partialResult{}, lastProgress: time.Now(),
+	cs := &connState{c: c, inflight: map[int]int64{}, lastProgress: time.Now(),
 		idx: idx, ig: connInflightGauge(idx)}
 	r.conns = append(r.conns, cs)
 	r.live++
@@ -782,15 +750,10 @@ func (b *connBackend) notifyDead() {
 	}
 }
 
-// Close drains and releases the backend. An in-flight Run is aborted by
-// severing its connections, then awaited — Close never returns while a
-// dispatch goroutine can still touch a connection, so a Close racing an
-// active Run cannot leak blocked readers. Quiescent workers are sent a
-// shutdown frame (best effort) before their transports close; a
-// connection whose hello was never consumed is just closed — its worker
-// may still be blocked writing the hello into an unbuffered transport
-// (net.Pipe), in which case writing the shutdown frame from this side
-// would deadlock, and closing unblocks it with an error instead.
+// Close closes every worker transport, which hands each worker the EOF
+// that ends it. An in-flight Run fails out on the closed transports and
+// aborts; Close awaits it, so it never returns while a dispatch goroutine
+// can still touch a connection.
 func (b *connBackend) Close() error {
 	b.mu.Lock()
 	if b.closing {
@@ -798,34 +761,14 @@ func (b *connBackend) Close() error {
 		return nil
 	}
 	b.closing = true
-	active := b.active
-	b.mu.Unlock()
-	if active != nil {
-		// Sever every connection the active run may be using; its
-		// readers and writers fail out, the run aborts, Run returns.
-		b.mu.Lock()
-		conns := append([]*wconn(nil), b.conns...)
-		b.mu.Unlock()
-		for _, c := range conns {
-			if c.c != nil {
-				_ = c.c.Close()
-			}
-		}
-	}
-	b.runWG.Wait()
-	b.mu.Lock()
 	conns := append([]*wconn(nil), b.conns...)
 	b.mu.Unlock()
 	for _, c := range conns {
-		if c.hello && !c.broken {
-			c.wmu.Lock()
-			_ = writeFrameSum(c.w, []byte{frameShutdown})
-			c.wmu.Unlock()
-		}
 		if c.c != nil {
 			_ = c.c.Close()
 		}
 	}
+	b.runWG.Wait()
 	if b.stop != nil {
 		return b.stop()
 	}
@@ -859,16 +802,16 @@ func NewInProcess(workers int, opts ...Option) Backend {
 		go func() {
 			defer wg.Done()
 			defer worker.Close()
-			// Serve returns on the shutdown frame or when the
-			// coordinator side closes.
+			// Serve returns when the coordinator side closes.
 			_ = Serve(worker, worker)
 		}()
 		conns[i] = newWconn(coord, coord)
 	}
-	// Watchdog off by default (see NoDeadline): an in-process worker
-	// dying is a pipe close, not a silent hang. WithTuning still arms it.
-	opts = append([]Option{WithTuning(Tuning{BaseDeadline: NoDeadline})}, opts...)
-	return newConnBackend(conns, func() error { wg.Wait(); return nil }, opts...)
+	b := newConnBackend(conns, func() error { wg.Wait(); return nil }, opts...)
+	// Watchdog off whatever the options say (see NoDeadline): an
+	// in-process worker dying is a pipe close, not a silent hang.
+	b.tun.BaseDeadline = NoDeadline
+	return b
 }
 
 // NewFromStreams returns a backend over caller-supplied byte streams,

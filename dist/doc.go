@@ -5,7 +5,7 @@
 // `rvworker -listen` processes on other machines (Dial), or protocol
 // workers inside this process (NewInProcess, the reference everything
 // else is pinned against) — over a length-prefixed binary protocol
-// (v4) built around failure as a normal event: shards requeue off dead
+// (v5) built around failure as a normal event: shards requeue off dead
 // connections, workers heartbeat while they compute, dispatch is
 // pipelined, and workers may join (AddConn) or be respawned (WithRespawn)
 // mid-sweep. Dial absorbs workers that come up slower than their
@@ -20,7 +20,7 @@
 // decode→encode fixed point, hardened bounded decoding — are exactly
 // what make those cache keys stable and safe.
 //
-// # Protocol framing (v4)
+// # Protocol framing (v5)
 //
 // A connection carries varint length-prefixed frames in both directions:
 // each frame is binary.AppendUvarint(len(payload)) followed by the
@@ -33,21 +33,23 @@
 //	worker → coordinator   hello     {version, capacity}  once, on connect; no checksum
 //	coordinator → worker   shard     {id, ShardDesc}      up to `capacity` in flight per connection
 //	worker → coordinator   heartbeat {id, casesDone}      liveness while a shard executes
-//	worker → coordinator   chunk     {id, ResultChunk}    bounded case batch; terminal chunk carries the view signature
+//	worker → coordinator   result    {id, ShardResult}    every case of the shard plus its view signature
 //	worker → coordinator   error     {id, message}        deterministic per-shard failure; never retried
-//	coordinator → worker   shutdown  {}                   drain and exit
 //
-// The v1 whole-shard result frame (type 3) is retired; results travel
-// exclusively as chunk frames. The v3 mid-shard migration frame (type 8)
-// is retired too: a shard lost with its connection requeues from case
-// zero. Neither tag is reused. v4 changed no frame, only the descriptor
-// encoding (see the schema below). The checksum is the line between the
-// two failure classes: a frame that fails its checksum (or desyncs the
-// stream) means the CONNECTION can no longer be trusted
-// — it is severed and its in-flight shards requeue — while a frame that
-// decodes cleanly but names an unknown program or an out-of-range start
-// is a deterministic per-shard error that would fail identically on any
-// worker, so it surfaces as the sweep error instead of being retried.
+// No frame tells a worker to stop: the coordinator closes its end of the
+// transport, and the worker exits on the EOF. Tags 3 (the v1 whole-shard
+// result), 5 (the v2–v4 shutdown frame), 7 (the v2–v4 result chunk) and
+// 8 (the v3 mid-shard migration frame) are retired and never reused; a
+// shard lost with its connection requeues from case zero. v4 changed
+// only the descriptor encoding (see the schema below) and v5 only the
+// frames, so the codecs' own generation, CodecVersion, is still 4. The
+// checksum is the line between the two failure classes: a frame that
+// fails its checksum (or desyncs the stream) means the CONNECTION can no
+// longer be trusted — it is severed and its in-flight shards requeue —
+// while a frame that decodes cleanly but names an unknown program or an
+// out-of-range start is a deterministic per-shard error that would fail
+// identically on any worker, so it surfaces as the sweep error instead
+// of being retried.
 //
 // # Pipelined dispatch and elastic membership
 //
@@ -77,13 +79,12 @@
 // sim.Sweep's policy). When a connection dies — read error, checksum
 // failure, stream desync, transport cut — its in-flight shards return
 // to the queue and re-deal to the surviving (or newly joined)
-// connections; partial chunk aggregations from the dead connection are
-// discarded, which is sound because descriptors are self-contained and
-// execution is deterministic. A sweep fails outright only when no live
-// connection remains. Each shard's dispatch count is bounded by
-// Tuning.MaxAttempts, so a poison shard that kills every worker it
-// lands on surfaces as a per-shard error after MaxAttempts dispatches
-// instead of cycling forever.
+// connections, where they re-execute from case zero — sound because
+// descriptors are self-contained and execution is deterministic. A sweep
+// fails outright only when no live connection remains. Each shard's
+// dispatch count is bounded by Tuning.MaxAttempts, so a poison shard
+// that kills every worker it lands on surfaces as a per-shard error
+// after MaxAttempts dispatches instead of cycling forever.
 //
 // Liveness is measured on progress, never on wall-clock silence: a
 // worker emits heartbeat frames between cases whenever it has been
@@ -93,16 +94,6 @@
 // per in-flight case is severed by the watchdog and handled exactly
 // like a death. RunStats (via LastRunStats) reports how much of this
 // machinery a sweep actually exercised.
-//
-// # Chunked results
-//
-// Workers stream each shard's results as bounded ResultChunk frames
-// (chunkCases cases per frame) rather than one monolithic result: the
-// coordinator aggregates incrementally, a huge shard never demands a
-// proportionate frame, and every chunk doubles as a progress signal.
-// Chunks of one shard arrive in order (Start must equal the cases
-// already received); the terminal chunk closes the shard and is the
-// only one carrying the view signature.
 //
 // # Descriptor schema
 //
@@ -121,7 +112,7 @@
 // sides, the classic task-registry shape. Descriptor decoding is
 // hardened the same way view.Tree.Decode is: arbitrary bytes produce an
 // error or a valid descriptor, never a panic or a disproportionate
-// allocation (pinned by FuzzShardDecode and FuzzResultChunkDecode).
+// allocation (pinned by FuzzShardDecode and FuzzShardResultDecode).
 //
 // # Batched shard execution
 //
@@ -149,10 +140,10 @@
 // indistinguishable from running sim.Sweep in-process. This holds
 // because every run is deterministic, the result codec is lossless, and
 // aggregation is position-stable by construction — and it must keep
-// holding with faults injected: requeued shards re-execute from their
-// self-contained descriptors, partial chunks are discarded whole, and
-// duplicated work is harmless because both executions produce the same
-// bytes. The randomized differential suite pins it across mixed graphs,
+// holding with faults injected: a shard's result arrives whole in one
+// checksummed frame or not at all, requeued shards re-execute from their
+// self-contained descriptors, and duplicated work is harmless because
+// both executions produce the same bytes. The randomized differential suite pins it across mixed graphs,
 // parameter blocks, case kinds and worker counts; the fault-injection
 // suite re-pins it across seeded schedules of dropped, delayed and
 // garbled frames, severed connections, crashing workers (a kill-matrix
@@ -170,9 +161,9 @@
 // garble, sever-after-N-writes — to whichever direction of a link a
 // test wraps. WithCrashAfterShards (and cmd/rvworker's -crash-after
 // flag, or CrashEnv for forked workers) makes a worker execute its n-th
-// shard, stream its non-terminal chunks, withhold the terminal chunk
-// and sever — the crashed-process shape. Same seed, same schedule:
-// every failing fault run is replayable.
+// shard, withhold its result frame and sever — the crashed-process
+// shape. Same seed, same schedule: every failing fault run is
+// replayable.
 //
 // # Trace timelines and metrics
 //
@@ -181,20 +172,18 @@
 // across every Run of the backend's lifetime with run-start/run-end
 // markers delimiting sweeps. Each shard's story lives on its own track
 // (Chrome trace tid = shard index): a "dispatch" instant when the shard
-// is handed to a connection (arg: conn and attempt), a "first-chunk"
-// instant when its first result chunk lands, and a closing "shard" span
-// covering dispatch→terminal — with "requeue", "heartbeat" and
-// "attempts-exhausted" instants marking the fault machinery when it
+// is handed to a connection (arg: conn and attempt) and a closing
+// "shard" span covering dispatch→result — with "requeue", "heartbeat"
+// and "attempts-exhausted" instants marking the fault machinery when it
 // fires. Connection lifecycle ("conn-join", "conn-dead") rides negative
 // tracks so worker churn reads as its own lane group. By construction
-// span start <= dispatch ts <= first-chunk ts <= span end (the start is
-// stamped under the coordinator lock before the dispatch instant is
-// emitted), which the trace round-trip test pins. WriteTrace exports a
-// backend's timeline as Chrome trace-event JSON loadable in Perfetto or
-// chrome://tracing; `rvx -trace out.json` wires it to the CLI. The
+// span start <= dispatch ts <= span end (the start is stamped under the
+// coordinator lock before the dispatch instant is emitted), which the
+// trace round-trip test pins. WriteTrace exports a backend's timeline as
+// Chrome trace-event JSON loadable in Perfetto or chrome://tracing; `rvx -trace out.json` wires it to the CLI. The
 // coordinator also publishes counters and histograms (dispatches,
-// requeues, chunk and heartbeat gap distributions, per-conn inflight
-// gauges) into obs.Default(), exposed by rvd's GET /metrics —
+// requeues, result frames, the heartbeat gap distribution, per-conn
+// inflight gauges) into obs.Default(), exposed by rvd's GET /metrics —
 // all on coordination paths only, never inside the engine (see obs's
 // zero-overhead contract).
 //

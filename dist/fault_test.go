@@ -142,23 +142,20 @@ func faultTuning() dist.Tuning {
 
 // TestDifferentialUnderFaults is the randomized heart of the suite: one
 // clean worker plus two faulty links (worker→coord faults on one,
-// coord→worker faults on the other, alternating sever schedules), small
-// result chunks and fast heartbeats so every protocol path fires, and
-// full-equality aggregation asserted across seeds. Whatever the fault
-// schedule does — drop a shard frame (watchdog), garble a chunk
-// (checksum sever + requeue), delay everything, cut a link mid-stream —
-// the sweep must complete with at least one survivor and the results
-// must be byte-identical to the in-process engine.
+// coord→worker faults on the other, alternating sever schedules), fast
+// heartbeats so every protocol path fires, and full-equality aggregation
+// asserted across seeds. Whatever the fault schedule does — drop a shard
+// frame (watchdog), garble a result (checksum sever + requeue), delay
+// everything, cut a link mid-stream — the sweep must complete with at
+// least one survivor and the results must be byte-identical to the
+// in-process engine.
 func TestDifferentialUnderFaults(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			p, cases := plannerWithShards(100*seed, 2)
 			want := rawSweep(t, cases)
 
-			wopts := []dist.ServeOption{
-				dist.WithHeartbeatInterval(time.Millisecond),
-				dist.WithChunkCases(2),
-			}
+			wopts := []dist.ServeOption{dist.WithHeartbeatInterval(time.Millisecond)}
 			clean := startServeWorker(nil, nil, wopts...)
 			workerFaults := &dist.FaultPlan{
 				Seed:       uint64(seed)*7 + 1,
@@ -217,9 +214,9 @@ func startGatedServeWorker(gate <-chan struct{}, opts ...dist.ServeOption) worke
 
 // TestKillScheduleMatrix kills worker i after it has executed j shards,
 // for every (i, j) pair — the seeded kill-schedule matrix. The crash
-// fires mid-shard (non-terminal chunks sent, terminal withheld, link
-// cut), the survivor absorbs the requeued work, aggregation stays
-// byte-identical, and the attempt budget is never exceeded. The
+// fires mid-shard (result frame withheld, link cut), the survivor
+// absorbs the requeued work, aggregation stays byte-identical, and the
+// attempt budget is never exceeded. The
 // survivor's hello is held until the crash has fired, so the crasher is
 // dealt every shard until then and the crash happens in every cell; the
 // watchdog is off so the waiting survivor is never reaped for silence.
@@ -231,14 +228,14 @@ func TestKillScheduleMatrix(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		for j := 1; j <= 3; j++ {
 			t.Run(fmt.Sprintf("kill-worker%d-after%d", i, j), func(t *testing.T) {
-				crasher := startServeWorker(nil, nil, dist.WithChunkCases(2), dist.WithCrashAfterShards(j))
+				crasher := startServeWorker(nil, nil, dist.WithCrashAfterShards(j))
 				crashed := make(chan struct{})
 				var crashErr error
 				go func() {
 					crashErr = <-crasher.done
 					close(crashed)
 				}()
-				survivor := startGatedServeWorker(crashed, dist.WithChunkCases(2))
+				survivor := startGatedServeWorker(crashed)
 				streams := make([]io.ReadWriteCloser, 2)
 				streams[i], streams[1-i] = crasher.coord, survivor.coord
 				be := dist.NewFromStreams(streams, dist.WithTuning(tun))
@@ -422,34 +419,29 @@ func TestNoSurvivorsFails(t *testing.T) {
 // TestCloseDuringRun (the -race half of the Close contract): closing the
 // backend while a Run is in flight must abort the run, await every
 // dispatch goroutine, and leave the backend returning a closed error —
-// no leaked readers touching closed connections.
+// no leaked readers touching closed connections. Close waits until a hung
+// worker holds a shard, and the real worker's hello is held until then,
+// so with the watchdog off the sweep cannot finish before Close: Run must
+// fail. Closing the real worker's link is its only stop signal.
 func TestCloseDuringRun(t *testing.T) {
 	p, _ := plannerWithShards(1000, 2)
-	slow := dist.FaultPlan{Seed: 11, DelayProb: 1, Delay: 3 * time.Millisecond}
-	streams := make([]io.ReadWriteCloser, 2)
-	for w := range streams {
-		plan := slow
-		plan.Seed = uint64(w) + 11
-		streams[w] = startServeWorker(&plan, nil, dist.WithChunkCases(1)).coord
-	}
-	be := dist.NewFromStreams(streams, dist.WithTuning(faultTuning()))
+	hung, holding := startHungWorker()
+	worker := startGatedServeWorker(holding)
+	be := dist.NewFromStreams([]io.ReadWriteCloser{hung, worker.coord},
+		dist.WithTuning(dist.Tuning{BaseDeadline: dist.NoDeadline}))
 	runDone := make(chan error, 1)
 	go func() {
 		_, err := p.Run(be)
 		runDone <- err
 	}()
-	time.Sleep(10 * time.Millisecond)
+	<-holding
 	if err := be.Close(); err != nil {
 		t.Fatalf("Close during Run: %v", err)
 	}
-	// Run must have returned by the time Close did (Close awaits it); the
-	// error may be nil if the sweep won the race.
-	select {
-	case err := <-runDone:
-		t.Logf("in-flight Run returned: %v", err)
-	case <-time.After(5 * time.Second):
-		t.Fatal("Run still in flight after Close returned")
+	if err := <-runDone; err == nil {
+		t.Fatal("Run succeeded though a hung worker held a shard until Close")
 	}
+	<-worker.done
 	if _, err := p.Run(be); err == nil {
 		t.Fatal("Run succeeded on a closed backend")
 	}

@@ -78,42 +78,16 @@ func FuzzShardDecode(f *testing.F) {
 	})
 }
 
-// FuzzResultChunkDecode applies the contract to the v2 chunk frames —
-// the unit results actually travel in, and the decoder that meets every
-// faulty byte stream first. Accepted chunks must round-trip.
-func FuzzResultChunkDecode(f *testing.F) {
-	// A couple of valid chunks: empty non-terminal, terminal with a sig.
-	empty := dist.ResultChunk{}
-	f.Add(empty.AppendEncode(nil))
-	term := dist.ResultChunk{Start: 3, Terminal: true, ViewSig: []byte{1, 2, 3}}
-	f.Add(term.AppendEncode(nil))
-	// Corruption: truncated varints, hostile counts, trailing garbage.
-	f.Add([]byte{})
-	f.Add([]byte{0x80})
-	f.Add([]byte{0x00, 0xFF, 0xFF, 0xFF, 0x7F})
-	f.Add(append(term.AppendEncode(nil), 0xAA))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		var ck dist.ResultChunk
-		if err := ck.Decode(data); err != nil {
-			return
-		}
-		if !ck.Terminal && ck.ViewSig != nil {
-			t.Fatal("non-terminal chunk decoded with a view signature")
-		}
-		enc := ck.AppendEncode(nil)
-		var ck2 dist.ResultChunk
-		if err := ck2.Decode(enc); err != nil {
-			t.Fatalf("re-decode of own encoding failed: %v\ninput: %x", err, data)
-		}
-		if !reflect.DeepEqual(ck, ck2) {
-			t.Fatalf("decode(encode(chunk)) changed the chunk\ninput: %x", data)
-		}
-	})
-}
-
-// FuzzShardResultDecode applies the same contract to the aggregate
-// decoder — the coordinator feeds it bytes straight off worker sockets.
+// FuzzShardResultDecode applies the same contract to the result
+// decoder: a ShardResult is the unit every worker result travels in, so
+// it is the first decoder a byte off a worker socket reaches.
 func FuzzShardResultDecode(f *testing.F) {
+	// Valid encodings: two-agent and k-agent cases, with and without a
+	// view signature.
+	r := rand.New(rand.NewSource(11))
+	for i := 0; i < 8; i++ {
+		f.Add(randShardResult(r).AppendEncode(nil))
+	}
 	f.Add([]byte{})
 	f.Add([]byte{0x80})
 	f.Add([]byte{0x01, 0x00, 0x00})
@@ -130,6 +104,9 @@ func FuzzShardResultDecode(f *testing.F) {
 		}
 		if !reflect.DeepEqual(res, res2) {
 			t.Fatalf("decode(encode(result)) changed the result\ninput: %x", data)
+		}
+		if enc2 := res2.AppendEncode(nil); !bytes.Equal(enc, enc2) {
+			t.Fatalf("encoding is not a fixed point: %x vs %x", enc, enc2)
 		}
 	})
 }

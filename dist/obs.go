@@ -25,10 +25,7 @@ var (
 	obsHeartbeats = obs.Default().Counter("dist_heartbeats_total",
 		"heartbeat frames received")
 	obsChunks = obs.Default().Counter("dist_chunks_total",
-		"result-chunk frames aggregated")
-	obsChunkGapNs = obs.Default().Histogram("dist_chunk_gap_ns",
-		"gap between successive progress frames on a connection, observed at each chunk",
-		obs.ExpBuckets(1000, 24))
+		"result frames aggregated")
 	obsHeartbeatGapNs = obs.Default().Histogram("dist_heartbeat_gap_ns",
 		"gap between successive progress frames on a connection, observed at each heartbeat",
 		obs.ExpBuckets(1000, 24))

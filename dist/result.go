@@ -20,12 +20,13 @@ type CaseResult struct {
 	Wakeups uint64
 }
 
-// ShardResult is the per-shard aggregate streamed back by a worker: the
-// per-case results in case order, plus the view signature — the
-// view.Tree.AppendEncode image of the executed graph's truncated view
-// from node 0 — which the coordinator re-derives locally and compares
-// byte-for-byte, so a corrupted or mis-decoded graph is caught by the
-// view codec itself rather than by silently different aggregates.
+// ShardResult is the per-shard aggregate a worker sends back in one
+// result frame: the per-case results in case order, plus the view
+// signature — the view.Tree.AppendEncode image of the executed graph's
+// truncated view from node 0 — which the coordinator re-derives locally
+// and compares byte-for-byte, so a corrupted or mis-decoded graph is
+// caught by the view codec itself rather than by silently different
+// aggregates.
 type ShardResult struct {
 	Cases   []CaseResult
 	ViewSig []byte
@@ -172,78 +173,6 @@ func (r *ShardResult) Decode(data []byte) error {
 	}
 	if d.err == nil && d.rest() != 0 {
 		return fmt.Errorf("dist: %d trailing bytes after shard result", d.rest())
-	}
-	return d.err
-}
-
-// chunkCases is the default number of case results per result-chunk
-// frame: big enough that framing overhead vanishes, small enough that a
-// worker never buffers more than a bounded slice of a huge shard in one
-// frame and the coordinator sees progress early.
-const chunkCases = 64
-
-// ResultChunk is one bounded batch of a shard's case results — the v2
-// wire unit workers stream results in. Start is the index of the first
-// case in the shard's case order; chunks of one shard arrive in order and
-// the coordinator aggregates them incrementally. The terminal chunk
-// (Terminal == true) closes the shard and is the only one carrying the
-// view signature; a connection that dies mid-stream simply loses its
-// partial chunks — the coordinator discards them and requeues the whole
-// shard, which is sound because descriptors are self-contained and
-// execution is deterministic.
-type ResultChunk struct {
-	Start    int
-	Cases    []CaseResult
-	Terminal bool
-	ViewSig  []byte // terminal chunk only
-}
-
-// AppendEncode appends the chunk's wire encoding to dst.
-func (c *ResultChunk) AppendEncode(dst []byte) []byte {
-	dst = binary.AppendUvarint(dst, uint64(c.Start))
-	dst = binary.AppendUvarint(dst, uint64(len(c.Cases)))
-	for i := range c.Cases {
-		dst = appendCaseResult(dst, &c.Cases[i])
-	}
-	dst = appendBool(dst, c.Terminal)
-	if c.Terminal {
-		dst = appendBytes(dst, c.ViewSig)
-	}
-	return dst
-}
-
-// Decode replaces c with the chunk serialized in data (one AppendEncode
-// image, no trailing bytes), under the same hardening contract as
-// ShardResult.Decode. A non-terminal chunk never carries a view
-// signature, so Decode leaves ViewSig nil unless Terminal is set.
-func (c *ResultChunk) Decode(data []byte) error {
-	d := &rd{data: data}
-	*c = ResultChunk{}
-	c.Start = d.count(maxCases, "chunk start")
-	n := d.count(maxCases, "chunk case")
-	if d.err != nil {
-		return d.err
-	}
-	if n > d.rest() {
-		return fmt.Errorf("dist: chunk case count %d exceeds remaining input (%d bytes)", n, d.rest())
-	}
-	if n > 0 {
-		c.Cases = make([]CaseResult, n)
-		for i := range c.Cases {
-			decodeCaseResult(d, &c.Cases[i])
-			if d.err != nil {
-				return d.err
-			}
-		}
-	}
-	c.Terminal = d.bool()
-	if c.Terminal {
-		if sig := d.bytes(maxViewSig, "view signature"); len(sig) > 0 {
-			c.ViewSig = append([]byte(nil), sig...)
-		}
-	}
-	if d.err == nil && d.rest() != 0 {
-		return fmt.Errorf("dist: %d trailing bytes after result chunk", d.rest())
 	}
 	return d.err
 }

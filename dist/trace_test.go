@@ -3,9 +3,8 @@ package dist_test
 // Trace-export round trip: run a distributed sweep, export the
 // coordinator's shard-lifecycle timeline as Chrome trace-event JSON,
 // and validate both the schema (the fields Perfetto loads) and the
-// per-shard span ordering — every shard gets a dispatch instant, a
-// first-chunk instant, and a closing span whose timestamps are
-// strictly ordered dispatch <= first-chunk <= span end.
+// per-shard span ordering — every shard gets a dispatch instant and a
+// closing span, with span start <= dispatch <= span end.
 
 import (
 	"bytes"
@@ -98,12 +97,10 @@ func TestTraceExportRoundTrip(t *testing.T) {
 	}
 
 	// Lifecycle: per shard track, exactly one closing span (fault-free
-	// run) plus dispatch and first-chunk instants, strictly ordered
-	// within the span.
+	// run) plus a dispatch instant within it.
 	type track struct {
-		span       *chromeEvent
-		dispatch   *chromeEvent
-		firstChunk *chromeEvent
+		span     *chromeEvent
+		dispatch *chromeEvent
 	}
 	tracks := map[int64]*track{}
 	for i := range out.TraceEvents {
@@ -124,17 +121,15 @@ func TestTraceExportRoundTrip(t *testing.T) {
 			tr.span = ev
 		case "dispatch":
 			tr.dispatch = ev
-		case "first-chunk":
-			tr.firstChunk = ev
 		}
 	}
 	if len(tracks) != nshards {
 		t.Fatalf("trace covers %d shard tracks, want %d", len(tracks), nshards)
 	}
 	for tid, tr := range tracks {
-		if tr.span == nil || tr.dispatch == nil || tr.firstChunk == nil {
-			t.Fatalf("shard %d incomplete lifecycle: span=%v dispatch=%v first-chunk=%v",
-				tid, tr.span != nil, tr.dispatch != nil, tr.firstChunk != nil)
+		if tr.span == nil || tr.dispatch == nil {
+			t.Fatalf("shard %d incomplete lifecycle: span=%v dispatch=%v",
+				tid, tr.span != nil, tr.dispatch != nil)
 		}
 		if tr.span.Dur <= 0 {
 			t.Fatalf("shard %d span has non-positive duration %v", tid, tr.span.Dur)
@@ -142,12 +137,6 @@ func TestTraceExportRoundTrip(t *testing.T) {
 		end := tr.span.Ts + tr.span.Dur
 		if tr.dispatch.Ts < tr.span.Ts || tr.dispatch.Ts > end {
 			t.Fatalf("shard %d dispatch ts %v outside span [%v, %v]", tid, tr.dispatch.Ts, tr.span.Ts, end)
-		}
-		if tr.firstChunk.Ts < tr.dispatch.Ts {
-			t.Fatalf("shard %d first-chunk ts %v before dispatch ts %v", tid, tr.firstChunk.Ts, tr.dispatch.Ts)
-		}
-		if tr.firstChunk.Ts > end {
-			t.Fatalf("shard %d first-chunk ts %v after span end %v", tid, tr.firstChunk.Ts, end)
 		}
 	}
 

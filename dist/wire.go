@@ -23,10 +23,18 @@ import (
 // heartbeat frames, chunked result frames and per-frame checksums; v3
 // added a mid-shard migration frame (tag 8), since retired: a lost shard
 // requeues from case zero. v4 trimmed the shard descriptor to its graph
-// image, seed range, Batch flag and cases, dropping the graph spec, the
-// parameter block and the warmup hints (see doc.go for the full schema).
-// The bump also moves rvd's cache keys, which hash descriptor bytes.
-const ProtoVersion = 4
+// image, seed range, Batch flag and cases. v5 answers each shard with one
+// result frame (tag 9) instead of a chunk stream (tag 7), and drops the
+// shutdown frame (tag 5): a worker stops on its transport's EOF. See
+// doc.go for the frame table.
+const ProtoVersion = 5
+
+// CodecVersion is the generation of the ShardDesc and ShardResult
+// encodings, which v5 carries unchanged from v4. rvd folds it, not
+// ProtoVersion, into its cache keys, which hash descriptor bytes and
+// store result bytes, so a change to framing alone strands no stored
+// results. A change to either codec bumps both constants.
+const CodecVersion = 4
 
 // maxFrame bounds one frame's payload (64 MiB): far above any real shard
 // descriptor or aggregate, low enough that a corrupt length prefix cannot
@@ -35,14 +43,14 @@ const maxFrame = 1 << 26
 
 // Frame type tags (first payload byte).
 const (
-	frameHello       byte = 1 // worker → coordinator, once, on connect: version + capacity
-	frameShard       byte = 2 // coordinator → worker: shard id + descriptor
-	frameError       byte = 4 // worker → coordinator: shard id + message (deterministic failure)
-	frameShutdown    byte = 5 // coordinator → worker: drain and exit
-	frameHeartbeat   byte = 6 // worker → coordinator: shard id + cases done (liveness, between cases)
-	frameResultChunk byte = 7 // worker → coordinator: shard id + ResultChunk (bounded case batch)
-	// 3 was the v1 whole-shard result frame; retired in v2, never reused.
-	// 8 was the v3 mid-shard migration frame; retired, never reused.
+	frameHello     byte = 1 // worker → coordinator, once, on connect: version + capacity
+	frameShard     byte = 2 // coordinator → worker: shard id + descriptor
+	frameError     byte = 4 // worker → coordinator: shard id + message (deterministic failure)
+	frameHeartbeat byte = 6 // worker → coordinator: shard id + cases done (liveness, between cases)
+	frameResult    byte = 9 // worker → coordinator: shard id + ShardResult (the whole shard)
+	// Retired tags, never reused: 3 (the v1 whole-shard result), 5 (the
+	// v2–v4 shutdown frame), 7 (the v2–v4 result chunk) and 8 (the v3
+	// mid-shard migration frame).
 )
 
 // writeFrame emits one length-prefixed frame and flushes.

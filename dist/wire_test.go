@@ -118,34 +118,41 @@ func randMultiResult(r *rand.Rand) sim.MultiResult {
 	return res
 }
 
+// randShardResult builds a result of up to five cases, each two-agent or
+// k-agent, with a view signature half the time.
+func randShardResult(r *rand.Rand) *dist.ShardResult {
+	res := &dist.ShardResult{}
+	ncases := r.Intn(6)
+	for j := 0; j < ncases; j++ {
+		cr := dist.CaseResult{Wakeups: uint64(r.Intn(100000))}
+		if r.Intn(2) == 0 {
+			cr.Kind = dist.KindTwoAgent
+			cr.Two = sim.Result{
+				Outcome:       sim.Outcome(r.Intn(3)),
+				MeetingNode:   r.Intn(16),
+				MeetingRound:  uint64(r.Intn(100000)),
+				TimeFromLater: uint64(r.Intn(100000)),
+				Rounds:        uint64(r.Intn(100000)),
+				MovesA:        uint64(r.Intn(100000)),
+				MovesB:        uint64(r.Intn(100000)),
+			}
+		} else {
+			cr.Kind = dist.KindMulti
+			cr.Multi = randMultiResult(r)
+		}
+		res.Cases = append(res.Cases, cr)
+	}
+	if r.Intn(2) == 0 {
+		res.ViewSig = make([]byte, 1+r.Intn(40))
+		r.Read(res.ViewSig)
+	}
+	return res
+}
+
 func TestShardResultRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(43))
 	for i := 0; i < 500; i++ {
-		src := &dist.ShardResult{}
-		ncases := r.Intn(6)
-		for j := 0; j < ncases; j++ {
-			cr := dist.CaseResult{Wakeups: uint64(r.Intn(100000))}
-			if r.Intn(2) == 0 {
-				cr.Kind = dist.KindTwoAgent
-				cr.Two = sim.Result{
-					Outcome:       sim.Outcome(r.Intn(3)),
-					MeetingNode:   r.Intn(16),
-					MeetingRound:  uint64(r.Intn(100000)),
-					TimeFromLater: uint64(r.Intn(100000)),
-					Rounds:        uint64(r.Intn(100000)),
-					MovesA:        uint64(r.Intn(100000)),
-					MovesB:        uint64(r.Intn(100000)),
-				}
-			} else {
-				cr.Kind = dist.KindMulti
-				cr.Multi = randMultiResult(r)
-			}
-			src.Cases = append(src.Cases, cr)
-		}
-		if r.Intn(2) == 0 {
-			src.ViewSig = make([]byte, 1+r.Intn(40))
-			r.Read(src.ViewSig)
-		}
+		src := randShardResult(r)
 		enc := src.AppendEncode(nil)
 		var dec dist.ShardResult
 		if err := dec.Decode(enc); err != nil {

@@ -25,12 +25,11 @@ const (
 	defaultWorkerCapacity = 4
 	maxWorkerCapacity     = 64
 	defaultHeartbeatEvery = 250 * time.Millisecond
-	defaultChunkCases     = chunkCases
 )
 
 // ErrCrashInjected is returned by Serve when a WithCrashAfterShards fault
 // schedule fires: the worker severs the connection mid-shard, without a
-// terminal chunk, exactly like a crashed process. cmd/rvworker turns it
+// result frame, exactly like a crashed process. cmd/rvworker turns it
 // into a nonzero exit in -crash-after mode.
 var ErrCrashInjected = errors.New("dist: injected worker crash")
 
@@ -38,7 +37,6 @@ type serveCfg struct {
 	capacity   int
 	crashAfter int
 	heartbeat  time.Duration
-	chunk      int
 }
 
 // ServeOption tunes one Serve call (capacity, heartbeats, fault
@@ -58,17 +56,11 @@ func WithHeartbeatInterval(d time.Duration) ServeOption {
 	return func(c *serveCfg) { c.heartbeat = d }
 }
 
-// WithChunkCases sets the number of case results per result-chunk frame.
-func WithChunkCases(n int) ServeOption {
-	return func(c *serveCfg) { c.chunk = n }
-}
-
 // WithCrashAfterShards makes the worker crash while executing its n-th
-// shard (counted across the connection's lifetime): the shard executes
-// and its non-terminal chunks are sent, but the terminal chunk never is —
-// Serve returns ErrCrashInjected, severing the connection the way a
-// dying process would. The coordinator must discard the partial chunks
-// and requeue. n <= 0 disables the fault.
+// shard (counted across the connection's lifetime): the shard executes,
+// but its result frame is withheld — Serve returns ErrCrashInjected,
+// severing the connection the way a dying process would, and the
+// coordinator must requeue the shard. n <= 0 disables the fault.
 func WithCrashAfterShards(n int) ServeOption {
 	return func(c *serveCfg) { c.crashAfter = n }
 }
@@ -82,27 +74,27 @@ type shardItem struct {
 }
 
 // Serve speaks the worker side of the dispatch protocol on one byte
-// stream: announce hello (version + capacity), then answer shard frames
-// with result-chunk (or error) frames until a shutdown frame or EOF. A
-// frame reader goroutine decodes shard frames ahead of execution into a
-// capacity-bounded queue — the worker-side half of the coordinator's
+// stream: announce hello (version + capacity), then answer each shard
+// frame with one result (or error) frame until the stream ends. EOF is
+// the only stop signal; at a clean EOF between shards Serve returns nil.
+// A frame reader goroutine decodes shard frames ahead of execution into
+// a capacity-bounded queue — the worker-side half of the coordinator's
 // pipelined dispatch window — while the executor drains the queue
 // sequentially on one pooled sim.Session, so a worker's runners,
 // channels and script buffers stay warm across every shard the
 // coordinator feeds it.
 //
-// Results stream back as bounded ResultChunk frames; between cases the
-// executor emits heartbeat frames whenever it has been silent longer
-// than the heartbeat interval, so the coordinator can tell a slow shard
-// from a hung worker. A shard whose descriptor fails to decode, or whose
-// execution errors (unknown program, corrupt graph, out-of-range start),
-// is answered with an error frame; the connection survives, and the
-// coordinator treats it as a deterministic per-shard failure. A frame
-// whose checksum fails, by contrast, means the stream itself can no
-// longer be trusted: Serve returns the error and the connection dies,
-// which the coordinator answers by requeueing. A program panic
-// propagates and tears the worker down — panics are bugs, and hiding
-// them behind a protocol frame would lose the stack.
+// Between cases the executor emits heartbeat frames whenever it has
+// been silent longer than the heartbeat interval, so the coordinator
+// can tell a slow shard from a hung worker. A shard whose descriptor
+// fails to decode, or whose execution errors (unknown program, corrupt
+// graph, out-of-range start), is answered with an error frame; the
+// connection survives, and the coordinator treats it as a deterministic
+// per-shard failure. A frame whose checksum fails, by contrast, means
+// the stream itself can no longer be trusted: Serve returns the error
+// and the connection dies, which the coordinator answers by requeueing.
+// A program panic propagates and tears the worker down — panics are
+// bugs, and hiding them behind a protocol frame would lose the stack.
 //
 // The caller owns the transport and must close it after Serve returns
 // (every deployment mode does: NewInProcess closes its pipe end,
@@ -112,7 +104,6 @@ func Serve(r io.Reader, w io.Writer, opts ...ServeOption) error {
 	cfg := serveCfg{
 		capacity:  defaultWorkerCapacity,
 		heartbeat: defaultHeartbeatEvery,
-		chunk:     defaultChunkCases,
 	}
 	for _, o := range opts {
 		o(&cfg)
@@ -122,9 +113,6 @@ func Serve(r io.Reader, w io.Writer, opts ...ServeOption) error {
 	}
 	if cfg.capacity > maxWorkerCapacity {
 		cfg.capacity = maxWorkerCapacity
-	}
-	if cfg.chunk < 1 {
-		cfg.chunk = 1
 	}
 
 	br := bufio.NewReaderSize(r, 1<<16)
@@ -158,25 +146,21 @@ func Serve(r io.Reader, w io.Writer, opts ...ServeOption) error {
 				readErr = fmt.Errorf("dist: empty frame")
 				return
 			}
-			switch payload[0] {
-			case frameShutdown:
-				return
-			case frameShard:
-				d := &rd{data: payload[1:]}
-				id := d.uvarint()
-				if d.err != nil {
-					readErr = d.err
-					return
-				}
-				sh := new(ShardDesc)
-				it := shardItem{id: id, sh: sh, decodeErr: sh.Decode(d.data)}
-				select {
-				case queue <- it:
-				case <-done:
-					return
-				}
-			default:
+			if payload[0] != frameShard {
 				readErr = fmt.Errorf("dist: unexpected frame type %d on worker", payload[0])
+				return
+			}
+			d := &rd{data: payload[1:]}
+			id := d.uvarint()
+			if d.err != nil {
+				readErr = d.err
+				return
+			}
+			sh := new(ShardDesc)
+			it := shardItem{id: id, sh: sh, decodeErr: sh.Decode(d.data)}
+			select {
+			case queue <- it:
+			case <-done:
 				return
 			}
 		}
@@ -202,7 +186,6 @@ func Serve(r io.Reader, w io.Writer, opts ...ServeOption) error {
 			continue
 		}
 		executed++
-		crashing := cfg.crashAfter > 0 && executed >= cfg.crashAfter
 		lastSend := time.Now()
 		var beatErr error
 		progress := func(caseDone int) {
@@ -225,43 +208,18 @@ func Serve(r io.Reader, w io.Writer, opts ...ServeOption) error {
 			}
 			continue
 		}
-		if err := streamChunks(bw, it.id, res, cfg.chunk, crashing, &outBuf); err != nil {
-			return err
-		}
-		if crashing {
+		if cfg.crashAfter > 0 && executed >= cfg.crashAfter {
 			return ErrCrashInjected
 		}
-	}
-	return readErr
-}
-
-// streamChunks streams one shard's results as bounded chunk frames. When
-// crashing is set, every non-terminal chunk goes out but the terminal one
-// is withheld — the crash-injection shape that leaves the coordinator
-// holding a partial aggregation it must discard before requeueing.
-func streamChunks(bw *bufio.Writer, id uint64, res *ShardResult, chunk int, crashing bool, outBuf *[]byte) error {
-	n := len(res.Cases)
-	for start := 0; ; start += chunk {
-		end := min(start+chunk, n)
-		terminal := end == n
-		if terminal && crashing {
-			return nil
-		}
-		ck := ResultChunk{Start: start, Cases: res.Cases[start:end], Terminal: terminal}
-		if terminal {
-			ck.ViewSig = res.ViewSig
-		}
-		payload := append((*outBuf)[:0], frameResultChunk)
-		payload = binary.AppendUvarint(payload, id)
-		payload = ck.AppendEncode(payload)
-		*outBuf = payload[:0]
+		payload := append(outBuf[:0], frameResult)
+		payload = binary.AppendUvarint(payload, it.id)
+		payload = res.AppendEncode(payload)
+		outBuf = payload[:0]
 		if err := writeFrameSum(bw, payload); err != nil {
 			return err
 		}
-		if terminal {
-			return nil
-		}
 	}
+	return readErr
 }
 
 // truncateErrMsg bounds an error message to max bytes without cutting a

@@ -91,12 +91,13 @@ type errString string
 
 func (e errString) Error() string { return string(e) }
 
-// Retired frame tags (3, the v1 whole-shard result; 8, the v3 mid-shard
-// migration frame) must never decode as anything else: a worker that
-// receives one — say from a stale coordinator — fails the connection
-// with an unexpected-frame-type error.
+// Retired frame tags (3, the v1 whole-shard result; 5, the v2–v4
+// shutdown; 7, the v2–v4 result chunk; 8, the v3 mid-shard migration
+// frame) must never decode as anything else: a worker that receives one
+// — say from a stale coordinator — fails the connection with an
+// unexpected-frame-type error.
 func TestWorkerRejectsRetiredFrames(t *testing.T) {
-	for _, tag := range []byte{3, 8} {
+	for _, tag := range []byte{3, 5, 7, 8} {
 		cp, wp := net.Pipe()
 		done := make(chan error, 1)
 		go func() {
@@ -105,21 +106,18 @@ func TestWorkerRejectsRetiredFrames(t *testing.T) {
 			done <- err
 		}()
 		go io.Copy(io.Discard, cp) // the hello, and any answer
-		// The retired frame, then a shutdown: a worker that took the
-		// retired frame for one it knows would answer it and exit cleanly.
-		var frames bytes.Buffer
-		bw := bufio.NewWriter(&frames)
-		if err := writeFrameSum(bw, []byte{tag, 0, 0}); err != nil {
-			t.Fatal(err)
-		}
-		if err := writeFrameSum(bw, []byte{frameShutdown}); err != nil {
+		// The retired frame, then EOF: a worker that took the retired
+		// frame for one it knows (or for a stop signal) would answer it
+		// and exit cleanly.
+		var frame bytes.Buffer
+		if err := writeFrameSum(bufio.NewWriter(&frame), []byte{tag, 0, 0}); err != nil {
 			t.Fatal(err)
 		}
 		// A worker that fails the connection may close before reading
 		// everything, so the write error carries no verdict.
-		_, _ = cp.Write(frames.Bytes())
-		err := <-done
+		_, _ = cp.Write(frame.Bytes())
 		cp.Close()
+		err := <-done
 		if err == nil || !strings.Contains(err.Error(), "unexpected frame type") {
 			t.Fatalf("tag %d: Serve returned %v, want an unexpected-frame-type error", tag, err)
 		}

@@ -136,9 +136,10 @@ type Config struct {
 	Backend dist.Backend
 
 	// VersionStamp is folded into every cache key (see CacheKey). Bump
-	// it whenever the binary, wire protocol, or program registry changes
-	// in a way that could alter any shard's results; stale entries then
-	// become unreachable rather than wrong. Default "rvd".
+	// it whenever the shard codecs (dist.CodecVersion) or the program
+	// registry change in a way that could alter any shard's results;
+	// stale entries then become unreachable rather than wrong. Default
+	// "rvd".
 	VersionStamp string
 
 	// QueueBound is the admission-control limit on unfinished shards

@@ -13,19 +13,20 @@
 //	Key = SHA-256( uvarint(len(stamp)) || stamp || canonicalShardBytes )
 //
 // where stamp is the daemon's version stamp (cmd/rvd folds
-// dist.ProtoVersion and experiments.RegistryVersion into it) and
+// dist.CodecVersion and experiments.RegistryVersion into it) and
 // canonicalShardBytes is the shard's canonical dist wire encoding,
 // obtained by decoding the submitted bytes and re-encoding them — the
 // decode→encode fixed point is pinned by dist's FuzzShardDecode, so
 // equivalent submissions hash equal regardless of how they were framed
 // by the submitter. The stamp makes results computed by an incompatible
 // binary structurally unreachable (a new key space) instead of wrongly
-// served. So a protocol bump leaves an older binary's store entries
-// unreachable on disk, and Open drops that binary's journaled jobs, whose
-// shards no longer decode, with a logged notice. Values are the shard's aggregated result bytes
-// (dist.ShardResult.AppendEncode); each entry file carries a magic
-// header, the embedded key, a bounded length, and an FNV-1a 64 checksum
-// over key+value (see store.go).
+// served. So a codec bump leaves an older binary's store entries
+// unreachable on disk, and Open drops that binary's journaled jobs,
+// whose shards no longer decode, with a logged notice; a protocol bump
+// that changes only the frames moves no key. Values are the shard's
+// aggregated result bytes (dist.ShardResult.AppendEncode); each entry
+// file carries a magic header, the embedded key, a bounded length, and
+// an FNV-1a 64 checksum over key+value (see store.go).
 //
 // # Journal frame schema
 //
