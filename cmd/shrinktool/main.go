@@ -90,10 +90,10 @@ func run() error {
 
 	if *pairs {
 		dist := shrink.AllPairsDist(g)
+		var ws shrink.Workspace
 		fmt.Println("symmetric pairs (u, v): dist, Shrink")
 		for _, pr := range stic.SymmetricPairs(g) {
-			r := shrink.ShrinkWithDist(g, pr[0], pr[1], dist)
-			fmt.Printf("  (%d,%d): dist=%d Shrink=%d\n", pr[0], pr[1], dist[pr[0]][pr[1]], r.Value)
+			fmt.Printf("  (%d,%d): dist=%d Shrink=%d\n", pr[0], pr[1], dist[pr[0]][pr[1]], ws.Value(g, pr[0], pr[1]))
 		}
 		ns := stic.NonsymmetricPairs(g)
 		fmt.Printf("nonsymmetric pairs: %d (feasible with every delay)\n", len(ns))

@@ -22,8 +22,8 @@ func E2() *Table {
 		Columns:  []string{"graph", "symmetric pairs", "max dist", "property", "holds"},
 	}
 
-	checkAll := func(g *graph.Graph, property string, want func(u, v int) int) {
-		dist := shrink.AllPairsDist(g)
+	var ws shrink.Workspace
+	checkAll := func(g *graph.Graph, dist [][]int32, property string, want func(u, v int) int) {
 		pairs := stic.SymmetricPairs(g)
 		maxD := 0
 		ok := true
@@ -32,10 +32,9 @@ func E2() *Table {
 			if d := int(dist[u][v]); d > maxD {
 				maxD = d
 			}
-			r := shrink.ShrinkWithDist(g, u, v, dist)
-			if r.Value != want(u, v) {
+			if got := ws.Value(g, u, v); got != want(u, v) {
 				ok = false
-				t.Check(false, "%s: Shrink(%d,%d)=%d, want %d", g, u, v, r.Value, want(u, v))
+				t.Check(false, "%s: Shrink(%d,%d)=%d, want %d", g, u, v, got, want(u, v))
 			}
 		}
 		t.AddRow(g.String(), len(pairs), maxD, property, ok)
@@ -44,12 +43,12 @@ func E2() *Table {
 	for _, wh := range [][2]int{{3, 3}, {4, 3}, {5, 4}} {
 		g := graph.OrientedTorus(wh[0], wh[1])
 		d := shrink.AllPairsDist(g)
-		checkAll(g, "Shrink = dist", func(u, v int) int { return int(d[u][v]) })
+		checkAll(g, d, "Shrink = dist", func(u, v int) int { return int(d[u][v]) })
 	}
 	for _, n := range []int{4, 6, 9} {
 		g := graph.Cycle(n)
 		d := shrink.AllPairsDist(g)
-		checkAll(g, "Shrink = dist", func(u, v int) int { return int(d[u][v]) })
+		checkAll(g, d, "Shrink = dist", func(u, v int) int { return int(d[u][v]) })
 	}
 	for _, shape := range []graph.Shape{graph.ChainShape(2), graph.ChainShape(4), graph.FullShape(2, 2)} {
 		g := graph.SymmetricTree(shape)
@@ -66,17 +65,16 @@ func E2() *Table {
 			if d := int(dist[v][m]); d > maxD {
 				maxD = d
 			}
-			r := shrink.ShrinkWithDist(g, v, m, dist)
-			if r.Value != 1 {
+			if got := ws.Value(g, v, m); got != 1 {
 				ok = false
-				t.Check(false, "%s: mirror Shrink(%d,%d)=%d, want 1", g, v, m, r.Value)
+				t.Check(false, "%s: mirror Shrink(%d,%d)=%d, want 1", g, v, m, got)
 			}
 		}
 		t.AddRow(g.String(), fmt.Sprintf("%d mirror", count), maxD, "Shrink = 1", ok)
 	}
 	{
 		g := graph.Hypercube(4)
-		checkAll(g, "Shrink = Hamming", func(u, v int) int { return bits.OnesCount(uint(u ^ v)) })
+		checkAll(g, shrink.AllPairsDist(g), "Shrink = Hamming", func(u, v int) int { return bits.OnesCount(uint(u ^ v)) })
 	}
 
 	t.Notes = append(t.Notes,

@@ -7,26 +7,34 @@ import (
 	"repro/graph"
 )
 
+// BenchmarkShrink times Workspace.Value on a warm workspace, the call
+// stic.Classifier makes. Rings and tori keep their offset under identical
+// moves, so the search walks the whole pair orbit; symmetric trees and
+// Q̂h reach the floor of 1 early.
 func BenchmarkShrink(b *testing.B) {
+	q3, _ := graph.Qhat(3)
+	q7, info7 := graph.Qhat(7)
 	cases := []struct {
-		name string
-		g    *graph.Graph
-		u, v int
+		name       string
+		g          *graph.Graph
+		u, v, want int
 	}{
-		{"ring-16", graph.Cycle(16), 0, 8},
-		{"torus-5x5", graph.OrientedTorus(5, 5), 0, 12},
-		{"symtree-full22", graph.SymmetricTree(graph.FullShape(2, 2)), 3, 10},
-		{"qhat-3", nil, 0, 1},
+		{"ring-16", graph.Cycle(16), 0, 8, 8},
+		{"torus-5x5", graph.OrientedTorus(5, 5), 0, 12, 4},
+		{"symtree-full22", graph.SymmetricTree(graph.FullShape(2, 2)), 3, 10, 1},
+		{"qhat-3", q3, 0, 1, 1},
+		{"qhat-7", q7, info7.Root, graph.QhatZ(q7, info7.Root, 3)[0], 1},
 	}
-	q, _ := graph.Qhat(3)
-	cases[3].g = q
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
-			dist := AllPairsDist(c.g)
+			var ws Workspace
+			ws.Value(c.g, c.u, c.v)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				ShrinkWithDist(c.g, c.u, c.v, dist)
+				if got := ws.Value(c.g, c.u, c.v); got != c.want {
+					b.Fatalf("Shrink(%d,%d) = %d, want %d", c.u, c.v, got, c.want)
+				}
 			}
 		})
 	}
@@ -41,13 +49,5 @@ func BenchmarkAllPairsDist(b *testing.B) {
 				AllPairsDist(g)
 			}
 		})
-	}
-}
-
-func BenchmarkPairOrbit(b *testing.B) {
-	g := graph.OrientedTorus(4, 4)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		PairOrbit(g, 0, 5)
 	}
 }

@@ -7,14 +7,20 @@
 // The computation runs BFS on the pair-product graph: states are ordered
 // pairs (a, b) with transitions (a, b) -> (succ(a,p), succ(b,p)) for every
 // port p. Starting from a symmetric pair, every reachable pair is symmetric
-// (so degrees always match), the state space has at most n^2 states, and
-// Shrink is the minimum graph distance over reachable states. This also
+// (so degrees always match), and Shrink is the minimum graph distance over
+// reachable states. The search stops at its floor: 0 when u = v, and 1
+// otherwise. Two distinct nodes with equal views that take the same port p
+// enter their targets by the same port q; port q of a node leads to one
+// node, so the two never land together. The search keeps one map entry per
+// pair it visits before it stops, plus O(n) for the bounded BFS that
+// measures each new pair's distance; it builds no n x n table. This also
 // decides STIC feasibility exactly (Corollary 3.1): a symmetric STIC
 // [(u,v), δ] is feasible iff δ >= Shrink(u,v).
 package shrink
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/graph"
 	"repro/view"
@@ -56,219 +62,118 @@ func Shrink(g *graph.Graph, u, v int) (Result, error) {
 	if !view.Symmetric(g, u, v) {
 		return Result{}, ErrNotSymmetric{U: u, V: v}
 	}
-	return shrinkBFS(g, u, v, AllPairsDist(g)), nil
-}
-
-// ShrinkWithDist is Shrink for callers that already computed the distance
-// matrix (e.g. sweeps over many pairs of the same graph). It does not
-// re-check symmetry; callers must pass a symmetric pair.
-func ShrinkWithDist(g *graph.Graph, u, v int, dist [][]int32) Result {
-	return shrinkBFS(g, u, v, dist)
-}
-
-func shrinkBFS(g *graph.Graph, u, v int, dist [][]int32) Result {
-	n := g.N()
-	// parent[state] encodes the BFS tree for witness reconstruction:
-	// state = a*n + b; parent value = prevState*maxDeg + port, or -1.
-	seen := make([]bool, n*n)
-	parent := make([]int64, n*n)
-	for i := range parent {
-		parent[i] = -1
-	}
+	var ws Workspace
+	value, at := ws.search(g, u, v)
+	// Read the witness α off the parent links, last port first.
 	maxDeg := int64(g.MaxDegree())
-	start := u*n + v
-	seen[start] = true
-	queue := []int{start}
-	best := Result{Value: int(dist[u][v]), AU: u, AV: v}
-	bestState := start
-	for len(queue) > 0 && best.Value > 0 {
-		s := queue[0]
-		queue = queue[1:]
-		a, b := s/n, s%n
-		if g.Degree(a) != g.Degree(b) {
-			// Unreachable for symmetric pairs; guard against misuse of
-			// ShrinkWithDist with a nonsymmetric pair.
-			panic(fmt.Sprintf("shrink: degree mismatch at pair (%d,%d); input pair not symmetric", a, b))
-		}
-		for p := 0; p < g.Degree(a); p++ {
-			ta, _ := g.Succ(a, p)
-			tb, _ := g.Succ(b, p)
-			ns := ta*n + tb
-			if seen[ns] {
-				continue
-			}
-			seen[ns] = true
-			parent[ns] = int64(s)*maxDeg + int64(p)
-			if int(dist[ta][tb]) < best.Value {
-				best = Result{Value: int(dist[ta][tb]), AU: ta, AV: tb}
-				bestState = ns
-				if best.Value == 0 {
-					break
-				}
-			}
-			queue = append(queue, ns)
-		}
+	var alpha []int
+	for link := ws.parent[at]; link >= 0; link = ws.parent[link/maxDeg] {
+		alpha = append(alpha, int(link%maxDeg))
 	}
-	// Reconstruct the witness port sequence.
-	var rev []int
-	for s := bestState; parent[s] >= 0; {
-		enc := parent[s]
-		rev = append(rev, int(enc%maxDeg))
-		s = int(enc / maxDeg)
-	}
-	alpha := make([]int, len(rev))
-	for i := range rev {
-		alpha[i] = rev[len(rev)-1-i]
-	}
-	best.Alpha = alpha
-	return best
+	slices.Reverse(alpha)
+	n := int64(g.N())
+	return Result{Value: value, Alpha: alpha, AU: int(at / n), AV: int(at % n)}, nil
 }
 
-// Workspace holds the reusable buffers of repeated Shrink-value queries:
-// the flat all-pairs distance matrix, the BFS queue and the epoch-stamped
-// visited marks of the pair-product search. Sweeps that classify many
-// STICs keep one Workspace per worker (stic.Classifier embeds one), so
-// steady-state queries on same-sized graphs allocate nothing. Not safe
-// for concurrent use.
+// Workspace holds the reusable buffers of Shrink searches: the
+// pair-product BFS queue, the visited pairs with their parent links, and
+// the queue and marks of the bounded distance BFS. None is sized n², and
+// the visited map is cleared rather than reallocated, so sweeps that
+// classify many STICs keep one Workspace per worker (stic.Classifier
+// embeds one) and steady-state queries allocate nothing. Not safe for
+// concurrent use.
 type Workspace struct {
-	dist  []int32      // flat n*n all-pairs distances
-	distG *graph.Graph // the graph dist is valid for (graphs are immutable)
-	queue []int32
-	seen  []int32 // pair-product visited marks, epoch-stamped
-	epoch int32
+	queue  []int64         // pair-product BFS queue of states a*n + b
+	parent map[int64]int64 // visited state -> parent state*maxDeg + port, or -1
+	front  []int32         // bounded distance BFS queue
+	marked []bool          // nodes the bounded BFS reached; all false between calls
 }
 
 // Value computes Shrink(u,v) for a symmetric pair of g without
-// constructing a witness sequence, reusing the workspace's buffers. Like
-// ShrinkWithDist it does not re-check symmetry; callers must pass a
-// symmetric pair.
+// constructing a witness sequence, reusing the workspace's buffers. It
+// does not re-check symmetry; callers must pass a symmetric pair.
 func (ws *Workspace) Value(g *graph.Graph, u, v int) int {
-	n := g.N()
-	ws.allPairs(g)
-	if cap(ws.seen) < n*n {
-		ws.seen = make([]int32, n*n)
-		ws.epoch = 0
+	value, _ := ws.search(g, u, v)
+	return value
+}
+
+// search runs BFS over the pair-product graph from (u, v) and returns the
+// smallest distance it found with the first state (a*n + b) found at that
+// distance; ws.parent then links that state back to the start. It stops
+// once the distance reaches its floor (see the package comment).
+func (ws *Workspace) search(g *graph.Graph, u, v int) (best int, at int64) {
+	n, maxDeg := int64(g.N()), int64(g.MaxDegree())
+	floor := 1
+	if u == v {
+		floor = 0
 	}
-	ws.seen = ws.seen[:n*n]
-	ws.epoch++
-	if ws.epoch == 0 { // wrapped: re-zero once and restart epochs
-		for i := range ws.seen {
-			ws.seen[i] = 0
-		}
-		ws.epoch = 1
+	if ws.parent == nil {
+		ws.parent = make(map[int64]int64)
 	}
-	start := u*n + v
-	ws.seen[start] = ws.epoch
-	ws.queue = append(ws.queue[:0], int32(start))
-	best := int(ws.dist[start])
-	for qi := 0; qi < len(ws.queue) && best > 0; qi++ {
-		s := int(ws.queue[qi])
-		a, b := s/n, s%n
+	clear(ws.parent)
+	at = int64(u)*n + int64(v)
+	ws.parent[at] = -1
+	ws.queue = append(ws.queue[:0], at)
+	best = ws.distWithin(g, u, v, g.N())
+	for qi := 0; qi < len(ws.queue) && best > floor; qi++ {
+		s := ws.queue[qi]
+		a, b := int(s/n), int(s%n)
 		if g.Degree(a) != g.Degree(b) {
-			// Unreachable for symmetric pairs; guard against misuse.
+			// Unreachable for symmetric pairs; guard against misuse of
+			// Value with a nonsymmetric pair.
 			panic(fmt.Sprintf("shrink: degree mismatch at pair (%d,%d); input pair not symmetric", a, b))
 		}
 		for p := 0; p < g.Degree(a); p++ {
 			ta, _ := g.Succ(a, p)
 			tb, _ := g.Succ(b, p)
-			ns := ta*n + tb
-			if ws.seen[ns] == ws.epoch {
+			ns := int64(ta)*n + int64(tb)
+			if _, seen := ws.parent[ns]; seen {
 				continue
 			}
-			ws.seen[ns] = ws.epoch
-			if d := int(ws.dist[ns]); d >= 0 && d < best {
-				best = d
-				if best == 0 {
+			ws.parent[ns] = s*maxDeg + int64(p)
+			if d := ws.distWithin(g, ta, tb, best-1); d < best {
+				best, at = d, ns
+				if best == floor {
 					break
 				}
 			}
-			ws.queue = append(ws.queue, int32(ns))
+			ws.queue = append(ws.queue, ns)
 		}
 	}
-	return best
+	return best, at
 }
 
-// allPairs fills ws.dist with the n x n distance matrix by one BFS per
-// node into the reused flat buffer. Graphs are immutable, so the matrix
-// is cached by graph identity: classifying many pairs of one graph (the
-// k-agent experiments check every agent pair) pays for the BFS sweep
-// once.
-func (ws *Workspace) allPairs(g *graph.Graph) {
-	if ws.distG == g {
-		return
+// distWithin returns dist(a, b) if it is at most limit, and limit+1
+// otherwise, by a BFS from a that stops at depth limit.
+func (ws *Workspace) distWithin(g *graph.Graph, a, b, limit int) int {
+	if a == b {
+		return 0
 	}
-	ws.distG = nil // invalid while rebuilding
-	n := g.N()
-	if cap(ws.dist) < n*n {
-		ws.dist = make([]int32, n*n)
+	if len(ws.marked) < g.N() {
+		ws.marked = make([]bool, g.N())
 	}
-	ws.dist = ws.dist[:n*n]
-	for i := range ws.dist {
-		ws.dist[i] = -1
-	}
-	for v := 0; v < n; v++ {
-		row := ws.dist[v*n : (v+1)*n]
-		row[v] = 0
-		ws.queue = append(ws.queue[:0], int32(v))
-		for qi := 0; qi < len(ws.queue); qi++ {
-			x := int(ws.queue[qi])
-			dx := row[x]
-			for p := 0; p < g.Degree(x); p++ {
-				to, _ := g.Succ(x, p)
-				if row[to] < 0 {
-					row[to] = dx + 1
-					ws.queue = append(ws.queue, int32(to))
+	d := limit + 1
+	ws.marked[a] = true
+	ws.front = append(ws.front[:0], int32(a))
+levels:
+	for depth, lo := 1, 0; depth <= limit && lo < len(ws.front); depth++ {
+		hi := len(ws.front)
+		for _, x := range ws.front[lo:hi] {
+			for _, h := range g.Adj(int(x)) {
+				if h.To == b {
+					d = depth
+					break levels
+				}
+				if !ws.marked[h.To] {
+					ws.marked[h.To] = true
+					ws.front = append(ws.front, int32(h.To))
 				}
 			}
 		}
+		lo = hi
 	}
-	ws.distG = g
-}
-
-// PairOrbit returns all pairs (a, b) reachable from (u, v) in the
-// pair-product graph. For a symmetric start this is the set of joint
-// positions two identical agents can ever occupy when executing the same
-// moves with zero delay — the state space underlying the impossibility
-// proof of Lemma 3.1.
-func PairOrbit(g *graph.Graph, u, v int) [][2]int {
-	n := g.N()
-	seen := make([]bool, n*n)
-	start := u*n + v
-	seen[start] = true
-	queue := []int{start}
-	var out [][2]int
-	for len(queue) > 0 {
-		s := queue[0]
-		queue = queue[1:]
-		a, b := s/n, s%n
-		out = append(out, [2]int{a, b})
-		deg := g.Degree(a)
-		if g.Degree(b) < deg {
-			deg = g.Degree(b)
-		}
-		for p := 0; p < deg; p++ {
-			ta, _ := g.Succ(a, p)
-			tb, _ := g.Succ(b, p)
-			ns := ta*n + tb
-			if !seen[ns] {
-				seen[ns] = true
-				queue = append(queue, ns)
-			}
-		}
+	for _, x := range ws.front {
+		ws.marked[x] = false
 	}
-	return out
-}
-
-// MinOrbitDist returns the minimum distance over the pair orbit of (u, v);
-// for symmetric pairs this equals Shrink(u, v). Exported separately because
-// the impossibility experiments (E3) use it on its own.
-func MinOrbitDist(g *graph.Graph, u, v int) int {
-	dist := AllPairsDist(g)
-	best := int(dist[u][v])
-	for _, pr := range PairOrbit(g, u, v) {
-		if d := int(dist[pr[0]][pr[1]]); d < best {
-			best = d
-		}
-	}
-	return best
+	return d
 }

@@ -2,6 +2,7 @@ package shrink
 
 import (
 	"math/bits"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -50,11 +51,11 @@ func TestOrientedTorusShrinkEqualsDistance(t *testing.T) {
 	// oriented torus, Shrink(u,v) = dist(u,v) for any pair.
 	g := graph.OrientedTorus(4, 5)
 	dist := AllPairsDist(g)
+	var ws Workspace
 	for u := 0; u < g.N(); u++ {
 		for v := u + 1; v < g.N(); v++ {
-			r := ShrinkWithDist(g, u, v, dist)
-			if r.Value != int(dist[u][v]) {
-				t.Fatalf("torus Shrink(%d,%d)=%d, dist=%d", u, v, r.Value, dist[u][v])
+			if got := ws.Value(g, u, v); got != int(dist[u][v]) {
+				t.Fatalf("torus Shrink(%d,%d)=%d, dist=%d", u, v, got, dist[u][v])
 			}
 		}
 	}
@@ -180,61 +181,57 @@ func TestWitnessIsValid(t *testing.T) {
 func TestShrinkPositiveForDistinctSymmetric(t *testing.T) {
 	// Two distinct symmetric agents can never be brought to distance 0 by
 	// identical moves (otherwise simultaneous-start rendezvous would be
-	// possible, contradicting the paper's impossibility argument).
-	f := func(seed uint64, nRaw uint8) bool {
-		n := 3 + int(nRaw%8)
-		extra := int(seed % 3)
-		if maxExtra := n*(n-1)/2 - (n - 1); extra > maxExtra {
-			extra = maxExtra
-		}
-		g := graph.RandomConnected(n, extra, seed)
+	// possible, contradicting the paper's impossibility argument). The
+	// live search stops at distance 1 for u != v on the strength of this
+	// premise, so it cannot see a later 0; the premise is checked on
+	// shrinkBFS, which searches on until 0 or the end of the pair orbit.
+	positive := func(g *graph.Graph) bool {
+		dist := bfsMatrix(g)
 		c := view.Classes(g)
-		for u := 0; u < n; u++ {
-			for v := u + 1; v < n; v++ {
-				if c[u] != c[v] {
-					continue
-				}
-				r, err := Shrink(g, u, v)
-				if err != nil || r.Value < 1 {
+		for u := 0; u < g.N(); u++ {
+			for v := u + 1; v < g.N(); v++ {
+				if c[u] == c[v] && shrinkBFS(g, u, v, dist).Value < 1 {
+					t.Errorf("%s: reference Shrink(%d,%d) < 1", g, u, v)
 					return false
 				}
 			}
 		}
 		return true
 	}
+	for _, g := range append(e2Families(), qhat(2), qhat(3)) {
+		positive(g)
+	}
+	f := func(seed uint64, nRaw uint8) bool {
+		n := 3 + int(nRaw%8)
+		extra := int(seed % 3)
+		if maxExtra := n*(n-1)/2 - (n - 1); extra > maxExtra {
+			extra = maxExtra
+		}
+		return positive(graph.RandomConnected(n, extra, seed))
+	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func TestMinOrbitDistMatchesShrink(t *testing.T) {
-	g := graph.OrientedTorus(3, 3)
-	for u := 0; u < g.N(); u++ {
-		for v := u + 1; v < g.N(); v++ {
-			r := mustShrink(t, g, u, v)
-			if m := MinOrbitDist(g, u, v); m != r.Value {
-				t.Fatalf("MinOrbitDist(%d,%d)=%d, Shrink=%d", u, v, m, r.Value)
-			}
+func TestShrinkQhatAllocBound(t *testing.T) {
+	// The search keeps one map entry per pair it visits before reaching
+	// distance 1, so Shrink on Q̂7 (n = 4373) allocates nowhere near one
+	// n²-entry table (19M entries).
+	g, info := graph.Qhat(7)
+	var z []int
+	for k := 1; 2*k <= 7; k++ {
+		z = append(z, graph.QhatZ(g, info.Root, k)...)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, v := range z {
+		if r := mustShrink(t, g, info.Root, v); r.Value != 1 {
+			t.Fatalf("Q̂7 Shrink(root,%d) = %d, want 1", v, r.Value)
 		}
 	}
-}
-
-func TestPairOrbitContainsStart(t *testing.T) {
-	g := graph.Cycle(5)
-	orbit := PairOrbit(g, 1, 3)
-	found := false
-	for _, p := range orbit {
-		if p == [2]int{1, 3} {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("orbit missing start state")
-	}
-	// Oriented ring: orbit of offset-2 pairs = all offset-2 pairs going
-	// one way... at minimum the orbit size must be a multiple of n? Check
-	// the orbit is exactly the offset-preserving set.
-	if len(orbit) != 5 {
-		t.Fatalf("ring-5 orbit size %d, want 5", len(orbit))
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 16<<20 {
+		t.Fatalf("Shrink on %d Z pairs of Q̂7 allocated %d bytes, want under 16 MiB", len(z), grew)
 	}
 }

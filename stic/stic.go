@@ -54,10 +54,12 @@ func (r Report) String() string {
 }
 
 // Classifier is the scratch-threaded classifier: it keeps the view
-// refiner and the shrink workspace warm, so classifying many STICs —
-// the experiment sweeps classify one per case or per agent pair —
-// allocates nothing in steady state. Not safe for concurrent use; give
-// each sweep worker its own (via sim's Scratch.Stash, or a local).
+// refiner and the shrink workspace's search buffers warm, so classifying
+// many STICs — the experiment sweeps classify one per case or per agent
+// pair — allocates nothing in steady state. Only the view partition is
+// cached per graph; each Shrink query searches afresh. Not safe for
+// concurrent use; give each sweep worker its own (via sim's
+// Scratch.Stash, or a local).
 type Classifier struct {
 	ref view.Refiner
 	ws  shrink.Workspace

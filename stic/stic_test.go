@@ -48,6 +48,23 @@ func TestClassifyDegenerateSameNode(t *testing.T) {
 	}
 }
 
+func TestClassifierWarmAllocs(t *testing.T) {
+	// A warm Classifier allocates nothing: the view partition is cached
+	// per graph, and the shrink workspace reuses its queue, visited map
+	// and BFS marks.
+	g := graph.OrientedTorus(4, 5)
+	pairs := SymmetricPairs(g)
+	var c Classifier
+	allocs := testing.AllocsPerRun(10, func() {
+		for _, pr := range pairs {
+			c.Classify(STIC{G: g, U: pr[0], V: pr[1], Delay: 1})
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("warm Classifier: %v allocs per sweep of %d pairs, want 0", allocs, len(pairs))
+	}
+}
+
 func TestPortHomogeneous(t *testing.T) {
 	if !PortHomogeneous(graph.Cycle(6)) {
 		t.Fatal("ring should be port-homogeneous")
