@@ -1,6 +1,9 @@
 package agent
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // StepKind distinguishes trace entries.
 type StepKind int
@@ -71,18 +74,18 @@ func (t *Trace) EntryPortAt(r uint64) int {
 // String renders a compact form like "0>1 0>0 .3 1>0" (out>entry, .k for
 // k waited rounds).
 func (t *Trace) String() string {
-	out := ""
+	var b strings.Builder
 	for i, s := range t.Steps {
 		if i > 0 {
-			out += " "
+			b.WriteByte(' ')
 		}
 		if s.Kind == StepWait {
-			out += fmt.Sprintf(".%d", s.Rounds)
+			fmt.Fprintf(&b, ".%d", s.Rounds)
 		} else {
-			out += fmt.Sprintf("%d>%d", s.OutPort, s.EntryPort)
+			fmt.Fprintf(&b, "%d>%d", s.OutPort, s.EntryPort)
 		}
 	}
-	return out
+	return b.String()
 }
 
 // tracingWorld wraps a World and appends every action to a Trace.

@@ -1,9 +1,9 @@
 // Command rvd runs the crash-safe rendezvous daemon: it owns a dist
 // worker fleet and a persistent result store under -dir, serves sweep
 // jobs over HTTP (see package rvd for the API), and survives kill -9 —
-// on restart it replays its job journal, reloads the store index,
-// re-dials workers with backoff, and resumes every incomplete job from
-// its last completed shard.
+// on restart it reloads the store index and re-dials workers with
+// backoff, and a resubmitted sweep is served every shard stored before
+// the crash as a cache hit.
 //
 // Usage:
 //
@@ -15,7 +15,7 @@
 //
 // The daemon serves Prometheus text metrics at GET /metrics (the
 // process-wide obs registry: sim engine, dist coordinator, and rvd
-// store/journal/queue families) and per-job Chrome trace timelines at
+// job/store/queue families) and per-job Chrome trace timelines at
 // GET /v1/sweeps/{id}/trace. -pprof additionally mounts net/http/pprof
 // under /debug/pprof/ on the same listener; -log-level sets the
 // log/slog threshold (debug shows per-batch dispatch lines).
@@ -25,9 +25,9 @@
 // connects to already-running `rvworker -listen` processes, retrying
 // each address with capped exponential backoff + jitter so workers that
 // restart slower than the daemon are absorbed. SIGTERM/SIGINT shut down
-// gracefully: stop accepting jobs, drain the in-flight batch, flush the
-// journal, close worker connections, exit — incomplete jobs stay
-// journaled and resume on the next start.
+// gracefully: stop accepting jobs, drain the in-flight batch, close
+// worker connections, exit — incomplete jobs end suspended, and their
+// submitters resubmit after the restart.
 package main
 
 import (
@@ -67,7 +67,7 @@ func main() {
 	// flag parsing.
 	dist.RunWorkerIfChild()
 
-	dir := flag.String("dir", "", "state directory (result store + job journal); required")
+	dir := flag.String("dir", "", "state directory (holds the result store); required")
 	listen := flag.String("listen", "127.0.0.1:7421", "HTTP listen address")
 	workers := flag.Int("workers", 0, "fork this many local worker processes (default: in-process workers, one per CPU)")
 	workerBin := flag.String("dist-worker-bin", "", "worker command for -workers, split on whitespace (default: re-exec rvd itself)")
@@ -159,9 +159,8 @@ func main() {
 	}
 
 	// Graceful shutdown: stop accepting HTTP, finish the in-flight
-	// batch, flush/close the journal, then drain worker connections
-	// through connBackend.Close. Jobs still incomplete stay journaled
-	// and resume on the next start.
+	// batch, then drain worker connections through connBackend.Close.
+	// Jobs still incomplete end suspended; their submitters resubmit.
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	_ = srv.Shutdown(ctx)

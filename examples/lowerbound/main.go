@@ -11,6 +11,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"math/big"
 
 	"repro/graph"
 	"repro/shrink"
@@ -49,11 +50,10 @@ func main() {
 	fmt.Println("algorithm needs time exponential in the initial distance D:")
 	fmt.Println("\n  k   D=2k  h=2D  n=2*3^h-1             bound 2^(k-1)")
 	for kk := 1; kk <= 10; kk++ {
-		n := uint64(1)
-		for i := 0; i < 4*kk; i++ {
-			n *= 3
-		}
-		fmt.Printf("  %-3d %-5d %-5d %-21d %d\n", kk, 2*kk, 4*kk, 2*n-1, 1<<(kk-1))
+		// n = 2·3^(4k) − 1 outgrows uint64 at k = 10.
+		n := new(big.Int).Exp(big.NewInt(3), big.NewInt(int64(4*kk)), nil)
+		n.Lsh(n, 1).Sub(n, big.NewInt(1))
+		fmt.Printf("  %-3d %-5d %-5d %-21d %d\n", kk, 2*kk, 4*kk, n, 1<<(kk-1))
 	}
 	fmt.Println("\nsince dist >= Shrink, rendezvous time is also exponential in Shrink(u,v):")
 	fmt.Println("the (n-1)^d factor in SymmRV's T(n,d,δ) is not an artifact of the algorithm.")

@@ -27,7 +27,7 @@ func Example() {
 	//   7   14    28    45753584909921        64
 	//   8   16    32    3706040377703681      128
 	//   9   18    36    300189270593998241    256
-	//   10  20    40    5868586844404305985   512
+	//   10  20    40    24315330918113857601  512
 	//
 	// since dist >= Shrink, rendezvous time is also exponential in Shrink(u,v):
 	// the (n-1)^d factor in SymmRV's T(n,d,δ) is not an artifact of the algorithm.

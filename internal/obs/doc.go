@@ -12,8 +12,8 @@
 // with the tier prefix naming the publishing package — sim_*, dist_*,
 // rvd_*. Monotonic counters end in _total; gauges are bare nouns
 // (rvd_queue_depth, rvd_store_bytes); histograms carry their unit in
-// the name (dist_heartbeat_gap_ns, rvd_journal_fsync_ns, rvd_queue_wait_ns)
-// and expose cumulative le buckets plus _sum/_count in that unit.
+// the name (dist_heartbeat_gap_ns, rvd_queue_wait_ns) and expose
+// cumulative le buckets plus _sum/_count in that unit.
 // Bounded label sets ride inline in the registered name
 // (sim_wakeups_total{phase="viewWalk"}); the registry groups samples
 // sharing a family under one HELP/TYPE pair. Label cardinality is
@@ -45,9 +45,9 @@
 //     untouched — BenchmarkInstrumentedShard stays 0 allocs/op and
 //     inside the benchdiff gate.
 //   - dist and rvd instrument their coordination paths (dispatch,
-//     frame handling, store and journal I/O), which are microseconds
-//     per event against milliseconds of work; Timeline.Add takes a
-//     mutex but only on those paths, never inside the engine.
+//     frame handling, store I/O), which are microseconds per event
+//     against milliseconds of work; Timeline.Add takes a mutex but only
+//     on those paths, never inside the engine.
 //
 // # Timelines
 //

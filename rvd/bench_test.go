@@ -2,7 +2,6 @@ package rvd
 
 import (
 	"fmt"
-	"path/filepath"
 	"testing"
 )
 
@@ -52,35 +51,4 @@ func BenchmarkCacheLookup(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkJournalAppend measures the WAL append: a realistic submit
-// record (8 shards × 256 bytes) framed, written, and — in the durable
-// variant — fsync'd, which is the daemon's actual per-submission cost.
-func BenchmarkJournalAppend(b *testing.B) {
-	rec := &Record{Type: recSubmit, JobID: 42}
-	shard := make([]byte, 256)
-	for i := range shard {
-		shard[i] = byte(i * 7)
-	}
-	for i := 0; i < 8; i++ {
-		rec.Shards = append(rec.Shards, shard)
-	}
-	run := func(b *testing.B, durable bool) {
-		j, _, err := OpenJournal(filepath.Join(b.TempDir(), "bench.wal"), nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer j.Close()
-		j.sync = durable
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := j.Append(rec); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.Run("fsync", func(b *testing.B) { run(b, true) })
-	b.Run("buffered", func(b *testing.B) { run(b, false) })
 }

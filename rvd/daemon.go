@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"log/slog"
 	"os"
 	"path/filepath"
@@ -16,10 +17,11 @@ import (
 	"repro/internal/obs"
 )
 
-// JobState is a job's position in the crash-recovery state machine (see
-// doc.go): Queued → Running → Done/Failed, with Suspended the state a
-// still-incomplete job's watchers observe while the daemon shuts down
-// (the job itself stays journaled and resumes on the next start).
+// JobState is a job's position in its lifecycle (see doc.go): Queued →
+// Running → Done/Failed, with Suspended the state a still-incomplete
+// job's watchers observe while the daemon shuts down. A suspended job
+// does not resume; its submitter resubmits after the restart, and the
+// store answers every shard already stored.
 type JobState int
 
 const (
@@ -59,7 +61,6 @@ type Event struct {
 type Job struct {
 	ID     uint64
 	shards []*dist.ShardDesc
-	raw    [][]byte // canonical encodings, index-parallel with shards
 	keys   []Key
 
 	// submittedAt anchors queue-wait and progress elapsed times; tl is
@@ -126,8 +127,8 @@ func (job *Job) WriteTrace(w io.Writer) error { return job.tl.WriteTrace(w) }
 
 // Config configures a Daemon. Zero fields take the defaults.
 type Config struct {
-	// Dir is the daemon's durable state directory: Dir/store holds the
-	// result cache, Dir/journal.wal the job journal.
+	// Dir is the daemon's durable state directory; Dir/store holds the
+	// result cache, the only state that outlives a restart.
 	Dir string
 
 	// Backend executes shards the store cannot answer. The daemon
@@ -153,10 +154,6 @@ type Config struct {
 	// amortize dispatch better. Default 16.
 	BatchShards int
 
-	// CompactEvery triggers a journal compaction after this many jobs
-	// complete. Default 32.
-	CompactEvery int
-
 	// RetryAfter is the backoff hint handed to shed submitters.
 	// Default 1s.
 	RetryAfter time.Duration
@@ -173,13 +170,14 @@ type Config struct {
 	// When set it takes precedence over Logf.
 	Log *slog.Logger
 
-	// Logf receives operational notices (quarantines, journal recovery,
-	// job lifecycle) as rendered lines. Nil (with Log nil) is silent.
+	// Logf receives operational notices (quarantines, leftover-state
+	// cleanup, job lifecycle) as rendered lines. Nil (with Log nil) is
+	// silent.
 	Logf func(format string, args ...any)
 }
 
-// logFunc resolves the rendered-line log sink store and journal use:
-// Log (at Info) when set, else Logf, else nil for silent.
+// logFunc resolves the rendered-line log sink the store uses: Log (at
+// Info) when set, else Logf, else nil for silent.
 func (c Config) logFunc() func(format string, args ...any) {
 	switch {
 	case c.Log != nil:
@@ -202,9 +200,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.BatchShards <= 0 {
 		c.BatchShards = 16
-	}
-	if c.CompactEvery <= 0 {
-		c.CompactEvery = 32
 	}
 	if c.RetryAfter <= 0 {
 		c.RetryAfter = time.Second
@@ -229,15 +224,13 @@ func (e *ErrOverloaded) Error() string {
 var ErrClosed = errors.New("rvd: daemon shutting down")
 
 // Daemon is the long-running rendezvous service: it owns a worker-fleet
-// backend, a persistent result store, and a job journal, and multiplexes
-// concurrent sweep jobs over the one fleet with per-job fair dequeue.
-// Its defining property is crash safety: kill -9 at any instant loses at
-// most the results not yet durably stored — never the journal, never a
-// stored result, never a completed job.
+// backend and a persistent result store, and multiplexes concurrent
+// sweep jobs over the one fleet with per-job fair dequeue. The store is
+// its only durable state: kill -9 at any instant costs only the shards
+// not yet stored, and a resubmission of the same sweep recovers them.
 type Daemon struct {
 	cfg   Config
 	store *Store
-	jl    *Journal
 
 	mu        sync.Mutex
 	cond      *sync.Cond
@@ -247,7 +240,6 @@ type Daemon struct {
 	nextID    uint64
 	pending   int // unfinished shards across queue+active (admission control)
 	rr        int // round-robin cursor over active
-	doneJobs  int // completions since the last compaction
 	closing   bool
 	schedDone chan struct{}
 
@@ -255,17 +247,17 @@ type Daemon struct {
 	totalExec int
 
 	// crashAfterStores, when positive, simulates kill -9 for the crash
-	// harness: the scheduler halts dead (no done record, no further
-	// stores, no graceful anything) after that many store puts, and
+	// harness: the scheduler halts dead (no further stores, no state
+	// transitions, no graceful anything) after that many store puts, and
 	// crashed is closed. Test-only.
 	crashAfterStores int
 	crashed          chan struct{}
 }
 
-// Open opens the daemon's durable state under cfg.Dir, replays the
-// journal — incomplete jobs are re-enqueued exactly as submitted, their
-// completed shards answered by the store as cache hits — and starts the
-// scheduler. The caller must eventually Close.
+// Open opens the daemon's durable state under cfg.Dir — the store
+// reloads its index, so every shard stored before a crash or restart
+// answers as a cache hit — and starts the scheduler. No job survives a
+// restart; submitters resubmit. The caller must eventually Close.
 func Open(cfg Config) (*Daemon, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Dir == "" {
@@ -277,76 +269,32 @@ func Open(cfg Config) (*Daemon, error) {
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("rvd: creating state dir: %w", err)
 	}
-	lg := cfg.logFunc()
-	store, err := OpenStore(filepath.Join(cfg.Dir, "store"), lg)
-	if err != nil {
-		return nil, err
-	}
-	jl, recs, err := OpenJournal(filepath.Join(cfg.Dir, "journal.wal"), lg)
+	store, err := OpenStore(filepath.Join(cfg.Dir, "store"), cfg.logFunc())
 	if err != nil {
 		return nil, err
 	}
 	d := &Daemon{
-		cfg:       cfg,
-		store:     store,
-		jl:        jl,
-		jobs:      map[uint64]*Job{},
-		nextID:    1,
+		cfg:   cfg,
+		store: store,
+		jobs:  map[uint64]*Job{},
+		// Each boot numbers its jobs from the wall clock in microseconds,
+		// so ids never repeat across restarts of one state dir (no boot
+		// issues more than one job per microsecond) and stay below 2^53,
+		// exact for JSON clients that read numbers as doubles.
+		nextID:    uint64(time.Now().UnixMicro()),
 		schedDone: make(chan struct{}),
 		crashed:   make(chan struct{}),
 	}
 	d.cond = sync.NewCond(&d.mu)
-
-	// Replay: submit records without a matching done record are the
-	// incomplete jobs; re-enqueue them in submission order under their
-	// original ids.
-	type pendingJob struct {
-		id     uint64
-		shards [][]byte
+	// Earlier versions kept a job journal beside the store and resumed
+	// its unfinished jobs at Open. Nothing reads it now: delete it.
+	wal := filepath.Join(cfg.Dir, "journal.wal")
+	if err := os.Remove(wal); err == nil {
+		d.logf("rvd: removed %s, a job journal from an earlier rvd; its unfinished jobs are not resumed (resubmit them: stored shards are cache hits)", wal)
+	} else if !errors.Is(err, fs.ErrNotExist) {
+		d.logf("rvd: removing %s: %v", wal, err)
 	}
-	var incomplete []pendingJob
-	byID := map[uint64]int{}
-	for _, rec := range recs {
-		switch rec.Type {
-		case recSubmit:
-			byID[rec.JobID] = len(incomplete)
-			incomplete = append(incomplete, pendingJob{id: rec.JobID, shards: rec.Shards})
-		case recDone:
-			if i, ok := byID[rec.JobID]; ok {
-				incomplete[i].shards = nil // tombstone
-			}
-		}
-		if rec.JobID >= d.nextID {
-			d.nextID = rec.JobID + 1
-		}
-	}
-	var live []*Record
-	for _, pj := range incomplete {
-		if pj.shards == nil {
-			continue
-		}
-		job, err := d.buildJob(pj.id, pj.shards)
-		if err != nil {
-			// A journaled job that no longer decodes (version skew after
-			// an upgrade): drop it with a notice rather than wedge the
-			// daemon; the submitter will resubmit and be re-keyed.
-			d.logf("rvd: dropping journaled job %d: %v", pj.id, err)
-			continue
-		}
-		d.jobs[job.ID] = job
-		d.queue = append(d.queue, job)
-		d.pending += len(job.shards)
-		live = append(live, &Record{Type: recSubmit, JobID: pj.id, Shards: pj.shards})
-		job.tl.Instant("resume", "job", -1, fmt.Sprintf("%d shards", len(job.shards)))
-		d.logf("rvd: resuming journaled job %d (%d shards)", pj.id, len(job.shards))
-	}
-	obsQueueDepth.Set(int64(d.pending))
-	// Compact on open: the replayed prefix collapses to just the live
-	// submit records, so journal growth resets every restart.
-	if err := jl.Compact(live); err != nil {
-		jl.Close()
-		return nil, err
-	}
+	obsQueueDepth.Set(0)
 	go d.schedule()
 	return d, nil
 }
@@ -367,15 +315,14 @@ func (d *Daemon) slogf(level slog.Level, format string, args ...any) {
 	}
 }
 
-// buildJob decodes and canonicalizes raw shard encodings into a Job.
-func (d *Daemon) buildJob(id uint64, raws [][]byte) (*Job, error) {
+// buildJob decodes and canonicalizes raw shard encodings into a Job
+// without an id.
+func (d *Daemon) buildJob(raws [][]byte) (*Job, error) {
 	if len(raws) == 0 {
 		return nil, errors.New("rvd: job with no shards")
 	}
 	job := &Job{
-		ID:          id,
 		shards:      make([]*dist.ShardDesc, len(raws)),
-		raw:         make([][]byte, len(raws)),
 		keys:        make([]Key, len(raws)),
 		done:        make([]bool, len(raws)),
 		submittedAt: time.Now(),
@@ -390,48 +337,31 @@ func (d *Daemon) buildJob(id uint64, raws [][]byte) (*Job, error) {
 		// Re-encode: decode→encode is the canonical fixed point (pinned
 		// by FuzzShardDecode), so equivalent submissions hash equal no
 		// matter how their varints arrived.
-		canon := sh.Encode()
 		job.shards[i] = sh
-		job.raw[i] = canon
-		job.keys[i] = CacheKey(d.cfg.VersionStamp, canon)
+		job.keys[i] = CacheKey(d.cfg.VersionStamp, sh.Encode())
 	}
 	return job, nil
 }
 
-// Submit accepts one sweep job: decode and canonicalize the shards,
-// journal the submission durably, enqueue, and return the job. The job
-// is recoverable from the moment Submit returns — a kill -9 immediately
-// after still resumes it on restart.
+// Submit accepts one sweep job: decode and canonicalize the shards, give
+// the job an id, enqueue it, and return it. The job lives only in memory;
+// a crash before it finishes costs only its shards not yet stored.
 func (d *Daemon) Submit(shards [][]byte) (*Job, error) {
-	d.mu.Lock()
-	if d.closing {
-		d.mu.Unlock()
-		return nil, ErrClosed
-	}
-	if d.pending+len(shards) > d.cfg.QueueBound {
-		d.mu.Unlock()
-		return nil, &ErrOverloaded{RetryAfter: d.cfg.RetryAfter}
-	}
-	id := d.nextID
-	d.nextID++
-	d.mu.Unlock()
-
-	job, err := d.buildJob(id, shards)
+	job, err := d.buildJob(shards)
 	if err != nil {
 		return nil, err
 	}
-
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closing {
 		return nil, ErrClosed
 	}
-	// Write-ahead: the journal append (fsync'd) happens before the job
-	// is visible anywhere, so an accepted job can never be lost.
-	if err := d.jl.Append(&Record{Type: recSubmit, JobID: id, Shards: job.raw}); err != nil {
-		return nil, err
+	if d.pending+len(job.shards) > d.cfg.QueueBound {
+		return nil, &ErrOverloaded{RetryAfter: d.cfg.RetryAfter}
 	}
-	d.jobs[id] = job
+	job.ID = d.nextID
+	d.nextID++
+	d.jobs[job.ID] = job
 	d.queue = append(d.queue, job)
 	d.pending += len(job.shards)
 	obsJobsSubmitted.Inc()
@@ -498,9 +428,8 @@ func (d *Daemon) JobStatuses() []JobStatus {
 // through it).
 func (d *Daemon) Store() *Store { return d.store }
 
-// markDone records one shard completion on a job (job.mu held by
-// caller? No — markDone takes it). Daemon-wide counters are the
-// caller's business.
+// markDone records one shard completion on a job; it takes job.mu.
+// Daemon-wide counters are the caller's business.
 func (job *Job) markDone(shard int, cache bool) {
 	job.mu.Lock()
 	if job.done[shard] {
@@ -567,33 +496,8 @@ func (d *Daemon) resolveJob(job *Job) (remaining int) {
 	return remaining
 }
 
-// finishJob journals the done record, compacts on schedule, and flips
-// the job's state. Called without d.mu.
+// finishJob flips a job whose every shard is stored to Done.
 func (d *Daemon) finishJob(job *Job) {
-	d.mu.Lock()
-	err := d.jl.Append(&Record{Type: recDone, JobID: job.ID})
-	if err == nil {
-		d.doneJobs++
-		if d.doneJobs >= d.cfg.CompactEvery {
-			d.doneJobs = 0
-			var live []*Record
-			for _, j := range append(append([]*Job(nil), d.queue...), d.active...) {
-				if j != job && !j.Status().State.isFinal() {
-					live = append(live, &Record{Type: recSubmit, JobID: j.ID, Shards: j.raw})
-				}
-			}
-			if cerr := d.jl.Compact(live); cerr != nil {
-				d.logf("rvd: journal compaction failed: %v", cerr)
-			}
-		}
-	}
-	d.mu.Unlock()
-	if err != nil {
-		// The work is done and stored; only the journal's completion
-		// note failed. Log it — the worst a crash now costs is a
-		// harmless resume that cache-hits every shard.
-		d.logf("rvd: journaling job %d completion: %v", job.ID, err)
-	}
 	// Count the job and mark its trace before publishing its state: a
 	// waiter woken by the state change must already see both.
 	obsJobsDone.Inc()
@@ -719,14 +623,12 @@ func (d *Daemon) schedule() {
 			continue
 		}
 
-		stored := 0
 		for i, it := range batch {
 			value := results[i].AppendEncode(nil)
 			if err := d.store.Put(it.job.keys[it.shard], value); err != nil {
 				d.failJobs(batch[i:], err)
 				break
 			}
-			stored++
 			it.job.tl.Span("shard", "shard", int64(it.shard), it.startNs, "executed")
 			it.job.markDone(it.shard, false)
 			obsShardsExec.Inc()
@@ -737,14 +639,13 @@ func (d *Daemon) schedule() {
 			crash := d.crashAfterStores > 0 && d.totalExec >= d.crashAfterStores
 			d.mu.Unlock()
 			if crash {
-				// Simulated kill -9: halt dead. No done records, no
-				// state transitions, no cleanup — everything after this
-				// instant must be recoverable from disk alone.
+				// Simulated kill -9: halt dead. No state transitions, no
+				// cleanup — a resubmission must recover everything after
+				// this instant from the store alone.
 				close(d.crashed)
 				return
 			}
 		}
-		_ = stored
 
 		// Completion check: jobs whose last shard just landed.
 		d.mu.Lock()
@@ -773,8 +674,8 @@ func (d *Daemon) dropJob(job *Job) {
 }
 
 // failJobs marks the distinct jobs of a failed batch failed and removes
-// them from scheduling; their journaled submissions remain, so a
-// restart retries them from their completed prefix.
+// them from scheduling; their stored shards stay in the store, so a
+// resubmission retries only the rest.
 func (d *Daemon) failJobs(batch []batchItem, cause error) {
 	seen := map[*Job]bool{}
 	for _, it := range batch {
@@ -803,10 +704,11 @@ func (d *Daemon) failJobs(batch []batchItem, cause error) {
 }
 
 // Close begins graceful shutdown: new submissions are refused, the
-// scheduler finishes its in-flight batch and stops, unfinished jobs'
-// watchers see JobSuspended (the jobs themselves stay journaled and
-// resume on the next Open), and the journal closes. The backend is the
-// caller's to close afterwards — its Close drains worker connections.
+// scheduler finishes its in-flight batch and stops, and unfinished
+// jobs' watchers see JobSuspended. Those jobs do not resume on the next
+// Open; their submitters resubmit. Close returns nil: every stored
+// result is already durable. The backend is the caller's to close
+// afterwards — its Close drains worker connections.
 func (d *Daemon) Close() error {
 	d.mu.Lock()
 	if d.closing {
@@ -825,12 +727,11 @@ func (d *Daemon) Close() error {
 	}
 	d.mu.Lock()
 	jobs := append(append([]*Job(nil), d.queue...), d.active...)
-	err := d.jl.Close()
 	d.mu.Unlock()
 	for _, job := range jobs {
 		if !job.Status().State.isFinal() {
 			job.setState(JobSuspended, "")
 		}
 	}
-	return err
+	return nil
 }

@@ -4,22 +4,23 @@ package rvd
 // through every failure mode the daemon promises to survive, must come
 // out byte-identical every time —
 //
-//	cold run          fresh store, everything executed
-//	warm run          same daemon, everything a cache hit
-//	kill -9 + resume  scheduler halted dead mid-sweep, reopened, resumed
-//	truncated journal the WAL cut mid-frame, recovered, resubmitted
-//	bit-flipped entry one store entry corrupted, quarantined, recomputed
+//	cold run            fresh store, everything executed
+//	warm run            same daemon, everything a cache hit
+//	bit-flipped entry   one store entry corrupted, quarantined, recomputed
+//	kill -9 + resubmit  scheduler halted dead mid-sweep, reopened, the
+//	                    sweep submitted again
 //
 // — with the cache-hit/executed counters asserting the structural claim:
-// a resumed run re-executes NO completed shard.
+// a resubmission after a crash re-executes NO stored shard.
 
 import (
 	"bytes"
 	"encoding/hex"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
-	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -201,7 +202,7 @@ func TestDaemonDifferential(t *testing.T) {
 		t.Fatalf("quarantined = %d, want 1", q)
 	}
 
-	// --- kill -9 mid-sweep + restart + resume. ---
+	// --- kill -9 mid-sweep + restart + resubmit. ---
 	const crashAfter = 4
 	dirB := t.TempDir()
 	beB := dist.NewInProcess(2)
@@ -217,77 +218,31 @@ func TestDaemonDifferential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	<-dB.crashed // the scheduler halted dead: no done record, no cleanup
+	<-dB.crashed // the scheduler halted dead: no state change, no cleanup
 	if done := jobCrash.completedCount(); done != crashAfter {
 		t.Fatalf("crashed after %d completions, want %d", done, crashAfter)
 	}
 	dB.Close()
 	beB.Close()
 
-	// Reopen the same state dir: the journal resumes the job under its
-	// original id, the store answers its completed shards.
+	// Reopen the same state dir and submit the sweep again: the store
+	// answers the shards stored before the crash, under a new job id.
 	dB2 := openTestDaemon(t, dirB, nil)
-	jobResumed, ok := dB2.JobByID(jobCrash.ID)
-	if !ok {
-		t.Fatalf("job %d not resumed from journal", jobCrash.ID)
+	if _, ok := dB2.JobByID(jobCrash.ID); ok {
+		t.Fatalf("crashed job %d survived the restart", jobCrash.ID)
 	}
-	stResumed := jobResumed.Wait()
-	if stResumed.State != JobDone {
-		t.Fatalf("resumed job finished %v (err %q)", stResumed.State, stResumed.Err)
+	jobAgain, stAgain := submitWait(t, dB2, shards)
+	if jobAgain.ID == jobCrash.ID {
+		t.Fatalf("resubmission reused the crashed job's id %d", jobCrash.ID)
 	}
-	if got := jobBytes(t, dB2, jobResumed); !bytes.Equal(got, ref) {
-		t.Fatal("resumed run output differs from reference")
+	if got := jobBytes(t, dB2, jobAgain); !bytes.Equal(got, ref) {
+		t.Fatal("resubmitted run output differs from reference")
 	}
-	// The structural claim: every shard completed before the crash is a
-	// cache hit; the resumed run re-executes none of them.
-	if stResumed.CacheHits != crashAfter || stResumed.Executed != n-crashAfter {
-		t.Fatalf("resumed run: %d hits / %d executed, want %d / %d",
-			stResumed.CacheHits, stResumed.Executed, crashAfter, n-crashAfter)
-	}
-
-	// --- Journal truncated mid-frame. ---
-	// Crash a fresh daemon mid-sweep, then cut its journal mid-frame —
-	// the submit record itself is damaged. Recovery must come up clean
-	// with zero jobs, and a resubmission must reuse the crash-survivor
-	// store entries and still produce identical bytes.
-	dirC := t.TempDir()
-	beC := dist.NewInProcess(2)
-	dC, err := Open(Config{
-		Dir: dirC, Backend: beC, VersionStamp: "test proto=3 registry=1",
-		BatchShards: 3, Logf: t.Logf,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dC.crashAfterStores = 2
-	if _, err := dC.Submit(shards); err != nil {
-		t.Fatal(err)
-	}
-	<-dC.crashed
-	dC.Close()
-	beC.Close()
-	jpath := filepath.Join(dirC, "journal.wal")
-	jraw, err := os.ReadFile(jpath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(jraw) <= len(journalHeader)+10 {
-		t.Fatalf("journal unexpectedly small: %d bytes", len(jraw))
-	}
-	if err := os.WriteFile(jpath, jraw[:len(jraw)-11], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	dC2 := openTestDaemon(t, dirC, nil)
-	if got := len(dC2.jobs); got != 0 {
-		t.Fatalf("truncated journal replayed %d jobs, want 0", got)
-	}
-	jobTrunc, stTrunc := submitWait(t, dC2, shards)
-	if got := jobBytes(t, dC2, jobTrunc); !bytes.Equal(got, ref) {
-		t.Fatal("truncated-journal run output differs from reference")
-	}
-	if stTrunc.CacheHits != 2 || stTrunc.Executed != n-2 {
-		t.Fatalf("truncated-journal run: %d hits / %d executed, want 2 / %d",
-			stTrunc.CacheHits, stTrunc.Executed, n-2)
+	// The structural claim: every shard stored before the crash is a
+	// cache hit; the resubmission re-executes none of them.
+	if stAgain.CacheHits != crashAfter || stAgain.Executed != n-crashAfter {
+		t.Fatalf("resubmitted run: %d hits / %d executed, want %d / %d",
+			stAgain.CacheHits, stAgain.Executed, crashAfter, n-crashAfter)
 	}
 }
 
@@ -333,7 +288,7 @@ func TestDaemonConcurrentJobsDedup(t *testing.T) {
 
 // TestDaemonAdmissionControl pins load shedding: a submission past the
 // queue bound is refused with ErrOverloaded and a Retry-After hint, and
-// nothing about it is journaled.
+// leaves no job behind.
 func TestDaemonAdmissionControl(t *testing.T) {
 	shards := fixedSweep(t)
 	d := openTestDaemon(t, t.TempDir(), func(cfg *Config) {
@@ -353,7 +308,7 @@ func TestDaemonAdmissionControl(t *testing.T) {
 }
 
 // TestDaemonRejectsCorruptShard pins input hardening end to end: bytes
-// that fail the dist codec never reach the journal or the fleet.
+// that fail the dist codec never reach the queue or the fleet.
 func TestDaemonRejectsCorruptShard(t *testing.T) {
 	d := openTestDaemon(t, t.TempDir(), nil)
 	if _, err := d.Submit([][]byte{{0xFF, 0xFF, 0xFF}}); err == nil {
@@ -365,7 +320,8 @@ func TestDaemonRejectsCorruptShard(t *testing.T) {
 }
 
 // TestDaemonSuspendOnClose pins graceful shutdown: an unfinished job's
-// watchers observe JobSuspended, and the job resumes on reopen.
+// watchers observe JobSuspended, no job outlives the daemon, and a
+// resubmission after reopen is served from every entry stored before.
 func TestDaemonSuspendOnClose(t *testing.T) {
 	shards := fixedSweep(t)
 	dir := t.TempDir()
@@ -377,11 +333,8 @@ func TestDaemonSuspendOnClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Stop the scheduler before it can start, so the job is pending
-	// when Close runs. Easiest deterministic path: close first, then
-	// observe a pre-closed Submit refusal; instead submit and close
-	// immediately — the job may be partially done, but must come out
-	// Done or Suspended, never lost.
+	// Submit and close at once: the job may be partially done, but must
+	// come out Done or Suspended, never hanging.
 	job, err := d.Submit(shards)
 	if err != nil {
 		t.Fatal(err)
@@ -395,25 +348,16 @@ func TestDaemonSuspendOnClose(t *testing.T) {
 	if _, err := d.Submit(shards); err != ErrClosed {
 		t.Fatalf("Submit after Close returned %v, want ErrClosed", err)
 	}
+	stored := d.Stats().StoreEntries
 
-	// Reopen: if the job did not finish, it must resume and finish now.
 	d2 := openTestDaemon(t, dir, nil)
-	if st.State == JobSuspended {
-		resumed, ok := d2.JobByID(job.ID)
-		if !ok {
-			t.Fatalf("suspended job %d not resumed", job.ID)
-		}
-		if st2 := resumed.Wait(); st2.State != JobDone {
-			t.Fatalf("resumed job finished %v", st2.State)
-		}
-	} else if _, ok := d2.JobByID(job.ID); ok {
-		t.Fatalf("completed job %d replayed as incomplete", job.ID)
+	if _, ok := d2.JobByID(job.ID); ok {
+		t.Fatalf("job %d outlived its daemon", job.ID)
 	}
-	// Either way every shard's result is in the store.
-	for i, k := range job.Keys() {
-		if !d2.Store().Contains(k) {
-			t.Fatalf("shard %d missing from store after reopen", i)
-		}
+	_, st2 := submitWait(t, d2, shards)
+	if st2.CacheHits != stored || st2.Executed != len(shards)-stored {
+		t.Fatalf("resubmission: %d hits / %d executed, want %d / %d",
+			st2.CacheHits, st2.Executed, stored, len(shards)-stored)
 	}
 }
 
@@ -439,44 +383,25 @@ func TestVersionStampPartitionsCache(t *testing.T) {
 	}
 }
 
-// e17ShardV3 is E17's single shard as a wire-protocol-v3 binary encoded
-// it: v3 descriptors also carried a graph spec, a parameter block and
-// warmup hints, so the current decoder rejects these bytes.
-const e17ShardV3 = "001b2320706174682d330a330a312f300a302f3020322f300a312f310a000000" +
-	"0300010101e0c5aa030309756e6976657273616c00000009756e6976657273616c" +
-	"00010009756e6976657273616c0002010000"
+// journalV1 is a job journal as earlier versions of rvd wrote it to
+// Dir/journal.wal: the "rvdj1" header, submit records for jobs 3 and 4,
+// and a done record for job 3.
+const journalV1 = "7276646a310a110103020773686172642d61016267d1311e0f0104010773" +
+	"686172642d63202e9eeb060203328e7b5e"
 
-// TestOpenDropsOldProtocolJob pins Open's version-skew branch: a state
-// dir written before a protocol bump journals a job whose shard no
-// longer decodes. Open must drop that job with a notice, resume the
-// current job beside it, and compact the journal down to the current
-// job's records alone.
-func TestOpenDropsOldProtocolJob(t *testing.T) {
-	old, err := hex.DecodeString(e17ShardV3)
-	if err != nil || len(old) != 83 {
-		t.Fatalf("v3 shard literal: %d bytes, %v", len(old), err)
-	}
-	var sh dist.ShardDesc
-	if err := sh.Decode(old); err == nil {
-		t.Fatal("v3 shard decodes under the current protocol")
-	}
-	shards := fixedSweep(t)
-	dir := t.TempDir()
-	jpath := filepath.Join(dir, "journal.wal")
-	jl, _, err := OpenJournal(jpath, nil)
+// TestOpenRemovesLeftoverJournal pins the upgrade path from a state dir
+// that still holds a job journal: Open deletes the file, says so in one
+// notice, resumes none of its jobs, and serves a new job.
+func TestOpenRemovesLeftoverJournal(t *testing.T) {
+	old, err := hex.DecodeString(journalV1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, rec := range []*Record{
-		{Type: recSubmit, JobID: 1, Shards: [][]byte{old}},
-		{Type: recSubmit, JobID: 2, Shards: shards},
-	} {
-		if err := jl.Append(rec); err != nil {
-			t.Fatal(err)
-		}
+	dir := t.TempDir()
+	wal := filepath.Join(dir, "journal.wal")
+	if err := os.WriteFile(wal, old, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	jl.Close()
-
 	var mu sync.Mutex
 	var notices []string
 	d := openTestDaemon(t, dir, func(cfg *Config) {
@@ -487,47 +412,61 @@ func TestOpenDropsOldProtocolJob(t *testing.T) {
 			t.Logf(format, args...)
 		}
 	})
+	if _, err := os.Stat(wal); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("journal.wal after Open: %v", err)
+	}
 	mu.Lock()
-	logged := strings.Join(notices, "\n")
+	var named []string
+	for _, n := range notices {
+		if strings.Contains(n, wal) {
+			named = append(named, n)
+		}
+	}
 	mu.Unlock()
-	if !strings.Contains(logged, "dropping journaled job 1") {
-		t.Fatalf("no drop notice for the v3 job; log:\n%s", logged)
+	if len(named) != 1 {
+		t.Fatalf("%d notices name %s, want 1: %q", len(named), wal, named)
 	}
-	if _, ok := d.JobByID(1); ok {
-		t.Fatal("v3 job resumed")
+	if st := d.Stats(); st.Jobs != 0 {
+		t.Fatalf("Open resumed %d journaled jobs", st.Jobs)
 	}
-	job, ok := d.JobByID(2)
-	if !ok {
-		t.Fatal("current job not resumed")
-	}
-	if st := job.Wait(); st.State != JobDone {
-		t.Fatalf("resumed job finished %v (err %q)", st.State, st.Err)
-	}
+	shards := fixedSweep(t)
+	job, _ := submitWait(t, d, shards)
 	if got := jobBytes(t, d, job); !bytes.Equal(got, referenceBytes(t, shards)) {
-		t.Fatal("resumed job output differs from reference")
+		t.Fatal("job output differs from reference")
 	}
+}
 
-	// Open compacted job 1 away; since then the scheduler has only
-	// appended job 2's done record.
-	d.Close()
-	raw, err := os.ReadFile(jpath)
-	if err != nil {
-		t.Fatal(err)
+// TestJobIDsFreshAcrossRestarts pins that job ids never repeat across
+// restarts of one state dir, even when a boot in between submits
+// nothing: three boots, and the ids they issue strictly increase.
+func TestJobIDsFreshAcrossRestarts(t *testing.T) {
+	shards := fixedSweep(t)[:1]
+	dir := t.TempDir()
+	var ids []uint64
+	for boot := 0; boot < 3; boot++ {
+		be := dist.NewInProcess(1)
+		d, err := Open(Config{Dir: dir, Backend: be, Logf: t.Logf})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if boot != 1 {
+			for i := 0; i < 2; i++ {
+				job, err := d.Submit(shards)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if st := job.Wait(); st.State != JobDone {
+					t.Fatalf("boot %d: job finished %v", boot, st.State)
+				}
+				ids = append(ids, job.ID)
+			}
+		}
+		d.Close()
+		be.Close()
 	}
-	recs, _ := decodeJournal(raw[len(journalHeader):])
-	var got []string
-	for _, rec := range recs {
-		got = append(got, fmt.Sprintf("type %d job %d", rec.Type, rec.JobID))
-	}
-	if want := []string{"type 1 job 2", "type 2 job 2"}; !slices.Equal(got, want) {
-		t.Fatalf("journal after compaction holds %q, want job 2's submit and done %q", got, want)
-	}
-	if len(recs[0].Shards) != len(shards) {
-		t.Fatalf("compacted submit record holds %d shards, want %d", len(recs[0].Shards), len(shards))
-	}
-	for i := range shards {
-		if !bytes.Equal(recs[0].Shards[i], shards[i]) {
-			t.Fatalf("compacted submit record changed shard %d", i)
+	for i := 1; i < len(ids); i++ {
+		if ids[i] <= ids[i-1] {
+			t.Fatalf("job ids %v do not strictly increase across restarts", ids)
 		}
 	}
 }

@@ -1,10 +1,12 @@
 // Package rvd is the crash-safe rendezvous daemon: a long-running
-// process that owns a dist worker fleet, a persistent content-addressed
-// result store, and a durable job journal, and serves sweep jobs over an
-// HTTP/JSON API. Its defining property is that kill -9 at any instant
-// loses at most the uncommitted suffix of in-flight work: accepted jobs
-// are never forgotten, stored results are never recomputed, and corrupt
-// state is quarantined and recomputed rather than served.
+// process that owns a dist worker fleet and a persistent
+// content-addressed result store, and serves sweep jobs over an
+// HTTP/JSON API. Every shard is a deterministic function of its
+// canonical bytes, so the store is the daemon's only durable state. Its
+// defining property is what the store guarantees: stored results are
+// never recomputed, corrupt entries are never served, and kill -9 at any
+// instant costs only the shards not yet stored, which a resubmission of
+// the same sweep recovers.
 //
 // # Cache-key derivation
 //
@@ -21,58 +23,39 @@
 // by the submitter. The stamp makes results computed by an incompatible
 // binary structurally unreachable (a new key space) instead of wrongly
 // served. So a codec bump leaves an older binary's store entries
-// unreachable on disk, and Open drops that binary's journaled jobs,
-// whose shards no longer decode, with a logged notice; a protocol bump
-// that changes only the frames moves no key. Values are the shard's
-// aggregated result bytes (dist.ShardResult.AppendEncode); each entry
-// file carries a magic header, the embedded key, a bounded length, and
-// an FNV-1a 64 checksum over key+value (see store.go).
+// unreachable on disk; a protocol bump that changes only the frames
+// moves no key. Values are the shard's aggregated result bytes
+// (dist.ShardResult.AppendEncode); each entry file carries a magic
+// header, the embedded key, a bounded length, and an FNV-1a 64 checksum
+// over key+value (see store.go).
 //
-// # Journal frame schema
-//
-// The job journal is an append-only file: the header line "rvdj1\n"
-// followed by netstring-style frames, each
-//
-//	uvarint(len(body)+4) || body || fnv1a32(body) (little-endian)
-//
-// mirroring the dist wire framing (writeFrameSum) scaled down to a
-// file. Bodies are
-//
-//	submit: 0x01 || uvarint(jobID) || uvarint(nShards) ||
-//	        nShards x ( uvarint(len) || canonicalShardBytes )
-//	done:   0x02 || uvarint(jobID)
-//
-// A submit record is appended and fsync'd BEFORE the submitter receives
-// the job id (write-ahead discipline); the done record is appended only
-// after every shard's result is durably in the store. Replay accepts
-// the longest valid prefix and truncates the rest: a frame cut by a
-// crash, or arbitrary corruption past the last good frame, costs
-// exactly the uncommitted suffix (pinned by FuzzJournalDecode and the
-// truncation-at-every-offset tests). Compaction atomically rewrites the
-// file with only the still-incomplete submit records (temp file, fsync,
-// rename, directory fsync) on a completion schedule and at every open.
-//
-// # Crash-recovery state machine
+// # Crash recovery
 //
 // A job moves Queued → Running → Done/Failed; Suspended is what a
 // still-incomplete job's watchers observe while the daemon shuts down
-// gracefully. Recovery at Open composes three replays:
+// gracefully. Jobs live only in memory: a restart, graceful or kill -9,
+// forgets them, and each boot numbers its jobs from the wall clock in
+// microseconds so no id repeats across restarts of one state dir.
+// Recovery is three steps, none of them a replay of jobs:
 //
-//	journal   submit-without-done records are re-enqueued verbatim
-//	          (same id, same canonical shard bytes, same keys);
-//	store     the index is reloaded by directory scan, so every shard
+//	store     Open reloads the index by directory scan, so every shard
 //	          whose result landed before the crash resolves as a cache
-//	          hit — completed shards are structurally never re-executed;
+//	          hit — stored shards are structurally never re-executed;
 //	fleet     cmd/rvd re-dials workers with capped exponential backoff
 //	          plus jitter (dist.DialWith), tolerating workers that
-//	          restart slower than the daemon.
+//	          restart slower than the daemon;
+//	client    the submitter resubmits the sweep (rvd.Client reports a
+//	          broken event stream or a suspended job as an error that
+//	          says so), and the scheduler executes only the shards the
+//	          store cannot answer.
 //
-// The scheduler then resumes each job from its last completed shard.
-// Because results are stored before the done record and jobs are
-// journaled before acknowledgment, every interleaving of crash points
-// re-converges to byte-identical output — the differential harness in
-// daemon_test.go pins cold run, warm run, kill -9 + resume, truncated
-// journal, and bit-flipped cache entry to the same bytes.
+// A result is stored (temp file, fsync, rename) before its shard counts
+// as done, so every interleaving of crash points re-converges to
+// byte-identical output — the differential harness in daemon_test.go
+// pins cold run, warm run, bit-flipped cache entry and kill -9 +
+// resubmit to the same bytes. A job journal left in Dir by an earlier
+// version is deleted at Open with a logged notice; its jobs are not
+// resumed.
 //
 // # Quarantine semantics
 //
@@ -103,7 +86,6 @@
 //	GET /metrics                 Prometheus text exposition: the rvd_*
 //	                             families (jobs, queue depth and wait,
 //	                             store hits/misses/bytes/quarantines,
-//	                             journal appends and fsync latency,
 //	                             shard exec-vs-hit counters) plus the
 //	                             sim_* and dist_* families of the
 //	                             engines and coordinator running in

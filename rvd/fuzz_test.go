@@ -1,61 +1,16 @@
 package rvd
 
-// The rvd durability decoders meet hostile bytes before anything else in
-// the daemon does: the journal replays whatever a crash left on disk,
-// and the store re-verifies whatever the filesystem hands back. Both
-// fuzz targets pin the same contract as the dist wire fuzzers: arbitrary
-// input yields an error (or, for the journal, a clean valid prefix) —
-// never a panic, never an allocation disproportionate to the input —
-// and accepted data re-encodes to a canonical fixed point.
+// The store's entry decoder meets hostile bytes before anything else in
+// the daemon does: it re-verifies whatever the filesystem hands back,
+// including whatever a crash left on disk. Its fuzz target pins the same
+// contract as the dist wire fuzzers: arbitrary input yields an error —
+// never a panic, never an allocation disproportionate to the input — and
+// accepted data re-encodes to a canonical fixed point.
 
 import (
 	"bytes"
-	"reflect"
 	"testing"
 )
-
-// FuzzJournalDecode: arbitrary bytes are some journal's framed region.
-// decodeJournal must return a valid prefix (possibly empty) whose
-// re-encoding is byte-identical to the prefix it accepted — the fixed
-// point that makes recovery idempotent: replay, truncate, replay again
-// is a no-op.
-func FuzzJournalDecode(f *testing.F) {
-	var seed []byte
-	for _, rec := range []*Record{
-		{Type: recSubmit, JobID: 1, Shards: [][]byte{[]byte("shard-a"), {}}},
-		{Type: recDone, JobID: 1},
-		{Type: recSubmit, JobID: 1<<63 + 7, Shards: [][]byte{bytes.Repeat([]byte{0xAB}, 100)}},
-	} {
-		seed = appendRecord(seed, rec)
-	}
-	f.Add(seed)
-	f.Add(seed[:len(seed)-3])       // cut mid-frame
-	f.Add([]byte{})                 // empty
-	f.Add([]byte{0x80})             // unterminated varint
-	f.Add([]byte{0xFF, 0xFF, 0x7F}) // hostile length claim
-	f.Add(append(append([]byte{}, seed...), 0x05, 0, 0, 0, 0, 0))
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		recs, good := decodeJournal(data)
-		if good < 0 || good > len(data) {
-			t.Fatalf("good prefix %d out of range [0, %d]", good, len(data))
-		}
-		// Canonical fixed point: re-encoding the accepted records must
-		// reproduce the accepted prefix exactly, and re-decoding must
-		// accept all of it.
-		var enc []byte
-		for i := range recs {
-			enc = appendRecord(enc, &recs[i])
-		}
-		if !bytes.Equal(enc, data[:good]) {
-			t.Fatalf("re-encode of %d records != accepted prefix\nprefix: %x\nenc:    %x", len(recs), data[:good], enc)
-		}
-		recs2, good2 := decodeJournal(enc)
-		if good2 != len(enc) || !reflect.DeepEqual(recs, recs2) {
-			t.Fatalf("re-decode accepted %d/%d bytes, records equal: %v", good2, len(enc), reflect.DeepEqual(recs, recs2))
-		}
-	})
-}
 
 // FuzzCacheEntryDecode: arbitrary bytes are some store entry file.
 // decodeEntry must error or yield a verified (key, value) whose

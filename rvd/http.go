@@ -18,7 +18,7 @@ import (
 // the hardened binary codec still validates every byte.
 //
 //	POST /v1/sweeps            {"shards": ["<base64>", ...]}
-//	  201 {"id": N, "shards": S}          job accepted (journaled durably)
+//	  201 {"id": N, "shards": S}          job accepted and queued
 //	  503 + Retry-After                   admission control shed the job
 //	GET  /v1/sweeps/{id}                  job status snapshot
 //	GET  /v1/sweeps/{id}/events           NDJSON stream: one line per shard
@@ -100,9 +100,8 @@ type jobStatLine struct {
 	Executed  int    `json:"executed"`
 }
 
-// maxSubmitBody bounds a submission body; matches the journal frame
-// bound so any accepted job is journalable.
-const maxSubmitBody = maxJournalFrame
+// maxSubmitBody bounds a submission body.
+const maxSubmitBody = 1 << 26
 
 // Handler returns the daemon's HTTP API as an http.Handler.
 func (d *Daemon) Handler() http.Handler {

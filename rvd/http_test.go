@@ -54,8 +54,12 @@ func TestHTTPClientRoundTrip(t *testing.T) {
 			stats.Executed, stats.CacheHits, len(shards), len(shards))
 	}
 
-	// Status endpoint agrees.
-	resp, err := http.Get(srv.URL + "/v1/sweeps/2")
+	// Status endpoint agrees on the warm job.
+	jobs := d.JobStatuses()
+	if len(jobs) != 2 {
+		t.Fatalf("daemon holds %d jobs, want 2", len(jobs))
+	}
+	resp, err := http.Get(srv.URL + "/v1/sweeps/" + itoa(jobs[1].ID))
 	if err != nil {
 		t.Fatal(err)
 	}

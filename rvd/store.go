@@ -77,6 +77,23 @@ func fnv1a64(sum uint64, data []byte) uint64 {
 
 const fnvOffset64 = 14695981039346656037
 
+// uvarintCanon decodes a minimally-encoded uvarint: w <= 0 on
+// truncation, overflow, or a redundant spelling (0x80 0x00 also encodes
+// zero under binary.Uvarint). The entry decoder insists on the minimal
+// form so every store entry has exactly one byte spelling — the
+// canonical-fixed-point property FuzzCacheEntryDecode pins.
+func uvarintCanon(b []byte) (uint64, int) {
+	v, w := binary.Uvarint(b)
+	if w <= 0 {
+		return 0, w
+	}
+	var tmp [binary.MaxVarintLen64]byte
+	if binary.PutUvarint(tmp[:], v) != w {
+		return 0, -1
+	}
+	return v, w
+}
+
 // appendEntry encodes one store entry: magic, raw key, uvarint value
 // length, value, and the FNV-1a 64 checksum of key+value.
 func appendEntry(dst []byte, k Key, value []byte) []byte {

@@ -42,8 +42,8 @@ go test -run '^$' -bench 'BenchmarkViewWalkBatched' -count "$count" -benchmem ./
 go test -run '^$' -bench 'BenchmarkGenerate' -count "$count" -benchmem ./uxs/ | tee -a "$tmp"
 echo "== dist dispatcher overhead (protocol + codec + pipelining)" >&2
 go test -run '^$' -bench 'BenchmarkDistDispatch|BenchmarkShardCodec|BenchmarkDistPipelined' -count "$count" -benchmem ./dist/ | tee -a "$tmp"
-echo "== rvd durability layer (store verified reads + WAL appends)" >&2
-go test -run '^$' -bench 'BenchmarkCacheLookup|BenchmarkJournalAppend' -count "$count" -benchmem ./rvd/ | tee -a "$tmp"
+echo "== rvd durability layer (store verified reads)" >&2
+go test -run '^$' -bench 'BenchmarkCacheLookup' -count "$count" -benchmem ./rvd/ | tee -a "$tmp"
 
 {
   printf '{\n'
