@@ -41,6 +41,15 @@
 // k-agent scheduler: sim.RunMany fast-forwards all k agents over scripted
 // stretches with the identical per-round semantics, so a program batches
 // once and runs at full speed in both the two-agent and gathering models.
+//
+// RunSeq is the side-effects-only form, and its scripts may carry two
+// escapes that compress rounds: SeqWait(n), an n-round wait run in one
+// action, and SeqRepeat(n), which runs the actions after it, up to the
+// next escape or the script's end, n times. A percept-free producer that
+// walks one closed cycle many times (the label schedule's UXS round
+// trips) submits the cycle once with its count; the simulator steps the
+// first copy and replays the rest. RunSeq's reference fallback expands
+// both escapes into MoveSeq and Wait calls, which fixes their meaning.
 package agent
 
 import "fmt"
@@ -199,19 +208,24 @@ func RunScript(w World, actions []int) []int {
 	return entries
 }
 
-// seqWaitBase anchors the compressed-wait encoding of RunSeq scripts:
-// actions below it encode whole wait runs (SeqWait). The base sits far
-// outside any real Rel offset — an entry-relative move with an offset
-// anywhere near 2^30 would need a node of a billion ports — so
-// plain-script semantics are untouched; the encoding is only legal
-// inside RunSeq. Base and range fit int32 so the package still compiles
-// on 32-bit platforms.
+// seqWaitBase and seqRepeatBase anchor the escapes of RunSeq scripts:
+// actions below seqWaitBase encode whole wait runs (SeqWait), actions
+// from seqWaitBase up to seqRepeatBase repeat blocks (SeqRepeat). Both
+// ranges sit far outside any real Rel offset — an entry-relative move
+// with an offset anywhere near 2^29 would need a node of half a billion
+// ports — so plain-script semantics are untouched; the escapes are only
+// legal inside RunSeq. Bases and ranges fit int32 so the package still
+// compiles on 32-bit platforms.
 const (
-	seqWaitBase = -(1 << 30)
+	seqWaitBase   = -(1 << 30)
+	seqRepeatBase = -(1 << 29)
 	// MaxSeqWait is the longest wait run one SeqWait action can encode;
 	// producers flush longer waits as ordinary deferred waits (which the
 	// scheduler merges into the next script's lead anyway).
 	MaxSeqWait = uint64(1)<<30 - 1
+	// MaxSeqRepeat is the most copies one SeqRepeat action can encode;
+	// producers split larger counts into consecutive blocks.
+	MaxSeqRepeat = uint64(1) << 29
 )
 
 // SeqWait encodes an n-round wait run (1 <= n <= MaxSeqWait) as a single
@@ -220,7 +234,8 @@ const (
 // what lets percept-free streams (label-schedule gaps, duration-padding
 // pads) ride inside one script instead of fragmenting it. SeqWait
 // actions are valid ONLY in RunSeq scripts; MoveSeq/RunScript decode
-// every negative action as ScriptWait or Rel.
+// every negative action as ScriptWait or Rel. A SeqWait also ends the
+// SeqRepeat block before it: the actions after it run once.
 func SeqWait(n uint64) int { return seqWaitBase - int(n) }
 
 // SeqWaitRounds decodes a RunSeq wait-run action, reporting ok=false
@@ -232,31 +247,60 @@ func SeqWaitRounds(a int) (n uint64, ok bool) {
 	return uint64(seqWaitBase - a), true
 }
 
+// SeqRepeat encodes a repeat block (1 <= n <= MaxSeqRepeat) in a RunSeq
+// script: the actions after it, up to the next escape (SeqWait or
+// SeqRepeat) or the script's end, run n times in a row. The action
+// itself takes no round, so the block takes n times its length. Like
+// SeqWait it is valid ONLY in RunSeq scripts; it is how a percept-free
+// stream hands the scheduler a closed walk (a UXS round trip) together
+// with its repeat count, which lets the scheduler step the walk once and
+// replay the remaining copies instead of re-walking them.
+func SeqRepeat(n uint64) int { return seqRepeatBase - int(n) }
+
+// SeqRepeatCount decodes a RunSeq repeat action, reporting ok=false for
+// every other action.
+func SeqRepeatCount(a int) (n uint64, ok bool) {
+	if a < seqWaitBase || a >= seqRepeatBase {
+		return 0, false
+	}
+	return uint64(seqRepeatBase - a), true
+}
+
 // RunSeq performs a batched script for its side effects only: identical
 // rounds, moves and timing to the equivalent MoveSeq/Wait sequence, but
 // the caller declares it will not read the percept streams, and the
-// script may contain SeqWait-encoded wait runs. Worlds that implement
-// the optional interface{ RunSeq([]int) } (the simulator's native world
-// does) skip producing per-action results and consume wait runs in O(1);
-// for everything else this reference fallback expands the script into
-// MoveSeq segments and Wait calls — same rounds, same positions. RunSeq
+// script may contain escapes: SeqWait-encoded wait runs and
+// SeqRepeat-encoded repeat blocks. Worlds that implement the optional
+// interface{ RunSeq([]int) } (the simulator's native world does) skip
+// producing per-action results, consume wait runs in O(1) and replay
+// the copies of a closed block; for everything else this reference
+// fallback expands the script into MoveSeq segments (a block's segment
+// once per copy) and Wait calls — same rounds, same positions. RunSeq
 // is an optimization channel, never a behavior change.
 func RunSeq(w World, actions []int) {
 	if q, ok := w.(interface{ RunSeq([]int) }); ok {
 		q.RunSeq(actions)
 		return
 	}
-	start := 0
+	start, copies := 0, uint64(1) // the segment at start runs copies times
 	for i, a := range actions {
-		if n, ok := SeqWaitRounds(a); ok {
-			if i > start {
-				w.MoveSeq(actions[start:i])
-			}
-			w.Wait(n)
-			start = i + 1
+		n, wait := SeqWaitRounds(a)
+		reps, repeat := SeqRepeatCount(a)
+		if !wait && !repeat {
+			continue
 		}
+		for ; i > start && copies > 0; copies-- {
+			w.MoveSeq(actions[start:i])
+		}
+		copies = 1
+		if wait {
+			w.Wait(n)
+		} else {
+			copies = reps
+		}
+		start = i + 1
 	}
-	if start < len(actions) {
+	for ; start < len(actions) && copies > 0; copies-- {
 		w.MoveSeq(actions[start:])
 	}
 }

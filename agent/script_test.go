@@ -118,3 +118,51 @@ func TestRunScriptBookkeeping(t *testing.T) {
 		t.Fatal("empty script consumed rounds")
 	}
 }
+
+func TestSeqEscapesDecode(t *testing.T) {
+	for _, n := range []uint64{1, 2, MaxSeqRepeat} {
+		a := SeqRepeat(n)
+		if got, ok := SeqRepeatCount(a); !ok || got != n {
+			t.Fatalf("SeqRepeatCount(SeqRepeat(%d)) = %d, %v", n, got, ok)
+		}
+		if _, ok := SeqWaitRounds(a); ok {
+			t.Fatalf("SeqRepeat(%d) decodes as a wait run", n)
+		}
+	}
+	for _, n := range []uint64{1, 2, MaxSeqWait} {
+		a := SeqWait(n)
+		if got, ok := SeqWaitRounds(a); !ok || got != n {
+			t.Fatalf("SeqWaitRounds(SeqWait(%d)) = %d, %v", n, got, ok)
+		}
+		if _, ok := SeqRepeatCount(a); ok {
+			t.Fatalf("SeqWait(%d) decodes as a repeat", n)
+		}
+	}
+	for _, a := range []int{0, 7, ScriptWait, Rel(0), Rel(1 << 20)} {
+		_, wait := SeqWaitRounds(a)
+		_, repeat := SeqRepeatCount(a)
+		if wait || repeat {
+			t.Fatalf("plain action %d decodes as an escape", a)
+		}
+	}
+}
+
+func TestRunSeqExpandsRepeats(t *testing.T) {
+	// A plain move, a block of [1, wait] run three times, a wait run, an
+	// empty block, and a one-copy block: the reference fallback expands
+	// each block's segment once per copy.
+	r := &scriptRecorder{deg: 4, entry: -1, nextEnt: func(port int) int { return (port + 1) % 4 }}
+	RunSeq(r, []int{0, SeqRepeat(3), 1, ScriptWait, SeqWait(5), SeqRepeat(2), SeqRepeat(1), 2})
+	want := []int{0, 1, 1, 1, 2}
+	if len(r.moves) != len(want) {
+		t.Fatalf("moves = %v, want %v", r.moves, want)
+	}
+	for i := range want {
+		if r.moves[i] != want[i] {
+			t.Fatalf("moves = %v, want %v", r.moves, want)
+		}
+	}
+	if r.clock != 1+6+5+1 || r.waits != 4 {
+		t.Fatalf("clock=%d waits=%d, want 13 and 4", r.clock, r.waits)
+	}
+}

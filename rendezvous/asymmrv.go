@@ -497,8 +497,9 @@ func (u uxsWalk) firstApplication(w agent.World) []int {
 	return w.MoveSeq(u.fwd)
 }
 
-// maxTripScript caps the merged round-trip script length (the buffer
-// persists in the walk's reverse-path scratch).
+// maxTripScript caps one merged round-trip script: the rounds of a
+// roundTrips script, the actions of a schedule stream's chunk (the
+// buffers persist in the walk's chunk scratch).
 const maxTripScript = 8192
 
 // roundTrips performs count consecutive round trips as merged scripts.
@@ -506,10 +507,11 @@ const maxTripScript = 8192
 // later trip retraces the exact same closed walk (same start node, same
 // script, deterministic graph), so the whole remainder — reverse path,
 // next application, reverse path, ... — is known in advance and is
-// submitted in percept-free scripts of up to maxTripScript actions. The
-// scheduler wakes the agent O(count·len/maxTripScript) times instead of
-// 2·count; the move sequence (and hence every per-round position) is
-// identical to count calls of roundTrip.
+// submitted in percept-free scripts of up to maxTripScript rounds, each
+// one SeqRepeat block of the period. The scheduler wakes the agent
+// O(count·len/maxTripScript) times instead of 2·count and walks only
+// the first copy of each block; the move sequence (and hence every
+// per-round position) is identical to count calls of roundTrip.
 func (u uxsWalk) roundTrips(w agent.World, count uint64) {
 	if count == 0 {
 		return
@@ -558,7 +560,7 @@ func (u uxsWalk) roundTrips(w agent.World, count uint64) {
 // playKnown plays a full count-trip walk whose home-cycle period is
 // already cached, with no percepts at all: fwd ++ [rev fwd]^(count-1) ++
 // rev is count repetitions of [fwd rev], which is the period rotated by
-// half — built once and chunked.
+// half — built once and played as repeat blocks.
 func (u uxsWalk) playKnown(w agent.World, period []int, count uint64) {
 	l := len(u.fwd)
 	rot := scratchInts(u.rev, 2*l)
@@ -567,33 +569,21 @@ func (u uxsWalk) playKnown(w agent.World, period []int, count uint64) {
 	u.playPeriods(w, rot, count, false)
 }
 
-// playPeriods plays reps repetitions of the given period as chunked
-// percept-free scripts of up to maxTripScript actions; withTail appends
-// the period's first half once more at the very end (the final reverse
-// path of an unrotated walk).
+// playPeriods plays reps repetitions of the given period as percept-free
+// scripts of up to maxTripScript actions' worth, each one SeqRepeat
+// block of the chunk's whole periods; withTail appends the period's
+// first half once more at the very end (the final reverse path of an
+// unrotated walk), after a SeqRepeat(1) that closes the block.
 func (u uxsWalk) playPeriods(w agent.World, period []int, reps uint64, withTail bool) {
 	l2 := len(period)
-	perChunk := uint64(maxTripScript / l2) // whole periods per script
-	if perChunk == 0 {
-		perChunk = 1
-	}
+	perChunk := uint64(max(maxTripScript/l2, 1)) // whole periods per script
 	for reps > 0 {
-		c := reps
-		if c > perChunk {
-			c = perChunk
-		}
-		n := int(c) * l2
+		c := min(reps, perChunk)
+		script := append(append((*u.chunk)[:0], agent.SeqRepeat(c)), period...)
 		if c == reps && withTail {
-			n += l2 / 2 // fold the final reverse path into the last chunk
+			script = append(append(script, agent.SeqRepeat(1)), period[:l2/2]...)
 		}
-		script := scratchInts(u.chunk, n)
-		for off := 0; off < n; off += l2 {
-			m := l2
-			if n-off < m {
-				m = n - off
-			}
-			copy(script[off:], period[:m])
-		}
+		*u.chunk = script
 		agent.RunSeq(w, script)
 		reps -= c
 	}

@@ -112,10 +112,12 @@ func asymmRVIDWith(w agent.World, n, delta uint64, s *rvScratch) {
 // Once the walk's home-cycle period is cached (after the first active
 // slot of the first schedule at this size), every remaining active slot
 // is a known percept-free action block, so the whole label region of the
-// schedule streams through chunked scripts — active trips as moves,
-// passive runs as single SeqWait actions the scheduler consumes in O(1).
-// The rounds and positions are identical to the slot-by-slot submission;
-// only the script boundaries differ.
+// schedule streams through chunked scripts — each active slot one
+// SeqRepeat block of the round trip (adjacent active slots one block),
+// which the scheduler walks once and then replays, and each passive run
+// one SeqWait action it consumes in O(1). The rounds and positions are
+// identical to the slot-by-slot submission; only the script boundaries
+// differ.
 func playSchedule(w agent.World, enc []byte, slots, repeats, slotLen uint64, walk uxsWalk) {
 	defer agent.SetPhase(w, agent.SetPhase(w, agent.PhaseSchedule))
 	encBits := uint64(len(enc)) * 8
@@ -139,11 +141,11 @@ func playSchedule(w agent.World, enc []byte, slots, repeats, slotLen uint64, wal
 		rot = scratchInts(walk.rev, 2*l)
 		copy(rot, period[l:])
 		copy(rot[l:], period[:l])
-		// Size the chunk to the schedule's real volume (active slots are
-		// moves, each gap a single SeqWait slot) so small schedules use
-		// small buffers: the experiment harness churns through many
-		// short-lived programs, and a full-cap chunk per agent was a
-		// measurable allocator.
+		// Size the chunk to the schedule's real volume (each active slot
+		// at most one block, a SeqRepeat and one round trip, each gap a
+		// single SeqWait slot) so small schedules use small buffers: the
+		// experiment harness churns through many short-lived programs,
+		// and a full-cap chunk per agent was a measurable allocator.
 		ones := uint64(0)
 		for k := uint64(0); k < encBits && k < slots; k += 8 {
 			b := enc[k/8]
@@ -151,7 +153,7 @@ func playSchedule(w agent.World, enc []byte, slots, repeats, slotLen uint64, wal
 				ones++
 			}
 		}
-		need := satAdd(satMul(ones, satMul(repeats, uint64(2*l))), satAdd(ones, 2))
+		need := satAdd(satMul(ones, uint64(2*l+2)), 2)
 		chunk := maxTripScript
 		if need < uint64(chunk) {
 			chunk = int(need)
@@ -178,9 +180,7 @@ func playSchedule(w agent.World, enc []byte, slots, repeats, slotLen uint64, wal
 			pendingPassive = 0
 		}
 		if startStream() {
-			for r := uint64(0); r < repeats; r++ {
-				st.acts(rot)
-			}
+			st.block(repeats, rot)
 		} else {
 			walk.roundTrips(w, repeats)
 		}

@@ -157,14 +157,20 @@ func replaySymmRV1(w agent.World, y uxs.Sequence, n, delta uint64, walk symmWalk
 
 // scriptStream accumulates a percept-free action stream — submitted via
 // agent.RunSeq in bounded script chunks — in which waits of any length
-// are single SeqWait actions the scheduler consumes in O(1): a pad or a
+// are single SeqWait actions the scheduler consumes in O(1) (a pad or a
 // schedule gap costs one slot of the chunk, never materialized rounds
-// and never a chunk split. chunk is the flush threshold (0 selects
-// maxExploreScript).
+// and never a chunk split), and repeated action blocks are SeqRepeat
+// blocks the scheduler replays. chunk is the flush threshold (0 selects
+// maxExploreScript). open marks a chunk that ends inside a block: the
+// block whose SeqRepeat is buf[mark], of copies of last. A plain action
+// appended there would join the block, so streams put a wait between.
 type scriptStream struct {
 	w     agent.World
 	buf   []int
 	chunk int
+	open  bool
+	mark  int
+	last  []int
 }
 
 func (st *scriptStream) limit() int {
@@ -181,24 +187,26 @@ func (st *scriptStream) act(a int) {
 	}
 }
 
-// acts appends a whole action block, splitting across chunk flushes —
-// bulk copies, not per-action calls: the schedule stream pushes millions
-// of actions through here and the per-action form was a measurable cost.
-func (st *scriptStream) acts(actions []int) {
-	lim := st.limit()
-	for len(actions) > 0 {
-		if len(st.buf) >= lim {
-			st.flush()
+// block appends reps copies of actions as SeqRepeat blocks of at most
+// agent.MaxSeqRepeat copies, adding them to the open block when that
+// repeats the same slice. A block is never split: one that does not fit
+// the chunk opens the next.
+func (st *scriptStream) block(reps uint64, actions []int) {
+	for reps > 0 {
+		var prev uint64
+		if st.open && len(st.last) == len(actions) && &st.last[0] == &actions[0] {
+			prev, _ = agent.SeqRepeatCount(st.buf[st.mark])
 		}
-		n := lim - len(st.buf)
-		if n > len(actions) {
-			n = len(actions)
+		if prev == 0 || prev == agent.MaxSeqRepeat {
+			if len(st.buf)+1+len(actions) > st.limit() {
+				st.flush()
+			}
+			prev, st.mark, st.last, st.open = 0, len(st.buf), actions, true
+			st.buf = append(append(st.buf, 0), actions...)
 		}
-		st.buf = append(st.buf, actions[:n]...)
-		actions = actions[n:]
-	}
-	if len(st.buf) >= lim {
-		st.flush()
+		k := min(reps, agent.MaxSeqRepeat-prev)
+		st.buf[st.mark] = agent.SeqRepeat(prev + k)
+		reps -= k
 	}
 }
 
@@ -213,12 +221,13 @@ func (st *scriptStream) wait(rounds uint64) {
 		st.w.Wait(rounds)
 		return
 	}
+	st.open = false // the escape ends a block
 	st.act(agent.SeqWait(rounds))
 }
 
 func (st *scriptStream) flush() {
 	if len(st.buf) > 0 {
 		agent.RunSeq(st.w, st.buf) // side effects only: O(1) wait runs
-		st.buf = st.buf[:0]
+		st.buf, st.open = st.buf[:0], false
 	}
 }

@@ -27,9 +27,9 @@
 // run, Wait or finished program), and it is advanced once before the
 // kernel returns, so a grant earned on the last round is pending for
 // the next fetch or for release. A burst also ends after a walker's
-// script end or SeqWait escape and at the first round that ends on a
-// co-location still to record; with nobody about to move it is the O(1)
-// skip of the stretch. The world layer defers and merges adjacent Wait
+// script end or escape (past a repeat block's last copy) and at the
+// first round that ends on a co-location still to record; with nobody
+// about to move it is the O(1) skip of the stretch. The world layer defers and merges adjacent Wait
 // calls into the next script's lead — invisible to the program, since
 // waiting changes no percept and no position. Batched and unbatched
 // execution are behavior-identical (same Result field by field), pinned
@@ -75,6 +75,22 @@
 // script requests regardless of how many rounds its passive stretches
 // span.
 //
+// A RunSeq script may also declare repeat blocks (agent.SeqRepeat): the
+// label schedule's active slots are copies of one closed UXS round trip.
+// A runner walks a block's copy through the burst kernel as usual while
+// recording each round's node and entry port. If the copy ends on the
+// node and entry it began from, the record is closed: every later copy
+// of the same actions from that node and entry, in the same block or a
+// later one, is replayed — its nodes copied from the record into the
+// burst's position log instead of stepped. Replay changes how the
+// rounds are driven, never what they are: every round still reaches the
+// co-location scan, and moves, Clock(), meeting rounds and wakeups are
+// those of walking. A copy with any round stepped outside a burst (the
+// observer path, the k-agent per-move fallback, a mutual-wait skip) is
+// not recorded, and acquire resets the record, so a record never
+// outlives its run or its graph. Session counts the replayed
+// agent-rounds and publishes them as sim_rounds_replayed_total.
+//
 // # Runner pooling
 //
 // A runner — the coroutine and per-agent buffers behind one simulated
@@ -100,10 +116,11 @@
 //  1. Event horizon. From a boundary at round t, every agent can be
 //     driven horizon = min(budget-t, next appearance - t, min over
 //     present runners of runway()) rounds without resuming any program,
-//     where runway is the script's pending lead plus its remaining
-//     length (a lower bound when SeqWait escapes compress further
-//     rounds, which only shortens horizons), the remaining wait, 1 for
-//     a pending single move, and unbounded for a terminated program. No
+//     where runway is the script's pending lead plus the rounds left in
+//     its segment, up to its next escape with every copy of a repeat
+//     block counted (a lower bound on the script's rounds, which only
+//     shortens horizons), the remaining wait, 1 for a pending single
+//     move, and unbounded for a terminated program. No
 //     runner reaches the request-pulling state before the horizon's
 //     final round, so fetch — the only resume of a program — happens
 //     only at boundaries. Degree-reporting scripts have the same runway

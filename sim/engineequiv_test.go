@@ -290,10 +290,11 @@ func TestEngineEquivalenceMultiAgent(t *testing.T) {
 func TestEngineEquivalencePairRandomized(t *testing.T) {
 	sess := sim.NewSession()
 	defer sess.Close()
-	check := func(name string, g *graph.Graph, pa, pb agent.Program, u, v int, delay uint64, cfg sim.Config) {
+	// check returns the plain run's result and the rounds it replayed.
+	check := func(name string, g *graph.Graph, pa, pb agent.Program, u, v int, delay uint64, cfg sim.Config) (sim.Result, uint64) {
 		t.Helper()
 		got := sess.RunPrograms(g, pa, pb, u, v, delay, cfg)
-		wakeups := sess.Wakeups()
+		wakeups, replayed := sess.Wakeups(), sess.Replayed()
 		var last [2][2]int // both positions on the latest two rounds
 		watched := cfg
 		watched.Observer = func(_ uint64, a, b int) { last[0], last[1] = last[1], [2]int{a, b} }
@@ -318,6 +319,7 @@ func TestEngineEquivalencePairRandomized(t *testing.T) {
 			met && (got.MeetingRound != ref.Meetings[0].Round || got.MeetingNode != ref.Meetings[0].Node) {
 			t.Fatalf("%s: pair engine and k=2 reference disagree\n  pair:      %+v\n  reference: %+v", name, got, ref)
 		}
+		return got, replayed
 	}
 	// Meetings on a round where one agent's script ends in a ScriptWait
 	// while the other steps onto it: the wait is walked inside the burst,
@@ -337,6 +339,65 @@ func TestEngineEquivalencePairRandomized(t *testing.T) {
 		for delay := uint64(0); delay < 3; delay++ {
 			check(fmt.Sprintf("wait-ending meeting v=%d δ%d", v, delay), ring, waver, stepper, 0, v, delay, sim.Config{Budget: 100})
 		}
+	}
+	// A RunSeq script of SeqRepeat actions alone runs no round, as its
+	// expansion makes no call.
+	idler := func(w agent.World) {
+		for {
+			agent.RunSeq(w, []int{agent.SeqRepeat(2), agent.SeqRepeat(5)})
+			w.Move(0)
+		}
+	}
+	for delay := uint64(0); delay < 3; delay++ {
+		check(fmt.Sprintf("marker-only scripts δ%d", delay), ring, idler, stepper, 0, 5, delay, sim.Config{Budget: 50})
+	}
+	// Meetings on every round of a replayed block copy. After a 3-round
+	// lead the looper runs a closed 5-round block (two nodes out, a
+	// ScriptWait, back by a Rel move and a port) 40 times: its first copy
+	// starts unmoved and does not close, the second closes, and the rest
+	// replay from round 13 on. Steppers walk the ring both ways, so
+	// across starts and delays the meeting lands on each round of a
+	// replayed copy; the short budgets end runs inside one.
+	const lead, blockLen, replayFrom = 3, 5, 13
+	looper := func(w agent.World) {
+		for {
+			agent.RunSeq(w, []int{agent.SeqWait(lead), agent.SeqRepeat(40), 0, 0, agent.ScriptWait, agent.Rel(0), 1})
+		}
+	}
+	forward := func(w agent.World) {
+		for {
+			w.MoveSeq([]int{0})
+		}
+	}
+	ring30 := graph.Cycle(30)
+	var metAt [blockLen]bool
+	cutMidCopy := false
+	for v := 3; v < ring30.N(); v++ {
+		for delay := uint64(0); delay < 5; delay++ {
+			for i, budget := range []uint64{100, 100, 16, 19} {
+				walker := stepper
+				if i == 1 {
+					walker = forward
+				}
+				name := fmt.Sprintf("block meeting %d v=%d δ%d b%d", i, v, delay, budget)
+				got, replayed := check(name, ring30, looper, walker, 0, v, delay, sim.Config{Budget: budget})
+				switch {
+				case replayed == 0:
+				case got.Outcome == sim.Met && got.MeetingRound > replayFrom:
+					metAt[(got.MeetingRound-lead-1)%blockLen] = true
+				case got.Outcome == sim.BudgetExhausted && (budget-lead)%blockLen != 0:
+					cutMidCopy = true
+				}
+			}
+		}
+	}
+	for i, ok := range metAt {
+		if !ok {
+			t.Errorf("no meeting on round %d of a replayed copy", i+1)
+		}
+	}
+	if !cutMidCopy {
+		t.Error("no budget ended inside a replayed copy")
 	}
 	r := rand.New(rand.NewSource(0x9A1B))
 	for ci := 0; ci < 300; ci++ {

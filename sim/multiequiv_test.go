@@ -101,21 +101,111 @@ func randProgram(r *rand.Rand) (agent.Program, string) {
 				script = []int{degs[0] - 1, agent.ScriptWait, agent.Rel(0)}
 			}
 		}, fmt.Sprintf("degflush-%d-%d", wait, steps)
-	case 9: // quiet stream with run-length-encoded waits: agent.RunSeq
-		// scripts mixing moves, ScriptWait runs and SeqWait escapes — the
-		// O(1) wait encoding the schedule streams ride on. The unbatched
-		// population expands these through the reference fallback
-		// (MoveSeq segments + Wait), pinning the encoding's semantics.
-		gap := uint64(1 + r.Intn(900))
+	case 9: // quiet stream with run-length escapes: agent.RunSeq scripts
+		// mixing moves, ScriptWait runs, SeqWait gaps (which lead the next
+		// action) and SeqRepeat blocks — closed ones, which the engine
+		// replays after walking a copy, pieces of them, and ones that
+		// drift, which it walks copy by copy. The unbatched population
+		// expands them through the reference fallback (MoveSeq segments +
+		// Wait), pinning the encoding's semantics. Every population checks
+		// the Clock() it reads after each script, and the degree and entry
+		// it perceives there decide an extra move, so a script that ends
+		// on another node or entry changes the run's move count.
+		script := randSeqScript(r)
 		return func(w agent.World) {
-			script := []int{0, agent.SeqWait(gap), agent.Rel(0), agent.ScriptWait, 0, agent.SeqWait(1 + gap/2)}
 			for {
+				want := w.Clock() + seqRounds(script)
 				agent.RunSeq(w, script)
+				if got := w.Clock(); got != want {
+					panic(fmt.Sprintf("Clock() = %d after RunSeq(%v), want %d", got, script, want))
+				}
+				if (w.Degree()+w.EntryPort())%2 == 0 {
+					w.Move(0)
+				}
 			}
-		}, fmt.Sprintf("seqwait-%d", gap)
+		}, fmt.Sprintf("seq%v", script)
 	default: // the real thing
 		return rendezvous.UniversalRV(), "universal"
 	}
+}
+
+// randSeqScript builds a RunSeq script of one to four parts: plain
+// actions, a SeqWait gap, an out-and-back block, the same block around
+// its head and its tail as blocks of their own (each of which replaces
+// the runner's record), a block of ScriptWaits, and a block of random
+// actions, which mostly drifts. An out-and-back copy goes out through a
+// port or a Rel move, a ScriptWait possibly before or after, and back by
+// the entry, so it ends on the node it began from, with the entry it
+// began with or (a Rel move out) a shifted one. Blocks run 1–40 copies, and
+// every script runs at least one round.
+func randSeqScript(r *rand.Rand) []int {
+	action := func() int {
+		switch r.Intn(3) {
+		case 0:
+			return agent.ScriptWait
+		case 1:
+			return r.Intn(4)
+		}
+		return agent.Rel(r.Intn(3))
+	}
+	outAndBack := func() []int {
+		out := r.Intn(3)
+		if r.Intn(2) == 0 {
+			out = agent.Rel(out)
+		}
+		switch r.Intn(3) {
+		case 0:
+			return []int{out, agent.Rel(0)}
+		case 1:
+			return []int{out, agent.ScriptWait, agent.Rel(0)}
+		}
+		return []int{agent.ScriptWait, out, agent.Rel(0)}
+	}
+	copies := func() int { return agent.SeqRepeat(uint64(1 + r.Intn(40))) }
+	var script []int
+	for parts := 1 + r.Intn(4); parts > 0 || seqRounds(script) == 0; parts-- {
+		switch r.Intn(6) {
+		case 0:
+			for n := 1 + r.Intn(3); n > 0; n-- {
+				script = append(script, action())
+			}
+		case 1:
+			script = append(script, agent.SeqWait(uint64(1+r.Intn(900))))
+		case 2:
+			script = append(append(script, copies()), outAndBack()...)
+		case 3:
+			blk := outAndBack()
+			k := 1 + r.Intn(len(blk)-1)
+			script = append(append(script, copies()), blk...)
+			script = append(append(script, agent.SeqRepeat(1)), blk[:k]...)
+			script = append(append(script, agent.SeqRepeat(1)), blk[k:]...)
+			script = append(append(script, copies()), blk...)
+		case 4:
+			script = append(script, copies(), agent.ScriptWait)
+		default:
+			script = append(script, copies())
+			for n := 1 + r.Intn(3); n > 0; n-- {
+				script = append(script, action())
+			}
+		}
+	}
+	return script
+}
+
+// seqRounds is the rounds a RunSeq script runs: n for a SeqWait(n), one
+// for each other action, times the copies of the block it is in.
+func seqRounds(script []int) uint64 {
+	rounds, copies := uint64(0), uint64(1)
+	for _, a := range script {
+		if n, ok := agent.SeqWaitRounds(a); ok {
+			rounds, copies = rounds+n, 1
+		} else if n, ok := agent.SeqRepeatCount(a); ok {
+			copies = n
+		} else {
+			rounds += copies
+		}
+	}
+	return rounds
 }
 
 func randGraph(r *rand.Rand) *graph.Graph {

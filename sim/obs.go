@@ -26,6 +26,7 @@ var (
 	obsRuns         [runKindCount]*obs.Counter
 	obsWakeups      *obs.Counter
 	obsWakeupsPhase [agent.PhaseCount]*obs.Counter
+	obsReplayed     *obs.Counter
 )
 
 func init() {
@@ -40,10 +41,12 @@ func init() {
 		obsWakeupsPhase[p] = r.Counter(fmt.Sprintf(`sim_wakeups_phase_total{phase=%q}`, p.String()),
 			"scheduler-agent wakeups by producing procedure phase")
 	}
+	obsReplayed = r.Counter("sim_rounds_replayed_total",
+		"agent-rounds of SeqRepeat block copies replayed from a record instead of walked")
 }
 
 // publishRunStats flushes one finished run's totals to the process
-// counters: one Inc plus at most 1+PhaseCount atomic adds, no locks,
+// counters: one Inc plus at most 2+PhaseCount atomic adds, no locks,
 // no allocation. Called from the runs' existing deferred cleanup
 // closures and from Batch.cleanup, never from the per-wakeup path.
 func publishRunStats(st *runStats, kind int) {
@@ -55,5 +58,8 @@ func publishRunStats(st *runStats, kind int) {
 		if n := st.wakeupsBy[p]; n != 0 {
 			obsWakeupsPhase[p].Add(n)
 		}
+	}
+	if st.replayed != 0 {
+		obsReplayed.Add(st.replayed)
 	}
 }

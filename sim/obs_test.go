@@ -102,6 +102,7 @@ func TestObsExpositionCoversSim(t *testing.T) {
 		"# TYPE sim_runs_total counter",
 		"# TYPE sim_wakeups_total counter",
 		"# TYPE sim_wakeups_phase_total counter",
+		"# TYPE sim_rounds_replayed_total counter",
 	} {
 		if !strings.Contains(out, fam) {
 			t.Errorf("exposition missing %q", fam)

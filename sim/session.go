@@ -2,6 +2,7 @@ package sim
 
 import (
 	"iter"
+	"slices"
 	"sync"
 
 	"repro/agent"
@@ -17,6 +18,9 @@ import (
 type runStats struct {
 	wakeups   uint64
 	wakeupsBy [agent.PhaseCount]uint64
+	// replayed counts the agent-rounds burst took from a block record
+	// instead of walking them (see blockRecord).
+	replayed uint64
 }
 
 // Session owns a pool of runners — the coroutine and the per-agent
@@ -121,6 +125,9 @@ func (s *Session) acquireFor(g *graph.Graph, prog agent.Program, start int, st *
 	r.scriptWaitRun = 0
 	r.scriptDegs = nil
 	r.scriptQuiet = false
+	r.copiesLeft = 0
+	r.replaying = false
+	r.rec.state = recNone // a record holds for one run's graph only
 	return r
 }
 
@@ -229,9 +236,8 @@ type grantMsg struct {
 	entry   int
 	entries []int // per-action entry ports, for reqScript grants
 	degrees []int // per-action degrees, for degree-reporting script grants
-	// seqRounds is the rounds a quiet script's SeqWait escapes ran past
-	// one round each.
-	seqRounds uint64
+	// rounds is the rounds a quiet script ran, its lead excluded.
+	rounds uint64
 }
 
 // stopSentinel unwinds an agent program when its run is aborted.
@@ -253,16 +259,30 @@ type runner struct {
 	// degree buffer of a degree-reporting script — nil for plain MoveSeq
 	// grants. scriptLead is the pending lead — deferred or SeqWait-encoded
 	// wait rounds fast-forwarded in O(1) (position static, no entries
-	// produced) before the next action runs; the cursor never rests on a
-	// SeqWait escape (settle folds escapes into the lead).
+	// produced) before the next action runs; the cursor never rests on an
+	// escape (settle folds SeqWaits into the lead and opens SeqRepeat
+	// blocks). scriptRounds is a quiet script's round count, for the
+	// grant: its length, adjusted as settle decodes each escape.
 	script        []int
 	scriptAt      int
 	scriptLead    uint64
-	seqRounds     uint64 // escape rounds beyond one each, for the grant
+	scriptRounds  uint64
 	scriptEntries []int
 	scriptDegs    []int
 	scriptWaitRun uint64
 	scriptQuiet   bool
+
+	// Segments: segEnd ends the run of plain actions at the cursor, the
+	// next escape or the script's end (a plain script is one segment).
+	// In a SeqRepeat block, blockStart is its first action and
+	// copiesLeft counts the copies after the current one: the cursor
+	// wraps from segEnd back to blockStart, lazily (see wrap), so inside
+	// a burst it may rest at segEnd, never between bursts. replaying
+	// marks a block whose copies burst takes from rec.
+	segEnd     int
+	blockStart int
+	copiesLeft uint64
+	replaying  bool
 
 	// log is the burst kernel's position log: the node after each round
 	// of the current chunk (see burst); walkedN counts the rounds its
@@ -279,6 +299,7 @@ type runner struct {
 	scriptDegsBuf []int
 	stats         *runStats
 	laneWakeups   *uint64
+	rec           blockRecord
 
 	// next and stop drive the runner's coroutine (see body), created once
 	// with the runner: next resumes the program until its next request,
@@ -367,7 +388,10 @@ func (r *runner) consume(rq request) {
 			r.scriptDegs = nil
 		}
 		r.scriptWaitRun = 0
-		r.seqRounds = 0
+		r.scriptRounds = uint64(len(rq.script))
+		r.segEnd = r.nextEscape(0)
+		r.copiesLeft = 0
+		r.replaying = false
 		r.settle()
 	case reqDone:
 		r.state = stDone
@@ -394,11 +418,12 @@ func (r *runner) waitRun() uint64 {
 	return r.scriptWaitRun
 }
 
-// runway returns how many rounds this agent can be advanced before the
-// scheduler must resume its program again (fetch a new request):
-// the remaining script length, the remaining wait, one round for a
-// pending single move, forever once the program terminated. This is the
-// per-agent contribution to the k-agent scheduler's event horizon.
+// runway returns how many rounds this agent can surely be advanced
+// before the scheduler must resume its program again (fetch a new
+// request): a script's lead and the rounds left in its segment, the
+// remaining wait, one round for a pending single move, forever once the
+// program terminated. This is the per-agent contribution to the k-agent
+// scheduler's event horizon.
 func (r *runner) runway() uint64 {
 	switch r.state {
 	case stMovePending:
@@ -406,7 +431,7 @@ func (r *runner) runway() uint64 {
 	case stWaiting:
 		return r.waitLeft
 	case stScript:
-		return r.scriptLead + uint64(len(r.script)-r.scriptAt)
+		return r.scriptLead + r.runLeft()
 	case stDone:
 		return ^uint64(0)
 	}
@@ -440,21 +465,149 @@ func (r *runner) roundsUntilMove() uint64 {
 }
 
 // settle brings a script to its next observable state after its cursor
-// moved: SeqWait escapes at the cursor join the lead, and a script with
-// no action and no lead left finishes.
+// moved: at a segment's end it starts the block's next copy, or, past
+// the block, folds SeqWait escapes into the lead and opens SeqRepeat
+// blocks; a script with no action and no lead left finishes.
 func (r *runner) settle() {
-	for r.scriptQuiet && r.scriptAt < len(r.script) {
-		n, ok := agent.SeqWaitRounds(r.script[r.scriptAt])
-		if !ok {
+	for r.scriptAt == r.segEnd {
+		if r.copiesLeft > 0 {
+			r.wrap()
 			break
 		}
-		r.scriptLead += n
-		r.seqRounds += n - 1
+		r.replaying = false
+		if r.scriptAt == len(r.script) {
+			break
+		}
+		a := r.script[r.scriptAt]
 		r.scriptAt++
+		if n, ok := agent.SeqWaitRounds(a); ok {
+			r.scriptLead += n
+			r.scriptRounds += n - 1
+			r.segEnd = r.nextEscape(r.scriptAt)
+		} else {
+			n, _ := agent.SeqRepeatCount(a)
+			r.beginBlock(n)
+		}
 	}
 	if r.scriptAt == len(r.script) && r.scriptLead == 0 {
 		r.finishScript()
 	}
+}
+
+// escBelow bounds the escapes of quiet scripts: every SeqWait and
+// SeqRepeat action is below it (SeqRepeat(n) < SeqRepeat(0) for n >= 1,
+// and SeqWait actions lie below all of them).
+var escBelow = agent.SeqRepeat(0)
+
+// nextEscape returns the first escape at or after i in a quiet script,
+// else the script's end; plain scripts have no escapes.
+func (r *runner) nextEscape(i int) int {
+	if !r.scriptQuiet {
+		return len(r.script)
+	}
+	for i < len(r.script) && r.script[i] >= escBelow {
+		i++
+	}
+	return i
+}
+
+// beginBlock opens the SeqRepeat(copies) block at the cursor. Its copies
+// replay from the runner's record when that holds a closed copy of the
+// same actions from this node and entry; otherwise the first copy is
+// recorded as it is walked.
+func (r *runner) beginBlock(copies uint64) {
+	bs := r.scriptAt
+	r.blockStart, r.copiesLeft = bs, 0
+	if rc := &r.rec; rc.state == recClosed && rc.fromPos == r.pos && rc.fromEnt == r.entry {
+		// The record holds no escape, so an equal block ends where the
+		// record's actions do, with an escape or the script's end next.
+		e := bs + len(rc.acts)
+		if e <= len(r.script) && (e == len(r.script) || r.script[e] < escBelow) && slices.Equal(r.script[bs:e], rc.acts) {
+			r.segEnd, r.copiesLeft, r.replaying = e, copies-1, true
+			r.scriptRounds += copies*uint64(e-bs) - uint64(e-bs) - 1
+			return
+		}
+	}
+	r.segEnd = r.nextEscape(bs)
+	l := uint64(r.segEnd - bs)
+	r.scriptRounds += copies*l - l - 1 // the escape itself runs no round
+	if l > 0 {
+		r.copiesLeft = copies - 1
+		r.rec.acts = append(r.rec.acts[:0], r.script[bs:r.segEnd]...)
+		r.recordCopy()
+	}
+}
+
+// wrap starts the block's next copy when the cursor rests at the end of
+// one with copies left. Unless the block replays, the new copy is
+// recorded: a copy can close where the one before it did not (the first
+// from an entry port the cycle never uses, say).
+func (r *runner) wrap() {
+	if r.scriptAt != r.segEnd || r.copiesLeft == 0 {
+		return
+	}
+	r.scriptAt = r.blockStart
+	r.copiesLeft--
+	if !r.replaying {
+		r.recordCopy()
+	}
+}
+
+// runLeft returns the rounds before r's cursor leaves its segment: the
+// rest of this copy and every copy after it.
+func (r *runner) runLeft() uint64 {
+	return uint64(r.segEnd-r.scriptAt) + r.copiesLeft*uint64(r.segEnd-r.blockStart)
+}
+
+// blockRecord is a runner's record of one walked copy of a SeqRepeat
+// block: the block's actions, the node and entry the copy began from,
+// and the node and entry after each of its rounds, with moves[i] the
+// moves among its first i actions. A copy that ends on the node and
+// entry it began from is closed: every later copy of the same actions
+// from there runs the same rounds, the block's and any later block's in
+// the same run, so burst copies their nodes from the record instead of
+// walking them. acquire resets it; a copy some round of which is not
+// walked inside a burst is not recorded.
+type blockRecord struct {
+	acts, pos, ent   []int
+	moves            []uint64
+	fromPos, fromEnt int
+	state            recState
+}
+
+type recState uint8
+
+const (
+	recNone    recState = iota
+	recWalking          // the copy at the cursor is being recorded
+	recClosed           // pos, ent and moves hold a closed copy of acts
+)
+
+// recordCopy starts recording the copy at the cursor.
+func (r *runner) recordCopy() {
+	rc := &r.rec
+	rc.fromPos, rc.fromEnt, rc.state = r.pos, r.entry, recWalking
+	rc.pos = ensure(rc.pos, len(rc.acts))
+}
+
+// closeCopy ends the recording of a walked copy at its last round and,
+// when the copy is closed, finishes the record and replays the block's
+// remaining copies.
+func (r *runner) closeCopy() {
+	rc := &r.rec
+	if rc.state = recNone; r.pos != rc.fromPos || r.entry != rc.fromEnt {
+		return
+	}
+	rc.ent = append(rc.ent[:0], r.scriptEntries[r.blockStart:r.segEnd]...)
+	rc.moves = append(rc.moves[:0], 0)
+	for i, a := range rc.acts {
+		m := rc.moves[i]
+		if a != agent.ScriptWait {
+			m++
+		}
+		rc.moves = append(rc.moves, m)
+	}
+	rc.state, r.replaying = recClosed, true
 }
 
 // finishScript hands the accumulated entry ports back to the program and
@@ -467,7 +620,7 @@ func (r *runner) finishScript() {
 	if r.scriptQuiet {
 		entries = nil // quiet grants carry no (partially unfilled) streams
 	}
-	r.grant = grantMsg{degree: r.g.Degree(r.pos), entry: r.entry, entries: entries, degrees: r.scriptDegs, seqRounds: r.seqRounds}
+	r.grant = grantMsg{degree: r.g.Degree(r.pos), entry: r.entry, entries: entries, degrees: r.scriptDegs, rounds: r.scriptRounds}
 	r.state = stNeedReq
 	r.script = nil
 	r.scriptDegs = nil
@@ -498,7 +651,14 @@ func (r *runner) advance(k uint64) {
 			if r.scriptLead == 0 {
 				r.settle()
 			}
-		} else if r.script[r.scriptAt] == agent.ScriptWait {
+			return
+		}
+		// A copy with a round stepped here, outside burst, goes
+		// unrecorded.
+		if r.rec.state == recWalking {
+			r.rec.state = recNone
+		}
+		if r.script[r.scriptAt] == agent.ScriptWait {
 			// k rounds of a (cached) wait run: positions are static, the
 			// entry and degree percepts are unchanged. Quiet scripts skip
 			// the result fills entirely — the run is one O(1) skip.
@@ -646,17 +806,26 @@ func (w *world) MoveSeq(actions []int) []int {
 
 // RunSeq is the native side-effects-only batched script (the optional
 // fast path behind agent.RunSeq): same rounds and moves as the expanded
-// reference form, no result streams, and O(1) consumption of both
-// in-script ScriptWait runs and SeqWait-encoded wait runs.
+// reference form, no result streams, O(1) consumption of both in-script
+// ScriptWait runs and SeqWait-encoded wait runs, and replayed copies of
+// closed SeqRepeat blocks. A script of SeqRepeat actions alone runs no
+// round, like its expansion, so it sends no request.
 func (w *world) RunSeq(actions []int) {
-	if len(actions) == 0 {
+	if !slices.ContainsFunc(actions, runsRound) {
 		return
 	}
 	lead := w.pendingWait
 	w.pendingWait = 0
 	g := w.call(request{kind: reqScript, script: actions, rounds: lead, quiet: true})
 	w.deg, w.entry = g.degree, g.entry
-	w.clock += uint64(len(actions)) + g.seqRounds
+	w.clock += g.rounds
+}
+
+// runsRound reports whether a RunSeq script holding action a runs a
+// round: every action but a SeqRepeat does.
+func runsRound(a int) bool {
+	_, repeat := agent.SeqRepeatCount(a)
+	return !repeat
 }
 
 func (w *world) MoveSeqDegrees(actions []int) (entries, degrees []int) {

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"math"
 
 	"repro/agent"
 	"repro/graph"
@@ -163,9 +162,9 @@ func meeting(ra, rb *runner, t, delay uint64) Result {
 }
 
 // burstChunk bounds how many rounds each walker walks between
-// co-location scans — the size of a runner's position log. Chunks
-// start at burstFirst rounds and double, so a walker walks at most as
-// far past a burst's end as the burst had already run.
+// co-location scans — the size of a runner's position log. Chunks with
+// a walker start at burstFirst rounds and double, so a walker walks at
+// most as far past a burst's end as the burst had already run.
 const (
 	burstFirst = 16
 	burstChunk = 128
@@ -186,18 +185,20 @@ type watch struct {
 // burst is the scripted-step kernel of both engines. It runs the present
 // runners rs (in agent order) through at most n rounds without resuming
 // any program. Every runner whose cursor is on a script action walks —
-// see walk — as long as one of them is on a move. Every other runner is
-// held in place: n shrinks to its roundsUntilMove, and it is advanced
-// once, by the rounds run, before burst returns, so a grant it earned on
-// the last round is pending for the next fetch or for release. The burst
-// also ends after the round on which a walker's script ends or reaches a
-// SeqWait escape, and after the first round that ends on a co-location w
-// watches for (a pair with a walker in it, unless w says otherwise). It
-// returns the rounds run, whether the last one ended on such a
-// co-location, and in moved which runners moved on it. With no runner on
-// a move it is the bulk skip of a stretch where nobody moves; it runs
-// nothing when a runner has a single move pending, which the caller
-// steps itself.
+// see walk — as long as one of them is on a move; a runner replaying a
+// closed block copy (see blockRecord) copies its nodes from the record
+// instead. Every other runner is held in place: n shrinks to its
+// roundsUntilMove, and it is advanced once, by the rounds run, before
+// burst returns, so a grant it earned on the last round is pending for
+// the next fetch or for release. The burst also ends after the round on
+// which a walker's segment ends — its script's end, or an escape after
+// the last copy of a block — and after the first round that ends on a
+// co-location w watches for (a pair with a walker in it, unless w says
+// otherwise). It returns the rounds run, whether the last one ended on
+// such a co-location, and in moved which runners moved on it. With no
+// runner on a move it is the bulk skip of a stretch where nobody moves;
+// it runs nothing when a runner has a single move pending, which the
+// caller steps itself.
 func burst(rs []*runner, n uint64, moved []bool, w watch) (steps uint64, hit bool) {
 	movers, quiet := 0, n
 	for i, r := range rs {
@@ -207,7 +208,7 @@ func burst(rs []*runner, n uint64, moved []bool, w watch) (steps uint64, hit boo
 		}
 		quiet = min(quiet, q)
 		if moved[i] = r.state == stScript && r.scriptLead == 0; moved[i] {
-			n = min(n, uint64(len(r.script)-r.scriptAt))
+			n = min(n, r.runLeft())
 			if q == 0 {
 				movers++
 			}
@@ -222,24 +223,37 @@ func burst(rs []*runner, n uint64, moved []bool, w watch) (steps uint64, hit boo
 		}
 		return quiet, false
 	}
-	c, filled := 0, 0 // c: the last chunk's rounds; only it can end short of a walk
-	for size, stop := burstFirst, false; !stop && steps < n; size = min(2*size, burstChunk) {
-		c = int(min(n-steps, uint64(size)))
+	filled := 0
+	for size := burstFirst; !hit && steps < n; size = min(2*size, burstChunk) {
+		// A walker's chunk ends with its copy: the cursor wraps between
+		// chunks, and a copy being recorded closes on its last round.
+		// Replaying runs no further than the chunk, so a chunk with no
+		// walker is a whole log.
+		c := int(min(n-steps, burstChunk))
+		for i, r := range rs {
+			if moved[i] {
+				if r.wrap(); !r.replaying {
+					c = min(c, size, r.segEnd-r.scriptAt)
+				}
+			}
+		}
 		var odd *runner // walkers go two at a time
 		for i, r := range rs {
-			if !moved[i] {
-				continue
-			}
-			if odd == nil {
+			switch {
+			case !moved[i]:
+			case r.replaying:
+				if !w.off {
+					r.replay(c)
+				}
+			case odd == nil:
 				odd = r
-				continue
+			default:
+				walk(odd, r, c)
+				odd = nil
 			}
-			j, end := walk(odd, r, c)
-			c, stop, odd = min(c, j), stop || end, nil
 		}
 		if odd != nil {
-			j, end := walk(odd, nil, c)
-			c, stop = min(c, j), stop || end
+			walk(odd, nil, c)
 		}
 		if !w.off && w.bhead == nil && c > filled {
 			// A held runner's log is its fixed node, so one scan covers
@@ -254,15 +268,26 @@ func burst(rs []*runner, n uint64, moved []bool, w watch) (steps uint64, hit boo
 			filled = c
 		}
 		if f := w.scan(rs, moved, c); f < c {
-			c, hit, stop = f+1, true, true
+			c, hit = f+1, true
+		}
+		for i, r := range rs {
+			switch {
+			case !moved[i]:
+			case r.replaying:
+				r.replayed(c)
+			default:
+				if r.walkedN > c {
+					r.rewind(c)
+				}
+				if r.rec.state == recWalking {
+					r.record(c)
+				}
+			}
 		}
 		steps += uint64(c)
 	}
 	for i, r := range rs {
 		if moved[i] {
-			if r.walkedN > c {
-				r.rewind(c)
-			}
 			moved[i] = r.script[r.scriptAt-1] != agent.ScriptWait
 			r.settle()
 		} else {
@@ -281,29 +306,29 @@ func step(g *graph.Graph, x, pos, entry int) (int, int) {
 	return adj[p].To, adj[p].ToPort
 }
 
-// walk moves a, and b in lock-step when non-nil, through up to c script
-// actions with cursors, positions and entries in locals, logging each
-// round's node: a move steps, a ScriptWait stays put. It stops before
-// either's next SeqWait escape; two chains in flight keep the core busy
-// while the other waits on its adjacency loads. It returns the rounds
-// walked and whether a next action ends the burst.
-func walk(a, b *runner, c int) (j int, stop bool) {
-	g, xa, ea, la, pa, na, lima := a.walkFrom(c)
+// walk moves a, and b in lock-step when non-nil, through their next c
+// script actions, all inside their current segments, with cursors,
+// positions and entries in locals, logging each round's node: a move
+// steps, a ScriptWait stays put. Two chains in flight keep the core busy
+// while the other waits on its adjacency loads.
+func walk(a, b *runner, c int) {
+	g, xa, ea, la, pa, na := a.walkFrom(c)
 	wa, wb := 0, 0 // ScriptWaits walked
 	if b == nil {
-		for ; j < c && xa[j] >= lima; j++ {
-			if x := xa[j]; x != agent.ScriptWait {
+		for j, x := range xa {
+			if x != agent.ScriptWait {
 				pa, na = step(g, x, pa, na)
 			} else {
 				wa++
 			}
 			ea[j], la[j] = na, pa
 		}
-		return j, a.walked(j, wa, pa, na, lima)
+		a.walked(c, wa, pa, na)
+		return
 	}
-	_, xb, eb, lb, pb, nb, limb := b.walkFrom(c)
-	for ; j < c && xa[j] >= lima && xb[j] >= limb; j++ {
-		if x := xa[j]; x != agent.ScriptWait {
+	_, xb, eb, lb, pb, nb := b.walkFrom(c)
+	for j, x := range xa {
+		if x != agent.ScriptWait {
 			pa, na = step(g, x, pa, na)
 		} else {
 			wa++
@@ -316,27 +341,21 @@ func walk(a, b *runner, c int) (j int, stop bool) {
 		ea[j], la[j] = na, pa
 		eb[j], lb[j] = nb, pb
 	}
-	stopA, stopB := a.walked(j, wa, pa, na, lima), b.walked(j, wb, pb, nb, limb)
-	return j, stopA || stopB
+	a.walked(c, wa, pa, na)
+	b.walked(c, wb, pb, nb)
 }
 
 // walkFrom hands walk r's next c actions, their entry slots, its position
-// log, position and entry, and the bound below which an action is a
-// SeqWait escape.
-func (r *runner) walkFrom(c int) (g *graph.Graph, acts, ents, log []int, pos, entry, lim int) {
-	lim = math.MinInt // plain scripts have no escapes
-	if r.scriptQuiet {
-		lim = agent.SeqWait(0) // SeqWait(n) < SeqWait(0) for n >= 1
-	}
+// log, position and entry.
+func (r *runner) walkFrom(c int) (g *graph.Graph, acts, ents, log []int, pos, entry int) {
 	at := r.scriptAt
-	return r.g, r.script[at : at+c], r.scriptEntries[at : at+c], r.log[:c], r.pos, r.entry, lim
+	return r.g, r.script[at : at+c], r.scriptEntries[at : at+c], r.log[:c], r.pos, r.entry
 }
 
 // walked stores a walk of j rounds, waits of them ScriptWaits, back into
-// r, fills the degree stream of a degree-reporting script (the node's
-// degree after each action) and reports whether r's script ends or
-// reaches an escape next.
-func (r *runner) walked(j, waits, pos, entry, lim int) bool {
+// r and fills the degree stream of a degree-reporting script (the node's
+// degree after each action).
+func (r *runner) walked(j, waits, pos, entry int) {
 	at := r.scriptAt
 	if d := r.scriptDegs; d != nil {
 		for i, p := range r.log[:j] {
@@ -347,7 +366,15 @@ func (r *runner) walked(j, waits, pos, entry, lim int) bool {
 	r.scriptAt, r.pos, r.entry = at+j, pos, entry
 	r.scriptWaitRun = 0
 	r.walkedN = j
-	return at+j == len(r.script) || r.script[at+j] < lim
+}
+
+// record stores the nodes of the c rounds a walker just kept of the
+// block copy it records, and closes the record on the copy's last round.
+func (r *runner) record(c int) {
+	copy(r.rec.pos[r.scriptAt-c-r.blockStart:], r.log[:c])
+	if r.scriptAt == r.segEnd {
+		r.closeCopy()
+	}
 }
 
 // rewind takes back the actions walk ran past round c of its chunk
@@ -360,6 +387,32 @@ func (r *runner) rewind(c int) {
 		}
 	}
 	r.pos, r.entry = r.log[c-1], r.scriptEntries[r.scriptAt-1]
+}
+
+// replay logs the nodes of the next c rounds of a replaying block from
+// its record, across copy boundaries.
+func (r *runner) replay(c int) {
+	p := r.scriptAt - r.blockStart
+	for j := 0; j < c; p = 0 {
+		j += copy(r.log[j:c], r.rec.pos[p:])
+	}
+}
+
+// replayed advances a replaying runner through c rounds of its block:
+// cursor, copies, moves, node and entry, all from the record. The
+// cursor stops at a copy's end rather than wrap past it.
+func (r *runner) replayed(c int) {
+	rc := &r.rec
+	l, p := len(rc.acts), r.scriptAt-r.blockStart
+	e, last := p+c, (p+c-1)%l
+	r.moves += uint64(e/l)*rc.moves[l] + rc.moves[e%l] - rc.moves[p]
+	r.pos, r.entry = rc.pos[last], rc.ent[last]
+	r.copiesLeft -= uint64((e - 1) / l)
+	r.scriptAt = r.blockStart + last + 1
+	r.scriptWaitRun = 0
+	if s := r.stats; s != nil {
+		s.replayed += uint64(c)
+	}
 }
 
 // scan returns the first of the chunk's c rounds that ends on a
