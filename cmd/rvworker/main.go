@@ -1,10 +1,10 @@
 // Command rvworker is a standalone dispatch-protocol worker for the
 // distributed sweep dispatcher (package dist): it executes shard
 // descriptors — (graph, parameter-block) shards of simulator cases — on
-// a pooled sim.Session and sends each shard's aggregate back to the
-// coordinator as one result frame, heartbeating while it computes. The
-// coordinator ends a connection by closing it; in stdio mode that EOF on
-// stdin makes the process exit.
+// a pooled sim.Session, one at a time, and sends each shard's aggregate
+// back to the coordinator as one result frame. The coordinator ends a
+// connection by closing it; in stdio mode that EOF on stdin makes the
+// process exit.
 //
 // Usage:
 //
@@ -15,7 +15,6 @@
 //	                      accept TCP coordinator connections, each served
 //	                      with its own session (the multi-machine mode
 //	                      behind dist.Dial / `rvx --dist-addrs`)
-//	rvworker -capacity 8  announce a deeper pipeline window in the hello
 //	rvworker -crash-after 3
 //	                      fault injection: crash while executing the 3rd
 //	                      shard of a connection — exit 3 in stdio mode,
@@ -38,7 +37,6 @@ import (
 func main() {
 	listen := flag.String("listen", "", "TCP address to accept coordinator connections on (default: serve stdin/stdout)")
 	programs := flag.Bool("programs", false, "list registered program names and exit")
-	capacity := flag.Int("capacity", 0, "pipeline window announced in the hello frame (default: protocol default)")
 	crashAfter := flag.Int("crash-after", 0, "fault injection: crash while executing the Nth shard of each connection (0 disables)")
 	flag.Parse()
 
@@ -49,9 +47,6 @@ func main() {
 		return
 	}
 	var opts []dist.ServeOption
-	if *capacity > 0 {
-		opts = append(opts, dist.WithCapacity(*capacity))
-	}
 	if *crashAfter > 0 {
 		opts = append(opts, dist.WithCrashAfterShards(*crashAfter))
 	}

@@ -11,10 +11,10 @@
 //	    [-daemon host:port] [-trace out.json]
 //
 // -trace writes the dist coordinator's shard-lifecycle timeline (queue,
-// dispatch, completion, plus requeue/heartbeat events, accumulated
-// across every sweep of the regeneration) as Chrome trace-event JSON
-// loadable in Perfetto or chrome://tracing. It needs a coordinator in
-// this process, so it is incompatible with -daemon.
+// dispatch, completion, plus requeue events, accumulated across every
+// sweep of the regeneration) as Chrome trace-event JSON loadable in
+// Perfetto or chrome://tracing. It needs a coordinator in this process,
+// so it is incompatible with -daemon.
 //
 // -full enables the heavier variants (ring-4 UniversalRV in E7, the
 // million-node Q̂12 build in E9). -markdown emits GitHub tables (the format

@@ -7,11 +7,7 @@ package dist_test
 // overhead, invisible to the engine benchmarks.
 
 import (
-	"fmt"
-	"io"
-	"sync"
 	"testing"
-	"time"
 
 	"repro/dist"
 	"repro/graph"
@@ -58,107 +54,6 @@ func BenchmarkDistDispatch(b *testing.B) {
 	total := float64(p.Len()) * float64(b.N)
 	b.ReportMetric(total/b.Elapsed().Seconds(), "cases/sec")
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/total, "ns/case")
-}
-
-// latencyLane is one direction of a simulated high-RTT link: writes
-// return immediately and the bytes surface at the far end one latency
-// later (a pump goroutine holds them in flight). Latency, not occupancy
-// — concurrent frames overlap in flight, the way real network latency
-// behaves and unlike a transport that sleeps inside Write.
-type latencyLane struct {
-	d  time.Duration
-	pr *io.PipeReader
-	pw *io.PipeWriter
-
-	mu     sync.Mutex
-	closed bool
-	ch     chan latencyMsg
-}
-
-type latencyMsg struct {
-	due time.Time
-	buf []byte
-}
-
-func newLatencyLane(d time.Duration) *latencyLane {
-	pr, pw := io.Pipe()
-	l := &latencyLane{d: d, pr: pr, pw: pw, ch: make(chan latencyMsg, 1024)}
-	go func() {
-		for m := range l.ch {
-			time.Sleep(time.Until(m.due))
-			// A closed receiver just drains the lane dry.
-			_, _ = l.pw.Write(m.buf)
-		}
-		l.pw.Close()
-	}()
-	return l
-}
-
-func (l *latencyLane) send(p []byte) (int, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return 0, io.ErrClosedPipe
-	}
-	l.ch <- latencyMsg{due: time.Now().Add(l.d), buf: append([]byte(nil), p...)}
-	return len(p), nil
-}
-
-func (l *latencyLane) close() {
-	l.mu.Lock()
-	if !l.closed {
-		l.closed = true
-		close(l.ch)
-	}
-	l.mu.Unlock()
-	l.pr.Close()
-}
-
-type latencyEnd struct{ in, out *latencyLane }
-
-func (e *latencyEnd) Read(p []byte) (int, error)  { return e.in.pr.Read(p) }
-func (e *latencyEnd) Write(p []byte) (int, error) { return e.out.send(p) }
-func (e *latencyEnd) Close() error                { e.in.close(); e.out.close(); return nil }
-
-// latencyPipe returns the two endpoints of a bidirectional link with the
-// given one-way frame latency.
-func latencyPipe(d time.Duration) (coord, worker io.ReadWriteCloser) {
-	ab, ba := newLatencyLane(d), newLatencyLane(d)
-	return &latencyEnd{in: ba, out: ab}, &latencyEnd{in: ab, out: ba}
-}
-
-// BenchmarkDistPipelined pins the pipelined-dispatch win: the same sweep
-// through one worker behind a 500µs-one-way link, with the dispatch
-// window clamped to 1 (v1's request/response shape) versus 4 (the v2
-// default). At depth 1 every shard pays the full round trip; at depth 4
-// the next shards are already on the worker when one finishes, so the
-// per-case overhead must drop by roughly the link latency.
-func BenchmarkDistPipelined(b *testing.B) {
-	for _, depth := range []int{1, 4} {
-		b.Run(fmt.Sprintf("depth%d", depth), func(b *testing.B) {
-			const oneWay = 500 * time.Microsecond
-			coordEnd, workerEnd := latencyPipe(oneWay)
-			go func() {
-				_ = dist.Serve(workerEnd, workerEnd)
-				workerEnd.Close()
-			}()
-			p := benchPlan()
-			be := dist.NewFromStreams([]io.ReadWriteCloser{coordEnd}, dist.WithTuning(dist.Tuning{
-				MaxWindow:    depth,
-				BaseDeadline: 30 * time.Second,
-			}))
-			defer be.Close()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := p.Run(be); err != nil {
-					b.Fatal(err)
-				}
-			}
-			total := float64(p.Len()) * float64(b.N)
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/total, "ns/case")
-		})
-	}
 }
 
 // BenchmarkShardCodec isolates the wire codec: encode + decode of a

@@ -26,8 +26,8 @@ import (
 // connections stay warm in between); Close releases the workers.
 //
 // Failure is a normal event: a connection that errors, hangs past its
-// progress deadline, or dies mid-stream has its in-flight shards
-// requeued onto surviving (or late-joining) connections, and a sweep
+// deadline, or dies mid-stream has its in-flight shard requeued onto
+// surviving (or late-joining) connections, and a sweep
 // only fails outright when no live workers remain or a shard exhausts
 // its bounded attempt budget. Deterministic per-shard errors (unknown
 // program, corrupt graph) are never retried — they would fail
@@ -35,14 +35,6 @@ import (
 type Backend interface {
 	Run(shards []*ShardDesc) ([]*ShardResult, error)
 	Close() error
-}
-
-// ConnAdder is the optional elastic side of a backend: connection-backed
-// backends accept extra worker connections at any time, including while
-// a Run is in flight — the late-joining worker picks up queued and
-// requeued shards immediately.
-type ConnAdder interface {
-	AddConn(rw io.ReadWriter, closer io.Closer)
 }
 
 // Tuning is the failure-handling knob block of a connection backend.
@@ -55,23 +47,20 @@ type Tuning struct {
 	// forever. Default 3.
 	MaxAttempts int
 
-	// BaseDeadline + PerCase*inflightCases is a connection's progress
-	// deadline: if no frame (heartbeat, result) arrives from a connection
-	// holding in-flight shards for that long, the coordinator severs it
-	// and requeues. Defaults 10s + 50ms/case. NoDeadline disables the
-	// watchdog entirely — the run then only notices a dead worker when
-	// its transport errors out.
+	// BaseDeadline + PerCase*cases is a dispatched shard's deadline: if
+	// the connection holding it has not answered that long after the
+	// dispatch, the coordinator severs it and requeues the shard. A
+	// connection that has not said hello is on the same clock from its
+	// start. Defaults 10s + 50ms/case. NoDeadline disables the watchdog
+	// entirely — the run then only notices a dead worker when its
+	// transport errors out.
 	BaseDeadline time.Duration
 	PerCase      time.Duration
-
-	// MaxWindow caps the per-connection pipeline depth below what the
-	// worker's hello capacity allows. 0 means the worker capacity rules.
-	MaxWindow int
 }
 
 // NoDeadline as Tuning.BaseDeadline disables the liveness watchdog. The
 // in-process backend always runs with it: a worker goroutine cannot
-// vanish without closing its pipe (which the frame reader notices
+// vanish without closing its pipe (which the connection's read notices
 // immediately), so the watchdog could only cut off a case that runs past
 // the deadline and requeue the same case.
 const NoDeadline time.Duration = -1
@@ -101,7 +90,6 @@ type RunStats struct {
 	Joined      int // connections that joined mid-run
 	MaxAttempts int // highest dispatch count of any shard
 	Chunks      int // result frames aggregated
-	Heartbeats  int // heartbeat frames received
 }
 
 // Option configures a connection backend at construction.
@@ -127,18 +115,15 @@ func LastRunStats(be Backend) (RunStats, bool) {
 
 // wconn is one coordinator-held worker connection.
 type wconn struct {
-	r        *bufio.Reader
-	w        *bufio.Writer
-	c        io.Closer
-	wmu      sync.Mutex // serializes shard-frame writes (dispatch)
-	hello    bool       // hello frame consumed and version-checked
-	capacity int        // pipeline depth from the hello frame
-	broken   bool       // connection failed; skip in future Runs (run.mu of the failing run, then only read)
-	gc       graphCache // memoized graphs + expected view signatures
+	r      *bufio.Reader
+	w      *bufio.Writer
+	c      io.Closer
+	hello  bool       // hello frame consumed and version-checked
+	broken bool       // connection failed; skip in future Runs (run.mu of the failing run, then only read)
+	gc     graphCache // memoized graphs + expected view signatures
 }
 
-// handshake consumes the worker's hello frame once per connection,
-// recording the announced pipeline capacity.
+// handshake consumes the worker's hello frame once per connection.
 func (c *wconn) handshake() error {
 	if c.hello {
 		return nil
@@ -153,47 +138,47 @@ func (c *wconn) handshake() error {
 	if payload[1] != ProtoVersion {
 		return fmt.Errorf("dist: worker speaks protocol v%d, coordinator v%d", payload[1], ProtoVersion)
 	}
-	d := &rd{data: payload[2:]}
-	capacity := d.uvarint()
-	if d.err != nil || capacity == 0 || d.rest() != 0 {
-		return fmt.Errorf("dist: bad capacity in worker hello")
+	if len(payload) != 2 {
+		return fmt.Errorf("dist: bad hello frame from worker (%d trailing bytes)", len(payload)-2)
 	}
-	if capacity > maxWorkerCapacity {
-		capacity = maxWorkerCapacity
-	}
-	c.capacity = int(capacity)
 	c.hello = true
 	return nil
 }
 
-// sendShard writes one shard frame under the connection's write mutex.
+// sendShard writes one shard frame.
 func (c *wconn) sendShard(id int, sh *ShardDesc, scratch []byte) ([]byte, error) {
 	scratch = append(scratch[:0], frameShard)
 	scratch = binary.AppendUvarint(scratch, uint64(id))
 	scratch = sh.AppendEncode(scratch)
-	c.wmu.Lock()
-	err := writeFrameSum(c.w, scratch)
-	c.wmu.Unlock()
-	return scratch, err
+	return scratch, writeFrameSum(c.w, scratch)
 }
 
-// connState is one connection's per-run view: the shards in flight on it,
-// each mapped to its dispatch's timeline stamp (the shard span's start).
+// connState is one connection's per-run view. Its connLoop goroutine
+// writes it under run.mu, where the watchdog reads it (and sets
+// deadReason), and reads the in-flight slot without the lock.
 type connState struct {
-	c            *wconn
-	inflight     map[int]int64
-	dead         bool
-	helloed      bool  // handshake completed; pre-hello conns are on the watchdog clock too
-	deadReason   error // set before severing (watchdog) to annotate the read error
-	lastProgress time.Time
-	idx          int        // position in run.conns: the trace/gauge conn id
-	ig           *obs.Gauge // this connection's dist_conn_inflight sample
+	c          *wconn
+	shard      int       // the shard in flight on it, or -1
+	sent       int64     // that dispatch's timeline stamp (the shard span's start)
+	since      time.Time // the watchdog clock's start: the dispatch, or before hello the conn's start
+	dead       bool
+	helloed    bool       // handshake completed; pre-hello conns are on the watchdog clock too
+	deadReason error      // set before severing (watchdog) to annotate the read error
+	idx        int        // position in run.conns: the trace/gauge conn id
+	ig         *obs.Gauge // this connection's dist_conn_inflight sample
+}
+
+// newConnState starts connection idx's per-run view, idle and on the
+// watchdog clock until its hello.
+func newConnState(c *wconn, idx int) *connState {
+	return &connState{c: c, shard: -1, since: time.Now(), idx: idx, ig: connInflightGauge(idx)}
 }
 
 var errBackendClosed = errors.New("dist: backend closed")
 
 // run is one Run call's coordinator state: the shard queue, per-shard
-// attempt counts, per-connection windows, and the liveness watchdog.
+// attempt counts, per-connection in-flight slots, and the liveness
+// watchdog.
 type run struct {
 	be     *connBackend
 	tun    Tuning
@@ -204,7 +189,6 @@ type run struct {
 	cond     *sync.Cond
 	queue    []int
 	attempts []int   // dispatches so far, per shard
-	lastFail []error // last connection-level failure, per shard (attempt exhaustion message)
 	shardErr []error // terminal per-shard error (deterministic failure or attempts exhausted)
 
 	conns     []*connState
@@ -224,7 +208,6 @@ func newRun(be *connBackend, shards []*ShardDesc) *run {
 		shards:   shards,
 		out:      make([]*ShardResult, len(shards)),
 		attempts: make([]int, len(shards)),
-		lastFail: make([]error, len(shards)),
 		shardErr: make([]error, len(shards)),
 
 		remaining: len(shards),
@@ -259,9 +242,7 @@ func (r *run) execute(conns []*wconn) ([]*ShardResult, error) {
 	// spawned.
 	r.live = len(conns)
 	for i, c := range conns {
-		cs := &connState{c: c, inflight: map[int]int64{}, lastProgress: time.Now(),
-			idx: i, ig: connInflightGauge(i)}
-		r.conns = append(r.conns, cs)
+		r.conns = append(r.conns, newConnState(c, i))
 	}
 	r.tl.Instant("run-start", "run", -1, fmt.Sprintf("%d shards, %d conns", len(r.shards), len(conns)))
 	for _, cs := range r.conns {
@@ -302,23 +283,22 @@ func (r *run) execute(conns []*wconn) ([]*ShardResult, error) {
 	return r.out, nil
 }
 
-// deadlineLocked is cs's current progress deadline: the base plus the
-// per-case allowance for everything in flight on it. Heartbeats arrive
-// between cases, so a healthy connection is never silent for longer than
-// one case plus the heartbeat interval — the deadline only trips on a
-// genuinely hung or unreachable worker.
+// deadlineLocked is cs's current deadline, counted from cs.since: the
+// base plus the per-case allowance of the shard in flight on it. Every
+// production shard answers within a small fraction of the base, so the
+// deadline only trips on a genuinely hung or unreachable worker.
 func (r *run) deadlineLocked(cs *connState) time.Duration {
 	d := r.tun.BaseDeadline
-	for si := range cs.inflight {
-		d += time.Duration(len(r.shards[si].Cases)) * r.tun.PerCase
+	if cs.shard >= 0 {
+		d += time.Duration(len(r.shards[cs.shard].Cases)) * r.tun.PerCase
 	}
 	return d
 }
 
 // watch is the liveness watchdog: it periodically severs any connection
-// whose in-flight shards have seen no progress frames past the deadline.
-// Severing the transport makes the connection's reader fail, which funnels
-// the requeue through the ordinary connDead path.
+// whose in-flight shard has gone unanswered past its deadline. Severing
+// the transport makes the connection's read fail, which funnels the
+// requeue through the ordinary connDead path.
 func (r *run) watch(stop chan struct{}) {
 	tick := r.tun.BaseDeadline / 8
 	if tick < 5*time.Millisecond {
@@ -337,16 +317,16 @@ func (r *run) watch(stop chan struct{}) {
 			var sever []*connState
 			r.mu.Lock()
 			for _, cs := range r.conns {
-				// A conn with work in flight must show progress; a conn
+				// A conn with a shard in flight must answer it; a conn
 				// that never finished its handshake (hello lost or the
 				// worker wedged on connect) is on the same clock — an
 				// idle post-hello conn is the only state with no deadline.
-				if cs.dead || (cs.helloed && len(cs.inflight) == 0) {
+				if cs.dead || (cs.helloed && cs.shard < 0) {
 					continue
 				}
-				if gap := now.Sub(cs.lastProgress); gap > r.deadlineLocked(cs) {
-					cs.deadReason = fmt.Errorf("dist: worker made no progress for %v (deadline %v) with %d shards in flight",
-						gap.Round(time.Millisecond), r.deadlineLocked(cs), len(cs.inflight))
+				if gap := now.Sub(cs.since); gap > r.deadlineLocked(cs) {
+					cs.deadReason = fmt.Errorf("dist: worker made no progress for %v (deadline %v)",
+						gap.Round(time.Millisecond), r.deadlineLocked(cs))
 					sever = append(sever, cs)
 				}
 			}
@@ -360,9 +340,9 @@ func (r *run) watch(stop chan struct{}) {
 	}
 }
 
-// connLoop is one connection's dispatch driver: handshake, spawn the
-// frame reader, then feed the connection shards whenever its pipeline
-// window has room and the queue has work.
+// connLoop runs one connection: handshake, then deal the connection one
+// shard at a time — send it, read the answer, retire it — until the run
+// finishes or the connection dies.
 func (r *run) connLoop(cs *connState) {
 	defer r.wg.Done()
 	c := cs.c
@@ -370,103 +350,45 @@ func (r *run) connLoop(cs *connState) {
 		r.connDead(cs, err)
 		return
 	}
+	var scratch, buf []byte
 	r.mu.Lock()
 	cs.helloed = true
-	cs.lastProgress = time.Now()
-	r.mu.Unlock()
-	window := c.capacity
-	if r.tun.MaxWindow > 0 && window > r.tun.MaxWindow {
-		window = r.tun.MaxWindow
-	}
-	var rwg sync.WaitGroup
-	rwg.Add(1)
-	go func() {
-		defer rwg.Done()
-		r.readLoop(cs)
-	}()
-	var scratch []byte
-	r.mu.Lock()
 	for {
-		if r.finishedLocked() || cs.dead {
-			break
-		}
-		if len(cs.inflight) < window && len(r.queue) > 0 && r.leastLoadedLocked(cs) {
-			si := r.queue[0]
-			r.queue = r.queue[1:]
-			r.attempts[si]++
-			cs.inflight[si] = r.tl.Now()
-			cs.lastProgress = time.Now()
-			attempt := r.attempts[si]
-			sh := r.shards[si]
-			r.mu.Unlock()
-			obsDispatched.Inc()
-			cs.ig.Add(1)
-			r.tl.Instant("dispatch", "shard", int64(si), fmt.Sprintf("conn=%d attempt=%d", cs.idx, attempt))
-			// Wake a reader idling on an empty window before the send:
-			// frames may start arriving immediately.
-			r.cond.Broadcast()
-			var err error
-			if scratch, err = c.sendShard(si, sh, scratch); err != nil {
-				r.connDead(cs, err)
-				r.mu.Lock()
-				break
-			}
-			r.mu.Lock()
-			continue
-		}
-		r.cond.Wait()
-	}
-	r.mu.Unlock()
-	rwg.Wait()
-}
-
-// leastLoadedLocked reports whether no other live connection holds fewer
-// shards in flight than cs. connLoop deals cs another shard only then,
-// so the first connection to say hello cannot fill its window while a
-// peer is still handshaking; a connection with nothing in flight always
-// qualifies, so a wedged peer cannot stall the run.
-func (r *run) leastLoadedLocked(cs *connState) bool {
-	for _, o := range r.conns {
-		if o != cs && !o.dead && len(o.inflight) < len(cs.inflight) {
-			return false
-		}
-	}
-	return true
-}
-
-// readLoop consumes a connection's frames — heartbeats, results, error
-// frames — while shards are in flight, and idles between sweeps of
-// work. It is the sole mutator of the connection's per-run state, which
-// is what keeps requeue/completion races trivially absent: a connection
-// completes or requeues each of its shards exactly once.
-func (r *run) readLoop(cs *connState) {
-	c := cs.c
-	var buf []byte
-	for {
-		r.mu.Lock()
-		for len(cs.inflight) == 0 && !r.finishedLocked() && !cs.dead {
+		for len(r.queue) == 0 && !r.finishedLocked() {
 			r.cond.Wait()
 		}
-		if cs.dead || (len(cs.inflight) == 0 && r.finishedLocked()) {
-			r.mu.Unlock()
-			return
+		if r.finishedLocked() {
+			break
 		}
+		si := r.queue[0]
+		r.queue = r.queue[1:]
+		r.attempts[si]++
+		cs.shard, cs.sent, cs.since = si, r.tl.Now(), time.Now()
+		attempt := r.attempts[si]
 		r.mu.Unlock()
-		payload, err := readFrameSum(c.r, buf)
+		obsDispatched.Inc()
+		cs.ig.Add(1)
+		r.tl.Instant("dispatch", "shard", int64(si), fmt.Sprintf("conn=%d attempt=%d", cs.idx, attempt))
+		var payload []byte
+		var err error
+		if scratch, err = c.sendShard(si, r.shards[si], scratch); err == nil {
+			if payload, err = readFrameSum(c.r, buf); err == nil {
+				buf = payload[:0]
+				err = r.handleFrame(cs, payload)
+			}
+		}
 		if err != nil {
 			r.connDead(cs, err)
 			return
 		}
-		buf = payload[:0]
-		if err := r.handleFrame(cs, payload); err != nil {
-			r.connDead(cs, err)
-			return
-		}
+		r.mu.Lock()
 	}
+	r.mu.Unlock()
 }
 
-// handleFrame processes one worker frame; a non-nil error means the
-// stream is no longer trustworthy and the connection must die.
+// handleFrame processes the worker's answer to the shard in flight on
+// cs; a non-nil error means the stream is no longer trustworthy and the
+// connection must die.
 func (r *run) handleFrame(cs *connState, payload []byte) error {
 	if len(payload) == 0 {
 		return fmt.Errorf("dist: empty frame from worker")
@@ -476,32 +398,11 @@ func (r *run) handleFrame(cs *connState, payload []byte) error {
 	if d.err != nil {
 		return d.err
 	}
-	si := int(id)
-	r.mu.Lock()
-	startNs, inflight := cs.inflight[si]
-	r.mu.Unlock()
-	if !inflight {
-		return fmt.Errorf("dist: worker sent frame type %d for shard %d not in flight here", payload[0], si)
+	si := cs.shard
+	if id != uint64(si) {
+		return fmt.Errorf("dist: worker sent frame type %d for shard %d not in flight here", payload[0], id)
 	}
 	switch payload[0] {
-	case frameHeartbeat:
-		done := d.uvarint()
-		if d.err != nil {
-			return d.err
-		}
-		if done > uint64(len(r.shards[si].Cases)) {
-			return fmt.Errorf("dist: heartbeat claims %d/%d cases done on shard %d", done, len(r.shards[si].Cases), si)
-		}
-		r.mu.Lock()
-		gap := time.Since(cs.lastProgress)
-		cs.lastProgress = time.Now()
-		r.stats.Heartbeats++
-		r.mu.Unlock()
-		obsHeartbeats.Inc()
-		obsHeartbeatGapNs.Observe(uint64(gap))
-		r.tl.Instant("heartbeat", "shard", int64(si), "")
-		return nil
-
 	case frameResult:
 		res := new(ShardResult)
 		if err := res.Decode(d.data); err != nil {
@@ -515,13 +416,13 @@ func (r *run) handleFrame(cs *connState, payload []byte) error {
 		if err != nil {
 			// The coordinator cannot materialize its own descriptor's
 			// graph: deterministic, not a transport fault.
-			r.completeShard(cs, si, startNs, nil, err)
+			r.completeShard(cs, nil, err)
 			return nil
 		}
 		if err := verifySigBytes(e.viewSig(), res.ViewSig); err != nil {
 			return fmt.Errorf("dist: shard %d: %w", si, err)
 		}
-		r.completeShard(cs, si, startNs, res, nil)
+		r.completeShard(cs, res, nil)
 		obsChunks.Inc()
 		return nil
 
@@ -533,7 +434,7 @@ func (r *run) handleFrame(cs *connState, payload []byte) error {
 		// Worker-reported execution errors are deterministic — the same
 		// descriptor fails the same way on every worker — so they are
 		// terminal for the shard, never requeued.
-		r.completeShard(cs, si, startNs, nil, fmt.Errorf("failed on worker: %s", msg))
+		r.completeShard(cs, nil, fmt.Errorf("failed on worker: %s", msg))
 		return nil
 
 	default:
@@ -541,13 +442,13 @@ func (r *run) handleFrame(cs *connState, payload []byte) error {
 	}
 }
 
-// completeShard retires one in-flight shard — with the aggregate its
+// completeShard retires cs's in-flight shard — with the aggregate its
 // result frame carried, or with a terminal per-shard error — and closes
 // its trace span.
-func (r *run) completeShard(cs *connState, si int, startNs int64, res *ShardResult, err error) {
+func (r *run) completeShard(cs *connState, res *ShardResult, err error) {
 	r.mu.Lock()
-	delete(cs.inflight, si)
-	cs.lastProgress = time.Now()
+	si, startNs := cs.shard, cs.sent
+	cs.shard = -1
 	attempt := r.attempts[si]
 	if err != nil {
 		r.shardErr[si] = err
@@ -567,16 +468,13 @@ func (r *run) completeShard(cs *connState, si int, startNs int64, res *ShardResu
 	r.cond.Broadcast()
 }
 
-// connDead retires a connection: its in-flight shards go back to the
-// queue (or to per-shard errors once their attempt budgets are spent),
-// the backend gets a chance to replace the worker (NewLocal respawn),
-// and if no live connection remains the run aborts.
+// connDead retires a connection: its in-flight shard goes back to the
+// queue (or to a per-shard error once its attempt budget is spent), the
+// backend gets a chance to replace the worker (NewLocal respawn), and if
+// no live connection remains the run aborts. Only cs's own connLoop
+// calls it, once.
 func (r *run) connDead(cs *connState, cause error) {
 	r.mu.Lock()
-	if cs.dead {
-		r.mu.Unlock()
-		return
-	}
 	cs.dead = true
 	cs.c.broken = true
 	if cs.deadReason != nil {
@@ -584,13 +482,12 @@ func (r *run) connDead(cs *connState, cause error) {
 	}
 	r.stats.DeadConns++
 	obsDeadConns.Inc()
-	r.tl.Instant("conn-dead", "conn", int64(-1-cs.idx), truncArg(cause.Error()))
-	for si, startNs := range cs.inflight {
-		delete(cs.inflight, si)
+	r.tl.Instant("conn-dead", "conn", int64(-1-cs.idx), truncateErrMsg(cause.Error(), 96))
+	if si := cs.shard; si >= 0 {
+		cs.shard = -1
 		cs.ig.Add(-1)
-		r.tl.Span("shard", "shard", int64(si), startNs,
+		r.tl.Span("shard", "shard", int64(si), cs.sent,
 			fmt.Sprintf("conn=%d attempt=%d conn-dead", cs.idx, r.attempts[si]))
-		r.lastFail[si] = cause
 		if r.attempts[si] >= r.tun.MaxAttempts {
 			r.shardErr[si] = fmt.Errorf("failed after %d dispatch attempts: last worker error: %w", r.attempts[si], cause)
 			r.remaining--
@@ -630,8 +527,7 @@ func (r *run) addConn(c *wconn) {
 		return
 	}
 	idx := len(r.conns)
-	cs := &connState{c: c, inflight: map[int]int64{}, lastProgress: time.Now(),
-		idx: idx, ig: connInflightGauge(idx)}
+	cs := newConnState(c, idx)
 	r.conns = append(r.conns, cs)
 	r.live++
 	r.stats.Joined++
@@ -655,10 +551,10 @@ type connBackend struct {
 
 	runWG sync.WaitGroup // outstanding Run calls
 
-	stop       func() error
-	onConnDead func()        // respawn hook (NewLocal); called outside mu
-	fleet      any           // *localFleet for NewLocal backends (WithRespawn's target)
-	tl         *obs.Timeline // lifetime shard-lifecycle trace (see dist.Timeline)
+	stop        func() error
+	onConnDead  func()        // respawn hook (NewLocal); called outside mu
+	maxRespawns int           // WithRespawn's budget, read by the NewLocal hook
+	tl          *obs.Timeline // lifetime shard-lifecycle trace (see dist.Timeline)
 }
 
 func newConnBackend(conns []*wconn, stop func() error, opts ...Option) *connBackend {
@@ -668,16 +564,6 @@ func newConnBackend(conns []*wconn, stop func() error, opts ...Option) *connBack
 		o(b)
 	}
 	return b
-}
-
-// truncArg bounds a trace-event detail string: causes can carry long
-// wrapped errors and the ring holds thousands of events.
-func truncArg(s string) string {
-	const max = 96
-	if len(s) > max {
-		return s[:max] + "…"
-	}
-	return s
 }
 
 func (b *connBackend) Run(shards []*ShardDesc) ([]*ShardResult, error) {
@@ -814,19 +700,6 @@ func NewInProcess(workers int, opts ...Option) Backend {
 	return b
 }
 
-// NewFromStreams returns a backend over caller-supplied byte streams,
-// one worker connection per stream — the seam the fault-injection suite
-// and the pipelining benchmarks drive custom transports (FaultConn
-// wrappers, delayed pipes) through. The caller owns the worker side of
-// each stream.
-func NewFromStreams(streams []io.ReadWriteCloser, opts ...Option) Backend {
-	conns := make([]*wconn, len(streams))
-	for i, s := range streams {
-		conns[i] = newWconn(s, s)
-	}
-	return newConnBackend(conns, nil, opts...)
-}
-
 // rwPair joins a subprocess's stdin/stdout pipes into one ReadWriter.
 type rwPair struct {
 	io.Reader
@@ -834,16 +707,15 @@ type rwPair struct {
 }
 
 // localFleet is the process-management state behind NewLocal: the forked
-// worker commands, their reapers, and the respawn budget.
+// worker commands, their reapers, and the respawns spent so far.
 type localFleet struct {
 	argv     []string
 	selfExec bool
 
-	mu        sync.Mutex
-	respawns  int
-	maxSpawns int
-	wg        sync.WaitGroup
-	firstErr  error
+	mu       sync.Mutex
+	respawns int
+	wg       sync.WaitGroup
+	firstErr error
 }
 
 func (l *localFleet) spawn() (*exec.Cmd, io.ReadWriter, io.Closer, error) {
@@ -880,20 +752,10 @@ func (l *localFleet) spawn() (*exec.Cmd, io.ReadWriter, io.Closer, error) {
 // processes: whenever a connection dies mid-sweep (worker crashed, was
 // killed, hit a poison shard), a fresh process is spawned and joins the
 // running sweep — the elastic half of the fault-tolerant fleet. The
-// budget bounds fork storms from a systematically-crashing binary.
+// budget bounds fork storms from a systematically-crashing binary. Other
+// backends ignore it.
 func WithRespawn(max int) Option {
-	return func(b *connBackend) {
-		if fl, ok := b.stopOwner(); ok {
-			fl.maxSpawns = max
-		}
-	}
-}
-
-// stopOwner digs the localFleet out of a NewLocal backend (nil, false on
-// every other backend kind).
-func (b *connBackend) stopOwner() (*localFleet, bool) {
-	fl, ok := b.fleet.(*localFleet)
-	return fl, ok && fl != nil
+	return func(b *connBackend) { b.maxRespawns = max }
 }
 
 // NewLocal returns a backend that forks `workers` OS worker processes on
@@ -939,13 +801,9 @@ func NewLocal(workers int, argv []string, opts ...Option) (Backend, error) {
 		defer fl.mu.Unlock()
 		return fl.firstErr
 	}, opts...)
-	b.fleet = fl
-	for _, o := range opts {
-		o(b) // re-apply so WithRespawn sees the fleet
-	}
 	b.onConnDead = func() {
 		fl.mu.Lock()
-		if fl.respawns >= fl.maxSpawns {
+		if fl.respawns >= b.maxRespawns {
 			fl.mu.Unlock()
 			return
 		}
@@ -1018,9 +876,8 @@ func dialRetry(rt DialRetry, addr string) (net.Conn, error) {
 // Dial returns a backend over TCP connections to already-running
 // protocol workers (`rvworker -listen`), one connection per address —
 // the multi-machine mode. Addresses may repeat to open several
-// connections to one worker host; AddConn joins more workers later,
-// including mid-sweep. Each address is dialed with the default
-// DialRetry backoff schedule; DialWith customizes it.
+// connections to one worker host. Each address is dialed with the
+// default DialRetry backoff schedule; DialWith customizes it.
 func Dial(addrs []string, opts ...Option) (Backend, error) {
 	return DialWith(DialRetry{}, addrs, opts...)
 }

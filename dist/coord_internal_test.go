@@ -2,7 +2,9 @@ package dist
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
+	"fmt"
 	"io"
 	"net"
 	"strings"
@@ -36,7 +38,7 @@ func startReplyWorker(t *testing.T, wp net.Conn, reply func(id uint64, res *Shar
 		defer close(done)
 		defer wp.Close()
 		br, bw := bufio.NewReader(wp), bufio.NewWriter(wp)
-		if err := writeFrame(bw, binary.AppendUvarint([]byte{frameHello, ProtoVersion}, 1)); err != nil {
+		if err := writeFrame(bw, []byte{frameHello, ProtoVersion}); err != nil {
 			t.Errorf("fake worker hello: %v", err)
 			return
 		}
@@ -67,9 +69,10 @@ func startReplyWorker(t *testing.T, wp net.Conn, reply func(id uint64, res *Shar
 	return done
 }
 
-// A worker answering in a retired result frame — a well-formed v4 chunk
-// under tag 7, or a v1 whole-shard result under tag 3 — must kill its
-// connection, never complete the shard.
+// A worker answering in a retired frame — a well-formed v4 chunk under
+// tag 7, a v1 whole-shard result under tag 3, or a v5 heartbeat under
+// tag 6 — must kill its connection, never complete the shard or count
+// as an answer.
 func TestCoordinatorRejectsRetiredFrames(t *testing.T) {
 	replies := []struct {
 		name  string
@@ -88,6 +91,9 @@ func TestCoordinatorRejectsRetiredFrames(t *testing.T) {
 		{"v1 whole-shard result (tag 3)", func(id uint64, res *ShardResult) []byte {
 			return res.AppendEncode(binary.AppendUvarint([]byte{3}, id))
 		}},
+		{"v5 heartbeat (tag 6)", func(id uint64, res *ShardResult) []byte {
+			return binary.AppendUvarint(binary.AppendUvarint([]byte{6}, id), 0) // cases done
+		}},
 	}
 	for _, tc := range replies {
 		t.Run(tc.name, func(t *testing.T) {
@@ -102,6 +108,35 @@ func TestCoordinatorRejectsRetiredFrames(t *testing.T) {
 			<-done
 			if err == nil || !strings.Contains(err.Error(), "unexpected frame type") {
 				t.Fatalf("Run returned %v, want the connection dead on an unexpected frame type", err)
+			}
+		})
+	}
+}
+
+// The hello is the version gate: a v5 worker (hello {1, 5, capacity 4})
+// is refused by its version byte, and a current-version hello with
+// anything after the version is malformed.
+func TestCoordinatorRejectsBadHellos(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		hello []byte
+		want  string
+	}{
+		{"v5 hello with a capacity", []byte{frameHello, 5, 4},
+			fmt.Sprintf("worker speaks protocol v5, coordinator v%d", ProtoVersion)},
+		{"current hello with a trailing byte", []byte{frameHello, ProtoVersion, 0}, "bad hello"},
+		{"wrong tag", []byte{frameShard, ProtoVersion}, "bad hello"},
+		{"version missing", []byte{frameHello}, "bad hello"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var stream bytes.Buffer
+			bw := bufio.NewWriter(&stream)
+			if err := writeFrame(bw, tc.hello); err != nil {
+				t.Fatal(err)
+			}
+			err := newWconn(&stream, nil).handshake()
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("handshake returned %v, want an error containing %q", err, tc.want)
 			}
 		})
 	}

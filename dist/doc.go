@@ -5,12 +5,12 @@
 // `rvworker -listen` processes on other machines (Dial), or protocol
 // workers inside this process (NewInProcess, the reference everything
 // else is pinned against) — over a length-prefixed binary protocol
-// (v5) built around failure as a normal event: shards requeue off dead
-// connections, workers heartbeat while they compute, dispatch is
-// pipelined, and workers may join (AddConn) or be respawned (WithRespawn)
-// mid-sweep. Dial absorbs workers that come up slower than their
-// coordinator by retrying each address with capped exponential backoff
-// plus jitter (DialRetry, DialWith).
+// (v6) built around failure as a normal event: shards requeue off dead
+// connections, a watchdog reaps a worker that leaves its shard
+// unanswered, and workers may be respawned (WithRespawn) mid-sweep.
+// Dial absorbs workers that come up slower than their coordinator by
+// retrying each address with capped exponential backoff plus jitter
+// (DialRetry, DialWith).
 //
 // Package rvd builds the long-running service on top of this dispatcher:
 // a daemon owning one fleet and a persistent content-addressed result
@@ -20,7 +20,7 @@
 // decode→encode fixed point, hardened bounded decoding — are exactly
 // what make those cache keys stable and safe.
 //
-// # Protocol framing (v5)
+// # Protocol framing (v6)
 //
 // A connection carries varint length-prefixed frames in both directions:
 // each frame is binary.AppendUvarint(len(payload)) followed by the
@@ -30,41 +30,39 @@
 // checksum of its payload inside the length-prefixed region (the hello
 // keeps v1 framing so version negotiation never depends on v2 rules).
 //
-//	worker → coordinator   hello     {version, capacity}  once, on connect; no checksum
-//	coordinator → worker   shard     {id, ShardDesc}      up to `capacity` in flight per connection
-//	worker → coordinator   heartbeat {id, casesDone}      liveness while a shard executes
-//	worker → coordinator   result    {id, ShardResult}    every case of the shard plus its view signature
-//	worker → coordinator   error     {id, message}        deterministic per-shard failure; never retried
+//	worker → coordinator   hello   {version}            once, on connect; no checksum
+//	coordinator → worker   shard   {id, ShardDesc}      one in flight per connection
+//	worker → coordinator   result  {id, ShardResult}    every case of the shard plus its view signature
+//	worker → coordinator   error   {id, message}        deterministic per-shard failure; never retried
 //
 // No frame tells a worker to stop: the coordinator closes its end of the
 // transport, and the worker exits on the EOF. Tags 3 (the v1 whole-shard
-// result), 5 (the v2–v4 shutdown frame), 7 (the v2–v4 result chunk) and
-// 8 (the v3 mid-shard migration frame) are retired and never reused; a
-// shard lost with its connection requeues from case zero. v4 changed
-// only the descriptor encoding (see the schema below) and v5 only the
-// frames, so the codecs' own generation, CodecVersion, is still 4. The
-// checksum is the line between the two failure classes: a frame that
-// fails its checksum (or desyncs the stream) means the CONNECTION can no
-// longer be trusted — it is severed and its in-flight shards requeue —
-// while a frame that decodes cleanly but names an unknown program or an
+// result), 5 (the v2–v4 shutdown frame), 6 (the v2–v5 liveness frame), 7
+// (the v2–v4 result chunk) and 8 (the v3 mid-shard migration frame) are
+// retired and never reused; a shard lost with its connection requeues
+// from case zero. v4 changed only the descriptor encoding (see the
+// schema below), and v5 and v6 only the frames, so the codecs' own
+// generation, CodecVersion, is still 4. The checksum is the line
+// between the two failure classes: a frame that fails its checksum (or
+// desyncs the stream) means the CONNECTION can no longer be trusted — it
+// is severed and its in-flight shard requeues — while a frame that
+// decodes cleanly but names an unknown program or an
 // out-of-range start is a deterministic per-shard error that would fail
 // identically on any worker, so it surfaces as the sweep error instead
 // of being retried.
 //
-// # Pipelined dispatch and elastic membership
+// # Dispatch and elastic membership
 //
-// The hello frame announces the worker's capacity: how many shard
-// frames it is willing to hold decoded ahead of execution (a reader
-// goroutine decodes into a capacity-bounded queue while the executor
-// drains it). The coordinator keeps up to min(capacity, Tuning.MaxWindow)
-// shards outstanding per connection and matches frames to shards by id,
-// which hides dispatch latency on high-RTT links — the next shard is
-// already on the worker when the previous one finishes (pinned by
-// BenchmarkDistPipelined against a delayed transport). Connections may
-// join at any time: AddConn attaches a new worker to an in-flight
-// sweep, and a NewLocal backend built WithRespawn forks a
-// replacement process whenever a connection dies, within a bounded
-// respawn budget.
+// Each connection holds one shard at a time: the coordinator sends a
+// shard, reads the worker's answer and only then deals the connection
+// the next one, and the worker reads, executes and answers in one loop.
+// A 4-deep pipeline window measured no faster on the production
+// sweeps, in process, on forked workers or over loopback TCP: a shard
+// takes milliseconds, its round trip microseconds.
+// Connections may join at any time: a NewLocal backend built
+// WithRespawn forks a replacement process whenever a connection dies,
+// within a bounded respawn budget, and the replacement joins the
+// in-flight sweep.
 //
 // A worker serves shards on one pooled sim.Session, so its runner
 // coroutines and script buffers stay warm across every shard it drains —
@@ -77,23 +75,22 @@
 //
 // The coordinator holds one shard queue per Run (dealt largest-first,
 // sim.Sweep's policy). When a connection dies — read error, checksum
-// failure, stream desync, transport cut — its in-flight shards return
-// to the queue and re-deal to the surviving (or newly joined)
-// connections, where they re-execute from case zero — sound because
+// failure, stream desync, transport cut — its in-flight shard returns
+// to the queue and re-deals to a surviving (or newly joined)
+// connection, where it re-executes from case zero — sound because
 // descriptors are self-contained and execution is deterministic. A sweep
 // fails outright only when no live connection remains. Each shard's
 // dispatch count is bounded by Tuning.MaxAttempts, so a poison shard
 // that kills every worker it lands on surfaces as a per-shard error
 // after MaxAttempts dispatches instead of cycling forever.
 //
-// Liveness is measured on progress, never on wall-clock silence: a
-// worker emits heartbeat frames between cases whenever it has been
-// silent longer than its heartbeat interval, and every frame touches
-// its connection's progress clock. A connection holding in-flight work
-// whose clock goes stale past Tuning.BaseDeadline plus Tuning.PerCase
-// per in-flight case is severed by the watchdog and handled exactly
-// like a death. RunStats (via LastRunStats) reports how much of this
-// machinery a sweep actually exercised.
+// Liveness is a deadline on each dispatch: a connection whose shard is
+// still unanswered Tuning.BaseDeadline plus Tuning.PerCase per case
+// after it was sent (by default 10 s plus 50 ms per case, far beyond
+// any production shard) is severed by the watchdog and handled exactly
+// like a death; a connection that has not said hello is on the same
+// clock from its start. RunStats (via LastRunStats) reports how much of
+// this machinery a sweep actually exercised.
 //
 // # Descriptor schema
 //
@@ -155,15 +152,17 @@
 //
 // # Fault injection contract
 //
-// FaultConn is the transport seam the suite drives: a seeded
-// deterministic wrapper applying write-side faults at frame granularity
-// (the protocol flushes once per frame) — drop, delay, single-byte
-// garble, sever-after-N-writes — to whichever direction of a link a
-// test wraps. WithCrashAfterShards (and cmd/rvworker's -crash-after
-// flag, or CrashEnv for forked workers) makes a worker execute its n-th
-// shard, withhold its result frame and sever — the crashed-process
-// shape. Same seed, same schedule: every failing fault run is
-// replayable.
+// WithCrashAfterShards (and cmd/rvworker's -crash-after flag, or
+// CrashEnv for forked workers) makes a worker execute its n-th shard,
+// withhold its result frame and sever — the crashed-process shape, the
+// one fault the build itself carries, for the chaos smoke. The rest of
+// the harness is test code: FaultConn (faultconn_test.go) is a seeded
+// deterministic transport wrapper applying write-side faults at frame
+// granularity (the protocol flushes once per frame) — drop, delay,
+// single-byte garble, sever-after-N-writes — to whichever direction of
+// a link a test wraps, and NewFromStreams (export_test.go) builds a
+// backend over such links. Same seed, same schedule: every failing
+// fault run is replayable.
 //
 // # Trace timelines and metrics
 //
@@ -173,17 +172,17 @@
 // markers delimiting sweeps. Each shard's story lives on its own track
 // (Chrome trace tid = shard index): a "dispatch" instant when the shard
 // is handed to a connection (arg: conn and attempt) and a closing
-// "shard" span covering dispatch→result — with "requeue", "heartbeat"
-// and "attempts-exhausted" instants marking the fault machinery when it
+// "shard" span covering dispatch→result — with "requeue" and
+// "attempts-exhausted" instants marking the fault machinery when it
 // fires. Connection lifecycle ("conn-join", "conn-dead") rides negative
 // tracks so worker churn reads as its own lane group. By construction
 // span start <= dispatch ts <= span end (the start is stamped under the
 // coordinator lock before the dispatch instant is emitted), which the
 // trace round-trip test pins. WriteTrace exports a backend's timeline as
 // Chrome trace-event JSON loadable in Perfetto or chrome://tracing; `rvx -trace out.json` wires it to the CLI. The
-// coordinator also publishes counters and histograms (dispatches,
-// requeues, result frames, the heartbeat gap distribution, per-conn
-// inflight gauges) into obs.Default(), exposed by rvd's GET /metrics —
+// coordinator also publishes counters and gauges (dispatches, requeues,
+// result frames, dead and joined connections, per-conn inflight gauges)
+// into obs.Default(), exposed by rvd's GET /metrics —
 // all on coordination paths only, never inside the engine (see obs's
 // zero-overhead contract).
 //

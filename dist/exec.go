@@ -121,13 +121,6 @@ func shardGraph(gc *graphCache, sh *ShardDesc) (*cachedGraph, error) {
 	return &cachedGraph{g: g}, nil
 }
 
-// progressFn is the between-cases progress hook of the execution paths:
-// called with the number of cases completed so far, it is what lets a
-// worker emit heartbeat frames while a long shard executes (liveness is
-// measured on progress, never on wall-clock silence). Progress never
-// influences results — a nil hook is always valid.
-type progressFn func(done int)
-
 // ExecShard runs every case of the shard, in order, on the given pooled
 // session and returns the per-case aggregates plus the executed graph's
 // view signature. Execution is deterministic: the same descriptor on any
@@ -141,7 +134,7 @@ func ExecShard(sess *sim.Session, sh *ShardDesc) (*ShardResult, error) {
 	if sh.Batch {
 		b = sim.NewBatch()
 	}
-	return execShard(sess, b, sh, nil, nil)
+	return execShard(sess, b, sh, nil)
 }
 
 // ExecShardBatch executes the shard with its k-agent cases batched:
@@ -153,12 +146,12 @@ func ExecShard(sess *sim.Session, sh *ShardDesc) (*ShardResult, error) {
 // an execution strategy; b is the caller's reusable arena (workers keep
 // one per connection).
 func ExecShardBatch(sess *sim.Session, b *sim.Batch, sh *ShardDesc) (*ShardResult, error) {
-	return execShard(sess, b, sh, nil, nil)
+	return execShard(sess, b, sh, nil)
 }
 
 // execShard is both execution paths: with b nil every case runs on its
 // per-case engine, otherwise runs of k-agent cases run as lanes of b.
-func execShard(sess *sim.Session, b *sim.Batch, sh *ShardDesc, gc *graphCache, progress progressFn) (*ShardResult, error) {
+func execShard(sess *sim.Session, b *sim.Batch, sh *ShardDesc, gc *graphCache) (*ShardResult, error) {
 	e, err := shardGraph(gc, sh)
 	if err != nil {
 		return nil, err
@@ -182,9 +175,6 @@ func execShard(sess *sim.Session, b *sim.Batch, sh *ShardDesc, gc *graphCache, p
 			return nil, err
 		}
 		i = j
-		if progress != nil {
-			progress(i)
-		}
 	}
 	res.ViewSig = e.viewSig()
 	return res, nil
@@ -275,9 +265,9 @@ func checkStart(g *graph.Graph, v int) error {
 // execShardOn executes a shard on the caller's pooled session, batch
 // arena (used only when the shard's Batch flag is set) and graph cache —
 // the per-connection execution path of Serve.
-func execShardOn(sess *sim.Session, b *sim.Batch, sh *ShardDesc, gc *graphCache, progress progressFn) (*ShardResult, error) {
+func execShardOn(sess *sim.Session, b *sim.Batch, sh *ShardDesc, gc *graphCache) (*ShardResult, error) {
 	if !sh.Batch {
 		b = nil
 	}
-	return execShard(sess, b, sh, gc, progress)
+	return execShard(sess, b, sh, gc)
 }

@@ -22,7 +22,6 @@ import (
 	"time"
 
 	"repro/dist"
-	"repro/graph"
 	"repro/internal/simtest"
 )
 
@@ -36,11 +35,11 @@ type workerLink struct {
 // startServeWorker runs a real protocol worker over net.Pipe. workerPlan
 // faults the worker→coordinator direction, coordPlan the
 // coordinator→worker direction; nil means a clean side.
-func startServeWorker(workerPlan, coordPlan *dist.FaultPlan, opts ...dist.ServeOption) workerLink {
+func startServeWorker(workerPlan, coordPlan *FaultPlan, opts ...dist.ServeOption) workerLink {
 	cp, wp := net.Pipe()
 	var wt io.ReadWriteCloser = wp
 	if workerPlan != nil {
-		wt = dist.NewFaultConn(wp, *workerPlan)
+		wt = NewFaultConn(wp, *workerPlan)
 	}
 	done := make(chan error, 1)
 	go func() {
@@ -50,49 +49,33 @@ func startServeWorker(workerPlan, coordPlan *dist.FaultPlan, opts ...dist.ServeO
 	}()
 	var ct io.ReadWriteCloser = cp
 	if coordPlan != nil {
-		ct = dist.NewFaultConn(cp, *coordPlan)
+		ct = NewFaultConn(cp, *coordPlan)
 	}
 	return workerLink{coord: ct, done: done}
 }
 
-// startHungWorker is a worker that completes the handshake and then
+// hungWorker is a fake worker that completes the handshake and then
 // swallows every frame without ever answering — the shape of a wedged
-// process the deadline watchdog exists for. The returned channel closes
-// once it has read its first frame whole: the coordinator sends a
-// worker nothing before its first shard, so from then on the hung
-// worker holds a shard that only the watchdog can take back.
-func startHungWorker() (io.ReadWriteCloser, <-chan struct{}) {
-	cp, wp := net.Pipe()
-	holding := make(chan struct{})
-	go func() {
-		defer wp.Close()
-		// Hand-rolled v2 hello: 3-byte frame {hello, version, capacity 1}.
-		if _, err := wp.Write([]byte{3, 1, byte(dist.ProtoVersion), 1}); err != nil {
-			return
-		}
-		br := bufio.NewReader(wp)
-		n, err := binary.ReadUvarint(br)
-		if err != nil {
-			return
-		}
-		if _, err := io.CopyN(io.Discard, br, int64(n)); err != nil {
-			return
-		}
-		close(holding)
-		_, _ = io.Copy(io.Discard, br)
-	}()
-	return cp, holding
+// process the deadline watchdog exists for.
+type hungWorker struct {
+	coord   io.ReadWriteCloser
+	holding <-chan struct{} // closed once it has read its first frame whole
+	done    <-chan struct{} // closed once its link is closed; shards is final then
+	shards  int             // shard frames read
 }
 
-// startCountingWorker is startHungWorker with a 4-deep window and a
-// hello held until gate closes, on the worker side wp of a transport: it
-// reports id on dealt for every shard frame it reads and never answers
-// one, so whatever it is dealt stays in flight on it.
-func startCountingWorker(wp io.ReadWriteCloser, gate <-chan struct{}, id int, dealt chan<- int) {
+// startHungWorker runs a hungWorker over net.Pipe. The coordinator sends
+// a worker nothing before its first shard, so once holding closes the
+// hung worker holds a shard that only the watchdog can take back.
+func startHungWorker() *hungWorker {
+	cp, wp := net.Pipe()
+	holding, done := make(chan struct{}), make(chan struct{})
+	hw := &hungWorker{coord: cp, holding: holding, done: done}
 	go func() {
+		defer close(done)
 		defer wp.Close()
-		<-gate
-		if _, err := wp.Write([]byte{3, 1, byte(dist.ProtoVersion), 4}); err != nil {
+		// Hand-rolled hello: 2-byte frame {hello, version}.
+		if _, err := wp.Write([]byte{2, 1, byte(dist.ProtoVersion)}); err != nil {
 			return
 		}
 		br := bufio.NewReader(wp)
@@ -104,9 +87,12 @@ func startCountingWorker(wp io.ReadWriteCloser, gate <-chan struct{}, id int, de
 			if _, err := io.CopyN(io.Discard, br, int64(n)); err != nil {
 				return
 			}
-			dealt <- id
+			if hw.shards++; hw.shards == 1 {
+				close(holding)
+			}
 		}
 	}()
+	return hw
 }
 
 // plannerWithShards builds a randomized plan with at least minShards
@@ -128,36 +114,36 @@ func assertEqualResults(t *testing.T, label string, got, want []dist.CaseResult)
 	simtest.RequireEqualResults(t, label, want, got)
 }
 
-// faultTuning is the suite's aggressive-recovery tuning: short deadlines
-// so severed and stalled paths resolve in test time, a generous attempt
-// budget so shards bounced off two faulty connections still land on the
-// clean one.
+// faultTuning is the suite's recovery tuning: a generous attempt budget
+// so shards bounced off two faulty connections still land on the clean
+// one, and a deadline (from dispatch) over 10x the worst healthy shard
+// of TestDifferentialUnderFaults' plans — 73 ms under -race at
+// GOMAXPROCS=1 on a 2-CPU x86-64 host, three workers sharing the CPU —
+// so the watchdog reaps only a link that lost a frame.
 func faultTuning() dist.Tuning {
 	return dist.Tuning{
 		MaxAttempts:  6,
-		BaseDeadline: 150 * time.Millisecond,
+		BaseDeadline: 750 * time.Millisecond,
 		PerCase:      2 * time.Millisecond,
 	}
 }
 
 // TestDifferentialUnderFaults is the randomized heart of the suite: one
 // clean worker plus two faulty links (worker→coord faults on one,
-// coord→worker faults on the other, alternating sever schedules), fast
-// heartbeats so every protocol path fires, and full-equality aggregation
-// asserted across seeds. Whatever the fault schedule does — drop a shard
-// frame (watchdog), garble a result (checksum sever + requeue), delay
-// everything, cut a link mid-stream — the sweep must complete with at
-// least one survivor and the results must be byte-identical to the
-// in-process engine.
+// coord→worker faults on the other, alternating sever schedules), and
+// full-equality aggregation asserted across seeds. Whatever the fault
+// schedule does — drop a shard frame (watchdog), garble a result
+// (checksum sever + requeue), delay everything, cut a link mid-stream —
+// the sweep must complete with at least one survivor and the results
+// must be byte-identical to the in-process engine.
 func TestDifferentialUnderFaults(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			p, cases := plannerWithShards(100*seed, 2)
 			want := rawSweep(t, cases)
 
-			wopts := []dist.ServeOption{dist.WithHeartbeatInterval(time.Millisecond)}
-			clean := startServeWorker(nil, nil, wopts...)
-			workerFaults := &dist.FaultPlan{
+			clean := startServeWorker(nil, nil)
+			workerFaults := &FaultPlan{
 				Seed:       uint64(seed)*7 + 1,
 				DropProb:   0.08,
 				GarbleProb: 0.08,
@@ -167,15 +153,15 @@ func TestDifferentialUnderFaults(t *testing.T) {
 			if seed%2 == 0 {
 				workerFaults.SeverAfterWrites = 9
 			}
-			faultyUp := startServeWorker(workerFaults, nil, wopts...)
-			coordFaults := &dist.FaultPlan{
+			faultyUp := startServeWorker(workerFaults, nil)
+			coordFaults := &FaultPlan{
 				Seed:       uint64(seed)*13 + 5,
 				DropProb:   0.1,
 				GarbleProb: 0.1,
 				DelayProb:  0.2,
 				Delay:      time.Millisecond,
 			}
-			faultyDown := startServeWorker(nil, coordFaults, wopts...)
+			faultyDown := startServeWorker(nil, coordFaults)
 
 			be := dist.NewFromStreams(
 				[]io.ReadWriteCloser{clean.coord, faultyUp.coord, faultyDown.coord},
@@ -269,17 +255,19 @@ func TestKillScheduleMatrix(t *testing.T) {
 // its shards requeue onto the healthy worker, and the sweep completes
 // byte-identically. The healthy worker's hello is held until the hung
 // worker holds a shard, so the sweep cannot finish without the reap —
-// otherwise a fast healthy worker could drain every shard first.
+// otherwise a fast healthy worker could drain every shard first. The
+// hung worker must be dealt exactly one shard: a connection holds one
+// shard at a time.
 func TestHungWorkerReaped(t *testing.T) {
 	p, cases := plannerWithShards(7000, 2)
 	want := rawSweep(t, cases)
-	hung, holding := startHungWorker()
-	healthy := startGatedServeWorker(holding, dist.WithHeartbeatInterval(time.Millisecond))
+	hw := startHungWorker()
+	healthy := startGatedServeWorker(hw.holding)
+	// Over 10x this plan's worst healthy shard under -race (27 ms).
 	tun := faultTuning()
-	tun.BaseDeadline = 60 * time.Millisecond
-	tun.PerCase = time.Millisecond
+	tun.BaseDeadline = 300 * time.Millisecond
 	be := dist.NewFromStreams(
-		[]io.ReadWriteCloser{hung, healthy.coord},
+		[]io.ReadWriteCloser{hw.coord, healthy.coord},
 		dist.WithTuning(tun),
 	)
 	defer be.Close()
@@ -293,6 +281,10 @@ func TestHungWorkerReaped(t *testing.T) {
 	if stats.DeadConns == 0 {
 		t.Fatalf("hung worker was never reaped: %+v (elapsed %v)", stats, time.Since(start))
 	}
+	<-hw.done
+	if hw.shards != 1 {
+		t.Fatalf("hung worker read %d shard frames, want 1", hw.shards)
+	}
 }
 
 // TestLateJoinAddConn pins elastic membership: a sweep started on a
@@ -302,10 +294,11 @@ func TestHungWorkerReaped(t *testing.T) {
 func TestLateJoinAddConn(t *testing.T) {
 	p, cases := plannerWithShards(5000, 2)
 	want := rawSweep(t, cases)
+	// Over 10x this plan's worst healthy shard under -race (10 ms).
 	tun := faultTuning()
 	tun.BaseDeadline = 200 * time.Millisecond
-	hung, holding := startHungWorker()
-	be := dist.NewFromStreams([]io.ReadWriteCloser{hung}, dist.WithTuning(tun))
+	hw := startHungWorker()
+	be := dist.NewFromStreams([]io.ReadWriteCloser{hw.coord}, dist.WithTuning(tun))
 	defer be.Close()
 	adder, ok := be.(dist.ConnAdder)
 	if !ok {
@@ -317,11 +310,11 @@ func TestLateJoinAddConn(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		select {
-		case <-holding:
+		case <-hw.holding:
 		case <-runDone:
 			return // the run ended without dealing the wedged worker a shard
 		}
-		healthy := startServeWorker(nil, nil, dist.WithHeartbeatInterval(time.Millisecond))
+		healthy := startServeWorker(nil, nil)
 		adder.AddConn(healthy.coord, healthy.coord)
 	}()
 	got, err := p.Run(be)
@@ -337,60 +330,6 @@ func TestLateJoinAddConn(t *testing.T) {
 	}
 	if stats.DeadConns != 1 {
 		t.Fatalf("expected the wedged worker reaped, got %+v", stats)
-	}
-}
-
-// TestDealSpreadsAcrossConns pins the dealing policy: a connection is
-// dealt another shard only while no other live connection holds fewer.
-// The second worker's hello is held until the first holds a shard. The
-// first sits behind a loopback socket, whose writes never wait for the
-// reader, so nothing but that policy stops it from filling its 4-deep
-// window alone. Neither worker answers, so the deal of a 4-shard run is
-// final once all four are out.
-func TestDealSpreadsAcrossConns(t *testing.T) {
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Skipf("loopback listen unavailable: %v", err)
-	}
-	defer l.Close()
-	first, err := net.Dial("tcp", l.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	firstWorker, err := l.Accept()
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, secondWorker := net.Pipe()
-	dealt := make(chan int, 8)
-	open, gate := make(chan struct{}), make(chan struct{})
-	close(open)
-	startCountingWorker(firstWorker, open, 0, dealt)
-	startCountingWorker(secondWorker, gate, 1, dealt)
-
-	p := &dist.Planner{}
-	g := graph.Cycle(4)
-	for k := 0; k < 4; k++ {
-		p.Add(k, g, dist.CaseDesc{Kind: dist.KindTwoAgent, ProgA: dist.ProgDesc{Name: "sit"},
-			ProgB: dist.ProgDesc{Name: "sit"}, V: 1, Budget: 1})
-	}
-	be := dist.NewFromStreams([]io.ReadWriteCloser{first, second},
-		dist.WithTuning(dist.Tuning{BaseDeadline: dist.NoDeadline}))
-	runDone := make(chan struct{})
-	go func() {
-		defer close(runDone)
-		_, _ = p.Run(be) // fails once Close severs both workers
-	}()
-	var counts [2]int
-	counts[<-dealt]++
-	close(gate)
-	for i := 1; i < 4; i++ {
-		counts[<-dealt]++
-	}
-	be.Close()
-	<-runDone
-	if counts != [2]int{2, 2} {
-		t.Fatalf("4 shards dealt %d/%d across two 4-deep workers, want 2/2", counts[0], counts[1])
 	}
 }
 
@@ -425,16 +364,16 @@ func TestNoSurvivorsFails(t *testing.T) {
 // fail. Closing the real worker's link is its only stop signal.
 func TestCloseDuringRun(t *testing.T) {
 	p, _ := plannerWithShards(1000, 2)
-	hung, holding := startHungWorker()
-	worker := startGatedServeWorker(holding)
-	be := dist.NewFromStreams([]io.ReadWriteCloser{hung, worker.coord},
+	hw := startHungWorker()
+	worker := startGatedServeWorker(hw.holding)
+	be := dist.NewFromStreams([]io.ReadWriteCloser{hw.coord, worker.coord},
 		dist.WithTuning(dist.Tuning{BaseDeadline: dist.NoDeadline}))
 	runDone := make(chan error, 1)
 	go func() {
 		_, err := p.Run(be)
 		runDone <- err
 	}()
-	<-holding
+	<-hw.holding
 	if err := be.Close(); err != nil {
 		t.Fatalf("Close during Run: %v", err)
 	}
@@ -458,7 +397,7 @@ func TestRespawnCompletesSweep(t *testing.T) {
 	t.Setenv(dist.CrashEnv, "2")
 	p, cases := plannerWithShards(400, 3)
 	want := rawSweep(t, cases)
-	tun := dist.Tuning{MaxAttempts: 8, MaxWindow: 1, BaseDeadline: 10 * time.Second}
+	tun := dist.Tuning{MaxAttempts: 8, BaseDeadline: 10 * time.Second}
 	be, err := dist.NewLocal(2, nil, dist.WithTuning(tun), dist.WithRespawn(24))
 	if err != nil {
 		t.Fatal(err)
@@ -480,6 +419,8 @@ func TestRespawnCompletesSweep(t *testing.T) {
 // processes: when every worker (original and respawned alike) dies on
 // its first shard, the shard's dispatch budget runs out and the sweep
 // fails with a per-shard attempts error instead of respawning forever.
+// Each dispatch kills one worker, so the respawn budget covers every
+// shard's every attempt: the fleet outlives the attempt budgets.
 func TestPoisonShardExhaustsAttempts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("forks worker processes")
@@ -487,7 +428,7 @@ func TestPoisonShardExhaustsAttempts(t *testing.T) {
 	t.Setenv(dist.CrashEnv, "1")
 	p, _ := plannerWithShards(600, 1)
 	tun := dist.Tuning{MaxAttempts: 2, BaseDeadline: 10 * time.Second}
-	be, err := dist.NewLocal(1, nil, dist.WithTuning(tun), dist.WithRespawn(8))
+	be, err := dist.NewLocal(1, nil, dist.WithTuning(tun), dist.WithRespawn(len(p.Shards())*tun.MaxAttempts))
 	if err != nil {
 		t.Fatal(err)
 	}

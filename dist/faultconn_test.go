@@ -1,4 +1,4 @@
-package dist
+package dist_test
 
 import (
 	"errors"
@@ -7,7 +7,7 @@ import (
 	"time"
 )
 
-// This file is the fault-injection seam of the dist package: a
+// This file is the fault-injection seam of the dist test suite: a
 // deterministic, seeded transport wrapper that perturbs the byte stream
 // between coordinator and worker the way real deployments do — delayed
 // frames, corrupted bytes, connections that die mid-stream — without any

@@ -22,13 +22,8 @@ var (
 		"worker connections lost (transport error, checksum failure, watchdog)")
 	obsJoinedConns = obs.Default().Counter("dist_conns_joined_total",
 		"worker connections joined mid-sweep")
-	obsHeartbeats = obs.Default().Counter("dist_heartbeats_total",
-		"heartbeat frames received")
 	obsChunks = obs.Default().Counter("dist_chunks_total",
 		"result frames aggregated")
-	obsHeartbeatGapNs = obs.Default().Histogram("dist_heartbeat_gap_ns",
-		"gap between successive progress frames on a connection, observed at each heartbeat",
-		obs.ExpBuckets(1000, 24))
 )
 
 // Per-conn inflight gauges, one labeled sample per connection index up

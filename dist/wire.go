@@ -19,18 +19,21 @@ import (
 // ProtoVersion is the wire protocol version. A worker announces its
 // version in the hello frame and the coordinator refuses mismatches:
 // descriptors are not self-describing, so cross-version traffic would
-// misdecode rather than degrade. v2 added the hello capacity field,
-// heartbeat frames, chunked result frames and per-frame checksums; v3
-// added a mid-shard migration frame (tag 8), since retired: a lost shard
-// requeues from case zero. v4 trimmed the shard descriptor to its graph
+// misdecode rather than degrade. v2 added per-frame checksums, a
+// read-ahead window announced in the hello, liveness frames sent while a
+// shard executes and chunked result frames; v3 added a mid-shard
+// migration frame (tag 8), since retired: a lost shard requeues from
+// case zero. v4 trimmed the shard descriptor to its graph
 // image, seed range, Batch flag and cases. v5 answers each shard with one
 // result frame (tag 9) instead of a chunk stream (tag 7), and drops the
-// shutdown frame (tag 5): a worker stops on its transport's EOF. See
-// doc.go for the frame table.
-const ProtoVersion = 5
+// shutdown frame (tag 5): a worker stops on its transport's EOF. v6 keeps
+// one shard in flight per connection: the hello carries the version
+// alone, and the liveness frame (tag 6) is retired. See doc.go for the
+// frame table.
+const ProtoVersion = 6
 
 // CodecVersion is the generation of the ShardDesc and ShardResult
-// encodings, which v5 carries unchanged from v4. rvd folds it, not
+// encodings, which v5 and v6 carry unchanged from v4. rvd folds it, not
 // ProtoVersion, into its cache keys, which hash descriptor bytes and
 // store result bytes, so a change to framing alone strands no stored
 // results. A change to either codec bumps both constants.
@@ -43,14 +46,13 @@ const maxFrame = 1 << 26
 
 // Frame type tags (first payload byte).
 const (
-	frameHello     byte = 1 // worker → coordinator, once, on connect: version + capacity
-	frameShard     byte = 2 // coordinator → worker: shard id + descriptor
-	frameError     byte = 4 // worker → coordinator: shard id + message (deterministic failure)
-	frameHeartbeat byte = 6 // worker → coordinator: shard id + cases done (liveness, between cases)
-	frameResult    byte = 9 // worker → coordinator: shard id + ShardResult (the whole shard)
+	frameHello  byte = 1 // worker → coordinator, once, on connect: version
+	frameShard  byte = 2 // coordinator → worker: shard id + descriptor
+	frameError  byte = 4 // worker → coordinator: shard id + message (deterministic failure)
+	frameResult byte = 9 // worker → coordinator: shard id + ShardResult (the whole shard)
 	// Retired tags, never reused: 3 (the v1 whole-shard result), 5 (the
-	// v2–v4 shutdown frame), 7 (the v2–v4 result chunk) and 8 (the v3
-	// mid-shard migration frame).
+	// v2–v4 shutdown frame), 6 (the v2–v5 heartbeat), 7 (the v2–v4
+	// result chunk) and 8 (the v3 mid-shard migration frame).
 )
 
 // writeFrame emits one length-prefixed frame and flushes.

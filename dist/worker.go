@@ -9,22 +9,9 @@ import (
 	"net"
 	"os"
 	"strconv"
-	"time"
 	"unicode/utf8"
 
 	"repro/sim"
-)
-
-// Worker-side defaults. The capacity is the read-ahead depth the worker
-// announces in its hello frame: how many shard frames it is willing to
-// hold decoded (one executing plus capacity-1 queued) — the coordinator
-// pipelines up to that many shards per connection to hide dispatch
-// latency on high-RTT links. The heartbeat interval bounds how long a
-// healthy worker stays silent while a shard executes.
-const (
-	defaultWorkerCapacity = 4
-	maxWorkerCapacity     = 64
-	defaultHeartbeatEvery = 250 * time.Millisecond
 )
 
 // ErrCrashInjected is returned by Serve when a WithCrashAfterShards fault
@@ -34,27 +21,12 @@ const (
 var ErrCrashInjected = errors.New("dist: injected worker crash")
 
 type serveCfg struct {
-	capacity   int
 	crashAfter int
-	heartbeat  time.Duration
 }
 
-// ServeOption tunes one Serve call (capacity, heartbeats, fault
-// injection). The defaults are production values; options exist for the
-// fault-injection suite and the pipelining benchmarks.
+// ServeOption tunes one Serve call. The only option is fault injection;
+// the defaults are production values.
 type ServeOption func(*serveCfg)
-
-// WithCapacity sets the read-ahead depth the worker announces in its
-// hello frame (clamped to [1, 64]).
-func WithCapacity(n int) ServeOption {
-	return func(c *serveCfg) { c.capacity = n }
-}
-
-// WithHeartbeatInterval sets the minimum silence between heartbeat
-// frames while a shard executes.
-func WithHeartbeatInterval(d time.Duration) ServeOption {
-	return func(c *serveCfg) { c.heartbeat = d }
-}
 
 // WithCrashAfterShards makes the worker crash while executing its n-th
 // shard (counted across the connection's lifetime): the shard executes,
@@ -65,106 +37,35 @@ func WithCrashAfterShards(n int) ServeOption {
 	return func(c *serveCfg) { c.crashAfter = n }
 }
 
-// shardItem is one frame handed from the connection reader to the
-// executor: a decoded shard, or the decode error to answer with.
-type shardItem struct {
-	id        uint64
-	sh        *ShardDesc
-	decodeErr error
-}
-
 // Serve speaks the worker side of the dispatch protocol on one byte
-// stream: announce hello (version + capacity), then answer each shard
-// frame with one result (or error) frame until the stream ends. EOF is
-// the only stop signal; at a clean EOF between shards Serve returns nil.
-// A frame reader goroutine decodes shard frames ahead of execution into
-// a capacity-bounded queue — the worker-side half of the coordinator's
-// pipelined dispatch window — while the executor drains the queue
-// sequentially on one pooled sim.Session, so a worker's runners,
-// channels and script buffers stay warm across every shard the
-// coordinator feeds it.
+// stream: announce hello (the protocol version), then read a shard
+// frame, execute it and answer with one result (or error) frame, until
+// the stream ends. EOF is the only stop signal; at a clean EOF between
+// shards Serve returns nil. The coordinator keeps one shard in flight
+// per connection, so the loop never reads ahead. Every shard runs on one
+// pooled sim.Session, so a worker's runners and script buffers stay warm
+// across every shard the coordinator feeds it.
 //
-// Between cases the executor emits heartbeat frames whenever it has
-// been silent longer than the heartbeat interval, so the coordinator
-// can tell a slow shard from a hung worker. A shard whose descriptor
-// fails to decode, or whose execution errors (unknown program, corrupt
-// graph, out-of-range start), is answered with an error frame; the
-// connection survives, and the coordinator treats it as a deterministic
-// per-shard failure. A frame whose checksum fails, by contrast, means
-// the stream itself can no longer be trusted: Serve returns the error
-// and the connection dies, which the coordinator answers by requeueing.
-// A program panic propagates and tears the worker down — panics are
-// bugs, and hiding them behind a protocol frame would lose the stack.
-//
-// The caller owns the transport and must close it after Serve returns
-// (every deployment mode does: NewInProcess closes its pipe end,
-// ListenAndServe its conn, the stdio worker exits the process); closing
-// is what releases a frame reader still blocked in a read.
+// A shard whose descriptor fails to decode, or whose execution errors
+// (unknown program, corrupt graph, out-of-range start), is answered with
+// an error frame; the connection survives, and the coordinator treats it
+// as a deterministic per-shard failure. A frame whose checksum fails, by
+// contrast, means the stream itself can no longer be trusted: Serve
+// returns the error and the connection dies, which the coordinator
+// answers by requeueing. A program panic propagates and tears the worker
+// down — panics are bugs, and hiding them behind a protocol frame would
+// lose the stack. The caller owns the transport and closes it after
+// Serve returns.
 func Serve(r io.Reader, w io.Writer, opts ...ServeOption) error {
-	cfg := serveCfg{
-		capacity:  defaultWorkerCapacity,
-		heartbeat: defaultHeartbeatEvery,
-	}
+	var cfg serveCfg
 	for _, o := range opts {
 		o(&cfg)
 	}
-	if cfg.capacity < 1 {
-		cfg.capacity = 1
-	}
-	if cfg.capacity > maxWorkerCapacity {
-		cfg.capacity = maxWorkerCapacity
-	}
-
 	br := bufio.NewReaderSize(r, 1<<16)
 	bw := bufio.NewWriterSize(w, 1<<16)
-	hello := []byte{frameHello, ProtoVersion}
-	hello = binary.AppendUvarint(hello, uint64(cfg.capacity))
-	if err := writeFrame(bw, hello); err != nil {
+	if err := writeFrame(bw, []byte{frameHello, ProtoVersion}); err != nil {
 		return err
 	}
-
-	// done is closed when Serve returns, releasing a reader blocked on a
-	// full queue; a reader blocked in readFrameSum is released by the
-	// caller closing the transport.
-	done := make(chan struct{})
-	defer close(done)
-	queue := make(chan shardItem, cfg.capacity)
-	var readErr error // written before close(queue); read after the range — ordered by the close
-	go func() {
-		defer close(queue)
-		var inBuf []byte
-		for {
-			payload, err := readFrameSum(br, inBuf)
-			if err != nil {
-				if err != io.EOF {
-					readErr = err
-				}
-				return
-			}
-			inBuf = payload[:0]
-			if len(payload) == 0 {
-				readErr = fmt.Errorf("dist: empty frame")
-				return
-			}
-			if payload[0] != frameShard {
-				readErr = fmt.Errorf("dist: unexpected frame type %d on worker", payload[0])
-				return
-			}
-			d := &rd{data: payload[1:]}
-			id := d.uvarint()
-			if d.err != nil {
-				readErr = d.err
-				return
-			}
-			sh := new(ShardDesc)
-			it := shardItem{id: id, sh: sh, decodeErr: sh.Decode(d.data)}
-			select {
-			case queue <- it:
-			case <-done:
-				return
-			}
-		}
-	}()
 
 	sess := sim.NewSession()
 	defer sess.Close()
@@ -176,50 +77,49 @@ func Serve(r io.Reader, w io.Writer, opts ...ServeOption) error {
 	// per-shard costs.
 	batch := sim.NewBatch()
 	var gc graphCache
-	var outBuf []byte
+	var inBuf, outBuf []byte
 	executed := 0
-	for it := range queue {
-		if it.decodeErr != nil {
-			if err := writeFrameSum(bw, appendErrorFrame(outBuf[:0], it.id, it.decodeErr)); err != nil {
-				return err
-			}
-			continue
-		}
-		executed++
-		lastSend := time.Now()
-		var beatErr error
-		progress := func(caseDone int) {
-			if beatErr != nil || time.Since(lastSend) < cfg.heartbeat {
-				return
-			}
-			lastSend = time.Now()
-			hb := append(outBuf[:0], frameHeartbeat)
-			hb = binary.AppendUvarint(hb, it.id)
-			hb = binary.AppendUvarint(hb, uint64(caseDone))
-			beatErr = writeFrameSum(bw, hb)
-		}
-		res, err := execShardOn(sess, batch, it.sh, &gc, progress)
-		if beatErr != nil {
-			return beatErr
+	for {
+		payload, err := readFrameSum(br, inBuf)
+		if err == io.EOF {
+			return nil
 		}
 		if err != nil {
-			if err := writeFrameSum(bw, appendErrorFrame(outBuf[:0], it.id, err)); err != nil {
-				return err
-			}
-			continue
+			return err
 		}
-		if cfg.crashAfter > 0 && executed >= cfg.crashAfter {
+		inBuf = payload[:0]
+		if len(payload) == 0 {
+			return fmt.Errorf("dist: empty frame")
+		}
+		if payload[0] != frameShard {
+			return fmt.Errorf("dist: unexpected frame type %d on worker", payload[0])
+		}
+		d := &rd{data: payload[1:]}
+		id := d.uvarint()
+		if d.err != nil {
+			return d.err
+		}
+		var sh ShardDesc
+		var res *ShardResult
+		if err = sh.Decode(d.data); err == nil {
+			executed++
+			res, err = execShardOn(sess, batch, &sh, &gc)
+		}
+		var out []byte
+		switch {
+		case err != nil:
+			out = appendErrorFrame(outBuf[:0], id, err)
+		case cfg.crashAfter > 0 && executed >= cfg.crashAfter:
 			return ErrCrashInjected
+		default:
+			out = binary.AppendUvarint(append(outBuf[:0], frameResult), id)
+			out = res.AppendEncode(out)
 		}
-		payload := append(outBuf[:0], frameResult)
-		payload = binary.AppendUvarint(payload, it.id)
-		payload = res.AppendEncode(payload)
-		outBuf = payload[:0]
-		if err := writeFrameSum(bw, payload); err != nil {
+		outBuf = out[:0]
+		if err := writeFrameSum(bw, out); err != nil {
 			return err
 		}
 	}
-	return readErr
 }
 
 // truncateErrMsg bounds an error message to max bytes without cutting a

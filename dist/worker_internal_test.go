@@ -92,12 +92,12 @@ type errString string
 func (e errString) Error() string { return string(e) }
 
 // Retired frame tags (3, the v1 whole-shard result; 5, the v2–v4
-// shutdown; 7, the v2–v4 result chunk; 8, the v3 mid-shard migration
-// frame) must never decode as anything else: a worker that receives one
-// — say from a stale coordinator — fails the connection with an
-// unexpected-frame-type error.
+// shutdown; 6, the v2–v5 heartbeat; 7, the v2–v4 result chunk; 8, the
+// v3 mid-shard migration frame) must never decode as anything else: a
+// worker that receives one — say from a stale coordinator — fails the
+// connection with an unexpected-frame-type error.
 func TestWorkerRejectsRetiredFrames(t *testing.T) {
-	for _, tag := range []byte{3, 5, 7, 8} {
+	for _, tag := range []byte{3, 5, 6, 7, 8} {
 		cp, wp := net.Pipe()
 		done := make(chan error, 1)
 		go func() {

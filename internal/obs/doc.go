@@ -12,8 +12,8 @@
 // with the tier prefix naming the publishing package — sim_*, dist_*,
 // rvd_*. Monotonic counters end in _total; gauges are bare nouns
 // (rvd_queue_depth, rvd_store_bytes); histograms carry their unit in
-// the name (dist_heartbeat_gap_ns, rvd_queue_wait_ns) and expose
-// cumulative le buckets plus _sum/_count in that unit.
+// the name (rvd_queue_wait_ns) and expose cumulative le buckets plus
+// _sum/_count in that unit.
 // Bounded label sets ride inline in the registered name
 // (sim_wakeups_total{phase="viewWalk"}); the registry groups samples
 // sharing a family under one HELP/TYPE pair. Label cardinality is

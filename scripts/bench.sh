@@ -40,8 +40,8 @@ echo "== view + rendezvous + uxs microbenchmarks" >&2
 go test -run '^$' -bench 'BenchmarkClasses' -count "$count" -benchmem ./view/ | tee -a "$tmp"
 go test -run '^$' -bench 'BenchmarkViewWalkBatched' -count "$count" -benchmem ./rendezvous/ | tee -a "$tmp"
 go test -run '^$' -bench 'BenchmarkGenerate' -count "$count" -benchmem ./uxs/ | tee -a "$tmp"
-echo "== dist dispatcher overhead (protocol + codec + pipelining)" >&2
-go test -run '^$' -bench 'BenchmarkDistDispatch|BenchmarkShardCodec|BenchmarkDistPipelined' -count "$count" -benchmem ./dist/ | tee -a "$tmp"
+echo "== dist dispatcher overhead (protocol + codec)" >&2
+go test -run '^$' -bench 'BenchmarkDistDispatch|BenchmarkShardCodec' -count "$count" -benchmem ./dist/ | tee -a "$tmp"
 echo "== rvd durability layer (store verified reads)" >&2
 go test -run '^$' -bench 'BenchmarkCacheLookup' -count "$count" -benchmem ./rvd/ | tee -a "$tmp"
 
