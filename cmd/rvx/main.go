@@ -37,7 +37,9 @@
 // dispatcher's aggregation is byte-identical across all modes, faults
 // and requeues included, so the tables come out the same however the
 // sweeps were executed — the CI chaos smoke pins exactly that, with
-// crash-injected workers being respawned under a real rvx run.
+// crash-injected workers being respawned under a real rvx run. A sweep
+// the backend cannot finish (no worker starts, every worker dies) ends
+// rvx with one line, "rvx: E12: <error>", and exit status 1.
 package main
 
 import (
@@ -135,7 +137,11 @@ func main() {
 		if len(want) > 0 && !want[e.ID] {
 			continue
 		}
-		tbl := e.Run()
+		tbl, err := run(e)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "rvx: %s: %v\n", e.ID, err)
+			os.Exit(1)
+		}
 		if *markdown {
 			fmt.Println(tbl.Markdown())
 		} else {
@@ -155,6 +161,21 @@ func main() {
 		fmt.Fprintf(os.Stderr, "rvx: %d experiment checks FAILED\n", failures)
 		os.Exit(1)
 	}
+}
+
+// run regenerates one table. A sweep its backend failed to run comes
+// back as the error; every other panic is a bug and still crashes.
+func run(e experiments.Experiment) (tbl *experiments.Table, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			se, ok := r.(*experiments.SweepError)
+			if !ok {
+				panic(r)
+			}
+			err = se
+		}
+	}()
+	return e.Run(), nil
 }
 
 // writeTrace exports the backend's shard-lifecycle timeline as Chrome

@@ -1,11 +1,9 @@
 package dist_test
 
-// Batch-execution pins: the ShardDesc.Batch flag survives the codec, the
-// batch execution path (ExecShardBatch / batch-flagged shards through a
-// backend) produces ShardResults identical to the per-case path —
-// per-case wakeup counts included, which is what keeps the experiment
-// tables byte-identical whichever engine ran them — and the planner's
-// SetBatch stamps the right shard.
+// Pins for the deprecated Batch byte while it stays in the encoding: it
+// survives the codec, batch-flagged shards through a backend aggregate
+// exactly like the raw sweep (workers ignore the byte), and the
+// planner's SetBatch stamps the right shard.
 
 import (
 	"fmt"
@@ -16,7 +14,6 @@ import (
 	"repro/dist"
 	"repro/graph"
 	"repro/internal/simtest"
-	"repro/sim"
 )
 
 func TestShardBatchFlagRoundTrip(t *testing.T) {
@@ -41,37 +38,9 @@ func TestShardBatchFlagRoundTrip(t *testing.T) {
 	}
 }
 
-// TestExecShardBatchMatchesPerCase runs randomized mixed-kind shards
-// through both execution paths on separate sessions and requires
-// identical ShardResults — the dist-layer restatement of the sim-layer
-// differential suite, covering the case grouping (runs of consecutive
-// same-kind cases) and the per-lane wakeup attribution.
-func TestExecShardBatchMatchesPerCase(t *testing.T) {
-	r := rand.New(rand.NewSource(0xD15B))
-	perCase := sim.NewSession()
-	defer perCase.Close()
-	batched := sim.NewSession()
-	defer batched.Close()
-	arena := sim.NewBatch()
-	for round := 0; round < 8; round++ {
-		p, _ := buildPlan(r)
-		for _, sh := range p.Shards() {
-			want, err := dist.ExecShard(perCase, sh)
-			if err != nil {
-				t.Fatalf("round %d: per-case: %v", round, err)
-			}
-			got, err := dist.ExecShardBatch(batched, arena, sh)
-			if err != nil {
-				t.Fatalf("round %d: batch: %v", round, err)
-			}
-			simtest.RequireEqualResult(t, fmt.Sprintf("round %d, %d-case shard", round, len(sh.Cases)), want, got)
-		}
-	}
-}
-
 // TestDifferentialBatchBackend re-runs the backend differential with
-// every shard batch-flagged: dispatched batch execution must still equal
-// the raw in-process sim.Sweep on full result equality.
+// every shard batch-flagged: the dispatched results must still equal the
+// raw in-process sim.Sweep on full result equality.
 func TestDifferentialBatchBackend(t *testing.T) {
 	be := dist.NewInProcess(2)
 	defer be.Close()

@@ -26,12 +26,8 @@ type ShardDesc struct {
 	// of deterministic programs carry no seeds at all.
 	SeedLo, SeedHi uint64
 
-	// Batch lets the worker execute each maximal run of consecutive
-	// k-agent cases as the lanes of one sim.RunBatch call instead of one
-	// RunMany call per case; two-agent cases always run per case. Results
-	// are identical with or without the flag — RunBatch is pinned to
-	// full per-case equality, wakeup counts included — so the flag only
-	// selects the execution strategy.
+	// Deprecated: Batch is a byte of the encoding that workers decode
+	// and ignore; it goes at the next CodecVersion bump.
 	Batch bool
 
 	// Cases run sequentially, in order, on one pooled session.

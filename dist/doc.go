@@ -102,8 +102,10 @@
 //	           Batch (1 byte) || uvarint(nCases) || nCases x CaseDesc
 //
 // The seed range is validated against seeded program arguments — a
-// cheap end-to-end transposition guard — and the Batch flag selects the
-// execution strategy (see below). A CaseDesc names its programs as
+// cheap end-to-end transposition guard. The Batch byte is a leftover of
+// a retired k-agent batch engine: it still travels (and is folded into
+// rvd's cache keys), but workers decode and ignore it, and it goes at
+// the next CodecVersion bump. A CaseDesc names its programs as
 // registry entries (RegisterProgram) — programs are closures and cannot
 // travel, so the wire carries (name, args) resolved identically on both
 // sides, the classic task-registry shape. Descriptor decoding is
@@ -111,20 +113,15 @@
 // error or a valid descriptor, never a panic or a disproportionate
 // allocation (pinned by FuzzShardDecode and FuzzShardResultDecode).
 //
-// # Batched shard execution
+// # Graph cache
 //
-// A shard can be flagged Batch (Planner.SetBatch): the worker then runs
-// each maximal run of consecutive k-agent cases as the lanes of one
-// sim.RunBatch call (see sim's package comment) instead of one RunMany
-// call per case. Two-agent cases run one Session.RunPrograms call each
-// whatever the flag says. The flag selects an execution strategy only:
-// batched results are pinned to full per-case equality, wakeup counts
-// included, so the aggregation invariant below is untouched. Alongside
-// the pooled session and batch arena, each connection keeps a small
-// graph cache — decoded graphs plus their lazily-derived view
-// signatures, on both the worker and coordinator sides — since a
-// sweep's shards repeat a handful of graphs and the decode plus
-// signature derivation are the protocol's largest per-shard costs.
+// A worker runs every case of a shard in order, two-agent cases on
+// Session.RunPrograms and k-agent cases on Session.RunMany. Alongside
+// the pooled session, each connection keeps a small graph cache —
+// decoded graphs plus their lazily-derived view signatures, on both the
+// worker and coordinator sides — since a sweep's shards repeat a
+// handful of graphs and the decode plus signature derivation are the
+// protocol's largest per-shard costs.
 //
 // # Byte-identical aggregation
 //

@@ -125,63 +125,40 @@ func shardGraph(gc *graphCache, sh *ShardDesc) (*cachedGraph, error) {
 // session and returns the per-case aggregates plus the executed graph's
 // view signature. Execution is deterministic: the same descriptor on any
 // process yields the same ShardResult, which is the whole basis of the
-// byte-identical-aggregation invariant. Shards with the Batch flag set
-// run their k-agent cases as ExecShardBatch does, on a throwaway arena
-// (workers that execute many shards pass their pooled arena to
-// ExecShardBatch directly).
+// byte-identical-aggregation invariant.
 func ExecShard(sess *sim.Session, sh *ShardDesc) (*ShardResult, error) {
-	var b *sim.Batch
-	if sh.Batch {
-		b = sim.NewBatch()
-	}
-	return execShard(sess, b, sh, nil)
+	return execShard(sess, sh, nil)
 }
 
-// ExecShardBatch executes the shard with its k-agent cases batched:
-// each maximal run of consecutive k-agent cases becomes one
-// sim.RunBatch call on b, with per-case wakeup counts taken from the
-// batch's per-lane attribution, while two-agent cases run exactly as
-// ExecShard runs them. The ShardResult is identical to ExecShard's —
-// RunBatch is pinned to full per-case equality — so batching is purely
-// an execution strategy; b is the caller's reusable arena (workers keep
-// one per connection).
+// Deprecated: ExecShardBatch is ExecShard under its old name; b is
+// ignored.
 func ExecShardBatch(sess *sim.Session, b *sim.Batch, sh *ShardDesc) (*ShardResult, error) {
-	return execShard(sess, b, sh, nil)
+	return ExecShard(sess, sh)
 }
 
-// execShard is both execution paths: with b nil every case runs on its
-// per-case engine, otherwise runs of k-agent cases run as lanes of b.
-func execShard(sess *sim.Session, b *sim.Batch, sh *ShardDesc, gc *graphCache) (*ShardResult, error) {
+// execShard runs sh's cases in order, materializing its graph through gc
+// when one is supplied (Serve passes its per-connection cache).
+func execShard(sess *sim.Session, sh *ShardDesc, gc *graphCache) (*ShardResult, error) {
 	e, err := shardGraph(gc, sh)
 	if err != nil {
 		return nil, err
 	}
-	g := e.g
 	res := &ShardResult{Cases: make([]CaseResult, len(sh.Cases))}
-	for i := 0; i < len(sh.Cases); {
-		j := i + 1
-		switch {
-		case sh.Cases[i].Kind == KindTwoAgent:
-			err = execTwoAgent(sess, g, sh, i, &res.Cases[i])
-		case b == nil:
-			err = execMulti(sess, g, sh, i, &res.Cases[i])
-		default:
-			for j < len(sh.Cases) && sh.Cases[j].Kind != KindTwoAgent {
-				j++
-			}
-			err = execMultiBatch(sess, b, g, sh, i, j, res.Cases[i:j])
+	for i := range sh.Cases {
+		if sh.Cases[i].Kind == KindTwoAgent {
+			err = execTwoAgent(sess, e.g, sh, i, &res.Cases[i])
+		} else {
+			err = execMulti(sess, e.g, sh, i, &res.Cases[i])
 		}
 		if err != nil {
 			return nil, err
 		}
-		i = j
 	}
 	res.ViewSig = e.viewSig()
 	return res, nil
 }
 
-// execTwoAgent runs two-agent case i of sh on the per-case engine — the
-// one two-agent path of every execution strategy.
+// execTwoAgent runs two-agent case i of sh on the pair engine.
 func execTwoAgent(sess *sim.Session, g *graph.Graph, sh *ShardDesc, i int, out *CaseResult) error {
 	c := &sh.Cases[i]
 	if err := checkStart(g, c.U); err != nil {
@@ -203,55 +180,27 @@ func execTwoAgent(sess *sim.Session, g *graph.Graph, sh *ShardDesc, i int, out *
 	return nil
 }
 
-// multiCase resolves k-agent case i of sh into its engine parameters.
-func multiCase(g *graph.Graph, sh *ShardDesc, i int) (sim.MultiCase, error) {
+// execMulti runs k-agent case i of sh on the k-agent engine.
+func execMulti(sess *sim.Session, g *graph.Graph, sh *ShardDesc, i int, out *CaseResult) error {
 	c := &sh.Cases[i]
 	agents := make([]sim.MultiAgent, len(c.Agents))
 	for j := range c.Agents {
 		a := &c.Agents[j]
 		if err := checkStart(g, a.Start); err != nil {
-			return sim.MultiCase{}, fmt.Errorf("dist: case %d agent %d: %w", i, j, err)
+			return fmt.Errorf("dist: case %d agent %d: %w", i, j, err)
 		}
 		prog, err := buildProg(&a.Prog, sh.SeedLo, sh.SeedHi)
 		if err != nil {
-			return sim.MultiCase{}, fmt.Errorf("dist: case %d agent %d: %w", i, j, err)
+			return fmt.Errorf("dist: case %d agent %d: %w", i, j, err)
 		}
 		agents[j] = sim.MultiAgent{Program: prog, Start: a.Start, Appear: a.Appear}
 	}
-	return sim.MultiCase{Agents: agents, Cfg: sim.MultiConfig{
+	multi := sess.RunMany(g, agents, sim.MultiConfig{
 		Budget:             c.Budget,
 		StopOnGather:       c.StopOnGather,
 		StopOnFirstMeeting: c.StopOnFirstMeeting,
-	}}, nil
-}
-
-// execMulti runs k-agent case i of sh on the per-case engine.
-func execMulti(sess *sim.Session, g *graph.Graph, sh *ShardDesc, i int, out *CaseResult) error {
-	mc, err := multiCase(g, sh, i)
-	if err != nil {
-		return err
-	}
-	multi := sess.RunMany(g, mc.Agents, mc.Cfg)
-	*out = CaseResult{Kind: sh.Cases[i].Kind, Multi: multi, Wakeups: sess.Wakeups()}
-	return nil
-}
-
-// execMultiBatch runs k-agent cases [i, j) of sh as the lanes of one
-// RunBatch call on b, writing their results to out.
-func execMultiBatch(sess *sim.Session, b *sim.Batch, g *graph.Graph, sh *ShardDesc, i, j int, out []CaseResult) error {
-	mcs := make([]sim.MultiCase, j-i)
-	for c := i; c < j; c++ {
-		mc, err := multiCase(g, sh, c)
-		if err != nil {
-			return err
-		}
-		mcs[c-i] = mc
-	}
-	multi := sess.RunBatch(g, mcs, b)
-	wk := b.Wakeups()
-	for c := range out {
-		out[c] = CaseResult{Kind: sh.Cases[i+c].Kind, Multi: multi[c], Wakeups: wk[c]}
-	}
+	})
+	*out = CaseResult{Kind: c.Kind, Multi: multi, Wakeups: sess.Wakeups()}
 	return nil
 }
 
@@ -260,14 +209,4 @@ func checkStart(g *graph.Graph, v int) error {
 		return fmt.Errorf("start node %d outside graph of %d nodes", v, g.N())
 	}
 	return nil
-}
-
-// execShardOn executes a shard on the caller's pooled session, batch
-// arena (used only when the shard's Batch flag is set) and graph cache —
-// the per-connection execution path of Serve.
-func execShardOn(sess *sim.Session, b *sim.Batch, sh *ShardDesc, gc *graphCache) (*ShardResult, error) {
-	if !sh.Batch {
-		b = nil
-	}
-	return execShard(sess, b, sh, gc)
 }

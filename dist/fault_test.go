@@ -129,39 +129,46 @@ func faultTuning() dist.Tuning {
 }
 
 // TestDifferentialUnderFaults is the randomized heart of the suite: one
-// clean worker plus two faulty links (worker→coord faults on one,
-// coord→worker faults on the other, alternating sever schedules), and
-// full-equality aggregation asserted across seeds. Whatever the fault
-// schedule does — drop a shard frame (watchdog), garble a result
-// (checksum sever + requeue), delay everything, cut a link mid-stream —
-// the sweep must complete with at least one survivor and the results
-// must be byte-identical to the in-process engine.
+// clean worker plus two faulty links, and full-equality aggregation
+// asserted across seeds. The uplink faults the worker→coord direction
+// (drops reaped by the watchdog, garbles severed by the checksum,
+// delays) and cuts itself after its hello and half the plan's results;
+// the downlink faults the coord→worker direction and is cut at its
+// first shard frame, which may also be dropped, garbled or delayed.
+// The clean worker's hello is held until the downlink's worker is gone,
+// and the uplink alone can finish at most half the shards, so the
+// downlink is dealt a shard and dies holding it on every seed: each run
+// loses a connection and requeues a shard, and the results must still
+// be byte-identical to the in-process engine.
 func TestDifferentialUnderFaults(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			p, cases := plannerWithShards(100*seed, 2)
 			want := rawSweep(t, cases)
+			n := len(p.Shards())
 
-			clean := startServeWorker(nil, nil)
-			workerFaults := &FaultPlan{
-				Seed:       uint64(seed)*7 + 1,
-				DropProb:   0.08,
-				GarbleProb: 0.08,
-				DelayProb:  0.3,
-				Delay:      2 * time.Millisecond,
-			}
-			if seed%2 == 0 {
-				workerFaults.SeverAfterWrites = 9
-			}
-			faultyUp := startServeWorker(workerFaults, nil)
-			coordFaults := &FaultPlan{
-				Seed:       uint64(seed)*13 + 5,
-				DropProb:   0.1,
-				GarbleProb: 0.1,
-				DelayProb:  0.2,
-				Delay:      time.Millisecond,
-			}
-			faultyDown := startServeWorker(nil, coordFaults)
+			faultyUp := startServeWorker(&FaultPlan{
+				Seed:             uint64(seed)*7 + 1,
+				DropProb:         0.08,
+				GarbleProb:       0.08,
+				DelayProb:        0.3,
+				Delay:            2 * time.Millisecond,
+				SeverAfterWrites: 1 + n/2,
+			}, nil)
+			faultyDown := startServeWorker(nil, &FaultPlan{
+				Seed:             uint64(seed)*13 + 5,
+				DropProb:         0.1,
+				GarbleProb:       0.1,
+				DelayProb:        0.2,
+				Delay:            time.Millisecond,
+				SeverAfterWrites: 1,
+			})
+			downGone := make(chan struct{})
+			go func() {
+				<-faultyDown.done
+				close(downGone)
+			}()
+			clean := startGatedServeWorker(downGone)
 
 			be := dist.NewFromStreams(
 				[]io.ReadWriteCloser{clean.coord, faultyUp.coord, faultyDown.coord},
@@ -173,11 +180,16 @@ func TestDifferentialUnderFaults(t *testing.T) {
 				t.Fatalf("sweep failed under faults (clean worker survived): %v", err)
 			}
 			assertEqualResults(t, "faulted sweep", got, want)
-			if stats, ok := dist.LastRunStats(be); ok {
-				t.Logf("stats: %+v", stats)
-				if stats.MaxAttempts > faultTuning().MaxAttempts {
-					t.Fatalf("shard dispatched %d times, budget %d", stats.MaxAttempts, faultTuning().MaxAttempts)
-				}
+			stats, ok := dist.LastRunStats(be)
+			if !ok {
+				t.Fatal("no run stats from a connection backend")
+			}
+			t.Logf("%d shards, stats: %+v", n, stats)
+			if stats.MaxAttempts > faultTuning().MaxAttempts {
+				t.Fatalf("shard dispatched %d times, budget %d", stats.MaxAttempts, faultTuning().MaxAttempts)
+			}
+			if stats.DeadConns < 1 || stats.Requeues < 1 {
+				t.Fatalf("want the downlink dead and its shard requeued: %+v", stats)
 			}
 		})
 	}

@@ -52,9 +52,8 @@ func (p *Planner) SetSeedRange(key any, lo, hi uint64) {
 	p.shards[si].SeedLo, p.shards[si].SeedHi = lo, hi
 }
 
-// SetBatch declares the key's shard batch-eligible (see
-// ShardDesc.Batch): workers run its k-agent cases through sim.RunBatch.
-// The shard must already exist.
+// Deprecated: SetBatch stamps the Batch byte of the key's shard, which
+// must already exist; workers ignore the byte.
 func (p *Planner) SetBatch(key any) {
 	si, ok := p.byKey[key]
 	if !ok {

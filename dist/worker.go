@@ -69,13 +69,10 @@ func Serve(r io.Reader, w io.Writer, opts ...ServeOption) error {
 
 	sess := sim.NewSession()
 	defer sess.Close()
-	// One batch arena per connection: batch-eligible shards reuse its
-	// lane arrays across the whole connection, the same warm-state story
-	// as the pooled session. The graph cache is per-connection for the
-	// same reason: a sweep's shards repeat a handful of graphs, and the
+	// The graph cache is per-connection, the same warm-state story as the
+	// pooled session: a sweep's shards repeat a handful of graphs, and the
 	// decode plus view-signature derivation are the protocol's largest
 	// per-shard costs.
-	batch := sim.NewBatch()
 	var gc graphCache
 	var inBuf, outBuf []byte
 	executed := 0
@@ -103,7 +100,7 @@ func Serve(r io.Reader, w io.Writer, opts ...ServeOption) error {
 		var res *ShardResult
 		if err = sh.Decode(d.data); err == nil {
 			executed++
-			res, err = execShardOn(sess, batch, &sh, &gc)
+			res, err = execShard(sess, &sh, &gc)
 		}
 		var out []byte
 		switch {

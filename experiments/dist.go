@@ -38,11 +38,24 @@ var (
 // backends are reusable across sweeps and closed by the caller.
 func SetDistBackend(be dist.Backend) { distBackend = be }
 
-// runPlan executes a planner on the configured backend. Sweep execution
-// failing (a worker died, a descriptor failed to build) is not a
-// per-case experimental observation but an operational failure of the
-// harness, so it panics rather than fabricating table rows; rvx turns
-// that into a non-zero exit.
+// SweepError is the panic value of an experiment whose sweep its
+// backend failed to run: no worker could be started, every worker died,
+// a shard failed on a worker. Such a failure is not a per-case
+// observation, so the experiment cannot return a table; the experiment
+// functions keep their error-free signatures, and a caller that can
+// report the failure (rvx) recovers this type alone.
+type SweepError struct {
+	Err error // the backend's error
+}
+
+func (e *SweepError) Error() string {
+	return fmt.Sprintf("experiments: distributed sweep failed: %v", e.Err)
+}
+
+func (e *SweepError) Unwrap() error { return e.Err }
+
+// runPlan executes a planner on the configured backend, panicking with a
+// *SweepError when the backend fails rather than fabricating table rows.
 func runPlan(p *dist.Planner) []dist.CaseResult {
 	be := distBackend
 	if be == nil {
@@ -51,7 +64,7 @@ func runPlan(p *dist.Planner) []dist.CaseResult {
 	}
 	res, err := p.Run(be)
 	if err != nil {
-		panic(fmt.Sprintf("experiments: distributed sweep failed: %v", err))
+		panic(&SweepError{Err: err})
 	}
 	return res
 }

@@ -8,6 +8,7 @@ package experiments
 // the CI job that diffs `rvx --dist-workers 2` against plain rvx.
 
 import (
+	"errors"
 	"os"
 	"testing"
 
@@ -45,4 +46,29 @@ func TestDistributedTablesByteIdentical(t *testing.T) {
 			t.Errorf("%s: table differs between in-process and 2-worker distributed execution\n--- in-process ---\n%s\n--- distributed ---\n%s", id, tbl, got[id])
 		}
 	}
+}
+
+// failingBackend is a dist.Backend whose every Run fails with err.
+type failingBackend struct{ err error }
+
+func (b failingBackend) Run([]*dist.ShardDesc) ([]*dist.ShardResult, error) { return nil, b.err }
+func (b failingBackend) Close() error                                       { return nil }
+
+// TestSweepFailurePanicsWithSweepError pins what rvx recovers: a sweep
+// its backend cannot run panics with a *SweepError that wraps the
+// backend's error.
+func TestSweepFailurePanicsWithSweepError(t *testing.T) {
+	cause := errors.New("no worker could be started")
+	SetDistBackend(failingBackend{cause})
+	defer SetDistBackend(nil)
+	defer func() {
+		se, ok := recover().(*SweepError)
+		if !ok {
+			t.Fatalf("E12 did not panic with a *SweepError")
+		}
+		if !errors.Is(se, cause) {
+			t.Fatalf("SweepError %v does not wrap the backend's error", se)
+		}
+	}()
+	E12()
 }

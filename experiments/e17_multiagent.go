@@ -61,11 +61,6 @@ func E17(full bool) *Table {
 			agents[i] = dist.AgentDesc{Prog: dist.ProgDesc{Name: "universal"}, Start: c.starts[i], Appear: c.appear[i]}
 		}
 		plan.Add(c.g, c.g, dist.CaseDesc{Kind: dist.KindMulti, Agents: agents, Budget: c.budget})
-		// Batch-eligible: the grid is parameter-only variation, and the
-		// batch engine's per-lane wakeup counts are pinned equal to the
-		// per-case engine's, so the wakeup note below is byte-identical
-		// whichever path ran the shard.
-		plan.SetBatch(c.g)
 	}
 	results := runPlan(plan)
 	var cl stic.Classifier

@@ -166,29 +166,21 @@ type Config struct {
 	ProgressEvery time.Duration
 
 	// Log receives structured operational notices with levels (job
-	// lifecycle at Info, per-batch dispatch at Debug, failures at Warn).
-	// When set it takes precedence over Logf.
+	// lifecycle, quarantines and leftover-state cleanup at Info,
+	// per-batch dispatch at Debug, failures at Warn). Nil is silent.
 	Log *slog.Logger
-
-	// Logf receives operational notices (quarantines, leftover-state
-	// cleanup, job lifecycle) as rendered lines. Nil (with Log nil) is
-	// silent.
-	Logf func(format string, args ...any)
 }
 
-// logFunc resolves the rendered-line log sink the store uses: Log (at
-// Info) when set, else Logf, else nil for silent.
+// logFunc resolves the rendered-line log sink the store uses: Log at
+// Info, or nil for silent.
 func (c Config) logFunc() func(format string, args ...any) {
-	switch {
-	case c.Log != nil:
-		log := c.Log
-		return func(format string, args ...any) {
-			log.Info(fmt.Sprintf(format, args...))
-		}
-	case c.Logf != nil:
-		return c.Logf
+	if c.Log == nil {
+		return nil
 	}
-	return nil
+	log := c.Log
+	return func(format string, args ...any) {
+		log.Info(fmt.Sprintf(format, args...))
+	}
 }
 
 func (c Config) withDefaults() Config {
@@ -303,15 +295,11 @@ func (d *Daemon) logf(format string, args ...any) {
 	d.slogf(slog.LevelInfo, format, args...)
 }
 
-// slogf routes one rendered notice at the given level: through the
-// structured logger when configured, else the legacy Logf (which has no
-// level axis and receives everything).
+// slogf routes one rendered notice at the given level to the structured
+// logger, when one is configured.
 func (d *Daemon) slogf(level slog.Level, format string, args ...any) {
-	switch {
-	case d.cfg.Log != nil:
+	if d.cfg.Log != nil {
 		d.cfg.Log.Log(context.Background(), level, fmt.Sprintf(format, args...))
-	case d.cfg.Logf != nil:
-		d.cfg.Logf(format, args...)
 	}
 }
 

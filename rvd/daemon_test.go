@@ -15,10 +15,11 @@ package rvd
 
 import (
 	"bytes"
+	"context"
 	"encoding/hex"
 	"errors"
-	"fmt"
 	"io/fs"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"strings"
@@ -119,6 +120,29 @@ func jobBytes(t *testing.T, d *Daemon, job *Job) []byte {
 	return out
 }
 
+// noticeHandler is a slog.Handler that records each notice's message and
+// echoes it to the test log.
+type noticeHandler struct {
+	t    *testing.T
+	mu   sync.Mutex
+	msgs []string
+}
+
+func (h *noticeHandler) Enabled(context.Context, slog.Level) bool { return true }
+func (h *noticeHandler) WithAttrs([]slog.Attr) slog.Handler       { return h }
+func (h *noticeHandler) WithGroup(string) slog.Handler            { return h }
+
+func (h *noticeHandler) Handle(_ context.Context, r slog.Record) error {
+	h.mu.Lock()
+	h.msgs = append(h.msgs, r.Message)
+	h.mu.Unlock()
+	h.t.Log(r.Message)
+	return nil
+}
+
+// testLog returns a daemon logger that echoes every notice to t's log.
+func testLog(t *testing.T) *slog.Logger { return slog.New(&noticeHandler{t: t}) }
+
 func openTestDaemon(t *testing.T, dir string, mutate func(*Config)) *Daemon {
 	t.Helper()
 	cfg := Config{
@@ -126,7 +150,7 @@ func openTestDaemon(t *testing.T, dir string, mutate func(*Config)) *Daemon {
 		Backend:      dist.NewInProcess(2),
 		VersionStamp: "test proto=3 registry=1",
 		BatchShards:  3, // several batches per sweep: crash points land mid-job
-		Logf:         t.Logf,
+		Log:          testLog(t),
 	}
 	if mutate != nil {
 		mutate(&cfg)
@@ -208,7 +232,7 @@ func TestDaemonDifferential(t *testing.T) {
 	beB := dist.NewInProcess(2)
 	dB, err := Open(Config{
 		Dir: dirB, Backend: beB, VersionStamp: "test proto=3 registry=1",
-		BatchShards: 3, Logf: t.Logf,
+		BatchShards: 3, Log: testLog(t),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -328,7 +352,7 @@ func TestDaemonSuspendOnClose(t *testing.T) {
 	be := dist.NewInProcess(2)
 	d, err := Open(Config{
 		Dir: dir, Backend: be, VersionStamp: "test proto=3 registry=1",
-		BatchShards: 2, Logf: t.Logf,
+		BatchShards: 2, Log: testLog(t),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -402,27 +426,19 @@ func TestOpenRemovesLeftoverJournal(t *testing.T) {
 	if err := os.WriteFile(wal, old, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	var mu sync.Mutex
-	var notices []string
-	d := openTestDaemon(t, dir, func(cfg *Config) {
-		cfg.Logf = func(format string, args ...any) {
-			mu.Lock()
-			notices = append(notices, fmt.Sprintf(format, args...))
-			mu.Unlock()
-			t.Logf(format, args...)
-		}
-	})
+	notices := &noticeHandler{t: t}
+	d := openTestDaemon(t, dir, func(cfg *Config) { cfg.Log = slog.New(notices) })
 	if _, err := os.Stat(wal); !errors.Is(err, fs.ErrNotExist) {
 		t.Fatalf("journal.wal after Open: %v", err)
 	}
-	mu.Lock()
+	notices.mu.Lock()
 	var named []string
-	for _, n := range notices {
+	for _, n := range notices.msgs {
 		if strings.Contains(n, wal) {
 			named = append(named, n)
 		}
 	}
-	mu.Unlock()
+	notices.mu.Unlock()
 	if len(named) != 1 {
 		t.Fatalf("%d notices name %s, want 1: %q", len(named), wal, named)
 	}
@@ -445,7 +461,7 @@ func TestJobIDsFreshAcrossRestarts(t *testing.T) {
 	var ids []uint64
 	for boot := 0; boot < 3; boot++ {
 		be := dist.NewInProcess(1)
-		d, err := Open(Config{Dir: dir, Backend: be, Logf: t.Logf})
+		d, err := Open(Config{Dir: dir, Backend: be, Log: testLog(t)})
 		if err != nil {
 			t.Fatal(err)
 		}

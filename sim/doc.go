@@ -104,9 +104,10 @@
 // so it unwinds; both steps are synchronous, so no stale message
 // outlives a run. Because a request is a yield of the program's own
 // coroutine, agent.World methods may be called only from the program
-// itself; a call from any other goroutine is undefined. Sweep threads
-// one Session per worker through Scratch.Session and closes it when the
-// worker retires; Close stops every pooled coroutine.
+// itself; a call from any other goroutine is undefined. A Session is
+// used by one goroutine, one run at a time, and holds no lock: Sweep
+// threads one Session per worker through Scratch.Session and closes it
+// when the worker retires; Close stops every pooled coroutine.
 //
 // # K-agent fast-forward invariants
 //
@@ -159,16 +160,6 @@
 // executable spec; the differential engine-equivalence suite pins
 // RunMany to it, full MultiResult equality included, across randomized
 // populations of scripts, walkers, waiters and UniversalRV agents.
-//
-// # K-agent shard batching
-//
-// RunBatch executes a shard of k-agent cases on one graph as
-// interleaved lanes of one Batch arena: each lane is a parked multiRun
-// advanced one scheduler iteration at a time, acquiring and releasing
-// its runners exactly as RunMany does. Lane i returns exactly
-// Session.RunMany of case i, per-lane wakeup counts (Batch.Wakeups)
-// included, pinned by the randomized differential suite. Two-agent cases have no batch
-// form: every one runs on Session.RunPrograms.
 //
 // # Beyond one process
 //

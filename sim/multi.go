@@ -115,7 +115,6 @@ func (s *Session) RunMany(g *graph.Graph, agents []MultiAgent, cfg MultiConfig) 
 		g:         g,
 		agents:    agents,
 		cfg:       cfg,
-		stats:     &s.stats,
 		runners:   s.mrunners[:k],
 		present:   s.mpresent[:k],
 		met:       s.mmet[:k*k],
@@ -150,32 +149,24 @@ func (s *Session) RunMany(g *graph.Graph, agents []MultiAgent, cfg MultiConfig) 
 	return m.res
 }
 
-// multiRun is one k-agent run's complete scheduler state, factored out of
-// RunMany so RunBatch can park it between scheduler iterations: the solo
-// path drives one to completion in a plain loop, and RunBatch interleaves
-// W of them lane by lane, each lane's state parked in the Batch arena
-// while the others advance. All backing slices are caller-provided — the
-// session's reusable m* buffers for solo runs, flat arena carvings for
-// batch lanes.
+// multiRun is one k-agent run's complete scheduler state: RunMany drives
+// it to completion one scheduler iteration (step) at a time. Its backing
+// slices are the session's reusable m* buffers.
 type multiRun struct {
 	s      *Session
 	g      *graph.Graph
 	agents []MultiAgent
 	cfg    MultiConfig
 	budget uint64
-	// stats and lane are the wakeup sinks threaded into every acquire
-	// (see Session.acquireFor); lane is nil for solo runs.
-	stats *runStats
-	lane  *uint64
 
 	runners   []*runner
 	present   []bool
 	met       []bool
 	active    []*runner
 	activeIdx []int
-	// Per-step scratch: nothing in it survives one step call, so batch
-	// lanes share one set sized for the largest lane. bhead is indexed by
-	// node id and must be all -1 between uses (every user restores it).
+	// Per-step scratch: nothing in it survives one step call. bhead is
+	// indexed by node id and must be all -1 between uses (every user
+	// restores it).
 	moved      []bool
 	bhead      []int32
 	bnext      []int32
@@ -186,7 +177,6 @@ type multiRun struct {
 	unmet        int // pairs with no first meeting yet
 	t            uint64
 	first        bool
-	done         bool
 }
 
 // begin resets the run state for a fresh run over the configured agents.
@@ -210,7 +200,6 @@ func (m *multiRun) begin() {
 	m.unmet = len(m.agents) * (len(m.agents) - 1) / 2
 	m.t = 0
 	m.first = true
-	m.done = false
 }
 
 // release returns every runner the run still holds to the session pool.
@@ -223,8 +212,8 @@ func (m *multiRun) release() {
 	}
 }
 
-// finish stamps the final round count and per-agent move totals and
-// marks the run complete. It always returns true (step's "done" value).
+// finish stamps the final round count and per-agent move totals. It
+// always returns true (step's "done" value).
 func (m *multiRun) finish() bool {
 	m.res.Rounds = m.t
 	for i, r := range m.runners {
@@ -232,7 +221,6 @@ func (m *multiRun) finish() bool {
 			m.res.Moves[i] = r.moves
 		}
 	}
-	m.done = true
 	return true
 }
 
@@ -354,7 +342,7 @@ func (m *multiRun) step() bool {
 	appeared := false
 	for i := range agents {
 		if !present[i] && t >= agents[i].Appear {
-			runners[i] = s.acquireFor(g, agents[i].Program, agents[i].Start, m.stats, m.lane)
+			runners[i] = s.acquire(g, agents[i].Program, agents[i].Start)
 			present[i] = true
 			m.presentCount++
 			appeared = true

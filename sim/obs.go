@@ -7,19 +7,16 @@ import (
 	"repro/internal/obs"
 )
 
-// Engine kinds for the sim_runs_total label. Batch counts RunBatch
-// calls (Batch.cleanup publishes them).
+// Engine kinds for the sim_runs_total label.
 const (
 	runKindPair = iota
 	runKindMulti
-	runKindBatch
 	runKindCount
 )
 
 // Process-wide run counters, published into obs.Default(). The engine
-// hot path never touches these: runs accumulate into their non-atomic
-// runStats (solo runs into the session's, batch runs into the arena's)
-// exactly as before, and the totals flush here as a handful of atomic
+// hot path never touches these: runs accumulate into their session's
+// non-atomic runStats, and the totals flush here as a handful of atomic
 // adds when a run ends — the zero-overhead contract obs's doc.go pins
 // and BenchmarkInstrumentedShard proves.
 var (
@@ -31,7 +28,7 @@ var (
 
 func init() {
 	r := obs.Default()
-	for kind, name := range [runKindCount]string{"pair", "multi", "batch"} {
+	for kind, name := range [runKindCount]string{"pair", "multi"} {
 		obsRuns[kind] = r.Counter(fmt.Sprintf(`sim_runs_total{engine=%q}`, name),
 			"engine runs completed, by engine kind")
 	}
@@ -47,8 +44,8 @@ func init() {
 
 // publishRunStats flushes one finished run's totals to the process
 // counters: one Inc plus at most 2+PhaseCount atomic adds, no locks,
-// no allocation. Called from the runs' existing deferred cleanup
-// closures and from Batch.cleanup, never from the per-wakeup path.
+// no allocation. Called from the runs' deferred cleanup closures, never
+// from the per-wakeup path.
 func publishRunStats(st *runStats, kind int) {
 	obsRuns[kind].Inc()
 	if st.wakeups != 0 {

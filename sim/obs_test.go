@@ -10,10 +10,10 @@ import (
 )
 
 // TestObsRunCountersMove checks that each engine kind flushes its run
-// totals into the process registry: solo pair, solo multi, and batch
-// runs all increment their sim_runs_total sample and add their wakeups.
-// Counters are process-global and tests run in one process, so every
-// assertion is on deltas.
+// totals into the process registry: pair and multi runs increment their
+// sim_runs_total sample and add their wakeups, and the retired batch
+// engine has no sample. Counters are process-global and tests run in
+// one process, so every assertion is on deltas.
 func TestObsRunCountersMove(t *testing.T) {
 	g := graph.Cycle(8)
 	sess := NewSession()
@@ -42,15 +42,8 @@ func TestObsRunCountersMove(t *testing.T) {
 		t.Fatal("multi run counter did not move")
 	}
 
-	before = snap()
-	cases := []MultiCase{{
-		Agents: []MultiAgent{{Program: agent.Sit}, {Program: agent.Sit, Start: 2}},
-		Cfg:    MultiConfig{Budget: 16},
-	}}
-	sess.RunBatch(g, cases, NewBatch())
-	after = snap()
-	if after[`sim_runs_total{engine="batch"}`] != before[`sim_runs_total{engine="batch"}`]+1 {
-		t.Fatal("batch run counter did not move")
+	if _, ok := after[`sim_runs_total{engine="batch"}`]; ok {
+		t.Fatal(`the registry still holds a sim_runs_total{engine="batch"} sample`)
 	}
 }
 

@@ -3,18 +3,14 @@ package sim
 import (
 	"iter"
 	"slices"
-	"sync"
 
 	"repro/agent"
 	"repro/graph"
 )
 
 // runStats is one run's scheduler statistics: the wakeup count and its
-// per-phase breakdown. Solo runs accumulate into the session's own
-// instance; batch runs (RunBatch) accumulate into their Batch arena's
-// instance — each runner carries a pointer to the instance its current
-// run feeds, which is what lets concurrent batches on one Session count
-// without racing.
+// per-phase breakdown. Every run accumulates into its session's
+// instance, which each runner it acquires points at.
 type runStats struct {
 	wakeups   uint64
 	wakeupsBy [agent.PhaseCount]uint64
@@ -30,23 +26,15 @@ type runStats struct {
 // sweeps thread a Session through each worker's Scratch and run every
 // case of a shard on warm runners.
 //
-// A Session is NOT safe for concurrent SOLO use: exactly one
-// Run/RunPrograms/RunMany may be active on it at a time (sweeps use one
-// Session per worker). Batch runs are the exception: any number of
-// concurrent RunBatch calls may share one Session as long as each
-// brings its own Batch arena — the runner pool itself is mutex-guarded,
-// and all per-run state lives in the arena. Close stops the pooled
-// coroutines; a Session used via Scratch.Session is closed by Sweep
-// itself when the worker retires.
+// A Session is used by one goroutine: exactly one Run/RunPrograms/
+// RunMany may be active on it at a time (sweeps use one Session per
+// worker). Close stops the pooled coroutines; a Session used via
+// Scratch.Session is closed by Sweep itself when the worker retires.
 type Session struct {
-	// mu guards the runner free list — the only state shared between
-	// concurrent batch runs.
-	mu   sync.Mutex
 	free []*runner
 
 	// stats holds the most recent run's scheduler statistics (see
-	// Wakeups, WakeupsByPhase). A batch run copies its arena's totals
-	// here when it finishes, so "most recent run" means the whole batch.
+	// Wakeups, WakeupsByPhase).
 	stats runStats
 
 	// Reusable k-agent scheduler state (see multi.go).
@@ -86,34 +74,22 @@ func (s *Session) resetStats() {
 // NewSession returns an empty session; runners are created on demand.
 func NewSession() *Session { return &Session{} }
 
-// acquire hands out a warm runner (or creates one) and assigns it the
-// given program, counting its wakeups against the session's own stats —
-// the solo-run form of acquireFor.
-func (s *Session) acquire(g *graph.Graph, prog agent.Program, start int) *runner {
-	return s.acquireFor(g, prog, start, &s.stats, nil)
-}
-
-// acquireFor hands out a warm runner (or creates one, with its coroutine)
+// acquire hands out a warm runner (or creates one, with its coroutine)
 // and assigns it the given program. Nothing runs yet: the run's first
 // fetch resumes the coroutine, which starts prog and runs it up to its
-// first request. Every request the run consumes is counted into st, and
-// additionally into *lane when lane is non-nil — the per-lane wakeup
-// attribution of the batch engine.
-func (s *Session) acquireFor(g *graph.Graph, prog agent.Program, start int, st *runStats, lane *uint64) *runner {
+// first request. Every request the run consumes is counted into the
+// session's stats.
+func (s *Session) acquire(g *graph.Graph, prog agent.Program, start int) *runner {
 	var r *runner
-	s.mu.Lock()
 	if n := len(s.free); n > 0 {
 		r, s.free = s.free[n-1], s.free[:n-1]
-	}
-	s.mu.Unlock()
-	if r == nil {
+	} else {
 		r = &runner{log: make([]int, burstChunk)}
 		r.next, r.stop = iter.Pull(r.body)
 	}
 	r.g = g
 	r.prog = prog
-	r.stats = st
-	r.laneWakeups = lane
+	r.stats = &s.stats
 	r.pos = start
 	r.entry = -1
 	r.state = stNeedReq
@@ -157,25 +133,19 @@ func (s *Session) release(r *runner) {
 	r.script = nil
 	r.scriptDegs = nil
 	r.stats = nil
-	r.laneWakeups = nil
 	if !live {
 		return // the coroutine exited (the program called runtime.Goexit)
 	}
-	s.mu.Lock()
 	s.free = append(s.free, r)
-	s.mu.Unlock()
 }
 
 // Close stops every pooled runner's coroutine; each stop returns once its
 // coroutine has exited. All runs on the session must have finished first.
 func (s *Session) Close() {
-	s.mu.Lock()
-	free := s.free
-	s.free = nil
-	s.mu.Unlock()
-	for _, r := range free {
+	for _, r := range s.free {
 		r.stop()
 	}
+	s.free = nil
 }
 
 // Run is the session-pooled form of the package-level Run.
@@ -291,14 +261,11 @@ type runner struct {
 	walkedN int
 
 	// Cold tail — touched once per script or per run, never per round:
-	// the degree buffer's capacity reservoir and the statistics sinks of
-	// the current run, updated per request pulled. stats points at the
-	// session's own runStats for solo runs and at the Batch arena's for
-	// batch runs; laneWakeups additionally attributes each consumed
-	// request to one batch lane (nil outside batches).
+	// the degree buffer's capacity reservoir and the statistics sink of
+	// the current run (its session's runStats), updated per request
+	// pulled.
 	scriptDegsBuf []int
 	stats         *runStats
-	laneWakeups   *uint64
 	rec           blockRecord
 
 	// next and stop drive the runner's coroutine (see body), created once
@@ -339,20 +306,16 @@ func (r *runner) fetch() {
 }
 
 // consume applies one request to the runner's scheduler state, counting
-// it into the run's statistics sinks.
+// it into the run's statistics.
 func (r *runner) consume(rq request) {
-	if s := r.stats; s != nil {
-		s.wakeups++
-		// agent.SetPhase accepts any Phase value; out-of-range tags
-		// attribute to PhaseOther rather than indexing out of bounds.
-		if p := rq.phase; p < agent.PhaseCount {
-			s.wakeupsBy[p]++
-		} else {
-			s.wakeupsBy[agent.PhaseOther]++
-		}
-	}
-	if r.laneWakeups != nil {
-		*r.laneWakeups++
+	s := r.stats
+	s.wakeups++
+	// agent.SetPhase accepts any Phase value; out-of-range tags
+	// attribute to PhaseOther rather than indexing out of bounds.
+	if p := rq.phase; p < agent.PhaseCount {
+		s.wakeupsBy[p]++
+	} else {
+		s.wakeupsBy[agent.PhaseOther]++
 	}
 	switch rq.kind {
 	case reqMove:
@@ -587,7 +550,10 @@ const (
 func (r *runner) recordCopy() {
 	rc := &r.rec
 	rc.fromPos, rc.fromEnt, rc.state = r.pos, r.entry, recWalking
-	rc.pos = ensure(rc.pos, len(rc.acts))
+	if cap(rc.pos) < len(rc.acts) {
+		rc.pos = make([]int, len(rc.acts))
+	}
+	rc.pos = rc.pos[:len(rc.acts)]
 }
 
 // closeCopy ends the recording of a walked copy at its last round and,

@@ -153,45 +153,26 @@ func TestSessionPanicPropagation(t *testing.T) {
 // unwinds, so an agent.Traced trajectory read the moment the run returns
 // agrees with MultiResult.Moves. The walker meets the sitter on the
 // round of a move whose grant it has not yet received; dropping that
-// grant would leave its trace one move short. Checked through RunMany
-// and through the same cases as lanes of one RunBatch.
+// grant would leave its trace one move short. Checked through RunMany.
 func TestReleaseDeliversEarnedGrants(t *testing.T) {
 	g := graph.Cycle(6)
 	const n = 6 // sitter appearance delays 0..5
 	sess := sim.NewSession()
 	defer sess.Close()
-	traces := make([][2]agent.Trace, n)
-	cases := make([]sim.MultiCase, n)
-	reset := func() {
-		for d := range cases {
-			traces[d] = [2]agent.Trace{}
-			cases[d] = sim.MultiCase{
-				Agents: []sim.MultiAgent{
-					{Program: agent.Traced(agent.MoveEveryRound, &traces[d][0]), Start: 0},
-					{Program: agent.Traced(agent.Sit, &traces[d][1]), Start: 3, Appear: uint64(d)},
-				},
-				Cfg: sim.MultiConfig{Budget: 1_000, StopOnFirstMeeting: true},
-			}
-		}
-	}
-	check := func(label string, d int, res sim.MultiResult) {
-		t.Helper()
+	for d := 0; d < n; d++ {
+		var traces [2]agent.Trace
+		res := sess.RunMany(g, []sim.MultiAgent{
+			{Program: agent.Traced(agent.MoveEveryRound, &traces[0]), Start: 0},
+			{Program: agent.Traced(agent.Sit, &traces[1]), Start: 3, Appear: uint64(d)},
+		}, sim.MultiConfig{Budget: 1_000, StopOnFirstMeeting: true})
 		if len(res.Meetings) != 1 {
-			t.Fatalf("%s delay %d: want one meeting, got %+v", label, d, res)
+			t.Fatalf("delay %d: want one meeting, got %+v", d, res)
 		}
-		for i := range traces[d] {
-			if got := traces[d][i].Moves(); uint64(got) != res.Moves[i] {
-				t.Fatalf("%s delay %d agent %d: trace holds %d moves, result %d", label, d, i, got, res.Moves[i])
+		for i := range traces {
+			if got := traces[i].Moves(); uint64(got) != res.Moves[i] {
+				t.Fatalf("delay %d agent %d: trace holds %d moves, result %d", d, i, got, res.Moves[i])
 			}
 		}
-	}
-	reset()
-	for d := range cases {
-		check("RunMany", d, sess.RunMany(g, cases[d].Agents, cases[d].Cfg))
-	}
-	reset()
-	for d, res := range sess.RunBatch(g, cases, sim.NewBatch()) {
-		check("RunBatch", d, res)
 	}
 }
 
@@ -264,8 +245,8 @@ func countCalls(script []int, quiet bool, n *uint64) agent.Program {
 // earned on round t included, and its count must say so once the run
 // returns. The holder's start moves the meeting across every offset of
 // the walker's script, its last action included, and the lead lengths
-// land some lead ends on the meeting round. Checked through RunPrograms,
-// RunMany and the same cases as lanes of one RunBatch.
+// land some lead ends on the meeting round. Checked through RunPrograms
+// and RunMany.
 func TestReleaseDeliversScriptedGrants(t *testing.T) {
 	g := graph.Cycle(40)
 	walks := []struct {
@@ -335,13 +316,6 @@ func TestReleaseDeliversScriptedGrants(t *testing.T) {
 	for i := range cases {
 		res := sess.RunMany(g, multi(i), cfg)
 		check("RunMany", i, res.Meetings[0].Round)
-	}
-	lanes := make([]sim.MultiCase, len(cases))
-	for i := range cases {
-		lanes[i] = sim.MultiCase{Agents: multi(i), Cfg: cfg}
-	}
-	for i, res := range sess.RunBatch(g, lanes, sim.NewBatch()) {
-		check("RunBatch", i, res.Meetings[0].Round)
 	}
 	if leadEndsOnMeeting == 0 {
 		t.Fatal("no case ended a lead on the meeting round")

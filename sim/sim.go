@@ -410,9 +410,7 @@ func (r *runner) replayed(c int) {
 	r.copiesLeft -= uint64((e - 1) / l)
 	r.scriptAt = r.blockStart + last + 1
 	r.scriptWaitRun = 0
-	if s := r.stats; s != nil {
-		s.replayed += uint64(c)
-	}
+	r.stats.replayed += uint64(c)
 }
 
 // scan returns the first of the chunk's c rounds that ends on a
