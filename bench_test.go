@@ -113,10 +113,9 @@ func BenchmarkE17MultiAgent(b *testing.B) {
 // loop): k UniversalRV agents on a ring with staggered appearance
 // rounds, driven through one pooled session (the E17 workload shape
 // without the table harness). Distinct from BenchmarkE17MultiAgent
-// above, which regenerates the full E17 experiment and carries the
-// cross-PR perf trajectory; this one's per-k sub-benchmarks are tracked
-// separately by benchdiff ("…Multiagent/k=N" vs "…MultiAgent"), which
-// also gates the reported wakeups/op metric.
+// above, which regenerates the full E17 experiment; this one reports
+// rounds/s and wakeups/op per k. E17's own wakeup count is gated exactly
+// in tier-1, by experiments/testdata/counts.txt.
 func BenchmarkE17Multiagent(b *testing.B) {
 	prog := rendezvous.UniversalRV()
 	for _, k := range []int{2, 4, 8, 32, 64} {

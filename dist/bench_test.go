@@ -2,9 +2,8 @@ package dist_test
 
 // Dispatch-overhead benchmarks: what the protocol itself costs, measured
 // with near-trivial simulator cases so the codec, framing and
-// coordinator machinery dominate. BenchmarkDistDispatch is the number
-// benchdiff gates across PRs — a regression here is pure dispatcher
-// overhead, invisible to the engine benchmarks.
+// coordinator machinery dominate. A regression in BenchmarkDistDispatch
+// is pure dispatcher overhead, invisible to the engine benchmarks.
 
 import (
 	"testing"

@@ -700,25 +700,54 @@ func NewInProcess(workers int, opts ...Option) Backend {
 	return b
 }
 
-// rwPair joins a subprocess's stdin/stdout pipes into one ReadWriter.
-type rwPair struct {
-	io.Reader
-	io.Writer
+// child is one forked worker process: its connection writes to and
+// closes the embedded stdin pipe, and reads the stdout pipe through
+// Read. The connection's reader owns the process: os/exec's Wait closes
+// the stdout pipe, so it must not run while the pipe is still being
+// read. The read that reaches the pipe's end reaps the process, and an
+// abnormal exit replaces that bare EOF with the exit status, which then
+// reaches the connection's death cause. The fleet reaps at Close any
+// child whose reader never got that far.
+type child struct {
+	io.WriteCloser
+	out   io.Reader
+	cmd   *exec.Cmd
+	once  sync.Once
+	ended error // the abnormal exit, set once reaped
+}
+
+func (c *child) Read(p []byte) (int, error) {
+	n, err := c.out.Read(p)
+	if err == io.EOF {
+		if exit := c.reap(); exit != nil {
+			err = exit
+		}
+	}
+	return n, err
+}
+
+// reap waits for the process once and returns its abnormal exit, if any.
+func (c *child) reap() error {
+	c.once.Do(func() {
+		if err := c.cmd.Wait(); err != nil {
+			c.ended = fmt.Errorf("worker exited: %w", err)
+		}
+	})
+	return c.ended
 }
 
 // localFleet is the process-management state behind NewLocal: the forked
-// worker commands, their reapers, and the respawns spent so far.
+// worker processes and the respawns spent so far.
 type localFleet struct {
 	argv     []string
 	selfExec bool
 
 	mu       sync.Mutex
 	respawns int
-	wg       sync.WaitGroup
-	firstErr error
+	children []*child
 }
 
-func (l *localFleet) spawn() (*exec.Cmd, io.ReadWriter, io.Closer, error) {
+func (l *localFleet) spawn() (*child, error) {
 	cmd := exec.Command(l.argv[0], l.argv[1:]...)
 	if l.selfExec {
 		cmd.Env = append(os.Environ(), WorkerEnv+"=1")
@@ -726,26 +755,36 @@ func (l *localFleet) spawn() (*exec.Cmd, io.ReadWriter, io.Closer, error) {
 	cmd.Stderr = os.Stderr
 	stdin, err := cmd.StdinPipe()
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
 	if err := cmd.Start(); err != nil {
-		return nil, nil, nil, fmt.Errorf("dist: starting worker %v: %w", l.argv, err)
+		return nil, fmt.Errorf("dist: starting worker %v: %w", l.argv, err)
 	}
-	l.wg.Add(1)
-	go func() {
-		defer l.wg.Done()
-		err := cmd.Wait()
-		l.mu.Lock()
-		if err != nil && l.firstErr == nil {
-			l.firstErr = fmt.Errorf("dist: worker exit: %w", err)
+	c := &child{WriteCloser: stdin, out: stdout, cmd: cmd}
+	l.mu.Lock()
+	l.children = append(l.children, c)
+	l.mu.Unlock()
+	return c, nil
+}
+
+// reapAll reaps every worker process its reader has not, and returns
+// the first abnormal exit. Callers hold no reader: each connection's
+// transport is closed and no Run is active.
+func (l *localFleet) reapAll() error {
+	l.mu.Lock()
+	children := append([]*child(nil), l.children...)
+	l.mu.Unlock()
+	var first error
+	for _, c := range children {
+		if err := c.reap(); err != nil && first == nil {
+			first = fmt.Errorf("dist: %w", err)
 		}
-		l.mu.Unlock()
-	}()
-	return cmd, rwPair{stdout, stdin}, stdin, nil
+	}
+	return first
 }
 
 // WithRespawn lets a NewLocal backend fork up to max replacement worker
@@ -778,29 +817,19 @@ func NewLocal(workers int, argv []string, opts ...Option) (Backend, error) {
 		}
 		fl.argv = []string{self}
 	}
-	cmds := make([]*exec.Cmd, 0, workers)
 	conns := make([]*wconn, 0, workers)
-	fail := func(err error) (Backend, error) {
-		for _, cmd := range cmds {
-			_ = cmd.Process.Kill()
-		}
-		fl.wg.Wait()
-		return nil, err
-	}
 	for i := 0; i < workers; i++ {
-		cmd, rw, closer, err := fl.spawn()
+		c, err := fl.spawn()
 		if err != nil {
-			return fail(err)
+			for _, c := range fl.children {
+				_ = c.cmd.Process.Kill()
+			}
+			_ = fl.reapAll()
+			return nil, err
 		}
-		cmds = append(cmds, cmd)
-		conns = append(conns, newWconn(rw, closer))
+		conns = append(conns, newWconn(c, c))
 	}
-	b := newConnBackend(conns, func() error {
-		fl.wg.Wait()
-		fl.mu.Lock()
-		defer fl.mu.Unlock()
-		return fl.firstErr
-	}, opts...)
+	b := newConnBackend(conns, fl.reapAll, opts...)
 	b.onConnDead = func() {
 		fl.mu.Lock()
 		if fl.respawns >= b.maxRespawns {
@@ -809,12 +838,12 @@ func NewLocal(workers int, argv []string, opts ...Option) (Backend, error) {
 		}
 		fl.respawns++
 		fl.mu.Unlock()
-		_, rw, closer, err := fl.spawn()
+		c, err := fl.spawn()
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "dist: respawning worker: %v\n", err)
 			return
 		}
-		b.AddConn(rw, closer)
+		b.AddConn(c, c)
 	}
 	return b, nil
 }

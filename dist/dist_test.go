@@ -11,6 +11,7 @@ package dist_test
 
 import (
 	"fmt"
+	"io"
 	"math/rand"
 	"net"
 	"os"
@@ -25,8 +26,69 @@ import (
 )
 
 func TestMain(m *testing.M) {
+	if os.Getenv(dist.WorkerEnv) != "" && os.Getenv(exitAfterResultEnv) != "" {
+		_ = dist.Serve(os.Stdin, &exitAfterWrites{w: os.Stdout, left: 2})
+		os.Exit(0)
+	}
 	dist.RunWorkerIfChild()
 	os.Exit(m.Run())
+}
+
+// exitAfterResultEnv turns a self-exec'd worker of this test binary into
+// one that writes its hello and one result frame and then exits with
+// status 3 at once (see TestWorkerExitAfterResultLosesNoFrame).
+const exitAfterResultEnv = "RV_DIST_TEST_EXIT_AFTER_RESULT"
+
+// exitAfterWrites is a worker's stdout that ends the process as soon as
+// its left-th write has returned. Serve flushes each small frame in one
+// write.
+type exitAfterWrites struct {
+	w    io.Writer
+	left int
+}
+
+func (e *exitAfterWrites) Write(p []byte) (int, error) {
+	n, err := e.w.Write(p)
+	if e.left--; e.left == 0 {
+		os.Exit(3)
+	}
+	return n, err
+}
+
+// TestWorkerExitAfterResultLosesNoFrame forks a worker that answers its
+// one shard and exits the moment the answer is written, often before the
+// coordinator has read it. The frame must still arrive: the worker
+// process is reaped by its connection's reader after the pipe's end, or
+// by Close, never while the pipe is being read. Close then reports the
+// exit status.
+func TestWorkerExitAfterResultLosesNoFrame(t *testing.T) {
+	if testing.Short() {
+		t.Skip("forks a worker process")
+	}
+	t.Setenv(exitAfterResultEnv, "1")
+	var p dist.Planner
+	var cases []planCase
+	g := graph.Cycle(6)
+	for v := 1; v < 6; v++ {
+		c := dist.CaseDesc{Kind: dist.KindTwoAgent, ProgA: dist.ProgDesc{Name: "universal"},
+			ProgB: dist.ProgDesc{Name: "sit"}, V: v, Delay: 1, Budget: 2000}
+		p.Add(0, g, c)
+		cases = append(cases, planCase{g: g, c: c})
+	}
+	want := rawSweep(t, cases)
+	be, err := dist.NewLocal(1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := p.Run(be)
+	closeErr := be.Close()
+	if err != nil {
+		t.Fatalf("the worker's one result frame was lost: %v", err)
+	}
+	assertEqualResults(t, "exit-after-result sweep", got, want)
+	if closeErr == nil || !strings.Contains(closeErr.Error(), "worker exited: exit status 3") {
+		t.Fatalf("Close returned %v, want the worker's exit status 3", closeErr)
+	}
 }
 
 // randDistGraph mirrors the engine-equivalence suite's graph mix.

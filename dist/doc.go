@@ -25,7 +25,10 @@
 // A connection carries varint length-prefixed frames in both directions:
 // each frame is binary.AppendUvarint(len(payload)) followed by the
 // payload, whose first byte is the frame type. Payloads are capped (64
-// MiB) so a corrupt length cannot demand unbounded memory. Every frame
+// MiB), and a reader allocates for the bytes that arrive, not for the
+// length a prefix claims (pinned by FuzzFrameDecode and
+// TestReadFrameAllocatesWhatArrives), so a corrupt or hostile length
+// cannot demand memory the peer never sends. Every frame
 // except the hello additionally carries a trailing 32-bit FNV-1a
 // checksum of its payload inside the length-prefixed region (the hello
 // keeps v1 framing so version negotiation never depends on v2 rules).
@@ -36,7 +39,9 @@
 //	worker → coordinator   error   {id, message}        deterministic per-shard failure; never retried
 //
 // No frame tells a worker to stop: the coordinator closes its end of the
-// transport, and the worker exits on the EOF. Tags 3 (the v1 whole-shard
+// transport, and the worker exits on the EOF. A forked worker process is
+// reaped by its connection's reader once its stdout ends, so an abnormal
+// exit is the connection's death cause ("worker exited: exit status 1"). Tags 3 (the v1 whole-shard
 // result), 5 (the v2–v4 shutdown frame), 6 (the v2–v5 liveness frame), 7
 // (the v2–v4 result chunk) and 8 (the v3 mid-shard migration frame) are
 // retired and never reused; a shard lost with its connection requeues

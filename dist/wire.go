@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // This file is the transport layer of the dispatch protocol: varint
@@ -130,9 +131,16 @@ func readFrameSum(r *bufio.Reader, buf []byte) ([]byte, error) {
 	return body, nil
 }
 
+// frameGrowStep is the most readFrame allocates ahead of the bytes it
+// has received when a frame outgrows the caller's buffer.
+const frameGrowStep = 16 << 10
+
 // readFrame reads one frame payload, reusing buf when it is large enough.
 // io.EOF is returned verbatim (clean end of stream) only when it occurs
-// before the first length byte.
+// before the first length byte. A length prefix is only a claim: past
+// buf's capacity the payload grows with the bytes that arrive, by at most
+// the larger of frameGrowStep and what has arrived so far, so a peer
+// that sends a large prefix and no payload costs no large allocation.
 func readFrame(r *bufio.Reader, buf []byte) ([]byte, error) {
 	n, err := binary.ReadUvarint(r)
 	if err != nil {
@@ -144,12 +152,18 @@ func readFrame(r *bufio.Reader, buf []byte) ([]byte, error) {
 	if n > maxFrame {
 		return nil, fmt.Errorf("dist: frame length %d exceeds limit", n)
 	}
-	if uint64(cap(buf)) < n {
-		buf = make([]byte, n)
-	}
-	buf = buf[:n]
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, fmt.Errorf("dist: reading %d-byte frame: %w", n, err)
+	buf = buf[:0]
+	for len(buf) < int(n) {
+		want := int(n) - len(buf)
+		if want > cap(buf)-len(buf) {
+			want = min(want, max(len(buf), frameGrowStep))
+			buf = slices.Grow(buf, want)
+		}
+		got, err := io.ReadFull(r, buf[len(buf):len(buf)+want])
+		buf = buf[:len(buf)+got]
+		if err != nil {
+			return nil, fmt.Errorf("dist: reading %d-byte frame: %w", n, err)
+		}
 	}
 	return buf, nil
 }

@@ -1,11 +1,11 @@
 package experiments
 
 import (
-	"fmt"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/simtest"
 )
 
 // Each experiment must complete with every internal check passing; these
@@ -58,22 +58,31 @@ func TestE17Full(t *testing.T) {
 func TestE18(t *testing.T) { requireOK(t, E18()) }
 func TestE19(t *testing.T) { requireOK(t, E19()) }
 
+// TestRegistryIsCompleteAndDistinct regenerates every quick table, as
+// `rvx -markdown` prints them, and gates two files on the result: the
+// tables themselves (testdata/tables.md) and the work each experiment
+// took to regenerate them (testdata/counts.txt). The counts are the
+// sim_* and dist_* counter samples each experiment moved in the process
+// registry: runs, scheduler wakeups, replayed rounds, shards. Every one
+// is deterministic, so a change that moves the amount of work updates
+// counts.txt in the same diff, and the delta is reviewed there.
 func TestRegistryIsCompleteAndDistinct(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every experiment; covered individually in short mode")
 	}
-	tables := All(false)
-	if len(tables) != 19 {
-		t.Fatalf("registry has %d experiments, want 19", len(tables))
+	reg := Registry(false)
+	if len(reg) != 19 {
+		t.Fatalf("registry has %d experiments, want 19", len(reg))
 	}
 	seen := map[string]bool{}
-	var md strings.Builder
-	for _, tbl := range tables {
-		// Rendered as `rvx -markdown` prints it.
+	var md, counts strings.Builder
+	for _, e := range reg {
+		var tbl *Table
+		counts.WriteString(simtest.CountDeltas(e.ID, func() { tbl = e.Run() }, "sim_", "dist_"))
 		md.WriteString(tbl.Markdown())
 		md.WriteString("\n\n")
-		if seen[tbl.ID] {
-			t.Fatalf("duplicate experiment ID %s", tbl.ID)
+		if tbl.ID != e.ID || seen[tbl.ID] {
+			t.Fatalf("experiment %s regenerated table %s (duplicate or misfiled)", e.ID, tbl.ID)
 		}
 		seen[tbl.ID] = true
 		if tbl.Title == "" || tbl.PaperRef == "" || len(tbl.Columns) == 0 {
@@ -85,34 +94,11 @@ func TestRegistryIsCompleteAndDistinct(t *testing.T) {
 	}
 	// The tables are the paper's reproduced results: any change to their
 	// bytes must show up as a change to the golden file in the same diff.
-	golden, err := os.ReadFile(filepath.Join("testdata", "tables.md"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if diff := firstLineDiff(string(golden), md.String()); diff != "" {
-		t.Fatalf("tables differ from testdata/tables.md (regenerate it with "+
-			"`go run ./cmd/rvx -markdown > experiments/testdata/tables.md`): %s", diff)
-	}
-}
-
-// firstLineDiff names the first line at which got departs from want and
-// quotes it from both sides, or returns "" when the two are equal.
-func firstLineDiff(want, got string) string {
-	if want == got {
-		return ""
-	}
-	w, g := strings.Split(want, "\n"), strings.Split(got, "\n")
-	line := func(lines []string, i int) string {
-		if i < len(lines) {
-			return fmt.Sprintf("%q", lines[i])
-		}
-		return "<end of file>"
-	}
-	i := 0
-	for i < len(w) && i < len(g) && w[i] == g[i] {
-		i++
-	}
-	return fmt.Sprintf("first difference at line %d:\n  want: %s\n  got:  %s", i+1, line(w, i), line(g, i))
+	simtest.RequireGolden(t, filepath.Join("testdata", "tables.md"), md.String(),
+		"regenerate it with `go run ./cmd/rvx -markdown > experiments/testdata/tables.md`")
+	simtest.RequireGolden(t, filepath.Join("testdata", "counts.txt"), counts.String(),
+		"copy the logged file into it: `go test -run 'TestRegistryIsCompleteAndDistinct$' ./experiments/ "+
+			"| awk '$1 ~ /^E[0-9]+$/ && NF == 3 {print $1, $2, $3}' > experiments/testdata/counts.txt`")
 }
 
 func requireOK(t *testing.T, tbl *Table) {

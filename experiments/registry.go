@@ -35,15 +35,3 @@ func Registry(full bool) []Experiment {
 		{"E19", E19},
 	}
 }
-
-// All runs every experiment in order and returns the regenerated tables.
-// The quick form (full=false) is what `go test` and `cmd/rvx` run by
-// default and finishes in well under a minute on a laptop.
-func All(full bool) []*Table {
-	reg := Registry(full)
-	tables := make([]*Table, len(reg))
-	for i, e := range reg {
-		tables[i] = e.Run()
-	}
-	return tables
-}

@@ -42,8 +42,8 @@
 //   - sim publishes per-run TOTALS: the engine accumulates into its
 //     existing non-atomic runStats during a run and flushes them as a
 //     handful of atomic adds when the run ends. The per-wakeup path is
-//     untouched — BenchmarkInstrumentedShard stays 0 allocs/op and
-//     inside the benchdiff gate.
+//     untouched — BenchmarkInstrumentedShard stays 0 allocs/op, and
+//     TestInstrumentedShardAllocs fails if it does not.
 //   - dist and rvd instrument their coordination paths (dispatch,
 //     frame handling, store I/O), which are microseconds per event
 //     against milliseconds of work; Timeline.Add takes a mutex but only

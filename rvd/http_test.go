@@ -6,15 +6,21 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/dist"
+	"repro/internal/simtest"
 )
 
 // TestHTTPClientRoundTrip drives the full daemon stack the way rvx
 // -daemon does: Client (a dist.Backend) → HTTP API → daemon → fleet →
-// store, and pins the results against a direct backend run.
+// store, and pins the results against a direct backend run. It also
+// pins the work of the cold job and the warm one against
+// testdata/counts.txt: the rvd_*, dist_* and sim_* counter samples each
+// job moved, among them the store bytes the cold job wrote and the warm
+// job read.
 func TestHTTPClientRoundTrip(t *testing.T) {
 	shards := fixedSweep(t)
 	ref := referenceBytes(t, shards)
@@ -42,12 +48,17 @@ func TestHTTPClientRoundTrip(t *testing.T) {
 		return out
 	}
 
-	if got := run(); !bytes.Equal(got, ref) {
-		t.Fatal("cold client run differs from reference")
+	var counts strings.Builder
+	for _, job := range []string{"cold", "warm"} {
+		var got []byte
+		counts.WriteString(simtest.CountDeltas(job, func() { got = run() }, "rvd_", "dist_", "sim_"))
+		if !bytes.Equal(got, ref) {
+			t.Fatalf("%s client run differs from reference", job)
+		}
 	}
-	if got := run(); !bytes.Equal(got, ref) {
-		t.Fatal("warm client run differs from reference")
-	}
+	simtest.RequireGolden(t, filepath.Join("testdata", "counts.txt"), counts.String(),
+		"copy the logged file into it: `go test -run 'TestHTTPClientRoundTrip$' ./rvd/ "+
+			"| awk '$1 ~ /^(cold|warm)$/ && NF == 3 {print $1, $2, $3}' > rvd/testdata/counts.txt`")
 	stats := d.Stats()
 	if stats.Executed != len(shards) || stats.CacheHits != len(shards) {
 		t.Fatalf("after cold+warm: %d executed / %d hits, want %d / %d",

@@ -156,8 +156,8 @@ func shardSearcher(script []int) agent.Program {
 	}
 }
 
-// reportCases adds the per-case metrics benchdiff gates: how many cases
-// per second the engine sustains, and what one case costs.
+// reportCases adds the per-case metrics: how many cases per second the
+// engine sustains, and what one case costs.
 func reportCases(b *testing.B, casesPerOp int) {
 	total := float64(casesPerOp) * float64(b.N)
 	b.ReportMetric(total/b.Elapsed().Seconds(), "cases/sec")
@@ -166,11 +166,10 @@ func reportCases(b *testing.B, casesPerOp int) {
 
 // BenchmarkInstrumentedShard pins the observability overhead on the
 // engine path every two-agent case takes: the W=64 shard of runShard on
-// one pooled session, named so the benchdiff record tracks the
-// instrumented engine explicitly. The obs publishing contract (run
-// totals flushed as a handful of atomic adds at run end, nothing per
-// wakeup) must keep this at 0 allocs/op; TestInstrumentedShardAllocs
-// enforces that as a hard test.
+// one pooled session. The obs publishing contract (run totals flushed as
+// a handful of atomic adds at run end, nothing per wakeup) must keep
+// this at 0 allocs/op; TestInstrumentedShardAllocs enforces that as a
+// hard test.
 func BenchmarkInstrumentedShard(b *testing.B) {
 	g := graph.Cycle(32)
 	prog := shardSearcher(uxsStyleScript(32, 32))

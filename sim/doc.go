@@ -61,9 +61,10 @@
 // walk, path enumeration and SymmRV bookkeeping compile whole phases
 // into a handful of scripts; Session.Wakeups counts the scheduler-agent
 // interactions per run and the wakeup regression tests pin the E17
-// workload's ceiling. Session.WakeupsByPhase breaks the count down by
-// the agent.Phase tag the producing procedure set (viewWalk, explore,
-// symmRV, schedule), so a batching regression names its producer.
+// workload's ceiling. The sim_wakeups_phase_total samples break the
+// count down by the agent.Phase tag the producing procedure set
+// (viewWalk, explore, symmRV, schedule), so a batching regression names
+// its producer.
 //
 // The complementary channel is agent.RunSeq, the side-effects-only
 // script: the caller declares it will not read the percept streams, the

@@ -34,7 +34,7 @@ type Session struct {
 	free []*runner
 
 	// stats holds the most recent run's scheduler statistics (see
-	// Wakeups, WakeupsByPhase).
+	// Wakeups; the per-phase counts reach only the obs registry).
 	stats runStats
 
 	// Reusable k-agent scheduler state (see multi.go).
@@ -57,14 +57,6 @@ type Session struct {
 // lives or dies by this number, and the wakeup regression tests pin it
 // so a producer change cannot silently fall back to per-move chatter.
 func (s *Session) Wakeups() uint64 { return s.stats.wakeups }
-
-// WakeupsByPhase breaks the most recent run's wakeup count down by the
-// agent.Phase the producing procedure tagged on each request (index the
-// array with a Phase constant; untagged requests count under
-// agent.PhaseOther). The sum over all phases equals Wakeups. It turns a
-// wakeup regression from detectable into diagnosable: the histogram names
-// the procedure that fell back to per-move chatter.
-func (s *Session) WakeupsByPhase() [agent.PhaseCount]uint64 { return s.stats.wakeupsBy }
 
 // resetStats clears the per-run statistics at the start of a run.
 func (s *Session) resetStats() {

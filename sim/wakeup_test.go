@@ -13,6 +13,7 @@ import (
 
 	"repro/agent"
 	"repro/graph"
+	"repro/internal/obs"
 	"repro/rendezvous"
 	"repro/sim"
 )
@@ -56,11 +57,13 @@ func TestE17WakeupCeiling(t *testing.T) {
 }
 
 // TestWakeupHistogramByPhase pins the by-procedure breakdown on the E17
-// workload: the histogram must sum to the total, and every procedure of
-// UniversalRV (view walk, explore, symmRV body, label schedule) must
-// account for at least one wakeup — a producer whose bucket collapses to
-// zero has stopped reaching the scheduler under its own tag, and one
-// whose bucket balloons has fallen back to per-move chatter.
+// workload, as the sim_wakeups_phase_total samples of the process
+// registry count it: the histogram must sum to the run's total wakeups,
+// and every procedure of UniversalRV (view walk, explore, symmRV body,
+// label schedule) must account for at least one wakeup — a producer
+// whose bucket collapses to zero has stopped reaching the scheduler
+// under its own tag, and one whose bucket balloons has fallen back to
+// per-move chatter.
 func TestWakeupHistogramByPhase(t *testing.T) {
 	prog := rendezvous.UniversalRV()
 	g := graph.Path(3)
@@ -72,8 +75,7 @@ func TestWakeupHistogramByPhase(t *testing.T) {
 	budget := 2 * rendezvous.UniversalRVTimeBound(3, 1, 1)
 	sess := sim.NewSession()
 	defer sess.Close()
-	sess.RunMany(g, agents, sim.MultiConfig{Budget: budget})
-	by := sess.WakeupsByPhase()
+	by := wakeupsByPhase(func() { sess.RunMany(g, agents, sim.MultiConfig{Budget: budget}) })
 	sum := uint64(0)
 	for p, n := range by {
 		sum += n
@@ -97,10 +99,23 @@ func TestWakeupHistogramByPhase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess.Run(graph.Cycle(4), symm, 0, 2, 2, sim.Config{Budget: 1 << 20})
-	if by := sess.WakeupsByPhase(); by[agent.PhaseExplore] == 0 {
+	by = wakeupsByPhase(func() { sess.Run(graph.Cycle(4), symm, 0, 2, 2, sim.Config{Budget: 1 << 20}) })
+	if by[agent.PhaseExplore] == 0 {
 		t.Errorf("d=2 SymmRV run recorded no explore wakeups: %v", by)
 	}
+}
+
+// wakeupsByPhase runs f and returns the wakeups it published, per phase,
+// as the sim_wakeups_phase_total samples of the process registry moved.
+func wakeupsByPhase(f func()) (by [agent.PhaseCount]uint64) {
+	before := obs.Default().Values()
+	f()
+	after := obs.Default().Values()
+	for p := range by {
+		name := `sim_wakeups_phase_total{phase="` + agent.Phase(p).String() + `"}`
+		by[p] = after[name] - before[name]
+	}
+	return by
 }
 
 // TestWakeupCounterTwoAgent sanity-checks the counter on the two-agent
