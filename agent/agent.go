@@ -38,9 +38,10 @@
 // breaks) can therefore batch freely: batching changes only how the rounds
 // are driven, never how many rounds elapse or where the agent is at each
 // of them. The same action alphabet (ScriptWait runs included) drives the
-// k-agent scheduler: sim.RunMany fast-forwards all k agents over scripted
-// stretches with the identical per-round semantics, so a program batches
-// once and runs at full speed in both the two-agent and gathering models.
+// k-agent scheduler: sim's Session.RunMany fast-forwards all k agents over
+// scripted stretches with the identical per-round semantics, so a program
+// batches once and runs at full speed in both the two-agent and gathering
+// models.
 //
 // RunSeq is the side-effects-only form, and its scripts may carry two
 // escapes that compress rounds: SeqWait(n), an n-round wait run in one

@@ -1,6 +1,10 @@
 package dist
 
-import "io"
+import (
+	"io"
+
+	"repro/agent"
+)
 
 // Test-only seams, exported to the external test package.
 
@@ -23,3 +27,27 @@ func NewFromStreams(streams []io.ReadWriteCloser, opts ...Option) Backend {
 	}
 	return newConnBackend(conns, nil, opts...)
 }
+
+// Len returns the number of cases added so far.
+func (p *Planner) Len() int { return p.n }
+
+// BuildProgram resolves a program descriptor against the registry with
+// no seed-range constraint — the in-process twin of the worker's
+// resolution, for tests that run the very same named program directly.
+func BuildProgram(p ProgDesc) (agent.Program, error) {
+	return buildProg(&p, 0, 0)
+}
+
+// ScriptProgArgs encodes a script action list (the agent.Script alphabet:
+// ports, ScriptWait, Rel offsets) as wire args for the builtin "script"
+// program; negative actions ride zigzag-encoded.
+func ScriptProgArgs(actions []int) []uint64 {
+	args := make([]uint64, len(actions))
+	for i, a := range actions {
+		args[i] = zigzag(int64(a))
+	}
+	return args
+}
+
+// zigzag encodes a signed int into the uvarint alphabet unzigzag decodes.
+func zigzag(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }

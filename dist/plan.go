@@ -66,9 +66,6 @@ func (p *Planner) SetBatch(key any) {
 // callers that want to run or submit them directly.
 func (p *Planner) Shards() []*ShardDesc { return p.shards }
 
-// Len returns the number of cases added so far.
-func (p *Planner) Len() int { return p.n }
-
 // Run executes the accumulated shards on the backend and returns the
 // per-case results flattened back to input order — the same
 // position-stable contract as sim.Sweep, whatever worker ran each shard

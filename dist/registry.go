@@ -85,31 +85,12 @@ func buildProg(p *ProgDesc, seedLo, seedHi uint64) (agent.Program, error) {
 	return prog, nil
 }
 
-// BuildProgram resolves a program descriptor against the registry with
-// no seed-range constraint — the coordinator-side (and test-side) twin
-// of the worker's resolution, for callers that want to run the very same
-// named program in-process.
-func BuildProgram(p ProgDesc) (agent.Program, error) {
-	return buildProg(&p, 0, 0)
-}
-
 // args-arity helper for the builtin builders.
 func wantArgs(name string, args []uint64, n int) error {
 	if len(args) != n {
 		return fmt.Errorf("dist: program %q wants %d arg(s), got %d", name, n, len(args))
 	}
 	return nil
-}
-
-// ScriptProgArgs encodes a script action list (the agent.Script alphabet:
-// ports, ScriptWait, Rel offsets) as wire args for the builtin "script"
-// program; negative actions ride zigzag-encoded.
-func ScriptProgArgs(actions []int) []uint64 {
-	args := make([]uint64, len(actions))
-	for i, a := range actions {
-		args[i] = zigzag(int64(a))
-	}
-	return args
 }
 
 // The builtin registry covers the paper's program suite: every

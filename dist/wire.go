@@ -295,7 +295,7 @@ func appendString(dst []byte, s string) []byte {
 	return append(dst, s...)
 }
 
-// zigzag encodes a signed int into the uvarint alphabet; script actions
-// (ScriptWait, Rel offsets) are negative, program args ride as uint64.
-func zigzag(v int64) uint64   { return uint64(v<<1) ^ uint64(v>>63) }
+// unzigzag decodes a zigzag-encoded program arg back into a signed int;
+// script actions (ScriptWait, Rel offsets) are negative, program args
+// ride as uint64.
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }

@@ -41,9 +41,6 @@ func (t *Table) Check(ok bool, format string, args ...any) {
 	}
 }
 
-// OK reports whether every Check passed.
-func (t *Table) OK() bool { return len(t.Failed) == 0 }
-
 // Markdown renders the table as GitHub-flavored markdown.
 func (t *Table) Markdown() string {
 	var b strings.Builder

@@ -1,13 +1,10 @@
 package graph
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
-// Fuzz targets guard the two text parsers against malformed input. Under
-// plain `go test` only the seed corpus runs; `go test -fuzz=FuzzDecode`
-// explores further.
+// The fuzz target guards the graph text parser against malformed input.
+// Under plain `go test` only the seed corpus runs; `go test
+// -fuzz=FuzzDecode` explores further.
 
 func FuzzDecode(f *testing.F) {
 	f.Add(Encode(TwoNode()))
@@ -34,30 +31,6 @@ func FuzzDecode(f *testing.F) {
 		}
 		if again.N() != g.N() || again.Edges() != g.Edges() {
 			t.Fatal("round trip changed the graph")
-		}
-	})
-}
-
-func FuzzShapeFromParens(f *testing.F) {
-	f.Add("()")
-	f.Add("(()())")
-	f.Add("((((()))))")
-	f.Add(")(")
-	f.Add("((")
-	f.Add(strings.Repeat("(", 30) + strings.Repeat(")", 30))
-	f.Fuzz(func(t *testing.T, s string) {
-		if len(s) > 1000 {
-			return // keep recursion shallow
-		}
-		sh, err := ShapeFromParens(s)
-		if err != nil {
-			return
-		}
-		if sh.String() != s {
-			t.Fatalf("accepted %q but renders %q", s, sh.String())
-		}
-		if sh.Size() < 1 {
-			t.Fatal("accepted shape with no nodes")
 		}
 	})
 }

@@ -103,9 +103,6 @@ func (b *Builder) MustBuild() *Graph {
 // N returns the number of nodes (the size of the graph).
 func (g *Graph) N() int { return len(g.adj) }
 
-// Name returns the human-readable name, or "" if unset.
-func (g *Graph) Name() string { return g.name }
-
 // Degree returns the degree of node v.
 func (g *Graph) Degree(v int) int { return len(g.adj[v]) }
 
@@ -145,20 +142,6 @@ func (g *Graph) Half(v, p int) Half { return g.adj[v][p] }
 // graph's internal storage and must not be modified; hot loops use it to
 // resolve degree and successor with a single row lookup.
 func (g *Graph) Adj(v int) []Half { return g.adj[v] }
-
-// Apply follows the sequence of outgoing port numbers ports starting at x
-// and returns the final node (the paper's α(x) for α = ports). It returns
-// an error if a port is out of range at any step.
-func (g *Graph) Apply(x int, ports []int) (int, error) {
-	cur := x
-	for i, p := range ports {
-		if p < 0 || p >= len(g.adj[cur]) {
-			return 0, fmt.Errorf("graph: step %d: port %d out of range at node of degree %d", i, p, len(g.adj[cur]))
-		}
-		cur = g.adj[cur][p].To
-	}
-	return cur, nil
-}
 
 // Validate checks the structural invariants: port reciprocity, simplicity
 // (no self-loops, no parallel edges), and connectivity. Graphs produced by
@@ -267,15 +250,6 @@ func (g *Graph) IsRegular() (bool, int) {
 		}
 	}
 	return true, d
-}
-
-// Clone returns a deep copy of the graph.
-func (g *Graph) Clone() *Graph {
-	adj := make([][]Half, len(g.adj))
-	for v := range g.adj {
-		adj[v] = append([]Half(nil), g.adj[v]...)
-	}
-	return &Graph{adj: adj, name: g.name}
 }
 
 // String returns a short description like "ring-8 (n=8, m=8)".

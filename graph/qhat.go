@@ -16,9 +16,6 @@ const (
 // Opposite returns the opposite cardinal port (N<->S, E<->W).
 func Opposite(p int) int { return p ^ 2 }
 
-// PortLetter returns the letter for a cardinal port number.
-func PortLetter(p int) byte { return "NESW"[p] }
-
 // PortFromLetter returns the cardinal port for a letter in "NESW" (any
 // case), or -1 if the byte is not a cardinal direction.
 func PortFromLetter(c byte) int {
@@ -143,44 +140,6 @@ func Qhat(h int) (*Graph, *QhatInfo) {
 	cycleEdges(W, E, PortN, PortS) // W1-E2-W3-...-Wx-W1
 
 	return b.MustBuild(), info
-}
-
-// QhTree builds the plain tree Qh with ports compacted to the 0..d-1 range
-// (a leaf's single port becomes 0 regardless of its cardinal label), so it
-// is a valid port-labeled graph on its own. Internal nodes keep the
-// cardinal numbering. Use Qhat for the paper-exact object.
-func QhTree(h int) *Graph {
-	if h < 1 {
-		panic("graph: QhTree requires h >= 1")
-	}
-	n := QhSize(h)
-	b := NewBuilder(n).Name(fmt.Sprintf("qh-tree-%d", h))
-	type rec struct {
-		id, depth, parentPort int
-	}
-	next := 1
-	queue := []rec{{id: 0, depth: 0, parentPort: -1}}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		if cur.depth == h {
-			continue
-		}
-		for dir := 0; dir < 4; dir++ {
-			if dir == cur.parentPort {
-				continue
-			}
-			child := next
-			next++
-			childPort := Opposite(dir)
-			if cur.depth+1 == h {
-				childPort = 0 // leaves have degree 1: compact to port 0
-			}
-			b.ConnectPorts(cur.id, dir, child, childPort)
-			queue = append(queue, rec{id: child, depth: cur.depth + 1, parentPort: childPort})
-		}
-	}
-	return b.MustBuild()
 }
 
 // Navigate follows a word over the cardinal letters "NESW" from node start

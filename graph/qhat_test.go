@@ -154,38 +154,6 @@ func TestQhatZLarger(t *testing.T) {
 	}
 }
 
-func TestQhTree(t *testing.T) {
-	for h := 1; h <= 4; h++ {
-		g := QhTree(h)
-		if g.N() != QhSize(h) {
-			t.Fatalf("qh-tree-%d size %d", h, g.N())
-		}
-		if g.Edges() != g.N()-1 {
-			t.Fatalf("qh-tree-%d is not a tree", h)
-		}
-		if g.Degree(0) != 4 {
-			t.Fatalf("qh-tree-%d root degree %d", h, g.Degree(0))
-		}
-		leaves := 0
-		for v := 0; v < g.N(); v++ {
-			switch g.Degree(v) {
-			case 1:
-				leaves++
-			case 4:
-			default:
-				t.Fatalf("qh-tree-%d node %d degree %d", h, v, g.Degree(v))
-			}
-		}
-		x := 1
-		for i := 1; i < h; i++ {
-			x *= 3
-		}
-		if leaves != 4*x {
-			t.Fatalf("qh-tree-%d has %d leaves, want %d", h, leaves, 4*x)
-		}
-	}
-}
-
 func TestQhatRejectsSmallH(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -194,3 +162,6 @@ func TestQhatRejectsSmallH(t *testing.T) {
 	}()
 	Qhat(1)
 }
+
+// PortLetter returns the letter for a cardinal port number.
+func PortLetter(p int) byte { return "NESW"[p] }

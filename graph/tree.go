@@ -20,17 +20,6 @@ func (s Shape) Size() int {
 	return n
 }
 
-// Height returns the height of the shape (a single node has height 0).
-func (s Shape) Height() int {
-	h := 0
-	for _, k := range s.Kids {
-		if kh := k.Height() + 1; kh > h {
-			h = kh
-		}
-	}
-	return h
-}
-
 // String renders the shape in balanced-parenthesis notation, e.g. "(()())".
 func (s Shape) String() string {
 	var b strings.Builder
@@ -44,40 +33,6 @@ func (s Shape) String() string {
 	}
 	rec(s)
 	return b.String()
-}
-
-// ShapeFromParens parses balanced-parenthesis notation: "()" is a single
-// node, "(()())" a root with two leaf children.
-func ShapeFromParens(s string) (Shape, error) {
-	pos := 0
-	var rec func() (Shape, error)
-	rec = func() (Shape, error) {
-		if pos >= len(s) || s[pos] != '(' {
-			return Shape{}, fmt.Errorf("graph: shape syntax error at byte %d of %q", pos, s)
-		}
-		pos++
-		var sh Shape
-		for pos < len(s) && s[pos] == '(' {
-			k, err := rec()
-			if err != nil {
-				return Shape{}, err
-			}
-			sh.Kids = append(sh.Kids, k)
-		}
-		if pos >= len(s) || s[pos] != ')' {
-			return Shape{}, fmt.Errorf("graph: unbalanced shape at byte %d of %q", pos, s)
-		}
-		pos++
-		return sh, nil
-	}
-	sh, err := rec()
-	if err != nil {
-		return Shape{}, err
-	}
-	if pos != len(s) {
-		return Shape{}, fmt.Errorf("graph: trailing input at byte %d of %q", pos, s)
-	}
-	return sh, nil
 }
 
 // ChainShape returns a path-shaped tree of the given depth (depth edges,

@@ -52,16 +52,6 @@ func TestIntnPanicsOnNonPositive(t *testing.T) {
 	New(1).Intn(0)
 }
 
-func TestFloat64Range(t *testing.T) {
-	r := New(9)
-	for i := 0; i < 1000; i++ {
-		f := r.Float64()
-		if f < 0 || f >= 1 {
-			t.Fatalf("Float64 out of range: %v", f)
-		}
-	}
-}
-
 func TestPermIsPermutation(t *testing.T) {
 	r := New(11)
 	for n := 0; n <= 20; n++ {

@@ -12,6 +12,9 @@
 // The golden-file checks serve the tier-1 gates: the regenerated tables
 // and the committed work counts (CountDeltas) must equal their files in
 // testdata byte for byte.
+//
+// Apply is the paper's port walk α(x), the oracle the shrink and view
+// tests check their walks against.
 package simtest
 
 import (
@@ -22,6 +25,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/graph"
 	"repro/internal/obs"
 )
 
@@ -104,4 +108,18 @@ func firstLineDiff(want, got string) string {
 		i++
 	}
 	return fmt.Sprintf("first difference at line %d:\n  want: %s\n  got:  %s", i+1, line(w, i), line(g, i))
+}
+
+// Apply follows the sequence of outgoing port numbers ports starting at x
+// and returns the final node (the paper's α(x) for α = ports). It returns
+// an error if a port is out of range at any step.
+func Apply(g *graph.Graph, x int, ports []int) (int, error) {
+	cur := x
+	for i, p := range ports {
+		if p < 0 || p >= g.Degree(cur) {
+			return 0, fmt.Errorf("step %d: port %d out of range at node of degree %d", i, p, g.Degree(cur))
+		}
+		cur, _ = g.Succ(cur, p)
+	}
+	return cur, nil
 }

@@ -3,6 +3,7 @@ package rendezvous
 import (
 	"testing"
 
+	"repro/agent"
 	"repro/graph"
 	"repro/sim"
 )
@@ -62,4 +63,14 @@ func TestUnpaddedSymmRVValidation(t *testing.T) {
 	if _, err := NewUnpaddedSymmRV(5, 3, 1); err == nil {
 		t.Fatal("δ<d accepted")
 	}
+}
+
+// MeasureUnpaddedSymmRVDuration mirrors MeasureSymmRVDuration for the
+// paper-literal ablation (NewUnpaddedSymmRV): on non-meeting
+// configurations it returns both agents' clocks, which differ whenever
+// the two starts see different degree sequences — the desynchronization
+// that duration padding exists to prevent (experiment E13).
+func MeasureUnpaddedSymmRVDuration(g *graph.Graph, u, v int, n, d, delta uint64) []uint64 {
+	return measureDurations(g, u, v, delta, 3*SymmRVTime(n, d, delta)+delta,
+		func(w agent.World) { unpaddedSymmRV(w, n, d, delta) })
 }

@@ -66,7 +66,7 @@ type rvScratch struct {
 	expScript []int
 	// symmRV's reverse-path buffer (length M+1).
 	symEntries []int
-	// viewWalk's planner state (the script being planned, the DFS stack,
+	// viewWalkWith's planner state (the script being planned, the DFS stack,
 	// the patch list awaiting a degree stream, and the full-walk record)
 	// plus the per-(depth,budget) walk cache: every walk starts at the
 	// agent's home node (all procedures return home), so the move script
@@ -157,13 +157,14 @@ const (
 	maxWalkCacheScript = 8192
 )
 
-// viewWalk physically explores every path of length <= depth from the
-// current node by DFS with backtracking, and builds the truncated view it
-// observed into t (replacing t's previous contents; a warm tree makes the
-// walk allocation-free). It uses 2*(number of paths of length <= depth)
-// rounds, never more than maxRounds, and ends where it started. The
-// root's entry port is canonicalized to -1 so that the encoding depends
-// only on the view, not on how the agent arrived at its current node.
+// viewWalkWith physically explores every path of length <= depth from
+// the current node by DFS with backtracking, and builds the truncated
+// view it observed into t (replacing t's previous contents; a warm tree
+// makes the walk allocation-free). It uses 2*(number of paths of length
+// <= depth) rounds, never more than maxRounds, and ends where it started.
+// The root's entry port is canonicalized to -1 so that the encoding
+// depends only on the view, not on how the agent arrived at its current
+// node.
 //
 // The move sequence is the textbook DFS, but it reaches the simulator as
 // degree-reporting scripts: the only percept the walk needs is each
@@ -177,18 +178,14 @@ const (
 // degree stream is then ingested directly into the flat tree slab. The
 // moves, their order and the 2-rounds-per-path accounting are exactly
 // those of the per-node walk; only the script boundaries differ.
-func viewWalk(w agent.World, depth int, maxRounds uint64, t *view.Tree) {
-	var s rvScratch
-	viewWalkWith(w, depth, maxRounds, t, &s)
-}
-
-// viewWalkWith is viewWalk with the planner state and walk cache threaded
-// through the agent's scratch. Walks always start at the agent's home
-// node (every rendezvous procedure returns home), so a (depth, budget)
-// pair fully determines the walk on a fixed graph: the first walk records
-// its move script and tree, and every later walk at the same key replays
-// the script in percept-free chunks — one scheduler wakeup per chunk
-// instead of one per re-plan — and copies the cached tree.
+//
+// The planner state and walk cache are threaded through the agent's
+// scratch s. Walks always start at the agent's home node (every
+// rendezvous procedure returns home), so a (depth, budget) pair fully
+// determines the walk on a fixed graph: the first walk records its move
+// script and tree, and every later walk at the same key replays the
+// script in percept-free chunks — one scheduler wakeup per chunk instead
+// of one per re-plan — and copies the cached tree.
 func viewWalkWith(w agent.World, depth int, maxRounds uint64, t *view.Tree, s *rvScratch) {
 	defer agent.SetPhase(w, agent.SetPhase(w, agent.PhaseViewWalk))
 	key := walkKey{depth: depth, budget: maxRounds}
@@ -468,19 +465,6 @@ func newUXSWalk(y uxs.Sequence) uxsWalk {
 	return uxsWalk{fwd: buildUXSFwd(y), rev: new([]int), chunk: new([]int), cache: map[uint64][]int{}}
 }
 
-// roundTrip performs one application of the UXS from the current node
-// (M+1 moves) followed by backtracking home along the reverse path,
-// consuming exactly UXSRoundTrip(n) = 2*(M+1) rounds — as two batched
-// scripts: the forward application and the reversed entry-port path.
-func (u uxsWalk) roundTrip(w agent.World) {
-	entries := u.firstApplication(w)
-	rev := scratchInts(u.rev, len(entries))
-	for i, j := 0, len(entries)-1; j >= 0; i, j = i+1, j-1 {
-		rev[i] = entries[j]
-	}
-	w.MoveSeq(rev)
-}
-
 // firstApplication plays one forward UXS application. When this agent has
 // no SymmRV walk cache for the size yet, it is played with a
 // degree-reporting grant and the percept streams seed that cache as a
@@ -511,7 +495,8 @@ const maxTripScript = 8192
 // one SeqRepeat block of the period. The scheduler wakes the agent
 // O(count·len/maxTripScript) times instead of 2·count and walks only
 // the first copy of each block; the move sequence (and hence every
-// per-round position) is identical to count calls of roundTrip.
+// per-round position) is identical to count single round trips: one
+// forward application, then the reverse path home.
 func (u uxsWalk) roundTrips(w agent.World, count uint64) {
 	if count == 0 {
 		return

@@ -5,7 +5,6 @@ import (
 	"testing/quick"
 
 	"repro/graph"
-	"repro/view"
 )
 
 // The AsymmRV schedule silently truncates label bits beyond
@@ -32,7 +31,7 @@ func TestEncodingBitBudgetDominatesRealEncodings(t *testing.T) {
 			continue // saturated budgets trivially dominate
 		}
 		for v := 0; v < g.N(); v++ {
-			enc := view.Truncated(g, v, g.N()-1).Encode()
+			enc := truncated(g, v, g.N()-1).AppendEncode(nil)
 			bits := uint64(len(enc)) * 8
 			if bits > budget {
 				t.Fatalf("%s node %d: encoding %d bits exceeds budget K(%d)=%d", g, v, bits, n, budget)
@@ -47,7 +46,7 @@ func TestEncodingBitBudgetDominatesRandom(t *testing.T) {
 		g := graph.RandomConnected(n, 0, seed)
 		budget := EncodingBitBudget(uint64(n))
 		for v := 0; v < n; v++ {
-			enc := view.Truncated(g, v, n-1).Encode()
+			enc := truncated(g, v, n-1).AppendEncode(nil)
 			if uint64(len(enc))*8 > budget {
 				return false
 			}

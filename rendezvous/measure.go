@@ -24,16 +24,6 @@ func MeasureAsymmRVDuration(g *graph.Graph, u, v int, n, delta uint64) []uint64 
 		func(w agent.World) { asymmRV(w, n, delta) })
 }
 
-// MeasureUnpaddedSymmRVDuration mirrors MeasureSymmRVDuration for the
-// paper-literal ablation (NewUnpaddedSymmRV): on non-meeting
-// configurations it returns both agents' clocks, which differ whenever
-// the two starts see different degree sequences — the desynchronization
-// that duration padding exists to prevent (experiment E13).
-func MeasureUnpaddedSymmRVDuration(g *graph.Graph, u, v int, n, d, delta uint64) []uint64 {
-	return measureDurations(g, u, v, delta, 3*SymmRVTime(n, d, delta)+delta,
-		func(w agent.World) { unpaddedSymmRV(w, n, d, delta) })
-}
-
 // SoloDuration runs a terminating agent program alone on g (no partner,
 // no meeting interference) and returns its local clock at completion. A
 // procedure's duration depends only on the agent's own walk, so this

@@ -63,10 +63,10 @@ type Job struct {
 	shards []*dist.ShardDesc
 	keys   []Key
 
-	// submittedAt anchors queue-wait and progress elapsed times; tl is
-	// the job's lifecycle trace timeline (GET /v1/sweeps/{id}/trace):
-	// job-level markers on track -1, per-shard dispatch instants,
-	// cache-hit instants and execution spans on the shard-index track.
+	// submittedAt anchors the queue-wait time; tl is the job's
+	// lifecycle trace timeline (GET /v1/sweeps/{id}/trace): job-level
+	// markers on track -1, per-shard dispatch instants, cache-hit
+	// instants and execution spans on the shard-index track.
 	submittedAt time.Time
 	tl          *obs.Timeline
 
@@ -107,20 +107,6 @@ func (job *Job) terminal() bool {
 	return job.state == JobDone || job.state == JobFailed || job.state == JobSuspended
 }
 
-// Wait blocks until the job reaches a terminal state and returns the
-// final status.
-func (job *Job) Wait() JobStatus {
-	job.mu.Lock()
-	for !job.terminal() {
-		job.cond.Wait()
-	}
-	job.mu.Unlock()
-	return job.Status()
-}
-
-// Keys returns the job's per-shard cache keys in submission order.
-func (job *Job) Keys() []Key { return job.keys }
-
 // WriteTrace writes the job's lifecycle timeline as Chrome trace-event
 // JSON (Perfetto-loadable); GET /v1/sweeps/{id}/trace serves it.
 func (job *Job) WriteTrace(w io.Writer) error { return job.tl.WriteTrace(w) }
@@ -158,13 +144,6 @@ type Config struct {
 	// Default 1s.
 	RetryAfter time.Duration
 
-	// ProgressEvery is the cadence of progress lines on the events
-	// stream (GET /v1/sweeps/{id}/events): while a watched job is live,
-	// a progress line (shards done/total, cache hits, elapsed) is
-	// emitted at least this often even when no shard completed.
-	// Default 2s.
-	ProgressEvery time.Duration
-
 	// Log receives structured operational notices with levels (job
 	// lifecycle, quarantines and leftover-state cleanup at Info,
 	// per-batch dispatch at Debug, failures at Warn). Nil is silent.
@@ -195,9 +174,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RetryAfter <= 0 {
 		c.RetryAfter = time.Second
-	}
-	if c.ProgressEvery <= 0 {
-		c.ProgressEvery = 2 * time.Second
 	}
 	return c
 }
@@ -412,10 +388,6 @@ func (d *Daemon) JobStatuses() []JobStatus {
 	return out
 }
 
-// Store exposes the daemon's result store (watchers read event payloads
-// through it).
-func (d *Daemon) Store() *Store { return d.store }
-
 // markDone records one shard completion on a job; it takes job.mu.
 // Daemon-wide counters are the caller's business.
 func (job *Job) markDone(shard int, cache bool) {
@@ -433,12 +405,6 @@ func (job *Job) markDone(shard int, cache bool) {
 	job.events = append(job.events, Event{Shard: shard, Cache: cache})
 	job.cond.Broadcast()
 	job.mu.Unlock()
-}
-
-func (job *Job) completedCount() int {
-	job.mu.Lock()
-	defer job.mu.Unlock()
-	return len(job.events)
 }
 
 func (job *Job) setState(s JobState, errMsg string) {
@@ -520,13 +486,13 @@ func (d *Daemon) schedule() {
 		for !d.closing && len(d.queue) == 0 && len(d.active) == 0 {
 			d.cond.Wait()
 		}
-		if d.closing {
-			d.mu.Unlock()
-			return
+		closing := d.closing
+		var newJobs []*Job
+		if !closing {
+			newJobs = d.queue
+			d.queue = nil
+			d.active = append(d.active, newJobs...)
 		}
-		newJobs := d.queue
-		d.queue = nil
-		d.active = append(d.active, newJobs...)
 		active := append([]*Job(nil), d.active...)
 		d.mu.Unlock()
 
@@ -536,8 +502,11 @@ func (d *Daemon) schedule() {
 			job.setState(JobRunning, "")
 		}
 
-		// Resolve every active job against the store: cache hits and
-		// cross-job pickups complete here without touching the fleet.
+		// Resolve every active job against the store: cache hits,
+		// cross-job pickups and the shards the last batch stored complete
+		// here without touching the fleet. Shutdown is honoured only
+		// after this, so a job whose last shard was stored before Close
+		// ends Done, not Suspended.
 		var still []*Job
 		for _, job := range active {
 			if d.resolveJob(job) == 0 {
@@ -546,6 +515,9 @@ func (d *Daemon) schedule() {
 			} else {
 				still = append(still, job)
 			}
+		}
+		if closing {
+			return
 		}
 		if len(still) == 0 {
 			continue
@@ -632,17 +604,6 @@ func (d *Daemon) schedule() {
 				// this instant from the store alone.
 				close(d.crashed)
 				return
-			}
-		}
-
-		// Completion check: jobs whose last shard just landed.
-		d.mu.Lock()
-		activeNow := append([]*Job(nil), d.active...)
-		d.mu.Unlock()
-		for _, job := range activeNow {
-			if d.resolveJob(job) == 0 && !job.Status().State.isFinal() {
-				d.finishJob(job)
-				d.dropJob(job)
 			}
 		}
 	}

@@ -385,6 +385,46 @@ func TestDaemonSuspendOnClose(t *testing.T) {
 	}
 }
 
+// closeGateBackend holds each batch until the daemon's Close has begun.
+type closeGateBackend struct {
+	dist.Backend
+	d       *Daemon
+	entered chan struct{} // closed when the batch reaches Run
+}
+
+func (b *closeGateBackend) Run(shards []*dist.ShardDesc) ([]*dist.ShardResult, error) {
+	close(b.entered)
+	b.d.mu.Lock()
+	for !b.d.closing {
+		b.d.cond.Wait()
+	}
+	b.d.mu.Unlock()
+	return b.Backend.Run(shards)
+}
+
+// TestDaemonCloseAfterLastBatchEndsDone pins that shutdown never suspends
+// a job whose every shard is stored: the job's one batch is held in the
+// backend until Close has begun, and the results stored after that still
+// finish the job as Done.
+func TestDaemonCloseAfterLastBatchEndsDone(t *testing.T) {
+	shards := fixedSweep(t)
+	gate := &closeGateBackend{Backend: dist.NewInProcess(2), entered: make(chan struct{})}
+	d := openTestDaemon(t, t.TempDir(), func(cfg *Config) {
+		cfg.Backend = gate
+		cfg.BatchShards = len(shards)
+	})
+	gate.d = d
+	job, err := d.Submit(shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-gate.entered
+	d.Close()
+	if st := job.Status(); st.State != JobDone || st.Executed != len(shards) {
+		t.Fatalf("after Close: %+v, want Done with %d shards executed", st, len(shards))
+	}
+}
+
 // TestVersionStampPartitionsCache pins the registry-stamp satellite: the
 // same shards under a bumped stamp share nothing with the old cache.
 func TestVersionStampPartitionsCache(t *testing.T) {
@@ -486,3 +526,27 @@ func TestJobIDsFreshAcrossRestarts(t *testing.T) {
 		}
 	}
 }
+
+// Wait blocks until the job reaches a terminal state and returns the
+// final status.
+func (job *Job) Wait() JobStatus {
+	job.mu.Lock()
+	for !job.terminal() {
+		job.cond.Wait()
+	}
+	job.mu.Unlock()
+	return job.Status()
+}
+
+// Keys returns the job's per-shard cache keys in submission order.
+func (job *Job) Keys() []Key { return job.keys }
+
+// completedCount returns how many of the job's shards have completed.
+func (job *Job) completedCount() int {
+	job.mu.Lock()
+	defer job.mu.Unlock()
+	return len(job.events)
+}
+
+// Store exposes the daemon's result store.
+func (d *Daemon) Store() *Store { return d.store }

@@ -95,10 +95,8 @@
 //	                             submit/activate/done markers, per-shard
 //	                             dispatch instants, cache-hit instants,
 //	                             and execution spans
-//	GET /v1/sweeps/{id}/events   NDJSON completions interleaved with
-//	                             periodic progress lines (done/total,
-//	                             hit/exec split, elapsed) every
-//	                             Config.ProgressEvery
+//	GET /v1/sweeps/{id}/events   NDJSON: one line per shard completion,
+//	                             then the terminal state line
 //	GET /v1/stats                daemon counters plus store size on disk
 //	                             and per-job exec-vs-hit splits
 //

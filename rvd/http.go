@@ -1,6 +1,7 @@
 package rvd
 
 import (
+	"context"
 	"encoding/base64"
 	"encoding/hex"
 	"encoding/json"
@@ -8,7 +9,6 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
-	"time"
 
 	"repro/internal/obs"
 )
@@ -22,8 +22,7 @@ import (
 //	  503 + Retry-After                   admission control shed the job
 //	GET  /v1/sweeps/{id}                  job status snapshot
 //	GET  /v1/sweeps/{id}/events           NDJSON stream: one line per shard
-//	                                      completion, periodic progress
-//	                                      lines, then a terminal line
+//	                                      completion, then a terminal line
 //	GET  /v1/sweeps/{id}/trace            job lifecycle timeline as Chrome
 //	                                      trace-event JSON (Perfetto)
 //	GET  /v1/results/{key}                raw result bytes for a cache key
@@ -55,26 +54,14 @@ type statusResponse struct {
 }
 
 // eventLine is one NDJSON line on the events stream. Per-shard lines
-// carry Shard/Cache/Key; progress lines carry only Progress and are
-// emitted at least every Config.ProgressEvery while the job is live;
-// the terminal line carries only State (and Err when failed) and is
-// always last.
+// carry Shard/Cache/Key; the terminal line carries only State (and Err
+// when failed) and is always last.
 type eventLine struct {
-	Shard    *int          `json:"shard,omitempty"`
-	Cache    *bool         `json:"cache,omitempty"`
-	Key      string        `json:"key,omitempty"`
-	Progress *progressLine `json:"progress,omitempty"`
-	State    string        `json:"state,omitempty"`
-	Err      string        `json:"error,omitempty"`
-}
-
-// progressLine is the payload of a periodic progress event.
-type progressLine struct {
-	Done      int   `json:"done"`
-	Total     int   `json:"total"`
-	CacheHits int   `json:"cache_hits"`
-	Executed  int   `json:"executed"`
-	ElapsedMS int64 `json:"elapsed_ms"`
+	Shard *int   `json:"shard,omitempty"`
+	Cache *bool  `json:"cache,omitempty"`
+	Key   string `json:"key,omitempty"`
+	State string `json:"state,omitempty"`
+	Err   string `json:"error,omitempty"`
 }
 
 // statsResponse answers GET /v1/stats.
@@ -182,11 +169,9 @@ func (d *Daemon) handleStatus(w http.ResponseWriter, r *http.Request) {
 
 // handleEvents streams the job's per-shard completions as NDJSON: replay
 // everything already recorded, then tail live completions until the job
-// reaches a terminal state, which is emitted as the final line. While
-// the job is live a progress line (shards done/total, cache-hit and
-// executed splits, elapsed) is emitted at least every ProgressEvery,
-// even when no shard completed. The stream is flushed per batch so a
-// submitter sees progress as it lands.
+// reaches a terminal state, which is emitted as the final line. The
+// stream is flushed per batch so a submitter sees completions as they
+// land.
 func (d *Daemon) handleEvents(w http.ResponseWriter, r *http.Request) {
 	job, ok := d.jobFromPath(w, r)
 	if !ok {
@@ -197,45 +182,26 @@ func (d *Daemon) handleEvents(w http.ResponseWriter, r *http.Request) {
 	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
 
-	// Wake the tailing loop on the progress cadence and when the client
-	// goes away, so the handler emits heartbeats and never outlives the
-	// connection.
+	// Wake the tailing loop when the client goes away, so the handler
+	// never outlives the connection.
 	ctx := r.Context()
-	every := d.cfg.ProgressEvery
-	done := make(chan struct{})
-	defer close(done)
-	go func() {
-		ticker := time.NewTicker(every)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-ticker.C:
-			case <-ctx.Done():
-			case <-done:
-				return
-			}
-			job.mu.Lock()
-			job.cond.Broadcast()
-			job.mu.Unlock()
-			if ctx.Err() != nil {
-				return
-			}
-		}
-	}()
+	stop := context.AfterFunc(ctx, func() {
+		job.mu.Lock()
+		job.cond.Broadcast()
+		job.mu.Unlock()
+	})
+	defer stop()
 
 	sent := 0
-	lastBeat := time.Now()
 	for {
 		job.mu.Lock()
-		for sent >= len(job.events) && !job.terminal() && ctx.Err() == nil &&
-			time.Since(lastBeat) < every {
+		for sent >= len(job.events) && !job.terminal() && ctx.Err() == nil {
 			job.cond.Wait()
 		}
 		events := job.events[sent:]
 		sent = len(job.events)
 		state := job.state
 		errMsg := job.errMsg
-		hits, exec := job.cacheHits, job.executed
 		job.mu.Unlock()
 		if ctx.Err() != nil {
 			return
@@ -248,17 +214,6 @@ func (d *Daemon) handleEvents(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		terminal := state == JobDone || state == JobFailed || state == JobSuspended
-		if !terminal && time.Since(lastBeat) >= every {
-			lastBeat = time.Now()
-			line := eventLine{Progress: &progressLine{
-				Done: sent, Total: len(job.shards),
-				CacheHits: hits, Executed: exec,
-				ElapsedMS: time.Since(job.submittedAt).Milliseconds(),
-			}}
-			if err := enc.Encode(line); err != nil {
-				return
-			}
-		}
 		if flusher != nil {
 			flusher.Flush()
 		}

@@ -2,11 +2,12 @@ package rvd
 
 // Observability tests: the /metrics exposition moves the right families
 // on a cold run vs a warm rerun, the per-job trace endpoint exports
-// well-formed Chrome trace JSON, the events stream carries periodic
-// progress lines, and /v1/stats reports store size and per-job splits.
+// well-formed Chrome trace JSON, a client tails the events stream of a
+// slow multi-batch job to the end, and /v1/stats reports store size and
+// per-job splits.
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -216,8 +217,8 @@ func TestJobTraceEndpoint(t *testing.T) {
 	}
 }
 
-// slowBackend delays each fleet dispatch so the events stream outlives
-// several progress ticks.
+// slowBackend delays each fleet dispatch so a job's events stream is
+// tailed live across several batches.
 type slowBackend struct {
 	dist.Backend
 	delay time.Duration
@@ -228,66 +229,80 @@ func (s *slowBackend) Run(shards []*dist.ShardDesc) ([]*dist.ShardResult, error)
 	return s.Backend.Run(shards)
 }
 
-// TestEventsProgressLines pins the progress satellite: a live events
-// stream interleaves periodic progress lines with shard completions and
-// still ends with the terminal state line.
+// eventsTap is an http.RoundTripper that copies the body of every events
+// stream its client reads.
+type eventsTap struct {
+	events bytes.Buffer
+}
+
+func (tp *eventsTap) RoundTrip(req *http.Request) (*http.Response, error) {
+	resp, err := http.DefaultTransport.RoundTrip(req)
+	if err == nil && strings.HasSuffix(req.URL.Path, "/events") {
+		resp.Body = struct {
+			io.Reader
+			io.Closer
+		}{io.TeeReader(resp.Body, &tp.events), resp.Body}
+	}
+	return resp, err
+}
+
+// TestEventsProgressLines pins the events stream of a job that outlives
+// several batches: Client.Run tails it live and returns the reference
+// results, and the stream it read carries one line per shard, then the
+// terminal line, and nothing else.
 func TestEventsProgressLines(t *testing.T) {
 	shards := fixedSweep(t)
+	ref := referenceBytes(t, shards)
 	d := openTestDaemon(t, t.TempDir(), func(cfg *Config) {
 		cfg.Backend = &slowBackend{Backend: dist.NewInProcess(2), delay: 30 * time.Millisecond}
 		cfg.BatchShards = 2
-		cfg.ProgressEvery = 5 * time.Millisecond
 	})
-	job, err := d.Submit(shards)
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	srv := httptest.NewServer(d.Handler())
 	defer srv.Close()
-	resp, err := http.Get(srv.URL + "/v1/sweeps/" + itoa(job.ID) + "/events")
+
+	descs := make([]*dist.ShardDesc, len(shards))
+	for i, raw := range shards {
+		descs[i] = new(dist.ShardDesc)
+		if err := descs[i].Decode(raw); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tap := &eventsTap{}
+	cl := &Client{BaseURL: srv.URL, HTTPClient: &http.Client{Transport: tap}}
+	results, err := cl.Run(descs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
+	var got []byte
+	for _, r := range results {
+		got = r.AppendEncode(got)
+	}
+	if !bytes.Equal(got, ref) {
+		t.Fatal("client run differs from reference")
+	}
 
-	var progress, shardLines int
-	var last eventLine
-	sc := bufio.NewScanner(resp.Body)
-	for sc.Scan() {
+	lines := strings.Split(strings.TrimSuffix(tap.events.String(), "\n"), "\n")
+	if len(lines) != len(shards)+1 {
+		t.Fatalf("events stream carried %d lines, want %d shard lines and the terminal line:\n%s",
+			len(lines), len(shards), tap.events.String())
+	}
+	seen := make([]bool, len(shards))
+	for i, raw := range lines[:len(shards)] {
 		var line eventLine
-		if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
-			t.Fatalf("bad NDJSON line %q: %v", sc.Text(), err)
+		if err := json.Unmarshal([]byte(raw), &line); err != nil {
+			t.Fatalf("bad NDJSON line %q: %v", raw, err)
 		}
-		switch {
-		case line.Progress != nil:
-			progress++
-			p := line.Progress
-			if p.Total != len(shards) || p.Done > p.Total || p.Done != p.CacheHits+p.Executed {
-				t.Fatalf("inconsistent progress line %+v", *p)
-			}
-			if p.ElapsedMS < 0 {
-				t.Fatalf("negative elapsed in %+v", *p)
-			}
-		case line.Shard != nil:
-			shardLines++
+		if line.Shard == nil || *line.Shard < 0 || *line.Shard >= len(shards) || seen[*line.Shard] || line.State != "" {
+			t.Fatalf("line %d is not a first completion of a shard: %s", i, raw)
 		}
-		last = line
+		seen[*line.Shard] = true
 	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
+	var last eventLine
+	if err := json.Unmarshal([]byte(lines[len(shards)]), &last); err != nil {
+		t.Fatalf("bad NDJSON line %q: %v", lines[len(shards)], err)
 	}
-	if progress == 0 {
-		t.Fatal("events stream carried no progress lines")
-	}
-	if shardLines != len(shards) {
-		t.Fatalf("events stream carried %d shard lines, want %d", shardLines, len(shards))
-	}
-	if last.State != "done" {
-		t.Fatalf("final line state %q, want done", last.State)
-	}
-	if st := job.Wait(); st.State != JobDone {
-		t.Fatalf("job finished %v", st.State)
+	if last.State != "done" || last.Shard != nil {
+		t.Fatalf("final line %s, want the done state alone", lines[len(shards)])
 	}
 }
 

@@ -270,15 +270,6 @@ func (s *Store) Get(k Key) ([]byte, bool) {
 	return value, true
 }
 
-// Contains reports index membership without touching the disk; a true
-// answer may still become a miss if Get finds the entry corrupt.
-func (s *Store) Contains(k Key) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, ok := s.index[k]
-	return ok
-}
-
 // quarantine renames a failed entry aside and logs the reason.
 func (s *Store) quarantine(k Key, path string, cause error) {
 	obsStoreQuar.Inc()

@@ -195,3 +195,12 @@ func TestCacheKeyStampSeparation(t *testing.T) {
 		t.Fatal("stamp/shard boundary is ambiguous")
 	}
 }
+
+// Contains reports index membership without touching the disk; a true
+// answer may still become a miss if Get finds the entry corrupt.
+func (s *Store) Contains(k Key) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	_, ok := s.index[k]
+	return ok
+}

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"repro/graph"
+	"repro/internal/simtest"
 	"repro/view"
 )
 
@@ -156,11 +157,11 @@ func TestWitnessIsValid(t *testing.T) {
 	// The witness α must satisfy dist(α(u), α(v)) == Value.
 	check := func(g *graph.Graph, u, v int) {
 		r := mustShrink(t, g, u, v)
-		au, err := g.Apply(u, r.Alpha)
+		au, err := simtest.Apply(g, u, r.Alpha)
 		if err != nil {
 			t.Fatalf("%s: witness invalid at u: %v", g, err)
 		}
-		av, err := g.Apply(v, r.Alpha)
+		av, err := simtest.Apply(g, v, r.Alpha)
 		if err != nil {
 			t.Fatalf("%s: witness invalid at v: %v", g, err)
 		}

@@ -2,8 +2,8 @@
 // a port-labeled graph, moving in synchronous rounds, started by the
 // adversary with given delays, meeting when they occupy the same node in
 // the same round (crossings inside an edge do not count). Run/RunPrograms
-// drive the two-agent rendezvous model; RunMany generalizes to k agents
-// (the gathering setting of the paper's related work [25]).
+// drive the two-agent rendezvous model; Session.RunMany generalizes to k
+// agents (the gathering setting of the paper's related work [25]).
 //
 // The scheduler is strictly deterministic: each agent program runs as a
 // coroutine that the scheduler resumes in lock-step — the scheduler and
@@ -157,10 +157,11 @@
 //     engine processes appearances before detection, and meeting order
 //     within the round must match it exactly.
 //
-// RunManyReference retains the one-iteration-per-round engine as the
-// executable spec; the differential engine-equivalence suite pins
-// RunMany to it, full MultiResult equality included, across randomized
-// populations of scripts, walkers, waiters and UniversalRV agents.
+// The tests retain the one-iteration-per-round engine as the executable
+// spec (RunManyReference, in export_test.go); the differential
+// engine-equivalence suite pins RunMany to it, full MultiResult equality
+// included, across randomized populations of scripts, walkers, waiters
+// and UniversalRV agents.
 //
 // # Beyond one process
 //

@@ -16,29 +16,22 @@ import (
 // distinct shards run concurrently, dealt largest-first so the long shards
 // start early. ParallelMap is the degenerate one-case-per-shard form.
 
-// Scratch is the reusable per-worker arena handed to every Sweep callback.
-// Exactly one goroutine owns a Scratch at any time, so callbacks may use
-// it freely without locking; nothing in it is ever shared across workers
-// (pinned by the -race tests). Buffers are recycled between calls — a
-// callback must not retain them past its return.
+// Scratch is the per-worker state handed to every Sweep callback: a
+// pooled simulator Session and a caller-defined Stash. Exactly one
+// goroutine owns a Scratch at any time, so callbacks may use it freely
+// without locking; nothing in it is ever shared across workers (pinned
+// by the -race tests).
 type Scratch struct {
 	worker  int
-	ints    []int
-	bytes   []byte
 	stash   any
 	session *Session
 }
 
-// Worker returns the index of the worker that owns this scratch
-// (0 <= Worker < workers).
-func (s *Scratch) Worker() int { return s.worker }
-
 // Session returns the worker's pooled simulator session, creating it on
 // first use. Runs issued through it (Session.Run, Session.RunPrograms,
 // Session.RunMany) reuse agent coroutines and per-agent buffers across
-// all cases the worker drains — the warm-state analogue
-// of Ints/Bytes for whole simulator runs. Sweep closes the session when
-// the worker retires; callbacks must not retain it past their return.
+// all cases the worker drains. Sweep closes the session when the worker
+// retires; callbacks must not retain it past their return.
 func (s *Scratch) Session() *Session {
 	if s.session == nil {
 		s.session = NewSession()
@@ -52,26 +45,6 @@ func (s *Scratch) close() {
 		s.session.Close()
 		s.session = nil
 	}
-}
-
-// Ints returns a length-n scratch slice with undefined contents, reusing
-// the arena's backing array whenever it is large enough.
-func (s *Scratch) Ints(n int) []int {
-	if cap(s.ints) < n {
-		s.ints = make([]int, n)
-	}
-	s.ints = s.ints[:n]
-	return s.ints
-}
-
-// Bytes returns a length-n scratch slice with undefined contents, reusing
-// the arena's backing array whenever it is large enough.
-func (s *Scratch) Bytes(n int) []byte {
-	if cap(s.bytes) < n {
-		s.bytes = make([]byte, n)
-	}
-	s.bytes = s.bytes[:n]
-	return s.bytes
 }
 
 // Stash returns this worker's caller-defined scratch value, building it

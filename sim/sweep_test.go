@@ -57,20 +57,24 @@ func TestSweepShardsRunSequentiallyInInputOrder(t *testing.T) {
 	}
 }
 
-// TestSweepScratchIsolation is the -race test for the shared sweep arena:
-// every callback fills its worker's scratch buffers with a worker-stamped
-// pattern and re-reads them after doing unrelated work. If two workers
-// ever shared an arena, the pattern check fails and the race detector
-// flags the unsynchronized writes.
+// TestSweepScratchIsolation is the -race test for the per-worker scratch:
+// every callback fills the buffers its worker's Stash holds with a
+// worker-stamped pattern and re-reads them after doing unrelated work. If
+// two workers ever shared a Scratch, the pattern check fails and the race
+// detector flags the unsynchronized writes.
 func TestSweepScratchIsolation(t *testing.T) {
 	items := make([]int, 512)
 	for i := range items {
 		items[i] = i
 	}
 	var calls atomic.Int64
+	type buffers struct {
+		ints  []int
+		bytes []byte
+	}
 	Sweep(items, 8, func(x int) any { return x % 32 }, func(s *Scratch, x int) int {
-		buf := s.Ints(128)
-		bs := s.Bytes(64)
+		b := s.Stash(func() any { return &buffers{ints: make([]int, 128), bytes: make([]byte, 64)} }).(*buffers)
+		buf, bs := b.ints, b.bytes
 		stamp := s.Worker()<<16 | x
 		for i := range buf {
 			buf[i] = stamp

@@ -173,24 +173,6 @@ func pow(b, e uint64) uint64 {
 	return r
 }
 
-// Suite is a labeled collection of STICs for the experiment harness.
-type Suite struct {
-	Name  string
-	STICs []STIC
-	// Feasible mirrors Classify for each entry.
-	Reports []Report
-}
-
-// BuildSuite classifies each STIC and records the reports.
-func BuildSuite(name string, stics []STIC) Suite {
-	s := Suite{Name: name, STICs: stics}
-	s.Reports = make([]Report, len(stics))
-	for i, st := range stics {
-		s.Reports[i] = Classify(st)
-	}
-	return s
-}
-
 // SymmetricPairs returns all unordered symmetric pairs (u < v) of g —
 // convenient for sweeping feasible and infeasible delays around Shrink.
 func SymmetricPairs(g *graph.Graph) [][2]int {

@@ -178,3 +178,21 @@ func TestBuildSuite(t *testing.T) {
 		t.Fatal("report strings empty")
 	}
 }
+
+// Suite is a labeled collection of STICs with their classifications.
+type Suite struct {
+	Name  string
+	STICs []STIC
+	// Reports holds Classify's verdict for each entry.
+	Reports []Report
+}
+
+// BuildSuite classifies each STIC and records the reports.
+func BuildSuite(name string, stics []STIC) Suite {
+	s := Suite{Name: name, STICs: stics}
+	s.Reports = make([]Report, len(stics))
+	for i, st := range stics {
+		s.Reports[i] = Classify(st)
+	}
+	return s
+}

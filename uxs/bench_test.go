@@ -25,7 +25,7 @@ func BenchmarkCovers(b *testing.B) {
 		graph.SymmetricTree(graph.FullShape(2, 2)),
 	}
 	for _, g := range cases {
-		b.Run(g.Name(), func(b *testing.B) {
+		b.Run(g.String(), func(b *testing.B) {
 			s := Generate(g.N())
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -35,15 +35,5 @@ func BenchmarkCovers(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-func BenchmarkApply(b *testing.B) {
-	g := graph.Cycle(32)
-	s := Generate(32)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Apply(g, i%32, s)
 	}
 }

@@ -95,51 +95,11 @@ func generate(n, length int) Sequence {
 	return s
 }
 
-// Apply returns the application R(u) = (u0, u1, ..., uM+1) of the sequence
-// at node u of g: u0 = u, u1 = succ(u0, 0), and each subsequent step leaves
-// by (entry + a_i) mod degree.
-func Apply(g *graph.Graph, u int, s Sequence) []int {
-	nodes := make([]int, 0, len(s)+2)
-	nodes = append(nodes, u)
-	cur, entry := g.Succ(u, 0)
-	nodes = append(nodes, cur)
-	for _, a := range s {
-		p := (entry + a) % g.Degree(cur)
-		cur, entry = g.Succ(cur, p)
-		nodes = append(nodes, cur)
-	}
-	return nodes
-}
-
-// ApplyPorts returns, for the application at u, the sequence of outgoing
-// ports taken and the sequence of entry ports perceived — what an agent
-// physically executing the walk sends and observes. len == len(s)+1.
-func ApplyPorts(g *graph.Graph, u int, s Sequence) (out, in []int) {
-	out = make([]int, 0, len(s)+1)
-	in = make([]int, 0, len(s)+1)
-	out = append(out, 0)
-	cur, entry := g.Succ(u, 0)
-	in = append(in, entry)
-	for _, a := range s {
-		p := (entry + a) % g.Degree(cur)
-		out = append(out, p)
-		cur, entry = g.Succ(cur, p)
-		in = append(in, entry)
-	}
-	return out, in
-}
-
-// CoversFrom reports whether the application of s at u visits every node.
-// The walk is streamed — no path slice is materialized — and returns as
-// soon as the last unvisited node is reached.
-func CoversFrom(g *graph.Graph, u int, s Sequence) bool {
-	stamp := make([]int, g.N())
-	return coversFrom(g, u, s, stamp, 1)
-}
-
-// coversFrom is the streaming cover check behind CoversFrom and Covers:
-// stamp is an epoch-tagged visited array (stamp[v] == epoch means visited),
-// reusable across starts without clearing.
+// coversFrom reports whether the application of s at u visits every
+// node. The walk is streamed — no path slice is materialized — and
+// returns as soon as the last unvisited node is reached. stamp is an
+// epoch-tagged visited array (stamp[v] == epoch means visited), reusable
+// across starts without clearing.
 func coversFrom(g *graph.Graph, u int, s Sequence, stamp []int, epoch int) bool {
 	n := g.N()
 	stamp[u] = epoch
@@ -178,13 +138,4 @@ func Covers(g *graph.Graph, s Sequence) bool {
 		}
 	}
 	return true
-}
-
-// Verify checks that the default generated sequence for size g.N() covers
-// g, returning the sequence. Experiment harnesses call this before relying
-// on Generate so that substitution S1 stays honest; it returns ok=false
-// rather than silently proceeding when coverage fails.
-func Verify(g *graph.Graph) (Sequence, bool) {
-	s := Generate(g.N())
-	return s, Covers(g, s)
 }

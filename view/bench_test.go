@@ -50,14 +50,3 @@ func BenchmarkEncode(b *testing.B) {
 	}
 	_ = buf
 }
-
-func BenchmarkEqualToDepth(b *testing.B) {
-	g, _ := graph.Qhat(3)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if !EqualToDepth(g, 0, 1, g.N()-1) {
-			b.Fatal("qhat nodes should be symmetric")
-		}
-	}
-}

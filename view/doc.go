@@ -45,5 +45,5 @@
 // encBytesPerNode bound package rendezvous sizes its label schedules with.
 // Decode inverts the encoding exactly; encode/decode round-trips are
 // pinned by property tests against the pointer-based reference
-// implementation (RefNode / RefEncode) kept for differential testing.
+// implementation (RefNode / RefTruncated) kept for differential testing.
 package view

@@ -1,11 +1,13 @@
 package view
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
 
 	"repro/graph"
+	"repro/internal/simtest"
 )
 
 func TestQuotientRing(t *testing.T) {
@@ -50,7 +52,7 @@ func TestQuotientWalkProjection(t *testing.T) {
 	q := NewQuotient(g)
 	for _, alpha := range [][]int{{0}, {0, 0}, {1, 0}, {0, 1, 0}} {
 		for v := 0; v < g.N(); v++ {
-			end, err := g.Apply(v, alpha)
+			end, err := simtest.Apply(g, v, alpha)
 			if err != nil {
 				continue // out-of-range port at some node: skip
 			}
@@ -106,4 +108,45 @@ func TestQuotientNewFamilies(t *testing.T) {
 	if err := NewQuotient(g).Consistent(g); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// Walk projects a port sequence from a class and returns the final class.
+func (q *Quotient) Walk(from int, ports []int) (int, error) {
+	cur := from
+	for i, p := range ports {
+		if p < 0 || p >= q.Degree[cur] {
+			return 0, fmt.Errorf("view: quotient walk step %d: port %d out of range (degree %d)", i, p, q.Degree[cur])
+		}
+		cur = q.Next[cur][p]
+	}
+	return cur, nil
+}
+
+// Consistent checks the defining property against the graph: every node's
+// transitions agree with its class's transitions. It is used by tests and
+// costs one pass over the edges.
+func (q *Quotient) Consistent(g *graph.Graph) error {
+	for v := 0; v < g.N(); v++ {
+		c := q.Class[v]
+		if g.Degree(v) != q.Degree[c] {
+			return fmt.Errorf("view: node %d degree %d != class degree %d", v, g.Degree(v), q.Degree[c])
+		}
+		for p := 0; p < g.Degree(v); p++ {
+			to, ep := g.Succ(v, p)
+			if q.Class[to] != q.Next[c][p] {
+				return fmt.Errorf("view: node %d port %d: class %d != %d", v, p, q.Class[to], q.Next[c][p])
+			}
+			if ep != q.EntryPort[c][p] {
+				return fmt.Errorf("view: node %d port %d: entry %d != %d", v, p, ep, q.EntryPort[c][p])
+			}
+		}
+	}
+	total := 0
+	for _, s := range q.Size {
+		total += s
+	}
+	if total != g.N() {
+		return fmt.Errorf("view: fiber sizes sum to %d, want %d", total, g.N())
+	}
+	return nil
 }

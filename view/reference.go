@@ -1,18 +1,14 @@
 package view
 
-import (
-	"fmt"
-	"strings"
-
-	"repro/graph"
-)
+import "repro/graph"
 
 // This file keeps the original pointer-based view tree as an executable
-// reference: RefTruncated/RefEncode define the canonical-equality
-// semantics the flat Tree and its binary encoder must agree with, and the
-// property tests check them against each other on random graphs. Nothing
-// on a hot path uses these; they allocate per node by design (that cost is
-// exactly why the flat representation replaced them).
+// reference: RefTruncated defines the view the flat Tree must agree with,
+// and Ref converts a flat tree for the comparison; the property tests here
+// and package rendezvous's view-walk tests check the two against each
+// other on random graphs. Nothing on a hot path uses these; they allocate
+// per node by design (that cost is exactly why the flat representation
+// replaced them).
 
 // RefNode is one vertex of a pointer-based truncated view tree. The root
 // has EntryPort -1; every other node records the port by which the path
@@ -41,47 +37,6 @@ func RefTruncated(g *graph.Graph, v, depth int) *RefNode {
 		return nd
 	}
 	return rec(v, -1, depth)
-}
-
-// RefEncode renders the legacy canonical text encoding of a pointer tree:
-// equal trees encode equally and different trees differ at some byte
-// within both encodings' common prefix range. Format:
-//
-//	node := '(' deg ',' entry { kid } ')'
-//
-// with decimal numbers; a nil kid (truncation frontier) encodes as '*'.
-func RefEncode(n *RefNode) []byte {
-	var b strings.Builder
-	var rec func(*RefNode)
-	rec = func(nd *RefNode) {
-		if nd == nil {
-			b.WriteByte('*')
-			return
-		}
-		fmt.Fprintf(&b, "(%d,%d", nd.Deg, nd.EntryPort)
-		for _, k := range nd.Kids {
-			rec(k)
-		}
-		b.WriteByte(')')
-	}
-	rec(n)
-	return []byte(b.String())
-}
-
-// RefEqual reports whether two pointer trees are identical.
-func RefEqual(a, b *RefNode) bool {
-	if a == nil || b == nil {
-		return a == b
-	}
-	if a.Deg != b.Deg || a.EntryPort != b.EntryPort || len(a.Kids) != len(b.Kids) {
-		return false
-	}
-	for i := range a.Kids {
-		if !RefEqual(a.Kids[i], b.Kids[i]) {
-			return false
-		}
-	}
-	return true
 }
 
 // Ref converts a flat tree into the equivalent pointer tree — the bridge

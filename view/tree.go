@@ -125,14 +125,6 @@ func (t *Tree) Build(g *graph.Graph, v, depth int) {
 	b.rec(v, -1, depth)
 }
 
-// Truncated returns a fresh tree holding the view from v truncated to the
-// given depth. Hot paths should keep a Tree and use Build instead.
-func Truncated(g *graph.Graph, v, depth int) *Tree {
-	t := &Tree{}
-	t.Build(g, v, depth)
-	return t
-}
-
 // AppendEncode appends the tree's canonical binary encoding to dst and
 // returns the extended buffer (see the package comment for the format).
 // With a warm dst (and a non-empty tree) it performs no allocations.
@@ -142,9 +134,6 @@ func (t *Tree) AppendEncode(dst []byte) []byte {
 	}
 	return t.appendNode(dst, 0)
 }
-
-// Encode is the convenience form of AppendEncode for one-shot callers.
-func (t *Tree) Encode() []byte { return t.AppendEncode(nil) }
 
 func (t *Tree) appendNode(dst []byte, id int32) []byte {
 	nd := &t.nodes[id]
@@ -235,38 +224,4 @@ func (t *Tree) decodeNode(data []byte) ([]byte, int32, error) {
 		}
 	}
 	return data, id, nil
-}
-
-// Equal reports whether two flat trees are structurally identical.
-func Equal(a, b *Tree) bool {
-	if a.Len() != b.Len() {
-		return false
-	}
-	if a.Len() == 0 {
-		return true
-	}
-	return equalAt(a, b, 0, 0)
-}
-
-func equalAt(a, b *Tree, ia, ib int32) bool {
-	na, nb := &a.nodes[ia], &b.nodes[ib]
-	if na.Deg != nb.Deg || na.EntryPort != nb.EntryPort {
-		return false
-	}
-	if (na.Kids == NoKids) != (nb.Kids == NoKids) {
-		return false
-	}
-	if na.Kids == NoKids {
-		return true
-	}
-	for p := int32(0); p < na.Deg; p++ {
-		ka, kb := a.kids[na.Kids+p], b.kids[nb.Kids+p]
-		if (ka == Frontier) != (kb == Frontier) {
-			return false
-		}
-		if ka != Frontier && !equalAt(a, b, ka, kb) {
-			return false
-		}
-	}
-	return true
 }

@@ -2,6 +2,9 @@ package view
 
 import (
 	"bytes"
+	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -100,7 +103,7 @@ func TestTruncatedAgreesWithReference(t *testing.T) {
 		for v := 0; v < n; v++ {
 			for depth := 0; depth <= 3; depth++ {
 				flat := Truncated(g, v, depth)
-				if !RefEqual(flat.Ref(), RefTruncated(g, v, depth)) {
+				if !reflect.DeepEqual(flat.Ref(), RefTruncated(g, v, depth)) {
 					return false
 				}
 			}
@@ -175,4 +178,74 @@ func TestRefinerReuse(t *testing.T) {
 			}
 		}
 	}
+}
+
+// Truncated returns a fresh tree holding the view from v truncated to the
+// given depth. Hot paths should keep a Tree and use Build instead.
+func Truncated(g *graph.Graph, v, depth int) *Tree {
+	t := &Tree{}
+	t.Build(g, v, depth)
+	return t
+}
+
+// Encode is the convenience form of AppendEncode for one-shot callers.
+func (t *Tree) Encode() []byte { return t.AppendEncode(nil) }
+
+// Equal reports whether two flat trees are structurally identical.
+func Equal(a, b *Tree) bool {
+	if a.Len() != b.Len() {
+		return false
+	}
+	if a.Len() == 0 {
+		return true
+	}
+	return equalAt(a, b, 0, 0)
+}
+
+func equalAt(a, b *Tree, ia, ib int32) bool {
+	na, nb := &a.nodes[ia], &b.nodes[ib]
+	if na.Deg != nb.Deg || na.EntryPort != nb.EntryPort {
+		return false
+	}
+	if (na.Kids == NoKids) != (nb.Kids == NoKids) {
+		return false
+	}
+	if na.Kids == NoKids {
+		return true
+	}
+	for p := int32(0); p < na.Deg; p++ {
+		ka, kb := a.kids[na.Kids+p], b.kids[nb.Kids+p]
+		if (ka == Frontier) != (kb == Frontier) {
+			return false
+		}
+		if ka != Frontier && !equalAt(a, b, ka, kb) {
+			return false
+		}
+	}
+	return true
+}
+
+// RefEncode renders the legacy canonical text encoding of a pointer tree:
+// equal trees encode equally and different trees differ at some byte
+// within both encodings' common prefix range. Format:
+//
+//	node := '(' deg ',' entry { kid } ')'
+//
+// with decimal numbers; a nil kid (truncation frontier) encodes as '*'.
+func RefEncode(n *RefNode) []byte {
+	var b strings.Builder
+	var rec func(*RefNode)
+	rec = func(nd *RefNode) {
+		if nd == nil {
+			b.WriteByte('*')
+			return
+		}
+		fmt.Fprintf(&b, "(%d,%d", nd.Deg, nd.EntryPort)
+		for _, k := range nd.Kids {
+			rec(k)
+		}
+		b.WriteByte(')')
+	}
+	rec(n)
+	return []byte(b.String())
 }

@@ -209,3 +209,37 @@ func TestViewEquivalenceIsPreservedBySamePort(t *testing.T) {
 		}
 	}
 }
+
+// EqualToDepth reports whether the views from u and v agree when truncated
+// to the given depth. It runs in O(n^2 * depth) time via memoized pairwise
+// comparison rather than materializing the (exponential) trees. It is the
+// independent oracle the refinement and encoding tests check against.
+func EqualToDepth(g *graph.Graph, u, v, depth int) bool {
+	type key struct{ a, b, d int }
+	memo := make(map[key]bool)
+	var rec func(a, b, d int) bool
+	rec = func(a, b, d int) bool {
+		if g.Degree(a) != g.Degree(b) {
+			return false
+		}
+		if a == b || d == 0 {
+			return true
+		}
+		k := key{a, b, d}
+		if r, ok := memo[k]; ok {
+			return r
+		}
+		res := true
+		for p := 0; p < g.Degree(a); p++ {
+			ta, ea := g.Succ(a, p)
+			tb, eb := g.Succ(b, p)
+			if ea != eb || !rec(ta, tb, d-1) {
+				res = false
+				break
+			}
+		}
+		memo[k] = res
+		return res
+	}
+	return rec(u, v, depth)
+}
