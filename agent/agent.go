@@ -24,12 +24,11 @@
 // detection) and wakes the program only once, when the whole script has
 // run. Script actions are plain ints (see ScriptWait, Rel and ActionPort
 // for the encoding); RunScript is the unbatched reference executor that
-// defines MoveSeq's semantics action by action. MoveSeqDegrees is the
-// percept-streaming form: the same script execution with the degree of
-// every visited node reported alongside the entry ports, so producers
-// whose only inter-move percept is a Degree() call (view walks, path
-// enumerations) batch whole phases instead of waking at every node;
-// RunScriptDegrees/UnbatchedDegrees are its reference pair.
+// defines MoveSeq's semantics action by action. The grant reports both
+// percepts of every round it ran, the entry port and the degree of each
+// visited node, so producers whose only inter-move percept is a Degree()
+// call (view walks, path enumerations) batch whole phases instead of
+// waking at every node.
 //
 // The duration of a script is always exactly len(actions) rounds — one
 // round per action, moves and waits alike. Procedures that rely on
@@ -78,40 +77,24 @@ type World interface {
 	Wait(rounds uint64)
 
 	// MoveSeq performs a batched script of actions, one per round, and
-	// returns the entry-port percept after each action (unchanged by
-	// waits); len(entries) == len(actions). Each action is ScriptWait, an
-	// absolute outgoing port applied modulo the current degree (the
-	// convention of Script), or an entry-relative move encoded by Rel —
-	// exactly the semantics of RunScript, which implementations without a
-	// native batched path may delegate to. MoveSeq(nil) is a no-op that
-	// consumes no rounds and returns nil.
+	// returns the percepts after each action: entries[i] is the entry
+	// port (unchanged by waits) and degrees[i] the degree of the node the
+	// agent occupies once action i has run — the node just entered for a
+	// move (the degree is observed on entry), the unchanged current node
+	// for a ScriptWait — i.e. what EntryPort() and Degree() would return
+	// at that round; len(entries) == len(degrees) == len(actions). Each
+	// action is ScriptWait, an absolute outgoing port applied modulo the
+	// current degree (the convention of Script), or an entry-relative move
+	// encoded by Rel — exactly the semantics of RunScript, which
+	// implementations without a native batched path may delegate to.
+	// MoveSeq(nil) is a no-op that consumes no rounds and returns
+	// (nil, nil).
 	//
-	// The returned slice is owned by the World and valid only until the
-	// program's next action (Move, Wait or MoveSeq); callers that need it
-	// longer must copy it. Implementations reuse one buffer per agent so
-	// that scripted hot loops stay allocation-free.
-	MoveSeq(actions []int) (entries []int)
-
-	// MoveSeqDegrees performs a batched script exactly like MoveSeq and
-	// additionally streams the degree percept: degrees[i] is the degree
-	// of the node the agent occupies once action i has run — the node
-	// just entered for a move (the degree is observed on entry), the
-	// unchanged current node for a ScriptWait — i.e. exactly what
-	// Degree() would return at that round. len(entries) == len(degrees)
-	// == len(actions). The action alphabet and the per-round timing are
-	// those of MoveSeq: a degree-reporting grant changes what the agent
-	// learns, never how the rounds elapse, so Rel-encoded moves and
-	// in-script ScriptWait runs behave identically on both calls.
-	// MoveSeqDegrees(nil) is a no-op returning (nil, nil).
-	//
-	// The degree stream is what lets percept-bound producers (view
-	// walks, path enumerations) compile a whole phase into one script:
-	// the only thing they previously woke up for was a Degree() call at
-	// each newly visited node. RunScriptDegrees is the unbatched
-	// reference executor defining the semantics action by action; both
-	// returned slices are owned by the World under the same contract as
-	// MoveSeq's.
-	MoveSeqDegrees(actions []int) (entries, degrees []int)
+	// The returned slices are owned by the World and valid only until the
+	// program's next action (Move, Wait or MoveSeq); callers that need them
+	// longer must copy them. Implementations reuse one buffer each per
+	// agent so that scripted hot loops stay allocation-free.
+	MoveSeq(actions []int) (entries, degrees []int)
 
 	// Clock returns the number of rounds elapsed since this agent
 	// appeared at its initial node (the paper's synchronized local clock).
@@ -188,15 +171,17 @@ func ActionPort(action, entry, degree int) (port int, wait bool) {
 }
 
 // RunScript executes a script one action at a time against w — the
-// unbatched reference semantics of World.MoveSeq. World implementations
-// without a native batched path delegate to it, and the engine-equivalence
-// tests use it (via Unbatched) to check that batched execution is
-// behavior-identical.
-func RunScript(w World, actions []int) []int {
+// unbatched reference semantics of World.MoveSeq: each action runs
+// through Move or Wait, and after it the degree percept is read back
+// with Degree(). World implementations without a native batched path
+// delegate to it, and the engine-equivalence tests use it (via
+// Unbatched) to check that batched execution is behavior-identical.
+func RunScript(w World, actions []int) (entries, degrees []int) {
 	if len(actions) == 0 {
-		return nil
+		return nil, nil
 	}
-	entries := make([]int, len(actions))
+	entries = make([]int, len(actions))
+	degrees = make([]int, len(actions))
 	entry := w.EntryPort()
 	for i, a := range actions {
 		if p, wait := ActionPort(a, entry, w.Degree()); wait {
@@ -205,8 +190,9 @@ func RunScript(w World, actions []int) []int {
 			entry = w.Move(p)
 		}
 		entries[i] = entry
+		degrees[i] = w.Degree()
 	}
-	return entries
+	return entries, degrees
 }
 
 // seqWaitBase and seqRepeatBase anchor the escapes of RunSeq scripts:
@@ -306,73 +292,23 @@ func RunSeq(w World, actions []int) {
 	}
 }
 
-// RunScriptDegrees is the unbatched reference executor of
-// World.MoveSeqDegrees: the script runs action by action through Move and
-// Wait, and after each action the degree percept is read back with
-// Degree(). World implementations without a native degree-reporting path
-// delegate to it, and the engine-equivalence tests use it (via
-// UnbatchedDegrees) to check that the batched degree stream is
-// behavior-identical.
-func RunScriptDegrees(w World, actions []int) (entries, degrees []int) {
-	if len(actions) == 0 {
-		return nil, nil
-	}
-	entries = make([]int, len(actions))
-	degrees = make([]int, len(actions))
-	entry := w.EntryPort()
-	for i, a := range actions {
-		if p, wait := ActionPort(a, entry, w.Degree()); wait {
-			w.Wait(1)
-		} else {
-			entry = w.Move(p)
-		}
-		entries[i] = entry
-		degrees[i] = w.Degree()
-	}
-	return entries, degrees
-}
-
 // Unbatched returns a program identical to prog except that every MoveSeq
-// and MoveSeqDegrees call is executed action by action through Move and
-// Wait. It pins down the batched semantics: for any program and any STIC,
-// the batched and unbatched runs must produce byte-identical results.
+// call is executed action by action through Move and Wait. It pins down
+// the batched semantics: for any program and any STIC, the batched and
+// unbatched runs must produce byte-identical results.
 func Unbatched(prog Program) Program {
 	return func(w World) {
 		prog(unbatchedWorld{w})
 	}
 }
 
-// unbatchedWorld forwards everything but degrades the batched calls to
-// their per-action reference executors.
+// unbatchedWorld forwards everything but degrades MoveSeq to its
+// per-action reference executor.
 type unbatchedWorld struct {
 	World
 }
 
-func (u unbatchedWorld) MoveSeq(actions []int) []int { return RunScript(u.World, actions) }
-
-func (u unbatchedWorld) MoveSeqDegrees(actions []int) ([]int, []int) {
-	return RunScriptDegrees(u.World, actions)
-}
-
-// UnbatchedDegrees returns a program identical to prog except that every
-// MoveSeqDegrees call is executed through RunScriptDegrees, with plain
-// MoveSeq left on the batched path. It isolates the degree-grant
-// machinery: differential runs against it pin exactly the new percept
-// stream (Unbatched remains the everything-per-move reference).
-func UnbatchedDegrees(prog Program) Program {
-	return func(w World) {
-		prog(unbatchedDegreesWorld{w})
-	}
-}
-
-// unbatchedDegreesWorld degrades only MoveSeqDegrees.
-type unbatchedDegreesWorld struct {
-	World
-}
-
-func (u unbatchedDegreesWorld) MoveSeqDegrees(actions []int) ([]int, []int) {
-	return RunScriptDegrees(u.World, actions)
-}
+func (u unbatchedWorld) MoveSeq(actions []int) ([]int, []int) { return RunScript(u.World, actions) }
 
 // Script returns an oblivious program that performs the fixed action list,
 // submitted as one batched MoveSeq script. Each entry uses the script

@@ -58,17 +58,14 @@ func (r *scriptRecorder) Move(port int) int {
 	r.clock++
 	return r.entry
 }
-func (r *scriptRecorder) Wait(rounds uint64)    { r.waits++; r.clock += rounds }
-func (r *scriptRecorder) MoveSeq(a []int) []int { return RunScript(r, a) }
-func (r *scriptRecorder) MoveSeqDegrees(a []int) ([]int, []int) {
-	return RunScriptDegrees(r, a)
-}
+func (r *scriptRecorder) Wait(rounds uint64)             { r.waits++; r.clock += rounds }
+func (r *scriptRecorder) MoveSeq(a []int) ([]int, []int) { return RunScript(r, a) }
 
 func TestRunScriptDegreesBookkeeping(t *testing.T) {
 	// Degrees are observed on entry: after each action the stream carries
 	// what Degree() returns at that round — unchanged across waits.
 	r := &scriptRecorder{deg: 4, entry: -1, nextEnt: func(port int) int { return (port + 1) % 4 }}
-	entries, degrees := r.MoveSeqDegrees([]int{0, ScriptWait, Rel(1)})
+	entries, degrees := r.MoveSeq([]int{0, ScriptWait, Rel(1)})
 	if len(entries) != 3 || len(degrees) != 3 {
 		t.Fatalf("stream lengths %d/%d", len(entries), len(degrees))
 	}
@@ -86,14 +83,14 @@ func TestRunScriptDegreesBookkeeping(t *testing.T) {
 	if r.clock != 3 {
 		t.Fatalf("clock = %d, want 3", r.clock)
 	}
-	if e, d := RunScriptDegrees(r, nil); e != nil || d != nil {
-		t.Fatal("empty degree script should return (nil, nil)")
+	if e, d := RunScript(r, nil); e != nil || d != nil {
+		t.Fatal("empty script should return (nil, nil)")
 	}
 }
 
 func TestRunScriptBookkeeping(t *testing.T) {
 	r := &scriptRecorder{deg: 4, entry: -1, nextEnt: func(port int) int { return (port + 1) % 4 }}
-	entries := r.MoveSeq([]int{0, ScriptWait, Rel(1), 6})
+	entries, _ := r.MoveSeq([]int{0, ScriptWait, Rel(1), 6})
 	if len(entries) != 4 {
 		t.Fatalf("entries length %d", len(entries))
 	}
@@ -111,7 +108,7 @@ func TestRunScriptBookkeeping(t *testing.T) {
 	if r.waits != 1 || r.clock != 4 {
 		t.Fatalf("waits=%d clock=%d", r.waits, r.clock)
 	}
-	if RunScript(r, nil) != nil {
+	if e, _ := RunScript(r, nil); e != nil {
 		t.Fatal("empty script should return nil")
 	}
 	if r.clock != 4 {

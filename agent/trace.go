@@ -108,13 +108,7 @@ func (w *tracingWorld) Move(port int) int {
 // a batched submission would lose the partial script's steps, since its
 // grant never reaches the program. Per-action execution records each
 // step as it completes, whatever round the run is cut at.
-func (w *tracingWorld) MoveSeq(actions []int) []int { return RunScript(w, actions) }
-
-// MoveSeqDegrees degrades the same way; the degree stream carries no
-// action of its own, so the trace is identical to the MoveSeq form.
-func (w *tracingWorld) MoveSeqDegrees(actions []int) ([]int, []int) {
-	return RunScriptDegrees(w, actions)
-}
+func (w *tracingWorld) MoveSeq(actions []int) ([]int, []int) { return RunScript(w, actions) }
 
 func (w *tracingWorld) Wait(rounds uint64) {
 	if rounds == 0 {

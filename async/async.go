@@ -108,13 +108,7 @@ func (x *extractor) Wait(rounds uint64) {
 
 // MoveSeq degrades to per-action execution: each scripted move or wait is
 // one recorded action, exactly as if the program had issued it unbatched.
-func (x *extractor) MoveSeq(actions []int) []int { return agent.RunScript(x, actions) }
-
-// MoveSeqDegrees likewise goes through the reference executor; the degree
-// stream changes what the program learns, not which actions it performs.
-func (x *extractor) MoveSeqDegrees(actions []int) ([]int, []int) {
-	return agent.RunScriptDegrees(x, actions)
-}
+func (x *extractor) MoveSeq(actions []int) ([]int, []int) { return agent.RunScript(x, actions) }
 
 func (x *extractor) record(a Action) {
 	x.actions = append(x.actions, a)
@@ -151,10 +145,8 @@ func (l Lag) Next(doneA, doneB, lenA, lenB int) (bool, bool) {
 
 // Result of an asynchronous run.
 type Result struct {
-	Met   bool
-	Node  int
-	StepA int // actions completed by A when the run ended
-	StepB int
+	Met  bool
+	Node int
 }
 
 // Run replays the two action streams under the adversary, checking for a
@@ -191,8 +183,8 @@ func Run(g *graph.Graph, actionsA, actionsB []Action, u, v int, adv Adversary) R
 			break
 		}
 		if posA == posB {
-			return Result{Met: true, Node: posA, StepA: doneA, StepB: doneB}
+			return Result{Met: true, Node: posA}
 		}
 	}
-	return Result{StepA: doneA, StepB: doneB}
+	return Result{}
 }

@@ -84,7 +84,6 @@ func (t Tuning) watchdogOff() bool { return t.BaseDeadline < 0 }
 // RunStats summarizes the failure handling of the most recent Run — how
 // elastic the sweep actually had to be.
 type RunStats struct {
-	Shards      int // shards dispatched
 	Requeues    int // shard re-deals from zero after a connection was lost
 	DeadConns   int // connections lost during the run
 	Joined      int // connections that joined mid-run
@@ -214,7 +213,6 @@ func newRun(be *connBackend, shards []*ShardDesc) *run {
 		tl:        be.tl,
 	}
 	r.cond = sync.NewCond(&r.mu)
-	r.stats.Shards = len(shards)
 	return r
 }
 

@@ -93,51 +93,17 @@ func wantArgs(name string, args []uint64, n int) error {
 	return nil
 }
 
-// The builtin registry covers the paper's program suite: every
-// constructor the experiments dispatch remotely, the baselines, and the
-// script program the differential tests drive with random action lists.
+// The builtin registry covers what crosses a process boundary: the
+// programs the production plans dispatch (universal for E7 and E17,
+// lazyrandom for E12 and the daemon), the other programs the tests
+// dispatch (doubling, randomwalk, sit, moveevery), and the script
+// program the differential tests drive with random action lists.
 func init() {
 	RegisterProgram("universal", ProgBuilder{Build: func(args []uint64) (agent.Program, error) {
 		if err := wantArgs("universal", args, 0); err != nil {
 			return nil, err
 		}
 		return rendezvous.UniversalRV(), nil
-	}})
-	RegisterProgram("fastuniversal", ProgBuilder{Build: func(args []uint64) (agent.Program, error) {
-		if err := wantArgs("fastuniversal", args, 0); err != nil {
-			return nil, err
-		}
-		return rendezvous.FastUniversalRV(), nil
-	}})
-	RegisterProgram("asymmonly", ProgBuilder{Build: func(args []uint64) (agent.Program, error) {
-		if err := wantArgs("asymmonly", args, 0); err != nil {
-			return nil, err
-		}
-		return rendezvous.AsymmOnlyUniversalRV(), nil
-	}})
-	RegisterProgram("asymmrv", ProgBuilder{Build: func(args []uint64) (agent.Program, error) {
-		if err := wantArgs("asymmrv", args, 2); err != nil {
-			return nil, err
-		}
-		return rendezvous.NewAsymmRV(args[0], args[1])
-	}})
-	RegisterProgram("symmrv", ProgBuilder{Build: func(args []uint64) (agent.Program, error) {
-		if err := wantArgs("symmrv", args, 3); err != nil {
-			return nil, err
-		}
-		return rendezvous.NewSymmRV(args[0], args[1], args[2])
-	}})
-	RegisterProgram("unpaddedsymmrv", ProgBuilder{Build: func(args []uint64) (agent.Program, error) {
-		if err := wantArgs("unpaddedsymmrv", args, 3); err != nil {
-			return nil, err
-		}
-		return rendezvous.NewUnpaddedSymmRV(args[0], args[1], args[2])
-	}})
-	RegisterProgram("asymmrvid", ProgBuilder{Build: func(args []uint64) (agent.Program, error) {
-		if err := wantArgs("asymmrvid", args, 2); err != nil {
-			return nil, err
-		}
-		return rendezvous.NewAsymmRVID(args[0], args[1])
 	}})
 	RegisterProgram("doubling", ProgBuilder{Build: func(args []uint64) (agent.Program, error) {
 		if err := wantArgs("doubling", args, 2); err != nil {

@@ -35,16 +35,13 @@ type Graph struct {
 // Ports at each node are assigned in the order edges are added unless
 // explicit ports are used via ConnectPorts.
 type Builder struct {
-	n     int
-	adj   [][]Half
-	name  string
-	fixed bool // true once ConnectPorts was used (explicit port numbering)
+	adj  [][]Half
+	name string
 }
 
 // NewBuilder returns a Builder for a graph with n nodes and no edges.
 func NewBuilder(n int) *Builder {
-	adj := make([][]Half, n)
-	return &Builder{n: n, adj: adj}
+	return &Builder{adj: make([][]Half, n)}
 }
 
 // Name sets a human-readable name recorded on the built graph.
@@ -67,7 +64,6 @@ func (b *Builder) Connect(u, v int) (pu, pv int) {
 // filled before Build. Mixing ConnectPorts and Connect on the same node is
 // not supported and will surface as a Build error.
 func (b *Builder) ConnectPorts(u, pu, v, pv int) {
-	b.fixed = true
 	grow := func(s []Half, p int) []Half {
 		for len(s) <= p {
 			s = append(s, Half{To: -1})

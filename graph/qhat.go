@@ -36,7 +36,6 @@ func PortFromLetter(c byte) int {
 // lower-bound experiments need: the root and the per-type leaf lists in
 // construction order (the paper's N1..Nx, S1..Sx, E1..Ex, W1..Wx).
 type QhatInfo struct {
-	H      int
 	Root   int
 	Leaves [4][]int // indexed by leaf type PortN, PortE, PortS, PortW
 }
@@ -72,7 +71,7 @@ func Qhat(h int) (*Graph, *QhatInfo) {
 	for v := range b.adj {
 		b.adj[v] = halves[4*v : 4*v : 4*v+4]
 	}
-	info := &QhatInfo{H: h, Root: 0}
+	info := &QhatInfo{Root: 0}
 
 	// Build the tree Qh in BFS order. parentPort[v] is the port at v of the
 	// edge toward its parent (the opposite of the direction traveled), or

@@ -53,8 +53,6 @@ var reachAllowlist = []reachEntry{
 		why: "deprecated stub; perfbench's shard replay allocates one"},
 	{name: "agent.Unbatched", pinnedBy: "sim",
 		why: "the per-move reference the engine-equivalence tests pin the batched engine against"},
-	{name: "agent.UnbatchedDegrees", pinnedBy: "sim",
-		why: "the per-move degree-stream reference the engine-equivalence tests pin MoveSeqDegrees against"},
 	{name: "view.RefTruncated", pinnedBy: "rendezvous",
 		why: "the pointer-tree reference view the view-walk tests pin the agent's physical walk against"},
 	{name: "view.Tree.Ref", pinnedBy: "rendezvous",
@@ -107,14 +105,13 @@ func TestReachability(t *testing.T) {
 	t.Logf("%d top-level names checked, %d unreferenced, %d allowlisted", len(res.checked), len(res.unused), len(reachAllowlist))
 }
 
-// reachFset holds every file the scans parse, the standard library's
-// included.
+// reachFset holds every file the scans parse.
 var reachFset = token.NewFileSet()
 
-// stdImporter type-checks the standard library from source, once per
-// test binary; the scan and its self-test share it.
+// stdImporter reads the standard library's compiled export data, once
+// per test binary; the scan and its self-test share it.
 var stdImporter = sync.OnceValue(func() types.ImporterFrom {
-	return importer.ForCompiler(reachFset, "source", nil).(types.ImporterFrom)
+	return importer.ForCompiler(reachFset, "gc", nil).(types.ImporterFrom)
 })
 
 // loadDir parses the non-test Go files of every package under dir that

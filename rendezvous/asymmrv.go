@@ -86,8 +86,7 @@ type rvScratch struct {
 	// is the learning pass's recording buffer and symStream the replay's
 	// chunk buffer. seedSymm marks programs that will actually run
 	// SymmRV (the universal algorithms set it): only then does the
-	// schedule's first UXS application pay for a degree-reporting grant
-	// to seed the cache.
+	// schedule's first UXS application copy its grant into the cache.
 	symCache  map[uint64]symmWalk
 	symDegs   []int
 	symStream []int
@@ -96,9 +95,9 @@ type rvScratch struct {
 
 // uxsWalkFor returns this agent's UXS walk for size hypothesis n: the
 // globally cached forward script plus the scratch's reverse buffer. The
-// walk also carries the scratch itself so that the first application at
-// a new n — played with a degree-reporting grant — can seed the SymmRV
-// walk cache: R(u) is the same walk in both procedures.
+// walk also carries the scratch itself so that the grant of the first
+// application at a new n can seed the SymmRV walk cache: R(u) is the
+// same walk in both procedures.
 func (s *rvScratch) uxsWalkFor(n uint64) uxsWalk {
 	if s.tripCache == nil {
 		s.tripCache = map[uint64][]int{}
@@ -167,14 +166,14 @@ const (
 // node.
 //
 // The move sequence is the textbook DFS, but it reaches the simulator as
-// degree-reporting scripts: the only percept the walk needs is each
-// first-visited node's degree, and MoveSeqDegrees streams those with the
-// grant, so the planner speculatively extends each script deep into
-// unvisited territory — descending the port-0 chain of every fresh node
-// down to the truncation depth, a move that exists at every node of a
-// connected graph — and only stops (re-plans) where the next decision, a
-// port enumeration bound at a node first visited inside the very script
-// being built, genuinely depends on a degree still in flight. The grant's
+// batched scripts: the only percept the walk needs is each first-visited
+// node's degree, and MoveSeq streams those with the grant, so the
+// planner speculatively extends each script deep into unvisited
+// territory — descending the port-0 chain of every fresh node down to
+// the truncation depth, a move that exists at every node of a connected
+// graph — and only stops (re-plans) where the next decision, a port
+// enumeration bound at a node first visited inside the very script being
+// built, genuinely depends on a degree still in flight. The grant's
 // degree stream is then ingested directly into the flat tree slab. The
 // moves, their order and the 2-rounds-per-path accounting are exactly
 // those of the per-node walk; only the script boundaries differ.
@@ -349,15 +348,15 @@ func (vw *viewWalker) pop() {
 	}
 }
 
-// submit plays the pending script as one degree-reporting grant and
-// ingests the percept streams into the tree slab: every fresh node's
-// degree and entry port, its kid-slot arena (once the degree is known),
-// and any deferred parent links.
+// submit plays the pending script as one grant and ingests the percept
+// streams into the tree slab: every fresh node's degree and entry port,
+// its kid-slot arena (once the degree is known), and any deferred parent
+// links.
 func (vw *viewWalker) submit() {
 	if len(vw.script) == 0 {
 		return
 	}
-	entries, degs := vw.w.MoveSeqDegrees(vw.script)
+	entries, degs := vw.w.MoveSeq(vw.script)
 	for _, pc := range vw.patch {
 		vw.t.SetInfo(pc.id, int32(degs[pc.at]), int32(entries[pc.at]))
 		if pc.exp {
@@ -401,18 +400,19 @@ type uxsWalk struct {
 	cache map[uint64][]int
 	// scratch, when set, lets the learning trip seed the agent's SymmRV
 	// walk cache (see seedSymmWalk): the forward application IS the walk
-	// R(u) that SymmRV(n, 1, δ) later follows node by node, so playing it
-	// once with a degree-reporting grant replaces SymmRV's whole
-	// one-wakeup-per-node learning pass.
+	// R(u) that SymmRV(n, 1, δ) later follows node by node, so its grant's
+	// percept streams replace SymmRV's whole one-wakeup-per-node learning
+	// pass.
 	scratch *rvScratch
 }
 
-// seedSymmWalk converts one degree-reporting forward application (played
-// from home) into the SymmRV walk cache entry for this size: degs[i] is
-// the degree of walk node u_i and entries[i-1] the port entering u_i —
-// exactly what symmRVWith's own learning pass would have recorded.
+// seedSymmWalk converts the grant of one forward application (played
+// from home) into the SymmRV walk cache entry for this size, unless the
+// agent already has one or keeps none: degs[i] is the degree of walk
+// node u_i and entries[i-1] the port entering u_i — exactly what
+// symmRVWith's own learning pass would have recorded.
 func (u uxsWalk) seedSymmWalk(entries, degrees []int, homeDeg int) {
-	if u.scratch == nil {
+	if u.scratch == nil || !u.scratch.seedSymm {
 		return
 	}
 	if _, ok := u.scratch.symCache[u.n]; ok {
@@ -465,20 +465,14 @@ func newUXSWalk(y uxs.Sequence) uxsWalk {
 	return uxsWalk{fwd: buildUXSFwd(y), rev: new([]int), chunk: new([]int), cache: map[uint64][]int{}}
 }
 
-// firstApplication plays one forward UXS application. When this agent has
-// no SymmRV walk cache for the size yet, it is played with a
-// degree-reporting grant and the percept streams seed that cache as a
-// side effect (identical rounds either way).
+// firstApplication plays one forward UXS application; its grant's
+// percept streams seed this agent's SymmRV walk cache for the size when
+// it has none yet.
 func (u uxsWalk) firstApplication(w agent.World) []int {
-	if u.scratch != nil && u.scratch.seedSymm {
-		if _, ok := u.scratch.symCache[u.n]; !ok {
-			homeDeg := w.Degree()
-			entries, degrees := w.MoveSeqDegrees(u.fwd)
-			u.seedSymmWalk(entries, degrees, homeDeg)
-			return entries
-		}
-	}
-	return w.MoveSeq(u.fwd)
+	homeDeg := w.Degree()
+	entries, degrees := w.MoveSeq(u.fwd)
+	u.seedSymmWalk(entries, degrees, homeDeg)
+	return entries
 }
 
 // maxTripScript caps one merged round-trip script: the rounds of a
@@ -519,7 +513,8 @@ func (u uxsWalk) roundTrips(w agent.World, count uint64) {
 				script[a] = entries[b]
 			}
 			copy(script[l:], u.fwd)
-			entries = w.MoveSeq(script)[l:]
+			entries, _ = w.MoveSeq(script)
+			entries = entries[l:]
 		}
 		rev := scratchInts(u.rev, l)
 		for a, b := 0, l-1; b >= 0; a, b = a+1, b-1 {

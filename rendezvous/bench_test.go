@@ -16,7 +16,7 @@ import (
 // per-(depth,budget) walk cache replays the recorded script percept-free
 // and copies the cached tree, which is what every UniversalRV phase
 // after the first does at a given hypothesis. BenchmarkViewWalkCold
-// measures the first walk (the speculative degree-reporting planner).
+// measures the first walk (the speculative planner).
 func BenchmarkViewWalkBatched(b *testing.B) {
 	g := graph.Petersen()
 	var tree view.Tree
@@ -36,7 +36,7 @@ func BenchmarkViewWalkBatched(b *testing.B) {
 }
 
 // BenchmarkViewWalkCold: the first walk at a hypothesis — the
-// degree-reporting planner DFS with nothing cached.
+// planner DFS with nothing cached.
 func BenchmarkViewWalkCold(b *testing.B) {
 	g := graph.Petersen()
 	var tree view.Tree

@@ -85,9 +85,9 @@ func explore1ScriptLen(deg int, budget, delta uint64) uint64 {
 // SymmRV executes exactly this pair at every node of its UXS walk, and
 // the port is known before the Explore starts, so for the batchable
 // d = 1 form the enumeration, its duration padding AND the walk step
-// fuse into a single degree-reporting script — one scheduler wakeup per
-// walk node, with the landed node's degree (SymmRV's walk bookkeeping)
-// read straight from the grant's degree stream. The fallback is the
+// fuse into a single script — one scheduler wakeup per walk node, with
+// the landed node's degree (SymmRV's walk bookkeeping) read straight
+// from the grant's degree stream. The fallback is the
 // split submission with identical per-round behavior.
 func exploreThenMove(w agent.World, n, d, delta uint64, s *rvScratch, port int) (entry, deg int) {
 	// The fused script is dominated by the enumeration; the appended walk
@@ -99,7 +99,7 @@ func exploreThenMove(w agent.World, n, d, delta uint64, s *rvScratch, port int) 
 			script := appendExplore1(s.expScript[:0], w.Degree(), budget, delta)
 			script = append(script, port)
 			s.expScript = script
-			entries, degs := w.MoveSeqDegrees(script)
+			entries, degs := w.MoveSeq(script)
 			return entries[len(entries)-1], degs[len(degs)-1]
 		}
 	}
@@ -175,7 +175,7 @@ func exploreEnumerate(w agent.World, d, delta, maxIter uint64, s *rvScratch) uin
 	// lexicographic successor — and the current port sequence is itself a
 	// complete forward script (its ports are valid by construction: the
 	// successor bump keeps seq[j]+1 < degs[j] and resets deeper positions
-	// to port 0, valid at every node). MoveSeqDegrees therefore plays the
+	// to port 0, valid at every node). MoveSeq therefore plays the
 	// ENTIRE forward walk in one grant whose degree stream fills degs[]
 	// for the next successor computation and whose entry stream fills the
 	// backtrack path — no per-node suffix wakeups. ingest maps the
@@ -187,7 +187,7 @@ func exploreEnumerate(w agent.World, d, delta, maxIter uint64, s *rvScratch) uin
 		copy(entries, gotE)
 		copy(degs[1:dd], gotD)
 	}
-	ingest(w.MoveSeqDegrees(seq))
+	ingest(w.MoveSeq(seq))
 	for {
 		// The reverse path back to u, played batched below.
 		for i, j := 0, dd-1; j >= 0; i, j = i+1, j-1 {
@@ -216,9 +216,9 @@ func exploreEnumerate(w agent.World, d, delta, maxIter uint64, s *rvScratch) uin
 		seq[j]++
 
 		// Merge this iteration's backtrack, the inter-iteration pad and
-		// the whole next forward walk into one degree-reporting script —
-		// the moves and their per-round timing are exactly those of the
-		// split submission, but the scheduler wakes the agent once per
+		// the whole next forward walk into one script — the moves and
+		// their per-round timing are exactly those of the split
+		// submission, but the scheduler wakes the agent once per
 		// iteration. Long pads are not materialized; they go through the
 		// wait fast-forward instead.
 		if total := uint64(2*dd) + pad; total <= maxExploreScript {
@@ -229,12 +229,12 @@ func exploreEnumerate(w agent.World, d, delta, maxIter uint64, s *rvScratch) uin
 			}
 			fo := dd + int(pad)
 			copy(script[fo:], seq)
-			gotE, gotD := w.MoveSeqDegrees(script)
+			gotE, gotD := w.MoveSeq(script)
 			ingest(gotE[fo:], gotD[fo:])
 		} else {
 			agent.RunSeq(w, rev)
 			w.Wait(pad)
-			ingest(w.MoveSeqDegrees(seq))
+			ingest(w.MoveSeq(seq))
 		}
 	}
 }

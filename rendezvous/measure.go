@@ -78,37 +78,14 @@ func (w *soloWorld) Wait(rounds uint64) { w.clock += rounds }
 // equivalent of agent.RunScript without per-move interface dispatch, with
 // agent.ActionPort's resolution fused into a single adjacency-row access
 // per move (the same fusion as the engine's burst step; the batched
-// rendezvous procedures put every action through this loop). The
-// returned slice is the world's reusable buffer, per the World contract.
-func (w *soloWorld) MoveSeq(actions []int) []int { return w.runScript(actions, nil) }
-
-// MoveSeqDegrees shares MoveSeq's fused loop with the degree stream
-// filled alongside (one reusable buffer each, per the World contract) —
-// the direct single-agent analogue of the engine's degree-reporting
-// grant, and the world BenchmarkViewWalkBatched drives.
-func (w *soloWorld) MoveSeqDegrees(actions []int) ([]int, []int) {
+// rendezvous procedures put every action through this loop, and
+// BenchmarkViewWalkBatched drives it). The returned slices are the
+// world's reusable buffers, per the World contract.
+func (w *soloWorld) MoveSeq(actions []int) ([]int, []int) {
 	if len(actions) == 0 {
 		return nil, nil
 	}
-	if cap(w.degs) >= len(actions) {
-		w.degs = w.degs[:len(actions)]
-	} else {
-		w.degs = make([]int, len(actions))
-	}
-	return w.runScript(actions, w.degs), w.degs
-}
-
-// runScript is the shared script loop; degs, when non-nil, receives the
-// per-action degree percept.
-func (w *soloWorld) runScript(actions, degs []int) []int {
-	if len(actions) == 0 {
-		return nil
-	}
-	if cap(w.entries) >= len(actions) {
-		w.entries = w.entries[:len(actions)]
-	} else {
-		w.entries = make([]int, len(actions))
-	}
+	entries, degs := scratchInts(&w.entries, len(actions)), scratchInts(&w.degs, len(actions))
 	for i, a := range actions {
 		if a != agent.ScriptWait {
 			adj := w.g.Adj(w.pos)
@@ -118,12 +95,9 @@ func (w *soloWorld) runScript(actions, degs []int) []int {
 			w.deg = len(w.g.Adj(h.To))
 		}
 		w.clock++
-		w.entries[i] = w.entry
-		if degs != nil {
-			degs[i] = w.deg
-		}
+		entries[i], degs[i] = w.entry, w.deg
 	}
-	return w.entries
+	return entries, degs
 }
 
 // measureDurations runs body for both agents and collects their local

@@ -67,8 +67,8 @@ func symmRVWith(w agent.World, n, d, delta uint64, s *rvScratch) {
 	// Explore at u0, then step to u1 = succ(u0, 0); then, following the
 	// UXS from u_i entered by port q, explore and leave by
 	// (q + a_i) mod d(u_i). Each Explore and the walk step after it fuse
-	// into one degree-reporting script where possible (exploreThenMove);
-	// the final backtrack batches into one script. The walk's
+	// into one script where possible (exploreThenMove); the final
+	// backtrack batches into one script. The walk's
 	// degree-prefix bookkeeping — degs[i], recorded for the replay
 	// cache — reads straight from each grant's degree stream instead of
 	// interleaving w.Degree() calls between scripts.

@@ -1,7 +1,7 @@
 package rendezvous
 
 // SymmRV walk-cache seeding tests: AsymmRV's schedule plays the same UXS
-// walk R(u) that SymmRV(n, 1, δ) follows, so its first degree-reporting
+// walk R(u) that SymmRV(n, 1, δ) follows, so the grant of its first
 // application seeds the SymmRV walk cache and the whole d = 1 procedure
 // replays percept-free — no per-node learning pass at all. The seeded
 // replay must be round-for-round identical to the learning-pass

@@ -30,10 +30,11 @@ type Client struct {
 	// Logf (nil for silent) receives per-job progress notices, including
 	// the cache-hit/executed split the CI smoke asserts on.
 	Logf func(format string, args ...any)
-	// RetryMax bounds how many 503-shed submissions are retried (after
-	// honoring Retry-After) before giving up. Default 4.
-	RetryMax int
 }
+
+// submitRetries bounds how many 503-shed submissions Run retries (after
+// honoring Retry-After) before giving up.
+const submitRetries = 4
 
 func (c *Client) httpClient() *http.Client {
 	if c.HTTPClient != nil {
@@ -63,16 +64,12 @@ func (c *Client) Run(shards []*dist.ShardDesc) ([]*dist.ShardResult, error) {
 	}
 
 	var sub submitResponse
-	retries := c.RetryMax
-	if retries <= 0 {
-		retries = 4
-	}
 	for attempt := 0; ; attempt++ {
 		resp, err := c.httpClient().Post(c.BaseURL+"/v1/sweeps", "application/json", bytes.NewReader(body))
 		if err != nil {
 			return nil, fmt.Errorf("rvd: submitting sweep: %w", err)
 		}
-		if resp.StatusCode == http.StatusServiceUnavailable && attempt < retries {
+		if resp.StatusCode == http.StatusServiceUnavailable && attempt < submitRetries {
 			// Admission control shed us: honor Retry-After and resubmit.
 			delay := time.Second
 			if s := resp.Header.Get("Retry-After"); s != "" {
@@ -82,7 +79,7 @@ func (c *Client) Run(shards []*dist.ShardDesc) ([]*dist.ShardResult, error) {
 			}
 			io.Copy(io.Discard, resp.Body)
 			resp.Body.Close()
-			c.logf("rvd: daemon overloaded, retrying in %v (attempt %d/%d)", delay, attempt+1, retries)
+			c.logf("rvd: daemon overloaded, retrying in %v (attempt %d/%d)", delay, attempt+1, submitRetries)
 			time.Sleep(delay)
 			continue
 		}

@@ -140,10 +140,6 @@ type Config struct {
 	// amortize dispatch better. Default 16.
 	BatchShards int
 
-	// RetryAfter is the backoff hint handed to shed submitters.
-	// Default 1s.
-	RetryAfter time.Duration
-
 	// Log receives structured operational notices with levels (job
 	// lifecycle, quarantines and leftover-state cleanup at Info,
 	// per-batch dispatch at Debug, failures at Warn). Nil is silent.
@@ -172,11 +168,11 @@ func (c Config) withDefaults() Config {
 	if c.BatchShards <= 0 {
 		c.BatchShards = 16
 	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
-	}
 	return c
 }
+
+// retryAfter is the backoff hint handed to shed submitters.
+const retryAfter = time.Second
 
 // ErrOverloaded is returned by Submit when admission control sheds the
 // job; RetryAfter is the suggested backoff.
@@ -321,7 +317,7 @@ func (d *Daemon) Submit(shards [][]byte) (*Job, error) {
 		return nil, ErrClosed
 	}
 	if d.pending+len(job.shards) > d.cfg.QueueBound {
-		return nil, &ErrOverloaded{RetryAfter: d.cfg.RetryAfter}
+		return nil, &ErrOverloaded{RetryAfter: retryAfter}
 	}
 	job.ID = d.nextID
 	d.nextID++

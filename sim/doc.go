@@ -35,36 +35,28 @@
 // execution are behavior-identical (same Result field by field), pinned
 // across the STIC suite and randomized program pairs.
 //
-// # Degree-reporting grants
+// # Percept grants
 //
-// agent.World.MoveSeqDegrees is MoveSeq with the degree percept streamed
-// alongside the entry ports: the runner fills a second per-agent buffer
-// from the burst's position log — degrees[i] is the degree of
-// the node occupied after action i, i.e. the node a move enters (degree
-// observed on entry) or the unchanged current node for a ScriptWait —
-// and the grant hands both slices back under the same
-// valid-until-next-action ownership contract. Rel-encoded moves resolve
-// identically on both calls, and deferred-wait merging is oblivious to
-// the degree flag: a pending wait of any length rides the script request
-// as its lead — fast-forwarded in O(1) with the agent parked and no
-// percepts produced, before the script's first action — so
-// percept-streaming producers batch across wait boundaries exactly like
-// plain scripted ones, and the grant's entry and degree streams always
-// line up one-to-one with the caller's actions.
-// agent.RunScriptDegrees defines the semantics action by action, and
-// agent.UnbatchedDegrees degrades exactly the degree-reporting calls so
-// the differential suites pin the new percept stream in isolation.
-//
-// Degree grants exist for percept-bound producers — walks whose only
-// reason to wake up at a node was a Degree() call before the next
-// scripted stretch. With the degree in the grant, rendezvous's view
-// walk, path enumeration and SymmRV bookkeeping compile whole phases
-// into a handful of scripts; Session.Wakeups counts the scheduler-agent
-// interactions per run and the wakeup regression tests pin the E17
-// workload's ceiling. The sim_wakeups_phase_total samples break the
-// count down by the agent.Phase tag the producing procedure set
-// (viewWalk, explore, symmRV, schedule), so a batching regression names
-// its producer.
+// A MoveSeq grant streams both percepts of every round it ran: the
+// runner fills an entry buffer and a degree buffer, the latter from the
+// burst's position log — degrees[i] is the degree of the node occupied
+// after action i, i.e. the node a move enters (degree observed on entry)
+// or the unchanged current node for a ScriptWait — and the grant hands
+// both slices back under the valid-until-next-action ownership contract.
+// A pending wait of any length rides the script request as its lead,
+// fast-forwarded in O(1) with the agent parked and no percepts produced
+// before the script's first action, so the streams always line up
+// one-to-one with the caller's actions and producers batch across wait
+// boundaries. With the degree in the grant, percept-bound producers —
+// rendezvous's view walk, path enumeration and SymmRV bookkeeping, whose
+// only reason to wake at a node was a Degree() call — compile whole
+// phases into a handful of scripts. agent.RunScript defines the
+// semantics action by action. Session.Wakeups counts the
+// scheduler-agent interactions per run, and the wakeup regression tests
+// pin the E17 workload's ceiling. The sim_wakeups_phase_total samples
+// break the count down by the agent.Phase tag the producing procedure
+// set (viewWalk, explore, symmRV, schedule), so a batching regression
+// names its producer.
 //
 // The complementary channel is agent.RunSeq, the side-effects-only
 // script: the caller declares it will not read the percept streams, the
@@ -125,9 +117,8 @@
 //     move, and unbounded for a terminated program. No
 //     runner reaches the request-pulling state before the horizon's
 //     final round, so fetch — the only resume of a program — happens
-//     only at boundaries. Degree-reporting scripts have the same runway
-//     as plain ones: the degree buffer is filled as positions advance,
-//     never by extra interactions.
+//     only at boundaries. The degree buffer is filled as positions
+//     advance, never by extra interactions.
 //
 //  2. Quiet skips. Rounds in which no present agent moves cannot create
 //     a meeting or a gathering: positions are static and every
@@ -145,9 +136,7 @@
 //     engine. While some pair has not met, a burst stops on any
 //     co-location of such a pair; once every pair has met, only the
 //     O(k) first-gathering check remains, and after the gathering
-//     nothing. From bucketScanMinK agents up the scans are
-//     position-bucketed (O(k) per round) with byte-identical output,
-//     pinned by the large-k differential suite. A pending single move
+//     nothing. A pending single move
 //     (a per-move program) is the one exception: every agent advances
 //     one round and the detection follows.
 //

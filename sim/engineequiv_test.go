@@ -19,22 +19,17 @@ import (
 	"repro/sim"
 )
 
-// sameResult runs the program pair through three engines — fully batched,
-// fully per-move (Unbatched), and batched except for degree-reporting
-// scripts (UnbatchedDegrees, which degrades every MoveSeqDegrees call to
-// the RunScriptDegrees reference) — and compares the full Result structs.
-// The third run isolates the degree-grant machinery: the rendezvous
-// producers drive MoveSeqDegrees on every path these cases exercise.
+// sameResult runs the program pair through two engines — fully batched
+// and fully per-move (Unbatched, which degrades every MoveSeq call to
+// the RunScript reference, degree stream included) — and compares the
+// full Result structs. The rendezvous producers read the grant's degree
+// stream on every path these cases exercise.
 func sameResult(t *testing.T, name string, g *graph.Graph, pa, pb agent.Program, u, v int, delay, budget uint64) {
 	t.Helper()
 	batched := sim.RunPrograms(g, pa, pb, u, v, delay, sim.Config{Budget: budget})
 	unbatched := sim.RunPrograms(g, agent.Unbatched(pa), agent.Unbatched(pb), u, v, delay, sim.Config{Budget: budget})
 	if batched != unbatched {
 		t.Fatalf("%s: engines disagree\n  batched:   %+v\n  unbatched: %+v", name, batched, unbatched)
-	}
-	udeg := sim.RunPrograms(g, agent.UnbatchedDegrees(pa), agent.UnbatchedDegrees(pb), u, v, delay, sim.Config{Budget: budget})
-	if batched != udeg {
-		t.Fatalf("%s: degree-grant engines disagree\n  batched:           %+v\n  unbatched-degrees: %+v", name, batched, udeg)
 	}
 }
 

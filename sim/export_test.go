@@ -147,7 +147,3 @@ func RunManyReference(g *graph.Graph, agents []MultiAgent, cfg MultiConfig) Mult
 		t += skip
 	}
 }
-
-// Worker returns the index of the worker that owns this scratch
-// (0 <= Worker < workers).
-func (s *Scratch) Worker() int { return s.worker }

@@ -54,12 +54,6 @@ type MultiConfig struct {
 	StopOnFirstMeeting bool
 }
 
-// bucketScanMinK is the agent count from which RunMany's meeting scans
-// switch from the O(k²) pairwise loop to position-bucketed detection
-// (O(k) per scanned round): below it the quadratic loop's cache-friendly
-// simplicity wins, above it the pairwise scan dominates the run.
-const bucketScanMinK = 32
-
 // RunMany executes k agents in lock-step on g through the
 // direct-execution scheduler: it advances all agents together to the
 // next event horizon — the earliest script boundary, wait end, agent
@@ -67,13 +61,12 @@ const bucketScanMinK = 32
 // kernel, which steps scripted moves without resuming any program,
 // holds waiting agents and skips mutual-wait stretches in O(1).
 // Pairwise meetings are recorded (first meeting per pair, see
-// MultiResult.Meetings for the order; at k >= bucketScanMinK the scan
-// is position-bucketed instead of pairwise, with identical output); the
-// run ends on gathering (when StopOnGather is set), on the
-// first meeting (when StopOnFirstMeeting is set), on the budget, or —
-// when every program has terminated at scattered nodes — on proof that
-// nothing further can happen. The engine-equivalence tests pin it to a
-// retained round-by-round reference engine on randomized cases.
+// MultiResult.Meetings for the order); the run ends on gathering (when
+// StopOnGather is set), on the first meeting (when StopOnFirstMeeting is
+// set), on the budget, or — when every program has terminated at
+// scattered nodes — on proof that nothing further can happen. The
+// engine-equivalence tests pin it to a retained round-by-round reference
+// engine on randomized cases.
 func (s *Session) RunMany(g *graph.Graph, agents []MultiAgent, cfg MultiConfig) MultiResult {
 	k := len(agents)
 	if k == 0 {
@@ -113,23 +106,6 @@ func (s *Session) RunMany(g *graph.Graph, agents []MultiAgent, cfg MultiConfig) 
 		activeIdx: s.mactiveIdx[:0],
 		moved:     s.mmoved[:k],
 	}
-	// Large k: the O(k²) pairwise scans are replaced by position-bucketed
-	// detection — per-node singly linked lists over the active set, built
-	// and torn down in O(k) per scanned round. head is indexed by node id
-	// and kept all -1 between uses.
-	if m.useBuckets = k >= bucketScanMinK; m.useBuckets {
-		if cap(s.mbhead) < g.N() {
-			s.mbhead = make([]int32, g.N())
-		}
-		if cap(s.mbnext) < k {
-			s.mbnext = make([]int32, k)
-		}
-		m.bhead = s.mbhead[:g.N()]
-		for i := range m.bhead {
-			m.bhead[i] = -1
-		}
-		m.bnext = s.mbnext[:k]
-	}
 	m.begin()
 	defer func() {
 		publishRunStats(&s.stats, runKindMulti)
@@ -155,13 +131,8 @@ type multiRun struct {
 	met       []bool
 	active    []*runner
 	activeIdx []int
-	// Per-step scratch: nothing in it survives one step call. bhead is
-	// indexed by node id and must be all -1 between uses (every user
-	// restores it).
-	moved      []bool
-	bhead      []int32
-	bnext      []int32
-	useBuckets bool
+	// Per-step scratch: nothing in it survives one step call.
+	moved []bool
 
 	res          MultiResult
 	presentCount int
@@ -228,57 +199,24 @@ func (m *multiRun) finish() bool {
 func (m *multiRun) detect(t uint64, moved []bool) bool {
 	active, activeIdx, met, k := m.active, m.activeIdx, m.met, len(m.agents)
 	coloc := false
-	if m.useBuckets {
-		// Bucket the active set by position, lists ascending by active
-		// index (built in reverse), then emit co-located pairs by
-		// walking each agent's tail — the identical (i, j) lexicographic
-		// order, and the identical moved-pair filter, as the quadratic
-		// scan below.
-		bhead, bnext := m.bhead, m.bnext
-		for a := len(active) - 1; a >= 0; a-- {
-			p := active[a].pos
-			bnext[a] = bhead[p]
-			bhead[p] = int32(a)
-		}
-		for a := 0; a < len(active); a++ {
-			i := activeIdx[a]
-			aMoved := moved == nil || moved[a]
-			for b := bnext[a]; b >= 0; b = bnext[b] {
-				if !aMoved && !moved[b] {
-					continue
-				}
-				coloc = true
-				if met[i*k+activeIdx[b]] {
-					continue
-				}
-				met[i*k+activeIdx[b]] = true
-				m.unmet--
-				m.res.Meetings = append(m.res.Meetings, Meeting{A: i, B: activeIdx[b], Node: active[a].pos, Round: t})
+	for a := 0; a < len(active); a++ {
+		pi := active[a].pos
+		i := activeIdx[a]
+		aMoved := moved == nil || moved[a]
+		for b := a + 1; b < len(active); b++ {
+			if !aMoved && !moved[b] {
+				continue
 			}
-		}
-		for a := range active {
-			bhead[active[a].pos] = -1
-		}
-	} else {
-		for a := 0; a < len(active); a++ {
-			pi := active[a].pos
-			i := activeIdx[a]
-			aMoved := moved == nil || moved[a]
-			for b := a + 1; b < len(active); b++ {
-				if !aMoved && !moved[b] {
-					continue
-				}
-				if active[b].pos != pi {
-					continue
-				}
-				coloc = true
-				if met[i*k+activeIdx[b]] {
-					continue
-				}
-				met[i*k+activeIdx[b]] = true
-				m.unmet--
-				m.res.Meetings = append(m.res.Meetings, Meeting{A: i, B: activeIdx[b], Node: pi, Round: t})
+			if active[b].pos != pi {
+				continue
 			}
+			coloc = true
+			if met[i*k+activeIdx[b]] {
+				continue
+			}
+			met[i*k+activeIdx[b]] = true
+			m.unmet--
+			m.res.Meetings = append(m.res.Meetings, Meeting{A: i, B: activeIdx[b], Node: pi, Round: t})
 		}
 	}
 	if (coloc || k == 1) && m.presentCount == k && !m.res.Gathered {
@@ -305,11 +243,7 @@ func (m *multiRun) detect(t uint64, moved []bool) bool {
 // nothing.
 func (m *multiRun) watch() watch {
 	if m.unmet > 0 {
-		w := watch{met: m.met, idx: m.activeIdx, k: len(m.agents)}
-		if m.useBuckets {
-			w.bhead, w.bnext = m.bhead, m.bnext
-		}
-		return w
+		return watch{met: m.met, idx: m.activeIdx, k: len(m.agents)}
 	}
 	gather := !m.res.Gathered && m.presentCount == len(m.agents)
 	return watch{gather: gather, off: !gather}

@@ -26,8 +26,8 @@ import (
 // to exercise every scheduler path: batched scripts (with and without
 // in-script wait runs), unbatched per-move interaction, long waits (the
 // O(1) fast-forward), early termination (NeverMeet/allDone detection),
-// degree-reporting grants whose percept streams drive the next script
-// (with deferred waits merging across the degree scripts' boundaries),
+// grants whose degree streams drive the next script (with deferred waits
+// merging across those scripts' boundaries),
 // and the full phase pipeline of UniversalRV.
 func randProgram(r *rand.Rand) (agent.Program, string) {
 	switch r.Intn(11) {
@@ -75,29 +75,28 @@ func randProgram(r *rand.Rand) (agent.Program, string) {
 			}
 		}, fmt.Sprintf("bounce-wait-%d", wait)
 	case 7: // degree-driven walker: every script's ports come from the
-		// previous degree-reporting grant — the percept-feedback loop the
-		// new API exists for. The pre-script wait exercises the
-		// wait-merge boundary (short pads fold into the degree script as
-		// a leading ScriptWait run whose percepts are sliced off).
+		// previous grant's degree stream — the percept-feedback loop the
+		// stream exists for. The pre-script wait exercises the
+		// wait-merge boundary (the pad rides the script as its lead).
 		pad := uint64(r.Intn(12))
 		return func(w agent.World) {
 			script := []int{0}
 			for {
 				w.Wait(pad)
-				entries, degs := w.MoveSeqDegrees(script)
+				entries, degs := w.MoveSeq(script)
 				last := len(degs) - 1
 				script = []int{degs[last] - 1, agent.Rel(entries[last] % 2), agent.ScriptWait}
 			}
 		}, fmt.Sprintf("degwalk-pad%d", pad)
-	case 8: // degree-reporting script behind a LONG deferred wait (the
-		// flush path rather than the fold path), with in-script waits.
+	case 8: // degree-read script behind a LONG deferred wait (the flush
+		// path rather than the fold path), with in-script waits.
 		wait := uint64(300 + r.Intn(2000))
 		steps := 1 + r.Intn(6)
 		return func(w agent.World) {
 			script := []int{0, agent.ScriptWait, agent.Rel(0)}
 			for i := 0; i < steps; i++ {
 				w.Wait(wait)
-				_, degs := w.MoveSeqDegrees(script)
+				_, degs := w.MoveSeq(script)
 				script = []int{degs[0] - 1, agent.ScriptWait, agent.Rel(0)}
 			}
 		}, fmt.Sprintf("degflush-%d-%d", wait, steps)
@@ -289,11 +288,11 @@ func TestEngineEquivalenceRunManyUniversal(t *testing.T) {
 }
 
 // TestEngineEquivalenceRunManyBatchedVsUnbatched re-pins the batched
-// semantics on the k-agent path: three populations of the same programs —
-// fully batched, fully per-move (Unbatched), and batched with only the
-// degree-reporting scripts degraded to the RunScriptDegrees reference
-// (UnbatchedDegrees) — must behave identically through the direct engine,
-// mid-script appearances and wait-merge boundaries included.
+// semantics on the k-agent path: two populations of the same programs —
+// fully batched and fully per-move (Unbatched, which degrades every
+// MoveSeq to the RunScript reference, degree stream included) — must
+// behave identically through the direct engine, mid-script appearances
+// and wait-merge boundaries included.
 func TestEngineEquivalenceRunManyBatchedVsUnbatched(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	for ci := 0; ci < 60; ci++ {
@@ -317,22 +316,18 @@ func TestEngineEquivalenceRunManyBatchedVsUnbatched(t *testing.T) {
 		if !reflect.DeepEqual(a, b) {
 			t.Fatalf("case %d on %s: batched vs unbatched disagree\n  batched:   %+v\n  unbatched: %+v", ci, g, a, b)
 		}
-		c := sim.RunMany(g, mk(agent.UnbatchedDegrees), cfg)
-		if !reflect.DeepEqual(a, c) {
-			t.Fatalf("case %d on %s: batched vs unbatched-degrees disagree\n  batched:           %+v\n  unbatched-degrees: %+v", ci, g, a, c)
-		}
 	}
 }
 
-// TestEngineEquivalenceRunManyLargeK pins the position-bucketed meeting
-// scan (k >= 32) against the quadratic reference engine: full
+// TestEngineEquivalenceRunManyLargeK pins the one pairwise meeting scan
+// at large k (32, 48 or 64 agents) against the reference engine: full
 // MultiResult equality including the Meetings order, on dense
 // populations where many pairs co-locate in the same round.
 func TestEngineEquivalenceRunManyLargeK(t *testing.T) {
 	r := rand.New(rand.NewSource(0xB17))
 	for ci := 0; ci < 12; ci++ {
 		g := randGraph(r)
-		k := 32 + r.Intn(3)*16 // 32, 48 or 64 — all on the bucketed path
+		k := 32 + r.Intn(3)*16 // 32, 48 or 64
 		agents := make([]sim.MultiAgent, k)
 		for i := range agents {
 			prog, _ := randProgram(r)
@@ -367,8 +362,8 @@ func TestEngineEquivalenceRunManyLargeK(t *testing.T) {
 // where only gathering, or nothing, is left to detect. The suite must
 // include runs in which every pair met before the agents gathered, and
 // runs in which every pair met and they never did. The last cases spread
-// 32–40 agents over rings of 40–79 nodes, so the bursts'
-// position-bucketed probe runs, mostly on pairs that have not met.
+// 32–40 agents over rings of 40–79 nodes, so the bursts' pairwise scan
+// runs at large k, mostly on pairs that have not met.
 func TestEngineEquivalenceRunManyStaggeredLeads(t *testing.T) {
 	r := rand.New(rand.NewSource(0x5EED5))
 	graphs := []*graph.Graph{graph.TwoNode(), graph.Path(3), graph.Cycle(3), graph.Star(3), graph.Cycle(4)}

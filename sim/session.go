@@ -44,10 +44,6 @@ type Session struct {
 	mactive    []*runner
 	mactiveIdx []int
 	mmoved     []bool
-	// Position-bucket buffers for the large-k meeting scan (see detect in
-	// multi.go): per-node list heads and per-agent next links.
-	mbhead []int32
-	mbnext []int32
 }
 
 // Wakeups returns the number of scheduler-agent interactions (requests
@@ -91,7 +87,6 @@ func (s *Session) acquire(g *graph.Graph, prog agent.Program, start int) *runner
 	r.scriptAt = 0
 	r.scriptLead = 0
 	r.scriptWaitRun = 0
-	r.scriptDegs = nil
 	r.scriptQuiet = false
 	r.copiesLeft = 0
 	r.replaying = false
@@ -123,7 +118,6 @@ func (s *Session) release(r *runner) {
 	r.abort = false
 	r.prog = nil
 	r.script = nil
-	r.scriptDegs = nil
 	r.stats = nil
 	if !live {
 		return // the coroutine exited (the program called runtime.Goexit)
@@ -177,14 +171,12 @@ type request struct {
 	// wait request: one handshake, zero per-round cost.
 	rounds uint64
 	script []int
-	// wantDegs marks a degree-reporting script (World.MoveSeqDegrees):
-	// the scheduler fills the runner's degree buffer alongside the entry
-	// buffer in the same lock-step loop and hands both back in the grant.
 	// quiet marks a side-effects-only script (agent.RunSeq): the grant
-	// carries no entry stream, so in-script ScriptWait runs advance in
-	// O(1) with no per-round buffer writes.
-	wantDegs bool
-	quiet    bool
+	// carries no percept streams, so in-script ScriptWait runs advance in
+	// O(1) with no per-round buffer writes. Every other script
+	// (World.MoveSeq) has the scheduler fill the runner's entry and degree
+	// buffers in the same lock-step loop and hand both back in the grant.
+	quiet bool
 	// phase is the agent.Phase the producing procedure had set when the
 	// request was issued — pure attribution for the wakeup histogram.
 	phase agent.Phase
@@ -196,8 +188,8 @@ type request struct {
 type grantMsg struct {
 	degree  int
 	entry   int
-	entries []int // per-action entry ports, for reqScript grants
-	degrees []int // per-action degrees, for degree-reporting script grants
+	entries []int // per-action entry ports, for MoveSeq grants
+	degrees []int // per-action degrees, for MoveSeq grants
 	// rounds is the rounds a quiet script ran, its lead excluded.
 	rounds uint64
 }
@@ -215,16 +207,15 @@ type runner struct {
 	moves    uint64
 
 	// Script execution state (stScript): the pending action list, the
-	// cursor, the entry-port results accumulated so far, and the cached
-	// length of the run of consecutive ScriptWait actions at the cursor
-	// (0 = not computed or cursor on a move). scriptDegs is the active
-	// degree buffer of a degree-reporting script — nil for plain MoveSeq
-	// grants. scriptLead is the pending lead — deferred or SeqWait-encoded
-	// wait rounds fast-forwarded in O(1) (position static, no entries
-	// produced) before the next action runs; the cursor never rests on an
-	// escape (settle folds SeqWaits into the lead and opens SeqRepeat
-	// blocks). scriptRounds is a quiet script's round count, for the
-	// grant: its length, adjusted as settle decodes each escape.
+	// cursor, the entry-port and degree results accumulated so far
+	// (quiet scripts leave the degrees unfilled), and the cached length
+	// of the run of consecutive ScriptWait actions at the cursor (0 = not
+	// computed or cursor on a move). scriptLead is the pending lead — deferred or SeqWait-encoded wait rounds
+	// fast-forwarded in O(1) (position static, no entries produced)
+	// before the next action runs; the cursor never rests on an escape
+	// (settle folds SeqWaits into the lead and opens SeqRepeat blocks).
+	// scriptRounds is a quiet script's round count, for the grant: its
+	// length, adjusted as settle decodes each escape.
 	script        []int
 	scriptAt      int
 	scriptLead    uint64
@@ -253,12 +244,10 @@ type runner struct {
 	walkedN int
 
 	// Cold tail — touched once per script or per run, never per round:
-	// the degree buffer's capacity reservoir and the statistics sink of
-	// the current run (its session's runStats), updated per request
-	// pulled.
-	scriptDegsBuf []int
-	stats         *runStats
-	rec           blockRecord
+	// the statistics sink of the current run (its session's runStats),
+	// updated per request pulled.
+	stats *runStats
+	rec   blockRecord
 
 	// next and stop drive the runner's coroutine (see body), created once
 	// with the runner: next resumes the program until its next request,
@@ -322,25 +311,16 @@ func (r *runner) consume(rq request) {
 		r.scriptAt = 0
 		r.scriptLead = rq.rounds
 		r.scriptQuiet = rq.quiet
-		// Reuse the per-runner entries buffer (the World.MoveSeq contract
-		// makes the previous grant's slice invalid once the agent issues a
-		// new action), so scripted hot loops allocate nothing. Quiet
-		// scripts keep the buffer too — the per-move write costs less
-		// than a hot-loop branch to skip it; only the wait-run fills are
-		// elided. The degree buffer only materializes for
-		// degree-reporting scripts.
-		if cap(r.scriptEntries) >= len(rq.script) {
-			r.scriptEntries = r.scriptEntries[:len(rq.script)]
-		} else {
-			r.scriptEntries = make([]int, len(rq.script))
-		}
-		if rq.wantDegs {
-			if cap(r.scriptDegsBuf) < len(rq.script) {
-				r.scriptDegsBuf = make([]int, len(rq.script))
-			}
-			r.scriptDegs = r.scriptDegsBuf[:len(rq.script)]
-		} else {
-			r.scriptDegs = nil
+		// Reuse the per-runner percept buffers (the World.MoveSeq
+		// contract makes the previous grant's slices invalid once the
+		// agent issues a new action), so scripted hot loops allocate
+		// nothing. Quiet scripts keep the entries buffer too — the
+		// per-move write costs less than a hot-loop branch to skip it;
+		// only their wait-run and degree fills are elided.
+		n := len(rq.script)
+		r.scriptEntries = slices.Grow(r.scriptEntries[:0], n)[:n]
+		if !rq.quiet {
+			r.scriptDegs = slices.Grow(r.scriptDegs[:0], n)[:n]
 		}
 		r.scriptWaitRun = 0
 		r.scriptRounds = uint64(len(rq.script))
@@ -568,20 +548,19 @@ func (r *runner) closeCopy() {
 	rc.state, r.replaying = recClosed, true
 }
 
-// finishScript hands the accumulated entry ports back to the program and
-// returns the runner to the request-pulling state. The entries buffer
-// stays owned by the runner for reuse; the program may read it only
-// until its next request (the MoveSeq contract), which the next fetch
-// pulls after this grant.
+// finishScript hands the accumulated percepts back to the program and
+// returns the runner to the request-pulling state. The buffers stay
+// owned by the runner for reuse; the program may read them only until
+// its next request (the MoveSeq contract), which the next fetch pulls
+// after this grant.
 func (r *runner) finishScript() {
-	entries := r.scriptEntries
+	entries, degrees := r.scriptEntries, r.scriptDegs
 	if r.scriptQuiet {
-		entries = nil // quiet grants carry no (partially unfilled) streams
+		entries, degrees = nil, nil // quiet grants carry no (partially unfilled) streams
 	}
-	r.grant = grantMsg{degree: r.g.Degree(r.pos), entry: r.entry, entries: entries, degrees: r.scriptDegs, rounds: r.scriptRounds}
+	r.grant = grantMsg{degree: r.g.Degree(r.pos), entry: r.entry, entries: entries, degrees: degrees, rounds: r.scriptRounds}
 	r.state = stNeedReq
 	r.script = nil
-	r.scriptDegs = nil
 	r.scriptQuiet = false
 }
 
@@ -624,14 +603,10 @@ func (r *runner) advance(k uint64) {
 			if r.scriptQuiet {
 				r.scriptAt += int(k)
 			} else {
-				if r.scriptDegs != nil {
-					d := r.g.Degree(r.pos)
-					for i := uint64(0); i < k; i++ {
-						r.scriptDegs[r.scriptAt+int(i)] = d
-					}
-				}
+				d := r.g.Degree(r.pos)
 				for i := uint64(0); i < k; i++ {
 					r.scriptEntries[r.scriptAt] = r.entry
+					r.scriptDegs[r.scriptAt] = d
 					r.scriptAt++
 				}
 			}
@@ -654,14 +629,14 @@ func (r *runner) advance(k uint64) {
 // Waits are deferred: Wait only accumulates rounds locally, and the
 // accumulated stretch reaches the scheduler merged with the agent's next
 // action — carried as the LEAD of the next script request (fast-forwarded
-// in O(1) before the script's first action; degree-reporting scripts
-// included), or flushed as a single wait request when the program ends or
-// the accumulator cap binds. Waiting changes no percept and no position,
-// so the merge is invisible to the program and to the other agents: the
-// scheduler still advances the exact same number of rounds with the
-// agent parked at the same node. It just hears about them in one
-// handshake instead of many — the dominant cost of padding-heavy
-// programs, whose phase bookkeeping emits long runs of adjacent waits.
+// in O(1) before the script's first action), or flushed as a single wait
+// request when the program ends or the accumulator cap binds. Waiting
+// changes no percept and no position, so the merge is invisible to the
+// program and to the other agents: the scheduler still advances the
+// exact same number of rounds with the agent parked at the same node. It
+// just hears about them in one handshake instead of many — the dominant
+// cost of padding-heavy programs, whose phase bookkeeping emits long
+// runs of adjacent waits.
 type world struct {
 	r     *runner
 	yield func(request) bool
@@ -757,9 +732,20 @@ func (w *world) Wait(rounds uint64) {
 	}
 }
 
-func (w *world) MoveSeq(actions []int) []int {
-	entries, _ := w.moveSeq(actions, false)
-	return entries
+// MoveSeq is the native batched script. Any pending deferred wait —
+// however long — rides the script request as its lead, so the grant's
+// percept slices line up with the caller's actions with nothing to slice
+// off, and the scheduler consumes the wait in O(1).
+func (w *world) MoveSeq(actions []int) (entries, degrees []int) {
+	if len(actions) == 0 {
+		return nil, nil
+	}
+	lead := w.pendingWait
+	w.pendingWait = 0
+	g := w.call(request{kind: reqScript, script: actions, rounds: lead})
+	w.deg, w.entry = g.degree, g.entry
+	w.clock += uint64(len(actions))
+	return g.entries, g.degrees
 }
 
 // RunSeq is the native side-effects-only batched script (the optional
@@ -784,27 +770,6 @@ func (w *world) RunSeq(actions []int) {
 func runsRound(a int) bool {
 	_, repeat := agent.SeqRepeatCount(a)
 	return !repeat
-}
-
-func (w *world) MoveSeqDegrees(actions []int) (entries, degrees []int) {
-	return w.moveSeq(actions, true)
-}
-
-// moveSeq is the shared body of MoveSeq and MoveSeqDegrees. Deferred-wait
-// merging works identically across both: any pending wait — however long
-// — rides the script request as its lead, so the caller's percept slices
-// line up with its actions with nothing to slice off and the scheduler
-// consumes the wait in O(1).
-func (w *world) moveSeq(actions []int, wantDegs bool) (entries, degrees []int) {
-	if len(actions) == 0 {
-		return nil, nil
-	}
-	lead := w.pendingWait
-	w.pendingWait = 0
-	g := w.call(request{kind: reqScript, script: actions, rounds: lead, wantDegs: wantDegs})
-	w.deg, w.entry = g.degree, g.entry
-	w.clock += uint64(len(actions))
-	return g.entries, g.degrees
 }
 
 // script returns the world's reusable script-building buffer at length n.

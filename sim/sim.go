@@ -173,13 +173,11 @@ const (
 // watch names the co-locations that end a burst. The zero value watches
 // every pair of runners.
 type watch struct {
-	off    bool    // nothing left to detect
-	gather bool    // only every runner on one node (all pairs have met)
-	met    []bool  // pairs that already met, met[idx[a]*k+idx[b]]; nil: none
-	idx    []int   // agent index of each runner
-	k      int     // agent count, met's row length
-	bhead  []int32 // per-node bucket heads, all -1: an O(k) probe per round
-	bnext  []int32 // bucket links, one per runner
+	off    bool   // nothing left to detect
+	gather bool   // only every runner on one node (all pairs have met)
+	met    []bool // pairs that already met, met[idx[a]*k+idx[b]]; nil: none
+	idx    []int  // agent index of each runner
+	k      int    // agent count, met's row length
 }
 
 // burst is the scripted-step kernel of both engines. It runs the present
@@ -255,9 +253,9 @@ func burst(rs []*runner, n uint64, moved []bool, w watch) (steps uint64, hit boo
 		if odd != nil {
 			walk(odd, nil, c)
 		}
-		if !w.off && w.bhead == nil && c > filled {
+		if !w.off && c > filled {
 			// A held runner's log is its fixed node, so one scan covers
-			// all (the bucket probe reads held nodes directly).
+			// all.
 			for i, r := range rs {
 				if !moved[i] {
 					for j := filled; j < c; j++ {
@@ -353,13 +351,13 @@ func (r *runner) walkFrom(c int) (g *graph.Graph, acts, ents, log []int, pos, en
 }
 
 // walked stores a walk of j rounds, waits of them ScriptWaits, back into
-// r and fills the degree stream of a degree-reporting script (the node's
-// degree after each action).
+// r and fills the degree stream of a MoveSeq script (the node's degree
+// after each action).
 func (r *runner) walked(j, waits, pos, entry int) {
 	at := r.scriptAt
-	if d := r.scriptDegs; d != nil {
+	if !r.scriptQuiet {
 		for i, p := range r.log[:j] {
-			d[at+i] = r.g.Degree(p)
+			r.scriptDegs[at+i] = r.g.Degree(p)
 		}
 	}
 	r.moves += uint64(j - waits)
@@ -437,41 +435,6 @@ func (w *watch) scan(rs []*runner, moved []bool, c int) int {
 			}
 		}
 		return c
-	case w.bhead != nil:
-		// Position buckets: held runners stay in theirs, each round's
-		// walkers join them, and a walker landing beside a runner it has
-		// not met is a hit. Walkers leave, then held runners, in reverse
-		// order of joining, which restores every head.
-		best, bhead, bnext := c, w.bhead, w.bnext
-		for i, r := range rs {
-			if !moved[i] {
-				bnext[i], bhead[r.pos] = bhead[r.pos], int32(i)
-			}
-		}
-		for j := 0; j < best; j++ {
-			for i, r := range rs {
-				if moved[i] {
-					p := r.log[j]
-					for o := bhead[p]; o >= 0; o = bnext[o] {
-						if !w.met[w.idx[min(i, int(o))]*w.k+w.idx[max(i, int(o))]] {
-							best = j
-						}
-					}
-					bnext[i], bhead[p] = bhead[p], int32(i)
-				}
-			}
-			for i := len(rs) - 1; i >= 0; i-- {
-				if moved[i] {
-					bhead[rs[i].log[j]] = bnext[i]
-				}
-			}
-		}
-		for i := len(rs) - 1; i >= 0; i-- {
-			if !moved[i] {
-				bhead[rs[i].pos] = bnext[i]
-			}
-		}
-		return best
 	}
 	best := c
 	for a := range rs {

@@ -22,7 +22,6 @@ import (
 // without locking; nothing in it is ever shared across workers (pinned
 // by the -race tests).
 type Scratch struct {
-	worker  int
 	stash   any
 	session *Session
 }
@@ -130,18 +129,18 @@ func Sweep[T, R any](items []T, workers int, key func(T) any, f func(*Scratch, T
 
 	next := make(chan int)
 	var wg sync.WaitGroup
-	for wk := 0; wk < workers; wk++ {
+	for range workers {
 		wg.Add(1)
-		go func(id int) {
+		go func() {
 			defer wg.Done()
-			s := &Scratch{worker: id}
+			s := &Scratch{}
 			defer s.close()
 			for si := range next {
 				for _, i := range shards[si] {
 					out[i] = f(s, items[i])
 				}
 			}
-		}(wk)
+		}()
 	}
 	for _, si := range order {
 		next <- si

@@ -36,16 +36,16 @@ func TestSweepShardsRunSequentiallyInInputOrder(t *testing.T) {
 		}
 	}
 	var mu sync.Mutex
-	seen := map[int][]int{}   // key -> observed seq order
-	workerOf := map[int]int{} // key -> worker that ran it
+	seen := map[int][]int{}        // key -> observed seq order
+	workerOf := map[int]*Scratch{} // key -> the scratch of the worker that ran it
 	Sweep(items, 4, func(it item) any { return it.key }, func(s *Scratch, it item) int {
 		mu.Lock()
 		defer mu.Unlock()
 		seen[it.key] = append(seen[it.key], it.seq)
-		if prev, ok := workerOf[it.key]; ok && prev != s.Worker() {
-			t.Errorf("shard %d ran on workers %d and %d", it.key, prev, s.Worker())
+		if prev, ok := workerOf[it.key]; ok && prev != s {
+			t.Errorf("shard %d ran on two workers", it.key)
 		}
-		workerOf[it.key] = s.Worker()
+		workerOf[it.key] = s
 		return 0
 	})
 	for k, order := range seen {
@@ -58,10 +58,11 @@ func TestSweepShardsRunSequentiallyInInputOrder(t *testing.T) {
 }
 
 // TestSweepScratchIsolation is the -race test for the per-worker scratch:
-// every callback fills the buffers its worker's Stash holds with a
-// worker-stamped pattern and re-reads them after doing unrelated work. If
-// two workers ever shared a Scratch, the pattern check fails and the race
-// detector flags the unsynchronized writes.
+// every callback checks that its worker's Stash holds the buffers built
+// for that worker's Scratch, fills them with an item-stamped pattern and
+// re-reads them after doing unrelated work. If two workers ever shared a
+// Scratch, the pattern check fails and the race detector flags the
+// unsynchronized writes.
 func TestSweepScratchIsolation(t *testing.T) {
 	items := make([]int, 512)
 	for i := range items {
@@ -69,18 +70,21 @@ func TestSweepScratchIsolation(t *testing.T) {
 	}
 	var calls atomic.Int64
 	type buffers struct {
+		owner *Scratch
 		ints  []int
 		bytes []byte
 	}
 	Sweep(items, 8, func(x int) any { return x % 32 }, func(s *Scratch, x int) int {
-		b := s.Stash(func() any { return &buffers{ints: make([]int, 128), bytes: make([]byte, 64)} }).(*buffers)
+		b := s.Stash(func() any { return &buffers{owner: s, ints: make([]int, 128), bytes: make([]byte, 64)} }).(*buffers)
+		if b.owner != s {
+			t.Errorf("item %d: a worker got another worker's stash", x)
+		}
 		buf, bs := b.ints, b.bytes
-		stamp := s.Worker()<<16 | x
 		for i := range buf {
-			buf[i] = stamp
+			buf[i] = x
 		}
 		for i := range bs {
-			bs[i] = byte(s.Worker())
+			bs[i] = byte(x)
 		}
 		// Unrelated work between write and check, so interleavings with
 		// other workers get a chance to corrupt a shared buffer.
@@ -90,14 +94,14 @@ func TestSweepScratchIsolation(t *testing.T) {
 		}
 		_ = acc
 		for i := range buf {
-			if buf[i] != stamp {
-				t.Errorf("scratch ints corrupted: worker %d item %d", s.Worker(), x)
+			if buf[i] != x {
+				t.Errorf("scratch ints corrupted: item %d", x)
 				break
 			}
 		}
 		for i := range bs {
-			if bs[i] != byte(s.Worker()) {
-				t.Errorf("scratch bytes corrupted: worker %d item %d", s.Worker(), x)
+			if bs[i] != byte(x) {
+				t.Errorf("scratch bytes corrupted: item %d", x)
 				break
 			}
 		}
@@ -114,22 +118,22 @@ func TestSweepStashIsPerWorker(t *testing.T) {
 	// counters must equal the item count, and a counter must never be
 	// touched by two workers (checked by -race).
 	type counter struct {
-		worker int
-		n      int
+		owner *Scratch
+		n     int
 	}
 	var mu sync.Mutex
 	var all []*counter
 	items := make([]int, 300)
 	Sweep(items, 6, func(x int) any { return x }, func(s *Scratch, _ int) int {
 		c := s.Stash(func() any {
-			c := &counter{worker: s.Worker()}
+			c := &counter{owner: s}
 			mu.Lock()
 			all = append(all, c)
 			mu.Unlock()
 			return c
 		}).(*counter)
-		if c.worker != s.Worker() {
-			t.Errorf("worker %d got worker %d's stash", s.Worker(), c.worker)
+		if c.owner != s {
+			t.Error("a worker got another worker's stash")
 		}
 		c.n++
 		return 0

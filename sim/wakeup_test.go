@@ -1,7 +1,7 @@
 package sim_test
 
 // Wakeup-ceiling regression tests: the whole point of percept-streaming
-// scripts (degree-reporting grants, schedule streaming, walk caches) is
+// scripts (degree streams in grants, schedule streaming, walk caches) is
 // that the scheduler wakes agent goroutines a bounded number of times per
 // run. Session.Wakeups exposes the count; these tests pin the E17
 // workload's ceiling so a producer change cannot silently fall back to

@@ -69,8 +69,8 @@ func (t *Tree) SetKid(id int32, p int, kid int32) {
 
 // SetInfo fills in node id's degree and entry port after the fact. The
 // physical view walker creates nodes ahead of their percepts — with
-// degree-reporting scripts, a node's degree and entry port arrive only in
-// the grant of the batch that first visited it — and patches them here.
+// batched scripts, a node's degree and entry port arrive only in the
+// grant of the batch that first visited it — and patches them here.
 // Expand must not be called before the node's true degree is set.
 func (t *Tree) SetInfo(id int32, deg, entry int32) {
 	nd := &t.nodes[id]
