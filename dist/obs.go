@@ -57,7 +57,9 @@ func connInflightGauge(idx int) *obs.Gauge {
 
 // traceCap bounds each backend's trace ring: with ~4 events per shard
 // plus conn/run markers, 16384 events cover sweeps of a few thousand
-// shards before the oldest events roll off.
+// shards before the oldest events roll off. The ring grows on demand up
+// to the bound, so a backend holds room for the events it recorded, not
+// the 1.1 MiB a full ring takes.
 const traceCap = 16384
 
 // Timeline returns be's accumulated trace timeline when be is a

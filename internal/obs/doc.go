@@ -51,11 +51,14 @@
 //
 // # Timelines
 //
-// A Timeline is a fixed-capacity ring of span ("X") and instant ("i")
-// events on integer tracks (shard index, conn id), stamped on the
-// monotonic clock relative to the timeline's epoch. When the ring is
-// full the oldest events are overwritten and counted as dropped —
-// recording never blocks and never grows. WriteChromeTrace renders a
+// A Timeline is a ring of span ("X") and instant ("i") events on
+// integer tracks (shard index, conn id), stamped on the monotonic clock
+// relative to the timeline's epoch. The ring is bounded and grows on
+// demand up to its capacity: it allocates nothing until its first
+// event, then doubles from 16 events, so a timeline that records a few
+// events holds only those. When the ring is full the oldest events are
+// overwritten and counted as dropped — recording never blocks and never
+// grows past the capacity. WriteChromeTrace renders a
 // snapshot as the Chrome trace-event JSON format
 // ({"traceEvents": [{"name", "ph", "ts", "dur", "pid", "tid", ...}]},
 // microsecond timestamps), loadable directly in Perfetto or

@@ -2,7 +2,11 @@ package obs
 
 import (
 	"encoding/json"
+	"fmt"
+	"io"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -114,26 +118,135 @@ func TestExpBuckets(t *testing.T) {
 	}
 }
 
+// ringModel is the timeline's reference: a ring preallocated at its
+// capacity that overwrites oldest-first once full. It records tracks.
+type ringModel struct {
+	ring  []int64
+	next  int
+	total int
+}
+
+func (m *ringModel) add(track int64) {
+	if len(m.ring) < cap(m.ring) {
+		m.ring = append(m.ring, track)
+	} else {
+		m.ring[m.next] = track
+		m.next = (m.next + 1) % cap(m.ring)
+	}
+	m.total++
+}
+
+func (m *ringModel) events() (tracks []int64, dropped uint64) {
+	tracks = append(slices.Clone(m.ring[m.next:]), m.ring[:m.next]...)
+	return tracks, uint64(m.total - len(tracks))
+}
+
+// TestTimelineRingAndOrder pins the growing ring against ringModel at
+// every capacity and event count around its growth and wrap points: the
+// same events oldest-first, the same dropped count, and a ring that
+// allocates nothing before the first event, then holds at most
+// max(16, 2n) events' room after n events and never more than the
+// capacity.
 func TestTimelineRingAndOrder(t *testing.T) {
-	tl := NewTimeline(16)
-	for i := 0; i < 20; i++ {
-		tl.Instant("e", "t", int64(i), "")
+	for _, capacity := range []int{16, 20, 40, 4096} {
+		counts := []int{0, 1, 15, 16, capacity - 1, capacity, capacity + 1, 3*capacity + 7}
+		slices.Sort(counts)
+		for _, n := range slices.Compact(counts) {
+			t.Run(fmt.Sprintf("cap=%d/n=%d", capacity, n), func(t *testing.T) {
+				tl := NewTimeline(capacity)
+				if c := cap(tl.ring); c != 0 {
+					t.Fatalf("new timeline holds room for %d events, want 0", c)
+				}
+				model := &ringModel{ring: make([]int64, 0, capacity)}
+				for i := range n {
+					tl.Instant("e", "t", int64(i), "")
+					model.add(int64(i))
+					if c, limit := cap(tl.ring), min(max(16, 2*(i+1)), capacity); c > limit {
+						t.Fatalf("after %d events the ring has room for %d, want at most %d", i+1, c, limit)
+					}
+				}
+				evs, dropped := tl.Events()
+				want, wantDropped := model.events()
+				if len(evs) != len(want) || dropped != wantDropped {
+					t.Fatalf("%d events, %d dropped; want %d, %d", len(evs), dropped, len(want), wantDropped)
+				}
+				for i, ev := range evs {
+					if ev.Track != want[i] {
+						t.Fatalf("event %d track = %d, want %d", i, ev.Track, want[i])
+					}
+					if i > 0 && ev.Start < evs[i-1].Start {
+						t.Fatalf("events out of time order at %d", i)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestTimelineConcurrent records from several goroutines while others
+// snapshot and export the timeline, across the ring's growth and wrap.
+// Run it under -race. Every snapshot must hold each writer's events as
+// one unbroken, oldest-first run of its sequence numbers.
+func TestTimelineConcurrent(t *testing.T) {
+	const writers, readers, perWriter, capacity = 4, 2, 500, 1000
+	tl := NewTimeline(capacity)
+	check := func(evs []Event) error {
+		last := map[int64]int64{}
+		for _, ev := range evs {
+			if prev, ok := last[ev.Track]; ok && ev.Start != prev+1 {
+				return fmt.Errorf("writer %d: event %d follows %d", ev.Track, ev.Start, prev)
+			}
+			last[ev.Track] = ev.Start
+		}
+		return nil
+	}
+	var writing, reading sync.WaitGroup
+	stop := make(chan struct{})
+	errs := make(chan error, readers) // each reader sends at most once
+	for range readers {
+		reading.Add(1)
+		go func() {
+			defer reading.Done()
+			for {
+				evs, _ := tl.Events()
+				if err := check(evs); err != nil {
+					errs <- err
+					return
+				}
+				if err := tl.WriteTrace(io.Discard); err != nil {
+					errs <- err
+					return
+				}
+				select {
+				case <-stop:
+					return
+				default:
+				}
+			}
+		}()
+	}
+	for w := range writers {
+		writing.Add(1)
+		go func() {
+			defer writing.Done()
+			for i := range perWriter {
+				tl.Add(Event{Name: "e", Track: int64(w), Start: int64(i), Dur: -1})
+			}
+		}()
+	}
+	writing.Wait()
+	close(stop)
+	reading.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
 	}
 	evs, dropped := tl.Events()
-	if len(evs) != 16 {
-		t.Fatalf("len(events) = %d, want 16", len(evs))
+	if len(evs) != capacity || dropped != writers*perWriter-capacity {
+		t.Fatalf("%d events, %d dropped; want %d, %d", len(evs), dropped, capacity, writers*perWriter-capacity)
 	}
-	if dropped != 4 {
-		t.Fatalf("dropped = %d, want 4", dropped)
-	}
-	// Oldest-first: surviving tracks are 4..19.
-	for i, ev := range evs {
-		if ev.Track != int64(i+4) {
-			t.Fatalf("event %d track = %d, want %d", i, ev.Track, i+4)
-		}
-		if i > 0 && ev.Start < evs[i-1].Start {
-			t.Fatalf("events out of time order at %d", i)
-		}
+	if err := check(evs); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -19,24 +19,28 @@ type Event struct {
 	Arg   string // optional free-form detail, exported as args.detail
 }
 
-// Timeline is a bounded, concurrency-safe ring buffer of trace events.
+// Timeline is a bounded, concurrency-safe ring buffer of trace events
+// that grows on demand up to its capacity: it allocates nothing until
+// the first event, then doubles from 16 events, never past the bound.
 // When full, the oldest events are overwritten and counted as dropped;
-// recording never blocks on a reader and never grows without bound.
+// recording never blocks on a reader.
 type Timeline struct {
 	mu    sync.Mutex
 	epoch time.Time
-	ring  []Event
-	next  int    // ring write cursor
-	total uint64 // events ever recorded
+	bound int     // capacity: the most events the ring ever holds
+	ring  []Event // len(ring) == bound once full
+	next  int     // ring write cursor once full
+	total uint64  // events ever recorded
 }
 
+// minRing is the ring's first allocation, in events.
+const minRing = 16
+
 // NewTimeline returns a timeline holding at most capacity events
-// (minimum 16). The epoch is the moment of creation.
+// (minimum 16). It allocates no event until the first Add. The epoch is
+// the moment of creation.
 func NewTimeline(capacity int) *Timeline {
-	if capacity < 16 {
-		capacity = 16
-	}
-	return &Timeline{epoch: time.Now(), ring: make([]Event, 0, capacity)}
+	return &Timeline{epoch: time.Now(), bound: max(capacity, minRing)}
 }
 
 // Now returns nanoseconds since the timeline epoch, for callers that
@@ -48,11 +52,14 @@ func (t *Timeline) Now() int64 { return time.Since(t.epoch).Nanoseconds() }
 // Add records it as-is.
 func (t *Timeline) Add(ev Event) {
 	t.mu.Lock()
-	if len(t.ring) < cap(t.ring) {
+	if len(t.ring) < t.bound {
+		if len(t.ring) == cap(t.ring) {
+			t.ring = append(make([]Event, 0, min(max(2*cap(t.ring), minRing), t.bound)), t.ring...)
+		}
 		t.ring = append(t.ring, ev)
 	} else {
 		t.ring[t.next] = ev
-		t.next = (t.next + 1) % cap(t.ring)
+		t.next = (t.next + 1) % t.bound
 	}
 	t.total++
 	t.mu.Unlock()
@@ -79,7 +86,7 @@ func (t *Timeline) Events() (evs []Event, dropped uint64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	evs = make([]Event, 0, len(t.ring))
-	if len(t.ring) == cap(t.ring) {
+	if len(t.ring) == t.bound {
 		evs = append(evs, t.ring[t.next:]...)
 		evs = append(evs, t.ring[:t.next]...)
 	} else {

@@ -1,6 +1,8 @@
 package rendezvous
 
 import (
+	"sync"
+
 	"repro/agent"
 	"repro/graph"
 	"repro/sim"
@@ -29,10 +31,18 @@ func MeasureAsymmRVDuration(g *graph.Graph, u, v int, n, delta uint64) []uint64 
 // procedure's duration depends only on the agent's own walk, so this
 // measures exactly what the agent would take inside a two-agent run.
 func SoloDuration(g *graph.Graph, start int, body agent.Program) uint64 {
-	w := &soloWorld{g: g, pos: start, deg: g.Degree(start), entry: -1}
+	w := soloWorlds.Get().(*soloWorld)
+	w.g, w.pos, w.deg, w.entry, w.clock = g, start, g.Degree(start), -1, 0
 	body(w)
-	return w.clock
+	clock := w.clock
+	w.g = nil
+	soloWorlds.Put(w)
+	return clock
 }
+
+// soloWorlds recycles solo worlds, and with them their MoveSeq buffers,
+// across SoloDuration calls (E13 makes 40 per table).
+var soloWorlds = sync.Pool{New: func() any { return new(soloWorld) }}
 
 // SoloUnpaddedSymmRVDuration measures the ablation's duration for a
 // single start node.

@@ -57,7 +57,11 @@ type Event struct {
 }
 
 // Job is one submitted sweep: an ordered list of shards, each
-// content-addressed by its cache key.
+// content-addressed by its cache key. keys never changes after Submit,
+// and len(keys) is the job's shard count. shards holds the decoded
+// descriptors: only the scheduler reads them, and it drops them (nil)
+// when the job ends Done or Failed, since it never dispatches a finished
+// job again.
 type Job struct {
 	ID     uint64
 	shards []*dist.ShardDesc
@@ -96,7 +100,7 @@ func (job *Job) Status() JobStatus {
 	job.mu.Lock()
 	defer job.mu.Unlock()
 	return JobStatus{
-		ID: job.ID, State: job.state, Shards: len(job.shards),
+		ID: job.ID, State: job.state, Shards: len(job.keys),
 		Completed: len(job.events), CacheHits: job.cacheHits,
 		Executed: job.executed, Err: job.errMsg,
 	}
@@ -316,17 +320,17 @@ func (d *Daemon) Submit(shards [][]byte) (*Job, error) {
 	if d.closing {
 		return nil, ErrClosed
 	}
-	if d.pending+len(job.shards) > d.cfg.QueueBound {
+	if d.pending+len(job.keys) > d.cfg.QueueBound {
 		return nil, &ErrOverloaded{RetryAfter: retryAfter}
 	}
 	job.ID = d.nextID
 	d.nextID++
 	d.jobs[job.ID] = job
 	d.queue = append(d.queue, job)
-	d.pending += len(job.shards)
+	d.pending += len(job.keys)
 	obsJobsSubmitted.Inc()
 	obsQueueDepth.Set(int64(d.pending))
-	job.tl.Instant("submit", "job", -1, fmt.Sprintf("%d shards", len(job.shards)))
+	job.tl.Instant("submit", "job", -1, fmt.Sprintf("%d shards", len(job.keys)))
 	d.cond.Broadcast()
 	return job, nil
 }
@@ -448,15 +452,17 @@ func (d *Daemon) resolveJob(job *Job) (remaining int) {
 
 // finishJob flips a job whose every shard is stored to Done.
 func (d *Daemon) finishJob(job *Job) {
-	// Count the job and mark its trace before publishing its state: a
-	// waiter woken by the state change must already see both.
+	// Count the job, mark its trace and drop its descriptors before
+	// publishing its state: a waiter woken by the state change must
+	// already see all three.
 	obsJobsDone.Inc()
 	st := job.Status()
 	job.tl.Instant("done", "job", -1,
 		fmt.Sprintf("%d cache hits, %d executed", st.CacheHits, st.Executed))
+	job.shards = nil
 	job.setState(JobDone, "")
 	d.logf("rvd: job %d done (%d shards: %d cache hits, %d executed)",
-		job.ID, len(job.shards), st.CacheHits, st.Executed)
+		job.ID, st.Shards, st.CacheHits, st.Executed)
 }
 
 func (s JobState) isFinal() bool { return s == JobDone || s == JobFailed }
@@ -630,6 +636,7 @@ func (d *Daemon) failJobs(batch []batchItem, cause error) {
 		seen[it.job] = true
 		d.slogf(slog.LevelWarn, "rvd: job %d failed: %v", it.job.ID, cause)
 		it.job.tl.Instant("failed", "job", -1, truncDetail(cause.Error()))
+		it.job.shards = nil
 		it.job.setState(JobFailed, cause.Error())
 		obsJobsFailed.Inc()
 		d.mu.Lock()

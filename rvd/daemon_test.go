@@ -17,9 +17,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"io/fs"
 	"log/slog"
+	"maps"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -550,3 +554,108 @@ func (job *Job) completedCount() int {
 
 // Store exposes the daemon's result store.
 func (d *Daemon) Store() *Store { return d.store }
+
+// flakyBackend runs its first ok batches on the wrapped backend and
+// fails every batch after them, as a fleet that died mid-job would.
+// The daemon's one scheduler goroutine makes every Run call.
+type flakyBackend struct {
+	dist.Backend
+	ok int
+}
+
+func (b *flakyBackend) Run(shards []*dist.ShardDesc) ([]*dist.ShardResult, error) {
+	if b.ok == 0 {
+		return nil, errors.New("fleet down")
+	}
+	b.ok--
+	return b.Backend.Run(shards)
+}
+
+// TestFinishedJobDropsShards pins what a finished job keeps: a job that
+// ends Done and one that ends Failed after its first batch both drop
+// their decoded descriptors, and their status, events stream (each
+// completed shard with its cache key) and trace still answer in full.
+func TestFinishedJobDropsShards(t *testing.T) {
+	shards := fixedSweep(t)
+	for _, tc := range []struct {
+		state     JobState
+		ok        int // batches the backend runs before it fails
+		completed int
+	}{
+		{JobDone, len(shards), len(shards)},
+		{JobFailed, 1, 3},
+	} {
+		t.Run(tc.state.String(), func(t *testing.T) {
+			d := openTestDaemon(t, t.TempDir(), func(cfg *Config) {
+				cfg.Backend = &flakyBackend{Backend: cfg.Backend, ok: tc.ok}
+			})
+			job, err := d.Submit(shards)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := job.Wait()
+			if st.State != tc.state || st.Shards != len(shards) || st.Completed != tc.completed {
+				t.Fatalf("status %+v, want %v with %d of %d shards complete", st, tc.state, tc.completed, len(shards))
+			}
+			if job.shards != nil {
+				t.Fatalf("%v job keeps its %d shard descriptors", st.State, len(job.shards))
+			}
+
+			srv := httptest.NewServer(d.Handler())
+			defer srv.Close()
+			get := func(path string) *http.Response {
+				t.Helper()
+				resp, err := http.Get(srv.URL + "/v1/sweeps/" + itoa(job.ID) + path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { resp.Body.Close() })
+				return resp
+			}
+
+			var status statusResponse
+			if err := json.NewDecoder(get("").Body).Decode(&status); err != nil {
+				t.Fatal(err)
+			}
+			if status.State != tc.state.String() || status.Shards != len(shards) || status.Completed != tc.completed {
+				t.Fatalf("GET status: %+v", status)
+			}
+
+			dec := json.NewDecoder(get("/events").Body)
+			for i := 0; ; i++ {
+				var line eventLine
+				if err := dec.Decode(&line); err != nil {
+					t.Fatalf("events line %d: %v", i, err)
+				}
+				if line.State != "" {
+					if line.State != tc.state.String() || i != tc.completed {
+						t.Fatalf("terminal line %+v after %d shard lines, want %v after %d", line, i, tc.state, tc.completed)
+					}
+					break
+				}
+				if line.Shard == nil || *line.Shard < 0 || *line.Shard >= len(shards) || line.Key != job.keys[*line.Shard].String() {
+					t.Fatalf("events line %d: %+v does not name a shard of the job by its key", i, line)
+				}
+			}
+
+			var trace struct {
+				TraceEvents []struct {
+					Name string `json:"name"`
+					Ph   string `json:"ph"`
+				} `json:"traceEvents"`
+			}
+			if err := json.NewDecoder(get("/trace").Body).Decode(&trace); err != nil {
+				t.Fatal(err)
+			}
+			names := map[string]int{}
+			for _, ev := range trace.TraceEvents {
+				names[ev.Name+"/"+ev.Ph]++
+			}
+			want := map[string]int{"submit/i": 1, "activate/i": 1, tc.state.String() + "/i": 1,
+				"dispatch/i": names["dispatch/i"], "shard/X": tc.completed}
+			if names["dispatch/i"] < tc.completed || !maps.Equal(names, want) {
+				t.Fatalf("trace events %v, want %v with at least %d dispatches", names, want, tc.completed)
+			}
+		})
+	}
+}

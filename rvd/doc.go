@@ -57,6 +57,17 @@
 // version is deleted at Open with a logged notice; its jobs are not
 // resumed.
 //
+// # What a finished job keeps
+//
+// The daemon keeps every job of its lifetime in memory, so status,
+// events and trace queries answer after the job ends. A job that ends
+// Done or Failed keeps its status counters, its shards' cache keys, its
+// completion events and its trace timeline, a ring that grows on demand
+// and so holds only the events the job recorded. It drops its decoded
+// shard descriptors: only the scheduler reads them, and it never
+// dispatches a finished job again. Result bytes are never held in
+// memory; watchers read them from the store by key.
+//
 // # Quarantine semantics
 //
 // A store entry that fails verification on read — wrong magic, bad

@@ -136,7 +136,7 @@ func (d *Daemon) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	case err != nil:
 		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
 	default:
-		writeJSON(w, http.StatusCreated, submitResponse{ID: job.ID, Shards: len(job.shards)})
+		writeJSON(w, http.StatusCreated, submitResponse{ID: job.ID, Shards: len(job.keys)})
 	}
 }
 

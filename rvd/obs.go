@@ -5,9 +5,11 @@ import (
 )
 
 // jobTraceCap bounds each job's trace timeline: enough for every shard's
-// dispatch/completion pair plus job-level markers on any realistic sweep,
-// small enough that a long daemon lifetime holding many finished jobs
-// stays bounded (oldest events are overwritten and counted as dropped).
+// dispatch/completion pair plus job-level markers on any realistic sweep
+// (a job of N shards, all executed, records 2N + 3 events); past it the
+// oldest events are overwritten and counted as dropped. The ring grows
+// on demand up to the bound, so a finished job holds only the events it
+// recorded (a 16-event ring for a job of up to 6 shards), not 4,096.
 const jobTraceCap = 4096
 
 // The daemon's metric families, published into obs.Default() and served
