@@ -25,9 +25,11 @@
 // connects to already-running `rvworker -listen` processes, retrying
 // each address with capped exponential backoff + jitter so workers that
 // restart slower than the daemon are absorbed. SIGTERM/SIGINT shut down
-// gracefully: stop accepting jobs, drain the in-flight batch, close
-// worker connections, exit — incomplete jobs end suspended, and their
-// submitters resubmit after the restart.
+// gracefully: the daemon closes first — it refuses new jobs, finishes the
+// in-flight batch and starts no other, and ends each incomplete job
+// suspended, which closes that job's open response stream (its submitter
+// resubmits after the restart) — then the HTTP server shuts down, with no
+// stream left to wait for, and worker connections close.
 package main
 
 import (
@@ -158,15 +160,17 @@ func main() {
 		slogger.Error("rvd: http server failed", "err", err)
 	}
 
-	// Graceful shutdown: stop accepting HTTP, finish the in-flight
-	// batch, then drain worker connections through connBackend.Close.
-	// Jobs still incomplete end suspended; their submitters resubmit.
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	_ = srv.Shutdown(ctx)
+	// Graceful shutdown: close the daemon first, so it finishes only the
+	// in-flight batch and suspends the jobs still incomplete, whose
+	// streams then end; the HTTP server's Shutdown, which waits for open
+	// streams, follows. Shutdown first would wait out its timeout on every
+	// open job stream while the scheduler kept dispatching batches.
 	if err := daemon.Close(); err != nil {
 		slogger.Warn("rvd: closing daemon", "err", err)
 	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	_ = srv.Shutdown(ctx)
 	if err := backend.Close(); err != nil {
 		slogger.Warn("rvd: closing fleet", "err", err)
 	}

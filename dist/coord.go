@@ -149,7 +149,7 @@ func (c *wconn) sendShard(id int, sh *ShardDesc, scratch []byte) ([]byte, error)
 	scratch = append(scratch[:0], frameShard)
 	scratch = binary.AppendUvarint(scratch, uint64(id))
 	scratch = sh.AppendEncode(scratch)
-	return scratch, writeFrameSum(c.w, scratch)
+	return scratch, WriteFrameSum(c.w, scratch)
 }
 
 // connState is one connection's per-run view. Its connLoop goroutine
@@ -370,7 +370,7 @@ func (r *run) connLoop(cs *connState) {
 		var payload []byte
 		var err error
 		if scratch, err = c.sendShard(si, r.shards[si], scratch); err == nil {
-			if payload, err = readFrameSum(c.r, buf); err == nil {
+			if payload, err = ReadFrameSum(c.r, buf); err == nil {
 				buf = payload[:0]
 				err = r.handleFrame(cs, payload)
 			}

@@ -42,7 +42,7 @@ func startReplyWorker(t *testing.T, wp net.Conn, reply func(id uint64, res *Shar
 			t.Errorf("fake worker hello: %v", err)
 			return
 		}
-		payload, err := readFrameSum(br, nil)
+		payload, err := ReadFrameSum(br, nil)
 		if err != nil {
 			t.Errorf("fake worker reading its shard: %v", err)
 			return
@@ -61,7 +61,7 @@ func startReplyWorker(t *testing.T, wp net.Conn, reply func(id uint64, res *Shar
 			t.Errorf("fake worker executing its shard: %v", err)
 			return
 		}
-		if err := writeFrameSum(bw, reply(id, res)); err != nil {
+		if err := WriteFrameSum(bw, reply(id, res)); err != nil {
 			return // the coordinator may already have cut the link
 		}
 		_, _ = io.Copy(io.Discard, br)

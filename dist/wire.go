@@ -92,9 +92,10 @@ func frameSum(payload []byte) uint32 {
 	return h
 }
 
-// writeFrameSum emits one length-prefixed frame with its checksum
-// appended inside the length-prefixed region, and flushes.
-func writeFrameSum(w *bufio.Writer, payload []byte) error {
+// WriteFrameSum emits one length-prefixed frame with its checksum
+// appended inside the length-prefixed region, and flushes. rvd frames its
+// job requests and responses with it.
+func WriteFrameSum(w *bufio.Writer, payload []byte) error {
 	if len(payload) > maxFrame-4 {
 		return fmt.Errorf("dist: frame payload %d bytes exceeds limit", len(payload))
 	}
@@ -114,9 +115,10 @@ func writeFrameSum(w *bufio.Writer, payload []byte) error {
 	return w.Flush()
 }
 
-// readFrameSum reads one checksummed frame and returns its payload with
-// the checksum verified and stripped.
-func readFrameSum(r *bufio.Reader, buf []byte) ([]byte, error) {
+// ReadFrameSum reads one checksummed frame and returns its payload with
+// the checksum verified and stripped, reusing buf as readFrame does.
+// io.EOF before the frame's first byte is returned verbatim.
+func ReadFrameSum(r *bufio.Reader, buf []byte) ([]byte, error) {
 	p, err := readFrame(r, buf)
 	if err != nil {
 		return nil, err
@@ -137,11 +139,28 @@ const frameGrowStep = 16 << 10
 
 // readFrame reads one frame payload, reusing buf when it is large enough.
 // io.EOF is returned verbatim (clean end of stream) only when it occurs
-// before the first length byte. A length prefix is only a claim: past
-// buf's capacity the payload grows with the bytes that arrive, by at most
-// the larger of frameGrowStep and what has arrived so far, so a peer
-// that sends a large prefix and no payload costs no large allocation.
+// before the first length byte. The length prefix must be minimally
+// encoded, so every frame has one spelling. A length prefix is only a
+// claim: past buf's capacity the payload grows with the bytes that
+// arrive, by at most the larger of frameGrowStep and what has arrived so
+// far, so a peer that sends a large prefix and no payload costs no large
+// allocation.
 func readFrame(r *bufio.Reader, buf []byte) ([]byte, error) {
+	// Peek at the prefix's bytes first: ReadUvarint accepts redundant
+	// spellings (0x80 0x00 for zero) that this refuses. Each peek waits
+	// only for a byte the prefix must still have.
+	for k := 1; k < binary.MaxVarintLen64; k++ {
+		p, err := r.Peek(k)
+		if err != nil {
+			break // ReadUvarint reports it
+		}
+		if b := p[k-1]; b < 0x80 {
+			if b == 0 && k > 1 {
+				return nil, fmt.Errorf("dist: frame length not minimally encoded")
+			}
+			break
+		}
+	}
 	n, err := binary.ReadUvarint(r)
 	if err != nil {
 		if err == io.EOF {

@@ -55,16 +55,18 @@ func TestReadFrameAllocatesWhatArrives(t *testing.T) {
 
 // FuzzFrameDecode feeds arbitrary bytes to every reader of the framing
 // under the codecs: the coordinator's hello check, readFrame and
-// readFrameSum. Each must return an error or a payload, never panic, and
-// every payload it returns must frame again into one that reads back
-// equal. CI runs a short -fuzz smoke on top of the seed corpus: one
-// valid frame of each kind.
+// ReadFrameSum. Each must return an error or a payload, never panic, and
+// every payload it returns must frame again into exactly the bytes it was
+// read from (a frame has one spelling) and read back equal. CI runs a
+// short -fuzz smoke on top of the seed corpus: one valid frame of each
+// kind, and one whose length prefix is not minimally encoded.
 func FuzzFrameDecode(f *testing.F) {
 	shard := binary.AppendUvarint([]byte{frameShard}, 3)
 	shard = (&ShardDesc{GraphText: "# t\n2\n1/0\n0/0\n"}).AppendEncode(shard)
 	f.Add(frameBytes(f, writeFrame, []byte{frameHello, ProtoVersion}))
 	f.Add(frameBytes(f, writeFrame, []byte("plain payload")))
-	f.Add(frameBytes(f, writeFrameSum, shard))
+	f.Add(frameBytes(f, WriteFrameSum, shard))
+	f.Add([]byte{0x82, 0x00, frameHello, ProtoVersion})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if (&wconn{r: bufio.NewReader(bytes.NewReader(data))}).handshake() == nil {
@@ -76,14 +78,15 @@ func FuzzFrameDecode(f *testing.F) {
 		readers := []struct {
 			read  func(*bufio.Reader, []byte) ([]byte, error)
 			write func(*bufio.Writer, []byte) error
-		}{{readFrame, writeFrame}, {readFrameSum, writeFrameSum}}
+		}{{readFrame, writeFrame}, {ReadFrameSum, WriteFrameSum}}
 		var enc bytes.Buffer
 		bw, src := bufio.NewWriter(&enc), new(bytes.Reader)
 		br := bufio.NewReader(src)
 		for _, rw := range readers {
-			r := bufio.NewReader(bytes.NewReader(data))
+			in := bytes.NewReader(data)
+			r := bufio.NewReader(in)
 			var buf, spare []byte
-			for {
+			for off := 0; ; {
 				p, err := rw.read(r, buf)
 				if err != nil {
 					break
@@ -92,6 +95,11 @@ func FuzzFrameDecode(f *testing.F) {
 				if err := rw.write(bw, p); err != nil {
 					t.Fatalf("payload %x read from %x does not frame again: %v", p, data, err)
 				}
+				end := len(data) - in.Len() - r.Buffered()
+				if !bytes.Equal(enc.Bytes(), data[off:end]) {
+					t.Fatalf("frame %x framed again is %x", data[off:end], enc.Bytes())
+				}
+				off = end
 				src.Reset(enc.Bytes())
 				br.Reset(src)
 				again, err := rw.read(br, spare)

@@ -77,7 +77,7 @@ func Serve(r io.Reader, w io.Writer, opts ...ServeOption) error {
 	var inBuf, outBuf []byte
 	executed := 0
 	for {
-		payload, err := readFrameSum(br, inBuf)
+		payload, err := ReadFrameSum(br, inBuf)
 		if err == io.EOF {
 			return nil
 		}
@@ -113,7 +113,7 @@ func Serve(r io.Reader, w io.Writer, opts ...ServeOption) error {
 			out = res.AppendEncode(out)
 		}
 		outBuf = out[:0]
-		if err := writeFrameSum(bw, out); err != nil {
+		if err := WriteFrameSum(bw, out); err != nil {
 			return err
 		}
 	}

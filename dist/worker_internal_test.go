@@ -110,7 +110,7 @@ func TestWorkerRejectsRetiredFrames(t *testing.T) {
 		// frame for one it knows (or for a stop signal) would answer it
 		// and exit cleanly.
 		var frame bytes.Buffer
-		if err := writeFrameSum(bufio.NewWriter(&frame), []byte{tag, 0, 0}); err != nil {
+		if err := WriteFrameSum(bufio.NewWriter(&frame), []byte{tag, 0, 0}); err != nil {
 			t.Fatal(err)
 		}
 		// A worker that fails the connection may close before reading

@@ -3,8 +3,7 @@ package rvd
 import (
 	"bufio"
 	"bytes"
-	"encoding/base64"
-	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -16,11 +15,11 @@ import (
 
 // Client submits sweeps to a running rvd daemon over its HTTP API. It
 // implements dist.Backend, so `rvx -daemon ADDR` is one SetDistBackend
-// call away from routing every sweep through the daemon's cache: Run
-// encodes the shards, POSTs them as one job, tails the event stream, and
-// fetches each shard's result bytes from the store — the caller cannot
-// tell (except in wall-clock time) whether a shard was executed or
-// cache-hit.
+// call away from routing every sweep through the daemon's cache: Run is
+// one request per job, a POST of the shards whose response streams each
+// shard's result bytes back as it completes, then the job's end — the
+// caller cannot tell (except in wall-clock time) whether a shard was
+// executed or cache-hit.
 type Client struct {
 	// BaseURL is the daemon's root, e.g. "http://127.0.0.1:7421".
 	BaseURL string
@@ -49,23 +48,23 @@ func (c *Client) logf(format string, args ...any) {
 	}
 }
 
-// Run implements dist.Backend: one call is one daemon job.
+// Run implements dist.Backend: one call is one daemon job, in one HTTP
+// exchange.
 func (c *Client) Run(shards []*dist.ShardDesc) ([]*dist.ShardResult, error) {
 	if len(shards) == 0 {
 		return nil, nil
 	}
-	req := submitRequest{Shards: make([]string, len(shards))}
-	for i, sh := range shards {
-		req.Shards[i] = base64.StdEncoding.EncodeToString(sh.Encode())
-	}
-	body, err := json.Marshal(req)
-	if err != nil {
-		return nil, err
+	var body bytes.Buffer
+	bw := bufio.NewWriter(&body)
+	for _, sh := range shards {
+		if err := dist.WriteFrameSum(bw, sh.Encode()); err != nil {
+			return nil, err
+		}
 	}
 
-	var sub submitResponse
+	var js *jobStream
 	for attempt := 0; ; attempt++ {
-		resp, err := c.httpClient().Post(c.BaseURL+"/v1/sweeps", "application/json", bytes.NewReader(body))
+		resp, err := c.httpClient().Post(c.BaseURL+"/v1/sweeps", "application/octet-stream", bytes.NewReader(body.Bytes()))
 		if err != nil {
 			return nil, fmt.Errorf("rvd: submitting sweep: %w", err)
 		}
@@ -83,98 +82,97 @@ func (c *Client) Run(shards []*dist.ShardDesc) ([]*dist.ShardResult, error) {
 			time.Sleep(delay)
 			continue
 		}
-		if resp.StatusCode != http.StatusCreated {
+		if resp.StatusCode != http.StatusOK {
 			msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
 			resp.Body.Close()
 			return nil, fmt.Errorf("rvd: submit rejected: %s: %s", resp.Status, bytes.TrimSpace(msg))
 		}
-		err = json.NewDecoder(resp.Body).Decode(&sub)
+		js, err = readJobStream(resp.Body, len(shards))
 		resp.Body.Close()
 		if err != nil {
-			return nil, fmt.Errorf("rvd: decoding submit response: %w", err)
+			return nil, fmt.Errorf("rvd: job stream: %w", err)
 		}
 		break
 	}
-
-	// Tail the event stream until the terminal line, collecting each
-	// shard's cache key as its completion is announced.
-	resp, err := c.httpClient().Get(fmt.Sprintf("%s/v1/sweeps/%d/events", c.BaseURL, sub.ID))
-	if err != nil {
-		return nil, fmt.Errorf("rvd: streaming job %d events: %w", sub.ID, err)
+	switch js.state {
+	case JobFailed:
+		return nil, fmt.Errorf("rvd: job %d failed: %s", js.id, js.errMsg)
+	case JobSuspended:
+		return nil, fmt.Errorf("rvd: job %d suspended by daemon shutdown; resubmit after restart", js.id)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("rvd: job %d events: %s", sub.ID, resp.Status)
-	}
-
-	keys := make([]string, len(shards))
-	hits, executed := 0, 0
-	terminal := ""
-	var terminalErr string
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
-	for sc.Scan() {
-		var line eventLine
-		if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
-			return nil, fmt.Errorf("rvd: job %d event stream: %w", sub.ID, err)
-		}
-		if line.State != "" {
-			terminal, terminalErr = line.State, line.Err
-			break
-		}
-		if line.Shard == nil || *line.Shard < 0 || *line.Shard >= len(shards) {
-			return nil, fmt.Errorf("rvd: job %d: event for shard out of range", sub.ID)
-		}
-		keys[*line.Shard] = line.Key
-		if line.Cache != nil && *line.Cache {
-			hits++
-		} else {
-			executed++
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("rvd: job %d event stream: %w", sub.ID, err)
-	}
-	switch terminal {
-	case "done":
-		// All shards complete.
-	case "failed":
-		return nil, fmt.Errorf("rvd: job %d failed: %s", sub.ID, terminalErr)
-	case "suspended":
-		return nil, fmt.Errorf("rvd: job %d suspended by daemon shutdown; resubmit after restart", sub.ID)
-	default:
-		return nil, fmt.Errorf("rvd: job %d event stream ended without terminal state", sub.ID)
-	}
-	c.logf("rvd: job %d: %d shards, %d cache hits, %d executed", sub.ID, len(shards), hits, executed)
-
-	// Fetch result bytes per shard from the store.
 	results := make([]*dist.ShardResult, len(shards))
-	for i, key := range keys {
-		if key == "" {
-			return nil, fmt.Errorf("rvd: job %d: shard %d completed without a key", sub.ID, i)
+	hits := 0
+	for _, ev := range js.shards {
+		if ev.Cache {
+			hits++
 		}
-		resp, err := c.httpClient().Get(c.BaseURL + "/v1/results/" + key)
-		if err != nil {
-			return nil, fmt.Errorf("rvd: fetching shard %d result: %w", i, err)
+		results[ev.Shard] = new(dist.ShardResult)
+		if err := results[ev.Shard].Decode(ev.result); err != nil {
+			return nil, fmt.Errorf("rvd: job %d: decoding shard %d result: %w", js.id, ev.Shard, err)
 		}
-		if resp.StatusCode != http.StatusOK {
-			resp.Body.Close()
-			return nil, fmt.Errorf("rvd: fetching shard %d result: %s", i, resp.Status)
-		}
-		raw, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			return nil, fmt.Errorf("rvd: reading shard %d result: %w", i, err)
-		}
-		sr := new(dist.ShardResult)
-		if err := sr.Decode(raw); err != nil {
-			return nil, fmt.Errorf("rvd: decoding shard %d result: %w", i, err)
-		}
-		results[i] = sr
 	}
+	c.logf("rvd: job %d: %d shards, %d cache hits, %d executed", js.id, len(shards), hits, len(shards)-hits)
 	return results, nil
 }
 
-// Close implements dist.Backend; the client holds no connections worth
-// draining (each request is its own).
+// jobStream is a job's response: its shard frames in arrival order and
+// its end frame's fields.
+type jobStream struct {
+	id     uint64
+	state  JobState
+	errMsg string
+	shards []Event
+}
+
+// readJobStream reads an n-shard job's response stream. It accepts only a
+// stream that re-encodes to its bytes: each shard once, then an end frame
+// in a terminal state (done with every shard), then nothing.
+func readJobStream(body io.Reader, n int) (*jobStream, error) {
+	br := bufio.NewReader(body)
+	js := &jobStream{}
+	seen := make([]bool, n)
+	for {
+		p, err := dist.ReadFrameSum(br, nil)
+		if err == io.EOF {
+			return nil, errors.New("stream ended before the job did (daemon gone?); resubmit")
+		}
+		if err != nil {
+			return nil, err
+		}
+		if len(p) == 0 {
+			return nil, errors.New("empty frame")
+		}
+		v, w := uvarintCanon(p[1:])
+		if w <= 0 || len(p) < 2+w {
+			return nil, fmt.Errorf("truncated frame of kind %d", p[0])
+		}
+		switch b := p[1+w]; p[0] {
+		case streamShard:
+			if v >= uint64(n) || seen[v] || b > 1 {
+				return nil, fmt.Errorf("shard frame %x names no new shard of the %d-shard job", p[:2+w], n)
+			}
+			seen[v] = true
+			js.shards = append(js.shards, Event{Shard: int(v), Cache: b == 1, result: p[2+w:]})
+		case streamEnd:
+			js.id, js.state, js.errMsg = v, JobState(b), string(p[2+w:])
+			if !js.state.isFinal() && js.state != JobSuspended {
+				return nil, fmt.Errorf("job %d ended in state %d", v, b)
+			}
+			if js.state == JobDone && len(js.shards) != n {
+				return nil, fmt.Errorf("job %d done after %d of %d shards", v, len(js.shards), n)
+			}
+			if _, err := br.ReadByte(); err == nil {
+				return nil, fmt.Errorf("job %d: bytes after its end frame", v)
+			} else if err != io.EOF {
+				return nil, fmt.Errorf("job %d: after its end frame: %w", v, err)
+			}
+			return js, nil
+		default:
+			return nil, fmt.Errorf("frame of unknown kind %d", p[0])
+		}
+	}
+}
+
+// Close implements dist.Backend; the client holds nothing to drain: each
+// job is one request, and idle connections belong to HTTPClient.
 func (c *Client) Close() error { return nil }

@@ -49,11 +49,14 @@ func (s JobState) String() string {
 
 // Event is one per-shard completion: the shard's index in the job's
 // submission order and whether it was served from the store (Cache) or
-// freshly executed this daemon lifetime. Result bytes are not retained
-// in memory — watchers read them back from the store by key.
+// freshly executed this daemon lifetime. result holds the shard's result
+// bytes, the ones the store read verified or the scheduler just stored,
+// only while the job's submitting stream is attached and has not sent
+// them yet.
 type Event struct {
-	Shard int
-	Cache bool
+	Shard  int
+	Cache  bool
+	result []byte
 }
 
 // Job is one submitted sweep: an ordered list of shards, each
@@ -79,6 +82,7 @@ type Job struct {
 	state     JobState
 	done      []bool
 	events    []Event
+	streaming bool // the submitting stream is attached: events keep result bytes
 	cacheHits int
 	executed  int
 	errMsg    string
@@ -203,8 +207,10 @@ type Daemon struct {
 	mu        sync.Mutex
 	cond      *sync.Cond
 	jobs      map[uint64]*Job
-	queue     []*Job // submitted, not yet picked up by the scheduler
-	active    []*Job // being worked; fair dequeue round-robins these
+	queue     []*Job   // submitted, not yet picked up by the scheduler
+	active    []*Job   // being worked; fair dequeue round-robins these
+	finished  []uint64 // ids of the finished jobs kept in jobs, oldest-finished first
+	firstID   uint64   // this boot's first job id
 	nextID    uint64
 	pending   int // unfinished shards across queue+active (admission control)
 	rr        int // round-robin cursor over active
@@ -253,6 +259,7 @@ func Open(cfg Config) (*Daemon, error) {
 		schedDone: make(chan struct{}),
 		crashed:   make(chan struct{}),
 	}
+	d.firstID = d.nextID
 	d.cond = sync.NewCond(&d.mu)
 	// Earlier versions kept a job journal beside the store and resumed
 	// its unfinished jobs at Open. Nothing reads it now: delete it.
@@ -281,7 +288,7 @@ func (d *Daemon) slogf(level slog.Level, format string, args ...any) {
 
 // buildJob decodes and canonicalizes raw shard encodings into a Job
 // without an id.
-func (d *Daemon) buildJob(raws [][]byte) (*Job, error) {
+func (d *Daemon) buildJob(raws [][]byte, streaming bool) (*Job, error) {
 	if len(raws) == 0 {
 		return nil, errors.New("rvd: job with no shards")
 	}
@@ -289,6 +296,7 @@ func (d *Daemon) buildJob(raws [][]byte) (*Job, error) {
 		shards:      make([]*dist.ShardDesc, len(raws)),
 		keys:        make([]Key, len(raws)),
 		done:        make([]bool, len(raws)),
+		streaming:   streaming,
 		submittedAt: time.Now(),
 		tl:          obs.NewTimeline(jobTraceCap),
 	}
@@ -310,8 +318,11 @@ func (d *Daemon) buildJob(raws [][]byte) (*Job, error) {
 // Submit accepts one sweep job: decode and canonicalize the shards, give
 // the job an id, enqueue it, and return it. The job lives only in memory;
 // a crash before it finishes costs only its shards not yet stored.
-func (d *Daemon) Submit(shards [][]byte) (*Job, error) {
-	job, err := d.buildJob(shards)
+func (d *Daemon) Submit(shards [][]byte) (*Job, error) { return d.submit(shards, false) }
+
+// submit is Submit; a streaming job's events hold result bytes (Job.tail).
+func (d *Daemon) submit(shards [][]byte, streaming bool) (*Job, error) {
+	job, err := d.buildJob(shards, streaming)
 	if err != nil {
 		return nil, err
 	}
@@ -341,6 +352,14 @@ func (d *Daemon) JobByID(id uint64) (*Job, bool) {
 	defer d.mu.Unlock()
 	job, ok := d.jobs[id]
 	return job, ok
+}
+
+// issued reports whether this boot issued id; jobs drops an issued id
+// only by evicting it (see dropJob).
+func (d *Daemon) issued(id uint64) bool {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.firstID <= id && id < d.nextID
 }
 
 // Stats is the daemon-wide counter snapshot.
@@ -388,9 +407,10 @@ func (d *Daemon) JobStatuses() []JobStatus {
 	return out
 }
 
-// markDone records one shard completion on a job; it takes job.mu.
-// Daemon-wide counters are the caller's business.
-func (job *Job) markDone(shard int, cache bool) {
+// markDone records one shard completion on a job, with its result bytes
+// while the submitting stream is attached; it takes job.mu. Daemon-wide
+// counters are the caller's business.
+func (job *Job) markDone(shard int, cache bool, result []byte) {
 	job.mu.Lock()
 	if job.done[shard] {
 		job.mu.Unlock()
@@ -402,7 +422,10 @@ func (job *Job) markDone(shard int, cache bool) {
 	} else {
 		job.executed++
 	}
-	job.events = append(job.events, Event{Shard: shard, Cache: cache})
+	if !job.streaming {
+		result = nil
+	}
+	job.events = append(job.events, Event{Shard: shard, Cache: cache, result: result})
 	job.cond.Broadcast()
 	job.mu.Unlock()
 }
@@ -430,13 +453,15 @@ func (d *Daemon) resolveJob(job *Job) (remaining int) {
 		}
 		// One Get centralizes the store accounting: an absent key is an
 		// index lookup only (a counted miss), a present-but-corrupt entry
-		// is quarantined inside Get and reported as a miss; recompute.
-		if _, ok := d.store.Get(k); !ok {
+		// is quarantined inside Get and reported as a miss; recompute. The
+		// verified bytes ride the completion to the job's stream.
+		value, ok := d.store.Get(k)
+		if !ok {
 			remaining++
 			continue
 		}
 		job.tl.Instant("cache-hit", "shard", int64(i), "")
-		job.markDone(i, true)
+		job.markDone(i, true, value)
 		hits++
 	}
 	if hits > 0 {
@@ -592,7 +617,7 @@ func (d *Daemon) schedule() {
 				break
 			}
 			it.job.tl.Span("shard", "shard", int64(it.shard), it.startNs, "executed")
-			it.job.markDone(it.shard, false)
+			it.job.markDone(it.shard, false, value)
 			obsShardsExec.Inc()
 			d.mu.Lock()
 			d.totalExec++
@@ -611,8 +636,13 @@ func (d *Daemon) schedule() {
 	}
 }
 
-// dropJob removes a finished job from the active set (it stays in jobs
-// for status/event queries).
+// maxFinishedJobs bounds the finished jobs the daemon keeps for status,
+// events and trace queries (about 13 KiB each); past it the
+// oldest-finished is evicted, and a query for it answers 410 Gone.
+const maxFinishedJobs = 256
+
+// dropJob moves a finished job from the active set to the finished
+// ones, evicting the oldest-finished job past maxFinishedJobs.
 func (d *Daemon) dropJob(job *Job) {
 	d.mu.Lock()
 	for i, j := range d.active {
@@ -620,6 +650,11 @@ func (d *Daemon) dropJob(job *Job) {
 			d.active = append(d.active[:i], d.active[i+1:]...)
 			break
 		}
+	}
+	d.finished = append(d.finished, job.ID)
+	if len(d.finished) > maxFinishedJobs {
+		delete(d.jobs, d.finished[0])
+		d.finished = d.finished[1:]
 	}
 	d.mu.Unlock()
 }

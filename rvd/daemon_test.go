@@ -14,6 +14,7 @@ package rvd
 // a resubmission after a crash re-executes NO stored shard.
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/hex"
@@ -28,7 +29,9 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/dist"
 	"repro/graph"
@@ -90,14 +93,7 @@ func referenceBytes(t *testing.T, shards [][]byte) []byte {
 	t.Helper()
 	be := dist.NewInProcess(2)
 	defer be.Close()
-	descs := make([]*dist.ShardDesc, len(shards))
-	for i, raw := range shards {
-		descs[i] = new(dist.ShardDesc)
-		if err := descs[i].Decode(raw); err != nil {
-			t.Fatal(err)
-		}
-	}
-	results, err := be.Run(descs)
+	results, err := be.Run(decodeShards(t, shards))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -571,10 +567,38 @@ func (b *flakyBackend) Run(shards []*dist.ShardDesc) ([]*dist.ShardResult, error
 	return b.Backend.Run(shards)
 }
 
+// heldResults counts the job's events that still hold result bytes.
+func heldResults(job *Job) int {
+	job.mu.Lock()
+	defer job.mu.Unlock()
+	held := 0
+	for _, ev := range job.events {
+		if ev.result != nil {
+			held++
+		}
+	}
+	return held
+}
+
+// onlyJob returns the daemon's one job.
+func onlyJob(t *testing.T, d *Daemon) *Job {
+	t.Helper()
+	jobs := d.JobStatuses()
+	if len(jobs) != 1 {
+		t.Fatalf("daemon holds %d jobs, want 1", len(jobs))
+	}
+	job, _ := d.JobByID(jobs[0].ID)
+	return job
+}
+
 // TestFinishedJobDropsShards pins what a finished job keeps: a job that
 // ends Done and one that ends Failed after its first batch both drop
-// their decoded descriptors, and their status, events stream (each
-// completed shard with its cache key) and trace still answer in full.
+// their decoded descriptors and hold no result bytes, and their status,
+// events stream (each completed shard with its cache key) and trace still
+// answer in full. A job submitted in one exchange holds result bytes only
+// while its stream is attached: none once Client.Run returns, and none
+// once a client that hangs up at the first frame is gone, and that job
+// still ends Done.
 func TestFinishedJobDropsShards(t *testing.T) {
 	shards := fixedSweep(t)
 	for _, tc := range []struct {
@@ -599,6 +623,9 @@ func TestFinishedJobDropsShards(t *testing.T) {
 			}
 			if job.shards != nil {
 				t.Fatalf("%v job keeps its %d shard descriptors", st.State, len(job.shards))
+			}
+			if held := heldResults(job); held != 0 {
+				t.Fatalf("%v job holds the result bytes of %d shards", st.State, held)
 			}
 
 			srv := httptest.NewServer(d.Handler())
@@ -657,5 +684,162 @@ func TestFinishedJobDropsShards(t *testing.T) {
 				t.Fatalf("trace events %v, want %v with at least %d dispatches", names, want, tc.completed)
 			}
 		})
+	}
+
+	t.Run("streamed", func(t *testing.T) {
+		d := openTestDaemon(t, t.TempDir(), nil)
+		srv := httptest.NewServer(d.Handler())
+		defer srv.Close()
+		if _, err := (&Client{BaseURL: srv.URL}).Run(decodeShards(t, shards)); err != nil {
+			t.Fatal(err)
+		}
+		if held := heldResults(onlyJob(t, d)); held != 0 {
+			t.Fatalf("after Client.Run the job holds the result bytes of %d shards", held)
+		}
+	})
+	t.Run("stream cut", func(t *testing.T) {
+		d := openTestDaemon(t, t.TempDir(), nil)
+		srv := httptest.NewServer(d.Handler())
+		defer srv.Close()
+		resp, err := http.Post(srv.URL+"/v1/sweeps", "application/octet-stream", bytes.NewReader(frames(t, shards...)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := dist.ReadFrameSum(bufio.NewReader(resp.Body), nil); err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close() // hang up at the first frame
+		job := onlyJob(t, d)
+		if st := job.Wait(); st.State != JobDone || st.Completed != len(shards) {
+			t.Fatalf("job whose stream was cut: %+v, want Done with %d shards", st, len(shards))
+		}
+		srv.Close() // returns once the stream's handler has
+		if held := heldResults(job); held != 0 {
+			t.Fatalf("after its stream was cut the job holds the result bytes of %d shards", held)
+		}
+	})
+}
+
+// stepGate announces each batch it starts on entered, then holds the
+// first until release is closed and every later one until the daemon's
+// Close has begun.
+type stepGate struct {
+	dist.Backend
+	d                *Daemon
+	entered, release chan struct{}
+	started          atomic.Int32
+}
+
+func (b *stepGate) Run(shards []*dist.ShardDesc) ([]*dist.ShardResult, error) {
+	select {
+	case b.entered <- struct{}{}:
+	default: // a batch the test does not wait for
+	}
+	if b.started.Add(1) == 1 {
+		<-b.release
+		return b.Backend.Run(shards)
+	}
+	b.d.mu.Lock()
+	for !b.d.closing {
+		b.d.cond.Wait()
+	}
+	b.d.mu.Unlock()
+	return b.Backend.Run(shards)
+}
+
+// TestCloseEndsStreamsSuspended pins the shutdown order cmd/rvd uses. Job
+// A's stream is attached and has sent the frame of A's first batch; the
+// batch in flight is job B's. Close returns once that batch is stored and
+// starts no other; an http.Server.Shutdown after it finds no stream to
+// wait for, though nothing but the suspension woke A's stream; and that
+// stream's last frame says suspended.
+func TestCloseEndsStreamsSuspended(t *testing.T) {
+	shards := fixedSweep(t)
+	gate := &stepGate{Backend: dist.NewInProcess(2), entered: make(chan struct{}, 2), release: make(chan struct{})}
+	d := openTestDaemon(t, t.TempDir(), func(cfg *Config) {
+		cfg.Backend = gate
+		cfg.BatchShards = 1
+	})
+	gate.d = d
+	srv := httptest.NewServer(d.Handler())
+	defer srv.Close()
+	defer srv.CloseClientConnections() // first: a stream left open must not hang Close
+
+	type reply struct {
+		resp *http.Response
+		err  error
+	}
+	replies := make(chan reply, 1)
+	go func() {
+		resp, err := http.Post(srv.URL+"/v1/sweeps", "application/octet-stream", bytes.NewReader(frames(t, shards[:4]...)))
+		replies <- reply{resp, err}
+	}()
+	<-gate.entered // A's first shard
+	if _, err := d.Submit(shards[4:]); err != nil {
+		t.Fatal(err)
+	}
+	close(gate.release)
+	r := <-replies // the headers arrive with the flush after A's first frame
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	defer r.resp.Body.Close()
+	<-gate.entered // B's first shard: the round robin's next turn
+	d.Close()
+	if n := gate.started.Load(); n != 2 {
+		t.Fatalf("%d batches started, want 2: A's and the one in flight at Close", n)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := srv.Config.Shutdown(ctx); err != nil {
+		t.Fatalf("http.Server.Shutdown after Close: %v", err)
+	}
+	js, err := readJobStream(r.resp.Body, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if js.state != JobSuspended || len(js.shards) != 1 {
+		t.Fatalf("A's stream ended %v after %d shard frames, want suspended after 1", js.state, len(js.shards))
+	}
+}
+
+// TestFinishedJobsBounded pins the finished-job bound: of 300 jobs on one
+// daemon it keeps the last maxFinishedJobs, a query for an evicted id
+// answers 410 Gone, and one for an id never issued 404.
+func TestFinishedJobsBounded(t *testing.T) {
+	shard := fixedSweep(t)[:1]
+	d := openTestDaemon(t, t.TempDir(), func(cfg *Config) { cfg.Log = nil })
+	var first, last *Job
+	for i := 0; i < 300; i++ {
+		job, _ := submitWait(t, d, shard)
+		if first == nil {
+			first = job
+		}
+		last = job
+	}
+	if st := d.Stats(); st.Jobs != maxFinishedJobs {
+		t.Fatalf("daemon keeps %d finished jobs, want %d", st.Jobs, maxFinishedJobs)
+	}
+	srv := httptest.NewServer(d.Handler())
+	defer srv.Close()
+	for _, tc := range []struct {
+		path string
+		want int
+	}{
+		{itoa(first.ID), http.StatusGone},
+		{itoa(first.ID) + "/events", http.StatusGone},
+		{itoa(first.ID) + "/trace", http.StatusGone},
+		{itoa(last.ID), http.StatusOK},
+		{itoa(first.ID - 1), http.StatusNotFound},
+		{itoa(last.ID + 1), http.StatusNotFound},
+	} {
+		resp, err := http.Get(srv.URL + "/v1/sweeps/" + tc.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("GET /v1/sweeps/%s: %d, want %d", tc.path, resp.StatusCode, tc.want)
+		}
 	}
 }

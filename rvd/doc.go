@@ -1,7 +1,7 @@
 // Package rvd is the crash-safe rendezvous daemon: a long-running
 // process that owns a dist worker fleet and a persistent
-// content-addressed result store, and serves sweep jobs over an
-// HTTP/JSON API. Every shard is a deterministic function of its
+// content-addressed result store, and serves sweep jobs over HTTP, one
+// exchange per job. Every shard is a deterministic function of its
 // canonical bytes, so the store is the daemon's only durable state. Its
 // defining property is what the store guarantees: stored results are
 // never recomputed, corrupt entries are never served, and kill -9 at any
@@ -45,7 +45,7 @@
 //	          plus jitter (dist.DialWith), tolerating workers that
 //	          restart slower than the daemon;
 //	client    the submitter resubmits the sweep (rvd.Client reports a
-//	          broken event stream or a suspended job as an error that
+//	          job stream cut short or a suspended job as an error that
 //	          says so), and the scheduler executes only the shards the
 //	          store cannot answer.
 //
@@ -57,16 +57,56 @@
 // version is deleted at Open with a logged notice; its jobs are not
 // resumed.
 //
+// # One exchange per job
+//
+// A job is one HTTP request: POST /v1/sweeps with Content-Type
+// application/octet-stream, whose body is one dist checksummed frame per
+// shard (dist.WriteFrameSum over the shard's canonical ShardDesc
+// encoding), read with dist.ReadFrameSum under a 64 MiB bound. Errors
+// before the response starts keep their codes: 400 for a bad frame or
+// shard, 503 with Retry-After when admission control sheds the job, 503
+// while the daemon shuts down. Otherwise the answer is 200 and a stream
+// of checksummed frames: one per shard as it completes (its index, hit
+// or executed, its result bytes), flushed after each completion batch,
+// then one terminal frame (the job id, its final state and error text).
+// rvd.Client.Run is that one request, and rvd has no codec of its own:
+// the frames are dist's, their payloads the dist encodings.
+//
+// Each result is read from the store at most once per job: the bytes
+// resolveJob's store read verified, or the bytes the scheduler just
+// stored, ride the shard's completion event to the job's stream. A job
+// holds result bytes only while its submitting stream is attached; the
+// stream takes each event's bytes as it sends them, and if it ends early
+// (the client hung up) the job drops the rest and keeps no more.
+//
+// Three older endpoints stay, deprecated, because perfbench's traced
+// daemon run (phaseSplit in perfbench/daemon.go) times them as its
+// submit, complete and fetch phases: the JSON form of POST /v1/sweeps
+// (base64 shards, 201 with the job id), GET /v1/sweeps/{id}/events
+// (NDJSON, one line per completion, then the terminal line) and GET
+// /v1/results/{key}. A job submitted as JSON holds no result bytes. The
+// events stream and a job's own stream run one tail loop, and both
+// submit forms one error-to-status mapping. Once phaseSplit times the one
+// exchange (submit, first frame, terminal frame), all three go.
+//
+// Shutdown closes the daemon before the HTTP server: Close refuses new
+// jobs, lets the in-flight batch finish and starts no other, and ends
+// every incomplete job Suspended, which ends its open streams with a
+// suspended terminal frame, so the server's Shutdown that follows has no
+// stream to wait for.
+//
 // # What a finished job keeps
 //
-// The daemon keeps every job of its lifetime in memory, so status,
-// events and trace queries answer after the job ends. A job that ends
-// Done or Failed keeps its status counters, its shards' cache keys, its
-// completion events and its trace timeline, a ring that grows on demand
-// and so holds only the events the job recorded. It drops its decoded
-// shard descriptors: only the scheduler reads them, and it never
-// dispatches a finished job again. Result bytes are never held in
-// memory; watchers read them from the store by key.
+// The daemon keeps the last 256 jobs to finish (maxFinishedJobs) in
+// memory, so status, events and trace queries answer after a job ends;
+// a query for an older job of this boot answers 410 Gone, and one for an
+// id this boot never issued 404. A job that ends Done or Failed keeps
+// its status counters, its shards' cache keys, its completion events
+// and its trace timeline, a ring that grows on demand and so holds only
+// the events the job recorded. It drops its decoded shard descriptors:
+// only the scheduler reads them, and it never dispatches a finished job
+// again. It holds no result bytes once its stream has sent them, and a
+// JSON-submitted job never holds any.
 //
 // # Quarantine semantics
 //
@@ -108,6 +148,7 @@
 //	                             and execution spans
 //	GET /v1/sweeps/{id}/events   NDJSON: one line per shard completion,
 //	                             then the terminal state line
+//	                             (deprecated; see above)
 //	GET /v1/stats                daemon counters plus store size on disk
 //	                             and per-job exec-vs-hit splits
 //

@@ -1,6 +1,7 @@
 package rvd
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/base64"
 	"encoding/json"
@@ -8,26 +9,24 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/dist"
 	"repro/internal/simtest"
 )
 
-// TestHTTPClientRoundTrip drives the full daemon stack the way rvx
-// -daemon does: Client (a dist.Backend) → HTTP API → daemon → fleet →
-// store, and pins the results against a direct backend run. It also
-// pins the work of the cold job and the warm one against
-// testdata/counts.txt: the rvd_*, dist_* and sim_* counter samples each
-// job moved, among them the store bytes the cold job wrote and the warm
-// job read.
-func TestHTTPClientRoundTrip(t *testing.T) {
-	shards := fixedSweep(t)
-	ref := referenceBytes(t, shards)
-	d := openTestDaemon(t, t.TempDir(), nil)
-	srv := httptest.NewServer(d.Handler())
-	defer srv.Close()
+// countingTransport counts the requests made through it.
+type countingTransport struct{ n atomic.Int64 }
 
+func (c *countingTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	c.n.Add(1)
+	return http.DefaultTransport.RoundTrip(req)
+}
+
+// decodeShards decodes raw shard encodings into descriptors.
+func decodeShards(t *testing.T, shards [][]byte) []*dist.ShardDesc {
+	t.Helper()
 	descs := make([]*dist.ShardDesc, len(shards))
 	for i, raw := range shards {
 		descs[i] = new(dist.ShardDesc)
@@ -35,11 +34,47 @@ func TestHTTPClientRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	cl := &Client{BaseURL: srv.URL, Logf: t.Logf}
+	return descs
+}
+
+// frames frames each payload as a dist checksummed frame, the binary
+// POST /v1/sweeps body.
+func frames(t testing.TB, payloads ...[]byte) []byte {
+	var b bytes.Buffer
+	bw := bufio.NewWriter(&b)
+	for _, p := range payloads {
+		if err := dist.WriteFrameSum(bw, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return b.Bytes()
+}
+
+// TestHTTPClientRoundTrip drives the full daemon stack the way rvx
+// -daemon does: Client (a dist.Backend) → HTTP API → daemon → fleet →
+// store, and pins the results against a direct backend run, in one HTTP
+// request per job. It also pins the work of the cold job and the warm
+// one against testdata/counts.txt: the rvd_*, dist_* and sim_* counter
+// samples each job moved, among them the store bytes the cold job wrote
+// and the warm job read.
+func TestHTTPClientRoundTrip(t *testing.T) {
+	shards := fixedSweep(t)
+	ref := referenceBytes(t, shards)
+	d := openTestDaemon(t, t.TempDir(), nil)
+	srv := httptest.NewServer(d.Handler())
+	defer srv.Close()
+
+	descs := decodeShards(t, shards)
+	requests := &countingTransport{}
+	cl := &Client{BaseURL: srv.URL, HTTPClient: &http.Client{Transport: requests}, Logf: t.Logf}
 	run := func() []byte {
+		before := requests.n.Load()
 		results, err := cl.Run(descs)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if n := requests.n.Load() - before; n != 1 {
+			t.Fatalf("a job took %d requests, want 1", n)
 		}
 		var out []byte
 		for _, r := range results {
@@ -91,62 +126,53 @@ func TestHTTPErrorPaths(t *testing.T) {
 	srv := httptest.NewServer(d.Handler())
 	defer srv.Close()
 
-	post := func(body string) *http.Response {
-		resp, err := http.Post(srv.URL+"/v1/sweeps", "application/json", strings.NewReader(body))
+	shards := fixedSweep(t)
+	one := frames(t, shards[0])
+	flipped := bytes.Clone(one)
+	flipped[len(flipped)-1] ^= 0x01
+	overBound, _ := json.Marshal(submitRequest{Shards: []string{b64(shards[0]), b64(shards[1])}})
+	for _, tc := range []struct {
+		name, contentType, body string
+		want                    int
+	}{
+		{"malformed JSON", "application/json", `{not json`, http.StatusBadRequest},
+		{"bad base64", "application/json", `{"shards":["!!!not-base64!!!"]}`, http.StatusBadRequest},
+		{"corrupt shard bytes", "application/json", `{"shards":["/////w=="]}`, http.StatusBadRequest},
+		{"over-bound JSON job", "application/json", string(overBound), http.StatusServiceUnavailable},
+		{"empty body", "application/octet-stream", "", http.StatusBadRequest},
+		{"truncated frame", "application/octet-stream", string(one[:len(one)-1]), http.StatusBadRequest},
+		{"flipped checksum byte", "application/octet-stream", string(flipped), http.StatusBadRequest},
+		{"corrupt shard frame", "application/octet-stream", string(frames(t, []byte{0xFF, 0xFF, 0xFF})), http.StatusBadRequest},
+		{"over-bound job", "application/octet-stream", string(frames(t, shards[0], shards[1])), http.StatusServiceUnavailable},
+	} {
+		resp, err := http.Post(srv.URL+"/v1/sweeps", tc.contentType, strings.NewReader(tc.body))
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(func() { resp.Body.Close() })
-		return resp
-	}
-
-	if resp := post(`{not json`); resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("malformed JSON: %d", resp.StatusCode)
-	}
-	if resp := post(`{"shards":["!!!not-base64!!!"]}`); resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad base64: %d", resp.StatusCode)
-	}
-	if resp := post(`{"shards":["/////w=="]}`); resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("corrupt shard bytes: %d", resp.StatusCode)
-	}
-
-	// Admission control: two valid shards against a bound of one.
-	shards := fixedSweep(t)
-	req := submitRequest{Shards: make([]string, 2)}
-	for i := 0; i < 2; i++ {
-		req.Shards[i] = b64(shards[i])
-	}
-	body, _ := json.Marshal(req)
-	resp := post(string(body))
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("over-bound submission: %d, want 503", resp.StatusCode)
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Fatal("503 without Retry-After")
-	}
-
-	if resp, err := http.Get(srv.URL + "/v1/sweeps/99"); err != nil {
-		t.Fatal(err)
-	} else {
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusNotFound {
-			t.Fatalf("unknown job: %d", resp.StatusCode)
+		if resp.StatusCode != tc.want {
+			t.Errorf("%s: %d, want %d", tc.name, resp.StatusCode, tc.want)
+		}
+		if tc.want == http.StatusServiceUnavailable && resp.Header.Get("Retry-After") == "" {
+			t.Errorf("%s: 503 without Retry-After", tc.name)
 		}
 	}
-	if resp, err := http.Get(srv.URL + "/v1/results/zzzz"); err != nil {
-		t.Fatal(err)
-	} else {
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("bad key: %d", resp.StatusCode)
+
+	for _, tc := range []struct {
+		path string
+		want int
+	}{
+		{"/v1/sweeps/99", http.StatusNotFound},
+		{"/v1/results/zzzz", http.StatusBadRequest},
+		{"/v1/results/" + testKey(0).String(), http.StatusNotFound},
+	} {
+		resp, err := http.Get(srv.URL + tc.path)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if resp, err := http.Get(srv.URL + "/v1/results/" + testKey(0).String()); err != nil {
-		t.Fatal(err)
-	} else {
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusNotFound {
-			t.Fatalf("absent key: %d", resp.StatusCode)
+		if resp.StatusCode != tc.want {
+			t.Errorf("GET %s: %d, want %d", tc.path, resp.StatusCode, tc.want)
 		}
 	}
 }

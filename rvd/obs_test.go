@@ -2,9 +2,9 @@ package rvd
 
 // Observability tests: the /metrics exposition moves the right families
 // on a cold run vs a warm rerun, the per-job trace endpoint exports
-// well-formed Chrome trace JSON, a client tails the events stream of a
-// slow multi-batch job to the end, and /v1/stats reports store size and
-// per-job splits.
+// well-formed Chrome trace JSON, a client tails the deprecated events
+// stream of a slow multi-batch job to the end, and /v1/stats reports
+// store size and per-job splits.
 
 import (
 	"bytes"
@@ -229,27 +229,12 @@ func (s *slowBackend) Run(shards []*dist.ShardDesc) ([]*dist.ShardResult, error)
 	return s.Backend.Run(shards)
 }
 
-// eventsTap is an http.RoundTripper that copies the body of every events
-// stream its client reads.
-type eventsTap struct {
-	events bytes.Buffer
-}
-
-func (tp *eventsTap) RoundTrip(req *http.Request) (*http.Response, error) {
-	resp, err := http.DefaultTransport.RoundTrip(req)
-	if err == nil && strings.HasSuffix(req.URL.Path, "/events") {
-		resp.Body = struct {
-			io.Reader
-			io.Closer
-		}{io.TeeReader(resp.Body, &tp.events), resp.Body}
-	}
-	return resp, err
-}
-
-// TestEventsProgressLines pins the events stream of a job that outlives
-// several batches: Client.Run tails it live and returns the reference
-// results, and the stream it read carries one line per shard, then the
-// terminal line, and nothing else.
+// TestEventsProgressLines pins the deprecated three-request path that
+// perfbench's traced daemon run times, on a job that outlives several
+// batches: a JSON submission, its events stream tailed live, which
+// carries one line per shard and then the terminal line and nothing
+// else, and each shard's result fetched by the key its line names,
+// which together match the reference results.
 func TestEventsProgressLines(t *testing.T) {
 	shards := fixedSweep(t)
 	ref := referenceBytes(t, shards)
@@ -260,42 +245,46 @@ func TestEventsProgressLines(t *testing.T) {
 	srv := httptest.NewServer(d.Handler())
 	defer srv.Close()
 
-	descs := make([]*dist.ShardDesc, len(shards))
-	for i, raw := range shards {
-		descs[i] = new(dist.ShardDesc)
-		if err := descs[i].Decode(raw); err != nil {
-			t.Fatal(err)
-		}
+	req := submitRequest{}
+	for _, raw := range shards {
+		req.Shards = append(req.Shards, b64(raw))
 	}
-	tap := &eventsTap{}
-	cl := &Client{BaseURL: srv.URL, HTTPClient: &http.Client{Transport: tap}}
-	results, err := cl.Run(descs)
+	body, _ := json.Marshal(req)
+	resp, err := http.Post(srv.URL+"/v1/sweeps", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got []byte
-	for _, r := range results {
-		got = r.AppendEncode(got)
-	}
-	if !bytes.Equal(got, ref) {
-		t.Fatal("client run differs from reference")
+	var sub submitResponse
+	err = json.NewDecoder(resp.Body).Decode(&sub)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusCreated || err != nil || sub.Shards != len(shards) {
+		t.Fatalf("JSON submission: %s, %+v (%v)", resp.Status, sub, err)
 	}
 
-	lines := strings.Split(strings.TrimSuffix(tap.events.String(), "\n"), "\n")
+	resp, err = http.Get(srv.URL + "/v1/sweeps/" + itoa(sub.ID) + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	events, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(string(events), "\n"), "\n")
 	if len(lines) != len(shards)+1 {
 		t.Fatalf("events stream carried %d lines, want %d shard lines and the terminal line:\n%s",
-			len(lines), len(shards), tap.events.String())
+			len(lines), len(shards), events)
 	}
-	seen := make([]bool, len(shards))
+	keys := make([]string, len(shards))
 	for i, raw := range lines[:len(shards)] {
 		var line eventLine
 		if err := json.Unmarshal([]byte(raw), &line); err != nil {
 			t.Fatalf("bad NDJSON line %q: %v", raw, err)
 		}
-		if line.Shard == nil || *line.Shard < 0 || *line.Shard >= len(shards) || seen[*line.Shard] || line.State != "" {
+		if line.Shard == nil || *line.Shard < 0 || *line.Shard >= len(shards) || keys[*line.Shard] != "" || line.Key == "" || line.State != "" {
 			t.Fatalf("line %d is not a first completion of a shard: %s", i, raw)
 		}
-		seen[*line.Shard] = true
+		keys[*line.Shard] = line.Key
 	}
 	var last eventLine
 	if err := json.Unmarshal([]byte(lines[len(shards)]), &last); err != nil {
@@ -303,6 +292,23 @@ func TestEventsProgressLines(t *testing.T) {
 	}
 	if last.State != "done" || last.Shard != nil {
 		t.Fatalf("final line %s, want the done state alone", lines[len(shards)])
+	}
+
+	var got []byte
+	for i, key := range keys {
+		resp, err := http.Get(srv.URL + "/v1/results/" + key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		value, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || err != nil {
+			t.Fatalf("fetching shard %d: %s (%v)", i, resp.Status, err)
+		}
+		got = append(got, value...)
+	}
+	if !bytes.Equal(got, ref) {
+		t.Fatal("fetched results differ from reference")
 	}
 }
 
