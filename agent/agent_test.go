@@ -40,17 +40,29 @@ func TestTraceStringEmpty(t *testing.T) {
 	if tr.String() != "" || tr.Clock() != 0 || tr.Moves() != 0 {
 		t.Fatal("empty trace accessors wrong")
 	}
-	if tr.EntryPortAt(1) != -1 {
-		t.Fatal("empty trace entry port")
-	}
 }
 
-func TestTraceEntryPortBeyondEnd(t *testing.T) {
-	tr := &Trace{Steps: []Step{{Kind: StepMove, OutPort: 1, EntryPort: 0, Rounds: 1}}}
-	if tr.EntryPortAt(2) != -1 {
-		t.Fatal("entry port past end should be -1")
+func TestTraceClip(t *testing.T) {
+	steps := []Step{
+		{Kind: StepMove, OutPort: 1, EntryPort: 0, Rounds: 1},
+		{Kind: StepWait, Rounds: 5},
+		{Kind: StepMove, OutPort: 0, EntryPort: 1, Rounds: 1},
 	}
-	if tr.EntryPortAt(0) != -1 {
-		t.Fatal("round zero has no entry")
+	for _, c := range []struct {
+		rounds uint64
+		want   string
+	}{
+		{0, ""},
+		{1, "1>0"},
+		{4, "1>0 .3"}, // a wait cut short
+		{6, "1>0 .5"},
+		{7, "1>0 .5 0>1"},
+		{100, "1>0 .5 0>1"}, // past the end: nothing to cut
+	} {
+		tr := &Trace{Steps: append([]Step(nil), steps...)}
+		tr.Clip(c.rounds)
+		if got := tr.String(); got != c.want || tr.Clock() != min(c.rounds, 7) {
+			t.Fatalf("Clip(%d) = %q (%d rounds), want %q", c.rounds, got, tr.Clock(), c.want)
+		}
 	}
 }

@@ -54,21 +54,25 @@ func (t *Trace) Moves() int {
 	return n
 }
 
-// EntryPortAt returns the entry port perceived at round r (the port of
-// the move that ended at round r), or -1 if the agent waited into or
-// appeared at that round.
-func (t *Trace) EntryPortAt(r uint64) int {
+// Clip cuts the trace to its first rounds rounds: the steps that end by
+// then, and the part of a wait that runs past the cut. Traced records a
+// wait in full when the program issues it, but a run can stop inside
+// it (a meeting while the agent waits), so a trace can run past the last
+// round its agent lived; clipped to those rounds, it is the trajectory
+// the meeting saw.
+func (t *Trace) Clip(rounds uint64) {
 	var clock uint64
-	for _, s := range t.Steps {
+	for i, s := range t.Steps {
+		if clock+s.Rounds > rounds {
+			if s.Kind == StepWait && clock < rounds {
+				t.Steps[i].Rounds = rounds - clock
+				i++
+			}
+			t.Steps = t.Steps[:i]
+			return
+		}
 		clock += s.Rounds
-		if clock == r && s.Kind == StepMove {
-			return s.EntryPort
-		}
-		if clock >= r {
-			break
-		}
 	}
-	return -1
 }
 
 // String renders a compact form like "0>1 0>0 .3 1>0" (out>entry, .k for

@@ -162,7 +162,7 @@ type connState struct {
 	since      time.Time // the watchdog clock's start: the dispatch, or before hello the conn's start
 	dead       bool
 	helloed    bool       // handshake completed; pre-hello conns are on the watchdog clock too
-	deadReason error      // set before severing (watchdog) to annotate the read error
+	deadReason error      // set by the watchdog before it severs: the whole cause of death
 	idx        int        // position in run.conns: the trace/gauge conn id
 	ig         *obs.Gauge // this connection's dist_conn_inflight sample
 }
@@ -322,9 +322,12 @@ func (r *run) watch(stop chan struct{}) {
 				if cs.dead || (cs.helloed && cs.shard < 0) {
 					continue
 				}
-				if gap := now.Sub(cs.since); gap > r.deadlineLocked(cs) {
-					cs.deadReason = fmt.Errorf("dist: worker made no progress for %v (deadline %v)",
-						gap.Round(time.Millisecond), r.deadlineLocked(cs))
+				if d := r.deadlineLocked(cs); now.Sub(cs.since) > d {
+					if cs.helloed {
+						cs.deadReason = fmt.Errorf("dist: worker did not answer shard %d within its %v deadline", cs.shard, d)
+					} else {
+						cs.deadReason = fmt.Errorf("dist: worker sent no hello within %v", d)
+					}
 					sever = append(sever, cs)
 				}
 			}
@@ -476,7 +479,7 @@ func (r *run) connDead(cs *connState, cause error) {
 	cs.dead = true
 	cs.c.broken = true
 	if cs.deadReason != nil {
-		cause = fmt.Errorf("%v (%w)", cs.deadReason, cause)
+		cause = cs.deadReason // the read error is the watchdog's own sever
 	}
 	r.stats.DeadConns++
 	obsDeadConns.Inc()

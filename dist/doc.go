@@ -94,7 +94,9 @@
 // after it was sent (by default 10 s plus 50 ms per case, far beyond
 // any production shard) is severed by the watchdog and handled exactly
 // like a death; a connection that has not said hello is on the same
-// clock from its start. RunStats (via LastRunStats) reports how much of
+// clock from its start. The cause of such a death is the watchdog's own
+// reason (the missing hello, or the shard and its deadline), not the read
+// its sever interrupted. RunStats (via LastRunStats) reports how much of
 // this machinery a sweep actually exercised.
 //
 // # Descriptor schema

@@ -299,6 +299,23 @@ func TestHungWorkerReaped(t *testing.T) {
 	}
 }
 
+// TestSilentWorkerNamesTheHello pins the watchdog's cause of death for a
+// worker that never says hello: the missing hello, not the read that the
+// watchdog's own sever interrupted.
+func TestSilentWorkerNamesTheHello(t *testing.T) {
+	p, _ := plannerWithShards(7000, 1)
+	coord, silent := net.Pipe()
+	defer silent.Close()
+	tun := faultTuning()
+	tun.BaseDeadline = 50 * time.Millisecond
+	be := dist.NewFromStreams([]io.ReadWriteCloser{coord}, dist.WithTuning(tun))
+	defer be.Close()
+	_, err := p.Run(be)
+	if err == nil || !strings.Contains(err.Error(), "worker sent no hello within 50ms") || strings.Contains(err.Error(), "reading frame") {
+		t.Fatalf("Run error %v; want the missing hello as the whole cause", err)
+	}
+}
+
 // TestLateJoinAddConn pins elastic membership: a sweep started on a
 // single wedged worker is rescued by a healthy worker joining mid-run
 // through AddConn — once the wedged worker holds a shard, so the join

@@ -61,21 +61,35 @@ func Elect(a, b *agent.Trace) (Role, error) {
 	// performed the same action kinds each round (same algorithm, and
 	// their percept streams agree up to the first difference), so their
 	// entry-port streams are aligned round by round. Find the last round
-	// whose entry ports differ; the larger port leads.
-	last := -1
-	larger := Role(0)
-	for r := uint64(1); r <= ca; r++ {
-		pa, pb := a.EntryPortAt(r), b.EntryPortAt(r)
+	// whose entry ports differ; the larger port leads. A waited round
+	// perceives no port (-1), so one pass over the two step lists, a step
+	// end at a time, finds it.
+	var ta, tb, last uint64 // rounds before a.Steps[i] and b.Steps[j]
+	larger := Leader
+	for i, j := 0, 0; i < len(a.Steps) && j < len(b.Steps); {
+		sa, sb := a.Steps[i], b.Steps[j]
+		ea, eb := ta+sa.Rounds, tb+sb.Rounds
+		pa, pb := -1, -1
+		if sa.Kind == agent.StepMove && ea <= eb {
+			pa = sa.EntryPort
+		}
+		if sb.Kind == agent.StepMove && eb <= ea {
+			pb = sb.EntryPort
+		}
 		if pa != pb {
-			last = int(r)
-			if pa > pb {
-				larger = Leader
-			} else {
+			last, larger = min(ea, eb), Leader
+			if pa < pb {
 				larger = NonLeader
 			}
 		}
+		if ea <= eb {
+			ta, i = ea, i+1
+		}
+		if eb <= ea {
+			tb, j = eb, j+1
+		}
 	}
-	if last < 0 {
+	if last == 0 {
 		return 0, ErrIndistinguishable
 	}
 	return larger, nil

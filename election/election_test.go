@@ -148,6 +148,56 @@ func TestPortRuleUsesLastDifference(t *testing.T) {
 	}
 }
 
+func TestPortRuleOverLongWaits(t *testing.T) {
+	// Equal clocks across 2^40-round waits: Elect walks the steps, not
+	// the rounds. A waited round perceives no entry port, so a move
+	// against a wait is a difference the mover wins.
+	const long = uint64(1) << 40
+	move := func(entry int) agent.Step {
+		return agent.Step{Kind: agent.StepMove, OutPort: 0, EntryPort: entry, Rounds: 1}
+	}
+	wait := func(rounds uint64) agent.Step { return agent.Step{Kind: agent.StepWait, Rounds: rounds} }
+	for _, c := range []struct {
+		name string
+		a, b []agent.Step
+		want Role
+	}{
+		{"move against a wait last", []agent.Step{move(1), wait(long), move(0)}, []agent.Step{move(1), wait(long + 1)}, Leader},
+		{"ports before equal waits", []agent.Step{move(1), wait(long)}, []agent.Step{move(2), wait(long)}, NonLeader},
+	} {
+		a, b := &agent.Trace{Steps: c.a}, &agent.Trace{Steps: c.b}
+		ra, errA := Elect(a, b)
+		rb, errB := Elect(b, a)
+		if errA != nil || errB != nil || ra != c.want || rb == ra {
+			t.Fatalf("%s: Elect(a, b) = %v, %v; Elect(b, a) = %v, %v; want a %v", c.name, ra, errA, rb, errB, c.want)
+		}
+	}
+}
+
+func TestElectionClippedToMeeting(t *testing.T) {
+	// UniversalRV on path-4 from (0, 1) with δ = 0 meets while an agent
+	// is inside a wait, which Traced recorded in full, so the raw traces
+	// differ in length and would be settled by time — a rule for
+	// different start times only. Clipped to the rounds each agent
+	// lived, the simultaneous start is settled by the ports.
+	ta, tb, res := runTraced(t, graph.Path(4), rendezvous.UniversalRV(), 0, 1, 0, 1<<30)
+	if res.Outcome != sim.Met {
+		t.Fatalf("no meeting: %v", res.Outcome)
+	}
+	if ta.Clock() == tb.Clock() {
+		t.Fatalf("raw traces both cover %d rounds; this case needs one that runs past the meeting", ta.Clock())
+	}
+	ta.Clip(res.MeetingRound)
+	tb.Clip(res.MeetingRound)
+	p, err := Decide(ta, tb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.DecidedBy != "ports" || p.RoleB != Leader {
+		t.Fatalf("clipped to round %d: %+v, want B to lead by ports", res.MeetingRound, p)
+	}
+}
+
 func TestTimeRuleBeatsPorts(t *testing.T) {
 	// A longer history wins even if the port comparison would go the
 	// other way.
@@ -185,15 +235,6 @@ func TestTraceAccessors(t *testing.T) {
 	}}
 	if tr.Clock() != 5 || tr.Moves() != 2 {
 		t.Fatalf("clock %d moves %d", tr.Clock(), tr.Moves())
-	}
-	if tr.EntryPortAt(1) != 1 {
-		t.Fatalf("entry at round 1 = %d", tr.EntryPortAt(1))
-	}
-	if tr.EntryPortAt(4) != -1 { // waited into round 4
-		t.Fatalf("entry at round 4 = %d", tr.EntryPortAt(4))
-	}
-	if tr.EntryPortAt(5) != 0 {
-		t.Fatalf("entry at round 5 = %d", tr.EntryPortAt(5))
 	}
 	if tr.String() != "0>1 .3 2>0" {
 		t.Fatalf("trace string %q", tr.String())

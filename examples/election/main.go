@@ -35,6 +35,10 @@ func main() {
 	if res.Outcome != sim.Met {
 		log.Fatalf("rendezvous failed: %v", res.Outcome)
 	}
+	// A trajectory runs past the meeting when its agent was inside a wait:
+	// clip each to the rounds its agent lived.
+	ta.Clip(res.MeetingRound)
+	tb.Clip(res.MeetingRound - delay)
 	fmt.Printf("rendezvous at mirror %d, %d rounds after the later agent appeared\n",
 		res.MeetingNode, res.TimeFromLater)
 	fmt.Printf("trajectory lengths: earlier %d rounds (%d hops), later %d rounds (%d hops)\n\n",

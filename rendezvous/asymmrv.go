@@ -38,10 +38,7 @@ func NewAsymmRV(n, delta uint64) (agent.Program, error) {
 	if AsymmRVTime(n, delta) >= RoundCap {
 		return nil, fmt.Errorf("rendezvous: AsymmRV(n=%d,δ=%d) duration saturates RoundCap", n, delta)
 	}
-	return func(w agent.World) {
-		var s rvScratch
-		asymmRVWith(w, n, delta, &s)
-	}, nil
+	return func(w agent.World) { asymmRV(w, n, delta) }, nil
 }
 
 // rvScratch is the per-agent scratch of the whole phase pipeline: the
@@ -122,29 +119,36 @@ func asymmRV(w agent.World, n, delta uint64) {
 	asymmRVWith(w, n, delta, &s)
 }
 
+// asymmRVWith is AsymmRV: the one sub-phase at depth n-1, the depth at
+// which Norris' theorem separates the views of nonsymmetric nodes.
 func asymmRVWith(w agent.World, n, delta uint64, s *rvScratch) {
-	// Wakeup attribution: everything in AsymmRV outside the view walk is
-	// the label-schedule machinery (the nested viewWalkWith re-tags and
+	asymmSubPhase(w, n, n-1, delta, s)
+}
+
+// asymmSubPhase is one "view walk, then label schedule" step, AsymmRV's
+// whole body and AsymmRVID's sub-phase D: it reconstructs the truncated
+// view to depth by physical DFS, padded to the input-independent budget
+// ViewWalkTimeDepth(n, depth), then plays the label's block schedule over
+// EncodingBitBudgetDepth(n, depth) slots. The walk carries the budget as
+// a hard cap: under a wrong (too small) hypothesis n the true path tree
+// can be larger than the budget, and truncating the walk keeps the
+// duration exact — which is what UniversalRV's phase synchrony requires;
+// under a correct hypothesis the cap never binds. It runs for exactly
+// asymmSubPhaseTime(n, depth, δ) rounds and ends at the start node. The
+// scratch tree and label buffer are reused across sub-phases and phases.
+func asymmSubPhase(w agent.World, n, depth, delta uint64, s *rvScratch) {
+	// Wakeup attribution: everything outside the view walk is the
+	// label-schedule machinery (the nested viewWalkWith re-tags and
 	// restores around itself).
 	defer agent.SetPhase(w, agent.SetPhase(w, agent.PhaseSchedule))
-	// Phase 1: reconstruct the truncated view by physical DFS, padded to
-	// the input-independent budget ViewWalkTime(n). The walk carries the
-	// budget as a hard cap: under a wrong (too small) hypothesis n the
-	// true path tree can be larger than the budget, and truncating the
-	// walk keeps the duration exact — which is what UniversalRV's phase
-	// synchrony requires; under a correct hypothesis the cap never binds.
-	budget := ViewWalkTime(n)
+	budget := ViewWalkTimeDepth(n, depth)
 	start := w.Clock()
-	viewWalkWith(w, int(n)-1, budget, &s.tree, s)
-	used := w.Clock() - start
-	w.Wait(budget - used)
+	viewWalkWith(w, int(depth), budget, &s.tree, s)
+	w.Wait(budget - (w.Clock() - start))
 
-	// Phase 2: label block schedule.
 	s.enc = s.tree.AppendEncode(s.enc[:0])
-	walk := s.uxsWalkFor(n)
 	repeats := ActiveRepeats(n, delta)
-	slotLen := satMul(repeats, UXSRoundTrip(n))
-	playSchedule(w, s.enc, EncodingBitBudget(n), repeats, slotLen, walk)
+	playSchedule(w, s.enc, EncodingBitBudgetDepth(n, depth), repeats, satMul(repeats, UXSRoundTrip(n)), s.uxsWalkFor(n))
 }
 
 // maxWalkScript caps one view-walk script submission (the buffers persist

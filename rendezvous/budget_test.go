@@ -8,7 +8,7 @@ import (
 )
 
 // The AsymmRV schedule silently truncates label bits beyond
-// EncodingBitBudget(n); if a real encoding ever exceeded the budget, two
+// EncodingBitBudgetDepth(n, n-1); if a real encoding ever exceeded the budget, two
 // different views could yield identical truncated schedules and the
 // meeting guarantee would evaporate. These tests pin the budget's
 // soundness for every family and size the experiments use.
@@ -26,7 +26,7 @@ func TestEncodingBitBudgetDominatesRealEncodings(t *testing.T) {
 	}
 	for _, g := range graphs {
 		n := uint64(g.N())
-		budget := EncodingBitBudget(n)
+		budget := EncodingBitBudgetDepth(n, n-1)
 		if budget == RoundCap {
 			continue // saturated budgets trivially dominate
 		}
@@ -44,7 +44,7 @@ func TestEncodingBitBudgetDominatesRandom(t *testing.T) {
 	f := func(seed uint64, nRaw uint8) bool {
 		n := 2 + int(nRaw%6)
 		g := graph.RandomConnected(n, 0, seed)
-		budget := EncodingBitBudget(uint64(n))
+		budget := EncodingBitBudgetDepth(uint64(n), uint64(n-1))
 		for v := 0; v < n; v++ {
 			enc := truncated(g, v, n-1).AppendEncode(nil)
 			if uint64(len(enc))*8 > budget {
@@ -59,11 +59,11 @@ func TestEncodingBitBudgetDominatesRandom(t *testing.T) {
 }
 
 func TestViewWalkBudgetDominatesRealWalks(t *testing.T) {
-	// ViewWalkTime(n) must dominate the physical cost of the depth-(n-1)
+	// ViewWalkTimeDepth(n, n-1) must dominate the physical cost of the depth-(n-1)
 	// walk on any graph of size <= n.
 	for _, g := range []*graph.Graph{graph.Path(4), graph.Cycle(5), graph.Star(4), graph.Complete(4)} {
 		n := g.N()
-		budget := ViewWalkTime(uint64(n))
+		budget := ViewWalkTimeDepth(uint64(n), uint64(n-1))
 		for v := 0; v < n; v++ {
 			_, used := soloViewWalk(g, v, n-1, RoundCap)
 			if used > budget {

@@ -20,45 +20,12 @@ import (
 // theorem), but the expected physical cost drops from exponential to the
 // cost of the distinguishing depth — measured in experiment E19.
 
-// ViewWalkTimeDepth is ViewWalkTime generalized to an explicit depth:
-// 2 * sum_{i=1..depth} (n-1)^i rounds.
-func ViewWalkTimeDepth(n, depth uint64) uint64 {
-	if n < 2 || depth == 0 {
-		return 0
-	}
-	total := uint64(0)
-	p := uint64(1)
-	for i := uint64(1); i <= depth; i++ {
-		p = satMul(p, n-1)
-		total = satAdd(total, p)
-	}
-	return satMul(2, total)
-}
-
-// EncodingBitBudgetDepth is EncodingBitBudget generalized to an explicit
-// truncation depth.
-func EncodingBitBudgetDepth(n, depth uint64) uint64 {
-	nodes := uint64(1)
-	p := uint64(1)
-	for i := uint64(1); i <= depth; i++ {
-		p = satMul(p, n-1)
-		nodes = satAdd(nodes, p)
-	}
-	nodes = satAdd(nodes, p) // frontier marks at the truncation depth
-	return satMul(satMul(nodes, encBytesPerNode), 8)
-}
-
 // AsymmRVIDTime returns the exact duration of the iterative-deepening
 // variant: the sum over sub-phases D = 1..n-1 of view walk plus schedule.
 func AsymmRVIDTime(n, delta uint64) uint64 {
-	if n < 2 {
-		return 0
-	}
-	slot := satMul(ActiveRepeats(n, delta), UXSRoundTrip(n))
 	total := uint64(0)
-	for d := uint64(1); d <= n-1; d++ {
-		total = satAdd(total, ViewWalkTimeDepth(n, d))
-		total = satAdd(total, satMul(EncodingBitBudgetDepth(n, d), slot))
+	for d := uint64(1); d < n; d++ {
+		total = satAdd(total, asymmSubPhaseTime(n, d, delta))
 	}
 	return total
 }
@@ -83,29 +50,16 @@ func asymmRVID(w agent.World, n, delta uint64) {
 	asymmRVIDWith(w, n, delta, &s)
 }
 
+// asymmRVIDWith runs the sub-phases D = 1..n-1 on one scratch; the last
+// one alone is AsymmRV.
 func asymmRVIDWith(w agent.World, n, delta uint64, s *rvScratch) {
-	defer agent.SetPhase(w, agent.SetPhase(w, agent.PhaseSchedule))
-	walk := s.uxsWalkFor(n)
-	repeats := ActiveRepeats(n, delta)
-	slotLen := satMul(repeats, UXSRoundTrip(n))
-	for d := uint64(1); d <= n-1; d++ {
-		// Sub-phase D: physical view walk to depth D, padded. The scratch
-		// tree and label buffer are reused across sub-phases and phases.
-		budget := ViewWalkTimeDepth(n, d)
-		start := w.Clock()
-		viewWalkWith(w, int(d), budget, &s.tree, s)
-		used := w.Clock() - start
-		w.Wait(budget - used)
-
-		// Depth-D label schedule.
-		s.enc = s.tree.AppendEncode(s.enc[:0])
-		slots := EncodingBitBudgetDepth(n, d)
-		playSchedule(w, s.enc, slots, repeats, slotLen, walk)
+	for d := uint64(1); d < n; d++ {
+		asymmSubPhase(w, n, d, delta, s)
 	}
 }
 
-// playSchedule runs the active/passive label schedule shared by asymmRV
-// and asymmRVID: slot k is active (repeats UXS round trips) iff bit k of
+// playSchedule runs the active/passive label schedule of one sub-phase
+// (asymmSubPhase): slot k is active (repeats UXS round trips) iff bit k of
 // enc is 1; passive slots (and the padding beyond the label) are merged
 // waits. Exactly slots*slotLen rounds.
 //
@@ -200,51 +154,10 @@ func playSchedule(w agent.World, enc []byte, slots, repeats, slotLen uint64, wal
 // asymmetric procedure (and its bookkeeping budget) changes. The
 // guarantee set is the same (Corollary 3.1); meeting times on
 // nonsymmetric STICs drop sharply (experiment E19).
-func FastUniversalRV() agent.Program {
-	return func(w agent.World) {
-		var s rvScratch // reused across every phase of this agent
-		s.seedSymm = true
-		for p := uint64(1); ; p++ {
-			n, d, delta := Untriple(p)
-			if d >= n {
-				continue
-			}
-			if FastPhaseTime(n, d, delta) >= RoundCap {
-				w.Wait(RoundCap)
-				continue
-			}
-			asymmRVIDWith(w, n, delta, &s)
-			w.Wait(AsymmRVIDTime(n, delta))
-			if delta >= d {
-				symmRVWith(w, n, d, delta, &s)
-			}
-		}
-	}
-}
-
-// FastPhaseTime is PhaseTime with the deepening AsymmRV budget.
-func FastPhaseTime(n, d, delta uint64) uint64 {
-	if d >= n {
-		return 0
-	}
-	total := satMul(2, AsymmRVIDTime(n, delta))
-	if delta >= d {
-		total = satAdd(total, SymmRVTime(n, d, delta))
-	}
-	return total
-}
+func FastUniversalRV() agent.Program { return fastVariant.program() }
 
 // FastUniversalRVTimeBound is the guarantee analogue of
 // UniversalRVTimeBound for the fast variant.
 func FastUniversalRVTimeBound(n, d, delta uint64) uint64 {
-	last := PhaseFor(n, d, delta)
-	total := uint64(0)
-	for p := uint64(1); p <= last; p++ {
-		hn, hd, hdelta := Untriple(p)
-		total = satAdd(total, FastPhaseTime(hn, hd, hdelta))
-		if total == RoundCap {
-			return RoundCap
-		}
-	}
-	return total
+	return fastVariant.timeBound(n, d, delta)
 }

@@ -1,6 +1,7 @@
 package rendezvous
 
 import (
+	"slices"
 	"testing"
 
 	"repro/agent"
@@ -118,14 +119,21 @@ func TestFastUniversalRVSuite(t *testing.T) {
 }
 
 func TestDepthGeneralizationsMatchFullDepth(t *testing.T) {
-	// At depth n-1 the depth-parameterized budgets must coincide with the
-	// originals.
-	for n := uint64(2); n <= 8; n++ {
-		if ViewWalkTimeDepth(n, n-1) != ViewWalkTime(n) {
-			t.Fatalf("ViewWalkTimeDepth(%d, %d) mismatch", n, n-1)
+	// AsymmRV is the deepening variant's last sub-phase alone: its
+	// trajectory is the tail of AsymmRVID's, and each runs for its
+	// closed-form duration.
+	for _, g := range []*graph.Graph{graph.Path(4), graph.Cycle(5), graph.Star(4)} {
+		n := uint64(g.N())
+		var full, deep agent.Trace
+		SoloDuration(g, 0, agent.Traced(func(w agent.World) { asymmRV(w, n, 1) }, &full))
+		SoloDuration(g, 0, agent.Traced(func(w agent.World) { asymmRVID(w, n, 1) }, &deep))
+		tail := deep.Steps[len(deep.Steps)-len(full.Steps):]
+		if !slices.Equal(tail, full.Steps) {
+			t.Fatalf("%s: AsymmRV's %d steps are not the tail of AsymmRVID's", g, len(full.Steps))
 		}
-		if EncodingBitBudgetDepth(n, n-1) != EncodingBitBudget(n) {
-			t.Fatalf("EncodingBitBudgetDepth(%d, %d) mismatch", n, n-1)
+		if full.Clock() != AsymmRVTime(n, 1) || deep.Clock() != AsymmRVIDTime(n, 1) {
+			t.Fatalf("%s: traces cover %d and %d rounds, want %d and %d", g,
+				full.Clock(), deep.Clock(), AsymmRVTime(n, 1), AsymmRVIDTime(n, 1))
 		}
 	}
 }

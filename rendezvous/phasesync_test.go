@@ -7,40 +7,35 @@ import (
 	"repro/graph"
 )
 
-// phasePrefix replicates the body of UniversalRV for phases 1..maxPhase
-// as a terminating program, so that its duration can be measured solo.
-func phasePrefix(maxPhase uint64) agent.Program {
-	return func(w agent.World) {
-		for p := uint64(1); p <= maxPhase; p++ {
-			n, d, delta := Untriple(p)
-			if d >= n {
-				continue
-			}
-			if PhaseTime(n, d, delta) >= RoundCap {
-				w.Wait(RoundCap)
-				continue
-			}
-			asymmRV(w, n, delta)
-			w.Wait(AsymmRVTime(n, delta))
-			if delta >= d {
-				symmRV(w, n, d, delta)
-			}
-		}
+// variants are the three programs built on Algorithm 3's phase loop.
+var variants = []struct {
+	name string
+	v    variant
+}{
+	{"UniversalRV", universalVariant},
+	{"FastUniversalRV", fastVariant},
+	{"AsymmOnlyUniversalRV", asymmOnlyVariant},
+}
+
+// phases runs the real phase body of v for phases 1..last as a
+// terminating program (one scratch across the phases, as in the
+// program), so that its duration can be measured solo; want is the
+// closed-form sum of the same phases' times.
+func phases(v variant, last uint64) (prog agent.Program, want uint64) {
+	for p := uint64(1); p <= last; p++ {
+		want += v.phaseTime(Untriple(p))
 	}
+	return func(w agent.World) { v.run(w, last) }, want
 }
 
 // TestPhaseSynchronyInvariant is the load-bearing property behind
-// Theorem 3.1's proof: the first P phases of UniversalRV must take an
-// IDENTICAL number of rounds from every start node of every graph —
-// otherwise the two agents would drift and later phases would run with a
-// corrupted delay. It must also equal the closed-form phase-time sum.
+// Theorem 3.1's proof: the first P phases of UniversalRV (and of its two
+// variants) must take an IDENTICAL number of rounds from every start node
+// of every graph — otherwise the two agents would drift and later phases
+// would run with a corrupted delay. It must also equal the closed-form
+// phase-time sum.
 func TestPhaseSynchronyInvariant(t *testing.T) {
 	const maxPhase = 30 // covers hypotheses up to n=4-ish
-	var want uint64
-	for p := uint64(1); p <= maxPhase; p++ {
-		n, d, delta := Untriple(p)
-		want += PhaseTime(n, d, delta)
-	}
 	graphs := []*graph.Graph{
 		graph.TwoNode(),
 		graph.Path(4),
@@ -50,13 +45,15 @@ func TestPhaseSynchronyInvariant(t *testing.T) {
 		graph.OrientedTorus(3, 3),
 		graph.RandomConnected(7, 3, 99),
 	}
-	prog := phasePrefix(maxPhase)
-	for _, g := range graphs {
-		for v := 0; v < g.N(); v++ {
-			got := SoloDuration(g, v, prog)
-			if got != want {
-				t.Fatalf("%s start %d: phases 1..%d took %d rounds, want %d — phase synchrony broken",
-					g, v, maxPhase, got, want)
+	for _, vc := range variants {
+		prog, want := phases(vc.v, maxPhase)
+		for _, g := range graphs {
+			for v := 0; v < g.N(); v++ {
+				got := SoloDuration(g, v, prog)
+				if got != want {
+					t.Fatalf("%s on %s start %d: phases 1..%d took %d rounds, want %d — phase synchrony broken",
+						vc.name, g, v, maxPhase, got, want)
+				}
 			}
 		}
 	}
@@ -68,24 +65,21 @@ func TestPhaseSynchronyInvariant(t *testing.T) {
 // viewWalk.
 func TestPhaseSynchronyAcrossGraphSizes(t *testing.T) {
 	const maxPhase = 64 // includes hypotheses with n' up to 5 on a 3-node graph
-	var want uint64
-	for p := uint64(1); p <= maxPhase; p++ {
-		n, d, delta := Untriple(p)
-		want += PhaseTime(n, d, delta)
-	}
-	prog := phasePrefix(maxPhase)
 	// Graph smaller than most hypotheses.
 	small := graph.Path(3)
 	// Graph larger than all phase hypotheses in range.
 	big := graph.Cycle(12)
-	for _, g := range []*graph.Graph{small, big} {
-		base := SoloDuration(g, 0, prog)
-		if base != want {
-			t.Fatalf("%s: duration %d != closed form %d", g, base, want)
-		}
-		for v := 1; v < g.N(); v++ {
-			if got := SoloDuration(g, v, prog); got != base {
-				t.Fatalf("%s: starts 0 and %d disagree (%d vs %d)", g, v, base, got)
+	for _, vc := range variants {
+		prog, want := phases(vc.v, maxPhase)
+		for _, g := range []*graph.Graph{small, big} {
+			base := SoloDuration(g, 0, prog)
+			if base != want {
+				t.Fatalf("%s on %s: duration %d != closed form %d", vc.name, g, base, want)
+			}
+			for v := 1; v < g.N(); v++ {
+				if got := SoloDuration(g, v, prog); got != base {
+					t.Fatalf("%s on %s: starts 0 and %d disagree (%d vs %d)", vc.name, g, v, base, got)
+				}
 			}
 		}
 	}

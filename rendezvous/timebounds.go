@@ -66,41 +66,44 @@ func SymmRVTime(n, d, delta uint64) uint64 {
 	return satAdd(satMul(per, satAdd(m, 2)), satMul(2, satAdd(m, 1)))
 }
 
-// ViewWalkTime returns V(n), the padded duration of the physical
-// truncated-view exploration to depth n-1 used by AsymmRV: a DFS of the
-// path tree costs two rounds per tree edge, and the tree of paths of
-// length <= n-1 has at most sum_{i=1..n-1} (n-1)^i edges.
-func ViewWalkTime(n uint64) uint64 {
+// pathTree bounds the tree of paths of length <= depth from a node of an
+// n-node graph (n >= 2): at most sum_{i=1..depth} (n-1)^i edges, and at
+// most (n-1)^depth leaves at the truncation depth.
+func pathTree(n, depth uint64) (edges, leaves uint64) {
+	leaves = 1
+	for i := uint64(1); i <= depth; i++ {
+		leaves = satMul(leaves, n-1)
+		edges = satAdd(edges, leaves)
+	}
+	return edges, leaves
+}
+
+// ViewWalkTimeDepth returns the padded duration of the physical
+// truncated-view exploration to the given depth: a DFS of the path tree
+// costs two rounds per tree edge. At depth n-1 it is V(n), AsymmRV's view
+// walk.
+func ViewWalkTimeDepth(n, depth uint64) uint64 {
 	if n < 2 {
 		return 0
 	}
-	total := uint64(0)
-	p := uint64(1)
-	for i := uint64(1); i <= n-1; i++ {
-		p = satMul(p, n-1)
-		total = satAdd(total, p)
-	}
-	return satMul(2, total)
+	edges, _ := pathTree(n, depth)
+	return satMul(2, edges)
 }
 
-// EncodingBitBudget returns K(n), the number of schedule slots of the
-// AsymmRV label schedule: an upper bound on the bit length of the
-// canonical encoding of any depth-(n-1) truncated view of an n-node graph.
+// EncodingBitBudgetDepth returns the number of label-schedule slots of
+// the sub-phase at the given depth: an upper bound on the bit length of
+// the canonical encoding of any depth-truncated view of an n-node graph.
 // Each view-tree or frontier node encodes in at most encBytesPerNode
-// bytes; the tree of paths of length <= n-1 has at most
-// sum_{i=0..n-1} (n-1)^i nodes plus (n-1)^(n-1) frontier marks.
-func EncodingBitBudget(n uint64) uint64 {
+// bytes, and the view has the path tree's root, a node per edge and a
+// frontier '*' mark per leaf. At depth n-1 it is K(n), AsymmRV's
+// schedule; for n < 2 (UniversalRV's n = 1 phases) it is one node's
+// worth.
+func EncodingBitBudgetDepth(n, depth uint64) uint64 {
 	if n < 2 {
 		return encBytesPerNode * 8
 	}
-	nodes := uint64(1)
-	p := uint64(1)
-	for i := uint64(1); i <= n-1; i++ {
-		p = satMul(p, n-1)
-		nodes = satAdd(nodes, p)
-	}
-	nodes = satAdd(nodes, p) // frontier '*' marks at depth n-1
-	return satMul(satMul(nodes, encBytesPerNode), 8)
+	edges, leaves := pathTree(n, depth)
+	return satMul(satMul(satAdd(satAdd(1, edges), leaves), encBytesPerNode), 8)
 }
 
 // encBytesPerNode bounds the encoding cost of one view node:
@@ -128,26 +131,17 @@ func ActiveRepeats(n, delta uint64) uint64 {
 	return satAdd(r, 2)
 }
 
-// AsymmRVTime returns D_A(n, δ), the exact padded duration of AsymmRV:
-// view walk + K(n) schedule slots of R*T_rt rounds each.
-func AsymmRVTime(n, delta uint64) uint64 {
+// asymmSubPhaseTime returns the exact padded duration of asymmSubPhase:
+// the view walk to depth plus EncodingBitBudgetDepth(n, depth) schedule
+// slots of R*T_rt rounds each.
+func asymmSubPhaseTime(n, depth, delta uint64) uint64 {
 	slot := satMul(ActiveRepeats(n, delta), UXSRoundTrip(n))
-	return satAdd(ViewWalkTime(n), satMul(EncodingBitBudget(n), slot))
+	return satAdd(ViewWalkTimeDepth(n, depth), satMul(EncodingBitBudgetDepth(n, depth), slot))
 }
 
-// PhaseTime returns the exact duration of UniversalRV's phase for
-// hypothesis (n, d, δ): zero for skipped phases (d >= n), otherwise
-// 2*D_A(n,δ) plus T(n,d,δ) when δ >= d.
-func PhaseTime(n, d, delta uint64) uint64 {
-	if d >= n {
-		return 0
-	}
-	total := satMul(2, AsymmRVTime(n, delta))
-	if delta >= d {
-		total = satAdd(total, SymmRVTime(n, d, delta))
-	}
-	return total
-}
+// AsymmRVTime returns D_A(n, δ), the exact padded duration of AsymmRV:
+// its one sub-phase, at depth n-1.
+func AsymmRVTime(n, delta uint64) uint64 { return asymmSubPhaseTime(n, n-1, delta) }
 
 // UniversalRVTimeBound returns the total rounds UniversalRV needs, counted
 // from the later agent's start, to reach the end of the phase whose
@@ -155,14 +149,5 @@ func PhaseTime(n, d, delta uint64) uint64 {
 // guarantees the meeting. This is the quantity Proposition 4.1 bounds by
 // O(n+δ)^O(n+δ).
 func UniversalRVTimeBound(n, d, delta uint64) uint64 {
-	last := PhaseFor(n, d, delta)
-	total := uint64(0)
-	for p := uint64(1); p <= last; p++ {
-		hn, hd, hdelta := Untriple(p)
-		total = satAdd(total, PhaseTime(hn, hd, hdelta))
-		if total == RoundCap {
-			return RoundCap
-		}
-	}
-	return total
+	return universalVariant.timeBound(n, d, delta)
 }

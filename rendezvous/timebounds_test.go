@@ -61,11 +61,11 @@ func TestSymmRVTimeMatchesLemma33(t *testing.T) {
 
 func TestViewWalkTime(t *testing.T) {
 	// n=4: 2 * (3 + 9 + 27) = 78.
-	if got := ViewWalkTime(4); got != 78 {
-		t.Fatalf("ViewWalkTime(4) = %d, want 78", got)
+	if got := ViewWalkTimeDepth(4, 3); got != 78 {
+		t.Fatalf("ViewWalkTimeDepth(4, 3) = %d, want 78", got)
 	}
-	if ViewWalkTime(2) != 2 {
-		t.Fatalf("ViewWalkTime(2) = %d, want 2", ViewWalkTime(2))
+	if ViewWalkTimeDepth(2, 1) != 2 {
+		t.Fatalf("ViewWalkTimeDepth(2, 1) = %d, want 2", ViewWalkTimeDepth(2, 1))
 	}
 }
 
@@ -89,16 +89,25 @@ func TestActiveRepeats(t *testing.T) {
 }
 
 func TestPhaseTime(t *testing.T) {
-	if PhaseTime(3, 3, 5) != 0 || PhaseTime(2, 5, 1) != 0 {
+	v := universalVariant
+	if v.phaseTime(3, 3, 5) != 0 || v.phaseTime(2, 5, 1) != 0 {
 		t.Fatal("skipped phases must cost zero rounds")
 	}
 	// d < n, δ < d: AsymmRV only.
-	if got, want := PhaseTime(3, 2, 1), 2*AsymmRVTime(3, 1); got != want {
-		t.Fatalf("PhaseTime asymm-only = %d, want %d", got, want)
+	if got, want := v.phaseTime(3, 2, 1), 2*AsymmRVTime(3, 1); got != want {
+		t.Fatalf("phaseTime asymm-only = %d, want %d", got, want)
 	}
 	// d < n, δ >= d: AsymmRV + SymmRV.
-	if got, want := PhaseTime(3, 2, 2), 2*AsymmRVTime(3, 2)+SymmRVTime(3, 2, 2); got != want {
-		t.Fatalf("PhaseTime full = %d, want %d", got, want)
+	if got, want := v.phaseTime(3, 2, 2), 2*AsymmRVTime(3, 2)+SymmRVTime(3, 2, 2); got != want {
+		t.Fatalf("phaseTime full = %d, want %d", got, want)
+	}
+	// The §4 variant never runs SymmRV; the fast one swaps the asymmetric
+	// procedure.
+	if got, want := asymmOnlyVariant.phaseTime(3, 2, 2), 2*AsymmRVTime(3, 2); got != want {
+		t.Fatalf("asymm-only phaseTime = %d, want %d", got, want)
+	}
+	if got, want := fastVariant.phaseTime(3, 2, 2), 2*AsymmRVIDTime(3, 2)+SymmRVTime(3, 2, 2); got != want {
+		t.Fatalf("fast phaseTime = %d, want %d", got, want)
 	}
 }
 
@@ -122,10 +131,14 @@ func TestEncodingBitBudgetCoversRealEncodings(t *testing.T) {
 	// The schedule budget must dominate the actual encoding bit length for
 	// every graph of size <= n (checked for representative families in
 	// rv_test.go's duration tests; here just sanity on magnitudes).
-	if EncodingBitBudget(2) < 8*8 {
+	if EncodingBitBudgetDepth(2, 1) < 8*8 {
 		t.Fatal("K(2) implausibly small")
 	}
-	if EncodingBitBudget(4) <= EncodingBitBudget(3) {
+	if EncodingBitBudgetDepth(4, 3) <= EncodingBitBudgetDepth(3, 2) {
 		t.Fatal("K not increasing")
+	}
+	// UniversalRV's n = 1 phases play one node's worth of slots.
+	if got := EncodingBitBudgetDepth(1, 0); got != encBytesPerNode*8 {
+		t.Fatalf("K(1) = %d, want %d", got, encBytesPerNode*8)
 	}
 }

@@ -113,8 +113,8 @@
 //     where runway is the script's pending lead plus the rounds left in
 //     its segment, up to its next escape with every copy of a repeat
 //     block counted (a lower bound on the script's rounds, which only
-//     shortens horizons), the remaining wait, 1 for a pending single
-//     move, and unbounded for a terminated program. No
+//     shortens horizons; a flushed wait is an empty script's lead), 1
+//     for a pending single move, and unbounded for a terminated program. No
 //     runner reaches the request-pulling state before the horizon's
 //     final round, so fetch — the only resume of a program — happens
 //     only at boundaries. The degree buffer is filled as positions

@@ -82,7 +82,6 @@ func (s *Session) acquire(g *graph.Graph, prog agent.Program, start int) *runner
 	r.entry = -1
 	r.state = stNeedReq
 	r.moves = 0
-	r.waitLeft = 0
 	r.script = nil
 	r.scriptAt = 0
 	r.scriptLead = 0
@@ -144,7 +143,6 @@ type agentState int
 const (
 	stNeedReq agentState = iota
 	stMovePending
-	stWaiting
 	stScript
 	stDone
 )
@@ -153,7 +151,6 @@ type reqKind int
 
 const (
 	reqMove reqKind = iota
-	reqWait
 	reqScript
 	reqDone
 	reqPanic
@@ -162,13 +159,13 @@ const (
 type request struct {
 	kind reqKind
 	port int
-	// rounds is the wait length for reqWait; for reqScript it is the
-	// LEAD — a deferred wait the scheduler fast-forwards in O(1) (the
-	// agent parked at its node, position static, no percepts, no entries)
-	// before the script's first action runs. The lead is how the world
-	// merges an arbitrarily long deferred wait into its next script
-	// without materializing ScriptWait rounds and without a separate
-	// wait request: one handshake, zero per-round cost.
+	// rounds is a reqScript's LEAD — a deferred wait the scheduler
+	// fast-forwards in O(1) (the agent parked at its node, position
+	// static, no percepts, no entries) before the script's first action
+	// runs. The lead is how the world merges an arbitrarily long deferred
+	// wait into its next script without materializing ScriptWait rounds
+	// (or, flushed, into an empty one): one handshake, zero per-round
+	// cost.
 	rounds uint64
 	script []int
 	// quiet marks a side-effects-only script (agent.RunSeq): the grant
@@ -203,7 +200,6 @@ type runner struct {
 	pos      int
 	entry    int
 	movePort int
-	waitLeft uint64
 	moves    uint64
 
 	// Script execution state (stScript): the pending action list, the
@@ -302,9 +298,6 @@ func (r *runner) consume(rq request) {
 	case reqMove:
 		r.state = stMovePending
 		r.movePort = rq.port
-	case reqWait:
-		r.state = stWaiting
-		r.waitLeft = rq.rounds
 	case reqScript:
 		r.state = stScript
 		r.script = rq.script
@@ -355,16 +348,14 @@ func (r *runner) waitRun() uint64 {
 
 // runway returns how many rounds this agent can surely be advanced
 // before the scheduler must resume its program again (fetch a new
-// request): a script's lead and the rounds left in its segment, the
-// remaining wait, one round for a pending single move, forever once the
-// program terminated. This is the per-agent contribution to the k-agent
-// scheduler's event horizon.
+// request): a script's lead and the rounds left in its segment (a
+// flushed wait is an empty script's lead), one round for a pending
+// single move, forever once the program terminated. This is the
+// per-agent contribution to the k-agent scheduler's event horizon.
 func (r *runner) runway() uint64 {
 	switch r.state {
 	case stMovePending:
 		return 1
-	case stWaiting:
-		return r.waitLeft
 	case stScript:
 		return r.scriptLead + r.runLeft()
 	case stDone:
@@ -374,15 +365,13 @@ func (r *runner) runway() uint64 {
 }
 
 // roundsUntilMove returns for how many rounds this agent is guaranteed to
-// stay at its current node: 0 when its next round is a move, the wait-run
-// length when it is waiting, forever once terminated. Rounds in which
-// every agent's count is positive cannot produce a new meeting.
+// stay at its current node: 0 when its next round is a move, the lead or
+// wait-run length when it is waiting, forever once terminated. Rounds in
+// which every agent's count is positive cannot produce a new meeting.
 func (r *runner) roundsUntilMove() uint64 {
 	switch r.state {
 	case stMovePending:
 		return 0
-	case stWaiting:
-		return r.waitLeft
 	case stScript:
 		if r.scriptLead > 0 {
 			// A trailing lead may leave the cursor past the last action;
@@ -574,12 +563,6 @@ func (r *runner) advance(k uint64) {
 		r.moves++
 		r.grant = grantMsg{degree: r.g.Degree(to), entry: ep}
 		r.state = stNeedReq
-	case stWaiting:
-		r.waitLeft -= k
-		if r.waitLeft == 0 {
-			r.grant = grantMsg{degree: r.g.Degree(r.pos), entry: r.entry}
-			r.state = stNeedReq
-		}
 	case stScript:
 		if r.scriptLead > 0 {
 			// Lead rounds: the deferred or SeqWait-carried wait — position
@@ -629,14 +612,14 @@ func (r *runner) advance(k uint64) {
 // Waits are deferred: Wait only accumulates rounds locally, and the
 // accumulated stretch reaches the scheduler merged with the agent's next
 // action — carried as the LEAD of the next script request (fast-forwarded
-// in O(1) before the script's first action), or flushed as a single wait
-// request when the program ends or the accumulator cap binds. Waiting
-// changes no percept and no position, so the merge is invisible to the
-// program and to the other agents: the scheduler still advances the
-// exact same number of rounds with the agent parked at the same node. It
-// just hears about them in one handshake instead of many — the dominant
-// cost of padding-heavy programs, whose phase bookkeeping emits long
-// runs of adjacent waits.
+// in O(1) before the script's first action), or flushed as the lead of
+// an empty quiet script when the program ends or the accumulator cap
+// binds. Waiting changes no percept and no position, so the merge is
+// invisible to the program and to the other agents: the scheduler still
+// advances the exact same number of rounds with the agent parked at the
+// same node. It just hears about them in one handshake instead of many —
+// the dominant cost of padding-heavy programs, whose phase bookkeeping
+// emits long runs of adjacent waits.
 type world struct {
 	r     *runner
 	yield func(request) bool
@@ -781,12 +764,13 @@ func (w *world) script(n int) []int {
 	return w.scriptBuf
 }
 
-// flushWait sends the accumulated deferred wait, if any, as one request.
+// flushWait sends the accumulated deferred wait, if any, as the lead of
+// an empty quiet script.
 func (w *world) flushWait() {
 	if w.pendingWait == 0 {
 		return
 	}
-	rq := request{kind: reqWait, rounds: w.pendingWait}
+	rq := request{kind: reqScript, rounds: w.pendingWait, quiet: true}
 	w.pendingWait = 0
 	w.call(rq)
 }
@@ -797,7 +781,7 @@ func (w *world) flushWaitQuiet() bool {
 	if w.pendingWait == 0 {
 		return true
 	}
-	rq := request{kind: reqWait, rounds: w.pendingWait, phase: w.phase}
+	rq := request{kind: reqScript, rounds: w.pendingWait, quiet: true, phase: w.phase}
 	w.pendingWait = 0
 	return w.yield(rq) && !w.r.abort
 }

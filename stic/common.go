@@ -2,22 +2,6 @@ package stic
 
 import "fmt"
 
-// CommonWordResult is the outcome of SearchCommonWord.
-type CommonWordResult struct {
-	// Found reports whether one word solves every STIC of the family.
-	Found bool
-	// Word is a shortest such word (ScriptWait = -1 for waits).
-	Word []int
-	// Rounds is the round (from the earlier start) by which the LAST
-	// pair has met, for the witness word.
-	Rounds int
-	// Exhausted means the reachable state space closed without a common
-	// solution: no oblivious word of any length solves the whole family.
-	Exhausted bool
-	// States is the number of distinct search states visited.
-	States int
-}
-
 // SearchCommonWord finds a shortest single oblivious word that achieves
 // rendezvous for EVERY STIC of a family sharing the same graph, the same
 // earlier start U, and the same delay, but different later starts V —
@@ -28,149 +12,26 @@ type CommonWordResult struct {
 // Because the earlier agent is identical across the family, the search
 // state is (earlier position, later positions vector, action queue, met
 // mask), which keeps small families on small graphs tractable. The search
-// gives up after maxStates states (neither Found nor Exhausted).
-func SearchCommonWord(family []STIC, maxStates int) (CommonWordResult, error) {
+// is SearchObliviousWord's BFS; Rounds is the round by which the last
+// pair has met, and the search gives up after maxStates states (neither
+// Found nor Exhausted).
+func SearchCommonWord(family []STIC, maxStates int) (WordResult, error) {
 	if len(family) == 0 {
-		return CommonWordResult{}, fmt.Errorf("stic: empty family")
+		return WordResult{}, fmt.Errorf("stic: empty family")
 	}
 	g := family[0].G
 	u := family[0].U
 	delay := family[0].Delay
 	for _, s := range family[1:] {
 		if s.G != g || s.U != u || s.Delay != delay {
-			return CommonWordResult{}, fmt.Errorf("stic: family must share graph, earlier start and delay")
+			return WordResult{}, fmt.Errorf("stic: family must share graph, earlier start and delay")
 		}
 	}
 	if delay > 12 {
-		return CommonWordResult{}, fmt.Errorf("stic: delay %d too large for the common-word search (max 12)", delay)
+		return WordResult{}, fmt.Errorf("stic: delay %d too large for the common-word search (max 12)", delay)
 	}
-	if len(family) > 8 {
-		return CommonWordResult{}, fmt.Errorf("stic: family of %d too large (max 8)", len(family))
+	if len(family) > maxFamily {
+		return WordResult{}, fmt.Errorf("stic: family of %d too large (max %d)", len(family), maxFamily)
 	}
-	k := len(family)
-	maxDeg := g.MaxDegree()
-	base := uint64(maxDeg + 2)
-	if pow(base, delay) == 0 {
-		return CommonWordResult{}, fmt.Errorf("stic: queue encoding overflow (delay %d, degree %d)", delay, maxDeg)
-	}
-	delta := int(delay)
-
-	type state struct {
-		a     int
-		bs    [8]int16 // later agents' positions (first k used)
-		queue uint64
-		fill  uint8
-		met   uint8 // bitmask of pairs already met
-	}
-	allMet := uint8(1<<k) - 1
-
-	mkStart := func() state {
-		st := state{a: u}
-		for i, s := range family {
-			st.bs[i] = int16(s.V)
-		}
-		if delta == 0 {
-			for i, s := range family {
-				if s.V == u {
-					st.met |= 1 << i
-				}
-			}
-		}
-		return st
-	}
-	start := mkStart()
-	if start.met == allMet {
-		return CommonWordResult{Found: true, States: 1}, nil
-	}
-
-	type parentRef struct {
-		prev   state
-		action int
-		ok     bool
-	}
-	parents := map[state]parentRef{start: {}}
-	frontier := []state{start}
-
-	step := func(pos, action int) int {
-		if action < 0 {
-			return pos
-		}
-		to, _ := g.Succ(pos, action%g.Degree(pos))
-		return to
-	}
-	actions := make([]int, 0, maxDeg+1)
-	actions = append(actions, -1)
-	for p := 0; p < maxDeg; p++ {
-		actions = append(actions, p)
-	}
-	reconstruct := func(st state) []int {
-		var rev []int
-		for {
-			p := parents[st]
-			if !p.ok {
-				break
-			}
-			rev = append(rev, p.action)
-			st = p.prev
-		}
-		out := make([]int, len(rev))
-		for i := range rev {
-			out[i] = rev[len(rev)-1-i]
-		}
-		return out
-	}
-
-	round := 0
-	for len(frontier) > 0 {
-		round++
-		var next []state
-		for _, st := range frontier {
-			for _, act := range actions {
-				ns := st
-				if int(st.fill) < delta {
-					ns.a = step(st.a, act)
-					ns.queue = st.queue*base + uint64(act+1)
-					ns.fill = st.fill + 1
-				} else if delta == 0 {
-					ns.a = step(st.a, act)
-					for i := 0; i < k; i++ {
-						ns.bs[i] = int16(step(int(st.bs[i]), act))
-					}
-				} else {
-					div := pow(base, delay-1)
-					oldest := int(st.queue/div) - 1
-					ns.a = step(st.a, act)
-					for i := 0; i < k; i++ {
-						ns.bs[i] = int16(step(int(st.bs[i]), oldest))
-					}
-					ns.queue = (st.queue%div)*base + uint64(act+1)
-				}
-				if int(ns.fill) == delta {
-					for i := 0; i < k; i++ {
-						if ns.a == int(ns.bs[i]) {
-							ns.met |= 1 << i
-						}
-					}
-				}
-				if _, seen := parents[ns]; seen {
-					continue
-				}
-				parents[ns] = parentRef{prev: st, action: act, ok: true}
-				if ns.met == allMet {
-					return CommonWordResult{
-						Found:  true,
-						Word:   reconstruct(ns),
-						Rounds: round,
-						States: len(parents),
-					}, nil
-				}
-				if len(parents) > maxStates {
-					return CommonWordResult{States: len(parents)}, nil
-				}
-				next = append(next, ns)
-			}
-		}
-		frontier = next
-	}
-	return CommonWordResult{Exhausted: true, States: len(parents)}, nil
+	return searchWord(family, maxStates)
 }

@@ -127,3 +127,22 @@ func TestCommonWordValidation(t *testing.T) {
 		t.Fatal("oversized delay accepted")
 	}
 }
+
+func TestCommonWordLargeRing(t *testing.T) {
+	// Positions past int16 range: on a 40,000-node ring the family search
+	// must answer what the single search answers (same distance forever,
+	// so the 40,000 states of the earlier agent close the search).
+	g := graph.Cycle(40_000)
+	s := STIC{G: g, U: 0, V: 35_000}
+	single, err := SearchObliviousWord(s, 100_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	common, err := SearchCommonWord([]STIC{s}, 100_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !common.Exhausted || common.States != 40_000 || common.Exhausted != single.Exhausted || common.States != single.States {
+		t.Fatalf("family search %+v, single search %+v; want both exhausted after 40000 states", common, single)
+	}
+}

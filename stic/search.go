@@ -8,15 +8,17 @@ import (
 )
 
 // WordResult is the outcome of an exhaustive search over oblivious action
-// words (wait or a port number per round, the same word executed by both
-// agents with the STIC's delay).
+// words (wait or a port number per round, the same word executed by every
+// agent with the STIC's delay).
 type WordResult struct {
-	// Found reports whether some word achieves rendezvous.
+	// Found reports whether some word achieves rendezvous (for a family,
+	// of every pair).
 	Found bool
 	// Word is a shortest rendezvous word when Found (ScriptWait = -1
 	// denotes a wait), using the agent package's script conventions.
 	Word []int
-	// Rounds is the meeting round, counted from the earlier agent's start.
+	// Rounds is the meeting round, counted from the earlier agent's start;
+	// for a family, the round by which the LAST pair has met.
 	Rounds int
 	// Exhausted is true when the reachable state space was fully explored
 	// without finding a meeting: a proof that no oblivious word of any
@@ -25,16 +27,6 @@ type WordResult struct {
 	Exhausted bool
 	// States is the number of distinct search states visited.
 	States int
-}
-
-// searchState is a node of the word-search BFS: the earlier agent's
-// position after t actions, the later agent's position after t-δ actions,
-// and the queue of the most recent δ actions the later agent has yet to
-// replay. The queue is encoded base (maxDeg+2) to keep states hashable.
-type searchState struct {
-	a, b  int
-	queue uint64
-	fill  uint8 // how many actions are queued (< δ only during warm-up)
 }
 
 // SearchObliviousWord searches breadth-first for a shortest oblivious word
@@ -50,28 +42,61 @@ func SearchObliviousWord(s STIC, maxStates int) (WordResult, error) {
 	if s.Delay > 20 {
 		return WordResult{}, fmt.Errorf("stic: delay %d too large for word search (max 20)", s.Delay)
 	}
-	g := s.G
+	return searchWord([]STIC{s}, maxStates)
+}
+
+// maxFamily bounds the later starts of one word search: a search state
+// holds every later agent's position.
+const maxFamily = 8
+
+// wordState is a node of the word-search BFS: the queue of the most
+// recent δ actions the later agents have yet to replay (encoded base
+// maxDeg+2 to keep states hashable), the earlier agent's position after
+// t actions, the later agents' positions after t-δ actions (the first k
+// of bs) and the mask of later agents the earlier one has met.
+type wordState struct {
+	queue uint64
+	a     int32
+	bs    [maxFamily]int32
+	fill  uint8 // how many actions are queued (< δ only during warm-up)
+	met   uint8
+}
+
+// searchWord is the BFS behind both searches: a shortest word that brings
+// the earlier agent together with the later agent of every STIC of the
+// family — one graph, earlier start and delay, at most maxFamily later
+// starts. The earlier agent is the same across the family, so one state
+// tracks it once.
+func searchWord(family []STIC, maxStates int) (WordResult, error) {
+	g, delay, k := family[0].G, family[0].Delay, len(family)
 	maxDeg := g.MaxDegree()
 	base := uint64(maxDeg + 2) // actions 0..maxDeg-1, wait, plus sentinel room
-	if pow(base, uint64(s.Delay)) == 0 {
-		return WordResult{}, fmt.Errorf("stic: delay %d with degree %d overflows the queue encoding", s.Delay, maxDeg)
+	if pow(base, delay) == 0 {
+		return WordResult{}, fmt.Errorf("stic: delay %d with degree %d overflows the queue encoding", delay, maxDeg)
 	}
-	delta := int(s.Delay)
+	delta := int(delay)
+	allMet := uint8(1<<k - 1)
+	start := wordState{a: int32(family[0].U)}
+	for i, s := range family {
+		start.bs[i] = int32(s.V)
+		// Meeting at round 0 (delay 0, same node) — degenerate.
+		if delta == 0 && s.V == s.U {
+			start.met |= 1 << i
+		}
+	}
+	if start.met == allMet {
+		return WordResult{Found: true, States: 1}, nil
+	}
 
 	type parentRef struct {
-		prev   searchState
+		prev   wordState
 		action int
 		ok     bool
 	}
-	start := searchState{a: s.U, b: s.V}
-	parents := map[searchState]parentRef{start: {}}
-	frontier := []searchState{start}
-	// Meeting at round 0 (delay 0, same node) — degenerate.
-	if delta == 0 && s.U == s.V {
-		return WordResult{Found: true, Word: nil, Rounds: 0, States: 1}, nil
-	}
+	parents := map[wordState]parentRef{start: {}}
+	frontier := []wordState{start}
 
-	reconstruct := func(st searchState) []int {
+	reconstruct := func(st wordState) []int {
 		var rev []int
 		for {
 			p := parents[st]
@@ -93,57 +118,54 @@ func SearchObliviousWord(s STIC, maxStates int) (WordResult, error) {
 	for p := 0; p < maxDeg; p++ {
 		actions = append(actions, p)
 	}
-
-	step := func(pos, action int) int {
+	step := func(pos int32, action int) int32 {
 		if action < 0 {
 			return pos
 		}
-		to, _ := g.Succ(pos, action%g.Degree(pos))
-		return to
+		to, _ := g.Succ(int(pos), action%g.Degree(int(pos)))
+		return int32(to)
 	}
-	// encode action for queue storage: wait -> 0, port p -> p+1.
-	enc := func(action int) uint64 {
-		return uint64(action + 1)
-	}
-	dec := func(code uint64) int {
-		return int(code) - 1
-	}
+	// The queue stores a wait as 0 and port p as p+1, its oldest action
+	// in the top digit, of place value div (δ > 0).
+	div := pow(base, delay) / base
 
 	round := 0
 	for len(frontier) > 0 {
 		round++
-		var next []searchState
+		var next []wordState
 		for _, st := range frontier {
 			for _, act := range actions {
-				var ns searchState
+				ns := st
+				ns.a = step(st.a, act)
 				if int(st.fill) < delta {
-					// Warm-up: the later agent has not appeared; queue the
-					// action.
-					ns = searchState{
-						a:     step(st.a, act),
-						b:     st.b,
-						queue: st.queue*base + enc(act),
-						fill:  st.fill + 1,
-					}
-				} else if delta == 0 {
-					ns = searchState{a: step(st.a, act), b: step(st.b, act)}
+					// Warm-up: the later agents have not appeared; queue
+					// the action.
+					ns.queue = st.queue*base + uint64(act+1)
+					ns.fill++
 				} else {
-					// Pop the oldest queued action for the later agent,
-					// push the new one.
-					div := pow(base, uint64(delta-1))
-					oldest := dec(st.queue / div)
-					ns = searchState{
-						a:     step(st.a, act),
-						b:     step(st.b, oldest),
-						queue: (st.queue%div)*base + enc(act),
-						fill:  st.fill,
+					// The later agents take the oldest queued action (this
+					// one at δ = 0), and this one joins the queue.
+					later := act
+					if delta > 0 {
+						later = int(st.queue/div) - 1
+						ns.queue = (st.queue%div)*base + uint64(act+1)
+					}
+					for i := range k {
+						ns.bs[i] = step(st.bs[i], later)
+					}
+				}
+				if int(ns.fill) == delta {
+					for i := range k {
+						if ns.a == ns.bs[i] {
+							ns.met |= 1 << i
+						}
 					}
 				}
 				if _, seen := parents[ns]; seen {
 					continue
 				}
 				parents[ns] = parentRef{prev: st, action: act, ok: true}
-				if int(ns.fill) == delta && ns.a == ns.b {
+				if ns.met == allMet {
 					return WordResult{
 						Found:  true,
 						Word:   reconstruct(ns),

@@ -10,7 +10,10 @@
 // over all oblivious action words (exact on port-homogeneous graphs, where
 // the percept stream carries no information and hence every algorithm is
 // equivalent to such a word — the argument of Theorem 4.1), and suite
-// generators for the experiment harness.
+// generators for the experiment harness. One BFS serves both word
+// searches: SearchObliviousWord asks it about one STIC, SearchCommonWord
+// about a family sharing graph, earlier start and delay (Theorem 4.1's
+// adversarial family).
 package stic
 
 import (
