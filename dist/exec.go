@@ -158,7 +158,7 @@ func execShard(sess *sim.Session, sh *ShardDesc, gc *graphCache) (*ShardResult, 
 	return res, nil
 }
 
-// execTwoAgent runs two-agent case i of sh on the pair engine.
+// execTwoAgent runs two-agent case i of sh through Session.RunPrograms.
 func execTwoAgent(sess *sim.Session, g *graph.Graph, sh *ShardDesc, i int, out *CaseResult) error {
 	c := &sh.Cases[i]
 	if err := checkStart(g, c.U); err != nil {
@@ -180,7 +180,7 @@ func execTwoAgent(sess *sim.Session, g *graph.Graph, sh *ShardDesc, i int, out *
 	return nil
 }
 
-// execMulti runs k-agent case i of sh on the k-agent engine.
+// execMulti runs k-agent case i of sh through Session.RunMany.
 func execMulti(sess *sim.Session, g *graph.Graph, sh *ShardDesc, i int, out *CaseResult) error {
 	c := &sh.Cases[i]
 	agents := make([]sim.MultiAgent, len(c.Agents))

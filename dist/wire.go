@@ -148,11 +148,20 @@ const frameGrowStep = 16 << 10
 func readFrame(r *bufio.Reader, buf []byte) ([]byte, error) {
 	// Peek at the prefix's bytes first: ReadUvarint accepts redundant
 	// spellings (0x80 0x00 for zero) that this refuses. Each peek waits
-	// only for a byte the prefix must still have.
+	// only for a byte the prefix must still have. A peek's error is the
+	// one to report: bufio hands a read error out once, so a later read
+	// would ask the transport again (and a reaped worker's pipe answers
+	// "file already closed", not its exit status).
 	for k := 1; k < binary.MaxVarintLen64; k++ {
 		p, err := r.Peek(k)
-		if err != nil {
-			break // ReadUvarint reports it
+		switch {
+		case err == io.EOF && k == 1:
+			return nil, io.EOF
+		case err == io.EOF:
+			err = io.ErrUnexpectedEOF
+			fallthrough
+		case err != nil:
+			return nil, fmt.Errorf("dist: reading frame length: %w", err)
 		}
 		if b := p[k-1]; b < 0x80 {
 			if b == 0 && k > 1 {
@@ -163,9 +172,6 @@ func readFrame(r *bufio.Reader, buf []byte) ([]byte, error) {
 	}
 	n, err := binary.ReadUvarint(r)
 	if err != nil {
-		if err == io.EOF {
-			return nil, io.EOF
-		}
 		return nil, fmt.Errorf("dist: reading frame length: %w", err)
 	}
 	if n > maxFrame {

@@ -4,6 +4,8 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"io"
 	"runtime"
 	"testing"
 )
@@ -50,6 +52,39 @@ func TestReadFrameAllocatesWhatArrives(t *testing.T) {
 		}
 	}); allocs != 0 {
 		t.Fatalf("a frame that fits the reused buffer took %.0f allocs, want 0", allocs)
+	}
+}
+
+// errsThenOther is a transport whose first Read fails with first and
+// every later Read with a different error, as a forked worker's stdout
+// does once the read that hit its end has reaped the process.
+type errsThenOther struct {
+	first error
+	reads int
+}
+
+func (e *errsThenOther) Read([]byte) (int, error) {
+	if e.reads++; e.reads == 1 {
+		return 0, e.first
+	}
+	return 0, errors.New("read |0: file already closed")
+}
+
+// readFrame reports the error of the read that failed, not of a second
+// read it makes afterwards: bufio hands a read error out once. A clean
+// end before the prefix stays io.EOF itself.
+func TestReadFrameReportsFirstReadError(t *testing.T) {
+	exit := errors.New("worker exited: exit status 1")
+	if _, err := readFrame(bufio.NewReader(&errsThenOther{first: exit}), nil); !errors.Is(err, exit) {
+		t.Fatalf("readFrame returned %v, want the first read's %q", err, exit)
+	}
+	if _, err := readFrame(bufio.NewReader(&errsThenOther{first: io.EOF}), nil); err != io.EOF {
+		t.Fatalf("readFrame returned %v, want io.EOF", err)
+	}
+	// Inside a prefix, the end of the stream is unexpected.
+	partial := io.MultiReader(bytes.NewReader([]byte{0x80}), &errsThenOther{first: io.EOF})
+	if _, err := readFrame(bufio.NewReader(partial), nil); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("readFrame returned %v inside a prefix, want io.ErrUnexpectedEOF", err)
 	}
 }
 

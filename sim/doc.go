@@ -1,9 +1,11 @@
 // Package sim executes the paper's execution model: anonymous agents on
 // a port-labeled graph, moving in synchronous rounds, started by the
 // adversary with given delays, meeting when they occupy the same node in
-// the same round (crossings inside an edge do not count). Run/RunPrograms
-// drive the two-agent rendezvous model; Session.RunMany generalizes to k
-// agents (the gathering setting of the paper's related work [25]).
+// the same round (crossings inside an edge do not count). One scheduler
+// loop serves two agents and k: Run/RunPrograms drive the two-agent
+// rendezvous model as its two-agent case, stopped by the first meeting,
+// and Session.RunMany the k-agent one (the gathering setting of the
+// paper's related work [25]).
 //
 // The scheduler is strictly deterministic: each agent program runs as a
 // coroutine that the scheduler resumes in lock-step — the scheduler and
@@ -17,8 +19,8 @@
 // a coroutine switch into the program and one back, each far dearer
 // than a scheduler round. Programs that know a stretch of actions in
 // advance submit it as one agent.World.MoveSeq script, and the
-// scheduler steps it itself, resuming the program once per script. Both
-// engines step through one counted burst kernel (burst in sim.go):
+// scheduler steps it itself, resuming the program once per script. The
+// loop steps through one counted burst kernel (burst in sim.go):
 // while some agent's next round is a scripted move, every agent whose
 // cursor is on a script action walks up to n rounds — a move steps, a
 // ScriptWait stays put — with cursor, position and entry in locals and
@@ -78,9 +80,9 @@
 // burst's position log instead of stepped. Replay changes how the
 // rounds are driven, never what they are: every round still reaches the
 // co-location scan, and moves, Clock(), meeting rounds and wakeups are
-// those of walking. A copy with any round stepped outside a burst (the
-// observer path, the k-agent per-move fallback, a mutual-wait skip) is
-// not recorded, and acquire resets the record, so a record never
+// those of walking. A copy with any round stepped outside a burst (an
+// observer's rounds, the round of a pending single move, a mutual-wait
+// skip) is not recorded, and acquire resets the record, so a record never
 // outlives its run or its graph. Session counts the replayed
 // agent-rounds and publishes them as sim_rounds_replayed_total.
 //
@@ -102,49 +104,40 @@
 // threads one Session per worker through Scratch.Session and closes it
 // when the worker retires; Close stops every pooled coroutine.
 //
-// # K-agent fast-forward invariants
+// # Fast-forward invariants
 //
-// RunMany advances all k agents together between event boundaries. The
-// correctness of its fast-forward rests on four invariants:
+// RunPrograms and RunMany run one loop (runState.loop). Each iteration
+// starts the agents due to appear and pulls a request from every agent
+// that finished its last action — fetch, the only resume of a program —
+// then steps: one burst, bounded by the budget and the next appearance,
+// or one round of every agent when a single move is pending or an
+// observer watches. Its correctness rests on three invariants:
 //
-//  1. Event horizon. From a boundary at round t, every agent can be
-//     driven horizon = min(budget-t, next appearance - t, min over
-//     present runners of runway()) rounds without resuming any program,
-//     where runway is the script's pending lead plus the rounds left in
-//     its segment, up to its next escape with every copy of a repeat
-//     block counted (a lower bound on the script's rounds, which only
-//     shortens horizons; a flushed wait is an empty script's lead), 1
-//     for a pending single move, and unbounded for a terminated program. No
-//     runner reaches the request-pulling state before the horizon's
-//     final round, so fetch — the only resume of a program — happens
-//     only at boundaries. The degree buffer is filled as positions
-//     advance, never by extra interactions.
+//  1. No program runs inside a step. A burst ends on the round a
+//     walker's segment ends and holds every other runner no longer
+//     than its lead, wait run or program end, so no runner reaches the
+//     request-pulling state before a step's last round. The degree
+//     buffer is filled as positions advance, never by extra
+//     interactions.
 //
 //  2. Quiet skips. Rounds in which no present agent moves cannot create
 //     a meeting or a gathering: positions are static and every
-//     co-located pair was already recorded (detection runs at round 0,
-//     after every appearance, and on every round a burst stops for).
-//     Such stretches — bounded by each agent's roundsUntilMove — are
-//     skipped in bulk without detection.
+//     co-located pair was already recorded. Such stretches — bounded by
+//     each agent's roundsUntilMove — are skipped in bulk without
+//     detection.
 //
-//  3. Moving rounds. Rounds in which an agent moves run in bursts that
-//     hold the waiting agents (see Batched execution) and stop on the
-//     first round that ends on a co-location still to record; that
-//     round's detection then runs the allocation-free pairwise scan in
-//     (i, j) order, so the Meetings slice is ordered by round, then
-//     lexicographically, identically to the round-by-round reference
-//     engine. While some pair has not met, a burst stops on any
-//     co-location of such a pair; once every pair has met, only the
-//     O(k) first-gathering check remains, and after the gathering
-//     nothing. A pending single move
-//     (a per-move program) is the one exception: every agent advances
-//     one round and the detection follows.
-//
-//  4. Appearance boundaries. When a horizon ends exactly at an
-//     appearance round, that round's detection is deferred past the
-//     boundary so the new agents participate in the scan — the reference
-//     engine processes appearances before detection, and meeting order
-//     within the round must match it exactly.
+//  3. Record before pull. A step stops on the first round that ends on
+//     a co-location still to record — while some pair has not met, one
+//     of such a pair; once every pair has, only the first gathering;
+//     after it, nothing — and that round's detection, the
+//     allocation-free pairwise scan in (i, j) order, runs at once,
+//     before any request of the round is pulled. An appearance round is
+//     the exception: its detection, a full scan, runs only after the new
+//     agents appear (and the round's pulls), so that they take part. The
+//     Meetings slice is thus ordered by round, then lexicographically,
+//     identically to the round-by-round reference engine, and the
+//     observer mode, which steps every round, pulls exactly the requests
+//     the bursts pull.
 //
 // The tests retain the one-iteration-per-round engine as the executable
 // spec (RunManyReference, in export_test.go); the differential

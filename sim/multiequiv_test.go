@@ -1,8 +1,8 @@
 package sim_test
 
 // Differential engine-equivalence suite for the k-agent scheduler: the
-// direct-execution RunMany (event-horizon fast-forward, pooled runners,
-// per-round meeting detection only on moving rounds) must produce a
+// direct-execution RunMany (burst fast-forward, pooled runners, meeting
+// detection only on rounds a step stops for) must produce a
 // MultiResult identical field by field — including the order of the
 // Meetings slice and the per-agent Moves — to RunManyReference, the
 // retained round-by-round engine, on hundreds of randomized cases mixing

@@ -63,7 +63,7 @@ func TestObsPhaseFamiliesRegistered(t *testing.T) {
 // TestInstrumentedShardAllocs is the zero-overhead contract as a hard
 // test: a warm shard of per-case runs — each publishing its totals into
 // the obs registry when it ends — must stay exactly 0 allocs per shard,
-// and must move the pair engine's run counter.
+// and must move the two-agent run counter.
 func TestInstrumentedShardAllocs(t *testing.T) {
 	g := graph.Cycle(32)
 	prog := shardSearcher(uxsStyleScript(32, 32))

@@ -37,13 +37,8 @@ type Session struct {
 	// Wakeups; the per-phase counts reach only the obs registry).
 	stats runStats
 
-	// Reusable k-agent scheduler state (see multi.go).
-	mrunners   []*runner
-	mpresent   []bool
-	mmet       []bool
-	mactive    []*runner
-	mactiveIdx []int
-	mmoved     []bool
+	// run is the scheduler state, reused from run to run (see sim.go).
+	run runState
 }
 
 // Wakeups returns the number of scheduler-agent interactions (requests
@@ -344,24 +339,6 @@ func (r *runner) waitRun() uint64 {
 		r.scriptWaitRun = uint64(i - r.scriptAt)
 	}
 	return r.scriptWaitRun
-}
-
-// runway returns how many rounds this agent can surely be advanced
-// before the scheduler must resume its program again (fetch a new
-// request): a script's lead and the rounds left in its segment (a
-// flushed wait is an empty script's lead), one round for a pending
-// single move, forever once the program terminated. This is the
-// per-agent contribution to the k-agent scheduler's event horizon.
-func (r *runner) runway() uint64 {
-	switch r.state {
-	case stMovePending:
-		return 1
-	case stScript:
-		return r.scriptLead + r.runLeft()
-	case stDone:
-		return ^uint64(0)
-	}
-	return 1
 }
 
 // roundsUntilMove returns for how many rounds this agent is guaranteed to

@@ -78,87 +78,253 @@ func RunPrograms(g *graph.Graph, progA, progB agent.Program, u, v int, delay uin
 }
 
 // RunPrograms is the session-pooled form of the package-level
-// RunPrograms, and the two-agent engine loop itself.
+// RunPrograms: the scheduler loop with two agents, the later one
+// appearing at delay, stopped by their meeting. An observer makes it
+// step one round at a time.
 func (s *Session) RunPrograms(g *graph.Graph, progA, progB agent.Program, u, v int, delay uint64, cfg Config) Result {
-	budget := cfg.Budget
-	if budget == 0 {
-		budget = DefaultBudget
+	m := &s.run
+	m.pair.agents = [2]MultiAgent{{Program: progA, Start: u}, {Program: progB, Start: v, Appear: delay}}
+	m.begin(s, g, m.pair.agents[:], MultiConfig{Budget: cfg.Budget, StopOnFirstMeeting: true}, cfg.Observer)
+	defer m.end(runKindPair)
+	m.loop()
+	res := Result{Outcome: BudgetExhausted, Rounds: m.t, MovesA: m.runners[0].moves}
+	if rb := m.runners[1]; rb != nil {
+		res.MovesB = rb.moves
 	}
-	s.resetStats()
-	var pair [2]*runner // ra, then rb once the later agent appears
-	var moved [2]bool
-	ra := s.acquire(g, progA, u)
-	var rb *runner
-	pair[0] = ra
-	defer func() {
-		publishRunStats(&s.stats, runKindPair)
-		s.release(ra)
-		if rb != nil {
-			s.release(rb)
-		}
-	}()
+	switch {
+	case len(m.res.Meetings) > 0:
+		mt := m.res.Meetings[0]
+		res.Outcome, res.MeetingNode, res.MeetingRound, res.TimeFromLater = Met, mt.Node, mt.Round, mt.Round-delay
+	case m.ended == 2:
+		res.Outcome = NeverMeet
+	}
+	return res
+}
 
-	t := uint64(0)
-	for {
-		ra.fetch()
-		if t >= delay && rb == nil {
-			rb = s.acquire(g, progB, v)
-			pair[1] = rb
-		}
-		if rb != nil {
-			rb.fetch()
-		}
-		if cfg.Observer != nil {
-			posB := -1
-			if rb != nil {
-				posB = rb.pos
-			}
-			cfg.Observer(t, ra.pos, posB)
-		}
-		if rb != nil && ra.pos == rb.pos {
-			return meeting(ra, rb, t, delay)
-		}
-		if ra.state == stDone && rb != nil && rb.state == stDone {
-			return Result{Outcome: NeverMeet, Rounds: t, MovesA: ra.moves, MovesB: rb.moves}
-		}
-		if t >= budget {
-			res := Result{Outcome: BudgetExhausted, Rounds: t, MovesA: ra.moves}
-			if rb != nil {
-				res.MovesB = rb.moves
-			}
-			return res
-		}
+// runState is one run's scheduler state. A Session keeps one and reuses
+// it, slices included, from run to run; a run of at most two agents
+// keeps its slices in pair, so that a fresh Session's run allocates no
+// scheduler state.
+type runState struct {
+	s        *Session
+	g        *graph.Graph
+	agents   []MultiAgent
+	cfg      MultiConfig
+	observer func(round uint64, posA, posB int) // two agents only
 
-		// Burst to the next event: a fetch, the appearance, the budget or
-		// the meeting. A meeting both agents moved into returns at once;
-		// one with a held agent is detected at the loop top, after the
-		// fetches the round-by-round schedule makes first.
-		if cfg.Observer == nil {
-			rs, n := pair[:2], budget-t
-			if rb == nil {
-				rs, n = pair[:1], min(n, delay-t)
-			}
-			if steps, hit := burst(rs, n, moved[:], watch{}); steps > 0 {
-				t += steps
-				if hit && moved[0] && moved[1] {
-					return meeting(ra, rb, t, delay)
-				}
-				continue
-			}
-		}
-		// One round: an observer watches, or a single move is pending.
-		ra.advance(1)
-		if rb != nil {
-			rb.advance(1)
-		}
-		t++
+	runners   []*runner // by agent index, nil until the agent appears
+	active    []*runner // the present runners, in agent order
+	activeIdx []int     // the agent index of each active runner
+	moved     []bool    // the active runners that moved on the last round
+	met       []bool    // met[i*k+j]: pair (i, j) already met
+	w         watch     // what the next burst stops for
+
+	res        MultiResult // Meetings in a reused buffer, Rounds and Moves unset
+	t          uint64
+	absent     int    // agents yet to appear
+	nextAppear uint64 // the earliest round an absent agent appears
+	unmet      int    // pairs yet to meet
+	ended      int    // agents whose program ended
+
+	pair struct {
+		agents          [2]MultiAgent
+		runners, active [2]*runner
+		idx             [2]int
+		moved           [2]bool
+		met             [4]bool
+		meetings        [1]Meeting
 	}
 }
 
-// meeting is the result of a run whose agents met at round t.
-func meeting(ra, rb *runner, t, delay uint64) Result {
-	return Result{Outcome: Met, MeetingNode: ra.pos, MeetingRound: t, TimeFromLater: t - delay,
-		Rounds: t, MovesA: ra.moves, MovesB: rb.moves}
+// begin resets the run state for a run of agents on g.
+func (m *runState) begin(s *Session, g *graph.Graph, agents []MultiAgent, cfg MultiConfig, observer func(uint64, int, int)) {
+	k := len(agents)
+	if cap(m.runners) < k {
+		if p := &m.pair; k <= len(p.runners) {
+			m.runners, m.active, m.activeIdx, m.moved = p.runners[:], p.active[:], p.idx[:], p.moved[:]
+			m.met, m.res.Meetings = p.met[:], p.meetings[:]
+		} else {
+			m.runners, m.active, m.activeIdx, m.moved = make([]*runner, k), make([]*runner, k), make([]int, k), make([]bool, k)
+			m.met, m.res.Meetings = make([]bool, k*k), make([]Meeting, k*(k-1)/2)
+		}
+	}
+	if cfg.Budget == 0 {
+		cfg.Budget = DefaultBudget
+	}
+	m.s, m.g, m.agents, m.cfg, m.observer = s, g, agents, cfg, observer
+	m.runners, m.met, m.moved = m.runners[:k], m.met[:k*k], m.moved[:k]
+	clear(m.runners)
+	clear(m.met)
+	m.res = MultiResult{Meetings: m.res.Meetings[:0]}
+	m.t, m.absent, m.nextAppear, m.unmet, m.ended = 0, k, 0, k*(k-1)/2, 0
+	s.resetStats()
+}
+
+// end publishes the run's statistics and returns its runners to the
+// session's pool.
+func (m *runState) end(kind int) {
+	publishRunStats(&m.s.stats, kind)
+	for i, r := range m.runners {
+		if r != nil {
+			m.s.release(r)
+			m.runners[i] = nil
+		}
+	}
+	m.agents, m.pair.agents, m.observer = nil, [2]MultiAgent{}, nil
+}
+
+// loop runs the scheduler from round 0 to the run's end. Each iteration
+// starts the agents due to appear and pulls a request from every agent
+// that finished its last action, the only resumes of a program; then it
+// steps to the next event: one burst, bounded by the budget and the next
+// appearance, or, when a single move is pending or an observer watches,
+// one round of every agent. A meeting the step ends on is recorded at
+// once, before any request of that round is pulled; on an appearance
+// round, only after the new agents appear.
+func (m *runState) loop() {
+	for {
+		appeared := m.absent > 0 && m.t >= m.nextAppear
+		if appeared {
+			m.appear()
+		}
+		m.pull()
+		if appeared {
+			if m.observer != nil {
+				m.observe()
+			}
+			if m.detect(nil) {
+				return
+			}
+		}
+		if m.ended == len(m.agents) || m.t >= m.cfg.Budget {
+			return
+		}
+		steps, hit := uint64(0), true
+		if m.observer == nil {
+			steps, hit = burst(m.active, min(m.cfg.Budget, m.nextAppear)-m.t, m.moved, &m.w)
+		}
+		if steps == 0 {
+			for a, r := range m.active {
+				m.moved[a] = r.roundsUntilMove() == 0
+				r.advance(1)
+			}
+			steps, hit = 1, true
+		}
+		if m.t += steps; m.absent > 0 && m.t == m.nextAppear {
+			continue
+		}
+		if m.observer != nil {
+			m.observe()
+		}
+		if hit && m.detect(m.moved) {
+			return
+		}
+	}
+}
+
+// appear starts every absent agent due by round t, then rebuilds the
+// active set and the watch.
+func (m *runState) appear() {
+	m.nextAppear = ^uint64(0)
+	for i, a := range m.agents {
+		switch {
+		case m.runners[i] != nil:
+		case a.Appear <= m.t:
+			m.runners[i] = m.s.acquire(m.g, a.Program, a.Start)
+			m.absent--
+		default:
+			m.nextAppear = min(m.nextAppear, a.Appear)
+		}
+	}
+	m.active, m.activeIdx = m.active[:0], m.activeIdx[:0]
+	for i, r := range m.runners {
+		if r != nil {
+			m.active = append(m.active, r)
+			m.activeIdx = append(m.activeIdx, i)
+		}
+	}
+	m.w = m.watch()
+}
+
+// pull resumes every present agent that finished its last action, up to
+// its next request, and counts the programs that ended.
+func (m *runState) pull() {
+	for _, r := range m.active {
+		if r.state == stNeedReq {
+			if r.fetch(); r.state == stDone {
+				m.ended++
+			}
+		}
+	}
+}
+
+// observe hands round t's positions to the observer; the later agent's
+// is -1 before it appears.
+func (m *runState) observe() {
+	posB := -1
+	if rb := m.runners[1]; rb != nil {
+		posB = rb.pos
+	}
+	m.observer(m.t, m.runners[0].pos, posB)
+}
+
+// detect records the first meeting of every co-located pair at round t
+// and the first gathering, scanning the active set (index-sorted by
+// construction) in (i, j) order, and reports whether a stop condition
+// fired. moved, when non-nil, restricts the scan to pairs with a member
+// that moved on round t: a pair of stationary agents cannot newly
+// co-locate, and gathering can only begin on a round somebody moved (or
+// one somebody appeared, which passes nil for a full scan).
+func (m *runState) detect(moved []bool) bool {
+	active, activeIdx, met, k := m.active, m.activeIdx, m.met, len(m.agents)
+	coloc, recorded := false, false
+	for a := 0; a < len(active); a++ {
+		pi := active[a].pos
+		i := activeIdx[a]
+		aMoved := moved == nil || moved[a]
+		for b := a + 1; b < len(active); b++ {
+			if !aMoved && !moved[b] || active[b].pos != pi {
+				continue
+			}
+			coloc = true
+			if met[i*k+activeIdx[b]] {
+				continue
+			}
+			met[i*k+activeIdx[b]] = true
+			m.unmet--
+			m.res.Meetings = append(m.res.Meetings, Meeting{A: i, B: activeIdx[b], Node: pi, Round: m.t})
+			recorded = true
+		}
+	}
+	if (coloc || k == 1) && m.absent == 0 && !m.res.Gathered {
+		runners := m.runners
+		gathered := true
+		for i := 1; i < k; i++ {
+			if runners[i].pos != runners[0].pos {
+				gathered = false
+				break
+			}
+		}
+		if gathered {
+			m.res.Gathered, m.res.GatherNode, m.res.GatherRound = true, runners[0].pos, m.t
+			recorded = true
+		}
+	}
+	if recorded {
+		m.w = m.watch()
+	}
+	return m.res.Gathered && m.cfg.StopOnGather || m.cfg.StopOnFirstMeeting && len(m.res.Meetings) > 0
+}
+
+// watch is what a burst must stop for: a co-location of a pair that has
+// not met, then — once every pair has — only the first gathering, then
+// nothing.
+func (m *runState) watch() watch {
+	if m.unmet > 0 {
+		return watch{met: m.met, idx: m.activeIdx, k: len(m.agents)}
+	}
+	gather := !m.res.Gathered && m.absent == 0
+	return watch{gather: gather, off: !gather}
 }
 
 // burstChunk bounds how many rounds each walker walks between
@@ -170,17 +336,16 @@ const (
 	burstChunk = 128
 )
 
-// watch names the co-locations that end a burst. The zero value watches
-// every pair of runners.
+// watch names the co-locations that end a burst.
 type watch struct {
 	off    bool   // nothing left to detect
 	gather bool   // only every runner on one node (all pairs have met)
-	met    []bool // pairs that already met, met[idx[a]*k+idx[b]]; nil: none
+	met    []bool // pairs that already met, met[idx[a]*k+idx[b]]
 	idx    []int  // agent index of each runner
 	k      int    // agent count, met's row length
 }
 
-// burst is the scripted-step kernel of both engines. It runs the present
+// burst is the scheduler loop's scripted-step kernel. It runs the present
 // runners rs (in agent order) through at most n rounds without resuming
 // any program. Every runner whose cursor is on a script action walks —
 // see walk — as long as one of them is on a move; a runner replaying a
@@ -197,7 +362,7 @@ type watch struct {
 // runner on a move it is the bulk skip of a stretch where nobody moves;
 // it runs nothing when a runner has a single move pending, which the
 // caller steps itself.
-func burst(rs []*runner, n uint64, moved []bool, w watch) (steps uint64, hit bool) {
+func burst(rs []*runner, n uint64, moved []bool, w *watch) (steps uint64, hit bool) {
 	movers, quiet := 0, n
 	for i, r := range rs {
 		q := r.roundsUntilMove()
@@ -439,7 +604,7 @@ func (w *watch) scan(rs []*runner, moved []bool, c int) int {
 	best := c
 	for a := range rs {
 		for b := a + 1; b < len(rs); b++ {
-			if !moved[a] && !moved[b] || w.met != nil && w.met[w.idx[a]*w.k+w.idx[b]] {
+			if !moved[a] && !moved[b] || w.met[w.idx[a]*w.k+w.idx[b]] {
 				continue
 			}
 			la, lb := rs[a].log[:best], rs[b].log[:best]
