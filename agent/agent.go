@@ -142,8 +142,8 @@ func Rel(offset int) int { return -2 - offset }
 // actions relative to entry (with entry < 0 treated as 0). Every int is a
 // valid action; degree must be positive (guaranteed on connected graphs
 // of size >= 2). This is the single source of truth for the action
-// alphabet — the simulator's scripted step and the direct single-agent
-// executors all resolve through it. Almost every real action is already
+// alphabet — the simulator's scripted step and its lone-agent executor
+// (sim.Solo) both resolve through it. Almost every real action is already
 // in range (or just past it, for small entry-relative offsets), so the
 // reduction is a compare-and-subtract before it falls back to the
 // division — this sits on the hottest instruction of every scripted

@@ -8,113 +8,44 @@
 //
 // The model here: each agent's deterministic program induces a fixed
 // stream of actions (its percepts depend only on its own walk, never on
-// the other agent), and an Adversary decides, step by step, which agents
-// complete their next action. A meeting occurs when both agents stand at
-// the same node between actions. The Synchronizing adversary — advance
-// both agents in lock-step, nullifying any intended delay — defeats every
-// program from symmetric starts, by exactly the Lemma 3.1 argument with
-// δ = 0; the Lag adversary shows the same machinery can also reproduce
-// any synchronous delay, so the asynchronous adversary is strictly
-// stronger than the synchronous one.
+// the other agent), read off a lone run by ExtractActions: one int per
+// step in the agent script alphabet, the port the agent leaves by or
+// agent.ScriptWait for a pause. An Adversary decides, step by step,
+// which agents complete their next action. A meeting occurs when both
+// agents stand at the same node between actions. The Synchronizing
+// adversary — advance both agents in lock-step, nullifying any intended
+// delay — defeats every program from symmetric starts, by exactly the
+// Lemma 3.1 argument with δ = 0; the Lag adversary shows the same
+// machinery can also reproduce any synchronous delay, so the
+// asynchronous adversary is strictly stronger than the synchronous one.
 package async
 
 import (
 	"repro/agent"
 	"repro/graph"
+	"repro/sim"
 )
 
-// Action is one step of an extracted action stream: a move through a
-// port, or a pause (the residue of a synchronous Wait, which carries no
-// meaning under adversarial time).
-type Action struct {
-	Move bool
-	Port int
-}
-
-// ExtractActions runs the program as a single agent on g from start,
-// recording up to maxActions actions (a Wait(k) contributes k pauses,
-// coalesced here into single pause entries k times — capped by
-// maxActions) and returns them; a cap of zero or less records none. This
-// is sound because the paper's agents are oblivious to each other until
-// they meet: the stream never depends on the adversary. The stream is
-// written into dst's backing array when its capacity reaches maxActions,
-// and into one fresh array of that capacity otherwise, so a caller
-// extracting repeatedly passes the previous stream back as dst and
-// allocates it once.
-func ExtractActions(dst []Action, g *graph.Graph, prog agent.Program, start int, maxActions int) []Action {
+// ExtractActions runs the program as a lone agent on g from start for up
+// to maxActions rounds (sim.Solo) and returns its action stream, one
+// action per round in the agent script alphabet: the port the agent left
+// by, or agent.ScriptWait for a round it stayed put (a Wait(k) is k of
+// them). The stream ends early if the program returns; a cap of zero or
+// less records none. This is sound because the paper's agents are
+// oblivious to each other until they meet: the stream never depends on
+// the adversary. The stream is written into dst's backing array when its
+// capacity reaches maxActions, and into one fresh array of that capacity
+// otherwise, so a caller extracting repeatedly passes the previous stream
+// back as dst and allocates it once.
+func ExtractActions(dst []int, g *graph.Graph, prog agent.Program, start int, maxActions int) []int {
 	if maxActions <= 0 {
 		return dst[:0]
 	}
 	if cap(dst) < maxActions {
-		dst = make([]Action, 0, maxActions)
+		dst = make([]int, 0, maxActions)
 	}
-	x := &extractor{g: g, pos: start, deg: g.Degree(start), entry: -1, max: maxActions, actions: dst[:0]}
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(extractDone); ok {
-					return
-				}
-				panic(r)
-			}
-		}()
-		prog(x)
-	}()
-	return x.actions
-}
-
-// extractDone unwinds the program once enough actions are recorded.
-type extractDone struct{}
-
-// extractor implements agent.World by walking the graph directly —
-// single-agent execution needs no scheduler.
-type extractor struct {
-	g       *graph.Graph
-	pos     int
-	deg     int
-	entry   int
-	clock   uint64
-	actions []Action
-	max     int
-}
-
-func (x *extractor) Degree() int    { return x.deg }
-func (x *extractor) EntryPort() int { return x.entry }
-func (x *extractor) Clock() uint64  { return x.clock }
-
-func (x *extractor) Move(port int) int {
-	if port < 0 || port >= x.deg {
-		panic(agent.ErrBadPort{Port: port, Degree: x.deg})
-	}
-	to, ep := x.g.Succ(x.pos, port)
-	x.pos, x.entry, x.deg = to, ep, x.g.Degree(to)
-	x.clock++
-	x.record(Action{Move: true, Port: port})
-	return ep
-}
-
-func (x *extractor) Wait(rounds uint64) {
-	for i := uint64(0); i < rounds; i++ {
-		x.clock++
-		x.record(Action{})
-		// Coalescing pauses would skew the step counting the adversaries
-		// rely on; but guard against astronomically long waits by
-		// treating the overflow as completion.
-		if len(x.actions) >= x.max {
-			panic(extractDone{})
-		}
-	}
-}
-
-// MoveSeq degrades to per-action execution: each scripted move or wait is
-// one recorded action, exactly as if the program had issued it unbatched.
-func (x *extractor) MoveSeq(actions []int) ([]int, []int) { return agent.RunScript(x, actions) }
-
-func (x *extractor) record(a Action) {
-	x.actions = append(x.actions, a)
-	if len(x.actions) >= x.max {
-		panic(extractDone{})
-	}
+	_, _, stream := sim.Solo(g, prog, start, uint64(maxActions), dst[:0])
+	return stream
 }
 
 // Adversary schedules the two action streams. Given how many actions each
@@ -152,7 +83,7 @@ type Result struct {
 // Run replays the two action streams under the adversary, checking for a
 // node meeting after every step (and at the start). The run ends on
 // meeting or when both streams are exhausted.
-func Run(g *graph.Graph, actionsA, actionsB []Action, u, v int, adv Adversary) Result {
+func Run(g *graph.Graph, actionsA, actionsB []int, u, v int, adv Adversary) Result {
 	posA, posB := u, v
 	doneA, doneB := 0, 0
 	if posA == posB {
@@ -162,17 +93,15 @@ func Run(g *graph.Graph, actionsA, actionsB []Action, u, v int, adv Adversary) R
 		advA, advB := adv.Next(doneA, doneB, len(actionsA), len(actionsB))
 		advanced := false
 		if advA && doneA < len(actionsA) {
-			a := actionsA[doneA]
-			if a.Move {
-				posA, _ = g.Succ(posA, a.Port%g.Degree(posA))
+			if a := actionsA[doneA]; a != agent.ScriptWait {
+				posA, _ = g.Succ(posA, a%g.Degree(posA))
 			}
 			doneA++
 			advanced = true
 		}
 		if advB && doneB < len(actionsB) {
-			b := actionsB[doneB]
-			if b.Move {
-				posB, _ = g.Succ(posB, b.Port%g.Degree(posB))
+			if b := actionsB[doneB]; b != agent.ScriptWait {
+				posB, _ = g.Succ(posB, b%g.Degree(posB))
 			}
 			doneB++
 			advanced = true

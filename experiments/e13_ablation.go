@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/graph"
@@ -42,12 +43,17 @@ func E13() *Table {
 			starts = append(starts, start{c, v})
 		}
 	}
-	durations := sim.ParallelMap(starts, 0, func(s start) [2]uint64 {
+	// One lone run (sim.Solo) per start and procedure.
+	durations := sim.ParallelMap(starts, 0, func(s start) (d [2]uint64) {
 		n := uint64(s.c.g.N())
-		return [2]uint64{
-			rendezvous.SoloUnpaddedSymmRVDuration(s.c.g, s.v, n, s.c.d, s.c.delta),
-			rendezvous.SoloSymmRVDuration(s.c.g, s.v, n, s.c.d, s.c.delta),
+		unpadded, err1 := rendezvous.NewUnpaddedSymmRV(n, s.c.d, s.c.delta)
+		padded, err2 := rendezvous.NewSymmRV(n, s.c.d, s.c.delta)
+		if err := errors.Join(err1, err2); err != nil {
+			panic(err)
 		}
+		d[0], _, _ = sim.Solo(s.c.g, unpadded, s.v, 0, nil)
+		d[1], _, _ = sim.Solo(s.c.g, padded, s.v, 0, nil)
+		return d
 	})
 	// Runs are collected first; rows and checks are issued in input
 	// order, which keeps the table byte-identical.

@@ -2,12 +2,14 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/agent"
 	"repro/async"
 	"repro/graph"
 	"repro/rendezvous"
 	"repro/sim"
+	"repro/view"
 )
 
 // E15 measures the paper's concluding remark: asynchrony hands the delay
@@ -56,6 +58,7 @@ func E15() *Table {
 		asyncRes async.Result
 		lagRes   async.Result
 		ranLag   bool
+		same     bool // the two streams are identical
 	}
 	var jobs []job
 	for ci := range cases {
@@ -64,14 +67,14 @@ func E15() *Table {
 		}
 	}
 	// Each worker extracts into its own two streams, reused across jobs.
-	type streams struct{ a, b []async.Action }
+	type streams struct{ a, b []int }
 	outcomes := sim.Sweep(jobs, 0, func(j job) any { return cases[j.ci].g }, func(sc *sim.Scratch, j job) outcome {
 		c, p := cases[j.ci], progs[j.pi]
 		st := sc.Stash(func() any { return new(streams) }).(*streams)
 		st.a = async.ExtractActions(st.a, c.g, p.prog, c.u, steps)
 		st.b = async.ExtractActions(st.b, c.g, p.prog, c.v, steps)
 		a, b := st.a, st.b
-		var o outcome
+		o := outcome{same: slices.Equal(a, b)}
 		o.asyncRes = async.Run(c.g, a, b, c.u, c.v, async.Synchronizing{})
 		if c.symm && p.name == "universal" {
 			// The synchronous run with δ = Shrink meets (Theorem 3.1);
@@ -99,6 +102,12 @@ func E15() *Table {
 		t.AddRow(c.g.String(), fmt.Sprintf("(%d,%d)", c.u, c.v), class, p.name, syncCell, asyncCell)
 		if c.symm {
 			t.Check(!o.asyncRes.Met, "%s %s: synchronizing adversary allowed a meeting", c.g, p.name)
+			// The closure argument: two agents at distinct nodes with
+			// equal views that take the same action enter their next
+			// nodes by the same port, so those nodes differ (a port is
+			// one edge's end) and again have equal views.
+			t.Check(view.Symmetric(c.g, c.u, c.v), "%s (%d,%d): views differ", c.g, c.u, c.v)
+			t.Check(o.same, "%s %s: the two action streams differ", c.g, p.name)
 		} else if p.name == "universal" {
 			t.Check(o.asyncRes.Met, "%s universal: asymmetric pair should still meet under lock-step", c.g)
 		}

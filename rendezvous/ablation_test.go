@@ -30,15 +30,16 @@ func TestUnpaddedSymmRVDesyncOnNonsymmetricStarts(t *testing.T) {
 	// later phases. The padded implementation takes identical time from
 	// every start.
 	g := graph.Path(4) // endpoint vs interior starts see different degrees
-	durEnd := SoloUnpaddedSymmRVDuration(g, 0, 4, 1, 1)
-	durMid := SoloUnpaddedSymmRVDuration(g, 1, 4, 1, 1)
+	unpadded := func(w agent.World) { unpaddedSymmRV(w, 4, 1, 1) }
+	durEnd, _, _ := sim.Solo(g, unpadded, 0, 0, nil)
+	durMid, _, _ := sim.Solo(g, unpadded, 1, 0, nil)
 	if durEnd == durMid {
 		t.Fatalf("expected desync, both took %d rounds", durEnd)
 	}
 
 	want := SymmRVTime(4, 1, 1)
 	for start := 0; start < 4; start++ {
-		if got := SoloSymmRVDuration(g, start, 4, 1, 1); got != want {
+		if got, _, _ := sim.Solo(g, func(w agent.World) { symmRV(w, 4, 1, 1) }, start, 0, nil); got != want {
 			t.Fatalf("padded duration from %d is %d, want exactly %d", start, got, want)
 		}
 	}
@@ -47,11 +48,11 @@ func TestUnpaddedSymmRVDesyncOnNonsymmetricStarts(t *testing.T) {
 func TestUnpaddedSymmRVDurationAtMostPadded(t *testing.T) {
 	// Padding only ever adds waiting: the unpadded run can't be longer.
 	g := graph.Cycle(6)
-	unpadded := MeasureUnpaddedSymmRVDuration(g, 0, 3, 6, 1, 2)
 	padded := SymmRVTime(6, 1, 2)
-	for _, d := range unpadded {
+	for _, start := range []int{0, 3} {
+		d, _, _ := sim.Solo(g, func(w agent.World) { unpaddedSymmRV(w, 6, 1, 2) }, start, 0, nil)
 		if d > padded {
-			t.Fatalf("unpadded duration %d exceeds padded %d", d, padded)
+			t.Fatalf("unpadded duration %d from %d exceeds padded %d", d, start, padded)
 		}
 	}
 }
@@ -63,14 +64,4 @@ func TestUnpaddedSymmRVValidation(t *testing.T) {
 	if _, err := NewUnpaddedSymmRV(5, 3, 1); err == nil {
 		t.Fatal("δ<d accepted")
 	}
-}
-
-// MeasureUnpaddedSymmRVDuration mirrors MeasureSymmRVDuration for the
-// paper-literal ablation (NewUnpaddedSymmRV): on non-meeting
-// configurations it returns both agents' clocks, which differ whenever
-// the two starts see different degree sequences — the desynchronization
-// that duration padding exists to prevent (experiment E13).
-func MeasureUnpaddedSymmRVDuration(g *graph.Graph, u, v int, n, d, delta uint64) []uint64 {
-	return measureDurations(g, u, v, delta, 3*SymmRVTime(n, d, delta)+delta,
-		func(w agent.World) { unpaddedSymmRV(w, n, d, delta) })
 }

@@ -3,6 +3,7 @@ package rendezvous
 import (
 	"testing"
 
+	"repro/agent"
 	"repro/graph"
 	"repro/sim"
 	"repro/view"
@@ -21,15 +22,14 @@ func BenchmarkViewWalkBatched(b *testing.B) {
 	g := graph.Petersen()
 	var tree view.Tree
 	var enc []byte
-	w := &soloWorld{g: g, pos: 0, deg: g.Degree(0), entry: -1}
 	var s rvScratch
-	viewWalkWith(w, 3, RoundCap, &tree, &s)
+	walk := func(w agent.World) { viewWalkWith(w, 3, RoundCap, &tree, &s) }
+	sim.Solo(g, walk, 0, 0, nil)
 	enc = tree.AppendEncode(enc[:0])
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		w.pos, w.deg, w.entry = 0, g.Degree(0), -1
-		viewWalkWith(w, 3, RoundCap, &tree, &s)
+		sim.Solo(g, walk, 0, 0, nil)
 		enc = tree.AppendEncode(enc[:0])
 	}
 	_ = enc
@@ -40,15 +40,14 @@ func BenchmarkViewWalkBatched(b *testing.B) {
 func BenchmarkViewWalkCold(b *testing.B) {
 	g := graph.Petersen()
 	var tree view.Tree
-	w := &soloWorld{g: g, pos: 0, deg: g.Degree(0), entry: -1}
 	var s rvScratch
-	viewWalkWith(w, 3, RoundCap, &tree, &s) // warm the planner buffers
+	walk := func(w agent.World) { viewWalkWith(w, 3, RoundCap, &tree, &s) }
+	sim.Solo(g, walk, 0, 0, nil) // warm the planner buffers
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		w.pos, w.deg, w.entry = 0, g.Degree(0), -1
 		s.walkCache = nil
-		viewWalkWith(w, 3, RoundCap, &tree, &s)
+		sim.Solo(g, walk, 0, 0, nil)
 	}
 }
 

@@ -40,19 +40,14 @@ func TestAsymmRVIDMeetsNonsymmetricPairs(t *testing.T) {
 }
 
 func TestAsymmRVIDDurationExact(t *testing.T) {
-	// Symmetric simultaneous agents cannot meet; both must take exactly
-	// AsymmRVIDTime.
+	// A lone run from every start takes exactly AsymmRVIDTime.
 	g := graph.Cycle(5)
 	want := AsymmRVIDTime(5, 0)
 	for v := 0; v < g.N(); v++ {
-		got := SoloDuration(g, v, func(w agent.World) { asymmRVID(w, 5, 0) })
+		got, _, _ := sim.Solo(g, func(w agent.World) { asymmRVID(w, 5, 0) }, v, 0, nil)
 		if got != want {
 			t.Fatalf("start %d: duration %d, want %d", v, got, want)
 		}
-	}
-	durations := measureDurations(g, 0, 2, 0, 3*want, func(w agent.World) { asymmRVID(w, 5, 0) })
-	if len(durations) != 2 || durations[0] != want || durations[1] != want {
-		t.Fatalf("paired durations %v, want %d twice", durations, want)
 	}
 }
 
@@ -125,8 +120,8 @@ func TestDepthGeneralizationsMatchFullDepth(t *testing.T) {
 	for _, g := range []*graph.Graph{graph.Path(4), graph.Cycle(5), graph.Star(4)} {
 		n := uint64(g.N())
 		var full, deep agent.Trace
-		SoloDuration(g, 0, agent.Traced(func(w agent.World) { asymmRV(w, n, 1) }, &full))
-		SoloDuration(g, 0, agent.Traced(func(w agent.World) { asymmRVID(w, n, 1) }, &deep))
+		sim.Solo(g, agent.Traced(func(w agent.World) { asymmRV(w, n, 1) }, &full), 0, 0, nil)
+		sim.Solo(g, agent.Traced(func(w agent.World) { asymmRVID(w, n, 1) }, &deep), 0, 0, nil)
 		tail := deep.Steps[len(deep.Steps)-len(full.Steps):]
 		if !slices.Equal(tail, full.Steps) {
 			t.Fatalf("%s: AsymmRV's %d steps are not the tail of AsymmRVID's", g, len(full.Steps))

@@ -5,6 +5,7 @@ import (
 
 	"repro/agent"
 	"repro/graph"
+	"repro/sim"
 )
 
 // variants are the three programs built on Algorithm 3's phase loop.
@@ -19,7 +20,7 @@ var variants = []struct {
 
 // phases runs the real phase body of v for phases 1..last as a
 // terminating program (one scratch across the phases, as in the
-// program), so that its duration can be measured solo; want is the
+// program), so that its duration can be measured alone; want is the
 // closed-form sum of the same phases' times.
 func phases(v variant, last uint64) (prog agent.Program, want uint64) {
 	for p := uint64(1); p <= last; p++ {
@@ -49,7 +50,7 @@ func TestPhaseSynchronyInvariant(t *testing.T) {
 		prog, want := phases(vc.v, maxPhase)
 		for _, g := range graphs {
 			for v := 0; v < g.N(); v++ {
-				got := SoloDuration(g, v, prog)
+				got, _, _ := sim.Solo(g, prog, v, 0, nil)
 				if got != want {
 					t.Fatalf("%s on %s start %d: phases 1..%d took %d rounds, want %d — phase synchrony broken",
 						vc.name, g, v, maxPhase, got, want)
@@ -72,12 +73,12 @@ func TestPhaseSynchronyAcrossGraphSizes(t *testing.T) {
 	for _, vc := range variants {
 		prog, want := phases(vc.v, maxPhase)
 		for _, g := range []*graph.Graph{small, big} {
-			base := SoloDuration(g, 0, prog)
+			base, _, _ := sim.Solo(g, prog, 0, 0, nil)
 			if base != want {
 				t.Fatalf("%s on %s: duration %d != closed form %d", vc.name, g, base, want)
 			}
 			for v := 1; v < g.N(); v++ {
-				if got := SoloDuration(g, v, prog); got != base {
+				if got, _, _ := sim.Solo(g, prog, v, 0, nil); got != base {
 					t.Fatalf("%s on %s: starts 0 and %d disagree (%d vs %d)", vc.name, g, v, base, got)
 				}
 			}

@@ -96,17 +96,9 @@ func TestSymmRVImpossibleBelowShrink(t *testing.T) {
 	if err != nil || r.Value != 4 {
 		t.Fatalf("Shrink setup: %v %v", r, err)
 	}
-	durations := MeasureSymmRVDuration(g, 0, 4, 8, 3, 3)
-	// Duration exactness (Lemma 3.3 with equality, due to padding); a nil
-	// result would mean the agents met below Shrink — impossible.
-	want := SymmRVTime(8, 3, 3)
-	if len(durations) != 2 {
-		t.Fatalf("expected both agents to finish without meeting, got %v", durations)
-	}
-	for _, d := range durations {
-		if d != want {
-			t.Fatalf("SymmRV duration %d, want exactly %d", d, want)
-		}
+	res := sim.Run(g, mustSymm(t, 8, 3, 3), 0, 4, 3, sim.Config{Budget: 3 + 2*SymmRVTime(8, 3, 3)})
+	if res.Outcome != sim.NeverMeet {
+		t.Fatalf("below Shrink: outcome %v, want %v", res.Outcome, sim.NeverMeet)
 	}
 }
 
@@ -174,13 +166,64 @@ func TestAsymmRVOnAsymmetricPairs(t *testing.T) {
 }
 
 func TestAsymmRVDurationExact(t *testing.T) {
-	// Two symmetric agents run AsymmRV to completion (they cannot meet
-	// with δ=0) and must both take exactly AsymmRVTime rounds.
+	// A lone run of AsymmRV from every start takes exactly AsymmRVTime
+	// rounds.
 	g := graph.Cycle(4)
-	durations := MeasureAsymmRVDuration(g, 0, 2, 4, 0)
 	want := AsymmRVTime(4, 0)
-	if len(durations) != 2 || durations[0] != want || durations[1] != want {
-		t.Fatalf("durations %v, want exactly %d twice", durations, want)
+	for v := 0; v < g.N(); v++ {
+		if got, _, _ := sim.Solo(g, func(w agent.World) { asymmRV(w, 4, 0) }, v, 0, nil); got != want {
+			t.Fatalf("start %d: duration %d, want exactly %d", v, got, want)
+		}
+	}
+}
+
+// TestLoneClockMatchesEngine pins sim.Solo, which every duration check
+// reads, against the engine: from each start, a procedure's lone clock
+// equals its closed-form duration and the clock its agent reads when the
+// procedure returns inside a two-agent engine run that never meets.
+func TestLoneClockMatchesEngine(t *testing.T) {
+	must := func(p agent.Program, err error) agent.Program {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	cases := []struct {
+		name  string
+		g     *graph.Graph
+		prog  agent.Program
+		delta uint64
+		shift int // start u runs against (u+shift) mod n, a pair whose Shrink exceeds δ
+		want  uint64
+	}{
+		{"SymmRV(6,1,2)", graph.Cycle(6), mustSymm(t, 6, 1, 2), 2, 3, SymmRVTime(6, 1, 2)},
+		{"SymmRV(6,2,2)", graph.Cycle(6), mustSymm(t, 6, 2, 2), 2, 3, SymmRVTime(6, 2, 2)},
+		{"SymmRV(8,3,3)", graph.Cycle(8), mustSymm(t, 8, 3, 3), 3, 4, SymmRVTime(8, 3, 3)},
+		{"AsymmRV(4,0)", graph.Cycle(4), must(NewAsymmRV(4, 0)), 0, 2, AsymmRVTime(4, 0)},
+		{"AsymmRV(5,1)", graph.Cycle(5), must(NewAsymmRV(5, 1)), 1, 2, AsymmRVTime(5, 1)},
+		{"AsymmRV(6,2)", graph.Cycle(6), must(NewAsymmRV(6, 2)), 2, 3, AsymmRVTime(6, 2)},
+		{"AsymmRVID(5,0)", graph.Cycle(5), must(NewAsymmRVID(5, 0)), 0, 2, AsymmRVIDTime(5, 0)},
+		{"AsymmRVID(4,1)", graph.Cycle(4), must(NewAsymmRVID(4, 1)), 1, 2, AsymmRVIDTime(4, 1)},
+	}
+	for _, c := range cases {
+		for u := 0; u < c.g.N(); u++ {
+			starts := [2]int{u, (u + c.shift) % c.g.N()}
+			var lone, engine [2]uint64
+			var progs [2]agent.Program
+			for i, start := range starts {
+				lone[i], _, _ = sim.Solo(c.g, c.prog, start, 0, nil)
+				progs[i] = func(w agent.World) { c.prog(w); engine[i] = w.Clock() }
+			}
+			res := sim.RunPrograms(c.g, progs[0], progs[1], starts[0], starts[1], c.delta,
+				sim.Config{Budget: c.delta + 2*c.want})
+			if res.Outcome != sim.NeverMeet {
+				t.Fatalf("%s on %s %v δ=%d: outcome %v, want %v", c.name, c.g, starts, c.delta, res.Outcome, sim.NeverMeet)
+			}
+			if lone != [2]uint64{c.want, c.want} || engine != lone {
+				t.Fatalf("%s on %s %v δ=%d: lone clocks %v, engine clocks %v, want %d", c.name, c.g, starts, c.delta, lone, engine, c.want)
+			}
+		}
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 
 	"repro/agent"
 	"repro/graph"
+	"repro/sim"
 )
 
 // TestSymmRVSeededReplayMatchesLearning runs AsymmRV followed by SymmRV
@@ -44,10 +45,10 @@ func TestSymmRVSeededReplayMatchesLearning(t *testing.T) {
 			symmRVWith(w, n, 1, c.delta, &s2)
 		}, &learned)
 		for v := 0; v < c.g.N() && v < 2; v++ {
-			a := SoloDuration(c.g, v, shared)
+			a, _, _ := sim.Solo(c.g, shared, v, 0, nil)
 			seededStr := seeded.String()
 			seeded.Steps = seeded.Steps[:0]
-			b := SoloDuration(c.g, v, split)
+			b, _, _ := sim.Solo(c.g, split, v, 0, nil)
 			learnedStr := learned.String()
 			learned.Steps = learned.Steps[:0]
 			if a != b {
@@ -67,17 +68,17 @@ func TestSymmRVSeedContents(t *testing.T) {
 	for _, g := range []*graph.Graph{graph.Path(4), graph.Cycle(5)} {
 		n := uint64(g.N())
 		var fromSchedule, fromLearning symmWalk
-		SoloDuration(g, 0, func(w agent.World) {
+		sim.Solo(g, func(w agent.World) {
 			var s rvScratch
 			s.seedSymm = true
 			asymmRVWith(w, n, 1, &s)
 			fromSchedule = s.symCache[n]
-		})
-		SoloDuration(g, 0, func(w agent.World) {
+		}, 0, 0, nil)
+		sim.Solo(g, func(w agent.World) {
 			var s rvScratch
 			symmRVWith(w, n, 1, 1, &s)
 			fromLearning = s.symCache[n]
-		})
+		}, 0, 0, nil)
 		if len(fromSchedule.degs) == 0 {
 			t.Fatalf("%s: AsymmRV schedule did not seed the SymmRV walk cache", g)
 		}

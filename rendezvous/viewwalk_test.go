@@ -8,6 +8,7 @@ import (
 
 	"repro/agent"
 	"repro/graph"
+	"repro/sim"
 	"repro/uxs"
 	"repro/view"
 )
@@ -26,9 +27,8 @@ func truncated(g *graph.Graph, v, depth int) *view.Tree {
 // returns the flat tree it built plus the rounds it used.
 func soloViewWalk(g *graph.Graph, start, depth int, budget uint64) (*view.Tree, uint64) {
 	tree := &view.Tree{}
-	w := &soloWorld{g: g, pos: start, deg: g.Degree(start), entry: -1}
-	viewWalk(w, depth, budget, tree)
-	return tree, w.clock
+	used, _, _ := sim.Solo(g, func(w agent.World) { viewWalk(w, depth, budget, tree) }, start, 0, nil)
+	return tree, used
 }
 
 func TestViewWalkMatchesOracle(t *testing.T) {
@@ -115,19 +115,17 @@ func TestViewWalkCacheReplayMatchesFirstWalk(t *testing.T) {
 	for _, c := range cases {
 		for v := 0; v < c.g.N(); v++ {
 			var s rvScratch
-			w := &soloWorld{g: c.g, pos: v, deg: c.g.Degree(v), entry: -1}
 			var first, replay view.Tree
-			viewWalkWith(w, c.depth, c.budget, &first, &s)
-			used := w.clock
-			if w.pos != v {
-				t.Fatalf("%s node %d: first walk ended at %d", c.g, v, w.pos)
+			used, end, _ := sim.Solo(c.g, func(w agent.World) { viewWalkWith(w, c.depth, c.budget, &first, &s) }, v, 0, nil)
+			if end != v {
+				t.Fatalf("%s node %d: first walk ended at %d", c.g, v, end)
 			}
-			viewWalkWith(w, c.depth, c.budget, &replay, &s)
-			if w.clock-used != used {
-				t.Fatalf("%s node %d: replay used %d rounds, first walk %d", c.g, v, w.clock-used, used)
+			again, end, _ := sim.Solo(c.g, func(w agent.World) { viewWalkWith(w, c.depth, c.budget, &replay, &s) }, v, 0, nil)
+			if again != used {
+				t.Fatalf("%s node %d: replay used %d rounds, first walk %d", c.g, v, again, used)
 			}
-			if w.pos != v {
-				t.Fatalf("%s node %d: replay ended at %d", c.g, v, w.pos)
+			if end != v {
+				t.Fatalf("%s node %d: replay ended at %d", c.g, v, end)
 			}
 			if !bytes.Equal(first.AppendEncode(nil), replay.AppendEncode(nil)) {
 				t.Fatalf("%s node %d: replayed tree differs from first walk", c.g, v)
@@ -174,16 +172,14 @@ func TestUXSRoundTripReturnsHome(t *testing.T) {
 	// UXSRoundTrip(n) rounds — the slot-length invariant of AsymmRV.
 	for _, g := range []*graph.Graph{graph.Cycle(7), graph.Path(4), graph.OrientedTorus(3, 3)} {
 		n := uint64(g.N())
-		dur := SoloDuration(g, 0, func(w agent.World) {
+		dur, end, _ := sim.Solo(g, func(w agent.World) {
 			newUXSWalk(uxsSequenceFor(n)).roundTrip(w)
-		})
+		}, 0, 0, nil)
 		if dur != UXSRoundTrip(n) {
 			t.Fatalf("%s: round trip %d rounds, want %d", g, dur, UXSRoundTrip(n))
 		}
-		w := &soloWorld{g: g, pos: 0, deg: g.Degree(0), entry: -1}
-		newUXSWalk(uxsSequenceFor(n)).roundTrip(w)
-		if w.pos != 0 {
-			t.Fatalf("%s: round trip ended at %d", g, w.pos)
+		if end != 0 {
+			t.Fatalf("%s: round trip ended at %d", g, end)
 		}
 	}
 }

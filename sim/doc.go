@@ -145,6 +145,18 @@
 // included, across randomized populations of scripts, walkers, waiters
 // and UniversalRV agents.
 //
+// # Lone agents
+//
+// Solo runs one agent with no scheduler: an agent perceives only its own
+// node's degree and entry port, never another agent, so a procedure's
+// duration or an agent's action stream is read off one lone run. Solo
+// answers every World call at once from the graph (no coroutine, no
+// wakeup, an unrecorded wait in O(1)) and walks every SeqRepeat copy,
+// through agent.RunSeq's fallback. TestSoloBatchedMatchesUnbatched pins
+// it against agent.Unbatched, under budgets that cut every kind of call;
+// rendezvous's TestLoneClockMatchesEngine pins its clocks against the
+// engine's, and TestSoloConcurrent its pooled worlds.
+//
 // # Beyond one process
 //
 // Sweep shards cases by (graph, parameter block) within this process;

@@ -186,7 +186,8 @@ type grantMsg struct {
 	rounds uint64
 }
 
-// stopSentinel unwinds an agent program when its run is aborted.
+// stopSentinel unwinds an agent program when its run is aborted, or when
+// a lone run (Solo) reaches its budget.
 type stopSentinel struct{}
 
 type runner struct {
@@ -742,14 +743,12 @@ func (w *world) script(n int) []int {
 }
 
 // flushWait sends the accumulated deferred wait, if any, as the lead of
-// an empty quiet script.
+// an empty quiet script, and unwinds the program with stopSentinel if
+// the run was aborted meanwhile.
 func (w *world) flushWait() {
-	if w.pendingWait == 0 {
-		return
+	if !w.flushWaitQuiet() {
+		panic(stopSentinel{})
 	}
-	rq := request{kind: reqScript, rounds: w.pendingWait, quiet: true}
-	w.pendingWait = 0
-	w.call(rq)
 }
 
 // flushWaitQuiet is flushWait for the termination path: instead of
