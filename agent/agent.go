@@ -10,7 +10,9 @@
 // Programs are written as ordinary Go code against the blocking World
 // interface and executed as coroutines by the simulator, which resumes
 // each one whenever it owes the program a percept; the style matches the
-// paper's imperative pseudocode (Algorithms 1-3) directly.
+// paper's imperative pseudocode (Algorithms 1-3) directly. A program acts
+// only through the World, and a run may end while it is parked in any
+// World call: none of its code after that call runs.
 //
 // # Batched move scripts
 //
@@ -101,11 +103,12 @@ type World interface {
 	Clock() uint64
 }
 
-// Program is a deterministic agent algorithm. The simulator interrupts it
-// (by unwinding it with a panic the simulator recovers, at its next World
-// call) as soon as rendezvous is achieved or the round budget is
-// exhausted; a program that returns leaves its agent waiting at its final
-// node forever.
+// Program is a deterministic agent algorithm. It acts only through the
+// World. A run ends (rendezvous, or the round budget exhausted) while the
+// program is parked in some World call, and the simulator unwinds it from
+// that call with a panic it recovers: none of the program's code after the
+// call runs, only its defers. A program that returns leaves its agent
+// waiting at its final node forever.
 type Program func(w World)
 
 // ErrBadPort is the panic value used when a program moves through an

@@ -9,13 +9,16 @@ import (
 	"repro/sim"
 )
 
-// runTraced executes the same program for both agents with tracing and
-// returns the traces and the result.
+// runTraced executes the same program for both agents and returns the
+// result and, after a meeting, each agent's trajectory up to it: the one
+// it walks alone over the rounds it lived.
 func runTraced(t *testing.T, g *graph.Graph, prog agent.Program, u, v int, delay uint64, budget uint64) (*agent.Trace, *agent.Trace, sim.Result) {
 	t.Helper()
-	var ta, tb agent.Trace
-	res := sim.RunPrograms(g, agent.Traced(prog, &ta), agent.Traced(prog, &tb), u, v, delay, sim.Config{Budget: budget})
-	return &ta, &tb, res
+	res := sim.Run(g, prog, u, v, delay, sim.Config{Budget: budget})
+	if res.Outcome != sim.Met {
+		return nil, nil, res
+	}
+	return sim.SoloTrace(g, prog, u, res.MeetingRound), sim.SoloTrace(g, prog, v, res.MeetingRound-delay), res
 }
 
 func TestElectionAfterDelayedRendezvous(t *testing.T) {
@@ -96,14 +99,11 @@ func TestElectionThenWaitingForMommy(t *testing.T) {
 	// re-runs with leader/non-leader roles and meets again via
 	// wait-for-Mommy from fresh positions.
 	g := graph.Cycle(6)
-	prog := rendezvous.UniversalRV()
-	var ta, tb agent.Trace
-	res := sim.RunPrograms(g, agent.Traced(prog, &ta), agent.Traced(prog, &tb), 0, 3, 3,
-		sim.Config{Budget: 1 << 40})
+	ta, tb, res := runTraced(t, g, rendezvous.UniversalRV(), 0, 3, 3, 1<<40)
 	if res.Outcome != sim.Met {
 		t.Fatalf("rendezvous failed: %v", res.Outcome)
 	}
-	p, err := Decide(&ta, &tb)
+	p, err := Decide(ta, tb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,25 +176,22 @@ func TestPortRuleOverLongWaits(t *testing.T) {
 
 func TestElectionClippedToMeeting(t *testing.T) {
 	// UniversalRV on path-4 from (0, 1) with δ = 0 meets while an agent
-	// is inside a wait, which Traced recorded in full, so the raw traces
-	// differ in length and would be settled by time — a rule for
-	// different start times only. Clipped to the rounds each agent
-	// lived, the simultaneous start is settled by the ports.
+	// is inside a wait. Each trajectory ends at the meeting round, so the
+	// simultaneous start is settled by the ports, not by time — a rule
+	// for different start times only.
 	ta, tb, res := runTraced(t, graph.Path(4), rendezvous.UniversalRV(), 0, 1, 0, 1<<30)
 	if res.Outcome != sim.Met {
 		t.Fatalf("no meeting: %v", res.Outcome)
 	}
-	if ta.Clock() == tb.Clock() {
-		t.Fatalf("raw traces both cover %d rounds; this case needs one that runs past the meeting", ta.Clock())
+	if ta.Clock() != res.MeetingRound || tb.Clock() != res.MeetingRound {
+		t.Fatalf("traces cover %d and %d rounds, want the %d rounds to the meeting", ta.Clock(), tb.Clock(), res.MeetingRound)
 	}
-	ta.Clip(res.MeetingRound)
-	tb.Clip(res.MeetingRound)
 	p, err := Decide(ta, tb)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p.DecidedBy != "ports" || p.RoleB != Leader {
-		t.Fatalf("clipped to round %d: %+v, want B to lead by ports", res.MeetingRound, p)
+		t.Fatalf("traced to round %d: %+v, want B to lead by ports", res.MeetingRound, p)
 	}
 }
 
@@ -243,13 +240,12 @@ func TestTraceAccessors(t *testing.T) {
 
 func TestTraceCoalescesWaits(t *testing.T) {
 	g := graph.TwoNode()
-	var tr agent.Trace
-	prog := agent.Traced(func(w agent.World) {
+	prog := func(w agent.World) {
 		w.Wait(5)
 		w.Wait(7)
 		w.Move(0)
-	}, &tr)
-	sim.RunPrograms(g, prog, agent.Sit, 0, 1, 0, sim.Config{Budget: 100})
+	}
+	tr := sim.SoloTrace(g, prog, 0, 100)
 	if len(tr.Steps) != 2 {
 		t.Fatalf("steps %v, want coalesced wait + move", tr.Steps)
 	}

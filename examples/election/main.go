@@ -26,26 +26,23 @@ func main() {
 	fmt.Printf("network: %s; agents injected at mirrors %d and %d, %d rounds apart\n\n",
 		ring, u, v, delay)
 
-	// Phase 1: rendezvous with zero knowledge, trajectories recorded.
-	var ta, tb agent.Trace
+	// Phase 1: rendezvous with zero knowledge.
 	prog := rendezvous.UniversalRV()
-	res := sim.RunPrograms(ring,
-		agent.Traced(prog, &ta), agent.Traced(prog, &tb),
-		u, v, delay, sim.Config{Budget: 1 << 44})
+	res := sim.Run(ring, prog, u, v, delay, sim.Config{Budget: 1 << 44})
 	if res.Outcome != sim.Met {
 		log.Fatalf("rendezvous failed: %v", res.Outcome)
 	}
-	// A trajectory runs past the meeting when its agent was inside a wait:
-	// clip each to the rounds its agent lived.
-	ta.Clip(res.MeetingRound)
-	tb.Clip(res.MeetingRound - delay)
+	// Neither agent perceives the other, so each one's trajectory up to
+	// the meeting is the one it walks alone over the rounds it lived.
+	ta := sim.SoloTrace(ring, prog, u, res.MeetingRound)
+	tb := sim.SoloTrace(ring, prog, v, res.MeetingRound-delay)
 	fmt.Printf("rendezvous at mirror %d, %d rounds after the later agent appeared\n",
 		res.MeetingNode, res.TimeFromLater)
 	fmt.Printf("trajectory lengths: earlier %d rounds (%d hops), later %d rounds (%d hops)\n\n",
 		ta.Clock(), ta.Moves(), tb.Clock(), tb.Moves())
 
 	// Phase 2: leader election from the exchanged trajectories.
-	p, err := election.Decide(&ta, &tb)
+	p, err := election.Decide(ta, tb)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -36,8 +36,8 @@ func E14() *Table {
 		{graph.Path(3), universal, 0, 2, 0},
 		{graph.Cycle(6), universal, 0, 3, 3},
 	}
-	// Each case's whole pipeline — traced rendezvous run, election from
-	// the trajectories, wait-for-Mommy re-meet — executes on the sweep
+	// Each case's whole pipeline — rendezvous run, election from the
+	// trajectories, wait-for-Mommy re-meet — executes on the sweep
 	// scheduler, with both simulator runs on the worker's pooled session.
 	type outcome struct {
 		res, again sim.Result
@@ -46,18 +46,15 @@ func E14() *Table {
 	}
 	outcomes := sim.Sweep(cases, 0, func(c caze) any { return c.g }, func(sc *sim.Scratch, c caze) outcome {
 		var o outcome
-		var ta, tb agent.Trace
-		o.res = sc.Session().RunPrograms(c.g, agent.Traced(c.prog, &ta), agent.Traced(c.prog, &tb),
-			c.u, c.v, c.delta, sim.Config{Budget: 1 << 44})
+		o.res = sc.Session().Run(c.g, c.prog, c.u, c.v, c.delta, sim.Config{Budget: 1 << 44})
 		if o.res.Outcome != sim.Met {
 			return o
 		}
-		// A trace runs past the meeting when its agent was inside a wait
-		// (Traced records a wait when it is issued): clip each to the
-		// rounds its agent lived.
-		ta.Clip(o.res.MeetingRound)
-		tb.Clip(o.res.MeetingRound - c.delta)
-		p, err := election.Decide(&ta, &tb)
+		// An agent's trajectory up to the meeting is the one it walks
+		// alone over the rounds it lived.
+		ta := sim.SoloTrace(c.g, c.prog, c.u, o.res.MeetingRound)
+		tb := sim.SoloTrace(c.g, c.prog, c.v, o.res.MeetingRound-c.delta)
+		p, err := election.Decide(ta, tb)
 		if err != nil {
 			o.electErr = err
 			return o

@@ -116,12 +116,12 @@ func TestFastUniversalRVSuite(t *testing.T) {
 func TestDepthGeneralizationsMatchFullDepth(t *testing.T) {
 	// AsymmRV is the deepening variant's last sub-phase alone: its
 	// trajectory is the tail of AsymmRVID's, and each runs for its
-	// closed-form duration.
+	// closed-form duration (the traces get one round more than that to
+	// show each procedure returns in time).
 	for _, g := range []*graph.Graph{graph.Path(4), graph.Cycle(5), graph.Star(4)} {
 		n := uint64(g.N())
-		var full, deep agent.Trace
-		sim.Solo(g, agent.Traced(func(w agent.World) { asymmRV(w, n, 1) }, &full), 0, 0, nil)
-		sim.Solo(g, agent.Traced(func(w agent.World) { asymmRVID(w, n, 1) }, &deep), 0, 0, nil)
+		full := sim.SoloTrace(g, func(w agent.World) { asymmRV(w, n, 1) }, 0, AsymmRVTime(n, 1)+1)
+		deep := sim.SoloTrace(g, func(w agent.World) { asymmRVID(w, n, 1) }, 0, AsymmRVIDTime(n, 1)+1)
 		tail := deep.Steps[len(deep.Steps)-len(full.Steps):]
 		if !slices.Equal(tail, full.Steps) {
 			t.Fatalf("%s: AsymmRV's %d steps are not the tail of AsymmRVID's", g, len(full.Steps))

@@ -96,9 +96,12 @@ func exploreThenMove(w agent.World, n, d, delta uint64, s *rvScratch, port int) 
 	if d == 1 && delta >= 1 {
 		budget := PathBudget(n, 1)
 		if explore1ScriptLen(w.Degree(), budget, delta) < maxExploreScript {
-			script := appendExplore1(s.expScript[:0], w.Degree(), budget, delta)
-			script = append(script, port)
-			s.expScript = script
+			script := append(appendExplore1(s.expScript[:0], w.Degree(), budget, delta), port)
+			if cap(script) > cap(s.expScript) {
+				// Stored back only when grown: a pointer store on every
+				// call costs a GC write barrier while the GC marks.
+				s.expScript = script
+			}
 			entries, degs := w.MoveSeq(script)
 			return entries[len(entries)-1], degs[len(degs)-1]
 		}
@@ -141,7 +144,9 @@ func exploreEnumerate(w agent.World, d, delta, maxIter uint64, s *rvScratch) uin
 		per := 2 + pad
 		if per <= maxExploreScript && iters*per <= maxExploreScript {
 			script, emitted := appendExplore1Iters(s.expScript[:0], w.Degree(), maxIter, delta)
-			s.expScript = script
+			if cap(script) > cap(s.expScript) {
+				s.expScript = script // stored back only when grown, as above
+			}
 			agent.RunSeq(w, script)
 			return emitted
 		}

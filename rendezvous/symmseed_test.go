@@ -5,9 +5,10 @@ package rendezvous
 // application seeds the SymmRV walk cache and the whole d = 1 procedure
 // replays percept-free — no per-node learning pass at all. The seeded
 // replay must be round-for-round identical to the learning-pass
-// execution; these tests pin that with full trajectory traces.
+// execution; these tests pin that with full lone-run trajectories.
 
 import (
+	"math"
 	"testing"
 
 	"repro/agent"
@@ -31,32 +32,27 @@ func TestSymmRVSeededReplayMatchesLearning(t *testing.T) {
 	}
 	for _, c := range cases {
 		n := uint64(c.g.N())
-		var seeded, learned agent.Trace
-		shared := agent.Traced(func(w agent.World) {
+		shared := func(w agent.World) {
 			var s rvScratch
 			s.seedSymm = true
 			asymmRVWith(w, n, c.delta, &s)
 			symmRVWith(w, n, 1, c.delta, &s)
-		}, &seeded)
-		split := agent.Traced(func(w agent.World) {
+		}
+		split := func(w agent.World) {
 			var s1 rvScratch
 			asymmRVWith(w, n, c.delta, &s1)
 			var s2 rvScratch // fresh: no seeded cache, SymmRV learns
 			symmRVWith(w, n, 1, c.delta, &s2)
-		}, &learned)
+		}
 		for v := 0; v < c.g.N() && v < 2; v++ {
-			a, _, _ := sim.Solo(c.g, shared, v, 0, nil)
-			seededStr := seeded.String()
-			seeded.Steps = seeded.Steps[:0]
-			b, _, _ := sim.Solo(c.g, split, v, 0, nil)
-			learnedStr := learned.String()
-			learned.Steps = learned.Steps[:0]
-			if a != b {
+			seeded := sim.SoloTrace(c.g, shared, v, math.MaxUint64)
+			learned := sim.SoloTrace(c.g, split, v, math.MaxUint64)
+			if a, b := seeded.Clock(), learned.Clock(); a != b {
 				t.Fatalf("%s node %d: seeded run took %d rounds, learning run %d", c.g, v, a, b)
 			}
-			if seededStr != learnedStr {
+			if a, b := seeded.String(), learned.String(); a != b {
 				t.Fatalf("%s node %d: seeded replay trajectory differs from learning pass\n  seeded:  %.120s\n  learned: %.120s",
-					c.g, v, seededStr, learnedStr)
+					c.g, v, a, b)
 			}
 		}
 	}

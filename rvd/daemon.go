@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"io/fs"
 	"log/slog"
 	"os"
 	"path/filepath"
@@ -261,14 +260,6 @@ func Open(cfg Config) (*Daemon, error) {
 	}
 	d.firstID = d.nextID
 	d.cond = sync.NewCond(&d.mu)
-	// Earlier versions kept a job journal beside the store and resumed
-	// its unfinished jobs at Open. Nothing reads it now: delete it.
-	wal := filepath.Join(cfg.Dir, "journal.wal")
-	if err := os.Remove(wal); err == nil {
-		d.logf("rvd: removed %s, a job journal from an earlier rvd; its unfinished jobs are not resumed (resubmit them: stored shards are cache hits)", wal)
-	} else if !errors.Is(err, fs.ErrNotExist) {
-		d.logf("rvd: removing %s: %v", wal, err)
-	}
 	obsQueueDepth.Set(0)
 	go d.schedule()
 	return d, nil

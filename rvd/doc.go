@@ -53,9 +53,8 @@
 // as done, so every interleaving of crash points re-converges to
 // byte-identical output — the differential harness in daemon_test.go
 // pins cold run, warm run, bit-flipped cache entry and kill -9 +
-// resubmit to the same bytes. A job journal left in Dir by an earlier
-// version is deleted at Open with a logged notice; its jobs are not
-// resumed.
+// resubmit to the same bytes. Open reads nothing in Dir but the store,
+// so a job journal an earlier version left there resumes no job.
 //
 // # One exchange per job
 //

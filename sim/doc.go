@@ -28,7 +28,7 @@
 // held: n shrinks to the rounds until it would move (lead, ScriptWait
 // run, Wait or finished program), and it is advanced once before the
 // kernel returns, so a grant earned on the last round is pending for
-// the next fetch or for release. A burst also ends after a walker's
+// the next fetch. A burst also ends after a walker's
 // script end or escape (past a repeat block's last copy) and at the
 // first round that ends on a co-location still to record; with nobody
 // about to move it is the O(1) skip of the stretch. The world layer defers and merges adjacent Wait
@@ -77,32 +77,32 @@
 // node and entry it began from, the record is closed: every later copy
 // of the same actions from that node and entry, in the same block or a
 // later one, is replayed — its nodes copied from the record into the
-// burst's position log instead of stepped. Replay changes how the
-// rounds are driven, never what they are: every round still reaches the
+// burst's position log instead of stepped. Replay changes how the rounds
+// are driven, never what they are: every round still reaches the
 // co-location scan, and moves, Clock(), meeting rounds and wakeups are
-// those of walking. A copy with any round stepped outside a burst (an
-// observer's rounds, the round of a pending single move, a mutual-wait
-// skip) is not recorded, and acquire resets the record, so a record never
-// outlives its run or its graph. Session counts the replayed
-// agent-rounds and publishes them as sim_rounds_replayed_total.
+// those of walking. A copy with any round stepped outside a burst (the
+// round of a pending single move, a mutual-wait skip) is not recorded,
+// and acquire resets the record, so a record never outlives its run or
+// its graph. Session counts the replayed agent-rounds and publishes them
+// as sim_rounds_replayed_total.
 //
 // # Runner pooling
 //
 // A runner — the coroutine and per-agent buffers behind one simulated
 // agent — is reusable: each runner owns one long-lived iter.Pull
-// coroutine that runs one assigned program after another, parked
-// between runs, and a Session hands released runners to subsequent
-// runs, so a sweep shard's thousands of runs create nothing after
-// warmup. A request is a yield, and the grant is a runner field the
-// scheduler sets before the next resume. Ending a run early delivers
-// any grant the program earned, then resumes it once with an abort flag
-// so it unwinds; both steps are synchronous, so no stale message
-// outlives a run. Because a request is a yield of the program's own
-// coroutine, agent.World methods may be called only from the program
-// itself; a call from any other goroutine is undefined. A Session is
-// used by one goroutine, one run at a time, and holds no lock: Sweep
-// threads one Session per worker through Scratch.Session and closes it
-// when the worker retires; Close stops every pooled coroutine.
+// coroutine that runs one assigned program after another, parked between
+// runs, and a Session hands released runners to subsequent runs, so a
+// sweep shard's thousands of runs create nothing after warmup. A request
+// is a yield, and the grant is a runner field the scheduler sets before
+// the next resume. Ending a run resumes each program still parked in a
+// World call once, with an abort flag set, so it unwinds from that call
+// before the run returns and no stale message outlives the run; a grant
+// the program had earned is dropped. Because a request is a yield of the
+// program's own coroutine, agent.World methods may be called only from
+// the program itself; a call from any other goroutine is undefined. A
+// Session is used by one goroutine, one run at a time, and holds no
+// lock: Sweep threads one Session per worker through Scratch.Session and
+// closes it when the worker retires; Close stops every pooled coroutine.
 //
 // # Fast-forward invariants
 //
@@ -110,8 +110,8 @@
 // starts the agents due to appear and pulls a request from every agent
 // that finished its last action — fetch, the only resume of a program —
 // then steps: one burst, bounded by the budget and the next appearance,
-// or one round of every agent when a single move is pending or an
-// observer watches. Its correctness rests on three invariants:
+// or one round of every agent when a single move is pending. Its
+// correctness rests on three invariants:
 //
 //  1. No program runs inside a step. A burst ends on the round a
 //     walker's segment ends and holds every other runner no longer
@@ -135,9 +135,7 @@
 //     the exception: its detection, a full scan, runs only after the new
 //     agents appear (and the round's pulls), so that they take part. The
 //     Meetings slice is thus ordered by round, then lexicographically,
-//     identically to the round-by-round reference engine, and the
-//     observer mode, which steps every round, pulls exactly the requests
-//     the bursts pull.
+//     identically to the round-by-round reference engine.
 //
 // The tests retain the one-iteration-per-round engine as the executable
 // spec (RunManyReference, in export_test.go); the differential
@@ -149,11 +147,15 @@
 //
 // Solo runs one agent with no scheduler: an agent perceives only its own
 // node's degree and entry port, never another agent, so a procedure's
-// duration or an agent's action stream is read off one lone run. Solo
-// answers every World call at once from the graph (no coroutine, no
-// wakeup, an unrecorded wait in O(1)) and walks every SeqRepeat copy,
-// through agent.RunSeq's fallback. TestSoloBatchedMatchesUnbatched pins
-// it against agent.Unbatched, under budgets that cut every kind of call;
+// duration or an agent's action stream is read off one lone run, and so
+// is whatever is watched of an agent up to a meeting: CaptureTimeline
+// draws each agent's nodes from a lone run of the rounds it lived (pinned
+// against the engine's meetings by TestTimelineMatchesEngineRandomized),
+// and SoloTrace writes its trajectory for package election. Solo answers
+// every World call at once from the graph (no coroutine, no wakeup, an
+// unrecorded wait in O(1)) and walks every SeqRepeat copy, through
+// agent.RunSeq's fallback. TestSoloBatchedMatchesUnbatched pins it
+// against agent.Unbatched, under budgets that cut every kind of call;
 // rendezvous's TestLoneClockMatchesEngine pins its clocks against the
 // engine's, and TestSoloConcurrent its pooled worlds.
 //

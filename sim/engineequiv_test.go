@@ -217,8 +217,8 @@ func TestEngineEquivalenceLongWaitRuns(t *testing.T) {
 }
 
 func TestEngineEquivalenceObserverTimeline(t *testing.T) {
-	// The observer path (no fast-forwarding, per-round callbacks) must see
-	// identical per-round positions from both engines.
+	// A timeline (the engine's run, each agent's nodes from its lone run)
+	// must be the same for batched and unbatched programs.
 	g := graph.OrientedTorus(3, 3)
 	prog, err := agent.ScriptWord("NN..EE..SSWW")
 	if err != nil {
@@ -236,6 +236,40 @@ func TestEngineEquivalenceObserverTimeline(t *testing.T) {
 		if a.Rounds[i] != b.Rounds[i] {
 			t.Fatalf("round %d disagrees: %+v vs %+v", i, a.Rounds[i], b.Rounds[i])
 		}
+	}
+}
+
+// TestTimelineMatchesEngineRandomized pins CaptureTimeline, whose nodes
+// come from lone runs, against the engine run it reports: on randomized
+// graphs, programs, delays 0–5 and 40–239 rounds, the first point with
+// both agents on one node is the engine's meeting round, and the
+// timeline holds one point per round through Result.Rounds.
+func TestTimelineMatchesEngineRandomized(t *testing.T) {
+	r := rand.New(rand.NewSource(0x71AE))
+	met := 0
+	for ci := 0; ci < 3000; ci++ {
+		g := randGraph(r)
+		prog, name := randProgram(r)
+		u, v := r.Intn(g.N()), r.Intn(g.N())
+		delay, rounds := uint64(r.Intn(6)), uint64(40+r.Intn(200))
+		tl := sim.CaptureTimeline(g, prog, u, v, delay, rounds)
+		res := tl.Result
+		if uint64(len(tl.Rounds)) != res.Rounds+1 {
+			t.Fatalf("case %d (%s@%d,%d δ%d on %s): %d points for %d rounds", ci, name, u, v, delay, g, len(tl.Rounds), res.Rounds)
+		}
+		for i, p := range tl.Rounds {
+			together := p.PosB >= 0 && p.PosA == p.PosB
+			if p.Round != uint64(i) || together != (res.Outcome == sim.Met && p.Round == res.MeetingRound) {
+				t.Fatalf("case %d (%s@%d,%d δ%d on %s): point %+v against %+v", ci, name, u, v, delay, g, p, res)
+			}
+			if together {
+				met++
+				break
+			}
+		}
+	}
+	if met == 0 {
+		t.Fatal("no case met")
 	}
 }
 
@@ -278,9 +312,6 @@ func TestEngineEquivalenceMultiAgent(t *testing.T) {
 // bursts. Every case runs on one pooled session. The batched run must
 // equal the Unbatched one field by field, and its meeting, Rounds and
 // per-agent moves must match RunManyReference on the same two agents.
-// An observer makes the loop step one round at a time, and both modes
-// record a meeting before any request of its round is pulled, so the
-// bursts must make exactly the observed run's wakeups.
 func TestEngineEquivalencePairRandomized(t *testing.T) {
 	sess := sim.NewSession()
 	defer sess.Close()
@@ -288,15 +319,7 @@ func TestEngineEquivalencePairRandomized(t *testing.T) {
 	check := func(name string, g *graph.Graph, pa, pb agent.Program, u, v int, delay uint64, cfg sim.Config) (sim.Result, uint64) {
 		t.Helper()
 		got := sess.RunPrograms(g, pa, pb, u, v, delay, cfg)
-		wakeups, replayed := sess.Wakeups(), sess.Replayed()
-		watched := cfg
-		watched.Observer = func(uint64, int, int) {}
-		if want := sess.RunPrograms(g, pa, pb, u, v, delay, watched); got != want {
-			t.Fatalf("%s: observed run disagrees\n  plain:    %+v\n  observed: %+v", name, got, want)
-		}
-		if w := sess.Wakeups(); wakeups != w {
-			t.Fatalf("%s: %d wakeups, %d round by round (%+v)", name, wakeups, w, got)
-		}
+		replayed := sess.Replayed()
 		if want := sess.RunPrograms(g, agent.Unbatched(pa), agent.Unbatched(pb), u, v, delay, cfg); got != want {
 			t.Fatalf("%s: batched vs unbatched disagree\n  batched:   %+v\n  unbatched: %+v", name, got, want)
 		}

@@ -70,7 +70,7 @@ func (s *Session) RunMany(g *graph.Graph, agents []MultiAgent, cfg MultiConfig) 
 		return MultiResult{}
 	}
 	m := &s.run
-	m.begin(s, g, agents, cfg, nil)
+	m.begin(s, g, agents, cfg)
 	defer m.end(runKindMulti)
 	m.loop()
 	res := m.res

@@ -89,27 +89,18 @@ func (s *Session) acquire(g *graph.Graph, prog agent.Program, start int) *runner
 }
 
 // release returns a runner to the pool once its program is parked between
-// runs. The agent always processes every grant it earned — its observable
-// side effects, e.g. agent.Traced trajectories, stay deterministic — then
-// unwinds at its next interaction: a runner in stNeedReq holds a grant it
-// has not acted on (or has not started), so it is resumed once and runs
-// to its next interaction; while the program is still running after
-// that, it is resumed with the abort flag set and unwinds through
-// stopSentinel. A terminal request that comes back here (a program that
-// ended, or panicked, on its own) is dropped. The resumes are
-// synchronous, so callers may read state the program wrote (traces) the
-// moment Run*/RunMany return.
+// runs. A program that has not ended is parked in a World call, or has
+// not started: release resumes it once with the abort flag set, which
+// unwinds it through stopSentinel from that call, or ends it before its
+// first line. None of its code after the call runs; its defers do, before
+// Run*/RunMany return. The terminal request that comes back is dropped.
 func (s *Session) release(r *runner) {
-	live, ended := true, r.state == stDone
-	abort := r.state != stNeedReq
-	for live && !ended {
-		r.abort = abort
-		var rq request
-		rq, live = r.next()
-		ended = rq.kind == reqDone || rq.kind == reqPanic
-		abort = true
+	live := true
+	if r.state != stDone {
+		r.abort = true
+		_, live = r.next()
+		r.abort = false
 	}
-	r.abort = false
 	r.prog = nil
 	r.script = nil
 	r.stats = nil
@@ -617,7 +608,8 @@ type world struct {
 // panic and returns its terminal request: reqPanic carrying a program
 // panic — recovered here, so the coroutine survives and the runner stays
 // reusable — else reqDone. An aborted run's reqDone reaches only
-// release, which discards it.
+// release, which discards it; a program aborted before it started never
+// runs.
 func (w *world) run() (rq request) {
 	defer func() {
 		rec := recover()
@@ -634,7 +626,9 @@ func (w *world) run() (rq request) {
 	r := w.r
 	w.entry, w.clock, w.pendingWait, w.phase = -1, 0, 0, agent.PhaseOther
 	w.deg = r.g.Degree(r.pos)
-	r.prog(w)
+	if !r.abort {
+		r.prog(w)
+	}
 	return
 }
 
@@ -759,16 +753,18 @@ func (w *world) flushWaitQuiet() bool {
 	}
 	rq := request{kind: reqScript, rounds: w.pendingWait, quiet: true, phase: w.phase}
 	w.pendingWait = 0
-	return w.yield(rq) && !w.r.abort
+	return !w.r.abort && w.yield(rq) && !w.r.abort
 }
 
 // call hands one request to the scheduler and returns its grant: the
 // coroutine parks in yield until the scheduler's next fetch resumes it.
 // A resume with the abort flag set (release), or the pool's stop,
-// unwinds the program with stopSentinel instead.
+// unwinds the program with stopSentinel instead. While the program
+// unwinds, a call (from a defer) sends nothing, as in flushWaitQuiet, so
+// release's one resume ends the program.
 func (w *world) call(rq request) grantMsg {
 	rq.phase = w.phase
-	if !w.yield(rq) || w.r.abort {
+	if w.r.abort || !w.yield(rq) || w.r.abort {
 		panic(stopSentinel{})
 	}
 	return w.r.grant

@@ -2,8 +2,9 @@ package sim_test
 
 // Pooled-runner session tests: isolation of reused runners across
 // consecutive cases of a Sweep shard (run under -race in CI), stash
-// reuse, panic propagation through pooled workers, and the steady-state
-// allocation guarantee of the k-agent phase loop.
+// reuse, panic propagation through pooled workers, the steady-state
+// allocation guarantee of the k-agent phase loop, and how release ends
+// the programs a run leaves parked.
 
 import (
 	"fmt"
@@ -148,34 +149,6 @@ func TestSessionPanicPropagation(t *testing.T) {
 	}
 }
 
-// TestReleaseDeliversEarnedGrants pins release's contract: when a run
-// ends, every agent first acts on each grant it earned and only then
-// unwinds, so an agent.Traced trajectory read the moment the run returns
-// agrees with MultiResult.Moves. The walker meets the sitter on the
-// round of a move whose grant it has not yet received; dropping that
-// grant would leave its trace one move short. Checked through RunMany.
-func TestReleaseDeliversEarnedGrants(t *testing.T) {
-	g := graph.Cycle(6)
-	const n = 6 // sitter appearance delays 0..5
-	sess := sim.NewSession()
-	defer sess.Close()
-	for d := 0; d < n; d++ {
-		var traces [2]agent.Trace
-		res := sess.RunMany(g, []sim.MultiAgent{
-			{Program: agent.Traced(agent.MoveEveryRound, &traces[0]), Start: 0},
-			{Program: agent.Traced(agent.Sit, &traces[1]), Start: 3, Appear: uint64(d)},
-		}, sim.MultiConfig{Budget: 1_000, StopOnFirstMeeting: true})
-		if len(res.Meetings) != 1 {
-			t.Fatalf("delay %d: want one meeting, got %+v", d, res)
-		}
-		for i := range traces {
-			if got := traces[i].Moves(); uint64(got) != res.Moves[i] {
-				t.Fatalf("delay %d agent %d: trace holds %d moves, result %d", d, i, got, res.Moves[i])
-			}
-		}
-	}
-}
-
 // TestRunManySteadyStateAllocs pins the acceptance criterion: after
 // warmup, the k-agent scheduler's phase loop performs zero allocations
 // per run beyond the MultiResult's own Moves slice and (bounded) result
@@ -221,103 +194,97 @@ func TestRunManySteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// countCalls loops one batched call forever — MoveSeq, or RunSeq when
-// quiet — counting the calls that returned into *n.
-func countCalls(script []int, quiet bool, n *uint64) agent.Program {
-	return func(w agent.World) {
-		for {
-			if quiet {
-				agent.RunSeq(w, script)
-			} else {
-				w.MoveSeq(script)
+// TestReleaseUnwindsParkedPrograms pins release's contract. When a run
+// ends while programs are parked in a World call, none of their code past
+// that call runs, their defers run before the run returns, and the
+// session stays reusable. A walker loops one call clockwise around a
+// ring — a move, a MoveSeq or a RunSeq script — while the other agent
+// holds still: it waits (parking in the flush of every fourth Wait), or
+// loops a RunSeq script that is a single SeqWait escape. The holder's
+// start moves the meeting across every offset of the walker's script,
+// the lead lengths land some lead ends on the meeting round, and short
+// budgets end some runs instead. Each program also defers a Move, which
+// must send nothing: release resumes a program once. Checked through
+// RunPrograms and RunMany, each run against a fresh session's.
+func TestReleaseUnwindsParkedPrograms(t *testing.T) {
+	g := graph.Cycle(40)
+	type calls struct{ issued, returned, deferred int }
+	looping := func(call func(agent.World), c *calls) agent.Program {
+		return func(w agent.World) {
+			defer func() { c.deferred++ }()
+			defer w.Move(0)
+			for {
+				c.issued++
+				call(w)
+				c.returned++
 			}
-			*n++
 		}
 	}
-}
-
-// TestReleaseDeliversScriptedGrants is the release contract on the burst
-// path. A walker loops one script clockwise around a ring while the other
-// agent holds still: it sits, or loops a script that is a single SeqWait
-// escape, so its whole call is a lead whose end earns a grant. Each call
-// takes a fixed number of rounds, so by the meeting round t an agent
-// appearing at round a has earned exactly (t-a)/rounds grants, a grant
-// earned on round t included, and its count must say so once the run
-// returns. The holder's start moves the meeting across every offset of
-// the walker's script, its last action included, and the lead lengths
-// land some lead ends on the meeting round. Checked through RunPrograms
-// and RunMany.
-func TestReleaseDeliversScriptedGrants(t *testing.T) {
-	g := graph.Cycle(40)
-	walks := []struct {
-		script []int
-		quiet  bool
-		rounds uint64
-	}{
-		{[]int{0, 0, 0, 0}, false, 4},
-		{[]int{0, agent.ScriptWait, 0, 0, agent.ScriptWait}, false, 5},
-		{[]int{0, agent.SeqWait(3), 0, 0}, true, 6},
-		{[]int{0, 0, agent.SeqWait(2)}, true, 4},
+	script := func(actions ...int) func(agent.World) {
+		return func(w agent.World) { agent.RunSeq(w, actions) }
 	}
-	type caze struct {
-		walk, at, lead int // lead 0: the holder sits
-		delay          uint64
+	walks := []func(agent.World){
+		func(w agent.World) { w.Move(0) },
+		func(w agent.World) { w.MoveSeq([]int{0, agent.ScriptWait, 0, 0}) },
+		script(0, agent.SeqWait(3), 0, 0),
+		script(0, 0, agent.SeqWait(2)),
 	}
-	var cases []caze
-	for wi := range walks {
-		for at := 1; at <= 9; at++ {
-			for _, lead := range []int{0, 1, 2, 3, 5, 7} {
+	holds := []func(agent.World){func(w agent.World) { w.Wait(1 << 20) }}
+	for _, lead := range []uint64{1, 2, 3, 5, 7} {
+		holds = append(holds, script(agent.SeqWait(lead)))
+	}
+	sess := sim.NewSession()
+	defer sess.Close()
+	var c [2]calls
+	programs := func(walk, hold int) (agent.Program, agent.Program) {
+		c = [2]calls{}
+		return looping(walks[walk], &c[0]), looping(holds[hold], &c[1])
+	}
+	check := func(label string) {
+		t.Helper()
+		for i, ci := range c {
+			if ci.deferred != 1 || ci.issued != ci.returned+1 {
+				t.Fatalf("%s: agent %d made %d calls, %d returned, %d defers ran; want one call parked and one defer", label, i, ci.issued, ci.returned, ci.deferred)
+			}
+		}
+	}
+	for walk := range walks {
+		for hold := range holds {
+			for at := 1; at <= 9; at++ {
 				for _, delay := range []uint64{0, 2} {
-					cases = append(cases, caze{wi, at, lead, delay})
+					for _, budget := range []uint64{1_000, 3 + uint64(at)} {
+						label := fmt.Sprintf("walk %d hold %d at %d δ%d b%d", walk, hold, at, delay, budget)
+						a, b := programs(walk, hold)
+						got := sess.RunPrograms(g, a, b, 0, at, delay, sim.Config{Budget: budget})
+						check("RunPrograms " + label)
+						if want := sim.RunPrograms(g, a, b, 0, at, delay, sim.Config{Budget: budget}); got != want {
+							t.Fatalf("RunPrograms %s: pooled %+v, fresh %+v", label, got, want)
+						}
+						a, b = programs(walk, hold)
+						agents := []sim.MultiAgent{{Program: a, Start: 0}, {Program: b, Start: at, Appear: delay}}
+						cfg := sim.MultiConfig{Budget: budget, StopOnFirstMeeting: true}
+						gotMany := sess.RunMany(g, agents, cfg)
+						check("RunMany " + label)
+						if want := sim.RunMany(g, agents, cfg); !reflect.DeepEqual(gotMany, want) {
+							t.Fatalf("RunMany %s: pooled %+v, fresh %+v", label, gotMany, want)
+						}
+					}
 				}
 			}
 		}
 	}
-	counts := make([][2]uint64, len(cases))
-	programs := func(i int) (agent.Program, agent.Program) {
-		c := cases[i]
-		counts[i] = [2]uint64{}
-		walker := countCalls(walks[c.walk].script, walks[c.walk].quiet, &counts[i][0])
-		if c.lead == 0 {
-			return walker, agent.Sit
-		}
-		return walker, countCalls([]int{agent.SeqWait(uint64(c.lead))}, true, &counts[i][1])
-	}
-	leadEndsOnMeeting := 0
-	check := func(label string, i int, round uint64) {
-		t.Helper()
-		c := cases[i]
-		want := [2]uint64{round / walks[c.walk].rounds}
-		if c.lead > 0 {
-			want[1] = (round - c.delay) / uint64(c.lead)
-			if (round-c.delay)%uint64(c.lead) == 0 {
-				leadEndsOnMeeting++
+	// A program the run never started runs no line: A panics before its
+	// first call, so B, due on the same round, is never resumed.
+	started := false
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("the program panic did not propagate")
 			}
-		}
-		if counts[i] != want {
-			t.Fatalf("%s case %+v: meeting at round %d, calls returned %v, want %v", label, c, round, counts[i], want)
-		}
-	}
-	multi := func(i int) []sim.MultiAgent {
-		a, b := programs(i)
-		return []sim.MultiAgent{{Program: a, Start: 0}, {Program: b, Start: cases[i].at, Appear: cases[i].delay}}
-	}
-	cfg := sim.MultiConfig{Budget: 1_000, StopOnFirstMeeting: true}
-	sess := sim.NewSession()
-	defer sess.Close()
-	for i := range cases {
-		a, b := programs(i)
-		res := sess.RunPrograms(g, a, b, 0, cases[i].at, cases[i].delay, sim.Config{Budget: 1_000})
-		if res.Outcome != sim.Met {
-			t.Fatalf("RunPrograms case %+v: %+v", cases[i], res)
-		}
-		check("RunPrograms", i, res.MeetingRound)
-	}
-	for i := range cases {
-		res := sess.RunMany(g, multi(i), cfg)
-		check("RunMany", i, res.Meetings[0].Round)
-	}
-	if leadEndsOnMeeting == 0 {
-		t.Fatal("no case ended a lead on the meeting round")
+		}()
+		sess.RunPrograms(g, func(agent.World) { panic("boom") }, func(agent.World) { started = true }, 0, 1, 0, sim.Config{Budget: 10})
+	}()
+	if started {
+		t.Fatal("a program the run never started ran")
 	}
 }

@@ -49,11 +49,6 @@ type Config struct {
 	// Budget is the maximum number of absolute rounds to simulate.
 	// Zero selects DefaultBudget.
 	Budget uint64
-	// Observer, when non-nil, is called once per simulated round with the
-	// positions at that round (posB == -1 before the later agent appears).
-	// Setting an observer disables wait fast-forwarding, so only use it
-	// with small budgets.
-	Observer func(round uint64, posA, posB int)
 }
 
 // DefaultBudget is the round budget used when Config.Budget is zero.
@@ -79,12 +74,11 @@ func RunPrograms(g *graph.Graph, progA, progB agent.Program, u, v int, delay uin
 
 // RunPrograms is the session-pooled form of the package-level
 // RunPrograms: the scheduler loop with two agents, the later one
-// appearing at delay, stopped by their meeting. An observer makes it
-// step one round at a time.
+// appearing at delay, stopped by their meeting.
 func (s *Session) RunPrograms(g *graph.Graph, progA, progB agent.Program, u, v int, delay uint64, cfg Config) Result {
 	m := &s.run
 	m.pair.agents = [2]MultiAgent{{Program: progA, Start: u}, {Program: progB, Start: v, Appear: delay}}
-	m.begin(s, g, m.pair.agents[:], MultiConfig{Budget: cfg.Budget, StopOnFirstMeeting: true}, cfg.Observer)
+	m.begin(s, g, m.pair.agents[:], MultiConfig{Budget: cfg.Budget, StopOnFirstMeeting: true})
 	defer m.end(runKindPair)
 	m.loop()
 	res := Result{Outcome: BudgetExhausted, Rounds: m.t, MovesA: m.runners[0].moves}
@@ -106,11 +100,10 @@ func (s *Session) RunPrograms(g *graph.Graph, progA, progB agent.Program, u, v i
 // keeps its slices in pair, so that a fresh Session's run allocates no
 // scheduler state.
 type runState struct {
-	s        *Session
-	g        *graph.Graph
-	agents   []MultiAgent
-	cfg      MultiConfig
-	observer func(round uint64, posA, posB int) // two agents only
+	s      *Session
+	g      *graph.Graph
+	agents []MultiAgent
+	cfg    MultiConfig
 
 	runners   []*runner // by agent index, nil until the agent appears
 	active    []*runner // the present runners, in agent order
@@ -137,7 +130,7 @@ type runState struct {
 }
 
 // begin resets the run state for a run of agents on g.
-func (m *runState) begin(s *Session, g *graph.Graph, agents []MultiAgent, cfg MultiConfig, observer func(uint64, int, int)) {
+func (m *runState) begin(s *Session, g *graph.Graph, agents []MultiAgent, cfg MultiConfig) {
 	k := len(agents)
 	if cap(m.runners) < k {
 		if p := &m.pair; k <= len(p.runners) {
@@ -151,7 +144,7 @@ func (m *runState) begin(s *Session, g *graph.Graph, agents []MultiAgent, cfg Mu
 	if cfg.Budget == 0 {
 		cfg.Budget = DefaultBudget
 	}
-	m.s, m.g, m.agents, m.cfg, m.observer = s, g, agents, cfg, observer
+	m.s, m.g, m.agents, m.cfg = s, g, agents, cfg
 	m.runners, m.met, m.moved = m.runners[:k], m.met[:k*k], m.moved[:k]
 	clear(m.runners)
 	clear(m.met)
@@ -170,39 +163,30 @@ func (m *runState) end(kind int) {
 			m.runners[i] = nil
 		}
 	}
-	m.agents, m.pair.agents, m.observer = nil, [2]MultiAgent{}, nil
+	m.agents, m.pair.agents = nil, [2]MultiAgent{}
 }
 
 // loop runs the scheduler from round 0 to the run's end. Each iteration
 // starts the agents due to appear and pulls a request from every agent
 // that finished its last action, the only resumes of a program; then it
 // steps to the next event: one burst, bounded by the budget and the next
-// appearance, or, when a single move is pending or an observer watches,
-// one round of every agent. A meeting the step ends on is recorded at
-// once, before any request of that round is pulled; on an appearance
-// round, only after the new agents appear.
+// appearance, or, when a single move is pending, one round of every
+// agent. A meeting the step ends on is recorded at once, before any
+// request of that round is pulled; on an appearance round, only after
+// the new agents appear.
 func (m *runState) loop() {
 	for {
 		appeared := m.absent > 0 && m.t >= m.nextAppear
 		if appeared {
 			m.appear()
 		}
-		m.pull()
-		if appeared {
-			if m.observer != nil {
-				m.observe()
-			}
-			if m.detect(nil) {
-				return
-			}
+		if m.pull(); appeared && m.detect(nil) {
+			return
 		}
 		if m.ended == len(m.agents) || m.t >= m.cfg.Budget {
 			return
 		}
-		steps, hit := uint64(0), true
-		if m.observer == nil {
-			steps, hit = burst(m.active, min(m.cfg.Budget, m.nextAppear)-m.t, m.moved, &m.w)
-		}
+		steps, hit := burst(m.active, min(m.cfg.Budget, m.nextAppear)-m.t, m.moved, &m.w)
 		if steps == 0 {
 			for a, r := range m.active {
 				m.moved[a] = r.roundsUntilMove() == 0
@@ -212,9 +196,6 @@ func (m *runState) loop() {
 		}
 		if m.t += steps; m.absent > 0 && m.t == m.nextAppear {
 			continue
-		}
-		if m.observer != nil {
-			m.observe()
 		}
 		if hit && m.detect(m.moved) {
 			return
@@ -256,16 +237,6 @@ func (m *runState) pull() {
 			}
 		}
 	}
-}
-
-// observe hands round t's positions to the observer; the later agent's
-// is -1 before it appears.
-func (m *runState) observe() {
-	posB := -1
-	if rb := m.runners[1]; rb != nil {
-		posB = rb.pos
-	}
-	m.observer(m.t, m.runners[0].pos, posB)
 }
 
 // detect records the first meeting of every co-located pair at round t
@@ -353,7 +324,7 @@ type watch struct {
 // instead. Every other runner is held in place: n shrinks to its
 // roundsUntilMove, and it is advanced once, by the rounds run, before
 // burst returns, so a grant it earned on the last round is pending for
-// the next fetch or for release. The burst also ends after the round on
+// the next fetch. The burst also ends after the round on
 // which a walker's segment ends — its script's end, or an escape after
 // the last copy of a block — and after the first round that ends on a
 // co-location w watches for (a pair with a walker in it, unless w says

@@ -114,31 +114,25 @@ func TestNeverMeetDetection(t *testing.T) {
 	}
 }
 
-func TestObserverSeesEveryRound(t *testing.T) {
+func TestTimelineSeesEveryRound(t *testing.T) {
 	g := graph.Cycle(4)
-	var rounds []uint64
-	var posA []int
 	prog := func(w agent.World) {
 		w.Move(0)
 		w.Wait(2)
 		w.Move(0)
 		w.Wait(1 << 20)
 	}
-	cfg := Config{Budget: 8, Observer: func(r uint64, pa, pb int) {
-		rounds = append(rounds, r)
-		posA = append(posA, pa)
-	}}
-	res := Run(g, prog, 0, 2, 100, cfg) // delay beyond budget: B never appears
-	if res.Outcome != BudgetExhausted {
-		t.Fatalf("outcome %v", res.Outcome)
+	tl := CaptureTimeline(g, prog, 0, 2, 100, 8) // delay beyond budget: B never appears
+	if tl.Result.Outcome != BudgetExhausted {
+		t.Fatalf("outcome %v", tl.Result.Outcome)
 	}
 	want := []int{0, 1, 1, 1, 2, 2, 2, 2, 2}
-	if len(rounds) != len(want) {
-		t.Fatalf("observer called %d times, want %d", len(rounds), len(want))
+	if len(tl.Rounds) != len(want) {
+		t.Fatalf("timeline holds %d rounds, want %d", len(tl.Rounds), len(want))
 	}
-	for i := range want {
-		if rounds[i] != uint64(i) || posA[i] != want[i] {
-			t.Fatalf("round %d: got pos %d, want %d", i, posA[i], want[i])
+	for i, p := range tl.Rounds {
+		if p.Round != uint64(i) || p.PosA != want[i] || p.PosB != -1 {
+			t.Fatalf("round %d: got %+v, want A at %d, B absent", i, p, want[i])
 		}
 	}
 }
@@ -155,8 +149,10 @@ func TestEntryPortAndDegreePercepts(t *testing.T) {
 		seen = append(seen, obs{w.Degree(), w.EntryPort()})
 		w.Wait(1 << 20)
 	}
-	res := RunPrograms(g, prog, agent.Sit, 0, 2, 0, Config{Budget: 10})
-	if res.Outcome != Met {
+	// B appears after the budget: a grant earned on a meeting round never
+	// reaches the program.
+	res := RunPrograms(g, prog, agent.Sit, 0, 2, 100, Config{Budget: 10})
+	if res.Outcome != BudgetExhausted {
 		t.Fatalf("outcome %v", res.Outcome)
 	}
 	want := []obs{{1, -1}, {2, 0}, {1, 0}}
@@ -181,7 +177,7 @@ func TestClock(t *testing.T) {
 		clocks = append(clocks, w.Clock())
 		w.Wait(1 << 20)
 	}
-	RunPrograms(g, prog, agent.Sit, 0, 1, 0, Config{Budget: 100})
+	RunPrograms(g, prog, agent.Sit, 0, 1, 200, Config{Budget: 100}) // B appears after the budget
 	want := []uint64{0, 5, 6}
 	for i := range want {
 		if clocks[i] != want[i] {

@@ -17,8 +17,27 @@ import (
 // at once from the graph, and an unrecorded wait of any length costs
 // O(1). Solo is safe for concurrent use.
 func Solo(g *graph.Graph, prog agent.Program, start int, budget uint64, record []int) (clock uint64, node int, stream []int) {
+	return solo(g, prog, start, budget, record, nil)
+}
+
+// SoloTrace returns prog's trajectory over its first rounds rounds alone
+// on g from start, or up to its return if that comes first. An agent's
+// trajectory up to a meeting is the one it walks alone over the rounds it
+// lived, so this is what the paper's leader election compares (package
+// election). SoloTrace(…, 0) is empty and runs nothing.
+func SoloTrace(g *graph.Graph, prog agent.Program, start int, rounds uint64) *agent.Trace {
+	tr := &agent.Trace{}
+	if rounds > 0 { // Solo's budget 0 is none
+		solo(g, prog, start, rounds, nil, tr)
+	}
+	return tr
+}
+
+// solo is Solo, also writing the agent's trajectory into tr when tr is
+// non-nil.
+func solo(g *graph.Graph, prog agent.Program, start int, budget uint64, record []int, tr *agent.Trace) (clock uint64, node int, stream []int) {
 	w := soloWorlds.Get().(*soloWorld)
-	w.g, w.pos, w.deg, w.entry, w.clock, w.budget, w.rec = g, start, g.Degree(start), -1, 0, budget, record
+	w.g, w.pos, w.deg, w.entry, w.clock, w.budget, w.rec, w.tr = g, start, g.Degree(start), -1, 0, budget, record, tr
 	if budget == 0 {
 		w.budget = ^uint64(0)
 	}
@@ -29,7 +48,7 @@ func Solo(g *graph.Graph, prog agent.Program, start int, budget uint64, record [
 			}
 		}
 		clock, node, stream = w.clock, w.pos, w.rec
-		w.g, w.rec = nil, nil
+		w.g, w.rec, w.tr = nil, nil, nil
 		soloWorlds.Put(w)
 	}()
 	prog(w)
@@ -40,13 +59,14 @@ func Solo(g *graph.Graph, prog agent.Program, start int, budget uint64, record [
 var soloWorlds = sync.Pool{New: func() any { return new(soloWorld) }}
 
 // soloWorld is the agent.World of a lone run. rec is the recorded
-// stream, nil when nothing is recorded; entries and degs back MoveSeq's
-// results (see the World contract).
+// stream and tr the trajectory, each nil when not written; entries and
+// degs back MoveSeq's results (see the World contract).
 type soloWorld struct {
 	g                  *graph.Graph
 	pos, deg, entry    int
 	clock, budget      uint64
 	rec, entries, degs []int
+	tr                 *agent.Trace
 }
 
 func (w *soloWorld) Degree() int    { return w.deg }
@@ -66,6 +86,9 @@ func (w *soloWorld) Move(port int) int {
 	if w.rec != nil {
 		w.rec = append(w.rec, port)
 	}
+	if w.tr != nil {
+		w.tr.Steps = append(w.tr.Steps, agent.Step{Kind: agent.StepMove, OutPort: port, EntryPort: ep, Rounds: 1})
+	}
 	return ep
 }
 
@@ -74,6 +97,14 @@ func (w *soloWorld) Wait(rounds uint64) {
 	w.clock += k
 	for i := uint64(0); w.rec != nil && i < k; i++ {
 		w.rec = append(w.rec, agent.ScriptWait)
+	}
+	if tr := w.tr; tr != nil && k > 0 {
+		// Consecutive waits coalesce into one step, of any length.
+		if n := len(tr.Steps); n > 0 && tr.Steps[n-1].Kind == agent.StepWait {
+			tr.Steps[n-1].Rounds += k
+		} else {
+			tr.Steps = append(tr.Steps, agent.Step{Kind: agent.StepWait, Rounds: k})
+		}
 	}
 	if k < rounds {
 		panic(stopSentinel{})
@@ -84,6 +115,9 @@ func (w *soloWorld) Wait(rounds uint64) {
 // with agent.ActionPort's resolution fused into one adjacency-row access
 // per move and the walk in locals, as in the engine's walk.
 func (w *soloWorld) MoveSeq(actions []int) ([]int, []int) {
+	if w.tr != nil {
+		return agent.RunScript(w, actions) // a trajectory is written step by step
+	}
 	if len(actions) == 0 {
 		return nil, nil
 	}

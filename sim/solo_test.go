@@ -202,3 +202,40 @@ func TestSoloPanics(t *testing.T) {
 		t.Fatalf("budget 1: clock %d, node %d, want 1 and 1", clock, node)
 	}
 }
+
+// TestSoloTraceGoldens pins SoloTrace to the trajectories the engine's
+// meetings saw, as recorded inside the two-agent runs and cut to the
+// rounds each agent lived: A's up to the meeting round, B's up to it
+// less δ.
+func TestSoloTraceGoldens(t *testing.T) {
+	universal := rendezvous.UniversalRV()
+	for _, c := range []struct {
+		g      *graph.Graph
+		u, v   int
+		delta  uint64
+		round  uint64 // the meeting round
+		ta, tb string
+	}{
+		{graph.TwoNode(), 0, 1, 2, 3, "0>0 0>0 .1", "0>0"},
+		{graph.Path(3), 0, 2, 0, 1, "0>0", "0>1"},
+		{graph.Cycle(6), 0, 3, 3, 747, "0>1 1>0 .740 0>1 1>0 0>1 0>1 0>1", "0>1 1>0 .740 0>1 1>0"},
+		{graph.Path(4), 0, 1, 0, 743, "0>0 0>0 .741", "0>0 0>0 .740 0>0"},
+	} {
+		res := sim.Run(c.g, universal, c.u, c.v, c.delta, sim.Config{Budget: 1 << 30})
+		if res.Outcome != sim.Met || res.MeetingRound != c.round {
+			t.Fatalf("%s (%d,%d) δ=%d: %+v, want a meeting at round %d", c.g, c.u, c.v, c.delta, res, c.round)
+		}
+		ta := sim.SoloTrace(c.g, universal, c.u, c.round)
+		tb := sim.SoloTrace(c.g, universal, c.v, c.round-c.delta)
+		if ta.String() != c.ta || tb.String() != c.tb {
+			t.Fatalf("%s (%d,%d) δ=%d: traces %q and %q, want %q and %q", c.g, c.u, c.v, c.delta, ta, tb, c.ta, c.tb)
+		}
+	}
+	// Solo's budget 0 means none, so a zero-round trace must not run the
+	// program at all: E14's K2 δ=1 agent B, which meets on appearing,
+	// would never return from MoveEveryRound.
+	ran := func(agent.World) { panic("SoloTrace(…, 0) ran its program") }
+	if tr := sim.SoloTrace(graph.TwoNode(), ran, 1, 0); len(tr.Steps) != 0 {
+		t.Fatalf("zero-round trace %q", tr)
+	}
+}

@@ -8,11 +8,10 @@ import (
 	"repro/graph"
 )
 
-// Timeline records the first maxRounds rounds of a two-agent run and
-// renders them as an ASCII chart — one column per round, one row per
-// agent, '·' before the later agent appears and '*' on meeting rounds.
-// It exists for documentation, examples and debugging; it disables the
-// scheduler's fast-forwarding, so keep maxRounds small.
+// Timeline records the first rounds of a two-agent run and renders them
+// as an ASCII chart — one column per round, one row per agent, '·' before
+// the later agent appears and '*' on meeting rounds. It exists for
+// documentation, examples and debugging.
 type Timeline struct {
 	Rounds []TimelinePoint
 	Result Result
@@ -25,18 +24,43 @@ type TimelinePoint struct {
 	PosB  int // -1 before the later agent appears
 }
 
-// CaptureTimeline runs prog for both agents and records up to maxRounds
-// rounds (the run itself also stops at maxRounds).
+// CaptureTimeline runs prog for both agents for at most maxRounds rounds
+// and records every round up to the run's end, Result.Rounds+1 points.
+// maxRounds must be positive. The run is fast-forwarded as any other; an
+// agent's node at each round comes from its lone trajectory (SoloTrace)
+// over the rounds it lived, since what an agent does before a meeting is
+// what it does alone.
 func CaptureTimeline(g *graph.Graph, prog agent.Program, u, v int, delay uint64, maxRounds uint64) *Timeline {
-	tl := &Timeline{}
-	cfg := Config{
-		Budget: maxRounds,
-		Observer: func(round uint64, posA, posB int) {
-			tl.Rounds = append(tl.Rounds, TimelinePoint{Round: round, PosA: posA, PosB: posB})
-		},
+	tl := &Timeline{Result: Run(g, prog, u, v, delay, Config{Budget: maxRounds})}
+	rounds := tl.Result.Rounds
+	for t, posA := range lonePath(g, prog, u, rounds) {
+		tl.Rounds = append(tl.Rounds, TimelinePoint{Round: uint64(t), PosA: posA, PosB: -1})
 	}
-	tl.Result = Run(g, prog, u, v, delay, cfg)
+	if rounds >= delay {
+		for t, posB := range lonePath(g, prog, v, rounds-delay) {
+			tl.Rounds[delay+uint64(t)].PosB = posB
+		}
+	}
 	return tl
+}
+
+// lonePath returns prog's node alone on g from start at each of its
+// first rounds+1 rounds; after prog returns, its agent stays put.
+func lonePath(g *graph.Graph, prog agent.Program, start int, rounds uint64) []int {
+	path := []int{start}
+	for _, s := range SoloTrace(g, prog, start, rounds).Steps {
+		node := path[len(path)-1]
+		if s.Kind == agent.StepMove {
+			node, _ = g.Succ(node, s.OutPort)
+		}
+		for range s.Rounds {
+			path = append(path, node)
+		}
+	}
+	for uint64(len(path)) <= rounds {
+		path = append(path, path[len(path)-1])
+	}
+	return path
 }
 
 // String renders the chart.
